@@ -37,7 +37,6 @@ from .graphs import (
     is_distance_regular,
     is_primitive,
     max_distance_class,
-    odd_girth,
 )
 from .families import (
     LabeledCover,

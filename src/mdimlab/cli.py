@@ -10,20 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Iterable
+from typing import Any
 
 from . import families
 from .designs import (
     SymmetricDesign,
-    design_from_graph,
     design_from_text,
     design_text,
     incidence_graph,
     pg2,
 )
 from .errors import BudgetExceeded, MdimlabError
-from .graphs import Graph, bfs_distances, induced_neighborhood, intersection_array
-from .imprimitivity import antipodal_structure, bipartition, classify_ah, fold, halve
+from .graphs import Graph, induced_neighborhood
+from .imprimitivity import antipodal_structure, bipartition, classify_ah
 from .lifting import (
     double_lift,
     lift_folded,
@@ -36,7 +35,6 @@ from .mdim import (
     babai_bounds,
     certify,
     exhaustive_mdim,
-    lower_bound_nd,
     mdim_exact,
     mdim_greedy,
     min_semi_resolving,
@@ -157,7 +155,7 @@ def _cmd_mdim(args: argparse.Namespace) -> int:
     elif args.oracle:
         cert = exhaustive_mdim(g)
     else:
-        cert = mdim_exact(g, budget=args.budget, threads=args.threads)
+        cert = mdim_exact(g, budget=args.budget)
     _emit(cert.to_json(), args.json,
           f"mu={cert.mu} set={list(cert.set)} status={cert.status} method={cert.method}")
     exact_requested = not (args.greedy or args.oracle or args.certify is not None)
@@ -223,22 +221,20 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_semiresolve(args: argparse.Namespace) -> int:
     design = _load_design(args)
     if args.split:
-        result = split_mdim(design, threads=args.threads)
+        result = split_mdim(design)
         _emit(result.to_json(), args.json,
               f"split={result.mu_star} points_part={list(result.points_part.set)} "
               f"blocks_part={list(result.blocks_part.set)}")
         return EXIT_OK
-    cert = min_semi_resolving(design, side=args.side, threads=args.threads)
+    cert = min_semi_resolving(design, side=args.side)
     _emit(cert.to_json(), args.json,
           f"size={cert.mu} set={list(cert.set)} side={args.side}")
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite not in ("golden", "paper"):
-        raise MdimlabError(f"unknown suite {args.suite!r}")
     only = set(args.only.split(",")) if args.only else None
-    report = run_suite(include_slow=args.include_slow, only=only, threads=args.threads)
+    report = run_suite(include_slow=args.include_slow, only=only)
     if args.json:
         _emit(report.to_json(), True)
     else:
@@ -265,12 +261,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.kind == "descendants":
         base = families.family(args.base, *(args.param or ()))
         cover = families.taylor(base)
-        mu_base = mdim_exact(base, threads=args.threads).mu
+        mu_base = mdim_exact(base).mu
         rows = []
         for w in range(cover.graph.n):
             local, _ = induced_neighborhood(cover.graph, w)
             rows.append({"vertex": w, "tag": cover.tags[w],
-                         "mu": mdim_exact(local, threads=args.threads).mu})
+                         "mu": mdim_exact(local).mu})
         payload = {"base_mu": mu_base, "descendants": rows}
         if args.json:
             _emit(payload, True)
@@ -281,12 +277,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.kind == "semisplit":
         design = _load_design(args)
-        pts = min_semi_resolving(design, side="points", threads=args.threads)
-        blk = min_semi_resolving(design, side="blocks", threads=args.threads)
-        split = split_mdim(design, threads=args.threads)
+        pts = min_semi_resolving(design, side="points")
+        blk = min_semi_resolving(design, side="blocks")
+        split = split_mdim(design)
         inc_mu = None
         if 1 < design.k < design.v - 1:
-            inc_mu = mdim_exact(incidence_graph(design).graph, threads=args.threads).mu
+            inc_mu = mdim_exact(incidence_graph(design).graph).mu
         payload = {
             "semi_points": pts.to_json(),
             "semi_blocks": blk.to_json(),
@@ -322,13 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mdim", help="metric dimension with certificate")
     p.add_argument("graph", help="graph file")
-    p.add_argument("--exact", action="store_true", help="exact solve (default)")
     p.add_argument("--greedy", action="store_true", help="greedy upper bound instead")
     p.add_argument("--oracle", action="store_true",
                    help="exhaustive enumeration (small graphs only)")
     p.add_argument("--certify", metavar="SET", help="verify this comma-separated set")
     p.add_argument("--budget", type=int, help="node budget override")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_mdim)
 
@@ -355,15 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", help="design file")
     p.add_argument("--side", choices=["points", "blocks"], default="blocks")
     p.add_argument("--split", action="store_true", help="both sides (split dimension)")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_semiresolve)
 
     p = sub.add_parser("verify", help="golden-value regression suite")
-    p.add_argument("--suite", default="golden")
     p.add_argument("--include-slow", action="store_true")
     p.add_argument("--only", help="comma-separated row ids")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
@@ -378,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=int, action="append")
     p.add_argument("--plane", type=int, help="semisplit: order-q design")
     p.add_argument("--design", help="semisplit: design file")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_experiment)
 

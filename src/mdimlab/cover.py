@@ -11,17 +11,18 @@ bans the separators already tried at that node, so the subtrees partition
 the solution space.  Pruning uses chosen + ceil(remaining / best possible
 marginal coverage) against the incumbent, plus an optional external lower
 bound that stops the search as soon as it is met.  All tie-breaks are by
-ascending id, so sequential results are fully deterministic.
+ascending id, so results are fully deterministic.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
 import numpy as np
+
+from .graphs import iter_bits
 
 DEFAULT_BUDGET = 10**8
 
@@ -113,7 +114,7 @@ class _Stop(Exception):
 
 
 class _Search:
-    """Sequential branch and bound state."""
+    """Branch and bound state."""
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
 
@@ -176,7 +177,7 @@ class _Search:
         if pivot_resolvers == 0:
             return  # some pair lost all its separators
         cands = sorted(
-            _bits(pivot_resolvers),
+            iter_bits(pivot_resolvers),
             key=lambda v: (-(self.inst.coverage[v] & uncovered).bit_count(), v),
         )
         tried = 0
@@ -226,94 +227,23 @@ class _Search:
         return best_bits
 
 
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def min_cover(
     inst: PairCoverInstance,
     forced: Sequence[int] = (),
     budget: int = DEFAULT_BUDGET,
     lower_stop: int = 0,
-    threads: int = 1,
 ) -> CoverResult:
     """Minimum cover containing the forced choosers.
 
     lower_stop is an external lower bound on the optimum: any incumbent of
     that size is accepted as optimal without exhausting the tree.  A spent
     budget downgrades the result to a verified upper bound
-    (optimal=False).  With threads > 1, the root branches are solved in
-    worker processes; the optimum is independent of the worker count.
+    (optimal=False).
     """
     forced = sorted(set(forced))
     lower_stop = max(lower_stop, len(forced))
     seed = greedy_cover(inst, forced)
-    covered = 0
-    for v in forced:
-        covered |= inst.coverage[v]
-    all_items = (1 << inst.n_items) - 1
-    if covered == all_items:
-        return CoverResult(chosen=tuple(forced), nodes=0, optimal=True)
+    # forced choosers that already cover everything leave seed == forced
     if len(seed) <= lower_stop:
         return CoverResult(chosen=tuple(sorted(seed)), nodes=0, optimal=True)
-    if threads <= 1:
-        search = _Search(inst, budget, lower_stop)
-        return search.run(forced, seed)
-    return _parallel_min_cover(inst, forced, budget, lower_stop, threads, seed, covered)
-
-
-def _parallel_min_cover(inst, forced, budget, lower_stop, threads, seed, covered):
-    probe = _Search(inst, budget, lower_stop)
-    uncovered = probe.all_items & ~covered
-    pivot = probe._pick_pivot(uncovered, 0)
-    if pivot == 0:
-        # forced choices killed every separator of some pair; fall back
-        return _Search(inst, budget, lower_stop).run(forced, seed)
-    cands = sorted(
-        _bits(pivot),
-        key=lambda v: (-(inst.coverage[v] & uncovered).bit_count(), v),
-    )
-    tried = 0
-    tasks = []
-    for v in cands:
-        tasks.append((inst, list(forced) + [v], tried, budget // len(cands) + 1,
-                      lower_stop, list(seed)))
-        tried |= 1 << v
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(threads, len(tasks))) as pool:
-        results = pool.map(_solve_branch, tasks)
-    best = list(seed)
-    nodes = 1
-    exhausted = True
-    for res in results:
-        nodes += res.nodes
-        if not res.optimal:
-            exhausted = False
-        if res.size < len(best):
-            best = list(res.chosen)
-    return CoverResult(
-        chosen=tuple(sorted(best)),
-        nodes=nodes,
-        optimal=exhausted or len(best) <= lower_stop,
-    )
-
-
-def _solve_branch(args) -> CoverResult:
-    inst, start, banned, budget, lower_stop, seed = args
-    search = _Search(inst, budget, lower_stop)
-    covered = 0
-    for v in start:
-        covered |= inst.coverage[v]
-    search.best = list(seed)
-    try:
-        search._search(list(start), covered, banned)
-    except _Stop:
-        pass
-    return CoverResult(
-        chosen=tuple(sorted(search.best)),
-        nodes=search.nodes,
-        optimal=search.exhausted,
-    )
+    return _Search(inst, budget, lower_stop).run(forced, seed)

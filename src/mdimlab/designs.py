@@ -25,7 +25,7 @@ from .errors import (
     ParameterFailure,
 )
 from .families import LabeledCover, is_prime
-from .graphs import Graph, SrgParams, bfs_distances, intersection_array
+from .graphs import Graph, SrgParams, intersection_array
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,7 @@ def incidence_graph(d: SymmetricDesign) -> LabeledCover:
     g = Graph.from_edges(2 * v, edges)
     tags = tuple(f"p{x}" for x in range(v)) + tuple(f"B{j}" for j in range(v))
     if 1 < d.k < d.v - 1:
-        dm = bfs_distances(g)
-        ia = intersection_array(g, dm)
+        ia = intersection_array(g)
         if ia.d != 3:
             raise NotBipartiteDiameter3(
                 "incidence graph failed its diameter-3 verification"
@@ -148,9 +147,8 @@ def design_from_graph(g: Graph) -> SymmetricDesign:
     """
     from .imprimitivity import bipartition  # local import to avoid a cycle
 
-    dm = bfs_distances(g)
     try:
-        ia = intersection_array(g, dm)
+        ia = intersection_array(g)
         plus, minus = bipartition(g)
     except Exception as exc:
         raise NotBipartiteDiameter3(str(exc)) from exc

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadParameters, NotPrime, NotSrgKEquals2c
-from .graphs import Graph, bfs_distances, intersection_array
+from .graphs import Graph, intersection_array
 
 
 @dataclass(frozen=True)
@@ -237,8 +237,7 @@ def taylor(delta: Graph) -> LabeledCover:
     copies follow delta; a plus copy u is adjacent to the minus copy of w
     iff u != w and u is not adjacent to w in delta.
     """
-    dm = bfs_distances(delta)
-    ia = intersection_array(delta, dm)
+    ia = intersection_array(delta)
     params = ia.srg_params(delta.n)
     if params is None or params.k != 2 * params.c:
         raise NotSrgKEquals2c(

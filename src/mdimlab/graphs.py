@@ -34,10 +34,11 @@ class Graph:
 
     Instances are immutable after construction: all mutating operations build
     new graphs.  Equality is exact edge-set equality under the fixed labels,
-    never isomorphism.
+    never isomorphism.  All-pairs distances are computed on first use of
+    `distances` and kept with the graph.
     """
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_distances")
 
     def __init__(self, n: int, adj: Sequence[int]):
         if n < 1:
@@ -56,6 +57,7 @@ class Graph:
                     raise BadParameters(f"edge ({v}, {u}) is not symmetric")
         self.n = n
         self.adj = rows
+        self._distances = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -83,6 +85,14 @@ class Graph:
         for u in range(self.n):
             for w in iter_bits(self.adj[u] >> (u + 1)):
                 yield u, u + 1 + w
+
+    @property
+    def distances(self) -> "DistanceMatrix":
+        """All-pairs distances, computed by the first access and then shared
+        (the matrix is read-only)."""
+        if self._distances is None:
+            self._distances = bfs_distances(self)
+        return self._distances
 
     @property
     def n_edges(self) -> int:
@@ -213,15 +223,14 @@ class SrgParams:
             raise BadParameters(f"inconsistent strongly regular parameters {self}")
 
 
-def intersection_array(g: Graph, dm: DistanceMatrix | None = None) -> IntersectionArray:
+def intersection_array(g: Graph) -> IntersectionArray:
     """Compute the intersection array, or raise NotDistanceRegular.
 
     The witness on failure is the first (u, w, i) in lexicographic (u, w)
     order whose neighbour counts disagree with the counts established by
     earlier pairs at the same distance i.
     """
-    if dm is None:
-        dm = bfs_distances(g)
+    dm = g.distances
     if not dm.connected:
         raise DisconnectedGraph("intersection array needs a connected graph")
     n, d = g.n, dm.diameter
@@ -250,9 +259,9 @@ def intersection_array(g: Graph, dm: DistanceMatrix | None = None) -> Intersecti
     return IntersectionArray(d=d, c=c, a=a, b=b)
 
 
-def is_distance_regular(g: Graph, dm: DistanceMatrix | None = None) -> bool:
+def is_distance_regular(g: Graph) -> bool:
     try:
-        intersection_array(g, dm)
+        intersection_array(g)
         return True
     except (NotDistanceRegular, DisconnectedGraph):
         return False
@@ -293,14 +302,13 @@ def _components(n: int, rows: Sequence[int]) -> list[int]:
     return comps
 
 
-def is_primitive(g: Graph, dm: DistanceMatrix | None = None) -> bool:
+def is_primitive(g: Graph) -> bool:
     """True iff every distance-i graph (1 <= i <= d) is connected.
 
     Requires a connected distance-regular graph; raises otherwise.
     """
-    if dm is None:
-        dm = bfs_distances(g)
-    intersection_array(g, dm)  # validates connected + distance-regular
+    intersection_array(g)  # validates connected + distance-regular
+    dm = g.distances
     assert dm.diameter is not None
     for i in range(1, dm.diameter + 1):
         gi = distance_i_graph(dm, i)
@@ -340,24 +348,3 @@ def induced_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
             mask |= 1 << index[u]
         rows.append(mask)
     return Graph(len(vmap), rows), vmap
-
-
-def odd_girth(g: Graph, dm: DistanceMatrix | None = None) -> int | None:
-    """Length of a shortest odd cycle, or None if the graph is bipartite.
-
-    Works component-wise; a disconnected graph is fine.
-    """
-    if dm is None:
-        dm = bfs_distances(g)
-    dist = dm.dist.astype(np.int64)
-    best = None
-    for u, w in g.edges():
-        tot = dist[:, u] + dist[:, w]
-        tot = tot[(dist[:, u] != UNREACHABLE) & (dist[:, w] != UNREACHABLE)]
-        # d(s,u) + d(s,w) even means the closed walk through the edge is odd
-        even_sums = tot[tot % 2 == 0]
-        if even_sums.size:
-            cand = int(even_sums.min()) + 1
-            if best is None or cand < best:
-                best = cand
-    return best

@@ -20,10 +20,8 @@ from .errors import (
     NotBipartite,
 )
 from .graphs import (
-    DistanceMatrix,
     Graph,
     _components,
-    bfs_distances,
     intersection_array,
     is_primitive,
     iter_bits,
@@ -97,15 +95,14 @@ class AntipodalStructure:
         return self.labels[v][0]
 
 
-def antipodal_structure(g: Graph, dm: DistanceMatrix | None = None) -> AntipodalStructure:
+def antipodal_structure(g: Graph) -> AntipodalStructure:
     """Antipodal class partition, or NotAntipodal.
 
     The distance-d graph must be a disjoint union of cliques, all of one
     size t >= 2: that is exactly the condition for "equal or at maximal
     distance" to be an equivalence relation.
     """
-    if dm is None:
-        dm = bfs_distances(g)
+    dm = g.distances
     if dm.diameter is None:
         raise DisconnectedGraph("antipodal structure needs a connected graph")
     d = dm.diameter
@@ -143,9 +140,9 @@ def antipodal_structure(g: Graph, dm: DistanceMatrix | None = None) -> Antipodal
     return AntipodalStructure(t=size, classes=tuple(classes), labels=tuple(labels))
 
 
-def is_antipodal(g: Graph, dm: DistanceMatrix | None = None) -> bool:
+def is_antipodal(g: Graph) -> bool:
     try:
-        antipodal_structure(g, dm)
+        antipodal_structure(g)
         return True
     except NotAntipodal:
         return False
@@ -159,7 +156,7 @@ def halve(g: Graph) -> tuple[Graph, Graph, tuple[int, ...], tuple[int, ...]]:
     is the one containing vertex 0.  Edges join vertices at distance 2.
     """
     plus, minus = bipartition(g)
-    dm = bfs_distances(g)
+    dm = g.distances
 
     def build(side: tuple[int, ...]) -> Graph:
         index = {v: i for i, v in enumerate(side)}
@@ -264,8 +261,7 @@ def classify_ah(g: Graph) -> AHClass:
     Every structural sub-claim attached to a class is re-verified; a failed
     sub-claim raises ClassificationContradiction.
     """
-    dm = bfs_distances(g)
-    ia = intersection_array(g, dm)
+    ia = intersection_array(g)
     d = ia.d
     n = g.n
     claims: list[tuple[str, bool]] = []
@@ -279,7 +275,7 @@ def classify_ah(g: Graph) -> AHClass:
 
     k = ia.k
     bip = _try_bipartition(g)
-    ant = _try_antipodal(g, dm)
+    ant = _try_antipodal(g)
 
     if d == 2 and (bip is not None or ant is not None):
         _claim(claims, "imprimitive diameter-2 graph is antipodal", ant is not None)
@@ -300,7 +296,7 @@ def classify_ah(g: Graph) -> AHClass:
                        t=ant.t if ant else None, subclaims=tuple(claims))
 
     if bip is None and ant is None:
-        _claim(claims, "all distance graphs are connected", is_primitive(g, dm))
+        _claim(claims, "all distance graphs are connected", is_primitive(g))
         return AHClass(label="AH1", d=d, k=k, bipartite=False, antipodal=False,
                        subclaims=tuple(claims))
 
@@ -341,7 +337,7 @@ def classify_ah(g: Graph) -> AHClass:
     if d == 6 and bip is not None and ant is not None:
         _claim(claims, "halved graphs are antipodal of diameter 3",
                halved is not None
-               and all(_diameter(h) == 3 and _try_antipodal_plain(h)
+               and all(_diameter(h) == 3 and _try_antipodal(h) is not None
                        for h in halved))
         _claim(claims, "folded graph is bipartite of diameter 3",
                folded is not None and _diameter(folded) == 3
@@ -402,19 +398,11 @@ def _try_bipartition(g: Graph):
         return None
 
 
-def _try_antipodal(g: Graph, dm: DistanceMatrix):
+def _try_antipodal(g: Graph):
     try:
-        return antipodal_structure(g, dm)
+        return antipodal_structure(g)
     except NotAntipodal:
         return None
-
-
-def _try_antipodal_plain(g: Graph) -> bool:
-    try:
-        antipodal_structure(g)
-        return True
-    except NotAntipodal:
-        return False
 
 
 def _halve_pair(g: Graph) -> tuple[Graph, Graph]:
@@ -431,7 +419,7 @@ def _halve_then_fold(g: Graph) -> Graph | None:
 
 
 def _diameter(g: Graph) -> int | None:
-    return bfs_distances(g).diameter
+    return g.distances.diameter
 
 
 def _complete_graph(n: int) -> Graph:

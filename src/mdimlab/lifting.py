@@ -22,7 +22,7 @@ from .errors import (
     ParameterFailure,
 )
 from .families import LabeledCover, bipartite_double
-from .graphs import Graph, bfs_distances, induced_neighborhood, intersection_array
+from .graphs import Graph, induced_neighborhood, intersection_array
 from .imprimitivity import (
     AntipodalStructure,
     antipodal_structure,
@@ -36,9 +36,8 @@ from .mdim import ResolvingCertificate, first_unresolved_pair
 def _verified(
     g: Graph, s: Iterable[int], method: str
 ) -> ResolvingCertificate:
-    dm = bfs_distances(g)
     chosen = tuple(sorted({int(v) for v in s}))
-    pair = first_unresolved_pair(dm, chosen)
+    pair = first_unresolved_pair(g.distances, chosen)
     if pair is not None:
         raise LiftVerificationError(
             f"{method} produced a set that fails to resolve pair {pair}"
@@ -48,7 +47,7 @@ def _verified(
 
 def _require_resolving(g: Graph, s: Iterable[int], where: str) -> tuple[int, ...]:
     chosen = tuple(sorted({int(v) for v in s}))
-    pair = first_unresolved_pair(bfs_distances(g), chosen)
+    pair = first_unresolved_pair(g.distances, chosen)
     if pair is not None:
         raise InputNotResolving(pair, where)
     return chosen
@@ -104,9 +103,8 @@ def lift_folded(
         structure = antipodal_structure(g)
     folded, _ = fold(g, structure)
     rb = _require_resolving(folded, r_bar, "folded")
-    dm = bfs_distances(g)
-    dm_f = bfs_distances(folded)
-    d = dm.diameter or 0
+    dm_f = folded.distances
+    d = g.distances.diameter or 0
     e_bar = dm_f.diameter or 0
 
     lifted = set()
@@ -139,7 +137,7 @@ def two_antipodal_partition(
     NotTwoAntipodal if the graph is not 2-antipodal or the partition does
     not split every pair.
     """
-    dm = bfs_distances(g)
+    dm = g.distances
     if dm.diameter is None or dm.diameter < 2:
         raise NotTwoAntipodal("need a connected graph of diameter >= 2")
     d = dm.diameter
@@ -189,10 +187,10 @@ def project_to_folded(
         side_plus, _ = bipartition(g)
     except Exception as exc:
         raise HypothesisFailure(f"projection needs a bipartite graph: {exc}") from exc
-    dm = bfs_distances(g)
+    dm = g.distances
     if dm.diameter is None or dm.diameter % 2 == 0:
         raise HypothesisFailure("projection needs odd diameter")
-    structure = antipodal_structure(g, dm)
+    structure = antipodal_structure(g)
     if structure.t != 2:
         raise HypothesisFailure("projection needs antipodal classes of size 2")
     chosen = tuple(sorted({int(v) for v in r_plus}))
@@ -205,8 +203,7 @@ def project_to_folded(
         raise InputNotResolving(pair, "input")
     folded, quotient = fold(g, structure)
     projected = {quotient[v] for v in chosen}
-    dm_f = bfs_distances(folded)
-    pair_f = first_unresolved_pair(dm_f, projected)
+    pair_f = first_unresolved_pair(folded.distances, projected)
     if pair_f is not None:
         raise LiftVerificationError(
             f"projection failed to resolve folded pair {pair_f}"
@@ -279,8 +276,7 @@ def descendant_extract(
     local_graph, vmap = induced_neighborhood(g, x)
     index = {v: i for i, v in enumerate(vmap)}
     reduced = [index[v] for v in pushed.set if v != x]
-    dm_local = bfs_distances(local_graph)
-    pair = first_unresolved_pair(dm_local, reduced)
+    pair = first_unresolved_pair(local_graph.distances, reduced)
     if pair is not None:
         raise LiftVerificationError(
             f"descendant extraction failed to resolve local pair {pair}"

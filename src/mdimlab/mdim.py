@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Literal, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from .errors import (
 from .graphs import (
     DistanceMatrix,
     Graph,
-    bfs_distances,
     intersection_array,
     is_primitive,
     max_distance_class,
@@ -165,12 +164,7 @@ def lower_bound_nd(n: int, d: int) -> int:
     return mu
 
 
-def mdim_exact(
-    g: Graph,
-    budget: int | None = None,
-    threads: int = 1,
-    dm: DistanceMatrix | None = None,
-) -> ResolvingCertificate:
+def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     """Exact metric dimension with a verified witness.
 
     Disconnected graphs are handled with the unreachable-distance sentinel;
@@ -178,8 +172,7 @@ def mdim_exact(
     of those components.  Spending the whole node budget downgrades the
     result to status "verified-resolving" carrying the best set found.
     """
-    if dm is None:
-        dm = bfs_distances(g)
+    dm = g.distances
     if budget is None:
         budget = default_budget()
     inst = pair_cover_instance(dm)
@@ -187,8 +180,7 @@ def mdim_exact(
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
     res: CoverResult = min_cover(
-        inst, forced=forced, budget=budget, lower_stop=max(lb, len(forced)),
-        threads=threads,
+        inst, forced=forced, budget=budget, lower_stop=max(lb, len(forced))
     )
     if first_unresolved_pair(dm, res.chosen) is not None:
         raise LiftVerificationError("solver produced a non-resolving set")
@@ -200,10 +192,9 @@ def mdim_exact(
     )
 
 
-def mdim_greedy(g: Graph, dm: DistanceMatrix | None = None) -> ResolvingCertificate:
+def mdim_greedy(g: Graph) -> ResolvingCertificate:
     """Greedy upper bound with a verified witness."""
-    if dm is None:
-        dm = bfs_distances(g)
+    dm = g.distances
     inst = pair_cover_instance(dm)
     chosen = tuple(sorted(greedy_cover(inst)))
     if first_unresolved_pair(dm, chosen) is not None:
@@ -211,7 +202,7 @@ def mdim_greedy(g: Graph, dm: DistanceMatrix | None = None) -> ResolvingCertific
     return ResolvingCertificate(set=chosen, status="verified-resolving", method="greedy")
 
 
-def exhaustive_mdim(g: Graph, dm: DistanceMatrix | None = None) -> ResolvingCertificate:
+def exhaustive_mdim(g: Graph) -> ResolvingCertificate:
     """Independent oracle: try all vertex subsets in increasing size.
 
     Only sensible for small graphs; used to pin expected values and to
@@ -219,8 +210,7 @@ def exhaustive_mdim(g: Graph, dm: DistanceMatrix | None = None) -> ResolvingCert
     """
     from itertools import combinations
 
-    if dm is None:
-        dm = bfs_distances(g)
+    dm = g.distances
     for size in range(g.n + 1):
         for subset in combinations(range(g.n), size):
             if first_unresolved_pair(dm, subset) is None:
@@ -231,14 +221,11 @@ def exhaustive_mdim(g: Graph, dm: DistanceMatrix | None = None) -> ResolvingCert
 
 
 def certify(
-    g: Graph, s: Iterable[int], method: str = "supplied",
-    dm: DistanceMatrix | None = None,
+    g: Graph, s: Iterable[int], method: str = "supplied"
 ) -> ResolvingCertificate:
     """Check a supplied set and wrap the outcome in a certificate."""
-    if dm is None:
-        dm = bfs_distances(g)
     chosen = tuple(sorted({int(v) for v in s}))
-    pair = first_unresolved_pair(dm, chosen)
+    pair = first_unresolved_pair(g.distances, chosen)
     if pair is None:
         return ResolvingCertificate(set=chosen, status="verified-resolving", method=method)
     return ResolvingCertificate(set=chosen, status="failed", method=method, pair=pair)
@@ -289,17 +276,15 @@ class BoundReport:
         }
 
 
-def babai_bounds(g: Graph, dm: DistanceMatrix | None = None) -> BoundReport:
+def babai_bounds(g: Graph) -> BoundReport:
     """Upper bounds on the metric dimension of a primitive distance-regular
     graph: 4*sqrt(n)*ln n in general, 2n^2/(k(n-k))*ln n at diameter 2, and
     2d*n/(n-M)*ln n from the largest distance class M."""
-    if dm is None:
-        dm = bfs_distances(g)
-    if not is_primitive(g, dm):
+    if not is_primitive(g):
         raise HypothesisFailure("bound report is stated for primitive graphs")
-    ia = intersection_array(g, dm)
+    ia = intersection_array(g)
     n, k, d = g.n, ia.k, ia.d
-    m = max_distance_class(dm)
+    m = max_distance_class(g.distances)
     ln = math.log(n)
     general = 4.0 * math.sqrt(n) * ln
     srg = (2.0 * n * n / (k * (n - k))) * ln if d == 2 else None
@@ -355,13 +340,12 @@ def min_semi_resolving(
     d: SymmetricDesign,
     side: Literal["blocks", "points"] = "blocks",
     budget: int | None = None,
-    threads: int = 1,
 ) -> ResolvingCertificate:
     """Minimum semi-resolving set for one side of a design."""
     if budget is None:
         budget = default_budget()
     inst = semi_cover_instance(d, side)
-    res = min_cover(inst, budget=budget, threads=threads)
+    res = min_cover(inst, budget=budget)
     if first_unseparated_pair(d, res.chosen, side) is not None:
         raise LiftVerificationError("solver produced a non-separating set")
     return ResolvingCertificate(
@@ -392,9 +376,7 @@ class SplitDimension:
         }
 
 
-def split_mdim(
-    d: SymmetricDesign, budget: int | None = None, threads: int = 1
-) -> SplitDimension:
+def split_mdim(d: SymmetricDesign, budget: int | None = None) -> SplitDimension:
     """Split metric dimension of the incidence graph of d.
 
     The union of the two witnesses is verified to resolve the incidence
@@ -405,12 +387,11 @@ def split_mdim(
 
     if not 1 < d.k < d.v - 1:
         raise BadParameters("split dimension needs 1 < k < v-1")
-    pts = min_semi_resolving(d, "blocks", budget=budget, threads=threads)
-    blks = min_semi_resolving(d, "points", budget=budget, threads=threads)
+    pts = min_semi_resolving(d, "blocks", budget=budget)
+    blks = min_semi_resolving(d, "points", budget=budget)
     cover_graph = incidence_graph(d).graph
-    dm = bfs_distances(cover_graph)
     union = tuple(sorted(set(pts.set) | {d.v + j for j in blks.set}))
-    if first_unresolved_pair(dm, union) is not None:
+    if first_unresolved_pair(cover_graph.distances, union) is not None:
         raise LiftVerificationError(
             "split resolving set failed to resolve the incidence graph"
         )

@@ -28,7 +28,8 @@ from .designs import (
     three_lines_2blocking,
     is_double_blocking,
 )
-from .graphs import Graph, bfs_distances, intersection_array, is_primitive
+from .errors import LiftVerificationError
+from .graphs import Graph, intersection_array, is_primitive
 from .imprimitivity import antipodal_structure, classify_ah, fold, halve
 from .lifting import lift_folded, lift_halved, taylor_lift
 from .mdim import (
@@ -147,84 +148,87 @@ def _graph_from_args(args: dict[str, Any]) -> Graph:
     return families.family(args["family"], *args.get("params", ()))
 
 
-def _check_mdim_formula(args: dict[str, Any], threads: int) -> list[int]:
+def _check_mdim_formula(args: dict[str, Any]) -> list[int]:
     return [
-        mdim_exact(families.family(args["family"], *ps), threads=threads).mu
+        mdim_exact(families.family(args["family"], *ps)).mu
         for ps in args["param_sets"]
     ]
 
 
-def _check_mdim_family(args: dict[str, Any], threads: int) -> int:
-    return mdim_exact(_graph_from_args(args), threads=threads).mu
+def _check_mdim_family(args: dict[str, Any]) -> int:
+    return mdim_exact(_graph_from_args(args)).mu
 
 
-def _check_mdim_zoo(args: dict[str, Any], threads: int) -> int:
-    return mdim_exact(ZOO[args["name"]](), threads=threads).mu
+def _check_mdim_zoo(args: dict[str, Any]) -> int:
+    return mdim_exact(ZOO[args["name"]]()).mu
 
 
-def _check_double_equals_base(args: dict[str, Any], threads: int) -> list[int]:
+def _check_double_equals_base(args: dict[str, Any]) -> list[int]:
     base = ZOO[args["name"]]()
     dbl = families.bipartite_double(base).graph
-    return [mdim_exact(base, threads=threads).mu, mdim_exact(dbl, threads=threads).mu]
+    return [mdim_exact(base).mu, mdim_exact(dbl).mu]
 
 
-def _check_halved_lift_size(args: dict[str, Any], threads: int) -> int:
+def _check_halved_lift_size(args: dict[str, Any]) -> int:
     g = _graph_from_args(args)
     gp, gm, _, _ = halve(g)
-    r_plus = mdim_exact(gp, threads=threads).set
-    r_minus = mdim_exact(gm, threads=threads).set
+    r_plus = mdim_exact(gp).set
+    r_minus = mdim_exact(gm).set
     lifted = lift_halved(g, r_plus, r_minus)
     return len(lifted.set)
 
 
-def _check_folded_lift(args: dict[str, Any], threads: int) -> dict[str, Any]:
+def _check_folded_lift(args: dict[str, Any]) -> dict[str, Any]:
     g = _graph_from_args(args)
     structure = antipodal_structure(g)
     folded, _ = fold(g, structure)
-    r_bar = mdim_exact(folded, threads=threads).set
+    r_bar = mdim_exact(folded).set
     result = lift_folded(g, r_bar, structure)
     return {"case": result.case, "size": len(result.certificate.set)}
 
 
-def _check_taylor_plus_one(args: dict[str, Any], threads: int) -> list[int]:
+def _check_taylor_plus_one(args: dict[str, Any]) -> list[int]:
     base = _graph_from_args(args)
     cover = families.taylor(base)
-    mu_base = mdim_exact(base, threads=threads).mu
-    mu_cover = mdim_exact(cover.graph, threads=threads).mu
+    base_set = mdim_exact(base).set
+    mu_cover = mdim_exact(cover.graph).mu
     # the lift must also land at mu_base + 1 and verify
-    lifted = taylor_lift(cover, mdim_exact(base, threads=threads).set)
-    assert len(lifted.set) == mu_base + 1
-    return [mu_base, mu_cover]
+    lifted = taylor_lift(cover, base_set)
+    if len(lifted.set) != len(base_set) + 1:
+        raise LiftVerificationError(
+            f"taylor lift has size {len(lifted.set)}, not {len(base_set) + 1}"
+        )
+    return [len(base_set), mu_cover]
 
 
-def _check_descendant_values(args: dict[str, Any], threads: int) -> list[int]:
+def _check_descendant_values(args: dict[str, Any]) -> list[int]:
     from .graphs import induced_neighborhood
 
     cover = families.taylor(_graph_from_args(args))
     values = set()
     for w in range(cover.graph.n):
         local, _ = induced_neighborhood(cover.graph, w)
-        values.add(mdim_exact(local, threads=threads).mu)
+        values.add(mdim_exact(local).mu)
     return sorted(values)
 
 
-def _check_biplane_mu(args: dict[str, Any], threads: int) -> dict[str, Any]:
+def _check_biplane_mu(args: dict[str, Any]) -> dict[str, Any]:
     rk = families.rook(4, 4)
     design = design_from_graph(families.bipartite_double(rk).graph)
     inc = incidence_graph(design).graph
-    mu = mdim_exact(inc, threads=threads).mu
-    mu_base = mdim_exact(rk, threads=threads).mu
+    mu = mdim_exact(inc).mu
+    mu_base = mdim_exact(rk).mu
     return {"mu": mu, "at_most_twice_base": mu <= 2 * mu_base}
 
 
-def _check_fano_pair(args: dict[str, Any], threads: int) -> list[int]:
+def _check_fano_pair(args: dict[str, Any]) -> list[int]:
     plane = pg2(2)
-    a = mdim_exact(incidence_graph(plane).graph, threads=threads).mu
-    b = mdim_exact(incidence_graph(design_complement(plane)).graph, threads=threads).mu
+    a = mdim_exact(incidence_graph(plane).graph).mu
+    b = mdim_exact(incidence_graph(design_complement(plane)).graph).mu
     return [a, b]
 
 
-def _check_blocking_triple(args: dict[str, Any], threads: int) -> dict[str, Any]:
+def _check_blocking_triple(args: dict[str, Any]) -> dict[str, Any]:
     from .mdim import is_semi_resolving_for_blocks
 
     plane = pg2(args["q"])
@@ -240,7 +244,7 @@ def _check_blocking_triple(args: dict[str, Any], threads: int) -> dict[str, Any]
     }
 
 
-def _check_ah_zoo(args: dict[str, Any], threads: int) -> dict[str, str]:
+def _check_ah_zoo(args: dict[str, Any]) -> dict[str, str]:
     names = [
         "petersen", "C_7", "K_6", "K_3x4", "Q_3", "heawood", "icosahedron",
         "Q_4", "Q_6", "johnson_8_4", "gq22_incidence", "desargues", "Q_8",
@@ -248,7 +252,7 @@ def _check_ah_zoo(args: dict[str, Any], threads: int) -> dict[str, str]:
     return {name: classify_ah(ZOO[name]()).label for name in names}
 
 
-def _check_random_soundness(args: dict[str, Any], threads: int) -> dict[str, int]:
+def _check_random_soundness(args: dict[str, Any]) -> dict[str, int]:
     rng = random.Random(args["seed"])
     mismatches = 0
     undersized = 0
@@ -263,11 +267,11 @@ def _check_random_soundness(args: dict[str, Any], threads: int) -> dict[str, int
                 if rng.random() < p
             ]
             g = Graph.from_edges(n, edges)
-            dm = bfs_distances(g)
+            dm = g.distances
             if dm.connected:
                 break
-        exact = mdim_exact(g, dm=dm)
-        oracle = exhaustive_mdim(g, dm=dm)
+        exact = mdim_exact(g)
+        oracle = exhaustive_mdim(g)
         if exact.mu != oracle.mu or not is_resolving(dm, exact.set):
             mismatches += 1
             continue
@@ -280,15 +284,15 @@ def _check_random_soundness(args: dict[str, Any], threads: int) -> dict[str, int
     return {"mismatches": mismatches, "undersized_successes": undersized}
 
 
-def _check_bounds_chain(args: dict[str, Any], threads: int) -> dict[str, Any]:
+def _check_bounds_chain(args: dict[str, Any]) -> dict[str, Any]:
     violations = []
     for name in sorted(ZOO):
         g = ZOO[name]()
-        dm = bfs_distances(g)
-        greedy = len(mdim_greedy(g, dm=dm).set)
+        dm = g.distances
+        greedy = len(mdim_greedy(g).set)
         lb = lower_bound_nd(g.n, dm.diameter) if dm.connected else 0
         if name in SOLVABLE:
-            mu = mdim_exact(g, dm=dm).mu
+            mu = mdim_exact(g).mu
             if not lb <= mu <= greedy:
                 violations.append(name)
         elif lb > greedy:
@@ -296,15 +300,14 @@ def _check_bounds_chain(args: dict[str, Any], threads: int) -> dict[str, Any]:
     return {"violations": violations}
 
 
-def _check_babai_cross(args: dict[str, Any], threads: int) -> dict[str, Any]:
+def _check_babai_cross(args: dict[str, Any]) -> dict[str, Any]:
     violations = []
     for name in sorted(SOLVABLE):
         g = ZOO[name]()
-        dm = bfs_distances(g)
-        if not dm.connected or not is_primitive(g, dm):
+        if not g.distances.connected or not is_primitive(g):
             continue
-        mu = mdim_exact(g, dm=dm).mu
-        report = babai_bounds(g, dm=dm)
+        mu = mdim_exact(g).mu
+        report = babai_bounds(g)
         for label, bound in (
             ("general", report.general),
             ("srg", report.srg),
@@ -315,19 +318,19 @@ def _check_babai_cross(args: dict[str, Any], threads: int) -> dict[str, Any]:
     return {"violations": violations}
 
 
-def _check_semi_resolving(args: dict[str, Any], threads: int) -> int:
-    return min_semi_resolving(pg2(args["q"]), side=args["side"], threads=threads).mu
+def _check_semi_resolving(args: dict[str, Any]) -> int:
+    return min_semi_resolving(pg2(args["q"]), side=args["side"]).mu
 
 
-def _check_split_value(args: dict[str, Any], threads: int) -> int:
-    return split_mdim(pg2(args["q"]), threads=threads).mu_star
+def _check_split_value(args: dict[str, Any]) -> int:
+    return split_mdim(pg2(args["q"])).mu_star
 
 
-def _check_intersection_array(args: dict[str, Any], threads: int) -> str:
+def _check_intersection_array(args: dict[str, Any]) -> str:
     return intersection_array(_graph_from_args(args)).standard_notation()
 
 
-CHECKS: dict[str, Callable[[dict[str, Any], int], Any]] = {
+CHECKS: dict[str, Callable[[dict[str, Any]], Any]] = {
     "mdim_formula": _check_mdim_formula,
     "mdim_family": _check_mdim_family,
     "mdim_zoo": _check_mdim_zoo,
@@ -352,7 +355,6 @@ CHECKS: dict[str, Callable[[dict[str, Any], int], Any]] = {
 def run_suite(
     include_slow: bool = False,
     only: set[str] | None = None,
-    threads: int = 1,
 ) -> Report:
     """Run the golden rows and compare against frozen expectations.
 
@@ -366,7 +368,7 @@ def run_suite(
         if not runnable:
             results.append(RowResult(row=row, computed=None, ok=None))
             continue
-        computed = CHECKS[row.check](row.args, threads)
+        computed = CHECKS[row.check](row.args)
         results.append(RowResult(row=row, computed=computed, ok=computed == row.expected))
     return Report(results=tuple(results))
 

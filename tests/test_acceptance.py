@@ -200,7 +200,7 @@ def test_criterion_09_solver_agrees_with_the_exhaustive_oracle():
     # 200 seeded random connected graphs, certificates re-verified, and
     # fifty undersized subsets rejected per instance
     args = _golden_args("random-soundness")
-    outcome = CHECKS["random_soundness"](args, 1)
+    outcome = CHECKS["random_soundness"](args)
     assert outcome == {"mismatches": 0, "undersized_successes": 0}
     # every library graph small enough to enumerate exhaustively
     rng = np.random.default_rng(20260817)
@@ -227,13 +227,13 @@ def test_criterion_10_bound_chain_on_every_library_graph():
         dm = bfs_distances(g)
         # the distance-alphabet counting bound needs a finite diameter
         lb = lower_bound_nd(g.n, dm.diameter) if dm.connected else 0
-        greedy_mu = mdim_greedy(g, dm=dm).mu
+        greedy_mu = mdim_greedy(g).mu
         assert lb <= greedy_mu, name
         if name in SOLVABLE:
-            mu = mdim_exact(g, dm=dm).mu
+            mu = mdim_exact(g).mu
             assert lb <= mu <= greedy_mu, name
-            if dm.connected and is_primitive(g, dm):
-                report = babai_bounds(g, dm=dm)
+            if dm.connected and is_primitive(g):
+                report = babai_bounds(g)
                 assert mu <= report.general
                 assert mu <= report.distance_class
                 if report.srg is not None:

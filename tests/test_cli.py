@@ -251,19 +251,6 @@ class TestVerifyAndOracle:
         assert code == 0
         assert "1 passed, 0 failed" in out
 
-    def test_suite_alias(self):
-        code_a, out_a, _ = run("verify", "--suite", "golden",
-                               "--only", "mu-petersen")
-        code_b, out_b, _ = run("verify", "--suite", "paper",
-                               "--only", "mu-petersen")
-        assert code_a == code_b == 0
-        assert out_a == out_b
-
-    def test_unknown_suite_exits_1(self):
-        code, _, err = run("verify", "--suite", "nope")
-        assert code == 1
-        assert "unknown suite" in err
-
     def test_json_report(self):
         code, out, _ = run("verify", "--only", "mu-petersen,mu-Q_3", "--json")
         assert code == 0

@@ -145,13 +145,3 @@ class TestMinCover:
         opt = len(min_cover(inst).chosen)
         early = min_cover(inst, lower_stop=opt)
         assert early.optimal and len(early.chosen) == opt
-
-    def test_parallel_agrees_with_sequential(self):
-        for seed in (11, 12, 13):
-            rng = np.random.default_rng(seed)
-            inst = build_instance(rng.integers(0, 4, size=(10, 8)))
-            seq = min_cover(inst, threads=1)
-            par = min_cover(inst, threads=2)
-            assert par.optimal == seq.optimal
-            assert len(par.chosen) == len(seq.chosen)
-            assert covers_everything(inst, par.chosen)

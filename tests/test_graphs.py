@@ -1,5 +1,7 @@
 """Core graph type, BFS distances, intersection arrays."""
 
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
@@ -11,14 +13,17 @@ from mdimlab import (
     NotDistanceRegular,
     UNREACHABLE,
     bfs_distances,
+    classify_ah,
     distance_i_graph,
     family,
+    halve,
     induced_neighborhood,
     intersection_array,
     is_distance_regular,
     is_primitive,
+    lift_halved,
     max_distance_class,
-    odd_girth,
+    mdim_exact,
 )
 
 
@@ -113,6 +118,37 @@ class TestBfsDistances:
                         assert duw <= dux + dxw
 
 
+class TestDistanceCache:
+    def test_distances_are_computed_once_and_shared(self):
+        g = random_graph(9, 5)
+        dm = g.distances
+        assert g.distances is dm
+        assert not dm.dist.flags.writeable
+        fresh = bfs_distances(g)
+        assert (dm.dist == fresh.dist).all()
+        assert (dm.connected, dm.diameter) == (fresh.connected, fresh.diameter)
+
+    def test_classify_and_halved_lift_run_one_bfs_per_graph(self, monkeypatch):
+        real = bfs_distances
+        sources: list[Graph] = []  # keeps every graph alive, so ids stay unique
+
+        def counting(g):
+            sources.append(g)
+            return real(g)
+
+        # every module-level alias, so a call that bypasses the cache shows
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mdimlab") and getattr(module, "bfs_distances", None) is real:
+                monkeypatch.setattr(module, "bfs_distances", counting)
+        g = family("hypercube", 4)
+        assert classify_ah(g).label == "AH8"
+        gp, gm, _, _ = halve(g)
+        lifted = lift_halved(g, mdim_exact(gp).set, mdim_exact(gm).set)
+        assert lifted.status == "verified-resolving"
+        assert sum(h is g for h in sources) == 1
+        assert len({id(h) for h in sources}) == len(sources)
+
+
 class TestIntersectionArray:
     def test_petersen(self):
         ia = intersection_array(family("odd", 3))
@@ -174,9 +210,3 @@ class TestDerivedGraphs:
         for i, u in enumerate(vmap):
             for j in range(i + 1, local.n):
                 assert local.has_edge(i, j) == g.has_edge(u, vmap[j])
-
-    def test_odd_girth(self):
-        assert odd_girth(family("cycle", 5)) == 5
-        assert odd_girth(family("cycle", 6)) is None
-        assert odd_girth(family("complete", 4)) == 3
-        assert odd_girth(family("odd", 3)) == 5

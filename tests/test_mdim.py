@@ -156,10 +156,6 @@ class TestMdimExact:
         assert cert.status == "verified-resolving"
         assert is_resolving(bfs_distances(ZOO["heawood"]()), cert.set)
 
-    def test_parallel_matches_sequential(self):
-        g = ZOO["heawood"]()
-        assert len(mdim_exact(g, threads=2).set) == len(mdim_exact(g).set)
-
 
 class TestMdimGreedy:
     def test_result_resolves_and_bounds_the_optimum(self):

@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from mdimlab import LiftVerificationError, ResolvingCertificate
 from mdimlab.verify import (
     CHECKS,
     GoldenRow,
@@ -93,7 +94,20 @@ class TestTamperDetection:
 
     def test_check_functions_recompute_rather_than_echo(self):
         (row,) = [r for r in load_golden() if r.id == "mu-petersen"]
-        assert CHECKS[row.check](row.args, 1) == 3
+        assert CHECKS[row.check](row.args) == 3
+
+    def test_oversized_taylor_lift_is_an_error(self, monkeypatch):
+        def oversized(cover, r):
+            return ResolvingCertificate(
+                set=tuple(range(cover.graph.n)),
+                status="verified-resolving",
+                method="lifted-taylor",
+            )
+
+        monkeypatch.setattr("mdimlab.verify.taylor_lift", oversized)
+        (row,) = [r for r in load_golden() if r.id == "taylor-C_5"]
+        with pytest.raises(LiftVerificationError):
+            CHECKS[row.check](row.args)
 
     def test_json_report_carries_the_failure(self, monkeypatch):
         rows = load_golden()
