@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import BadParameters
 from .graphs import iter_bits
 
 DEFAULT_BUDGET = 10**8
@@ -238,8 +239,10 @@ def min_cover(
     lower_stop is an external lower bound on the optimum: any incumbent of
     that size is accepted as optimal without exhausting the tree.  A spent
     budget downgrades the result to a verified upper bound
-    (optimal=False).
+    (optimal=False).  A negative budget raises BadParameters.
     """
+    if budget < 0:
+        raise BadParameters(f"node budget must be non-negative, got {budget}")
     forced = sorted(set(forced))
     lower_stop = max(lower_stop, len(forced))
     seed = greedy_cover(inst, forced)

@@ -17,6 +17,7 @@ from .errors import (
     BadParameters,
     BudgetExceeded,
     DegenerateComplement,
+    MdimlabError,
     NotBijection,
     NotBipartiteDiameter3,
     NotNullPolarity,
@@ -150,7 +151,7 @@ def design_from_graph(g: Graph) -> SymmetricDesign:
     try:
         ia = intersection_array(g)
         plus, minus = bipartition(g)
-    except Exception as exc:
+    except MdimlabError as exc:
         raise NotBipartiteDiameter3(str(exc)) from exc
     if ia.d != 3:
         raise NotBipartiteDiameter3(f"diameter is {ia.d}, not 3")

@@ -35,10 +35,11 @@ class Graph:
     Instances are immutable after construction: all mutating operations build
     new graphs.  Equality is exact edge-set equality under the fixed labels,
     never isomorphism.  All-pairs distances are computed on first use of
-    `distances` and kept with the graph.
+    `distances` and kept with the graph, as is the first intersection
+    array computed for it.
     """
 
-    __slots__ = ("n", "adj", "_distances")
+    __slots__ = ("n", "adj", "_distances", "_intersection_array")
 
     def __init__(self, n: int, adj: Sequence[int]):
         if n < 1:
@@ -58,6 +59,7 @@ class Graph:
         self.n = n
         self.adj = rows
         self._distances = None
+        self._intersection_array = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -228,8 +230,11 @@ def intersection_array(g: Graph) -> IntersectionArray:
 
     The witness on failure is the first (u, w, i) in lexicographic (u, w)
     order whose neighbour counts disagree with the counts established by
-    earlier pairs at the same distance i.
+    earlier pairs at the same distance i.  The array is kept with g, so
+    later calls on the same graph return the same object.
     """
+    if g._intersection_array is not None:
+        return g._intersection_array
     dm = g.distances
     if not dm.connected:
         raise DisconnectedGraph("intersection array needs a connected graph")
@@ -256,7 +261,8 @@ def intersection_array(g: Graph) -> IntersectionArray:
     c = tuple(expected[i][0] for i in range(1, d + 1))
     a = tuple(expected[i][1] for i in range(d + 1))
     b = tuple(expected[i][2] for i in range(d))
-    return IntersectionArray(d=d, c=c, a=a, b=b)
+    g._intersection_array = IntersectionArray(d=d, c=c, a=a, b=b)
+    return g._intersection_array
 
 
 def is_distance_regular(g: Graph) -> bool:

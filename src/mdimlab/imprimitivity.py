@@ -19,6 +19,7 @@ from .errors import (
     NotAntipodal,
     NotBipartite,
 )
+from .families import complete
 from .graphs import (
     Graph,
     _components,
@@ -284,7 +285,7 @@ def classify_ah(g: Graph) -> AHClass:
                _is_complete_multipartite(g, ant))
         folded = fold(g, ant)[0]
         _claim(claims, "folded graph is complete",
-               folded == _complete_graph(folded.n))
+               folded == complete(folded.n))
         return AHClass(label="AH4", d=d, k=k, bipartite=bip is not None,
                        antipodal=True, t=ant.t, folded=folded,
                        subclaims=tuple(claims))
@@ -300,7 +301,7 @@ def classify_ah(g: Graph) -> AHClass:
         return AHClass(label="AH1", d=d, k=k, bipartite=False, antipodal=False,
                        subclaims=tuple(claims))
 
-    halved = _halve_pair(g) if bip is not None else None
+    halved = halve(g)[:2] if bip is not None else None
     folded = fold(g, ant)[0] if ant is not None else None
     e = d // 2
 
@@ -320,7 +321,7 @@ def classify_ah(g: Graph) -> AHClass:
     if d == 3 and ant is not None:
         _claim(claims, "folded graph is complete on k+1 vertices",
                folded is not None and folded.n == k + 1
-               and folded == _complete_graph(k + 1))
+               and folded == complete(k + 1))
         return AHClass(label="AH7", d=d, k=k, bipartite=False, antipodal=True,
                        t=ant.t, folded=folded, subclaims=tuple(claims))
 
@@ -380,7 +381,8 @@ def classify_ah(g: Graph) -> AHClass:
                        t=2, halved=halved, folded=folded,
                        subclaims=tuple(claims))
 
-    reduced = _halve_then_fold(g)
+    half_ant = _try_antipodal(halved[0])
+    reduced = fold(halved[0], half_ant)[0] if half_ant is not None else None
     _claim(claims, f"halving then folding is primitive of diameter {e // 2}",
            reduced is not None and _diameter(reduced) == e // 2
            and is_primitive(reduced))
@@ -405,26 +407,8 @@ def _try_antipodal(g: Graph):
         return None
 
 
-def _halve_pair(g: Graph) -> tuple[Graph, Graph]:
-    gp, gm, _, _ = halve(g)
-    return gp, gm
-
-
-def _halve_then_fold(g: Graph) -> Graph | None:
-    try:
-        gp, _, _, _ = halve(g)
-        return fold(gp)[0]
-    except (NotBipartite, NotAntipodal):
-        return None
-
-
 def _diameter(g: Graph) -> int | None:
     return g.distances.diameter
-
-
-def _complete_graph(n: int) -> Graph:
-    full = (1 << n) - 1
-    return Graph(n, [full & ~(1 << v) for v in range(n)])
 
 
 def _is_cycle(g: Graph) -> bool:

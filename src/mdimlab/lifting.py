@@ -14,10 +14,11 @@ from typing import Iterable, Literal
 
 from .errors import (
     BadParameters,
+    DisconnectedGraph,
     HypothesisFailure,
     InputNotResolving,
-    LiftVerificationError,
     NormalizationFailure,
+    NotBipartite,
     NotTwoAntipodal,
     ParameterFailure,
 )
@@ -30,27 +31,14 @@ from .imprimitivity import (
     fold,
     halve,
 )
-from .mdim import ResolvingCertificate, first_unresolved_pair
-
-
-def _verified(
-    g: Graph, s: Iterable[int], method: str
-) -> ResolvingCertificate:
-    chosen = tuple(sorted({int(v) for v in s}))
-    pair = first_unresolved_pair(g.distances, chosen)
-    if pair is not None:
-        raise LiftVerificationError(
-            f"{method} produced a set that fails to resolve pair {pair}"
-        )
-    return ResolvingCertificate(set=chosen, status="verified-resolving", method=method)
+from .mdim import ResolvingCertificate, _verified, certify
 
 
 def _require_resolving(g: Graph, s: Iterable[int], where: str) -> tuple[int, ...]:
-    chosen = tuple(sorted({int(v) for v in s}))
-    pair = first_unresolved_pair(g.distances, chosen)
-    if pair is not None:
-        raise InputNotResolving(pair, where)
-    return chosen
+    cert = certify(g, s)
+    if cert.pair is not None:
+        raise InputNotResolving(cert.pair, where)
+    return cert.set
 
 
 def lift_halved(
@@ -185,7 +173,7 @@ def project_to_folded(
     """
     try:
         side_plus, _ = bipartition(g)
-    except Exception as exc:
+    except (NotBipartite, DisconnectedGraph) as exc:
         raise HypothesisFailure(f"projection needs a bipartite graph: {exc}") from exc
     dm = g.distances
     if dm.diameter is None or dm.diameter % 2 == 0:
@@ -193,26 +181,14 @@ def project_to_folded(
     structure = antipodal_structure(g)
     if structure.t != 2:
         raise HypothesisFailure("projection needs antipodal classes of size 2")
-    chosen = tuple(sorted({int(v) for v in r_plus}))
-    if not set(chosen) <= set(side_plus):
+    r_plus = tuple(r_plus)
+    if not set(r_plus) <= set(side_plus):
         raise HypothesisFailure(
             "the set must lie in the bipartition side of vertex 0; push it first"
         )
-    pair = first_unresolved_pair(dm, chosen)
-    if pair is not None:
-        raise InputNotResolving(pair, "input")
+    chosen = _require_resolving(g, r_plus, "input")
     folded, quotient = fold(g, structure)
-    projected = {quotient[v] for v in chosen}
-    pair_f = first_unresolved_pair(folded.distances, projected)
-    if pair_f is not None:
-        raise LiftVerificationError(
-            f"projection failed to resolve folded pair {pair_f}"
-        )
-    cert = ResolvingCertificate(
-        set=tuple(sorted(projected)),
-        status="verified-resolving",
-        method="lifted-projection",
-    )
+    cert = _verified(folded, {quotient[v] for v in chosen}, "lifted-projection")
     return folded, quotient, cert
 
 
@@ -276,17 +252,7 @@ def descendant_extract(
     local_graph, vmap = induced_neighborhood(g, x)
     index = {v: i for i, v in enumerate(vmap)}
     reduced = [index[v] for v in pushed.set if v != x]
-    pair = first_unresolved_pair(local_graph.distances, reduced)
-    if pair is not None:
-        raise LiftVerificationError(
-            f"descendant extraction failed to resolve local pair {pair}"
-        )
-    cert = ResolvingCertificate(
-        set=tuple(sorted(reduced)),
-        status="verified-resolving",
-        method="lifted-descendant",
-    )
-    return local_graph, vmap, cert
+    return local_graph, vmap, _verified(local_graph, reduced, "lifted-descendant")
 
 
 def double_lift(

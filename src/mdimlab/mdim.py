@@ -48,21 +48,30 @@ def default_budget() -> int:
     return value
 
 
-def first_unresolved_pair(
-    dm: DistanceMatrix, s: Iterable[int]
+def _normalise(s: Iterable[int]) -> tuple[int, ...]:
+    """A chooser set as sorted, distinct ints."""
+    return tuple(sorted({int(v) for v in s}))
+
+
+def _first_unseparated(
+    matrix: np.ndarray, chosen: Sequence[int]
 ) -> tuple[int, int] | None:
-    """The lexicographically first pair not separated by s, or None."""
-    chosen = sorted({int(v) for v in s})
+    """The lexicographically first pair of rows of matrix that agree on all
+    the chosen columns, or None.
+
+    matrix is indexed [entity, chooser]; chosen must hold ints.
+    """
+    n, n_choosers = matrix.shape
     for v in chosen:
-        if not 0 <= v < dm.n:
-            raise BadParameters(f"vertex {v} out of range")
-    if dm.n == 1:
+        if not 0 <= v < n_choosers:
+            raise BadParameters(f"index {v} out of range")
+    if n == 1:
         return None
     if not chosen:
         return (0, 1)
-    sig = dm.dist[:, chosen]
+    sig = matrix[:, chosen]
     groups: dict[bytes, list[int]] = {}
-    for v in range(dm.n):
+    for v in range(n):
         groups.setdefault(sig[v].tobytes(), []).append(v)
     best = None
     for members in groups.values():
@@ -71,6 +80,13 @@ def first_unresolved_pair(
             if best is None or pair < best:
                 best = pair
     return best
+
+
+def first_unresolved_pair(
+    dm: DistanceMatrix, s: Iterable[int]
+) -> tuple[int, int] | None:
+    """The lexicographically first pair not separated by s, or None."""
+    return _first_unseparated(dm.dist, _normalise(s))
 
 
 def is_resolving(dm: DistanceMatrix, s: Iterable[int]) -> bool:
@@ -179,27 +195,30 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     forced = twin_forced_choices(inst)
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
-    res: CoverResult = min_cover(
+    res = min_cover(
         inst, forced=forced, budget=budget, lower_stop=max(lb, len(forced))
     )
-    if first_unresolved_pair(dm, res.chosen) is not None:
-        raise LiftVerificationError("solver produced a non-resolving set")
+    return _from_cover(res, first_unresolved_pair(dm, res.chosen), "exact-bnb")
+
+
+def _from_cover(
+    res: CoverResult, pair: tuple[int, int] | None, method: str
+) -> ResolvingCertificate:
+    """Certificate for a solver result; pair is what the check of its set
+    left unseparated (None if nothing)."""
+    if pair is not None:
+        raise LiftVerificationError(f"{method} left pair {pair} unseparated")
     return ResolvingCertificate(
         set=res.chosen,
         status="minimum" if res.optimal else "verified-resolving",
-        method="exact-bnb",
+        method=method,
         nodes_explored=res.nodes,
     )
 
 
 def mdim_greedy(g: Graph) -> ResolvingCertificate:
     """Greedy upper bound with a verified witness."""
-    dm = g.distances
-    inst = pair_cover_instance(dm)
-    chosen = tuple(sorted(greedy_cover(inst)))
-    if first_unresolved_pair(dm, chosen) is not None:
-        raise LiftVerificationError("greedy produced a non-resolving set")
-    return ResolvingCertificate(set=chosen, status="verified-resolving", method="greedy")
+    return _verified(g, greedy_cover(pair_cover_instance(g.distances)), "greedy")
 
 
 def exhaustive_mdim(g: Graph) -> ResolvingCertificate:
@@ -223,20 +242,39 @@ def exhaustive_mdim(g: Graph) -> ResolvingCertificate:
 def certify(
     g: Graph, s: Iterable[int], method: str = "supplied"
 ) -> ResolvingCertificate:
-    """Check a supplied set and wrap the outcome in a certificate."""
-    chosen = tuple(sorted({int(v) for v in s}))
-    pair = first_unresolved_pair(g.distances, chosen)
-    if pair is None:
-        return ResolvingCertificate(set=chosen, status="verified-resolving", method=method)
-    return ResolvingCertificate(set=chosen, status="failed", method=method, pair=pair)
+    """Check a supplied set and wrap the outcome in a certificate.
+
+    This is the one place where a vertex set is normalised, checked and
+    wrapped: the greedy bound, the split check and every lift verify
+    through it.
+    """
+    chosen = _normalise(s)
+    pair = _first_unseparated(g.distances.dist, chosen)
+    return ResolvingCertificate(
+        set=chosen,
+        status="verified-resolving" if pair is None else "failed",
+        method=method,
+        pair=pair,
+    )
+
+
+def _verified(g: Graph, s: Iterable[int], method: str) -> ResolvingCertificate:
+    """certify, raising LiftVerificationError if the set fails: for sets
+    the package produced itself."""
+    cert = certify(g, s, method)
+    if cert.pair is not None:
+        raise LiftVerificationError(
+            f"{method} produced a set that fails to resolve pair {cert.pair}"
+        )
+    return cert
 
 
 def resolving_witness_map(
     dm: DistanceMatrix, s: Sequence[int]
 ) -> dict[tuple[int, int], int]:
     """pair -> the least member of s separating it; input must resolve."""
-    chosen = sorted({int(v) for v in s})
-    pair = first_unresolved_pair(dm, chosen)
+    chosen = _normalise(s)
+    pair = _first_unseparated(dm.dist, chosen)
     if pair is not None:
         raise HypothesisFailure(f"set does not resolve pair {pair}")
     out = {}
@@ -280,6 +318,8 @@ def babai_bounds(g: Graph) -> BoundReport:
     """Upper bounds on the metric dimension of a primitive distance-regular
     graph: 4*sqrt(n)*ln n in general, 2n^2/(k(n-k))*ln n at diameter 2, and
     2d*n/(n-M)*ln n from the largest distance class M."""
+    if g.n < 2:
+        raise HypothesisFailure("bound report needs at least two vertices")
     if not is_primitive(g):
         raise HypothesisFailure("bound report is stated for primitive graphs")
     ia = intersection_array(g)
@@ -300,6 +340,17 @@ def babai_bounds(g: Graph) -> BoundReport:
 # designs: semi-resolving sets, split dimension, double blocking sets
 
 
+def _side_matrix(
+    d: SymmetricDesign, side: Literal["blocks", "points"]
+) -> np.ndarray:
+    """Incidence indexed [chooser, entity] for the pairs of one side."""
+    if side == "blocks":
+        return np.asarray(d.inc)
+    if side == "points":
+        return np.asarray(d.inc).T
+    raise BadParameters("side must be 'blocks' or 'points'")
+
+
 def semi_cover_instance(
     d: SymmetricDesign, side: Literal["blocks", "points"]
 ) -> PairCoverInstance:
@@ -308,27 +359,14 @@ def semi_cover_instance(
     side="blocks": points separating block pairs; side="points": blocks
     separating point pairs.
     """
-    if side == "blocks":
-        return build_instance(np.asarray(d.inc))
-    if side == "points":
-        return build_instance(np.asarray(d.inc).T)
-    raise BadParameters("side must be 'blocks' or 'points'")
+    return build_instance(_side_matrix(d, side))
 
 
 def first_unseparated_pair(
     d: SymmetricDesign, s: Iterable[int], side: Literal["blocks", "points"] = "blocks"
 ) -> tuple[int, int] | None:
     """First pair on the given side with no chooser of s in exactly one member."""
-    chosen = sorted({int(x) for x in s})
-    inc = d.inc if side == "blocks" else d.inc.T
-    for x in chosen:
-        if not 0 <= x < d.v:
-            raise BadParameters(f"index {x} out of range")
-    for i in range(d.v):
-        for j in range(i + 1, d.v):
-            if not any(inc[x, i] != inc[x, j] for x in chosen):
-                return (i, j)
-    return None
+    return _first_unseparated(_side_matrix(d, side).T, _normalise(s))
 
 
 def is_semi_resolving_for_blocks(d: SymmetricDesign, s: Iterable[int]) -> bool:
@@ -344,15 +382,9 @@ def min_semi_resolving(
     """Minimum semi-resolving set for one side of a design."""
     if budget is None:
         budget = default_budget()
-    inst = semi_cover_instance(d, side)
-    res = min_cover(inst, budget=budget)
-    if first_unseparated_pair(d, res.chosen, side) is not None:
-        raise LiftVerificationError("solver produced a non-separating set")
-    return ResolvingCertificate(
-        set=res.chosen,
-        status="minimum" if res.optimal else "verified-resolving",
-        method=f"exact-bnb-semi-{side}",
-        nodes_explored=res.nodes,
+    res = min_cover(semi_cover_instance(d, side), budget=budget)
+    return _from_cover(
+        res, first_unseparated_pair(d, res.chosen, side), f"exact-bnb-semi-{side}"
     )
 
 
@@ -389,10 +421,6 @@ def split_mdim(d: SymmetricDesign, budget: int | None = None) -> SplitDimension:
         raise BadParameters("split dimension needs 1 < k < v-1")
     pts = min_semi_resolving(d, "blocks", budget=budget)
     blks = min_semi_resolving(d, "points", budget=budget)
-    cover_graph = incidence_graph(d).graph
-    union = tuple(sorted(set(pts.set) | {d.v + j for j in blks.set}))
-    if first_unresolved_pair(cover_graph.distances, union) is not None:
-        raise LiftVerificationError(
-            "split resolving set failed to resolve the incidence graph"
-        )
+    union = set(pts.set) | {d.v + j for j in blks.set}
+    _verified(incidence_graph(d).graph, union, "split")
     return SplitDimension(points_part=pts, blocks_part=blks)

@@ -146,6 +146,11 @@ class TestMdim:
         assert code == 2
         assert json.loads(out)["status"] == "verified-resolving"
 
+    def test_negative_budget_exits_1(self, petersen_file):
+        code, _, err = run("mdim", petersen_file, "--budget", "-3")
+        assert code == 1
+        assert "error:" in err
+
     def test_greedy_ignores_the_budget_exit(self, tmp_path):
         path = tmp_path / "gq.graph"
         run("construct", "--family", "gq22_incidence", "--out", str(path))
@@ -214,6 +219,13 @@ class TestBounds:
 
     def test_imprimitive_graph_exits_1(self, cube_file):
         code, _, err = run("bounds", cube_file)
+        assert code == 1
+        assert "error:" in err
+
+    def test_one_vertex_graph_exits_1(self, tmp_path):
+        path = tmp_path / "k1.graph"
+        path.write_text("1\n")
+        code, _, err = run("bounds", str(path))
         assert code == 1
         assert "error:" in err
 

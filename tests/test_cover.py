@@ -139,6 +139,15 @@ class TestMinCover:
         assert not got.optimal
         assert covers_everything(inst, got.chosen)  # still a verified cover
 
+    def test_negative_budget_is_rejected(self):
+        from mdimlab import BadParameters
+
+        inst = build_instance(np.array([[0, 1, 2], [0, 0, 1]]))
+        with pytest.raises(BadParameters):
+            min_cover(inst, budget=-1)
+        with pytest.raises(BadParameters):  # before the forced early return
+            min_cover(inst, forced=[0], budget=-1)
+
     def test_lower_stop_accepts_the_greedy_answer(self):
         rng = np.random.default_rng(7)
         inst = build_instance(rng.integers(0, 3, size=(8, 7)))

@@ -190,6 +190,19 @@ class TestIncidenceGraph:
         with pytest.raises(NotBipartiteDiameter3):
             design_from_graph(family("complete_multipartite", 2, 4))  # diameter 2
 
+    def test_programming_errors_are_not_reported_as_rejections(self, monkeypatch):
+        import mdimlab.imprimitivity
+
+        class Boom(Exception):
+            pass
+
+        def broken(g):
+            raise Boom
+
+        monkeypatch.setattr(mdimlab.imprimitivity, "bipartition", broken)
+        with pytest.raises(Boom):
+            design_from_graph(incidence_graph(pg2(2)).graph)
+
 
 class TestDoubleBlocking:
     def test_whole_point_set_blocks_doubly(self):

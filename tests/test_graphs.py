@@ -210,3 +210,32 @@ class TestDerivedGraphs:
         for i, u in enumerate(vmap):
             for j in range(i + 1, local.n):
                 assert local.has_edge(i, j) == g.has_edge(u, vmap[j])
+
+
+class TestIntersectionArrayCache:
+    def test_second_call_returns_the_same_object(self):
+        g = family("odd", 3)
+        assert intersection_array(g) is intersection_array(g)
+
+    def test_classify_and_bounds_compute_it_once(self, monkeypatch):
+        import mdimlab.graphs
+        from mdimlab import babai_bounds
+
+        real = mdimlab.graphs.IntersectionArray
+        built = []
+
+        def counting(**kw):
+            built.append(kw)
+            return real(**kw)
+
+        monkeypatch.setattr(mdimlab.graphs, "IntersectionArray", counting)
+        g = family("kneser", 5, 2)
+        assert classify_ah(g).label == "AH1"
+        babai_bounds(g)
+        assert len(built) == 1
+
+    def test_failures_are_not_cached(self):
+        path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        for _ in range(2):
+            with pytest.raises(NotDistanceRegular):
+                intersection_array(path)

@@ -225,6 +225,19 @@ class TestClassifyAh:
     def test_doubly_imprimitive_even_diameter_at_least_eight(self):
         assert classify_ah(family("hypercube", 8)).label == "AH13"
 
+    def test_doubly_imprimitive_classification_halves_once(self, monkeypatch):
+        import mdimlab.imprimitivity
+
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return halve(g)
+
+        monkeypatch.setattr(mdimlab.imprimitivity, "halve", counting)
+        assert classify_ah(family("hypercube", 8)).label == "AH13"
+        assert len(calls) == 1
+
     def test_all_subclaims_hold(self):
         for name in ("petersen", "heawood", "icosahedron", "desargues"):
             r = classify_ah(ZOO[name]())

@@ -187,6 +187,24 @@ class TestProjectToFolded:
         with pytest.raises(HypothesisFailure):
             project_to_folded(ZOO["icosahedron"](), (0, 1, 2))
 
+    def test_set_off_the_plus_side_is_rejected_before_resolving(self):
+        # {1} is neither on vertex 0's side nor resolving; the side wins
+        with pytest.raises(HypothesisFailure):
+            project_to_folded(family("hypercube", 3), iter([1]))
+
+    def test_programming_errors_are_not_reported_as_hypotheses(self, monkeypatch):
+        import mdimlab.lifting
+
+        class Boom(Exception):
+            pass
+
+        def broken(g):
+            raise Boom
+
+        monkeypatch.setattr(mdimlab.lifting, "bipartition", broken)
+        with pytest.raises(Boom):
+            project_to_folded(family("hypercube", 3), (0,))
+
 
 class TestTaylorLift:
     def test_pole_plus_local_set_resolves_the_cover(self):

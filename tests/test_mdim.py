@@ -8,6 +8,7 @@ from mdimlab import (
     BadParameters,
     Graph,
     HypothesisFailure,
+    MdimlabError,
     babai_bounds,
     bfs_distances,
     certify,
@@ -29,6 +30,7 @@ from mdimlab import (
     twin_classes,
     twin_forced_choices,
 )
+from mdimlab import mdim
 from mdimlab.zoo import ZOO
 
 
@@ -151,6 +153,13 @@ class TestMdimExact:
         cert = mdim_exact(Graph.from_edges(1, []))
         assert cert.set == () and cert.status == "minimum"
 
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(BadParameters):
+            mdim_exact(ZOO["petersen"](), budget=-3)
+        # rejected before twin forcing can settle the answer at the root
+        with pytest.raises(BadParameters):
+            mdim_exact(family("complete", 4), budget=-1)
+
     def test_spent_budget_downgrades_the_status(self):
         cert = mdim_exact(ZOO["heawood"](), budget=0)
         assert cert.status == "verified-resolving"
@@ -205,6 +214,10 @@ class TestBoundReport:
         rep = babai_bounds(ZOO["odd_4"]())
         assert rep.d == 3 and rep.srg is None
 
+    def test_one_vertex_graph_is_a_typed_error(self):
+        with pytest.raises(MdimlabError):
+            babai_bounds(Graph.from_edges(1, []))
+
     def test_imprimitive_input_is_rejected(self):
         with pytest.raises(HypothesisFailure):
             babai_bounds(family("hypercube", 3))  # bipartite and antipodal
@@ -248,3 +261,64 @@ class TestSemiResolving:
         cert = min_semi_resolving(d, side="blocks")
         assert cert.status == "minimum"
         assert is_semi_resolving_for_blocks(d, cert.set)
+
+
+def loop_unseparated(d, s, side):
+    """Reference pair test: the first pair on `side` that no member of s
+    meets in exactly one of its two elements."""
+    inc = d.inc if side == "blocks" else d.inc.T
+    chosen = sorted(set(s))
+    for i in range(d.v):
+        for j in range(i + 1, d.v):
+            if not any(inc[x, i] != inc[x, j] for x in chosen):
+                return (i, j)
+    return None
+
+
+class TestSeparation:
+    def test_small_plane_matches_the_loop_reference(self):
+        from itertools import combinations
+
+        p = pg2(2)
+        for size in range(4):
+            for s in combinations(range(p.v), size):
+                for side in ("blocks", "points"):
+                    assert first_unseparated_pair(p, s, side) == loop_unseparated(p, s, side)
+
+    def test_random_sets_of_the_order_3_plane_match_the_loop_reference(self):
+        p = pg2(3)
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            size = int(rng.integers(0, 9))
+            s = [int(x) for x in rng.choice(p.v, size=size, replace=False)]
+            for side in ("blocks", "points"):
+                assert first_unseparated_pair(p, s, side) == loop_unseparated(p, s, side)
+
+    def test_unknown_side_is_rejected(self):
+        with pytest.raises(BadParameters):
+            first_unseparated_pair(pg2(2), [0], side="lines")
+
+    def test_out_of_range_chooser_is_rejected(self):
+        with pytest.raises(BadParameters):
+            first_unseparated_pair(pg2(2), [7], side="points")
+        with pytest.raises(BadParameters):
+            first_unresolved_pair(bfs_distances(ZOO["petersen"]()), [10])
+
+    def test_graph_and_design_checks_share_one_pair_test(self, monkeypatch):
+        real = mdim._first_unseparated
+        calls = []
+
+        def spy(matrix, chosen):
+            calls.append(matrix.shape)
+            return real(matrix, chosen)
+
+        monkeypatch.setattr(mdim, "_first_unseparated", spy)
+        assert first_unresolved_pair(bfs_distances(ZOO["petersen"]()), [0]) == (1, 2)
+        assert first_unseparated_pair(pg2(2), [0, 1, 2], "points") is not None
+        assert calls == [(10, 10), (7, 7)]
+
+    def test_semi_resolving_rejects_a_negative_budget(self):
+        with pytest.raises(BadParameters):
+            min_semi_resolving(pg2(2), budget=-1)
+        with pytest.raises(BadParameters):
+            split_mdim(pg2(2), budget=-1)
