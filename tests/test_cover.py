@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mdimlab import (
+    BadParameters,
     CoverResult,
     PairCoverInstance,
     build_instance,
@@ -140,8 +141,6 @@ class TestMinCover:
         assert covers_everything(inst, got.chosen)  # still a verified cover
 
     def test_negative_budget_is_rejected(self):
-        from mdimlab import BadParameters
-
         inst = build_instance(np.array([[0, 1, 2], [0, 0, 1]]))
         with pytest.raises(BadParameters):
             min_cover(inst, budget=-1)

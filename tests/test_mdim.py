@@ -1,6 +1,8 @@
 """Metric dimension: the exact solver, greedy and exhaustive baselines,
 certificates, twin forcing, bounds, and design-side semi-resolving sets."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,12 @@ class TestSemiResolving:
         assert cert.status == "minimum"
         assert is_semi_resolving_for_blocks(d, cert.set)
 
+    def test_negative_budget_is_rejected(self):
+        with pytest.raises(BadParameters):
+            min_semi_resolving(pg2(2), budget=-1)
+        with pytest.raises(BadParameters):
+            split_mdim(pg2(2), budget=-1)
+
 
 def loop_unseparated(d, s, side):
     """Reference pair test: the first pair on `side` that no member of s
@@ -277,8 +285,6 @@ def loop_unseparated(d, s, side):
 
 class TestSeparation:
     def test_small_plane_matches_the_loop_reference(self):
-        from itertools import combinations
-
         p = pg2(2)
         for size in range(4):
             for s in combinations(range(p.v), size):
@@ -316,9 +322,3 @@ class TestSeparation:
         assert first_unresolved_pair(bfs_distances(ZOO["petersen"]()), [0]) == (1, 2)
         assert first_unseparated_pair(pg2(2), [0, 1, 2], "points") is not None
         assert calls == [(10, 10), (7, 7)]
-
-    def test_semi_resolving_rejects_a_negative_budget(self):
-        with pytest.raises(BadParameters):
-            min_semi_resolving(pg2(2), budget=-1)
-        with pytest.raises(BadParameters):
-            split_mdim(pg2(2), budget=-1)
