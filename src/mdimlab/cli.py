@@ -30,7 +30,7 @@ from .lifting import (
     push_to_plus,
     taylor_lift,
 )
-from .io import graph_dot, read_graph, write_graph
+from .io import graph_dot, read_ascii, read_graph, write_graph
 from .mdim import (
     babai_bounds,
     certify,
@@ -83,8 +83,7 @@ def _load_design(args: argparse.Namespace) -> SymmetricDesign:
     if getattr(args, "plane", None) is not None:
         return pg2(args.plane)
     if getattr(args, "design", None) is not None:
-        with open(args.design) as fh:
-            return design_from_text(fh.read())
+        return design_from_text(read_ascii(args.design))
     raise MdimlabError("supply --plane Q or --design FILE")
 
 

@@ -316,7 +316,10 @@ def design_from_text(text: str) -> SymmetricDesign:
     head = lines[0].split()
     if len(head) != 3:
         raise BadParameters("first line must be: v k lambda")
-    v, k, lam = (int(x) for x in head)
+    try:
+        v, k, lam = (int(x) for x in head)
+    except ValueError as exc:
+        raise BadParameters(f"first line must be decimal 'v k lambda': {lines[0]!r}") from exc
     if len(lines) != v + 1:
         raise BadParameters(f"expected {v} incidence rows, got {len(lines) - 1}")
     inc = np.zeros((v, v), dtype=np.uint8)

@@ -35,11 +35,11 @@ class Graph:
     Instances are immutable after construction: all mutating operations build
     new graphs.  Equality is exact edge-set equality under the fixed labels,
     never isomorphism.  All-pairs distances are computed on first use of
-    `distances` and kept with the graph, as is the first intersection
-    array computed for it.
+    `distances` and kept with the graph, as are the first intersection
+    array and the first halving (`imprimitivity.halve`) computed for it.
     """
 
-    __slots__ = ("n", "adj", "_distances", "_intersection_array")
+    __slots__ = ("n", "adj", "_distances", "_intersection_array", "_halves")
 
     def __init__(self, n: int, adj: Sequence[int]):
         if n < 1:
@@ -60,6 +60,7 @@ class Graph:
         self.adj = rows
         self._distances = None
         self._intersection_array = None
+        self._halves = None
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -127,34 +128,46 @@ class DistanceMatrix:
 
     dist is an (n, n) uint8 array, read-only, with UNREACHABLE = 255 for
     pairs in different components.  diameter is None iff disconnected.
+    spheres[u][i] is the bitset of the vertices at distance exactly i from
+    u, for i from 0 up to the eccentricity of u in its component.
     """
 
     n: int
     dist: np.ndarray
     connected: bool
     diameter: int | None
+    spheres: tuple[tuple[int, ...], ...]
 
     def d(self, u: int, w: int) -> int:
         return int(self.dist[u, w])
 
     def sphere(self, u: int, i: int) -> tuple[int, ...]:
         """Vertices at distance exactly i from u, ascending."""
-        return tuple(int(v) for v in np.flatnonzero(self.dist[u] == i))
+        row = self.spheres[u]
+        return tuple(iter_bits(row[i])) if 0 <= i < len(row) else ()
+
+    def layer(self, i: int) -> tuple[int, ...]:
+        """Bitset adjacency rows of the distance-i graph."""
+        return tuple(row[i] if 0 <= i < len(row) else 0 for row in self.spheres)
 
 
 def bfs_distances(g: Graph) -> DistanceMatrix:
-    """All-pairs distances via one bitset BFS per source vertex."""
+    """All-pairs distances via one bitset BFS per source vertex; its
+    frontiers are kept as the spheres."""
     n = g.n
     adj = g.adj
-    dist = np.full((n, n), UNREACHABLE, dtype=np.uint8)
+    rows = []
+    spheres = []
     for s in range(n):
-        row = dist[s]
+        row = [UNREACHABLE] * n
         seen = 1 << s
         frontier = seen
+        frontiers = []
         d = 0
         while frontier:
             if d >= UNREACHABLE:
                 raise BadParameters("graph diameter exceeds the 8-bit distance range")
+            frontiers.append(frontier)
             nxt = 0
             f = frontier
             while f:
@@ -166,10 +179,14 @@ def bfs_distances(g: Graph) -> DistanceMatrix:
             frontier = nxt & ~seen
             seen |= nxt
             d += 1
+        rows.append(row)
+        spheres.append(tuple(frontiers))
+    dist = np.array(rows, dtype=np.uint8)
     connected = not bool((dist == UNREACHABLE).any())
     diameter = int(dist.max()) if connected else None
     dist.setflags(write=False)
-    return DistanceMatrix(n=n, dist=dist, connected=connected, diameter=diameter)
+    return DistanceMatrix(n=n, dist=dist, connected=connected, diameter=diameter,
+                          spheres=tuple(spheres))
 
 
 @dataclass(frozen=True)
@@ -241,19 +258,19 @@ def intersection_array(g: Graph) -> IntersectionArray:
     n, d = g.n, dm.diameter
     assert d is not None
     expected: list[tuple[int, int, int] | None] = [None] * (d + 1)
-    dist = dm.dist
     for u in range(n):
-        row = dist[u]
-        masks = [0] * (d + 1)
-        for v in range(n):
-            masks[row[v]] |= 1 << v
+        row = dm.dist[u].tolist()
+        # the appended empty sphere is Gamma_{e+1}(u) past the eccentricity
+        # e of u, and Gamma_{-1}(u) through index -1
+        masks = dm.spheres[u] + (0,)
         for w in range(n):
-            i = int(row[w])
+            i = row[w]
             aw = g.adj[w]
-            ci = (aw & masks[i - 1]).bit_count() if i >= 1 else 0
-            ai = (aw & masks[i]).bit_count()
-            bi = (aw & masks[i + 1]).bit_count() if i < d else 0
-            triple = (ci, ai, bi)
+            triple = (
+                (aw & masks[i - 1]).bit_count(),
+                (aw & masks[i]).bit_count(),
+                (aw & masks[i + 1]).bit_count(),
+            )
             if expected[i] is None:
                 expected[i] = triple
             elif expected[i] != triple:
@@ -279,14 +296,7 @@ def distance_i_graph(dm: DistanceMatrix, i: int) -> Graph:
         raise DisconnectedGraph("distance-i graph needs a connected graph")
     if not 1 <= i <= dm.diameter:
         raise IndexError(f"distance class {i} outside 1..{dm.diameter}")
-    n = dm.n
-    rows = []
-    for u in range(n):
-        mask = 0
-        for v in np.flatnonzero(dm.dist[u] == i):
-            mask |= 1 << int(v)
-        rows.append(mask)
-    return Graph(n, rows)
+    return Graph(dm.n, dm.layer(i))
 
 
 def _components(n: int, rows: Sequence[int]) -> list[int]:
@@ -313,26 +323,16 @@ def is_primitive(g: Graph) -> bool:
 
     Requires a connected distance-regular graph; raises otherwise.
     """
-    intersection_array(g)  # validates connected + distance-regular
+    d = intersection_array(g).d  # validates connected + distance-regular
     dm = g.distances
-    assert dm.diameter is not None
-    for i in range(1, dm.diameter + 1):
-        gi = distance_i_graph(dm, i)
-        if len(_components(gi.n, gi.adj)) != 1:
-            return False
-    return True
+    return all(len(_components(g.n, dm.layer(i))) == 1 for i in range(1, d + 1))
 
 
 def max_distance_class(dm: DistanceMatrix) -> int:
     """M = max over vertices u and i >= 1 of |{v : d(u,v) = i}|."""
     if not dm.connected:
         raise DisconnectedGraph("max distance class needs a connected graph")
-    best = 0
-    for u in range(dm.n):
-        counts = np.bincount(dm.dist[u])
-        if len(counts) > 1:
-            best = max(best, int(counts[1:].max()))
-    return best
+    return max((s.bit_count() for row in dm.spheres for s in row[1:]), default=0)
 
 
 def induced_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:

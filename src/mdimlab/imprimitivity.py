@@ -110,12 +110,7 @@ def antipodal_structure(g: Graph) -> AntipodalStructure:
     if d < 2:
         raise NotAntipodal("antipodal classes need diameter >= 2")
     n = g.n
-    far = [0] * n
-    for u in range(n):
-        mask = 0
-        for v in dm.sphere(u, d):
-            mask |= 1 << v
-        far[u] = mask
+    far = dm.layer(d)
     comps = _components(n, far)
     classes = []
     size = None
@@ -155,20 +150,24 @@ def halve(g: Graph) -> tuple[Graph, Graph, tuple[int, ...], tuple[int, ...]]:
     Returns (plus graph, minus graph, plus map, minus map); the maps send
     local vertices to original labels in ascending order, and the plus side
     is the one containing vertex 0.  Edges join vertices at distance 2.
+    The result is kept with g, so later calls return the same graphs.
     """
-    plus, minus = bipartition(g)
-    dm = g.distances
+    if g._halves is None:
+        plus, minus = bipartition(g)
+        far2 = g.distances.layer(2)
 
-    def build(side: tuple[int, ...]) -> Graph:
-        index = {v: i for i, v in enumerate(side)}
-        rows = [0] * len(side)
-        for i, v in enumerate(side):
-            for w in side:
-                if dm.d(v, w) == 2:
-                    rows[i] |= 1 << index[w]
-        return Graph(len(side), rows)
+        def build(side: tuple[int, ...]) -> Graph:
+            index = {v: i for i, v in enumerate(side)}
+            rows = []
+            for v in side:
+                row = 0
+                for w in iter_bits(far2[v]):
+                    row |= 1 << index[w]
+                rows.append(row)
+            return Graph(len(side), rows)
 
-    return build(plus), build(minus), plus, minus
+        g._halves = (build(plus), build(minus), plus, minus)
+    return g._halves
 
 
 def fold(
@@ -338,10 +337,10 @@ def classify_ah(g: Graph) -> AHClass:
     if d == 6 and bip is not None and ant is not None:
         _claim(claims, "halved graphs are antipodal of diameter 3",
                halved is not None
-               and all(_diameter(h) == 3 and _try_antipodal(h) is not None
+               and all(h.distances.diameter == 3 and _try_antipodal(h) is not None
                        for h in halved))
         _claim(claims, "folded graph is bipartite of diameter 3",
-               folded is not None and _diameter(folded) == 3
+               folded is not None and folded.distances.diameter == 3
                and _try_bipartition(folded) is not None)
         return AHClass(label="AH9", d=d, k=k, bipartite=True, antipodal=True,
                        t=ant.t, halved=halved, folded=folded,
@@ -349,7 +348,7 @@ def classify_ah(g: Graph) -> AHClass:
 
     if d >= 4 and ant is not None and bip is None:
         _claim(claims, f"folded graph is primitive of diameter {e}",
-               folded is not None and _diameter(folded) == e
+               folded is not None and folded.distances.diameter == e
                and is_primitive(folded))
         _claim(claims, "folded valency at least 3",
                folded is not None and (folded.regular_valency() or 0) >= 3)
@@ -359,7 +358,7 @@ def classify_ah(g: Graph) -> AHClass:
     if d >= 4 and bip is not None and ant is None:
         _claim(claims, f"halved graphs are primitive of diameter {e}",
                halved is not None
-               and all(_diameter(h) == e and is_primitive(h) for h in halved))
+               and all(h.distances.diameter == e and is_primitive(h) for h in halved))
         _claim(claims, "halved valency at least 3",
                halved is not None
                and all((h.regular_valency() or 0) >= 3 for h in halved))
@@ -372,11 +371,11 @@ def classify_ah(g: Graph) -> AHClass:
         _claim(claims, "odd diameter forces antipodal classes of size 2",
                ant.t == 2)
         _claim(claims, f"folded graph is primitive of diameter {e}",
-               folded is not None and _diameter(folded) == e
+               folded is not None and folded.distances.diameter == e
                and is_primitive(folded))
         _claim(claims, f"halved graphs are primitive of diameter {e}",
                halved is not None
-               and all(_diameter(h) == e and is_primitive(h) for h in halved))
+               and all(h.distances.diameter == e and is_primitive(h) for h in halved))
         return AHClass(label="AH12", d=d, k=k, bipartite=True, antipodal=True,
                        t=2, halved=halved, folded=folded,
                        subclaims=tuple(claims))
@@ -384,7 +383,7 @@ def classify_ah(g: Graph) -> AHClass:
     half_ant = _try_antipodal(halved[0])
     reduced = fold(halved[0], half_ant)[0] if half_ant is not None else None
     _claim(claims, f"halving then folding is primitive of diameter {e // 2}",
-           reduced is not None and _diameter(reduced) == e // 2
+           reduced is not None and reduced.distances.diameter == e // 2
            and is_primitive(reduced))
     _claim(claims, "reduced valency at least 3",
            reduced is not None and (reduced.regular_valency() or 0) >= 3)
@@ -407,10 +406,6 @@ def _try_antipodal(g: Graph):
         return None
 
 
-def _diameter(g: Graph) -> int | None:
-    return g.distances.diameter
-
-
 def _is_cycle(g: Graph) -> bool:
     return (
         g.regular_valency() == 2
@@ -420,27 +415,17 @@ def _is_cycle(g: Graph) -> bool:
 
 
 def _is_complete_multipartite(g: Graph, structure: AntipodalStructure | None) -> bool:
-    """Non-adjacency must be an equivalence: u !~ w iff same part."""
+    """Non-adjacency must be an equivalence: u !~ w iff same part.
+
+    The part of v is its closed non-neighbourhood.  With a structure it
+    must be v's class; without one, all members of a part must agree on it.
+    """
+    full = (1 << g.n) - 1
+    part = [full & ~row for row in g.adj]
     if structure is not None:
-        part = [structure.class_of(v) for v in range(g.n)]
-    else:
-        # derive parts from non-adjacency
-        part = [-1] * g.n
-        nxt = 0
-        for v in range(g.n):
-            if part[v] == -1:
-                part[v] = nxt
-                for w in range(v + 1, g.n):
-                    if not g.has_edge(v, w):
-                        if part[w] != -1:
-                            return False
-                        part[w] = nxt
-                nxt += 1
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if g.has_edge(u, w) == (part[u] == part[w]):
-                return False
-    return True
+        classes = [sum(1 << v for v in c) for c in structure.classes]
+        return all(part[v] == classes[structure.class_of(v)] for v in range(g.n))
+    return all(part[w] == part[v] for v in range(g.n) for w in iter_bits(part[v]))
 
 
 def _is_complete_bipartite(g: Graph) -> bool:
@@ -448,9 +433,8 @@ def _is_complete_bipartite(g: Graph) -> bool:
         plus, minus = bipartition(g)
     except (NotBipartite, DisconnectedGraph):
         return False
-    return all(
-        g.has_edge(u, w) for u in plus for w in minus
-    )
+    minus_mask = sum(1 << w for w in minus)
+    return all(g.adj[u] == minus_mask for u in plus)
 
 
 def _is_kvv_minus_matching(g: Graph, structure: AntipodalStructure) -> bool:

@@ -47,9 +47,18 @@ def write_graph(path: str, g: Graph) -> None:
         fh.write(graph_text(g))
 
 
+def read_ascii(path: str) -> str:
+    """The text of an ASCII file; any other byte is a BadParameters."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise BadParameters(f"{path} is not ASCII text: byte {byte:#04x}") from exc
+
+
 def read_graph(path: str) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return graph_from_text(fh.read())
+    return graph_from_text(read_ascii(path))
 
 
 def graph_dot(g: Graph, labels: tuple[str, ...] | None = None) -> str:

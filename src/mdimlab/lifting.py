@@ -102,9 +102,9 @@ def lift_folded(
     case: Literal["ii", "iii"] = "ii"
     center = None
     if d % 2 == 0:
+        want = sum(1 << w for w in rb)
         maximal = [
-            u for u in range(folded.n)
-            if all(dm_f.d(u, w) == e_bar for w in rb)
+            u for u, far in enumerate(dm_f.layer(e_bar)) if far & want == want
         ]
         if len(maximal) > 1:
             raise InputNotResolving((maximal[0], maximal[1]), "folded")
@@ -128,13 +128,11 @@ def two_antipodal_partition(
     dm = g.distances
     if dm.diameter is None or dm.diameter < 2:
         raise NotTwoAntipodal("need a connected graph of diameter >= 2")
-    d = dm.diameter
     antipode: dict[int, int] = {}
-    for v in range(g.n):
-        far = dm.sphere(v, d)
-        if len(far) != 1:
-            raise NotTwoAntipodal(f"vertex {v} has {len(far)} antipodes, not 1")
-        antipode[v] = far[0]
+    for v, far in enumerate(dm.layer(dm.diameter)):
+        if far.bit_count() != 1:
+            raise NotTwoAntipodal(f"vertex {v} has {far.bit_count()} antipodes, not 1")
+        antipode[v] = far.bit_length() - 1
     plus = frozenset(int(v) for v in v_plus)
     for v in plus:
         if not 0 <= v < g.n:

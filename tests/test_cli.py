@@ -97,6 +97,13 @@ class TestClassify:
         assert payload["bipartite"] and payload["antipodal"]
         assert all(claim["ok"] for claim in payload["subclaims"])
 
+    def test_non_ascii_graph_file_exits_1(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"3\n0 1\xff\n")
+        code, _, err = run("classify", str(path))
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+
     def test_missing_file_exits_1(self):
         code, _, err = run("classify", "/nonexistent/g.graph")
         assert code == 1
@@ -250,6 +257,14 @@ class TestSemiresolve:
         code, out, _ = run("semiresolve", "--design", str(path))
         assert code == 0
         assert out.startswith("size=6")
+
+    @pytest.mark.parametrize("content", [b"x y z\n", b"7 3 1\n\xff\n"])
+    def test_malformed_design_file_exits_1(self, tmp_path, content):
+        path = tmp_path / "bad.design"
+        path.write_bytes(content)
+        code, _, err = run("semiresolve", "--design", str(path))
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
 
     def test_requires_a_design_source(self):
         code, _, err = run("semiresolve", "--side", "blocks")

@@ -140,6 +140,10 @@ class TestSerialization:
         with pytest.raises(BadParameters):
             design_from_text("7 3\n" + "0000000\n" * 7)
 
+    def test_non_decimal_header_is_rejected(self):
+        with pytest.raises(BadParameters):
+            design_from_text("x y z\n")
+
     def test_wrong_row_count_is_rejected(self):
         with pytest.raises(BadParameters):
             design_from_text("7 3 1\n" + "0000000\n" * 6)

@@ -1,8 +1,10 @@
 """Core graph type, BFS distances, intersection arrays."""
 
+import random
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,8 +30,6 @@ from mdimlab import (
 
 
 def random_graph(n: int, seed: int) -> Graph:
-    import random
-
     rng = random.Random(seed)
     edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 0.4]
     return Graph.from_edges(n, edges)
@@ -118,6 +118,51 @@ class TestBfsDistances:
                         assert duw <= dux + dxw
 
 
+def bitset(vertices) -> int:
+    return sum(1 << int(v) for v in vertices)
+
+
+# seeded random graphs, about a third of them disconnected, plus two
+# components of unequal diameter
+SPHERE_INPUTS = [random_graph(n, seed) for n in (1, 2, 5, 9) for seed in range(6)] + [
+    Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)]),
+]
+
+
+class TestSphereTable:
+    def test_spheres_are_the_distance_classes(self):
+        for g in SPHERE_INPUTS:
+            dm = g.distances
+            for u in range(g.n):
+                row = dm.dist[u]
+                eccentricity = int(row[row != UNREACHABLE].max())
+                assert len(dm.spheres[u]) == eccentricity + 1
+                for i, sphere in enumerate(dm.spheres[u]):
+                    assert sphere == bitset(np.flatnonzero(row == i))
+
+    def test_layers_are_the_distance_i_graphs(self):
+        for g in SPHERE_INPUTS:
+            dm = g.distances
+            for i in range(dm.n + 1):
+                rows = tuple(bitset(np.flatnonzero(dm.dist[u] == i)) for u in range(g.n))
+                assert dm.layer(i) == rows
+                if dm.connected and 1 <= i <= dm.diameter:
+                    assert distance_i_graph(dm, i).adj == rows
+
+    def test_sphere_lists_the_distance_class_below_the_unreachable_mark(self):
+        for g in SPHERE_INPUTS:
+            dm = g.distances
+            for u in range(g.n):
+                for i in range(UNREACHABLE):
+                    expected = tuple(int(v) for v in np.flatnonzero(dm.dist[u] == i))
+                    assert dm.sphere(u, i) == expected
+
+    def test_other_components_are_in_no_sphere(self):
+        dm = Graph.from_edges(4, [(0, 1), (2, 3)]).distances
+        assert dm.sphere(0, UNREACHABLE) == ()
+        assert dm.layer(UNREACHABLE) == (0, 0, 0, 0)
+
+
 class TestDistanceCache:
     def test_distances_are_computed_once_and_shared(self):
         g = random_graph(9, 5)
@@ -169,6 +214,18 @@ class TestIntersectionArray:
             intersection_array(path)
         u, w, i = exc.value.witness
         assert 0 <= u < 4 and 0 <= w < 4
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_witness_matches_a_loop_reference(self, seed):
+        g = next(h for h in (random_graph(8, 100 * seed + k) for k in range(100))
+                 if h.distances.connected)
+        expected = _first_irregular_triple(g)
+        if expected is None:
+            assert is_distance_regular(g)
+        else:
+            with pytest.raises(NotDistanceRegular) as exc:
+                intersection_array(g)
+            assert exc.value.witness == expected
 
     def test_disconnected_raises(self):
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
@@ -239,3 +296,20 @@ class TestIntersectionArrayCache:
         for _ in range(2):
             with pytest.raises(NotDistanceRegular):
                 intersection_array(path)
+
+
+def _first_irregular_triple(g: Graph):
+    """Loop reference for the NotDistanceRegular witness: the first (u, w, i)
+    in (u, w) order whose neighbour counts at distances i-1, i, i+1 from u
+    differ from those of an earlier pair at distance i."""
+    dist = nx.floyd_warshall_numpy(nx.Graph(list(g.edges())), nodelist=range(g.n))
+    seen = {}
+    for u in range(g.n):
+        for w in range(g.n):
+            i = int(dist[u, w])
+            counts = [0, 0, 0]
+            for x in g.neighbors(w):
+                counts[int(dist[u, x]) - i + 1] += 1
+            if seen.setdefault(i, counts) != counts:
+                return u, w, i
+    return None

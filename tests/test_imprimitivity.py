@@ -1,6 +1,8 @@
 """Bipartitions, antipodal class structure, halving, folding, and the
 thirteen-way classification."""
 
+import random
+
 import pytest
 
 from mdimlab import (
@@ -19,7 +21,29 @@ from mdimlab import (
     intersection_array,
     is_antipodal,
 )
+from mdimlab.imprimitivity import (
+    AntipodalStructure,
+    _is_complete_bipartite,
+    _is_complete_multipartite,
+)
 from mdimlab.zoo import ZOO
+
+
+def random_graph(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 0.5]
+    return Graph.from_edges(n, edges)
+
+
+def random_bipartite(half: int, seed: int) -> Graph:
+    """Connected bipartite graph on sides 0..half-1 and half..2*half-1: a
+    zigzag path through both sides plus seeded random cross edges."""
+    rng = random.Random(seed)
+    edges = {(v, half + v) for v in range(half)}
+    edges |= {(v + 1, half + v) for v in range(half - 1)}
+    edges |= {(u, half + w) for u in range(half) for w in range(half)
+              if rng.random() < 0.3}
+    return Graph.from_edges(2 * half, sorted(edges))
 
 
 class TestBipartition:
@@ -79,16 +103,26 @@ class TestHalve:
         assert list(map_m) == sorted(map_m)
 
     def test_halved_edges_are_distance_two_pairs(self):
-        g = ZOO["desargues"]()
-        plus, _, map_p, _ = halve(g)
-        dm = bfs_distances(g)
-        for i in range(plus.n):
-            for j in range(i + 1, plus.n):
-                assert plus.has_edge(i, j) == (dm.d(map_p[i], map_p[j]) == 2)
+        inputs = [ZOO[name]() for name in ("desargues", "Q_6", "doubled_odd_4")]
+        for g in inputs + [random_bipartite(8, 3)]:
+            plus, minus, map_p, map_m = halve(g)
+            dm = bfs_distances(g)
+            for half, vmap in ((plus, map_p), (minus, map_m)):
+                for i in range(half.n):
+                    for j in range(i + 1, half.n):
+                        assert half.has_edge(i, j) == (dm.d(vmap[i], vmap[j]) == 2)
+
+    def test_result_is_kept_with_the_graph(self):
+        g = family("hypercube", 4)
+        first = halve(g)
+        assert halve(g) is first
+        assert halve(family("hypercube", 4)) == first
 
     def test_non_bipartite_input_is_rejected(self):
-        with pytest.raises(NotBipartite):
-            halve(ZOO["petersen"]())
+        g = ZOO["petersen"]()
+        for _ in range(2):  # a failure is not kept with the graph
+            with pytest.raises(NotBipartite):
+                halve(g)
 
 
 class TestAntipodalStructure:
@@ -271,3 +305,84 @@ class TestDerivedGraphsStayDistanceRegular:
     def test_fold_of_the_six_cube(self):
         folded, _ = fold(family("hypercube", 6))
         intersection_array(folded)
+
+
+def _multipartite_reference(g: Graph, structure) -> bool:
+    """The pair-loop form of _is_complete_multipartite."""
+    if structure is not None:
+        part = [structure.class_of(v) for v in range(g.n)]
+    else:
+        part = [-1] * g.n
+        nxt = 0
+        for v in range(g.n):
+            if part[v] == -1:
+                part[v] = nxt
+                for w in range(v + 1, g.n):
+                    if not g.has_edge(v, w):
+                        if part[w] != -1:
+                            return False
+                        part[w] = nxt
+                nxt += 1
+    return all(
+        g.has_edge(u, w) != (part[u] == part[w])
+        for u in range(g.n) for w in range(u + 1, g.n)
+    )
+
+
+def _complete_bipartite_reference(g: Graph) -> bool:
+    """The pair-loop form of _is_complete_bipartite."""
+    try:
+        plus, minus = bipartition(g)
+    except (NotBipartite, DisconnectedGraph):
+        return False
+    return all(g.has_edge(u, w) for u in plus for w in minus)
+
+
+def _random_structure(n: int, t: int, rng: random.Random) -> AntipodalStructure:
+    """A seeded partition of 0..n-1 into classes of size t."""
+    order = list(range(n))
+    rng.shuffle(order)
+    classes = sorted(tuple(sorted(order[i:i + t])) for i in range(0, n, t))
+    labels = [(-1, -1)] * n
+    for ci, members in enumerate(classes):
+        for ti, v in enumerate(members):
+            labels[v] = (ci, ti)
+    return AntipodalStructure(t=t, classes=tuple(classes), labels=tuple(labels))
+
+
+class TestClassificationPredicates:
+    """The bitset predicates agree with their pair-loop forms."""
+
+    GRAPHS = (
+        [family("complete_multipartite", s, t) for s in (2, 3, 4) for t in (1, 2, 3)]
+        + [random_graph(n, seed) for n in range(1, 9) for seed in range(25)]
+        + [random_bipartite(half, seed) for half in (2, 3, 4) for seed in range(10)]
+    )
+
+    def test_complete_multipartite_without_a_structure(self):
+        for g in self.GRAPHS:
+            assert _is_complete_multipartite(g, None) == _multipartite_reference(g, None)
+
+    def test_complete_multipartite_on_given_classes(self):
+        rng = random.Random(7)
+        checked = 0
+        for g in self.GRAPHS:
+            structures = [_random_structure(g.n, t, rng)
+                          for t in (1, 2, 3) if g.n % t == 0]
+            if g.distances.connected and g.distances.diameter >= 2:
+                try:
+                    structures.append(antipodal_structure(g))
+                except NotAntipodal:
+                    pass
+            for st in structures:
+                got = _is_complete_multipartite(g, st)
+                assert got == _multipartite_reference(g, st)
+                checked += got
+        assert checked  # some given classes are the parts
+
+    def test_complete_bipartite(self):
+        graphs = self.GRAPHS + [family("complete_bipartite_minus_matching", 4),
+                                family("complete_multipartite", 2, 5)]
+        for g in graphs:
+            assert _is_complete_bipartite(g) == _complete_bipartite_reference(g)
+        assert _is_complete_bipartite(family("complete_multipartite", 2, 5))

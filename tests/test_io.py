@@ -13,6 +13,7 @@ from mdimlab import (
     taylor,
     write_graph,
 )
+from mdimlab.io import read_ascii
 
 
 class TestEdgeFormat:
@@ -57,6 +58,14 @@ class TestEdgeFormat:
     def test_malformed_errors_are_typed(self):
         with pytest.raises(BadParameters):
             graph_from_text("3\n1 0")
+
+    def test_non_ascii_file_is_a_typed_error(self, tmp_path):
+        path = tmp_path / "bad.graph"
+        path.write_bytes(b"3\n0 1\xff\n")
+        with pytest.raises(BadParameters, match="0xff"):
+            read_graph(str(path))
+        with pytest.raises(BadParameters):
+            read_ascii(str(path))
 
 
 class TestDot:

@@ -1,6 +1,8 @@
 """Constructive transfers of resolving sets between a graph and its
 quotients, halves, doubles, and two-fold covers."""
 
+import sys
+
 import pytest
 
 from mdimlab import (
@@ -18,8 +20,10 @@ from mdimlab import (
     incidence_graph,
     is_resolving,
     lift_folded,
+    halve,
     lift_halved,
     mdim_exact,
+    mdim_greedy,
     pg2,
     project_to_folded,
     push_to_plus,
@@ -107,10 +111,31 @@ class TestLiftHalved:
         with pytest.raises(InputNotResolving):
             lift_halved(family("hypercube", 3), [0], [0, 1, 2])
 
+    def test_reuses_the_halves_the_caller_solved(self, monkeypatch):
+        import mdimlab.imprimitivity
+
+        real_bfs, real_bipartition = bfs_distances, bipartition
+        searched, split = [], []
+
+        def counting_bfs(g):
+            searched.append(g)
+            return real_bfs(g)
+
+        def counting_bipartition(g):
+            split.append(g)
+            return real_bipartition(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mdimlab") and getattr(module, "bfs_distances", None) is real_bfs:
+                monkeypatch.setattr(module, "bfs_distances", counting_bfs)
+        monkeypatch.setattr(mdimlab.imprimitivity, "bipartition", counting_bipartition)
+        g = family("hypercube", 6)
+        plus, minus, _, _ = halve(g)
+        lift_halved(g, mdim_greedy(plus).set, mdim_greedy(minus).set)
+        assert (len(searched), len(split)) == (3, 1)
+
 
 def _half_minimum(g, side: int):
-    from mdimlab import halve
-
     halves = halve(g)
     return mdim_exact(halves[side]).set
 
