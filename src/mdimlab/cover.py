@@ -12,6 +12,14 @@ the solution space.  Pruning uses chosen + ceil(remaining / best possible
 marginal coverage) against the incumbent, plus an optional external lower
 bound that stops the search as soon as it is met.  All tie-breaks are by
 ascending id, so results are fully deterministic.
+
+When that bound asks one chooser to cover every uncovered pair (slack one,
+or a single pair left), a completion test answers it instead of the
+marginal-coverage scan: the chooser must separate each uncovered pair, so
+the candidates are the unbanned members of the separator sets of the first
+few uncovered pairs, and each survivor gets one subset test.  Both tests
+give the same answer, so the tree and its node count do not depend on
+which one runs.
 """
 
 from __future__ import annotations
@@ -118,6 +126,7 @@ class _Search:
     """Branch and bound state."""
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
+    PREFILTER = 4  # uncovered items whose separator sets the completion test intersects
 
     def __init__(self, inst: PairCoverInstance, budget: int, lower_stop: int):
         self.inst = inst
@@ -172,7 +181,10 @@ class _Search:
         # prune: even `slack` more choosers at the best possible marginal
         # coverage cannot finish
         threshold = -(-unc_cnt // slack)  # ceil
-        if not self._coverage_reachable(uncovered, banned, threshold):
+        if threshold == unc_cnt:
+            if not self._completable(uncovered, banned):
+                return
+        elif not self._coverage_reachable(uncovered, banned, threshold):
             return
         pivot_resolvers = self._pick_pivot(uncovered, banned)
         if pivot_resolvers == 0:
@@ -200,6 +212,33 @@ class _Search:
                 return False  # static counts only shrink dynamically
             if (coverage[v] & uncovered).bit_count() >= threshold:
                 return True
+        return False
+
+    def _completable(self, uncovered: int, banned: int) -> bool:
+        """True iff some unbanned chooser covers every uncovered item.
+
+        Equals _coverage_reachable(uncovered, banned, uncovered.bit_count()).
+        Such a chooser separates every uncovered pair, so it lies in the
+        separator sets of the lowest PREFILTER uncovered items; only those
+        candidates get the subset test on the rest.
+        """
+        resolvers = self.inst.resolvers
+        cands = ~banned
+        rest = uncovered
+        for _ in range(self.PREFILTER):
+            low = rest & -rest
+            cands &= resolvers[low.bit_length() - 1]
+            if not cands:
+                return False
+            rest ^= low
+            if not rest:
+                return True
+        coverage = self.inst.coverage
+        while cands:
+            low = cands & -cands
+            if coverage[low.bit_length() - 1] & rest == rest:
+                return True
+            cands ^= low
         return False
 
     def _pick_pivot(self, uncovered: int, banned: int) -> int:

@@ -43,6 +43,8 @@ class SymmetricDesign:
     inc: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        if self.v < 1:
+            raise BadParameters(f"a design needs at least one point, got v = {self.v}")
         inc = np.ascontiguousarray(self.inc, dtype=np.uint8)
         if inc.shape != (self.v, self.v):
             raise BadParameters("incidence matrix must be v x v")
@@ -236,7 +238,8 @@ def find_null_polarity(
 
     if rec():
         out = tuple(sigma)
-        assert is_null_polarity(d, out)
+        if not is_null_polarity(d, out):
+            raise NotNullPolarity(f"search returned {out}, which is not a null polarity")
         return out
     return None
 

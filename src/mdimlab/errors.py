@@ -73,7 +73,8 @@ class NotBipartiteDiameter3(MdimlabError, ValueError):
 
 
 class NotNullPolarity(MdimlabError, ValueError):
-    """The supplied map is not an incidence-preserving fixed-point-free polarity."""
+    """A map supplied or found as a null polarity is not an
+    incidence-preserving fixed-point-free polarity."""
 
 
 class NotBijection(MdimlabError, ValueError):

@@ -65,7 +65,7 @@ def _first_unseparated(
     for v in chosen:
         if not 0 <= v < n_choosers:
             raise BadParameters(f"index {v} out of range")
-    if n == 1:
+    if n < 2:
         return None
     if not chosen:
         return (0, 1)

@@ -266,6 +266,13 @@ class TestSemiresolve:
         assert code == 1
         assert "error:" in err and "Traceback" not in err
 
+    def test_design_without_points_exits_1(self, tmp_path):
+        path = tmp_path / "empty.design"
+        path.write_text("0 0 0\n")
+        code, _, err = run("semiresolve", "--design", str(path))
+        assert code == 1
+        assert "error:" in err and "unseparated" not in err
+
     def test_requires_a_design_source(self):
         code, _, err = run("semiresolve", "--side", "blocks")
         assert code == 1

@@ -14,7 +14,7 @@ from mdimlab import (
     greedy_cover,
     min_cover,
 )
-from mdimlab.cover import pack_bits
+from mdimlab.cover import _Search, pack_bits
 
 
 def brute_minimum(inst: PairCoverInstance) -> int | None:
@@ -153,3 +153,85 @@ class TestMinCover:
         opt = len(min_cover(inst).chosen)
         early = min_cover(inst, lower_stop=opt)
         assert early.optimal and len(early.chosen) == opt
+
+
+def some_chooser_completes(inst: PairCoverInstance, uncovered: int, banned: int) -> bool:
+    """Reference: some unbanned chooser covers every uncovered item."""
+    return any(
+        not banned >> v & 1 and inst.coverage[v] & uncovered == uncovered
+        for v in range(inst.n_choosers)
+    )
+
+
+def random_subset(rng, bits: int) -> int:
+    return sum(1 << p for p in range(bits.bit_length()) if bits >> p & 1 and rng.random() < 0.5)
+
+
+class TestCompletionTest:
+    """_Search._completable, the slack-one bound, against the brute-force
+    predicate and against the marginal-coverage scan it replaces."""
+
+    def check(self, search: _Search, uncovered: int, banned: int) -> bool:
+        want = some_chooser_completes(search.inst, uncovered, banned)
+        assert search._completable(uncovered, banned) == want
+        assert search._coverage_reachable(uncovered, banned, uncovered.bit_count()) == want
+        return want
+
+    def test_matches_the_reference_on_random_instances(self):
+        seen = {"true_beyond_prefilter": 0, "survivor_fails_subset": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            inst = build_instance(rng.integers(0, 3, size=(7, 9)))
+            search = _Search(inst, budget=0, lower_stop=0)
+            all_items = (1 << inst.n_items) - 1
+            for _ in range(30):
+                banned = random_subset(rng, (1 << inst.n_choosers) - 1)
+                # a subset of one chooser's coverage is often completable
+                source = inst.coverage[int(rng.integers(inst.n_choosers))]
+                uncovered = random_subset(rng, source if rng.random() < 0.7 else all_items)
+                if not uncovered:
+                    continue
+                got = self.check(search, uncovered, banned)
+                if uncovered.bit_count() > _Search.PREFILTER:
+                    lowest = sorted(p for p in range(inst.n_items) if uncovered >> p & 1)
+                    cands = ~banned
+                    for p in lowest[: _Search.PREFILTER]:
+                        cands &= inst.resolvers[p]
+                    seen["true_beyond_prefilter"] += got
+                    seen["survivor_fails_subset"] += bool(cands) and not got
+        assert all(seen.values()), seen
+
+    def test_every_chooser_banned(self):
+        rng = np.random.default_rng(0)
+        inst = build_instance(rng.integers(0, 3, size=(6, 6)))
+        search = _Search(inst, budget=0, lower_stop=0)
+        every = (1 << inst.n_choosers) - 1
+        for p in range(inst.n_items):
+            assert not self.check(search, 1 << p, every)
+        assert not self.check(search, (1 << inst.n_items) - 1, every)
+
+    def test_exactly_one_uncovered_item(self):
+        rng = np.random.default_rng(1)
+        inst = build_instance(rng.integers(0, 3, size=(6, 6)))
+        search = _Search(inst, budget=0, lower_stop=0)
+        for p in range(inst.n_items):
+            for v in range(inst.n_choosers):
+                # banning one separator leaves the item completable iff it had another
+                assert self.check(search, 1 << p, 1 << v) == bool(inst.resolvers[p] & ~(1 << v))
+
+    def test_survivor_of_the_prefilter_can_fail_the_subset_test(self):
+        # chooser 0 separates column 0 from every other column, so it alone
+        # survives the prefilter on the items (0, 1) .. (0, k); it does not
+        # separate (1, 2), which chooser 1 does
+        k = _Search.PREFILTER
+        m = np.zeros((2, k + 2), dtype=np.uint8)
+        m[0, 1:] = 1
+        m[1, 2] = 1
+        inst = build_instance(m)
+        search = _Search(inst, budget=0, lower_stop=0)
+        first_k = (1 << k) - 1
+        assert inst.items[:k] == tuple((0, j) for j in range(1, k + 1))
+        p12 = inst.items.index((1, 2))
+        assert self.check(search, first_k, 0)
+        assert not self.check(search, first_k | 1 << p12, 0)
+        assert not self.check(search, first_k | 1 << p12, 0b10)

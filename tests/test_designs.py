@@ -31,6 +31,7 @@ from mdimlab import (
     srg_from_null_polarity,
     three_lines_2blocking,
 )
+from mdimlab import designs
 
 
 class TestPg2:
@@ -76,6 +77,13 @@ class TestSymmetricDesignValidation:
         # lam * (v - 1) must equal k * (k - 1)
         with pytest.raises(BadParameters):
             SymmetricDesign(v=7, k=3, lam=2, inc=np.zeros((7, 7), dtype=np.uint8))
+
+    def test_rejects_a_design_without_points(self):
+        # v = 0 passes every other check: an empty matrix meets both laws
+        with pytest.raises(BadParameters):
+            SymmetricDesign(v=0, k=0, lam=0, inc=np.zeros((0, 0), dtype=np.uint8))
+        with pytest.raises(BadParameters):
+            design_from_text("0 0 0\n")
 
     def test_rejects_incidence_violating_intersection_law(self):
         with pytest.raises(BadParameters):
@@ -270,6 +278,12 @@ class TestPolarities:
     def test_search_budget_is_enforced(self):
         with pytest.raises(BudgetExceeded):
             find_null_polarity(self._biplane(), budget=0)
+
+    def test_a_found_map_that_fails_the_check_is_an_error(self, monkeypatch):
+        # a typed error, not an assert that python -O strips
+        monkeypatch.setattr(designs, "is_null_polarity", lambda d, sigma: False)
+        with pytest.raises(NotNullPolarity):
+            find_null_polarity(self._biplane())
 
     def test_polarity_graph_is_strongly_regular(self):
         d = self._biplane()

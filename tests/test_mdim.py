@@ -167,6 +167,24 @@ class TestMdimExact:
         assert cert.status == "verified-resolving"
         assert is_resolving(bfs_distances(ZOO["heawood"]()), cert.set)
 
+    # Node counts of the default search.  Every tie-break is deterministic,
+    # so a change that only speeds the search up leaves them as they are.
+    @pytest.mark.parametrize(
+        "name,nodes",
+        [
+            ("Q_6", 14026),
+            ("johnson_8_4", 17131),
+            ("doubled_odd_4", 23488),
+            ("taylor_paley_17", 2902),
+            ("gq22_incidence", 6169),
+            pytest.param("biplane_incidence", 48615, marks=pytest.mark.slow),
+        ],
+    )
+    def test_node_counts_are_pinned(self, name, nodes):
+        cert = mdim_exact(ZOO[name]())
+        assert cert.status == "minimum"
+        assert cert.nodes_explored == nodes
+
 
 class TestMdimGreedy:
     def test_result_resolves_and_bounds_the_optimum(self):
@@ -309,6 +327,10 @@ class TestSeparation:
             first_unseparated_pair(pg2(2), [7], side="points")
         with pytest.raises(BadParameters):
             first_unresolved_pair(bfs_distances(ZOO["petersen"]()), [10])
+
+    def test_fewer_than_two_entities_leave_no_pair(self):
+        for shape in ((0, 0), (0, 3), (1, 3)):
+            assert mdim._first_unseparated(np.zeros(shape, dtype=np.uint8), []) is None
 
     def test_graph_and_design_checks_share_one_pair_test(self, monkeypatch):
         real = mdim._first_unseparated
