@@ -20,7 +20,7 @@ from .designs import (
     incidence_graph,
     pg2,
 )
-from .errors import BudgetExceeded, MdimlabError
+from .errors import MdimlabError
 from .graphs import Graph, induced_neighborhood
 from .imprimitivity import antipodal_structure, bipartition, classify_ah
 from .lifting import (
@@ -224,11 +224,14 @@ def _cmd_semiresolve(args: argparse.Namespace) -> int:
         _emit(result.to_json(), args.json,
               f"split={result.mu_star} points_part={list(result.points_part.set)} "
               f"blocks_part={list(result.blocks_part.set)}")
-        return EXIT_OK
-    cert = min_semi_resolving(design, side=args.side)
-    _emit(cert.to_json(), args.json,
-          f"size={cert.mu} set={list(cert.set)} side={args.side}")
-    return EXIT_OK
+        certs = (result.points_part, result.blocks_part)
+    else:
+        cert = min_semi_resolving(design, side=args.side)
+        _emit(cert.to_json(), args.json,
+              f"size={cert.mu} set={list(cert.set)} side={args.side} "
+              f"status={cert.status}")
+        certs = (cert,)
+    return EXIT_OK if all(c.status == "minimum" for c in certs) else EXIT_BUDGET
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -276,9 +279,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.kind == "semisplit":
         design = _load_design(args)
-        pts = min_semi_resolving(design, side="points")
-        blk = min_semi_resolving(design, side="blocks")
         split = split_mdim(design)
+        # the split's points part separates the blocks, and dually
+        pts, blk = split.blocks_part, split.points_part
         inc_mu = None
         if 1 < design.k < design.v - 1:
             inc_mu = mdim_exact(incidence_graph(design).graph).mu
@@ -379,13 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except MdimlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except OSError as exc:
+    except (MdimlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
 

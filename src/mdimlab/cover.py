@@ -89,10 +89,6 @@ class CoverResult:
     nodes: int
     optimal: bool
 
-    @property
-    def size(self) -> int:
-        return len(self.chosen)
-
 
 def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[int]:
     """Maximum-marginal-coverage greedy, seeded with the forced choosers.
@@ -278,7 +274,8 @@ def min_cover(
     lower_stop is an external lower bound on the optimum: any incumbent of
     that size is accepted as optimal without exhausting the tree.  A spent
     budget downgrades the result to a verified upper bound
-    (optimal=False).  A negative budget raises BadParameters.
+    (optimal=False).  Budget 0 returns the greedy seed, optimal only when
+    it meets lower_stop.  A negative budget raises BadParameters.
     """
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")

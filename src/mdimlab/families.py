@@ -32,9 +32,6 @@ class LabeledCover:
         if len(set(self.tags)) != self.graph.n:
             raise BadParameters("tags must be distinct")
 
-    def index(self, tag: str) -> int:
-        return self.tags.index(tag)
-
 
 def is_prime(q: int) -> bool:
     if q < 2:

@@ -9,7 +9,6 @@ into one of thirteen mutually exclusive classes with verified sub-claims.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -32,45 +31,36 @@ from .graphs import (
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """2-colour a connected graph; the first side contains vertex 0.
 
-    Raises NotBipartite with an odd closed walk witness, or
-    DisconnectedGraph.
+    The sides are the even and the odd distance classes of vertex 0, read
+    from g.distances.spheres[0].  An edge inside one class raises
+    NotBipartite with an odd closed walk witness; otherwise a vertex
+    outside the component of 0 raises DisconnectedGraph.
     """
-    n = g.n
-    color = [-1] * n
-    parent = [-1] * n
-    color[0] = 0
-    queue = deque([0])
-    seen = 1
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if color[w] == -1:
-                color[w] = 1 - color[u]
-                parent[w] = u
-                queue.append(w)
-                seen += 1
-            elif color[w] == color[u]:
-                raise NotBipartite(_odd_walk(parent, u, w))
-    if seen != n:
+    adj = g.adj
+    spheres = g.distances.spheres[0]
+    for i, sphere in enumerate(spheres):
+        for u in iter_bits(sphere):
+            if adj[u] & sphere:
+                raise NotBipartite(_odd_walk(adj, spheres, i, u))
+    if not g.distances.connected:
         raise DisconnectedGraph("bipartition needs a connected graph")
-    plus = tuple(v for v in range(n) if color[v] == 0)
-    minus = tuple(v for v in range(n) if color[v] == 1)
-    return plus, minus
+    plus = sum(spheres[::2])  # the spheres are disjoint bitsets
+    minus = ((1 << g.n) - 1) & ~plus
+    return tuple(iter_bits(plus)), tuple(iter_bits(minus))
 
 
-def _odd_walk(parent: list[int], u: int, w: int) -> tuple[int, ...]:
-    def path_to_root(v):
-        out = [v]
-        while parent[out[-1]] != -1:
-            out.append(parent[out[-1]])
-        return out
+def _odd_walk(adj: tuple[int, ...], spheres: tuple[int, ...], i: int, u: int):
+    """Odd closed walk through u and its least neighbour w in sphere i.
 
-    pu = path_to_root(u)
-    pw = path_to_root(w)
-    # trim the common tail so the walk closes at the lowest common ancestor
-    while len(pu) > 1 and len(pw) > 1 and pu[-2] == pw[-2]:
-        pu.pop()
-        pw.pop()
+    Both ends climb to their least neighbour one sphere down until the two
+    climbs meet; the walk runs from the meeting vertex down to u, across
+    the edge uw, and back up from w.
+    """
+    pu, pw = [u], [next(iter_bits(adj[u] & spheres[i]))]
+    while pu[-1] != pw[-1]:
+        i -= 1
+        pu.append(next(iter_bits(adj[pu[-1]] & spheres[i])))
+        pw.append(next(iter_bits(adj[pw[-1]] & spheres[i])))
     return tuple(pu[::-1] + pw)
 
 
@@ -238,9 +228,7 @@ class AHClass:
         if self.t is not None:
             out["t"] = self.t
         if self.halved is not None:
-            out["halved"] = [
-                {"n": h.n, "m": h.n_edges} for h in self.halved
-            ]
+            out["halved"] = [{"n": h.n, "m": h.n_edges} for h in self.halved]
         if self.folded is not None:
             out["folded"] = {"n": self.folded.n, "m": self.folded.n_edges}
         out["subclaims"] = [{"claim": c, "ok": ok} for c, ok in self.subclaims]
@@ -276,29 +264,29 @@ def classify_ah(g: Graph) -> AHClass:
     k = ia.k
     bip = _try_bipartition(g)
     ant = _try_antipodal(g)
+    halved: tuple[Graph, Graph] | None = None
+    folded: Graph | None = None
+
+    def result(label: str) -> AHClass:
+        return AHClass(label=label, d=d, k=k, bipartite=bip is not None,
+                       antipodal=ant is not None, t=ant.t if ant else None,
+                       halved=halved, folded=folded, subclaims=tuple(claims))
 
     if d == 2 and (bip is not None or ant is not None):
         _claim(claims, "imprimitive diameter-2 graph is antipodal", ant is not None)
-        assert ant is not None
         _claim(claims, "graph is complete multipartite on the antipodal classes",
                _is_complete_multipartite(g, ant))
         folded = fold(g, ant)[0]
-        _claim(claims, "folded graph is complete",
-               folded == complete(folded.n))
-        return AHClass(label="AH4", d=d, k=k, bipartite=bip is not None,
-                       antipodal=True, t=ant.t, folded=folded,
-                       subclaims=tuple(claims))
+        _claim(claims, "folded graph is complete", folded == complete(folded.n))
+        return result("AH4")
 
     if k == 2:
         _claim(claims, "graph is a cycle", _is_cycle(g))
-        return AHClass(label="AH2", d=d, k=k, bipartite=bip is not None,
-                       antipodal=ant is not None,
-                       t=ant.t if ant else None, subclaims=tuple(claims))
+        return result("AH2")
 
     if bip is None and ant is None:
         _claim(claims, "all distance graphs are connected", is_primitive(g))
-        return AHClass(label="AH1", d=d, k=k, bipartite=False, antipodal=False,
-                       subclaims=tuple(claims))
+        return result("AH1")
 
     halved = halve(g)[:2] if bip is not None else None
     folded = fold(g, ant)[0] if ant is not None else None
@@ -307,78 +295,54 @@ def classify_ah(g: Graph) -> AHClass:
     if d == 3 and bip is not None and ant is not None:
         _claim(claims, "graph is complete bipartite minus a perfect matching",
                _is_kvv_minus_matching(g, ant))
-        return AHClass(label="AH5", d=d, k=k, bipartite=True, antipodal=True,
-                       t=ant.t, halved=halved, folded=folded,
-                       subclaims=tuple(claims))
+        return result("AH5")
 
     if d == 3 and bip is not None:
         _claim(claims, "graph is the incidence graph of a symmetric design",
                _is_design_incidence(g))
-        return AHClass(label="AH6", d=d, k=k, bipartite=True, antipodal=False,
-                       halved=halved, subclaims=tuple(claims))
+        return result("AH6")
 
-    if d == 3 and ant is not None:
+    if d == 3:  # not bipartite, so antipodal
         _claim(claims, "folded graph is complete on k+1 vertices",
-               folded is not None and folded.n == k + 1
-               and folded == complete(k + 1))
-        return AHClass(label="AH7", d=d, k=k, bipartite=False, antipodal=True,
-                       t=ant.t, folded=folded, subclaims=tuple(claims))
+               folded == complete(k + 1))
+        return result("AH7")
 
     if d == 4 and bip is not None and ant is not None:
         _claim(claims, "folded graph is complete bipartite",
-               folded is not None and _is_complete_bipartite(folded))
+               _is_complete_bipartite(folded))
         _claim(claims, "halved graphs are complete multipartite",
-               halved is not None
-               and all(_is_complete_multipartite(h, None) for h in halved))
-        return AHClass(label="AH8", d=d, k=k, bipartite=True, antipodal=True,
-                       t=ant.t, halved=halved, folded=folded,
-                       subclaims=tuple(claims))
+               all(_is_complete_multipartite(h, None) for h in halved))
+        return result("AH8")
 
     if d == 6 and bip is not None and ant is not None:
         _claim(claims, "halved graphs are antipodal of diameter 3",
-               halved is not None
-               and all(h.distances.diameter == 3 and _try_antipodal(h) is not None
-                       for h in halved))
+               all(h.distances.diameter == 3 and _try_antipodal(h) is not None
+                   for h in halved))
         _claim(claims, "folded graph is bipartite of diameter 3",
-               folded is not None and folded.distances.diameter == 3
-               and _try_bipartition(folded) is not None)
-        return AHClass(label="AH9", d=d, k=k, bipartite=True, antipodal=True,
-                       t=ant.t, halved=halved, folded=folded,
-                       subclaims=tuple(claims))
+               folded.distances.diameter == 3 and _try_bipartition(folded) is not None)
+        return result("AH9")
 
-    if d >= 4 and ant is not None and bip is None:
+    if bip is None:  # antipodal, d >= 4
         _claim(claims, f"folded graph is primitive of diameter {e}",
-               folded is not None and folded.distances.diameter == e
-               and is_primitive(folded))
-        _claim(claims, "folded valency at least 3",
-               folded is not None and (folded.regular_valency() or 0) >= 3)
-        return AHClass(label="AH10", d=d, k=k, bipartite=False, antipodal=True,
-                       t=ant.t, folded=folded, subclaims=tuple(claims))
+               folded.distances.diameter == e and is_primitive(folded))
+        _claim(claims, "folded valency at least 3", (folded.regular_valency() or 0) >= 3)
+        return result("AH10")
 
-    if d >= 4 and bip is not None and ant is None:
+    if ant is None:  # bipartite, d >= 4
         _claim(claims, f"halved graphs are primitive of diameter {e}",
-               halved is not None
-               and all(h.distances.diameter == e and is_primitive(h) for h in halved))
+               all(h.distances.diameter == e and is_primitive(h) for h in halved))
         _claim(claims, "halved valency at least 3",
-               halved is not None
-               and all((h.regular_valency() or 0) >= 3 for h in halved))
-        return AHClass(label="AH11", d=d, k=k, bipartite=True, antipodal=False,
-                       halved=halved, subclaims=tuple(claims))
+               all((h.regular_valency() or 0) >= 3 for h in halved))
+        return result("AH11")
 
     # bipartite and antipodal, d >= 5
-    assert bip is not None and ant is not None
     if d % 2 == 1:
-        _claim(claims, "odd diameter forces antipodal classes of size 2",
-               ant.t == 2)
+        _claim(claims, "odd diameter forces antipodal classes of size 2", ant.t == 2)
         _claim(claims, f"folded graph is primitive of diameter {e}",
-               folded is not None and folded.distances.diameter == e
-               and is_primitive(folded))
+               folded.distances.diameter == e and is_primitive(folded))
         _claim(claims, f"halved graphs are primitive of diameter {e}",
-               halved is not None
-               and all(h.distances.diameter == e and is_primitive(h) for h in halved))
-        return AHClass(label="AH12", d=d, k=k, bipartite=True, antipodal=True,
-                       t=2, halved=halved, folded=folded,
-                       subclaims=tuple(claims))
+               all(h.distances.diameter == e and is_primitive(h) for h in halved))
+        return result("AH12")
 
     half_ant = _try_antipodal(halved[0])
     reduced = fold(halved[0], half_ant)[0] if half_ant is not None else None
@@ -387,9 +351,7 @@ def classify_ah(g: Graph) -> AHClass:
            and is_primitive(reduced))
     _claim(claims, "reduced valency at least 3",
            reduced is not None and (reduced.regular_valency() or 0) >= 3)
-    return AHClass(label="AH13", d=d, k=k, bipartite=True, antipodal=True,
-                   t=ant.t, halved=halved, folded=folded,
-                   subclaims=tuple(claims))
+    return result("AH13")
 
 
 def _try_bipartition(g: Graph):
@@ -407,11 +369,7 @@ def _try_antipodal(g: Graph):
 
 
 def _is_cycle(g: Graph) -> bool:
-    return (
-        g.regular_valency() == 2
-        and len(_components(g.n, g.adj)) == 1
-        and g.n_edges == g.n
-    )
+    return g.regular_valency() == 2 and g.distances.connected
 
 
 def _is_complete_multipartite(g: Graph, structure: AntipodalStructure | None) -> bool:

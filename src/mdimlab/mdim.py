@@ -136,24 +136,17 @@ def twin_classes(inst: PairCoverInstance) -> list[tuple[int, ...]]:
 
     A pair is twin iff nothing but its two members separates it; twinhood
     is transitive, so the classes are a partition of the affected vertices.
+    The items run in lexicographic order, so the owner (least class member)
+    of u is final before any pair (u, w) is read.
     """
-    parent = list(range(inst.n_choosers))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    owner = list(range(inst.n_choosers))
     for p, (u, w) in enumerate(inst.items):
         if inst.resolvers[p] == (1 << u) | (1 << w):
-            ru, rw = find(u), find(w)
-            if ru != rw:
-                parent[max(ru, rw)] = min(ru, rw)
+            owner[w] = min(owner[w], owner[u])
     groups: dict[int, list[int]] = {}
     for v in range(inst.n_choosers):
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(g) for g in sorted(groups.values()) if len(g) > 1]
+        groups.setdefault(owner[v], []).append(v)
+    return [tuple(g) for g in groups.values() if len(g) > 1]
 
 
 def twin_forced_choices(inst: PairCoverInstance) -> list[int]:
@@ -187,6 +180,8 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     a pair in two different components is separated exactly by the vertices
     of those components.  Spending the whole node budget downgrades the
     result to status "verified-resolving" carrying the best set found.
+    Budget 0 returns the verified greedy seed, which is "minimum" only when
+    it meets the lower bound.
     """
     dm = g.distances
     if budget is None:

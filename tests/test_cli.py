@@ -258,6 +258,19 @@ class TestSemiresolve:
         assert code == 0
         assert out.startswith("size=6")
 
+    def test_spent_budget_exits_2(self, monkeypatch):
+        monkeypatch.setenv("MDIMLAB_BUDGET", "1")
+        code, out, _ = run("semiresolve", "--plane", "3", "--side", "blocks")
+        assert code == 2
+        assert out.startswith("size=6")
+        assert out.rstrip().endswith("status=verified-resolving")
+
+    def test_spent_budget_on_split_exits_2(self, monkeypatch):
+        monkeypatch.setenv("MDIMLAB_BUDGET", "1")
+        code, out, _ = run("semiresolve", "--plane", "3", "--split")
+        assert code == 2
+        assert out.startswith("split=12")
+
     @pytest.mark.parametrize("content", [b"x y z\n", b"7 3 1\n\xff\n"])
     def test_malformed_design_file_exits_1(self, tmp_path, content):
         path = tmp_path / "bad.design"
@@ -317,6 +330,26 @@ class TestExperiment:
         assert payload["incidence_mu"] == 5
         assert payload["semi_blocks"]["mu"] == 3
         assert payload["split"]["mu_star"] == 6
+
+    def test_semisplit_solves_each_side_once(self, monkeypatch):
+        import mdimlab.cli
+        import mdimlab.mdim
+
+        real = mdimlab.mdim.min_semi_resolving
+        sides = []
+
+        def counting(design, side="blocks", budget=None):
+            sides.append(side)
+            return real(design, side, budget)
+
+        monkeypatch.setattr(mdimlab.mdim, "min_semi_resolving", counting)
+        monkeypatch.setattr(mdimlab.cli, "min_semi_resolving", counting)
+        code, out, _ = run("experiment", "semisplit", "--plane", "2", "--json")
+        assert code == 0
+        assert sorted(sides) == ["blocks", "points"]
+        payload = json.loads(out)
+        assert payload["semi_points"] == payload["split"]["blocks_part"]
+        assert payload["semi_blocks"] == payload["split"]["points_part"]
 
 
 class TestTopLevel:

@@ -2,6 +2,7 @@
 thirteen-way classification."""
 
 import random
+from collections import deque
 
 import pytest
 
@@ -46,6 +47,44 @@ def random_bipartite(half: int, seed: int) -> Graph:
     return Graph.from_edges(2 * half, sorted(edges))
 
 
+def _two_colouring_reference(g: Graph):
+    """Deque-BFS 2-colouring from vertex 0: the (plus, minus) sides, or
+    "odd" on an edge inside one colour of 0's component, or "disconnected"."""
+    colour = [-1] * g.n
+    colour[0] = 0
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if colour[w] == -1:
+                colour[w] = 1 - colour[u]
+                queue.append(w)
+            elif colour[w] == colour[u]:
+                return "odd"
+    if -1 in colour:
+        return "disconnected"
+    return (tuple(v for v in range(g.n) if colour[v] == 0),
+            tuple(v for v in range(g.n) if colour[v] == 1))
+
+
+def _disjoint_union(a: Graph, b: Graph) -> Graph:
+    shifted = [(u + a.n, w + a.n) for u, w in b.edges()]
+    return Graph.from_edges(a.n + b.n, list(a.edges()) + shifted)
+
+
+def _bipartition_cases():
+    """Seeded connected bipartite, connected non-bipartite and disconnected
+    graphs, the last with and without an odd cycle through vertex 0."""
+    cases = [random_bipartite(half, seed) for half in (2, 3, 5, 8) for seed in range(5)]
+    cases += [g for g in (random_graph(n, seed) for n in (5, 7, 9, 12) for seed in range(8))
+              if g.distances.connected]
+    cases += [_disjoint_union(random_bipartite(3, seed), random_graph(5, seed))
+              for seed in range(8)]
+    cases += [_disjoint_union(family("cycle", 2 * r + 1), random_bipartite(3, r))
+              for r in range(1, 5)]
+    return cases
+
+
 class TestBipartition:
     def test_even_cycle_splits_by_parity(self):
         plus, minus = bipartition(family("cycle", 6))
@@ -80,6 +119,32 @@ class TestBipartition:
     def test_disconnected_input_is_rejected(self):
         with pytest.raises(DisconnectedGraph):
             bipartition(Graph.from_edges(4, [(0, 1), (2, 3)]))
+
+    def test_odd_cycle_through_zero_wins_over_disconnection(self):
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        with pytest.raises(NotBipartite):
+            bipartition(g)
+
+    def test_matches_a_two_colouring_reference(self):
+        outcomes = []
+        for g in _bipartition_cases():
+            expected = _two_colouring_reference(g)
+            outcomes.append(expected if isinstance(expected, str) else "sides")
+            if expected == "disconnected":
+                with pytest.raises(DisconnectedGraph):
+                    bipartition(g)
+            elif expected == "odd":
+                with pytest.raises(NotBipartite) as exc:
+                    bipartition(g)
+                walk = exc.value.witness
+                assert walk[0] == walk[-1]
+                assert (len(walk) - 1) % 2 == 1  # an odd number of edges
+                assert all(g.has_edge(u, w) for u, w in zip(walk, walk[1:]))
+            else:
+                assert bipartition(g) == expected
+        assert len(outcomes) >= 50
+        assert {"sides", "odd", "disconnected"} <= set(outcomes)
+        assert outcomes.count("odd") >= 10 and outcomes.count("disconnected") >= 5
 
 
 class TestHalve:
@@ -291,6 +356,63 @@ class TestClassifyAh:
     def test_disconnected_input_is_rejected(self):
         with pytest.raises(DisconnectedGraph):
             classify_ah(family("disjoint_cliques", 2, 3))
+
+    # (label, bipartite, antipodal, t, has halved graphs, has folded graph)
+    PINNED = {
+        "C_5": ("AH2", False, False, None, False, False),
+        "C_6": ("AH2", True, True, 2, False, False),
+        "C_7": ("AH2", False, False, None, False, False),
+        "K_4": ("AH3", False, True, None, False, False),
+        "K_6": ("AH3", False, True, None, False, False),
+        "K_3x4": ("AH4", False, True, 4, False, True),
+        "K44_minus_matching": ("AH5", True, True, 2, True, True),
+        "K66_minus_matching": ("AH5", True, True, 2, True, True),
+        "Q_3": ("AH5", True, True, 2, True, True),
+        "Q_4": ("AH8", True, True, 2, True, True),
+        "Q_6": ("AH9", True, True, 2, True, True),
+        "Q_8": ("AH13", True, True, 2, True, True),
+        "petersen": ("AH1", False, False, None, False, False),
+        "johnson_5_2": ("AH1", False, False, None, False, False),
+        "johnson_8_4": ("AH10", False, True, 2, False, True),
+        "odd_4": ("AH1", False, False, None, False, False),
+        "paley_13": ("AH1", False, False, None, False, False),
+        "paley_17": ("AH1", False, False, None, False, False),
+        "rook_4_4": ("AH1", False, False, None, False, False),
+        "shrikhande": ("AH1", False, False, None, False, False),
+        "gq22_incidence": ("AH11", True, False, None, True, False),
+        "icosahedron": ("AH7", False, True, 2, False, True),
+        "taylor_paley_13": ("AH7", False, True, 2, False, True),
+        "taylor_paley_17": ("AH7", False, True, 2, False, True),
+        "heawood": ("AH6", True, False, None, True, False),
+        "desargues": ("AH12", True, True, 2, True, True),
+        "doubled_odd_4": ("AH12", True, True, 2, True, True),
+        "biplane_incidence": ("AH6", True, False, None, True, False),
+        "C_4": ("AH4", True, True, 2, False, True),
+        "K_33": ("AH4", True, True, 3, False, True),
+        "Q_5": ("AH12", True, True, 2, True, True),
+        "K_2": ("AH3", True, True, None, False, False),
+    }
+    EXTRA = {
+        "C_4": lambda: family("cycle", 4),
+        "K_33": lambda: family("complete_multipartite", 2, 3),
+        "Q_5": lambda: family("hypercube", 5),
+        "K_2": lambda: family("complete", 2),
+    }
+
+    def test_every_zoo_graph_is_pinned(self):
+        assert set(ZOO) - set(self.PINNED) == {"2K_3", "3K_4"}
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_record(self, name):
+        r = classify_ah({**ZOO, **self.EXTRA}[name]())
+        got = (r.label, r.bipartite, r.antipodal, r.t,
+               r.halved is not None, r.folded is not None)
+        assert got == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", ["2K_3", "3K_4"])
+    def test_disconnected_zoo_graphs_are_rejected(self, name):
+        with pytest.raises(DisconnectedGraph):
+            classify_ah(ZOO[name]())
 
 
 class TestDerivedGraphsStayDistanceRegular:

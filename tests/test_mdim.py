@@ -196,6 +196,25 @@ class TestMdimGreedy:
             assert len(greedy.set) >= len(mdim_exact(g).set)
 
 
+def _union_find_twins(inst) -> list[tuple[int, ...]]:
+    """Union-find reference for twin_classes."""
+    parent = list(range(inst.n_choosers))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for p, (u, w) in enumerate(inst.items):
+        if inst.resolvers[p] == (1 << u) | (1 << w):
+            ru, rw = find(u), find(w)
+            parent[max(ru, rw)] = min(ru, rw)
+    groups: dict[int, list[int]] = {}
+    for v in range(inst.n_choosers):
+        groups.setdefault(find(v), []).append(v)
+    return [tuple(g) for g in sorted(groups.values()) if len(g) > 1]
+
+
 class TestTwins:
     def test_complete_graph_is_one_twin_class(self):
         inst = pair_cover_instance(bfs_distances(family("complete", 4)))
@@ -211,6 +230,19 @@ class TestTwins:
         inst = pair_cover_instance(bfs_distances(ZOO["petersen"]()))
         assert twin_classes(inst) == []
         assert twin_forced_choices(inst) == []
+
+    def test_matches_a_union_find_reference(self):
+        graphs = [family("complete", 5), family("complete_multipartite", 3, 4)]
+        graphs += [random_graph(n, p, seed) for n in (4, 6, 9)
+                   for p in (0.2, 0.5, 0.8) for seed in range(6)]
+        classes = []
+        for g in graphs:
+            inst = pair_cover_instance(bfs_distances(g))
+            expected = _union_find_twins(inst)
+            assert twin_classes(inst) == expected
+            classes += expected
+        assert max(map(len, classes)) >= 4
+        assert sum(len(c) >= 3 for c in classes) >= 5
 
     def test_forcing_preserves_the_optimum(self):
         # complete multipartite graphs are all twins; the formula value
