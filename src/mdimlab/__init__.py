@@ -31,7 +31,6 @@ from .graphs import (
     IntersectionArray,
     SrgParams,
     bfs_distances,
-    distance_i_graph,
     induced_neighborhood,
     intersection_array,
     is_distance_regular,

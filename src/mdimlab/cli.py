@@ -2,7 +2,8 @@
 
 Subcommands: construct, classify, mdim, lift, bounds, semiresolve, verify,
 oracle, experiment.  Exit codes: 0 success, 1 user or input error, 2 node
-budget exhausted before the requested answer was proved.
+budget exhausted before the requested answer was proved (mdim, semiresolve,
+and experiment, where any printed value left unproved counts).
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USER)
 
 
-def _parse_set(text: str) -> tuple[int, ...]:
+def _parse_set(text: str | None, flag: str) -> tuple[int, ...]:
+    if text is None:
+        raise MdimlabError(f"this mode needs {flag}")
     text = text.strip()
     if not text:
         return ()
@@ -71,6 +74,11 @@ def _emit(payload: Any, as_json: bool, text: str | None = None) -> None:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(text if text is not None else payload)
+
+
+def _proved(certs) -> int:
+    """EXIT_OK if every certificate is a proved minimum, else EXIT_BUDGET."""
+    return EXIT_OK if all(c.status == "minimum" for c in certs) else EXIT_BUDGET
 
 
 def _load_graph(path: str | None) -> Graph:
@@ -148,7 +156,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_mdim(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     if args.certify is not None:
-        cert = certify(g, _parse_set(args.certify))
+        cert = certify(g, _parse_set(args.certify, "--certify"))
     elif args.greedy:
         cert = mdim_greedy(g)
     elif args.oracle:
@@ -169,11 +177,12 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     mode = args.from_
     if mode == "halved":
         g = _load_graph(args.graph)
-        cert = lift_halved(g, _parse_set(args.plus_set), _parse_set(args.minus_set))
+        cert = lift_halved(g, _parse_set(args.plus_set, "--plus-set"),
+                           _parse_set(args.minus_set, "--minus-set"))
     elif mode == "folded":
         g = _load_graph(args.graph)
         structure = antipodal_structure(g)
-        result = lift_folded(g, _parse_set(args.set), structure)
+        result = lift_folded(g, _parse_set(args.set, "--set"), structure)
         payload = result.certificate.to_json()
         payload["case"] = result.case
         if result.center is not None:
@@ -185,18 +194,18 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     elif mode == "push":
         g = _load_graph(args.graph)
         side = frozenset(bipartition(g)[0])
-        cert = push_to_plus(g, side, _parse_set(args.set))
+        cert = push_to_plus(g, side, _parse_set(args.set, "--set"))
     elif mode == "taylor":
         if not args.base:
             raise MdimlabError("lift --from taylor needs --base FAMILY --param ...")
         cover = families.taylor(families.family(args.base, *(args.param or ())))
-        cert = taylor_lift(cover, _parse_set(args.set))
+        cert = taylor_lift(cover, _parse_set(args.set, "--set"))
     elif mode == "double":
         if args.base:
             base = families.family(args.base, *(args.param or ()))
         else:
             base = _load_graph(args.graph)
-        cover, cert = double_lift(base, _parse_set(args.set))
+        cover, cert = double_lift(base, _parse_set(args.set, "--set"))
         if args.out:
             write_graph(args.out, cover.graph)
     else:  # pragma: no cover - argparse restricts choices
@@ -231,7 +240,7 @@ def _cmd_semiresolve(args: argparse.Namespace) -> int:
               f"size={cert.mu} set={list(cert.set)} side={args.side} "
               f"status={cert.status}")
         certs = (cert,)
-    return EXIT_OK if all(c.status == "minimum" for c in certs) else EXIT_BUDGET
+    return _proved(certs)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -263,40 +272,38 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.kind == "descendants":
         base = families.family(args.base, *(args.param or ()))
         cover = families.taylor(base)
-        mu_base = mdim_exact(base).mu
+        certs = [mdim_exact(base)]
         rows = []
         for w in range(cover.graph.n):
             local, _ = induced_neighborhood(cover.graph, w)
-            rows.append({"vertex": w, "tag": cover.tags[w],
-                         "mu": mdim_exact(local).mu})
-        payload = {"base_mu": mu_base, "descendants": rows}
+            certs.append(mdim_exact(local))
+            rows.append({"vertex": w, "tag": cover.tags[w], "mu": certs[-1].mu})
+        payload = {"base_mu": certs[0].mu, "descendants": rows}
         if args.json:
             _emit(payload, True)
         else:
-            print(f"base mu={mu_base}")
+            print(f"base mu={certs[0].mu}")
             for row in rows:
                 print(f"  vertex {row['vertex']} ({row['tag']}): mu={row['mu']}")
-        return EXIT_OK
+        return _proved(certs)
     if args.kind == "semisplit":
         design = _load_design(args)
         split = split_mdim(design)
         # the split's points part separates the blocks, and dually
         pts, blk = split.blocks_part, split.points_part
-        inc_mu = None
-        if 1 < design.k < design.v - 1:
-            inc_mu = mdim_exact(incidence_graph(design).graph).mu
+        inc = mdim_exact(incidence_graph(design).graph)
         payload = {
             "semi_points": pts.to_json(),
             "semi_blocks": blk.to_json(),
             "split": split.to_json(),
-            "incidence_mu": inc_mu,
+            "incidence_mu": inc.mu,
         }
         if args.json:
             _emit(payload, True)
         else:
             print(f"semi points-side={pts.mu} blocks-side={blk.mu} "
-                  f"split={split.mu_star} incidence mu={inc_mu}")
-        return EXIT_OK
+                  f"split={split.mu_star} incidence mu={inc.mu}")
+        return _proved((pts, blk, inc))
     raise MdimlabError(f"unknown experiment {args.kind!r}")
 
 

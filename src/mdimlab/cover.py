@@ -5,6 +5,10 @@ row per chooser, a column per entity, and chooser v separates the entity
 pair (i, j) iff its row differs at columns i and j.  A cover is a chooser
 set separating every pair.
 
+Layout: item p is the p-th pair of combinations(range(n_entities), 2), so
+no pair table is kept; coverage[v] (over items) and resolvers[p] (over
+choosers) are int bitsets packed from one boolean chooser-by-item matrix.
+
 The solver branches on an uncovered pair with few remaining separators,
 trying its separators in decreasing marginal-coverage order; each branch
 bans the separators already tried at that node, so the subtrees partition
@@ -25,7 +29,6 @@ which one runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -36,50 +39,41 @@ from .graphs import iter_bits
 DEFAULT_BUDGET = 10**8
 
 
-def pack_bits(arr: np.ndarray) -> int:
-    """Bool array -> int with bit p set iff arr[p]."""
-    return int.from_bytes(
-        np.packbits(arr, bitorder="little").tobytes(), "little"
-    )
-
-
 @dataclass(frozen=True)
 class PairCoverInstance:
     """Pair-separation instance.
 
-    items: the column pairs, lexicographically ordered.
+    Item p is the p-th pair of combinations(range(n_entities), 2).
     coverage[v]: bitset over item indices separated by chooser v.
     resolvers[p]: bitset over choosers separating item p.
     """
 
     n_choosers: int
-    items: tuple[tuple[int, int], ...]
+    n_entities: int
     coverage: tuple[int, ...]
     resolvers: tuple[int, ...]
 
     @property
     def n_items(self) -> int:
-        return len(self.items)
+        return len(self.resolvers)
 
 
 def build_instance(matrix: np.ndarray) -> PairCoverInstance:
     """Instance whose choosers are the matrix rows and whose items are all
     unordered column pairs."""
     n_choosers, n_cols = matrix.shape
-    items = tuple((i, j) for i, j in combinations(range(n_cols), 2))
-    iu = np.fromiter((p[0] for p in items), dtype=np.intp, count=len(items))
-    iw = np.fromiter((p[1] for p in items), dtype=np.intp, count=len(items))
-    sep = np.empty((n_choosers, len(items)), dtype=bool)
+    iu, iw = np.triu_indices(n_cols, 1)
+    sep = np.empty((n_choosers, len(iu)), dtype=bool)
     for v in range(n_choosers):
         row = matrix[v]
         sep[v] = row[iu] != row[iw]
-    coverage = tuple(pack_bits(sep[v]) for v in range(n_choosers))
-    resolvers = tuple(pack_bits(sep[:, p]) for p in range(len(items)))
+    by_chooser = np.packbits(sep, axis=1, bitorder="little")
+    by_item = np.packbits(sep, axis=0, bitorder="little").T
     return PairCoverInstance(
         n_choosers=n_choosers,
-        items=items,
-        coverage=coverage,
-        resolvers=resolvers,
+        n_entities=n_cols,
+        coverage=tuple(int.from_bytes(r.tobytes(), "little") for r in by_chooser),
+        resolvers=tuple(int.from_bytes(r.tobytes(), "little") for r in by_item),
     )
 
 
@@ -93,7 +87,8 @@ class CoverResult:
 def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[int]:
     """Maximum-marginal-coverage greedy, seeded with the forced choosers.
 
-    Ties break toward the lowest chooser id.
+    Ties break toward the lowest chooser id.  An item that no chooser
+    separates raises BadParameters.
     """
     all_items = (1 << inst.n_items) - 1
     chosen = list(forced)
@@ -108,7 +103,7 @@ def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[in
             if gain > best_gain:
                 best_v, best_gain = v, gain
         if best_v < 0:
-            raise ValueError("instance is infeasible: some pair has no separator")
+            raise BadParameters("instance is infeasible: some pair has no separator")
         chosen.append(best_v)
         covered |= inst.coverage[best_v]
     return chosen
@@ -282,7 +277,4 @@ def min_cover(
     forced = sorted(set(forced))
     lower_stop = max(lower_stop, len(forced))
     seed = greedy_cover(inst, forced)
-    # forced choosers that already cover everything leave seed == forced
-    if len(seed) <= lower_stop:
-        return CoverResult(chosen=tuple(sorted(seed)), nodes=0, optimal=True)
     return _Search(inst, budget, lower_stop).run(forced, seed)

@@ -141,11 +141,6 @@ class DistanceMatrix:
     def d(self, u: int, w: int) -> int:
         return int(self.dist[u, w])
 
-    def sphere(self, u: int, i: int) -> tuple[int, ...]:
-        """Vertices at distance exactly i from u, ascending."""
-        row = self.spheres[u]
-        return tuple(iter_bits(row[i])) if 0 <= i < len(row) else ()
-
     def layer(self, i: int) -> tuple[int, ...]:
         """Bitset adjacency rows of the distance-i graph."""
         return tuple(row[i] if 0 <= i < len(row) else 0 for row in self.spheres)
@@ -290,15 +285,6 @@ def is_distance_regular(g: Graph) -> bool:
         return False
 
 
-def distance_i_graph(dm: DistanceMatrix, i: int) -> Graph:
-    """Graph on the same vertices whose edges are the pairs at distance exactly i."""
-    if dm.diameter is None:
-        raise DisconnectedGraph("distance-i graph needs a connected graph")
-    if not 1 <= i <= dm.diameter:
-        raise IndexError(f"distance class {i} outside 1..{dm.diameter}")
-    return Graph(dm.n, dm.layer(i))
-
-
 def _components(n: int, rows: Sequence[int]) -> list[int]:
     """Connected components of a bitset adjacency, as vertex bitsets, by min vertex."""
     unseen = (1 << n) - 1
@@ -335,6 +321,20 @@ def max_distance_class(dm: DistanceMatrix) -> int:
     return max((s.bit_count() for row in dm.spheres for s in row[1:]), default=0)
 
 
+def _induced(rows: Sequence[int], vertices: Sequence[int]) -> Graph:
+    """Subgraph of the bitset adjacency rows induced on the ascending
+    vertices, relabelled so that local vertex i is vertices[i]."""
+    index = {v: i for i, v in enumerate(vertices)}
+    mask = sum(1 << v for v in vertices)
+    local = []
+    for v in vertices:
+        row = 0
+        for u in iter_bits(rows[v] & mask):
+            row |= 1 << index[u]
+        local.append(row)
+    return Graph(len(vertices), local)
+
+
 def induced_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on the neighbours of x, plus the vertex map.
 
@@ -346,11 +346,4 @@ def induced_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
     vmap = tuple(iter_bits(g.adj[x]))
     if not vmap:
         raise BadParameters(f"vertex {x} has no neighbours")
-    index = {v: i for i, v in enumerate(vmap)}
-    rows = []
-    for v in vmap:
-        mask = 0
-        for u in iter_bits(g.adj[v] & g.adj[x]):
-            mask |= 1 << index[u]
-        rows.append(mask)
-    return Graph(len(vmap), rows), vmap
+    return _induced(g.adj, vmap), vmap

@@ -22,6 +22,7 @@ from .families import complete
 from .graphs import (
     Graph,
     _components,
+    _induced,
     intersection_array,
     is_primitive,
     iter_bits,
@@ -145,18 +146,7 @@ def halve(g: Graph) -> tuple[Graph, Graph, tuple[int, ...], tuple[int, ...]]:
     if g._halves is None:
         plus, minus = bipartition(g)
         far2 = g.distances.layer(2)
-
-        def build(side: tuple[int, ...]) -> Graph:
-            index = {v: i for i, v in enumerate(side)}
-            rows = []
-            for v in side:
-                row = 0
-                for w in iter_bits(far2[v]):
-                    row |= 1 << index[w]
-                rows.append(row)
-            return Graph(len(side), rows)
-
-        g._halves = (build(plus), build(minus), plus, minus)
+        g._halves = (_induced(far2, plus), _induced(far2, minus), plus, minus)
     return g._halves
 
 

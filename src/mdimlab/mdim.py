@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any, Iterable, Literal, Sequence
 
 import numpy as np
@@ -140,8 +141,9 @@ def twin_classes(inst: PairCoverInstance) -> list[tuple[int, ...]]:
     of u is final before any pair (u, w) is read.
     """
     owner = list(range(inst.n_choosers))
-    for p, (u, w) in enumerate(inst.items):
-        if inst.resolvers[p] == (1 << u) | (1 << w):
+    pairs = combinations(range(inst.n_entities), 2)
+    for (u, w), sep in zip(pairs, inst.resolvers):
+        if sep == (1 << u) | (1 << w):
             owner[w] = min(owner[w], owner[u])
     groups: dict[int, list[int]] = {}
     for v in range(inst.n_choosers):
@@ -222,8 +224,6 @@ def exhaustive_mdim(g: Graph) -> ResolvingCertificate:
     Only sensible for small graphs; used to pin expected values and to
     cross-check the branch-and-bound path, which it shares no code with.
     """
-    from itertools import combinations
-
     dm = g.distances
     for size in range(g.n + 1):
         for subset in combinations(range(g.n), size):

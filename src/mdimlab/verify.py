@@ -28,7 +28,7 @@ from .designs import (
     three_lines_2blocking,
     is_double_blocking,
 )
-from .errors import LiftVerificationError
+from .errors import BadParameters, LiftVerificationError
 from .graphs import Graph, intersection_array, is_primitive
 from .imprimitivity import antipodal_structure, classify_ah, fold, halve
 from .lifting import lift_folded, lift_halved, taylor_lift
@@ -143,9 +143,11 @@ def load_golden() -> list[GoldenRow]:
 
 
 def _graph_from_args(args: dict[str, Any]) -> Graph:
-    if "zoo" in args:
-        return ZOO[args["zoo"]]()
-    return families.family(args["family"], *args.get("params", ()))
+    """The graph a row names: family with params, or a ZOO entry under
+    "zoo" or "name"."""
+    if "family" in args:
+        return families.family(args["family"], *args.get("params", ()))
+    return ZOO[args.get("zoo") or args["name"]]()
 
 
 def _check_mdim_formula(args: dict[str, Any]) -> list[int]:
@@ -155,16 +157,12 @@ def _check_mdim_formula(args: dict[str, Any]) -> list[int]:
     ]
 
 
-def _check_mdim_family(args: dict[str, Any]) -> int:
+def _check_mdim(args: dict[str, Any]) -> int:
     return mdim_exact(_graph_from_args(args)).mu
 
 
-def _check_mdim_zoo(args: dict[str, Any]) -> int:
-    return mdim_exact(ZOO[args["name"]]()).mu
-
-
 def _check_double_equals_base(args: dict[str, Any]) -> list[int]:
-    base = ZOO[args["name"]]()
+    base = _graph_from_args(args)
     dbl = families.bipartite_double(base).graph
     return [mdim_exact(base).mu, mdim_exact(dbl).mu]
 
@@ -332,8 +330,8 @@ def _check_intersection_array(args: dict[str, Any]) -> str:
 
 CHECKS: dict[str, Callable[[dict[str, Any]], Any]] = {
     "mdim_formula": _check_mdim_formula,
-    "mdim_family": _check_mdim_family,
-    "mdim_zoo": _check_mdim_zoo,
+    "mdim_family": _check_mdim,
+    "mdim_zoo": _check_mdim,
     "double_equals_base": _check_double_equals_base,
     "halved_lift_size": _check_halved_lift_size,
     "folded_lift": _check_folded_lift,
@@ -358,10 +356,16 @@ def run_suite(
 ) -> Report:
     """Run the golden rows and compare against frozen expectations.
 
-    only restricts to the given row ids (recorded rows still render).
+    only restricts to the given row ids (recorded rows still render); an id
+    that names no row raises BadParameters.
     """
+    rows = load_golden()
+    if only is not None:
+        unknown = sorted(only - {row.id for row in rows})
+        if unknown:
+            raise BadParameters(f"unknown row ids: {', '.join(unknown)}")
     results = []
-    for row in load_golden():
+    for row in rows:
         if only is not None and row.id not in only:
             continue
         runnable = row.check is not None and (row.tier != "slow" or include_slow)
@@ -382,14 +386,10 @@ def oracle_rows(max_n: int = 32) -> list[tuple[str, Any, Any, bool]]:
     justified the frozen values in the first place.
     """
     out = []
-    fetchers = {
-        "mdim_zoo": lambda a: ZOO[a["name"]](),
-        "mdim_family": _graph_from_args,
-    }
     for row in load_golden():
-        if row.source != "computed" or row.check not in fetchers:
+        if row.source != "computed" or row.check not in ("mdim_zoo", "mdim_family"):
             continue
-        g = fetchers[row.check](row.args)
+        g = _graph_from_args(row.args)
         if g.n > max_n:
             out.append((row.id, row.expected, None, True))
             continue

@@ -215,6 +215,25 @@ class TestLift:
         assert code == 1
         assert "graph file" in err
 
+    @pytest.mark.parametrize("mode, flag", [
+        ("halved", "--plus-set"), ("folded", "--set"), ("push", "--set"),
+    ])
+    def test_missing_set_flag_exits_1(self, cube_file, mode, flag):
+        code, _, err = run("lift", "--from", mode, cube_file)
+        assert code == 1
+        assert f"error: this mode needs {flag}" in err and "Traceback" not in err
+
+    def test_missing_minus_set_exits_1(self, cube_file):
+        code, _, err = run("lift", "--from", "halved", cube_file, "--plus-set", "0")
+        assert code == 1
+        assert "error: this mode needs --minus-set" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["taylor", "double"])
+    def test_missing_set_on_a_base_family_exits_1(self, mode):
+        code, _, err = run("lift", "--from", mode, "--base", "paley", "--param", "13")
+        assert code == 1
+        assert "error: this mode needs --set" in err and "Traceback" not in err
+
 
 class TestBounds:
     def test_json_report(self, petersen_file):
@@ -286,6 +305,14 @@ class TestSemiresolve:
         assert code == 1
         assert "error:" in err and "unseparated" not in err
 
+    def test_degenerate_design_exits_1(self, tmp_path):
+        # a (2, 2, 2) design: both blocks hold both points
+        path = tmp_path / "full.design"
+        path.write_text("2 2 2\n11\n11\n")
+        code, _, err = run("semiresolve", "--design", str(path))
+        assert code == 1
+        assert "error: instance is infeasible" in err and "Traceback" not in err
+
     def test_requires_a_design_source(self):
         code, _, err = run("semiresolve", "--side", "blocks")
         assert code == 1
@@ -305,6 +332,12 @@ class TestVerifyAndOracle:
         assert payload["ok"]
         assert payload["counts"] == {"passed": 2, "failed": 0, "recorded": 0}
         assert all(row["pass"] for row in payload["rows"])
+
+    def test_misspelt_only_id_exits_1(self):
+        code, out, err = run("verify", "--only", "mu-petersn")
+        assert code == 1
+        assert "error: unknown row ids: mu-petersn" in err
+        assert "passed" not in out
 
     def test_oracle_recomputes_small_frozen_values(self):
         code, out, _ = run("oracle", "--max-n", "10")
@@ -350,6 +383,20 @@ class TestExperiment:
         payload = json.loads(out)
         assert payload["semi_points"] == payload["split"]["blocks_part"]
         assert payload["semi_blocks"] == payload["split"]["points_part"]
+
+
+    def test_spent_budget_on_semisplit_exits_2(self, monkeypatch):
+        monkeypatch.setenv("MDIMLAB_BUDGET", "1")
+        code, out, _ = run("experiment", "semisplit", "--plane", "3")
+        assert code == 2
+        assert out.startswith("semi points-side=")
+
+    def test_spent_budget_on_descendants_exits_2(self, monkeypatch):
+        monkeypatch.setenv("MDIMLAB_BUDGET", "1")
+        code, out, _ = run("experiment", "descendants", "--base", "paley",
+                           "--param", "29", "--json")
+        assert code == 2
+        assert len(json.loads(out)["descendants"]) == 60
 
 
 class TestTopLevel:

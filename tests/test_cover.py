@@ -14,7 +14,10 @@ from mdimlab import (
     greedy_cover,
     min_cover,
 )
-from mdimlab.cover import _Search, pack_bits
+from mdimlab.cover import _Search
+from mdimlab.designs import pg2
+from mdimlab.graphs import iter_bits
+from mdimlab.zoo import SOLVABLE, ZOO
 
 
 def brute_minimum(inst: PairCoverInstance) -> int | None:
@@ -36,29 +39,37 @@ def covers_everything(inst: PairCoverInstance, chosen) -> bool:
     return cov == (1 << inst.n_items) - 1
 
 
-class TestPackBits:
-    def test_empty(self):
-        assert pack_bits(np.zeros(0, dtype=bool)) == 0
+def reference_build(matrix: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-column builder: the pair list from combinations, every coverage
+    row and every separator column packed on its own."""
 
-    def test_bit_positions(self):
-        assert pack_bits(np.array([True, False, True, True])) == 0b1101
+    def pack(arr) -> int:
+        return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
-    def test_beyond_64_bits(self):
-        arr = np.zeros(130, dtype=bool)
-        arr[129] = True
-        assert pack_bits(arr) == 1 << 129
+    items = list(combinations(range(matrix.shape[1]), 2))
+    sep = np.array(
+        [[row[i] != row[j] for i, j in items] for row in matrix], dtype=bool
+    ).reshape(matrix.shape[0], len(items))
+    coverage = tuple(pack(sep[v]) for v in range(matrix.shape[0]))
+    resolvers = tuple(pack(sep[:, p]) for p in range(len(items)))
+    return coverage, resolvers
 
 
 class TestBuildInstance:
     def test_items_are_lexicographic_column_pairs(self):
-        inst = build_instance(np.zeros((2, 4), dtype=np.uint8))
-        assert inst.items == tuple(combinations(range(4), 2))
+        # column 3 differs from the rest, so the items touching it are the
+        # pairs (i, 3) at their lexicographic positions 2, 4 and 5
+        m = np.array([[0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.uint8)
+        inst = build_instance(m)
+        assert inst.n_entities == 4 and inst.n_items == 6
+        pairs = list(combinations(range(4), 2))
+        assert [pairs[p] for p in iter_bits(inst.coverage[0])] == [(0, 3), (1, 3), (2, 3)]
 
     def test_coverage_marks_separated_pairs(self):
         # row 0 distinguishes columns 0 and 1 only
         m = np.array([[0, 1, 0], [2, 2, 3]])
         inst = build_instance(m)
-        assert inst.items == ((0, 1), (0, 2), (1, 2))
+        assert inst.n_items == 3  # pairs (0,1), (0,2), (1,2)
         assert inst.coverage[0] == 0b101  # pairs (0,1) and (1,2)
         assert inst.coverage[1] == 0b110  # pairs (0,2) and (1,2)
 
@@ -74,6 +85,20 @@ class TestBuildInstance:
     def test_single_column_has_no_items(self):
         inst = build_instance(np.zeros((3, 1), dtype=np.uint8))
         assert inst.n_items == 0
+
+    def test_matches_the_per_column_builder(self):
+        rng = np.random.default_rng(7)
+        matrices = [rng.integers(0, 4, size=(int(rng.integers(1, 12)), int(rng.integers(0, 12))))
+                    for _ in range(30)]
+        matrices += [rng.integers(0, 3, size=(130, 9)), rng.integers(0, 2, size=(70, 66))]
+        matrices += [np.zeros((5, c), dtype=np.uint8) for c in (0, 1, 2)]
+        matrices.append(np.asarray(pg2(3).inc).T)  # a non-contiguous view
+        matrices += [np.asarray(ZOO[name]().distances.dist) for name in sorted(SOLVABLE)]
+        for m in matrices:
+            inst = build_instance(m)
+            assert (inst.coverage, inst.resolvers) == reference_build(m)
+            assert (inst.n_choosers, inst.n_entities) == m.shape
+            assert inst.n_items == inst.n_entities * (inst.n_entities - 1) // 2
 
 
 class TestGreedyCover:
@@ -92,7 +117,7 @@ class TestGreedyCover:
     def test_identical_columns_are_infeasible(self):
         m = np.array([[1, 1], [2, 2]])
         inst = build_instance(m)
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameters):
             greedy_cover(inst)
 
     def test_ties_break_toward_low_ids(self):
@@ -230,8 +255,9 @@ class TestCompletionTest:
         inst = build_instance(m)
         search = _Search(inst, budget=0, lower_stop=0)
         first_k = (1 << k) - 1
-        assert inst.items[:k] == tuple((0, j) for j in range(1, k + 1))
-        p12 = inst.items.index((1, 2))
+        pairs = list(combinations(range(inst.n_entities), 2))
+        assert pairs[:k] == [(0, j) for j in range(1, k + 1)]
+        p12 = pairs.index((1, 2))
         assert self.check(search, first_k, 0)
         assert not self.check(search, first_k | 1 << p12, 0)
         assert not self.check(search, first_k | 1 << p12, 0b10)

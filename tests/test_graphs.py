@@ -2,6 +2,7 @@
 
 import random
 import sys
+from itertools import combinations
 
 import networkx as nx
 import numpy as np
@@ -16,7 +17,6 @@ from mdimlab import (
     UNREACHABLE,
     bfs_distances,
     classify_ah,
-    distance_i_graph,
     family,
     halve,
     induced_neighborhood,
@@ -26,7 +26,9 @@ from mdimlab import (
     lift_halved,
     max_distance_class,
     mdim_exact,
+    taylor,
 )
+from mdimlab.zoo import ZOO
 
 
 def random_graph(n: int, seed: int) -> Graph:
@@ -95,11 +97,6 @@ class TestBfsDistances:
         dm = bfs_distances(two)
         assert not dm.connected and dm.diameter is None
 
-    def test_sphere(self):
-        dm = bfs_distances(family("cycle", 6))
-        assert sorted(dm.sphere(0, 1)) == [1, 5]
-        assert sorted(dm.sphere(0, 3)) == [3]
-
     def test_dist_matrix_read_only(self):
         dm = bfs_distances(family("cycle", 5))
         with pytest.raises(ValueError):
@@ -146,20 +143,10 @@ class TestSphereTable:
             for i in range(dm.n + 1):
                 rows = tuple(bitset(np.flatnonzero(dm.dist[u] == i)) for u in range(g.n))
                 assert dm.layer(i) == rows
-                if dm.connected and 1 <= i <= dm.diameter:
-                    assert distance_i_graph(dm, i).adj == rows
-
-    def test_sphere_lists_the_distance_class_below_the_unreachable_mark(self):
-        for g in SPHERE_INPUTS:
-            dm = g.distances
-            for u in range(g.n):
-                for i in range(UNREACHABLE):
-                    expected = tuple(int(v) for v in np.flatnonzero(dm.dist[u] == i))
-                    assert dm.sphere(u, i) == expected
 
     def test_other_components_are_in_no_sphere(self):
         dm = Graph.from_edges(4, [(0, 1), (2, 3)]).distances
-        assert dm.sphere(0, UNREACHABLE) == ()
+        assert dm.spheres[0] == (0b0001, 0b0010)
         assert dm.layer(UNREACHABLE) == (0, 0, 0, 0)
 
 
@@ -243,15 +230,6 @@ class TestIntersectionArray:
 
 
 class TestDerivedGraphs:
-    def test_distance_2_graph_of_cycle(self):
-        g = distance_i_graph(bfs_distances(family("cycle", 6)), 2)
-        # two disjoint triangles
-        assert g.n_edges == 6 and all(g.degree(v) == 2 for v in range(6))
-
-    def test_distance_i_out_of_range(self):
-        with pytest.raises(IndexError):
-            distance_i_graph(bfs_distances(family("cycle", 6)), 9)
-
     def test_primitive(self):
         assert is_primitive(family("odd", 3))
         assert not is_primitive(family("cycle", 6))      # bipartite
@@ -267,6 +245,36 @@ class TestDerivedGraphs:
         for i, u in enumerate(vmap):
             for j in range(i + 1, local.n):
                 assert local.has_edge(i, j) == g.has_edge(u, vmap[j])
+
+    def test_halve_matches_a_loop_reference(self):
+        halved = 0
+        for name, build in ZOO.items():
+            g = build()
+            nxg = nx.Graph(list(g.edges()))
+            nxg.add_nodes_from(range(g.n))
+            if not (nx.is_connected(nxg) and nx.is_bipartite(nxg)):
+                continue
+            dist = dict(nx.all_pairs_shortest_path_length(nxg))
+            plus = tuple(v for v in range(g.n) if dist[0][v] % 2 == 0)
+            minus = tuple(v for v in range(g.n) if dist[0][v] % 2 == 1)
+            expected = [
+                Graph.from_edges(len(side), [
+                    (i, j) for i, j in combinations(range(len(side)), 2)
+                    if dist[side[i]][side[j]] == 2
+                ])
+                for side in (plus, minus)
+            ]
+            assert halve(g) == (expected[0], expected[1], plus, minus), name
+            halved += 1
+        assert halved >= 5
+
+    def test_induced_neighborhood_matches_a_loop_reference(self):
+        g = taylor(family("paley", 13)).graph
+        for x in (0, 13, g.n - 1):
+            vmap = tuple(w for w in range(g.n) if g.has_edge(x, w))
+            edges = [(i, j) for i, j in combinations(range(len(vmap)), 2)
+                     if g.has_edge(vmap[i], vmap[j])]
+            assert induced_neighborhood(g, x) == (Graph.from_edges(len(vmap), edges), vmap)
 
 
 class TestIntersectionArrayCache:

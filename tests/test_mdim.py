@@ -11,6 +11,7 @@ from mdimlab import (
     Graph,
     HypothesisFailure,
     MdimlabError,
+    SymmetricDesign,
     babai_bounds,
     bfs_distances,
     certify,
@@ -205,7 +206,7 @@ def _union_find_twins(inst) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for p, (u, w) in enumerate(inst.items):
+    for p, (u, w) in enumerate(combinations(range(inst.n_entities), 2)):
         if inst.resolvers[p] == (1 << u) | (1 << w):
             ru, rw = find(u), find(w)
             parent[max(ru, rw)] = min(ru, rw)
@@ -319,6 +320,15 @@ class TestSemiResolving:
             min_semi_resolving(pg2(2), budget=-1)
         with pytest.raises(BadParameters):
             split_mdim(pg2(2), budget=-1)
+
+    @pytest.mark.parametrize("v, k", [(2, 2), (3, 0)])
+    def test_degenerate_design_raises_bad_parameters(self, v, k):
+        # every block is the same (all points, or none), so no pair on
+        # either side has a separator
+        d = SymmetricDesign(v=v, k=k, lam=k, inc=np.full((v, v), int(k > 0)))
+        for side in ("blocks", "points"):
+            with pytest.raises(BadParameters, match="infeasible"):
+                min_semi_resolving(d, side=side)
 
 
 def loop_unseparated(d, s, side):

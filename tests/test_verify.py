@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from mdimlab import LiftVerificationError, ResolvingCertificate
+from mdimlab import BadParameters, LiftVerificationError, ResolvingCertificate
 from mdimlab.verify import (
     CHECKS,
     GoldenRow,
@@ -56,6 +56,10 @@ class TestRunSuite:
         assert report.ok
         assert len(report.results) == 1
         assert report.results[0].row.id == "mu-petersen"
+
+    def test_unknown_only_ids_are_rejected(self):
+        with pytest.raises(BadParameters, match="unknown row ids: mu-petersn, zz-typo$"):
+            run_suite(only={"zz-typo", "mu-petersen", "mu-petersn"})
 
     def test_slow_rows_wait_for_the_flag(self):
         default = run_suite(only={"biplane-mu"})
