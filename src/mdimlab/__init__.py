@@ -35,7 +35,6 @@ from .graphs import (
     intersection_array,
     is_distance_regular,
     is_primitive,
-    max_distance_class,
 )
 from .families import (
     LabeledCover,
@@ -93,7 +92,6 @@ from .mdim import (
     mdim_greedy,
     min_semi_resolving,
     pair_cover_instance,
-    resolving_witness_map,
     semi_cover_instance,
     split_mdim,
     twin_classes,

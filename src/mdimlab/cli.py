@@ -31,7 +31,7 @@ from .lifting import (
     push_to_plus,
     taylor_lift,
 )
-from .io import graph_dot, read_ascii, read_graph, write_graph
+from .io import graph_dot, graph_text, read_ascii, read_graph, write_graph
 from .mdim import (
     babai_bounds,
     certify,
@@ -95,48 +95,43 @@ def _load_design(args: argparse.Namespace) -> SymmetricDesign:
     raise MdimlabError("supply --plane Q or --design FILE")
 
 
+def _base_graph(args: argparse.Namespace) -> Graph:
+    """The --base family member, built with the --param values."""
+    if not args.base:
+        raise MdimlabError("this mode needs --base FAMILY (with --param for it)")
+    return families.family(args.base, *(args.param or ()))
+
+
+def _write_or_print(text: str, out: str | None, what: str) -> None:
+    """Write text to the file out and name what was written, or print text."""
+    if out:
+        with open(out, "w", encoding="ascii") as fh:
+            fh.write(text)
+        print(f"wrote {what} to {out}")
+    else:
+        print(text, end="")
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
     if args.plane is not None:
+        if args.dot:
+            raise MdimlabError("--dot draws graphs; --plane builds a design")
         design = pg2(args.plane)
-        text = design_text(design)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            print(f"wrote ({design.v}, {design.k}, {design.lam}) design to {args.out}")
-        else:
-            print(text, end="")
+        _write_or_print(design_text(design), args.out,
+                        f"({design.v}, {design.k}, {design.lam}) design")
         return EXIT_OK
     if args.family is None:
         raise MdimlabError("supply --family NAME or --plane Q")
-    name = args.family
-    params = tuple(args.param or ())
-    if name == "taylor":
-        base = families.family(args.base, *params) if args.base else None
-        if base is None:
-            raise MdimlabError("taylor needs --base FAMILY with --param for it")
-        g = families.taylor(base).graph
-    elif name == "bipartite_double":
-        if not args.base:
-            raise MdimlabError("bipartite_double needs --base FAMILY with --param")
-        g = families.bipartite_double(families.family(args.base, *params)).graph
+    if args.family == "taylor":
+        g = families.taylor(_base_graph(args)).graph
+    elif args.family == "bipartite_double":
+        g = families.bipartite_double(_base_graph(args)).graph
     else:
-        g = families.family(name, *params)
+        g = families.family(args.family, *(args.param or ()))
     if args.dot:
-        text = graph_dot(g)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            print(f"wrote {g.n}-vertex graph (dot) to {args.out}")
-        else:
-            print(text, end="")
-        return EXIT_OK
-    if args.out:
-        write_graph(args.out, g)
-        print(f"wrote {g.n}-vertex graph to {args.out}")
+        _write_or_print(graph_dot(g), args.out, f"{g.n}-vertex graph (dot)")
     else:
-        from .io import graph_text
-
-        print(graph_text(g), end="")
+        _write_or_print(graph_text(g), args.out, f"{g.n}-vertex graph")
     return EXIT_OK
 
 
@@ -196,15 +191,10 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         side = frozenset(bipartition(g)[0])
         cert = push_to_plus(g, side, _parse_set(args.set, "--set"))
     elif mode == "taylor":
-        if not args.base:
-            raise MdimlabError("lift --from taylor needs --base FAMILY --param ...")
-        cover = families.taylor(families.family(args.base, *(args.param or ())))
+        cover = families.taylor(_base_graph(args))
         cert = taylor_lift(cover, _parse_set(args.set, "--set"))
     elif mode == "double":
-        if args.base:
-            base = families.family(args.base, *(args.param or ()))
-        else:
-            base = _load_graph(args.graph)
+        base = _base_graph(args) if args.base else _load_graph(args.graph)
         cover, cert = double_lift(base, _parse_set(args.set, "--set"))
         if args.out:
             write_graph(args.out, cover.graph)
@@ -255,22 +245,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     rows = oracle_rows(max_n=args.max_n)
-    bad = 0
+    bad = derived = 0
     for row_id, expected, value, agree in rows:
         if value is None:
             print(f"{row_id}: skipped (instance above --max-n)")
             continue
-        mark = "ok" if agree else "DISAGREES"
-        if not agree:
-            bad += 1
-        print(f"{row_id}: frozen={expected} oracle={value} {mark}")
-    print(f"{len(rows)} rows, {bad} disagreements")
+        derived += 1
+        bad += not agree
+        print(f"{row_id}: frozen={expected} oracle={value} "
+              f"{'ok' if agree else 'DISAGREES'}")
+    print(f"{len(rows)} rows, {derived} re-derived, {bad} disagreements")
+    if not derived:
+        raise MdimlabError(f"no row has at most --max-n {args.max_n} vertices")
     return EXIT_OK if bad == 0 else EXIT_USER
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.kind == "descendants":
-        base = families.family(args.base, *(args.param or ()))
+        base = _base_graph(args)
         cover = families.taylor(base)
         certs = [mdim_exact(base)]
         rows = []

@@ -26,7 +26,7 @@ from .errors import (
     ParameterFailure,
 )
 from .families import LabeledCover, is_prime
-from .graphs import Graph, SrgParams, intersection_array
+from .graphs import Graph, SrgParams, bipartition, intersection_array
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,6 @@ def design_from_graph(g: Graph) -> SymmetricDesign:
     with equal sides; points are taken from the side of vertex 0, in
     ascending vertex order.
     """
-    from .imprimitivity import bipartition  # local import to avoid a cycle
-
     try:
         ia = intersection_array(g)
         plus, minus = bipartition(g)

@@ -82,7 +82,8 @@ class NotBijection(MdimlabError, ValueError):
 
 
 class NoSuchTriple(MdimlabError, ValueError):
-    """No three pairwise non-concurrent lines exist (cannot happen for q >= 2)."""
+    """No three pairwise non-concurrent lines exist: a design with fewer than
+    three lines."""
 
 
 class BudgetExceeded(MdimlabError, RuntimeError):

@@ -183,34 +183,20 @@ def gq22_incidence() -> Graph:
     a point lies on a line iff it is one of its parts.  Points come first.
     """
     points = colex_subsets(6, 2)
-    matchings = sorted(
-        {
-            tuple(sorted((tuple(sorted(p1)), tuple(sorted(p2)), tuple(sorted(p3)))))
-            for p1, p2, p3 in _partitions_into_pairs()
-        }
-    )
-    edges = []
-    for j, line in enumerate(matchings):
-        for part in line:
-            edges.append((points.index(part), 15 + j))
+    lines = [m for m in combinations(sorted(points), 3) if len(set().union(*m)) == 6]
+    edges = [(points.index(p), 15 + j) for j, line in enumerate(lines) for p in line]
     return Graph.from_edges(30, edges)
 
 
-def _partitions_into_pairs():
-    items = list(range(6))
+def _double_tags(n: int) -> tuple[str, ...]:
+    """Tags of the two copies of 0..n-1: "v+" for v, then "v-" for v + n."""
+    return tuple(f"{v}+" for v in range(n)) + tuple(f"{v}-" for v in range(n))
 
-    def rec(rest):
-        if not rest:
-            yield ()
-            return
-        first = rest[0]
-        for other in rest[1:]:
-            pair = (first, other)
-            remaining = [x for x in rest if x not in pair]
-            for tail in rec(remaining):
-                yield (pair,) + tail
 
-    yield from rec(items)
+def _two_pole_tags(n: int) -> tuple[str, ...]:
+    """Tags of a two-fold cover with poles: the two copies, then "inf+" for
+    2n and "inf-" for 2n + 1."""
+    return _double_tags(n) + ("inf+", "inf-")
 
 
 def bipartite_double(g: Graph) -> LabeledCover:
@@ -221,8 +207,7 @@ def bipartite_double(g: Graph) -> LabeledCover:
     n = g.n
     edges = [(u, n + w) for u in range(n) for w in g.neighbors(u)]
     graph = Graph.from_edges(2 * n, {(min(u, w), max(u, w)) for u, w in edges})
-    tags = tuple(f"{v}+" for v in range(n)) + tuple(f"{v}-" for v in range(n))
-    return LabeledCover(graph=graph, tags=tags)
+    return LabeledCover(graph=graph, tags=_double_tags(n))
 
 
 def taylor(delta: Graph) -> LabeledCover:
@@ -252,12 +237,7 @@ def taylor(delta: Graph) -> LabeledCover:
         for w in range(n):
             if w != u and not delta.has_edge(u, w):
                 edges.append((u, n + w))
-    tags = (
-        tuple(f"{v}+" for v in range(n))
-        + tuple(f"{v}-" for v in range(n))
-        + ("inf+", "inf-")
-    )
-    return LabeledCover(graph=Graph.from_edges(2 * n + 2, edges), tags=tags)
+    return LabeledCover(graph=Graph.from_edges(2 * n + 2, edges), tags=_two_pole_tags(n))
 
 
 _FAMILIES = {

@@ -1,4 +1,5 @@
-"""Immutable graphs, all-pairs BFS distances, and distance-regularity checks.
+"""Immutable graphs, all-pairs BFS distances, the bipartition, and
+distance-regularity checks.
 
 Vertices are always 0..n-1.  Adjacency is stored as one Python int per vertex
 used as a bitset, so neighbourhood algebra is word-parallel.  Distance
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import (
     BadParameters,
     DisconnectedGraph,
+    NotBipartite,
     NotDistanceRegular,
 )
 
@@ -184,6 +186,42 @@ def bfs_distances(g: Graph) -> DistanceMatrix:
                           spheres=tuple(spheres))
 
 
+def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """2-colour a connected graph; the first side contains vertex 0.
+
+    The sides are the even and the odd distance classes of vertex 0, read
+    from g.distances.spheres[0].  An edge inside one class raises
+    NotBipartite with an odd closed walk witness; otherwise a vertex
+    outside the component of 0 raises DisconnectedGraph.
+    """
+    adj = g.adj
+    spheres = g.distances.spheres[0]
+    for i, sphere in enumerate(spheres):
+        for u in iter_bits(sphere):
+            if adj[u] & sphere:
+                raise NotBipartite(_odd_walk(adj, spheres, i, u))
+    if not g.distances.connected:
+        raise DisconnectedGraph("bipartition needs a connected graph")
+    plus = sum(spheres[::2])  # the spheres are disjoint bitsets
+    minus = ((1 << g.n) - 1) & ~plus
+    return tuple(iter_bits(plus)), tuple(iter_bits(minus))
+
+
+def _odd_walk(adj: tuple[int, ...], spheres: tuple[int, ...], i: int, u: int):
+    """Odd closed walk through u and its least neighbour w in sphere i.
+
+    Both ends climb to their least neighbour one sphere down until the two
+    climbs meet; the walk runs from the meeting vertex down to u, across
+    the edge uw, and back up from w.
+    """
+    pu, pw = [u], [next(iter_bits(adj[u] & spheres[i]))]
+    while pu[-1] != pw[-1]:
+        i -= 1
+        pu.append(next(iter_bits(adj[pu[-1]] & spheres[i])))
+        pw.append(next(iter_bits(adj[pw[-1]] & spheres[i])))
+    return tuple(pu[::-1] + pw)
+
+
 @dataclass(frozen=True)
 class IntersectionArray:
     """Intersection numbers of a distance-regular graph.
@@ -312,13 +350,6 @@ def is_primitive(g: Graph) -> bool:
     d = intersection_array(g).d  # validates connected + distance-regular
     dm = g.distances
     return all(len(_components(g.n, dm.layer(i))) == 1 for i in range(1, d + 1))
-
-
-def max_distance_class(dm: DistanceMatrix) -> int:
-    """M = max over vertices u and i >= 1 of |{v : d(u,v) = i}|."""
-    if not dm.connected:
-        raise DisconnectedGraph("max distance class needs a connected graph")
-    return max((s.bit_count() for row in dm.spheres for s in row[1:]), default=0)
 
 
 def _induced(rows: Sequence[int], vertices: Sequence[int]) -> Graph:

@@ -12,57 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from .designs import design_from_graph
 from .errors import (
     ClassificationContradiction,
     DisconnectedGraph,
     NotAntipodal,
     NotBipartite,
+    NotBipartiteDiameter3,
 )
 from .families import complete
 from .graphs import (
     Graph,
     _components,
     _induced,
+    bipartition,
     intersection_array,
     is_primitive,
     iter_bits,
 )
-
-
-def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """2-colour a connected graph; the first side contains vertex 0.
-
-    The sides are the even and the odd distance classes of vertex 0, read
-    from g.distances.spheres[0].  An edge inside one class raises
-    NotBipartite with an odd closed walk witness; otherwise a vertex
-    outside the component of 0 raises DisconnectedGraph.
-    """
-    adj = g.adj
-    spheres = g.distances.spheres[0]
-    for i, sphere in enumerate(spheres):
-        for u in iter_bits(sphere):
-            if adj[u] & sphere:
-                raise NotBipartite(_odd_walk(adj, spheres, i, u))
-    if not g.distances.connected:
-        raise DisconnectedGraph("bipartition needs a connected graph")
-    plus = sum(spheres[::2])  # the spheres are disjoint bitsets
-    minus = ((1 << g.n) - 1) & ~plus
-    return tuple(iter_bits(plus)), tuple(iter_bits(minus))
-
-
-def _odd_walk(adj: tuple[int, ...], spheres: tuple[int, ...], i: int, u: int):
-    """Odd closed walk through u and its least neighbour w in sphere i.
-
-    Both ends climb to their least neighbour one sphere down until the two
-    climbs meet; the walk runs from the meeting vertex down to u, across
-    the edge uw, and back up from w.
-    """
-    pu, pw = [u], [next(iter_bits(adj[u] & spheres[i]))]
-    while pu[-1] != pw[-1]:
-        i -= 1
-        pu.append(next(iter_bits(adj[pu[-1]] & spheres[i])))
-        pw.append(next(iter_bits(adj[pw[-1]] & spheres[i])))
-    return tuple(pu[::-1] + pw)
 
 
 @dataclass(frozen=True)
@@ -398,9 +365,6 @@ def _is_kvv_minus_matching(g: Graph, structure: AntipodalStructure) -> bool:
 
 
 def _is_design_incidence(g: Graph) -> bool:
-    from .designs import design_from_graph
-    from .errors import NotBipartiteDiameter3
-
     try:
         design_from_graph(g)
         return True

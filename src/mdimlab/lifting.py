@@ -18,19 +18,14 @@ from .errors import (
     HypothesisFailure,
     InputNotResolving,
     NormalizationFailure,
+    NotAntipodal,
     NotBipartite,
     NotTwoAntipodal,
     ParameterFailure,
 )
-from .families import LabeledCover, bipartite_double
-from .graphs import Graph, induced_neighborhood, intersection_array
-from .imprimitivity import (
-    AntipodalStructure,
-    antipodal_structure,
-    bipartition,
-    fold,
-    halve,
-)
+from .families import LabeledCover, _two_pole_tags, bipartite_double
+from .graphs import Graph, bipartition, induced_neighborhood, intersection_array
+from .imprimitivity import AntipodalStructure, antipodal_structure, fold, halve
 from .mdim import ResolvingCertificate, _verified, certify
 
 
@@ -125,19 +120,20 @@ def two_antipodal_partition(
     NotTwoAntipodal if the graph is not 2-antipodal or the partition does
     not split every pair.
     """
-    dm = g.distances
-    if dm.diameter is None or dm.diameter < 2:
-        raise NotTwoAntipodal("need a connected graph of diameter >= 2")
-    antipode: dict[int, int] = {}
-    for v, far in enumerate(dm.layer(dm.diameter)):
-        if far.bit_count() != 1:
-            raise NotTwoAntipodal(f"vertex {v} has {far.bit_count()} antipodes, not 1")
-        antipode[v] = far.bit_length() - 1
+    try:
+        structure = antipodal_structure(g)
+    except (NotAntipodal, DisconnectedGraph) as exc:
+        raise NotTwoAntipodal(str(exc)) from exc
+    if structure.t != 2:
+        raise NotTwoAntipodal(f"antipodal classes have size {structure.t}, not 2")
+    antipode = {
+        v: structure.classes[c][1 - i] for v, (c, i) in enumerate(structure.labels)
+    }
     plus = frozenset(int(v) for v in v_plus)
     for v in plus:
         if not 0 <= v < g.n:
             raise BadParameters(f"vertex {v} out of range")
-    for v, w in antipode.items():
+    for v, w in structure.classes:
         if (v in plus) == (w in plus):
             raise NotTwoAntipodal(
                 f"antipodal pair ({v}, {w}) is not split by the partition"
@@ -197,12 +193,7 @@ def _check_two_fold_cover_tags(cover: LabeledCover) -> int:
     if n2 < 4 or n2 % 2:
         raise HypothesisFailure("not a two-fold cover with poles")
     n = (n2 - 2) // 2
-    want = (
-        tuple(f"{v}+" for v in range(n))
-        + tuple(f"{v}-" for v in range(n))
-        + ("inf+", "inf-")
-    )
-    if cover.tags != want:
+    if cover.tags != _two_pole_tags(n):
         raise HypothesisFailure("vertex tags do not match the two-pole cover layout")
     return n
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Any, Iterable, Literal, Sequence
 
@@ -19,19 +19,13 @@ import numpy as np
 
 from . import cover
 from .cover import CoverResult, PairCoverInstance, build_instance, greedy_cover, min_cover
-from .designs import SymmetricDesign
+from .designs import SymmetricDesign, incidence_graph
 from .errors import (
     BadParameters,
     HypothesisFailure,
     LiftVerificationError,
 )
-from .graphs import (
-    DistanceMatrix,
-    Graph,
-    intersection_array,
-    is_primitive,
-    max_distance_class,
-)
+from .graphs import DistanceMatrix, Graph, intersection_array, is_primitive
 
 ENV_BUDGET = "MDIMLAB_BUDGET"
 
@@ -192,9 +186,7 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     forced = twin_forced_choices(inst)
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
-    res = min_cover(
-        inst, forced=forced, budget=budget, lower_stop=max(lb, len(forced))
-    )
+    res = min_cover(inst, forced=forced, budget=budget, lower_stop=lb)
     return _from_cover(res, first_unresolved_pair(dm, res.chosen), "exact-bnb")
 
 
@@ -264,24 +256,6 @@ def _verified(g: Graph, s: Iterable[int], method: str) -> ResolvingCertificate:
     return cert
 
 
-def resolving_witness_map(
-    dm: DistanceMatrix, s: Sequence[int]
-) -> dict[tuple[int, int], int]:
-    """pair -> the least member of s separating it; input must resolve."""
-    chosen = _normalise(s)
-    pair = _first_unseparated(dm.dist, chosen)
-    if pair is not None:
-        raise HypothesisFailure(f"set does not resolve pair {pair}")
-    out = {}
-    for u in range(dm.n):
-        for w in range(u + 1, dm.n):
-            for v in chosen:
-                if dm.d(v, u) != dm.d(v, w):
-                    out[(u, w)] = v
-                    break
-    return out
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Numeric sizes of always-resolving sets for a primitive graph,
@@ -297,16 +271,7 @@ class BoundReport:
     distance_class: float
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "max_class": self.max_class,
-            "lower_nd": self.lower_nd,
-            "general": self.general,
-            "srg": self.srg,
-            "distance_class": self.distance_class,
-        }
+        return asdict(self)
 
 
 def babai_bounds(g: Graph) -> BoundReport:
@@ -319,7 +284,7 @@ def babai_bounds(g: Graph) -> BoundReport:
         raise HypothesisFailure("bound report is stated for primitive graphs")
     ia = intersection_array(g)
     n, k, d = g.n, ia.k, ia.d
-    m = max_distance_class(g.distances)
+    m = max(ia.class_sizes()[1:])
     ln = math.log(n)
     general = 4.0 * math.sqrt(n) * ln
     srg = (2.0 * n * n / (k * (n - k))) * ln if d == 2 else None
@@ -410,8 +375,6 @@ def split_mdim(d: SymmetricDesign, budget: int | None = None) -> SplitDimension:
     graph, which certifies that the graph's metric dimension is at most
     mu_star.  Undefined for k = v-1 (repeated distance rows collapse).
     """
-    from .designs import incidence_graph
-
     if not 1 < d.k < d.v - 1:
         raise BadParameters("split dimension needs 1 < k < v-1")
     pts = min_semi_resolving(d, "blocks", budget=budget)

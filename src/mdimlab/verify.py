@@ -29,13 +29,14 @@ from .designs import (
     is_double_blocking,
 )
 from .errors import BadParameters, LiftVerificationError
-from .graphs import Graph, intersection_array, is_primitive
+from .graphs import Graph, induced_neighborhood, intersection_array, is_primitive
 from .imprimitivity import antipodal_structure, classify_ah, fold, halve
 from .lifting import lift_folded, lift_halved, taylor_lift
 from .mdim import (
     babai_bounds,
     exhaustive_mdim,
     is_resolving,
+    is_semi_resolving_for_blocks,
     lower_bound_nd,
     mdim_exact,
     mdim_greedy,
@@ -200,8 +201,6 @@ def _check_taylor_plus_one(args: dict[str, Any]) -> list[int]:
 
 
 def _check_descendant_values(args: dict[str, Any]) -> list[int]:
-    from .graphs import induced_neighborhood
-
     cover = families.taylor(_graph_from_args(args))
     values = set()
     for w in range(cover.graph.n):
@@ -227,8 +226,6 @@ def _check_fano_pair(args: dict[str, Any]) -> list[int]:
 
 
 def _check_blocking_triple(args: dict[str, Any]) -> dict[str, Any]:
-    from .mdim import is_semi_resolving_for_blocks
-
     plane = pg2(args["q"])
     _, points = three_lines_2blocking(plane)
     survives = all(

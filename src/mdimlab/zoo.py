@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Callable
 
 from . import families
+from .designs import design_from_graph, incidence_graph, pg2
 from .graphs import Graph
 
 
@@ -23,8 +24,6 @@ def _taylor_c5() -> Graph:
 
 
 def heawood() -> Graph:
-    from .designs import incidence_graph, pg2
-
     return incidence_graph(pg2(2)).graph
 
 
@@ -38,8 +37,6 @@ def doubled_odd_4() -> Graph:
 
 def biplane_incidence() -> Graph:
     # incidence graph of the (16, 6, 2) design carried by the doubled rook graph
-    from .designs import design_from_graph, incidence_graph
-
     dbl = families.bipartite_double(families.rook(4, 4)).graph
     return incidence_graph(design_from_graph(dbl)).graph
 

@@ -82,6 +82,11 @@ class TestConstruct:
         assert code == 1
         assert "unknown family" in err
 
+    def test_dot_on_a_design_exits_1(self):
+        code, out, err = run("construct", "--plane", "3", "--dot")
+        assert code == 1
+        assert "error: --dot" in err and out == ""
+
 
 class TestClassify:
     def test_text_names_the_class(self, petersen_file):
@@ -345,6 +350,12 @@ class TestVerifyAndOracle:
         assert "mu-petersen: frozen=3 oracle=3 ok" in out
         assert "skipped" in out  # larger instances stay out of reach
 
+    def test_oracle_that_re_derives_nothing_exits_1(self):
+        code, out, err = run("oracle", "--max-n", "2")
+        assert code == 1
+        assert "0 re-derived" in out
+        assert "error:" in err
+
 
 class TestExperiment:
     def test_descendants_report(self):
@@ -355,6 +366,11 @@ class TestExperiment:
         assert payload["base_mu"] == 2
         assert {d["mu"] for d in payload["descendants"]} == {2}
         assert len(payload["descendants"]) == 12
+
+    def test_descendants_without_a_base_exits_1(self):
+        code, _, err = run("experiment", "descendants")
+        assert code == 1
+        assert "error: this mode needs --base" in err and "None" not in err
 
     def test_semisplit_report(self):
         code, out, _ = run("experiment", "semisplit", "--plane", "2", "--json")

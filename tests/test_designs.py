@@ -203,7 +203,7 @@ class TestIncidenceGraph:
             design_from_graph(family("complete_multipartite", 2, 4))  # diameter 2
 
     def test_programming_errors_are_not_reported_as_rejections(self, monkeypatch):
-        import mdimlab.imprimitivity
+        import mdimlab.designs
 
         class Boom(Exception):
             pass
@@ -211,7 +211,7 @@ class TestIncidenceGraph:
         def broken(g):
             raise Boom
 
-        monkeypatch.setattr(mdimlab.imprimitivity, "bipartition", broken)
+        monkeypatch.setattr(mdimlab.designs, "bipartition", broken)
         with pytest.raises(Boom):
             design_from_graph(incidence_graph(pg2(2)).graph)
 
@@ -300,6 +300,10 @@ class TestPolarities:
 
 class TestNoSuchTriple:
     def test_error_type_exists_for_planes_without_a_triple(self):
-        # every plane of order >= 2 has three pairwise non-concurrent lines,
-        # so only the error contract is checked here
         assert issubclass(NoSuchTriple, Exception)
+
+    def test_a_design_with_one_line_has_no_triple(self):
+        # every plane of order >= 2 has three pairwise non-concurrent lines;
+        # the admissible (1, 1, 1) design has a single line
+        with pytest.raises(NoSuchTriple):
+            three_lines_2blocking(SymmetricDesign(1, 1, 1, [[1]]))

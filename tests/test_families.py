@@ -4,6 +4,7 @@ import pytest
 
 from mdimlab import (
     BadParameters,
+    Graph,
     NotSrgKEquals2c,
     bipartite_double,
     bipartition,
@@ -13,7 +14,7 @@ from mdimlab import (
     is_distance_regular,
     taylor,
 )
-from mdimlab.families import disjoint_cliques
+from mdimlab.families import colex_subsets, disjoint_cliques
 
 
 class TestBasicFamilies:
@@ -111,6 +112,31 @@ class TestSrgFamilies:
         g = family("gq22_incidence")
         assert g.n == 30 and g.regular_valency() == 3
         assert intersection_array(g).standard_notation() == "{3, 2, 2, 2; 1, 1, 1, 3}"
+
+
+def partitions_into_pairs(rest):
+    """Every split of the sorted list rest into pairs, the pair through its
+    least member first."""
+    if not rest:
+        yield ()
+        return
+    first = rest[0]
+    for other in rest[1:]:
+        remaining = [x for x in rest if x not in (first, other)]
+        for tail in partitions_into_pairs(remaining):
+            yield ((first, other),) + tail
+
+
+def gq22_by_recursion() -> Graph:
+    points = colex_subsets(6, 2)
+    lines = sorted({tuple(sorted(m)) for m in partitions_into_pairs(list(range(6)))})
+    edges = [(points.index(p), 15 + j) for j, line in enumerate(lines) for p in line]
+    return Graph.from_edges(30, edges)
+
+
+class TestGq22Lines:
+    def test_matches_the_recursive_construction(self):
+        assert family("gq22_incidence").adj == gq22_by_recursion().adj
 
 
 class TestCoverConstructions:

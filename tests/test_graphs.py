@@ -24,7 +24,6 @@ from mdimlab import (
     is_distance_regular,
     is_primitive,
     lift_halved,
-    max_distance_class,
     mdim_exact,
     taylor,
 )
@@ -234,9 +233,6 @@ class TestDerivedGraphs:
         assert is_primitive(family("odd", 3))
         assert not is_primitive(family("cycle", 6))      # bipartite
         assert not is_primitive(family("hypercube", 3))  # antipodal too
-
-    def test_max_distance_class(self):
-        assert max_distance_class(bfs_distances(family("cycle", 6))) == 2
 
     def test_induced_neighborhood(self):
         g = family("johnson", 5, 2)

@@ -1,0 +1,60 @@
+"""The package's import graph: every import sits at module level, and the
+modules import one another without a cycle."""
+
+import ast
+from pathlib import Path
+
+import mdimlab
+
+MODULES = sorted(Path(mdimlab.__file__).parent.glob("*.py"))
+
+
+def local_imports(tree: ast.Module) -> list[int]:
+    """Line numbers of the imports inside a function body."""
+    return sorted({
+        inner.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
+
+
+def package_imports(tree: ast.Module) -> set[str]:
+    """The sibling modules a module imports with `from .x import ...` or
+    `from . import x`."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_no_import_inside_a_function():
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := local_imports(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def test_module_imports_have_no_cycle():
+    graph = {
+        path.stem: package_imports(ast.parse(path.read_text())) for path in MODULES
+    }
+    done: set[str] = set()
+
+    def visit(module: str, stack: tuple[str, ...]) -> None:
+        assert module not in stack, " -> ".join(stack + (module,))
+        if module in done:
+            return
+        for dep in graph.get(module, ()):
+            visit(dep, stack + (module,))
+        done.add(module)
+
+    for module in graph:
+        visit(module, ())

@@ -1,14 +1,17 @@
 """Constructive transfers of resolving sets between a graph and its
 quotients, halves, doubles, and two-fold covers."""
 
+import random
 import sys
 
 import pytest
 
 from mdimlab import (
     BadParameters,
+    Graph,
     HypothesisFailure,
     InputNotResolving,
+    LabeledCover,
     NotTwoAntipodal,
     ParameterFailure,
     bfs_distances,
@@ -62,6 +65,55 @@ class TestTwoAntipodalPartition:
             two_antipodal_partition(
                 family("complete_multipartite", 3, 4), range(6)
             )
+
+
+def scan_antipodes(g: Graph) -> dict[int, int] | None:
+    """The antipode of each vertex, read off the distance-d graph one
+    vertex at a time; None unless every vertex has exactly one."""
+    dm = g.distances
+    if dm.diameter is None or dm.diameter < 2:
+        return None
+    antipode = {}
+    for v, far in enumerate(dm.layer(dm.diameter)):
+        if far.bit_count() != 1:
+            return None
+        antipode[v] = far.bit_length() - 1
+    return antipode
+
+
+def antipode_inputs():
+    yield from ((name, build()) for name, build in ZOO.items())
+    yield "Q_5", family("hypercube", 5)
+    yield "C_8", family("cycle", 8)
+    yield "K_3x4", family("complete_multipartite", 3, 4)  # t = 4
+    yield "taylor_paley_13", taylor(family("paley", 13)).graph
+    yield "path_and_vertex", Graph.from_edges(4, [(0, 1), (1, 2)])
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        p = rng.uniform(0.2, 0.9)
+        edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p]
+        yield f"random_{seed}", Graph.from_edges(n, edges)
+
+
+class TestAntipodesAgainstTheScan:
+    def test_same_verdict_and_involution_as_the_scan(self):
+        accepted = rejected = 0
+        for name, g in antipode_inputs():
+            want = scan_antipodes(g)
+            if want is None:
+                with pytest.raises(NotTwoAntipodal):
+                    two_antipodal_partition(g, [0])
+                rejected += 1
+                continue
+            side = [v for v, w in want.items() if v < w]
+            plus, inv = two_antipodal_partition(g, side)
+            assert plus == frozenset(side), name
+            assert inv == want, name
+            accepted += 1
+        # Q_3, C_6, Q_5, C_8, the covers and doubles on one side; K_4
+        # (d = 1), 2K_3 (disconnected) and K_3x4 (t = 4) on the other
+        assert accepted >= 10 and rejected >= 10
 
 
 class TestPushToPlus:
@@ -256,6 +308,14 @@ class TestTaylorLift:
     def test_covers_without_poles_are_rejected(self):
         with pytest.raises(HypothesisFailure):
             taylor_lift(incidence_graph(pg2(2)), [0, 1])
+
+    def test_shuffled_tags_are_rejected(self):
+        cov = taylor(family("cycle", 5))
+        tags = list(cov.tags)
+        random.Random(3).shuffle(tags)
+        assert tuple(tags) != cov.tags
+        with pytest.raises(HypothesisFailure):
+            taylor_lift(LabeledCover(graph=cov.graph, tags=tuple(tags)), [0, 1])
 
 
 class TestDescendantExtract:

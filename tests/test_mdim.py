@@ -20,6 +20,8 @@ from mdimlab import (
     family,
     first_unresolved_pair,
     first_unseparated_pair,
+    is_distance_regular,
+    is_primitive,
     is_resolving,
     is_semi_resolving_for_blocks,
     lower_bound_nd,
@@ -28,7 +30,6 @@ from mdimlab import (
     min_semi_resolving,
     pair_cover_instance,
     pg2,
-    resolving_witness_map,
     split_mdim,
     twin_classes,
     twin_forced_choices,
@@ -78,21 +79,6 @@ class TestResolutionPredicates:
     def test_members_resolve_themselves(self):
         dm = bfs_distances(family("complete", 4))
         assert first_unresolved_pair(dm, [0, 1, 2]) is None
-
-    def test_witness_map_names_a_separator_for_every_pair(self):
-        g = ZOO["petersen"]()
-        dm = bfs_distances(g)
-        s = mdim_exact(g).set
-        wmap = resolving_witness_map(dm, s)
-        assert len(wmap) == g.n * (g.n - 1) // 2
-        for (u, w), v in wmap.items():
-            assert dm.d(v, u) != dm.d(v, w)
-            assert v in s
-
-    def test_witness_map_rejects_non_resolving_input(self):
-        dm = bfs_distances(family("cycle", 5))
-        with pytest.raises(HypothesisFailure):
-            resolving_witness_map(dm, [0])
 
 
 class TestCertify:
@@ -262,6 +248,18 @@ class TestBoundReport:
         mu = len(mdim_exact(g).set)
         assert rep.lower_nd <= mu
         assert mu <= rep.general and mu <= rep.srg and mu <= rep.distance_class
+
+    def test_max_class_matches_a_sphere_scan(self):
+        checked = 0
+        for name, build in ZOO.items():
+            g = build()
+            if not is_distance_regular(g) or g.n < 2 or not is_primitive(g):
+                continue
+            spheres = g.distances.spheres
+            want = max(s.bit_count() for row in spheres for s in row[1:])
+            assert babai_bounds(g).max_class == want, name
+            checked += 1
+        assert checked >= 8
 
     def test_srg_bound_only_at_diameter_two(self):
         rep = babai_bounds(ZOO["odd_4"]())
