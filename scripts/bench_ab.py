@@ -1,0 +1,129 @@
+"""Collect perfbench A/B runs of two checkouts into one JSON file.
+
+    python3 scripts/bench_ab.py --parent DIR --parent-rev REV \\
+        --change DIR --change-rev REV --out BENCH_9.json
+
+Each checkout's perfbench/out/ holds the <workload>-seed<n>-trace<t>.json
+files that `python3 perfbench/run.py --workload W --seed N --seconds S
+--trace T` left there.  Untraced runs (trace 0) of the same workload and
+seed on both sides form one pair; the file keeps every pair's end-to-end
+metrics and fail ratio, and per metric each side's median and quartiles
+and the number of pairs the change won.  Traced runs (trace 1) give the
+per-layer counters named in TRACED, for each seed traced on both sides.
+Nothing is run here: run the pairs first, alternating which side goes
+first.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACED = (
+    "mdim.mdim_exact.calls",
+    "mdim.mdim_exact.distinct_ratio",
+    "cover.min_cover.nodes",
+)
+RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
+
+
+def runs(checkout: Path) -> dict[tuple[str, int, int], dict]:
+    """(workload, seed, trace) -> the details file of that run."""
+    out = {}
+    for path in sorted((checkout / "perfbench" / "out").glob("*.json")):
+        m = RUN_FILE.fullmatch(path.name)
+        if m:
+            key = (m["workload"], int(m["seed"]), int(m["trace"]))
+            out[key] = json.loads(path.read_text())
+    return out
+
+
+def spread(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
+    workloads: dict[str, dict] = {}
+    for (workload, seed, trace), a in sorted(parent.items()):
+        b = change.get((workload, seed, trace))
+        if b is None:
+            continue
+        entry = workloads.setdefault(workload, {"pairs": [], "traced": []})
+        if trace == 0:
+            entry["pairs"].append({
+                "seed": seed,
+                "parent": dict(a["end_to_end"], fail_ratio=a["fail_ratio"]),
+                "change": dict(b["end_to_end"], fail_ratio=b["fail_ratio"]),
+            })
+        else:
+            entry["traced"].append({
+                "seed": seed,
+                "parent": {k: a["metrics"][k] for k in TRACED},
+                "change": {k: b["metrics"][k] for k in TRACED},
+            })
+    for entry in workloads.values():
+        pairs = entry["pairs"]
+        if len(pairs) < 2:
+            continue
+        summary = {}
+        for metric in metrics:
+            name = metric["name"]
+            sign = 1 if metric["better"] == "higher" else -1
+            a = [p["parent"][name] for p in pairs]
+            b = [p["change"][name] for p in pairs]
+            summary[name] = {
+                "parent": spread(a),
+                "change": spread(b),
+                "change_won": sum(sign * (y - x) > 0 for x, y in zip(a, b)),
+                "pairs": len(pairs),
+                "median_ratio": statistics.median(b) / statistics.median(a),
+            }
+        entry["summary"] = summary
+    return workloads
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True, help="parent checkout")
+    ap.add_argument("--change", type=Path, required=True, help="changed checkout")
+    ap.add_argument("--parent-rev", required=True, help="commit of the parent checkout")
+    ap.add_argument("--change-rev", required=True, help="commit of the changed checkout")
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parent, change = runs(args.parent), runs(args.change)
+    workloads = compare(parent, change, spec["end_to_end"])
+    if not workloads:
+        print("bench_ab: no run of the same workload and seed on both sides",
+              file=sys.stderr)
+        return 1
+    first = next(iter(parent.values()))
+    payload = {
+        "parent": args.parent_rev,
+        "change": args.change_rev,
+        "seconds": first["seconds"],
+        "machine": first["machine"],
+        "time_unit": "reference seconds (perfbench/run.py REFERENCE_S)",
+        "workloads": workloads,
+    }
+    args.out.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    for workload, entry in workloads.items():
+        for name, s in entry.get("summary", {}).items():
+            print(f"{workload:13s} {name:12s} parent {s['parent']['median']:.4g} "
+                  f"change {s['change']['median']:.4g} "
+                  f"won {s['change_won']}/{s['pairs']}")
+        for t in entry["traced"]:
+            print(f"{workload:13s} traced seed {t['seed']}: parent {t['parent']} "
+                  f"change {t['change']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -126,6 +126,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         g = families.taylor(_base_graph(args)).graph
     elif args.family == "bipartite_double":
         g = families.bipartite_double(_base_graph(args)).graph
+    elif args.base:
+        raise MdimlabError(
+            f"--base is read only by --family taylor or bipartite_double, "
+            f"not {args.family}"
+        )
     else:
         g = families.family(args.family, *(args.param or ()))
     if args.dot:
@@ -170,6 +175,8 @@ def _cmd_mdim(args: argparse.Namespace) -> int:
 
 def _cmd_lift(args: argparse.Namespace) -> int:
     mode = args.from_
+    if args.base and args.graph:
+        raise MdimlabError("lift from a graph file or from --base, not both")
     if mode == "halved":
         g = _load_graph(args.graph)
         cert = lift_halved(g, _parse_set(args.plus_set, "--plus-set"),

@@ -172,7 +172,10 @@ def project_to_folded(
     dm = g.distances
     if dm.diameter is None or dm.diameter % 2 == 0:
         raise HypothesisFailure("projection needs odd diameter")
-    structure = antipodal_structure(g)
+    try:
+        structure = antipodal_structure(g)
+    except (NotAntipodal, DisconnectedGraph) as exc:
+        raise HypothesisFailure(f"projection needs an antipodal graph: {exc}") from exc
     if structure.t != 2:
         raise HypothesisFailure("projection needs antipodal classes of size 2")
     r_plus = tuple(r_plus)

@@ -77,6 +77,12 @@ class TestConstruct:
         assert code == 0
         assert path.read_text().splitlines()[0] == "12"
 
+    def test_base_on_a_plain_family_exits_1(self):
+        code, out, err = run("construct", "--family", "cycle", "--param", "5",
+                             "--base", "paley")
+        assert code == 1
+        assert "error: --base is read only by --family taylor" in err and out == ""
+
     def test_unknown_family_exits_1(self):
         code, _, err = run("construct", "--family", "nope")
         assert code == 1
@@ -208,6 +214,14 @@ class TestLift:
         assert code == 0
         assert json.loads(out)["mu"] == 8
         assert out_path.read_text().splitlines()[0] == "32"
+
+    @pytest.mark.parametrize("mode", ["double", "taylor", "push"])
+    def test_a_file_and_a_base_together_exit_1(self, cube_file, mode):
+        code, out, err = run("lift", "--from", mode, cube_file, "--base", "paley",
+                             "--param", "13", "--set", "0,1,3,4")
+        assert code == 1
+        assert "error: lift from a graph file or from --base, not both" in err
+        assert out == ""
 
     def test_non_resolving_input_exits_1(self, cube_file):
         code, _, err = run("lift", "--from", "halved", cube_file,

@@ -264,6 +264,12 @@ class TestProjectToFolded:
         with pytest.raises(HypothesisFailure):
             project_to_folded(ZOO["icosahedron"](), (0, 1, 2))
 
+    def test_non_antipodal_input_is_rejected(self):
+        # the Heawood graph: bipartite of odd diameter 3, not antipodal
+        heawood = incidence_graph(pg2(2)).graph
+        with pytest.raises(HypothesisFailure, match="^projection needs an antipodal graph: "):
+            project_to_folded(heawood, [0])
+
     def test_set_off_the_plus_side_is_rejected_before_resolving(self):
         # {1} is neither on vertex 0's side nor resolving; the side wins
         with pytest.raises(HypothesisFailure):

@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+import mdimlab.verify
 from mdimlab import BadParameters, LiftVerificationError, ResolvingCertificate
 from mdimlab.verify import (
     CHECKS,
@@ -15,6 +16,37 @@ from mdimlab.verify import (
     oracle_rows,
     run_suite,
 )
+from mdimlab.zoo import ZOO
+
+
+def spy_on_solves(monkeypatch) -> list:
+    """Record the (n, adj) key of every mdim_exact call the checks make."""
+    keys = []
+    solve = mdimlab.verify.mdim_exact
+
+    def recording(g, *args, **kwargs):
+        keys.append((g.n, g.adj))
+        return solve(g, *args, **kwargs)
+
+    monkeypatch.setattr(mdimlab.verify, "mdim_exact", recording)
+    return keys
+
+
+@pytest.fixture(scope="module")
+def slow_tier_solves():
+    """The keys solved by two successive slow-tier runs, and by every
+    runnable row's check called directly, outside a run."""
+    with pytest.MonkeyPatch.context() as mp:
+        keys = spy_on_solves(mp)
+        runs = []
+        for _ in range(2):
+            run_suite(include_slow=True)
+            runs.append(list(keys))
+            keys.clear()
+        for row in load_golden():
+            if row.check is not None:
+                CHECKS[row.check](row.args)
+        return runs, set(keys)
 
 
 class TestGoldenTable:
@@ -79,6 +111,42 @@ class TestRunSuite:
         lines = report.render().splitlines()
         assert len(lines) == 3
         assert lines[-1] == "2 passed, 0 failed, 0 recorded"
+
+
+class TestRunMemo:
+    def test_no_graph_is_solved_twice_in_a_run(self, slow_tier_solves):
+        (first, _), _ = slow_tier_solves
+        assert len(first) == len(set(first))
+
+    def test_a_run_solves_what_the_direct_checks_solve(self, slow_tier_solves):
+        (first, _), direct = slow_tier_solves
+        assert set(first) == direct
+
+    def test_nothing_leaks_into_the_next_run(self, slow_tier_solves):
+        (first, second), _ = slow_tier_solves
+        assert len(second) == len(first)
+
+    def test_the_memo_is_dropped_when_a_check_raises(self, monkeypatch):
+        (row,) = [r for r in load_golden() if r.id == "mu-petersen"]
+        check = CHECKS[row.check]
+
+        def solve_then_fail(args):
+            check(args)
+            raise RuntimeError("check failed mid-run")
+
+        monkeypatch.setitem(CHECKS, row.check, solve_then_fail)
+        with pytest.raises(RuntimeError, match="mid-run"):
+            run_suite(only={row.id})
+        monkeypatch.setitem(CHECKS, row.check, check)
+        keys = spy_on_solves(monkeypatch)
+        assert CHECKS[row.check](row.args) == 3
+        assert len(keys) == 1
+
+    def test_an_only_row_solves_its_own_graph(self, monkeypatch):
+        keys = spy_on_solves(monkeypatch)
+        assert run_suite(only={"mu-Q_6"}).ok
+        q6 = ZOO["Q_6"]()
+        assert keys == [(q6.n, q6.adj)]
 
 
 class TestTamperDetection:
