@@ -116,6 +116,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.plane is not None:
         if args.dot:
             raise MdimlabError("--dot draws graphs; --plane builds a design")
+        if args.family or args.param or args.base:
+            raise MdimlabError(
+                "--plane builds a design; --family, --param and --base build graphs"
+            )
         design = pg2(args.plane)
         _write_or_print(design_text(design), args.out,
                         f"({design.v}, {design.k}, {design.lam}) design")
@@ -177,6 +181,8 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     mode = args.from_
     if args.base and args.graph:
         raise MdimlabError("lift from a graph file or from --base, not both")
+    if args.param and not args.base:
+        raise MdimlabError("--param is read only with --base")
     if mode == "halved":
         g = _load_graph(args.graph)
         cert = lift_halved(g, _parse_set(args.plus_set, "--plus-set"),

@@ -24,6 +24,16 @@ the candidates are the unbanned members of the separator sets of the first
 few uncovered pairs, and each survivor gets one subset test.  Both tests
 give the same answer, so the tree and its node count do not depend on
 which one runs.
+
+Root symmetry: given an orbit, the images of one chooser r (its least
+member) under symmetries of the instance that keep the forced set, the
+root splits into two branches that share one incumbent and one node
+budget.  The first forces r; the second bans the whole orbit.  No optimum
+is lost: if an optimal cover C meets the orbit, at s(r) for a symmetry s,
+then the inverse of s maps C onto a cover of the same size that contains
+r and the forced set, so the first branch reaches the optimum; an optimal
+cover that misses the orbit lies in the second branch.  When the orbit
+is every chooser the second branch is empty and is skipped.
 """
 
 from __future__ import annotations
@@ -137,14 +147,19 @@ class _Search:
         )
         self.cov_counts = cov_counts
 
-    def run(self, start: Sequence[int], seed: Sequence[int]) -> CoverResult:
+    def run(
+        self, start: Sequence[int], seed: Sequence[int], orbit: int = 0
+    ) -> CoverResult:
         self.best = list(seed)
-        covered = 0
-        for v in start:
-            covered |= self.inst.coverage[v]
         try:
             if len(self.best) > self.lower_stop:
-                self._search(list(start), covered, 0)
+                root = (orbit & -orbit).bit_length() - 1
+                if orbit and root not in start:
+                    self._root([*start, root], 0)
+                    if orbit != (1 << self.inst.n_choosers) - 1:
+                        self._root(start, orbit)
+                else:
+                    self._root(start, 0)
         except _Stop:
             pass
         return CoverResult(
@@ -152,6 +167,13 @@ class _Search:
             nodes=self.nodes,
             optimal=self.exhausted or len(self.best) <= self.lower_stop,
         )
+
+    def _root(self, start: Sequence[int], banned: int) -> None:
+        """Search the covers that contain start and avoid banned."""
+        covered = 0
+        for v in start:
+            covered |= self.inst.coverage[v]
+        self._search(list(start), covered, banned)
 
     def _search(self, chosen: list[int], covered: int, banned: int) -> None:
         self.nodes += 1
@@ -263,6 +285,7 @@ def min_cover(
     forced: Sequence[int] = (),
     budget: int = DEFAULT_BUDGET,
     lower_stop: int = 0,
+    orbit: int = 0,
 ) -> CoverResult:
     """Minimum cover containing the forced choosers.
 
@@ -271,10 +294,15 @@ def min_cover(
     budget downgrades the result to a verified upper bound
     (optimal=False).  Budget 0 returns the greedy seed, optimal only when
     it meets lower_stop.  A negative budget raises BadParameters.
+
+    orbit, a bitset of choosers, must be the images of its least member
+    under symmetries of the instance that keep the forced set; the search
+    then runs the two root branches of the module docstring.  0 (the
+    default) means no symmetry is known.
     """
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")
     forced = sorted(set(forced))
     lower_stop = max(lower_stop, len(forced))
     seed = greedy_cover(inst, forced)
-    return _Search(inst, budget, lower_stop).run(forced, seed)
+    return _Search(inst, budget, lower_stop).run(forced, seed, orbit)

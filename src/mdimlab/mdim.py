@@ -4,7 +4,9 @@ A set R resolves a connected graph iff no two vertices share distances to
 all of R.  Exact minimisation reduces to pair-separation set cover; twin
 classes (vertices with identical distance rows off the pair itself) are
 preselected all-but-one before the search, which already settles complete
-and complete multipartite graphs at the root.
+and complete multipartite graphs at the root.  Graphs without twins may
+instead get root symmetry: automorphisms found without using the labels
+let the search force vertex 0 across its orbit (see mdim_exact).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (
     HypothesisFailure,
     LiftVerificationError,
 )
-from .graphs import DistanceMatrix, Graph, intersection_array, is_primitive
+from .graphs import DistanceMatrix, Graph, intersection_array, is_primitive, iter_bits
 
 ENV_BUDGET = "MDIMLAB_BUDGET"
 
@@ -95,7 +97,9 @@ class ResolvingCertificate:
     status is "minimum" (proved optimal), "verified-resolving" (checked
     resolving, optimality unknown), or "failed" (not resolving; pair holds
     the first witness).  method records provenance, e.g. "exact-bnb",
-    "greedy", "lifted-halving".
+    "greedy", "lifted-halving".  generators holds the verified
+    automorphisms (vertex x goes to p[x]) behind an "exact-bnb-sym"
+    search, and is empty otherwise.
     """
 
     set: tuple[int, ...]
@@ -103,6 +107,7 @@ class ResolvingCertificate:
     method: str
     nodes_explored: int = 0
     pair: tuple[int, int] | None = None
+    generators: tuple[tuple[int, ...], ...] = ()
 
     @property
     def mu(self) -> int:
@@ -118,6 +123,8 @@ class ResolvingCertificate:
         }
         if self.pair is not None:
             out["unresolved_pair"] = list(self.pair)
+        if self.generators:
+            out["generators"] = [list(p) for p in self.generators]
         return out
 
 
@@ -178,6 +185,14 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     result to status "verified-resolving" carrying the best set found.
     Budget 0 returns the verified greedy seed, which is "minimum" only when
     it meets the lower bound.
+
+    The symmetric path runs when the budget is positive, the graph is
+    connected, has no twin classes, its greedy seed is above the counting
+    lower bound, and a bounded search finds automorphisms moving vertex 0
+    (see _root_orbit).
+    The search then forces vertex 0 across the orbit of 0 under the
+    verified automorphisms (root symmetry in the cover module), and the
+    certificate has method "exact-bnb-sym" and carries the generators.
     """
     dm = g.distances
     if budget is None:
@@ -186,12 +201,127 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     forced = twin_forced_choices(inst)
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
-    res = min_cover(inst, forced=forced, budget=budget, lower_stop=lb)
-    return _from_cover(res, first_unresolved_pair(dm, res.chosen), "exact-bnb")
+    orbit, gens = 0, ()
+    if dm.connected and not forced and budget > 0:
+        seed = greedy_cover(inst)
+        if len(seed) > lb:
+            orbit, gens = _root_orbit(dm, seed)
+    res = min_cover(inst, forced=forced, budget=budget, lower_stop=lb, orbit=orbit)
+    method = "exact-bnb-sym" if gens else "exact-bnb"
+    return _from_cover(res, first_unresolved_pair(dm, res.chosen), method, gens)
+
+
+def _is_automorphism(dm: DistanceMatrix, perm: Sequence[int]) -> bool:
+    """True iff perm (vertex x to perm[x]) permutes the vertices and keeps
+    every distance."""
+    p = np.asarray(perm, dtype=np.intp)
+    if p.shape != (dm.n,) or not np.array_equal(np.sort(p), np.arange(dm.n)):
+        return False
+    return bool(np.array_equal(dm.dist[np.ix_(p, p)], dm.dist))
+
+
+class _Spent(Exception):
+    pass
+
+
+class _AutomorphismSearch:
+    """Backtracking over the images of a resolving base.
+
+    Mapping base[:i] to images c[:i] gives every vertex x a code, its
+    distances to base[:i], and every vertex y an image code, its distances
+    to c[:i].  An automorphism extending the map sends x to a y of the
+    same code, so the two codes must have equal multisets; cells number
+    the codes jointly.  Once the base resolves the graph every code is
+    unique and names a single permutation, which must still pass
+    _is_automorphism.  Each candidate image costs one unit of work.
+    """
+
+    WORK = 16  # candidate images per vertex, over all targets of one search
+
+    def __init__(self, dm: DistanceMatrix, base: Sequence[int]):
+        self.dm = dm
+        self.base = base
+        self.work = self.WORK * dm.n
+        self.width = dm.diameter + 1
+        self.n_keys = dm.n * self.width
+
+    def map_root(self, v: int) -> tuple[int, ...] | None:
+        """An automorphism sending base[0] to v, or None if there is none;
+        raises _Spent when the work runs out."""
+        zero = np.zeros(self.dm.n, dtype=np.intp)
+        return self._extend(0, zero, zero, [v])
+
+    def _extend(self, i, cells, image_cells, cands) -> tuple[int, ...] | None:
+        dist = self.dm.dist
+        b = self.base[i]
+        for c in cands:
+            self.work -= 1
+            if self.work < 0:
+                raise _Spent
+            keys = cells * self.width + dist[b]
+            image_keys = image_cells * self.width + dist[c]
+            counts = np.bincount(keys, minlength=self.n_keys)
+            if not np.array_equal(counts, np.bincount(image_keys, minlength=self.n_keys)):
+                continue
+            ids = np.cumsum(counts > 0) - 1
+            refined, image_refined = ids[keys], ids[image_keys]
+            if ids[-1] == self.dm.n - 1:  # every code unique
+                vertex_of = np.empty_like(image_refined)
+                vertex_of[image_refined] = np.arange(self.dm.n)
+                perm = vertex_of[refined]
+                if _is_automorphism(self.dm, perm):
+                    return tuple(perm.tolist())
+                continue
+            if i + 1 < len(self.base):
+                nxt = np.flatnonzero(image_refined == refined[self.base[i + 1]])
+                found = self._extend(i + 1, refined, image_refined, nxt.tolist())
+                if found is not None:
+                    return found
+        return None
+
+
+def _root_orbit(
+    dm: DistanceMatrix, seed: Sequence[int]
+) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Orbit of vertex 0 (a bitset) under verified automorphisms, with
+    their generators.
+
+    The base is vertex 0 followed by the resolving seed; a resolving set
+    is a base for the automorphism group, so its images fix at most one
+    automorphism.  Targets v outside the orbit so far are tried in
+    ascending order by one _AutomorphismSearch, whose work is capped in
+    proportion to n; any set of verified automorphisms is sound, so
+    running out only leaves the orbit smaller.
+    """
+    search = _AutomorphismSearch(dm, [0, *(v for v in seed if v != 0)])
+    gens: list[tuple[int, ...]] = []
+    orbit = 1
+    for v in range(1, dm.n):
+        if orbit >> v & 1:
+            continue
+        try:
+            perm = search.map_root(v)
+        except _Spent:
+            break
+        if perm is None:
+            continue
+        gens.append(perm)
+        # close the orbit under every generator so far
+        todo = list(iter_bits(orbit))
+        while todo:
+            x = todo.pop()
+            for p in gens:
+                if not orbit >> p[x] & 1:
+                    orbit |= 1 << p[x]
+                    todo.append(p[x])
+    return (orbit if gens else 0), tuple(gens)
 
 
 def _from_cover(
-    res: CoverResult, pair: tuple[int, int] | None, method: str
+    res: CoverResult,
+    pair: tuple[int, int] | None,
+    method: str,
+    generators: tuple[tuple[int, ...], ...] = (),
 ) -> ResolvingCertificate:
     """Certificate for a solver result; pair is what the check of its set
     left unseparated (None if nothing)."""
@@ -202,6 +332,7 @@ def _from_cover(
         status="minimum" if res.optimal else "verified-resolving",
         method=method,
         nodes_explored=res.nodes,
+        generators=generators,
     )
 
 

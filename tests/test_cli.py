@@ -88,6 +88,15 @@ class TestConstruct:
         assert code == 1
         assert "unknown family" in err
 
+    @pytest.mark.parametrize("extra", [
+        ("--family", "hypercube", "--param", "3"), ("--param", "3"),
+        ("--base", "paley"),
+    ])
+    def test_plane_with_graph_flags_exits_1(self, extra):
+        code, out, err = run("construct", *extra, "--plane", "2")
+        assert code == 1
+        assert "error: --plane builds a design" in err and out == ""
+
     def test_dot_on_a_design_exits_1(self):
         code, out, err = run("construct", "--plane", "3", "--dot")
         assert code == 1
@@ -222,6 +231,16 @@ class TestLift:
         assert code == 1
         assert "error: lift from a graph file or from --base, not both" in err
         assert out == ""
+
+    @pytest.mark.parametrize("mode, flag", [
+        ("halved", "--plus-set"), ("folded", "--set"), ("push", "--set"),
+        ("double", "--set"),
+    ])
+    def test_param_with_a_graph_file_exits_1(self, cube_file, mode, flag):
+        code, out, err = run("lift", "--from", mode, cube_file, "--param", "13",
+                             flag, "0,1,2")
+        assert code == 1
+        assert "error: --param is read only with --base" in err and out == ""
 
     def test_non_resolving_input_exits_1(self, cube_file):
         code, _, err = run("lift", "--from", "halved", cube_file,

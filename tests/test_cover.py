@@ -180,6 +180,47 @@ class TestMinCover:
         assert early.optimal and len(early.chosen) == opt
 
 
+class TestRootOrbit:
+    """min_cover's two root branches: force the least orbit member, then
+    ban the orbit."""
+
+    @staticmethod
+    def circulant(rng, n: int) -> PairCoverInstance:
+        # row i is row 0 shifted by i, so the shifts are symmetries that
+        # carry chooser 0 to every chooser
+        f = rng.integers(0, 3, size=n)
+        return build_instance(np.array([[f[(j - i) % n] for j in range(n)]
+                                        for i in range(n)]))
+
+    def test_full_orbit_matches_brute_force_and_keeps_the_root(self):
+        rng = np.random.default_rng(12)
+        for n in range(4, 10):
+            inst = self.circulant(rng, n)
+            if brute_minimum(inst) is None:
+                continue
+            got = min_cover(inst, orbit=(1 << n) - 1)
+            assert got.optimal and len(got.chosen) == brute_minimum(inst)
+            assert covers_everything(inst, got.chosen)
+            if got.nodes:  # the search beat the greedy seed with 0 forced
+                assert 0 in got.chosen
+
+    def test_the_banned_branch_finds_what_the_forced_one_cannot(self):
+        # greedy takes four choosers, the optimum three, and no optimum
+        # contains chooser 0; {0} is an orbit (of the identity), so only the
+        # second branch, with 0 banned, can reach the optimum
+        m = np.array([[1, 1, 1, 0, 1, 0], [1, 0, 0, 1, 0, 0], [0, 1, 0, 1, 1, 0],
+                      [0, 1, 0, 0, 1, 1], [1, 0, 0, 1, 0, 1], [0, 1, 0, 1, 0, 0]])
+        inst = build_instance(m)
+        assert len(greedy_cover(inst)) == 4 and brute_minimum(inst) == 3
+        got = min_cover(inst, orbit=0b1)
+        assert got.optimal and got.chosen == (3, 4, 5)
+
+    def test_an_orbit_whose_root_is_forced_changes_nothing(self):
+        rng = np.random.default_rng(4)
+        inst = self.circulant(rng, 8)
+        assert min_cover(inst, forced=[0], orbit=0xFF) == min_cover(inst, forced=[0])
+
+
 def some_chooser_completes(inst: PairCoverInstance, uncovered: int, banned: int) -> bool:
     """Reference: some unbanned chooser covers every uncovered item."""
     return any(

@@ -1,6 +1,7 @@
 """Metric dimension: the exact solver, greedy and exhaustive baselines,
 certificates, twin forcing, bounds, and design-side semi-resolving sets."""
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -27,6 +28,7 @@ from mdimlab import (
     lower_bound_nd,
     mdim_exact,
     mdim_greedy,
+    min_cover,
     min_semi_resolving,
     pair_cover_instance,
     pg2,
@@ -154,8 +156,9 @@ class TestMdimExact:
         assert cert.status == "verified-resolving"
         assert is_resolving(bfs_distances(ZOO["heawood"]()), cert.set)
 
-    # Node counts of the default search.  Every tie-break is deterministic,
-    # so a change that only speeds the search up leaves them as they are.
+    # Node counts of the search without symmetry, as mdim_exact ran it
+    # before root symmetry.  Every tie-break is deterministic, so a change
+    # that only speeds the search up leaves them as they are.
     @pytest.mark.parametrize(
         "name,nodes",
         [
@@ -168,9 +171,165 @@ class TestMdimExact:
         ],
     )
     def test_node_counts_are_pinned(self, name, nodes):
+        g = ZOO[name]()
+        inst = pair_cover_instance(g.distances)
+        lb = lower_bound_nd(g.n, g.distances.diameter)
+        res = min_cover(inst, forced=twin_forced_choices(inst), lower_stop=lb)
+        assert res.optimal
+        assert res.nodes == nodes
+
+    # Node counts of the symmetric path in constructor labels.
+    @pytest.mark.parametrize(
+        "name,nodes",
+        [
+            ("Q_6", 801),
+            ("johnson_8_4", 843),
+            ("doubled_odd_4", 1120),
+            ("taylor_paley_17", 284),
+            ("gq22_incidence", 1070),
+            pytest.param("biplane_incidence", 9223, marks=pytest.mark.slow),
+        ],
+    )
+    def test_symmetric_node_counts_are_pinned(self, name, nodes):
         cert = mdim_exact(ZOO[name]())
         assert cert.status == "minimum"
+        assert cert.method == "exact-bnb-sym"
         assert cert.nodes_explored == nodes
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "build", [lambda: family("hypercube", 7), lambda: family("johnson", 9, 4)],
+        ids=["Q_7", "johnson_9_4"],
+    )
+    def test_root_symmetry_proves_the_larger_graphs(self, build):
+        cert = mdim_exact(build())
+        assert cert.status == "minimum"
+        assert cert.mu == 6
+
+
+def relabel(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+
+
+def random_symmetric_graph(rng: random.Random) -> Graph:
+    """A random graph on 5-10 vertices whose edge set is a random union of
+    edge orbits of a permutation pi, in random labels.  pi is an n-cycle
+    (a circulant), a random permutation or the identity (a plain random
+    graph), so full, partial and trivial orbits of vertex 0 all occur."""
+    n = rng.randint(5, 10)
+    pi = list(range(n))
+    kind = rng.random()
+    if kind < 0.2:
+        pi = pi[1:] + pi[:1]
+    elif kind < 0.6:
+        rng.shuffle(pi)
+    p = rng.choice((0.25, 0.4, 0.55))
+    edges: set[tuple[int, int]] = set()
+    seen: set[tuple[int, int]] = set()
+    for u, w in combinations(range(n), 2):
+        orbit = []
+        while (u, w) not in seen:
+            seen.add((u, w))
+            orbit.append((u, w))
+            u, w = sorted((pi[u], pi[w]))
+        if orbit and rng.random() < p:
+            edges.update(orbit)
+    return relabel(Graph.from_edges(n, edges), rng.randrange(10**9))
+
+
+def orbit_of_zero(n: int, generators) -> set[int]:
+    orbit, todo = {0}, [0]
+    while todo:
+        x = todo.pop()
+        for p in generators:
+            if p[x] not in orbit:
+                orbit.add(p[x])
+                todo.append(p[x])
+    return orbit
+
+
+def keeps_edges(g: Graph, p) -> bool:
+    """Reference automorphism test on the edge set."""
+    edges = set(g.edges())
+    return sorted(p) == list(range(g.n)) and all(
+        tuple(sorted((p[u], p[w]))) in edges for u, w in edges
+    )
+
+
+class TestRootSymmetry:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: family("cycle", 9),
+            ZOO["petersen"],
+            ZOO["Q_4"],
+            ZOO["paley_13"],
+            ZOO["heawood"],
+            ZOO["shrikhande"],
+            ZOO["icosahedron"],
+        ],
+        ids=["C_9", "petersen", "Q_4", "paley_13", "heawood", "shrikhande",
+             "icosahedron"],
+    )
+    def test_vertex_transitive_graphs_match_the_oracle(self, build):
+        g0 = build()
+        mu = exhaustive_mdim(g0).mu
+        for seed in range(3):
+            g = relabel(g0, seed)
+            cert = mdim_exact(g)
+            assert cert.status == "minimum" and cert.mu == mu
+            assert is_resolving(g.distances, cert.set)
+            if cert.method == "exact-bnb-sym":
+                assert all(keeps_edges(g, p) for p in cert.generators)
+                assert orbit_of_zero(g.n, cert.generators) == set(range(g.n))
+
+    def test_random_graphs_with_full_and_partial_orbits_match_the_oracle(self):
+        rng = random.Random(20261018)
+        kinds = {"full": 0, "partial": 0}
+        checked = 0
+        while checked < 300:
+            g = random_symmetric_graph(rng)
+            if not g.distances.connected:
+                continue
+            checked += 1
+            cert = mdim_exact(g)
+            assert cert.status == "minimum"
+            assert cert.mu == exhaustive_mdim(g).mu, g.adj
+            if cert.generators:
+                assert cert.method == "exact-bnb-sym"
+                assert all(keeps_edges(g, p) for p in cert.generators)
+                full = orbit_of_zero(g.n, cert.generators) == set(range(g.n))
+                kinds["full" if full else "partial"] += 1
+        assert kinds["full"] >= 5 and kinds["partial"] >= 5, kinds
+
+    def test_the_check_rejects_a_transposition(self):
+        g = ZOO["petersen"]()
+        swap = list(range(g.n))
+        swap[0], swap[1] = 1, 0
+        assert not keeps_edges(g, swap)
+        assert not mdim._is_automorphism(g.distances, swap)
+        assert mdim._is_automorphism(g.distances, range(g.n))
+
+    def test_the_check_rejects_a_non_permutation(self):
+        dm = ZOO["petersen"]().distances
+        assert not mdim._is_automorphism(dm, [0] * 10)
+        assert not mdim._is_automorphism(dm, range(9))
+
+    def test_generators_appear_in_json_only_on_the_symmetric_path(self):
+        sym = mdim_exact(ZOO["Q_6"]())
+        assert sym.method == "exact-bnb-sym"
+        payload = sym.to_json()
+        assert [tuple(p) for p in payload["generators"]] == list(sym.generators)
+        plain = mdim_exact(ZOO["petersen"]())  # greedy meets the lower bound
+        assert plain.method == "exact-bnb" and plain.generators == ()
+        assert "generators" not in plain.to_json()
+
+    def test_spent_finder_work_leaves_the_plain_search(self, monkeypatch):
+        monkeypatch.setattr(mdim._AutomorphismSearch, "WORK", 0)
+        cert = mdim_exact(ZOO["taylor_paley_17"]())
+        assert cert.method == "exact-bnb" and cert.nodes_explored == 2902
 
 
 class TestMdimGreedy:
