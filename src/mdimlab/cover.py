@@ -102,9 +102,7 @@ def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[in
     """
     all_items = (1 << inst.n_items) - 1
     chosen = list(forced)
-    covered = 0
-    for v in chosen:
-        covered |= inst.coverage[v]
+    covered = _union(inst, chosen)
     while covered != all_items:
         best_v = -1
         best_gain = 0
@@ -117,6 +115,14 @@ def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[in
         chosen.append(best_v)
         covered |= inst.coverage[best_v]
     return chosen
+
+
+def _union(inst: PairCoverInstance, choosers: Sequence[int]) -> int:
+    """Bitset of the items that some chooser in choosers separates."""
+    covered = 0
+    for v in choosers:
+        covered |= inst.coverage[v]
+    return covered
 
 
 class _Stop(Exception):
@@ -170,10 +176,7 @@ class _Search:
 
     def _root(self, start: Sequence[int], banned: int) -> None:
         """Search the covers that contain start and avoid banned."""
-        covered = 0
-        for v in start:
-            covered |= self.inst.coverage[v]
-        self._search(list(start), covered, banned)
+        self._search(list(start), _union(self.inst, start), banned)
 
     def _search(self, chosen: list[int], covered: int, banned: int) -> None:
         self.nodes += 1
@@ -286,6 +289,7 @@ def min_cover(
     budget: int = DEFAULT_BUDGET,
     lower_stop: int = 0,
     orbit: int = 0,
+    seed: Sequence[int] | None = None,
 ) -> CoverResult:
     """Minimum cover containing the forced choosers.
 
@@ -299,10 +303,18 @@ def min_cover(
     under symmetries of the instance that keep the forced set; the search
     then runs the two root branches of the module docstring.  0 (the
     default) means no symmetry is known.
+
+    seed is the first incumbent, a cover containing the forced choosers;
+    by default greedy_cover(inst, forced), which callers that already
+    hold it pass in.  A seed that is not such a cover raises
+    BadParameters.
     """
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")
     forced = sorted(set(forced))
     lower_stop = max(lower_stop, len(forced))
-    seed = greedy_cover(inst, forced)
+    if seed is None:
+        seed = greedy_cover(inst, forced)
+    elif not set(forced) <= set(seed) or _union(inst, seed) != (1 << inst.n_items) - 1:
+        raise BadParameters("seed must be a cover containing the forced choosers")
     return _Search(inst, budget, lower_stop).run(forced, seed, orbit)

@@ -201,12 +201,12 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     forced = twin_forced_choices(inst)
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
+    seed = greedy_cover(inst, forced)
     orbit, gens = 0, ()
-    if dm.connected and not forced and budget > 0:
-        seed = greedy_cover(inst)
-        if len(seed) > lb:
-            orbit, gens = _root_orbit(dm, seed)
-    res = min_cover(inst, forced=forced, budget=budget, lower_stop=lb, orbit=orbit)
+    if dm.connected and not forced and budget > 0 and len(seed) > lb:
+        orbit, gens = _root_orbit(dm, seed)
+    res = min_cover(inst, forced=forced, budget=budget, lower_stop=lb,
+                    orbit=orbit, seed=seed)
     method = "exact-bnb-sym" if gens else "exact-bnb"
     return _from_cover(res, first_unresolved_pair(dm, res.chosen), method, gens)
 
@@ -261,7 +261,8 @@ class _AutomorphismSearch:
             keys = cells * self.width + dist[b]
             image_keys = image_cells * self.width + dist[c]
             counts = np.bincount(keys, minlength=self.n_keys)
-            if not np.array_equal(counts, np.bincount(image_keys, minlength=self.n_keys)):
+            image_counts = np.bincount(image_keys, minlength=self.n_keys)
+            if not np.array_equal(counts, image_counts):
                 continue
             ids = np.cumsum(counts > 0) - 1
             refined, image_refined = ids[keys], ids[image_keys]

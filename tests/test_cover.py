@@ -172,6 +172,20 @@ class TestMinCover:
         with pytest.raises(BadParameters):  # before the forced early return
             min_cover(inst, forced=[0], budget=-1)
 
+    def test_a_supplied_seed_replaces_the_greedy_one(self):
+        rng = np.random.default_rng(9)
+        inst = build_instance(rng.integers(0, 3, size=(8, 7)))
+        seed = greedy_cover(inst)
+        assert min_cover(inst, seed=seed) == min_cover(inst)
+        everything = list(range(inst.n_choosers))
+        assert min_cover(inst, budget=0, seed=everything).chosen == tuple(everything)
+
+    @pytest.mark.parametrize("seed, forced", [([0], ()), ([1, 2, 3], [0])])
+    def test_a_seed_that_is_not_a_forced_cover_is_rejected(self, seed, forced):
+        m = np.array([[0, 0, 0], [0, 1, 2], [0, 0, 1], [0, 1, 1]])
+        with pytest.raises(BadParameters):
+            min_cover(build_instance(m), forced=forced, seed=seed)
+
     def test_lower_stop_accepts_the_greedy_answer(self):
         rng = np.random.default_rng(7)
         inst = build_instance(rng.integers(0, 3, size=(8, 7)))
