@@ -315,6 +315,9 @@ def min_cover(
     lower_stop = max(lower_stop, len(forced))
     if seed is None:
         seed = greedy_cover(inst, forced)
-    elif not set(forced) <= set(seed) or _union(inst, seed) != (1 << inst.n_items) - 1:
-        raise BadParameters("seed must be a cover containing the forced choosers")
+    else:
+        seed = sorted(set(seed))
+        all_items = (1 << inst.n_items) - 1
+        if not set(forced) <= set(seed) or _union(inst, seed) != all_items:
+            raise BadParameters("seed must be a cover containing the forced choosers")
     return _Search(inst, budget, lower_stop).run(forced, seed, orbit)

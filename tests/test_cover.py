@@ -178,7 +178,7 @@ class TestMinCover:
         seed = greedy_cover(inst)
         assert min_cover(inst, seed=seed) == min_cover(inst)
         everything = list(range(inst.n_choosers))
-        assert min_cover(inst, budget=0, seed=everything).chosen == tuple(everything)
+        assert min_cover(inst, budget=0, seed=everything * 2).chosen == tuple(everything)
 
     @pytest.mark.parametrize("seed, forced", [([0], ()), ([1, 2, 3], [0])])
     def test_a_seed_that_is_not_a_forced_cover_is_rejected(self, seed, forced):

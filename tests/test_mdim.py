@@ -156,9 +156,10 @@ class TestMdimExact:
         assert cert.status == "verified-resolving"
         assert is_resolving(bfs_distances(ZOO["heawood"]()), cert.set)
 
-    # Node counts of the search without symmetry, as mdim_exact ran it
-    # before root symmetry.  Every tie-break is deterministic, so a change
-    # that only speeds the search up leaves them as they are.
+    # Node counts of the search without an orbit, the path mdim_exact takes
+    # when it knows no automorphism moving vertex 0.  Every tie-break is
+    # deterministic, so a change that only speeds the search up leaves them
+    # as they are.
     @pytest.mark.parametrize(
         "name,nodes",
         [
