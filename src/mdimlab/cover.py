@@ -25,20 +25,21 @@ few uncovered pairs, and each survivor gets one subset test.  Both tests
 give the same answer, so the tree and its node count do not depend on
 which one runs.
 
-Root symmetry: given an orbit, the images of one chooser r (its least
-member) under symmetries of the instance that keep the forced set, the
-root splits into two branches that share one incumbent and one node
-budget.  The first forces r; the second bans the whole orbit.  No optimum
-is lost: if an optimal cover C meets the orbit, at s(r) for a symmetry s,
-then the inverse of s maps C onto a cover of the same size that contains
-r and the forced set, so the first branch reaches the optimum; an optimal
-cover that misses the orbit lies in the second branch.  When the orbit
-is every chooser the second branch is empty and is skipped.
+Root symmetry: given symmetries of the instance, chooser and entity
+permutations that map its matrix onto itself and keep the forced set
+(min_cover checks both), the root splits into two branches that share one
+incumbent and one node budget.  The first forces chooser 0; the second
+bans its whole orbit.  No optimum is lost: a symmetry s carries covers to
+covers of the same size, so if an optimal cover C meets the orbit, at
+s(0), then the inverse of s maps C onto an optimal cover that contains 0
+and the forced set, which the first branch reaches; an optimal cover that
+misses the orbit lies in the second branch.  When the orbit is every
+chooser the second branch is empty and is skipped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -56,12 +57,15 @@ class PairCoverInstance:
     Item p is the p-th pair of combinations(range(n_entities), 2).
     coverage[v]: bitset over item indices separated by chooser v.
     resolvers[p]: bitset over choosers separating item p.
+    matrix: the chooser-by-entity matrix behind them, which is_symmetry
+    reads.
     """
 
     n_choosers: int
     n_entities: int
     coverage: tuple[int, ...]
     resolvers: tuple[int, ...]
+    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_items(self) -> int:
@@ -84,7 +88,39 @@ def build_instance(matrix: np.ndarray) -> PairCoverInstance:
         n_entities=n_cols,
         coverage=tuple(int.from_bytes(r.tobytes(), "little") for r in by_chooser),
         resolvers=tuple(int.from_bytes(r.tobytes(), "little") for r in by_item),
+        matrix=matrix,
     )
+
+
+def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
+    """True iff perm (x to perm[x], on choosers and entities alike) permutes
+    a square instance's matrix onto itself.
+
+    Then chooser v separates (i, j) iff perm[v] separates (perm[i],
+    perm[j]), so perm carries covers to covers of the same size.  For a
+    distance matrix these are exactly the graph automorphisms.
+    """
+    m = inst.matrix
+    p = np.asarray(perm, dtype=np.intp)
+    if m is None or p.ndim != 1 or m.shape != (len(p), len(p)):
+        return False
+    if not np.array_equal(np.sort(p), np.arange(len(p))):
+        return False
+    return bool(np.array_equal(m[np.ix_(p, p)], m))
+
+
+def symmetry_orbit(symmetries: Sequence[Sequence[int]]) -> int:
+    """Bitset of the images of 0 under the group the permutations
+    generate."""
+    orbit = 1
+    todo = [0]
+    while todo:
+        x = todo.pop()
+        for p in symmetries:
+            if not orbit >> p[x] & 1:
+                orbit |= 1 << p[x]
+                todo.append(p[x])
+    return orbit
 
 
 @dataclass(frozen=True)
@@ -159,9 +195,8 @@ class _Search:
         self.best = list(seed)
         try:
             if len(self.best) > self.lower_stop:
-                root = (orbit & -orbit).bit_length() - 1
-                if orbit and root not in start:
-                    self._root([*start, root], 0)
+                if orbit and 0 not in start:
+                    self._root([*start, 0], 0)
                     if orbit != (1 << self.inst.n_choosers) - 1:
                         self._root(start, orbit)
                 else:
@@ -288,8 +323,7 @@ def min_cover(
     forced: Sequence[int] = (),
     budget: int = DEFAULT_BUDGET,
     lower_stop: int = 0,
-    orbit: int = 0,
-    seed: Sequence[int] | None = None,
+    symmetries: Sequence[Sequence[int]] = (),
 ) -> CoverResult:
     """Minimum cover containing the forced choosers.
 
@@ -299,25 +333,20 @@ def min_cover(
     (optimal=False).  Budget 0 returns the greedy seed, optimal only when
     it meets lower_stop.  A negative budget raises BadParameters.
 
-    orbit, a bitset of choosers, must be the images of its least member
-    under symmetries of the instance that keep the forced set; the search
-    then runs the two root branches of the module docstring.  0 (the
-    default) means no symmetry is known.
-
-    seed is the first incumbent, a cover containing the forced choosers;
-    by default greedy_cover(inst, forced), which callers that already
-    hold it pass in.  A seed that is not such a cover raises
-    BadParameters.
+    symmetries are permutations that pass is_symmetry and map the forced
+    set onto itself; the search then runs the two root branches of the
+    module docstring on the orbit of chooser 0.  A permutation that fails
+    either test raises BadParameters.
     """
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")
     forced = sorted(set(forced))
+    for p in symmetries:
+        if not is_symmetry(inst, p) or sorted(p[v] for v in forced) != forced:
+            raise BadParameters(
+                "a symmetry must map the instance and the forced choosers onto themselves"
+            )
+    orbit = symmetry_orbit(symmetries) if symmetries else 0
     lower_stop = max(lower_stop, len(forced))
-    if seed is None:
-        seed = greedy_cover(inst, forced)
-    else:
-        seed = sorted(set(seed))
-        all_items = (1 << inst.n_items) - 1
-        if not set(forced) <= set(seed) or _union(inst, seed) != all_items:
-            raise BadParameters("seed must be a cover containing the forced choosers")
+    seed = greedy_cover(inst, forced)
     return _Search(inst, budget, lower_stop).run(forced, seed, orbit)

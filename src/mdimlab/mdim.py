@@ -20,14 +20,22 @@ from typing import Any, Iterable, Literal, Sequence
 import numpy as np
 
 from . import cover
-from .cover import CoverResult, PairCoverInstance, build_instance, greedy_cover, min_cover
+from .cover import (
+    CoverResult,
+    PairCoverInstance,
+    build_instance,
+    greedy_cover,
+    is_symmetry,
+    min_cover,
+    symmetry_orbit,
+)
 from .designs import SymmetricDesign, incidence_graph
 from .errors import (
     BadParameters,
     HypothesisFailure,
     LiftVerificationError,
 )
-from .graphs import DistanceMatrix, Graph, intersection_array, is_primitive, iter_bits
+from .graphs import DistanceMatrix, Graph, intersection_array, is_primitive
 
 ENV_BUDGET = "MDIMLAB_BUDGET"
 
@@ -189,7 +197,7 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     The symmetric path runs when the budget is positive, the graph is
     connected, has no twin classes, its greedy seed is above the counting
     lower bound, and a bounded search finds automorphisms moving vertex 0
-    (see _root_orbit).
+    (see _root_symmetries).
     The search then forces vertex 0 across the orbit of 0 under the
     verified automorphisms (root symmetry in the cover module), and the
     certificate has method "exact-bnb-sym" and carries the generators.
@@ -201,23 +209,14 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     forced = twin_forced_choices(inst)
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
-    seed = greedy_cover(inst, forced)
-    orbit, gens = 0, ()
-    if dm.connected and not forced and budget > 0 and len(seed) > lb:
-        orbit, gens = _root_orbit(dm, seed)
-    res = min_cover(inst, forced=forced, budget=budget, lower_stop=lb,
-                    orbit=orbit, seed=seed)
+    gens: tuple[tuple[int, ...], ...] = ()
+    if dm.connected and not forced and budget > 0:
+        seed = greedy_cover(inst)
+        if len(seed) > lb:
+            gens = _root_symmetries(inst, dm, seed)
+    res = min_cover(inst, forced=forced, budget=budget, lower_stop=lb, symmetries=gens)
     method = "exact-bnb-sym" if gens else "exact-bnb"
     return _from_cover(res, first_unresolved_pair(dm, res.chosen), method, gens)
-
-
-def _is_automorphism(dm: DistanceMatrix, perm: Sequence[int]) -> bool:
-    """True iff perm (vertex x to perm[x]) permutes the vertices and keeps
-    every distance."""
-    p = np.asarray(perm, dtype=np.intp)
-    if p.shape != (dm.n,) or not np.array_equal(np.sort(p), np.arange(dm.n)):
-        return False
-    return bool(np.array_equal(dm.dist[np.ix_(p, p)], dm.dist))
 
 
 class _Spent(Exception):
@@ -233,12 +232,14 @@ class _AutomorphismSearch:
     same code, so the two codes must have equal multisets; cells number
     the codes jointly.  Once the base resolves the graph every code is
     unique and names a single permutation, which must still pass
-    _is_automorphism.  Each candidate image costs one unit of work.
+    is_symmetry on the distance instance.  Each candidate image costs one
+    unit of work.
     """
 
     WORK = 16  # candidate images per vertex, over all targets of one search
 
-    def __init__(self, dm: DistanceMatrix, base: Sequence[int]):
+    def __init__(self, inst: PairCoverInstance, dm: DistanceMatrix, base: Sequence[int]):
+        self.inst = inst
         self.dm = dm
         self.base = base
         self.work = self.WORK * dm.n
@@ -270,7 +271,7 @@ class _AutomorphismSearch:
                 vertex_of = np.empty_like(image_refined)
                 vertex_of[image_refined] = np.arange(self.dm.n)
                 perm = vertex_of[refined]
-                if _is_automorphism(self.dm, perm):
+                if is_symmetry(self.inst, perm):
                     return tuple(perm.tolist())
                 continue
             if i + 1 < len(self.base):
@@ -281,20 +282,21 @@ class _AutomorphismSearch:
         return None
 
 
-def _root_orbit(
-    dm: DistanceMatrix, seed: Sequence[int]
-) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Orbit of vertex 0 (a bitset) under verified automorphisms, with
-    their generators.
+def _root_symmetries(
+    inst: PairCoverInstance, dm: DistanceMatrix, seed: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Verified automorphisms moving vertex 0, enough to reach its orbit
+    as far as the search gets.
 
-    The base is vertex 0 followed by the resolving seed; a resolving set
-    is a base for the automorphism group, so its images fix at most one
-    automorphism.  Targets v outside the orbit so far are tried in
-    ascending order by one _AutomorphismSearch, whose work is capped in
-    proportion to n; any set of verified automorphisms is sound, so
-    running out only leaves the orbit smaller.
+    inst is the distance instance of dm.  The base is vertex 0 followed by
+    the resolving seed; a resolving set is a base for the automorphism
+    group, so its images fix at most one automorphism.  Targets v outside
+    the orbit so far are tried in ascending order by one
+    _AutomorphismSearch, whose work is capped in proportion to n; any set
+    of verified automorphisms is sound, so running out only leaves the
+    orbit smaller.
     """
-    search = _AutomorphismSearch(dm, [0, *(v for v in seed if v != 0)])
+    search = _AutomorphismSearch(inst, dm, [0, *(v for v in seed if v != 0)])
     gens: list[tuple[int, ...]] = []
     orbit = 1
     for v in range(1, dm.n):
@@ -304,18 +306,10 @@ def _root_orbit(
             perm = search.map_root(v)
         except _Spent:
             break
-        if perm is None:
-            continue
-        gens.append(perm)
-        # close the orbit under every generator so far
-        todo = list(iter_bits(orbit))
-        while todo:
-            x = todo.pop()
-            for p in gens:
-                if not orbit >> p[x] & 1:
-                    orbit |= 1 << p[x]
-                    todo.append(p[x])
-    return (orbit if gens else 0), tuple(gens)
+        if perm is not None:
+            gens.append(perm)
+            orbit = symmetry_orbit(gens)
+    return tuple(gens)
 
 
 def _from_cover(

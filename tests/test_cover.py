@@ -14,7 +14,7 @@ from mdimlab import (
     greedy_cover,
     min_cover,
 )
-from mdimlab.cover import _Search
+from mdimlab.cover import _Search, is_symmetry, symmetry_orbit
 from mdimlab.designs import pg2
 from mdimlab.graphs import iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
@@ -172,20 +172,6 @@ class TestMinCover:
         with pytest.raises(BadParameters):  # before the forced early return
             min_cover(inst, forced=[0], budget=-1)
 
-    def test_a_supplied_seed_replaces_the_greedy_one(self):
-        rng = np.random.default_rng(9)
-        inst = build_instance(rng.integers(0, 3, size=(8, 7)))
-        seed = greedy_cover(inst)
-        assert min_cover(inst, seed=seed) == min_cover(inst)
-        everything = list(range(inst.n_choosers))
-        assert min_cover(inst, budget=0, seed=everything * 2).chosen == tuple(everything)
-
-    @pytest.mark.parametrize("seed, forced", [([0], ()), ([1, 2, 3], [0])])
-    def test_a_seed_that_is_not_a_forced_cover_is_rejected(self, seed, forced):
-        m = np.array([[0, 0, 0], [0, 1, 2], [0, 0, 1], [0, 1, 1]])
-        with pytest.raises(BadParameters):
-            min_cover(build_instance(m), forced=forced, seed=seed)
-
     def test_lower_stop_accepts_the_greedy_answer(self):
         rng = np.random.default_rng(7)
         inst = build_instance(rng.integers(0, 3, size=(8, 7)))
@@ -194,17 +180,20 @@ class TestMinCover:
         assert early.optimal and len(early.chosen) == opt
 
 
-class TestRootOrbit:
-    """min_cover's two root branches: force the least orbit member, then
-    ban the orbit."""
+class TestRootSymmetry:
+    """min_cover's two root branches: force chooser 0, then ban its orbit."""
 
     @staticmethod
     def circulant(rng, n: int) -> PairCoverInstance:
-        # row i is row 0 shifted by i, so the shifts are symmetries that
-        # carry chooser 0 to every chooser
+        # row i is row 0 shifted by i, so the shift x -> x + 1 is a symmetry
+        # that carries chooser 0 to every chooser
         f = rng.integers(0, 3, size=n)
         return build_instance(np.array([[f[(j - i) % n] for j in range(n)]
                                         for i in range(n)]))
+
+    @staticmethod
+    def shift(n: int) -> list[int]:
+        return [(x + 1) % n for x in range(n)]
 
     def test_full_orbit_matches_brute_force_and_keeps_the_root(self):
         rng = np.random.default_rng(12)
@@ -212,7 +201,7 @@ class TestRootOrbit:
             inst = self.circulant(rng, n)
             if brute_minimum(inst) is None:
                 continue
-            got = min_cover(inst, orbit=(1 << n) - 1)
+            got = min_cover(inst, symmetries=[self.shift(n)])
             assert got.optimal and len(got.chosen) == brute_minimum(inst)
             assert covers_everything(inst, got.chosen)
             if got.nodes:  # the search beat the greedy seed with 0 forced
@@ -220,19 +209,46 @@ class TestRootOrbit:
 
     def test_the_banned_branch_finds_what_the_forced_one_cannot(self):
         # greedy takes four choosers, the optimum three, and no optimum
-        # contains chooser 0; {0} is an orbit (of the identity), so only the
-        # second branch, with 0 banned, can reach the optimum
+        # contains chooser 0; {0} is its orbit under the identity, so only
+        # the second branch, with 0 banned, can reach the optimum
         m = np.array([[1, 1, 1, 0, 1, 0], [1, 0, 0, 1, 0, 0], [0, 1, 0, 1, 1, 0],
                       [0, 1, 0, 0, 1, 1], [1, 0, 0, 1, 0, 1], [0, 1, 0, 1, 0, 0]])
         inst = build_instance(m)
         assert len(greedy_cover(inst)) == 4 and brute_minimum(inst) == 3
-        got = min_cover(inst, orbit=0b1)
+        got = min_cover(inst, symmetries=[list(range(6))])
         assert got.optimal and got.chosen == (3, 4, 5)
 
-    def test_an_orbit_whose_root_is_forced_changes_nothing(self):
+    def test_a_forced_root_changes_nothing(self):
         rng = np.random.default_rng(4)
         inst = self.circulant(rng, 8)
-        assert min_cover(inst, forced=[0], orbit=0xFF) == min_cover(inst, forced=[0])
+        identity = list(range(8))
+        assert min_cover(inst, forced=[0], symmetries=[identity]) == min_cover(inst, forced=[0])
+
+    def test_a_permutation_that_is_no_symmetry_is_rejected(self):
+        # without the check, forcing 0 would lose the optimum of the
+        # banned-branch instance above
+        m = np.array([[1, 1, 1, 0, 1, 0], [1, 0, 0, 1, 0, 0], [0, 1, 0, 1, 1, 0],
+                      [0, 1, 0, 0, 1, 1], [1, 0, 0, 1, 0, 1], [0, 1, 0, 1, 0, 0]])
+        inst = build_instance(m)
+        assert not is_symmetry(inst, self.shift(6))
+        with pytest.raises(BadParameters):
+            min_cover(inst, symmetries=[self.shift(6)])
+
+    def test_a_symmetry_that_moves_a_forced_chooser_is_rejected(self):
+        rng = np.random.default_rng(4)
+        inst = self.circulant(rng, 8)
+        assert is_symmetry(inst, self.shift(8))
+        with pytest.raises(BadParameters):
+            min_cover(inst, forced=[0], symmetries=[self.shift(8)])
+
+    def test_only_square_instances_have_symmetries(self):
+        inst = build_instance(np.array([[0, 1, 2], [0, 0, 1]]))
+        assert not is_symmetry(inst, [0, 1])
+        assert not is_symmetry(inst, [0, 1, 2])
+
+    def test_the_orbit_is_closed_under_the_generators(self):
+        assert symmetry_orbit([[1, 0, 2, 3], [0, 2, 1, 3]]) == 0b0111
+        assert symmetry_orbit([[0, 1, 3, 2]]) == 0b0001
 
 
 def some_chooser_completes(inst: PairCoverInstance, uncovered: int, banned: int) -> bool:

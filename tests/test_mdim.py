@@ -37,6 +37,7 @@ from mdimlab import (
     twin_forced_choices,
 )
 from mdimlab import mdim
+from mdimlab.cover import is_symmetry
 from mdimlab.zoo import ZOO
 
 
@@ -310,13 +311,14 @@ class TestRootSymmetry:
         swap = list(range(g.n))
         swap[0], swap[1] = 1, 0
         assert not keeps_edges(g, swap)
-        assert not mdim._is_automorphism(g.distances, swap)
-        assert mdim._is_automorphism(g.distances, range(g.n))
+        inst = pair_cover_instance(g.distances)
+        assert not is_symmetry(inst, swap)
+        assert is_symmetry(inst, range(g.n))
 
     def test_the_check_rejects_a_non_permutation(self):
-        dm = ZOO["petersen"]().distances
-        assert not mdim._is_automorphism(dm, [0] * 10)
-        assert not mdim._is_automorphism(dm, range(9))
+        inst = pair_cover_instance(ZOO["petersen"]().distances)
+        assert not is_symmetry(inst, [0] * 10)
+        assert not is_symmetry(inst, range(9))
 
     def test_generators_appear_in_json_only_on_the_symmetric_path(self):
         sym = mdim_exact(ZOO["Q_6"]())
