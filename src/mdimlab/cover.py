@@ -25,16 +25,41 @@ few uncovered pairs, and each survivor gets one subset test.  Both tests
 give the same answer, so the tree and its node count do not depend on
 which one runs.
 
-Root symmetry: given symmetries of the instance, chooser and entity
-permutations that map its matrix onto itself and keep the forced set
-(min_cover checks both), the root splits into two branches that share one
-incumbent and one node budget.  The first forces chooser 0; the second
-bans its whole orbit.  No optimum is lost: a symmetry s carries covers to
-covers of the same size, so if an optimal cover C meets the orbit, at
-s(0), then the inverse of s maps C onto an optimal cover that contains 0
-and the forced set, which the first branch reaches; an optimal cover that
-misses the orbit lies in the second branch.  When the orbit is every
-chooser the second branch is empty and is skipped.
+Orbital branching at the root: given symmetries of the instance, chooser
+and entity permutations that map its matrix onto itself and keep the forced
+set F (min_cover checks both), let G be the group they generate and H the
+stabiliser of chooser 0 in G.  The root's children share one incumbent and
+one node budget (Ostrowski, Linderoth, Rossi & Smriglio 2011, "Orbital
+branching", Math. Program. 126):
+
+1. for each orbit O_i of H with two or more members, in ascending order of
+   least member m_i: force F, 0 and m_i, and ban O_1 to O_(i-1);
+2. force F and 0, and ban every orbit of step 1;
+3. unless the orbit of 0 is every chooser: force F and ban that orbit.
+
+No optimum is lost.  A symmetry s carries covers that contain F to covers
+of the same size that contain F.  An optimal cover C that meets the orbit
+of 0, at s(0), is carried by the inverse of s to one that contains 0.  If
+that cover meets an orbit of step 1, take the first, O_i, and h in H that
+sends one of its members there to m_i: h fixes 0 and keeps F and every
+orbit of H, so its image of the cover lies in child i.  If it meets none,
+it lies in child 2, whose other members all sit in one-point orbits; this
+also holds F and 0 alone.  An optimal cover that misses the orbit of 0
+lies in child 3.  When some O_i holds a forced chooser, its least member
+is forced too (an h in H carries the forced one there and keeps F), so
+every cover meets O_i and the argument never needs a later child or child
+2; they are skipped.  The argument only needs h to fix 0 and to lie in G, so any
+subgroup of the stabiliser is sound: a smaller one splits the choosers
+into more, smaller orbits, which costs nodes but never an optimum.  When
+H fixes every chooser, the children are 2 and 3: force 0, then ban its
+orbit.
+
+H comes from Schreier's lemma (Seress 2003, "Permutation Group
+Algorithms"): with t[v] in G sending 0 to v for each v of the
+orbit of 0, the products t[g(v)]^-1 g t[v] over every such v and every
+generator g fix 0 and generate the whole stabiliser of 0 in G.  They are
+products of the checked generators, so they need no check of their own,
+and the root children are a function of those generators alone.
 """
 
 from __future__ import annotations
@@ -48,6 +73,7 @@ from .errors import BadParameters
 from .graphs import iter_bits
 
 DEFAULT_BUDGET = 10**8
+SCHREIER_BLOCK = 16  # orbit points whose Schreier generators are joined at once
 
 
 @dataclass(frozen=True)
@@ -109,18 +135,79 @@ def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
     return bool(np.array_equal(m[np.ix_(p, p)], m))
 
 
-def symmetry_orbit(symmetries: Sequence[Sequence[int]]) -> int:
-    """Bitset of the images of 0 under the group the permutations
-    generate."""
-    orbit = 1
-    todo = [0]
-    while todo:
-        x = todo.pop()
-        for p in symmetries:
-            if not orbit >> p[x] & 1:
-                orbit |= 1 << p[x]
-                todo.append(p[x])
-    return orbit
+def orbit_partition(perms: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
+    """Each point's least orbit-mate under the group that the rows of perms
+    generate.
+
+    labels, if given, is this function's answer for other permutations of
+    the same points; the answer then joins both, at the cost of perms alone.
+    Union-find over the edges x - p[x]: every round points each point at its
+    root, then hooks the larger root of each edge whose roots differ under
+    the smaller, so a root is always the least member of its class.  Where
+    several edges hook one root, one write wins and the other edges wait
+    for a later round.
+    """
+    parent = np.arange(perms.shape[1]) if labels is None else labels.copy()
+    while True:
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            parent = up
+        a = np.broadcast_to(parent, perms.shape)
+        b = parent[perms]
+        apart = a != b
+        if not apart.any():
+            return parent
+        a, b = a[apart], b[apart]
+        parent[np.maximum(a, b)] = np.minimum(a, b)
+
+
+def _stabiliser_orbits(gens: np.ndarray, row0: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The orbit of 0 under the group G that the rows of gens generate, and
+    each point's least orbit-mate under the stabiliser H of 0 in G.
+
+    A transversal t[v] in G with t[v](0) = v comes from a breadth-first
+    search over the orbit, a layer at a time; by Schreier's lemma the
+    products t[g(v)]^-1 g t[v], over every orbit point v and generator g,
+    fix 0 and generate H.  They are joined SCHREIER_BLOCK orbit points at a
+    time, and the join stops once its classes off 0 are those of equal
+    entries of row0: when G keeps row 0 of a matrix, as symmetries of an
+    instance do, H keeps its entries, so no orbit of H is coarser.
+    """
+    n = gens.shape[1]
+    where = np.full(n, -1)  # position of each orbit point in the orbit
+    where[0] = 0
+    layer, layer_t = np.zeros(1, dtype=np.intp), np.arange(n)[None, :]
+    points, trans = [layer], [layer_t]
+    size = 1
+    while len(layer):
+        reached, reached_t = [], []
+        for g in gens:
+            image = g[layer]
+            fresh = where[image] < 0
+            new = image[fresh]
+            where[new] = np.arange(size, size + len(new))
+            size += len(new)
+            reached.append(new)
+            reached_t.append(g[layer_t[fresh]])
+        layer, layer_t = np.concatenate(reached), np.concatenate(reached_t)
+        points.append(layer)
+        trans.append(layer_t)
+    orbit, t = np.concatenate(points), np.concatenate(trans)
+    inv = np.empty_like(t)
+    np.put_along_axis(inv, t, np.broadcast_to(np.arange(n), t.shape), axis=1)
+    _, first, cls = np.unique(row0, return_index=True, return_inverse=True)
+    coarsest = first[cls]
+    labels = None
+    for g in gens:
+        up = where[g[orbit]]  # position of g(v) for each orbit point v
+        for s in range(0, len(orbit), SCHREIER_BLOCK):
+            block = slice(s, s + SCHREIER_BLOCK)
+            labels = orbit_partition(inv[up[block, None], g[t[block]]], labels)
+            if np.array_equal(labels[1:], coarsest[1:]):
+                return orbit.tolist(), labels
+    return orbit.tolist(), labels
 
 
 @dataclass(frozen=True)
@@ -190,17 +277,16 @@ class _Search:
         self.cov_counts = cov_counts
 
     def run(
-        self, start: Sequence[int], seed: Sequence[int], orbit: int = 0
+        self, roots: Sequence[tuple[Sequence[int], int]], seed: Sequence[int]
     ) -> CoverResult:
+        """Search below each root (start, banned) in turn, for the covers
+        that contain start and avoid banned, with one incumbent and one
+        budget."""
         self.best = list(seed)
         try:
             if len(self.best) > self.lower_stop:
-                if orbit and 0 not in start:
-                    self._root([*start, 0], 0)
-                    if orbit != (1 << self.inst.n_choosers) - 1:
-                        self._root(start, orbit)
-                else:
-                    self._root(start, 0)
+                for start, banned in roots:
+                    self._search(list(start), _union(self.inst, start), banned)
         except _Stop:
             pass
         return CoverResult(
@@ -208,10 +294,6 @@ class _Search:
             nodes=self.nodes,
             optimal=self.exhausted or len(self.best) <= self.lower_stop,
         )
-
-    def _root(self, start: Sequence[int], banned: int) -> None:
-        """Search the covers that contain start and avoid banned."""
-        self._search(list(start), _union(self.inst, start), banned)
 
     def _search(self, chosen: list[int], covered: int, banned: int) -> None:
         self.nodes += 1
@@ -334,9 +416,10 @@ def min_cover(
     it meets lower_stop.  A negative budget raises BadParameters.
 
     symmetries are permutations that pass is_symmetry and map the forced
-    set onto itself; the search then runs the two root branches of the
-    module docstring on the orbit of chooser 0.  A permutation that fails
-    either test raises BadParameters.
+    set onto itself; the search then runs the orbital root children of the
+    module docstring, from the orbit of chooser 0 and the orbits of its
+    stabiliser.  A permutation that fails either test raises
+    BadParameters.
     """
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")
@@ -346,7 +429,31 @@ def min_cover(
             raise BadParameters(
                 "a symmetry must map the instance and the forced choosers onto themselves"
             )
-    orbit = symmetry_orbit(symmetries) if symmetries else 0
     lower_stop = max(lower_stop, len(forced))
     seed = greedy_cover(inst, forced)
-    return _Search(inst, budget, lower_stop).run(forced, seed, orbit)
+    roots = _orbital_roots(inst, forced, symmetries)
+    return _Search(inst, budget, lower_stop).run(roots, seed)
+
+
+def _orbital_roots(
+    inst: PairCoverInstance, forced: list[int], symmetries: Sequence[Sequence[int]]
+) -> list[tuple[list[int], int]]:
+    """The root children (start, banned) of the module docstring."""
+    if not symmetries or 0 in forced:
+        return [(forced, 0)]
+    gens = np.asarray(symmetries, dtype=np.intp)
+    orbit, labels = _stabiliser_orbits(gens, inst.matrix[0])
+    least, sizes = np.unique(labels, return_counts=True)
+    roots = []
+    banned = 0
+    for r in least[sizes > 1].tolist():
+        roots.append((sorted({*forced, 0, r}), banned))
+        if r in forced:
+            break  # every cover meets this orbit at r: no later child is needed
+        banned |= sum(1 << v for v in np.flatnonzero(labels == r).tolist())
+    else:
+        roots.append(([*forced, 0], banned))
+    if len(orbit) < inst.n_choosers:
+        roots.append((forced, sum(1 << v for v in orbit)))
+    return roots
+

@@ -6,7 +6,8 @@ classes (vertices with identical distance rows off the pair itself) are
 preselected all-but-one before the search, which already settles complete
 and complete multipartite graphs at the root.  Graphs without twins may
 instead get root symmetry: automorphisms found without using the labels
-let the search force vertex 0 across its orbit (see mdim_exact).
+let the search branch on the orbit of vertex 0 and on the orbits of its
+stabiliser (see mdim_exact).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .cover import (
     greedy_cover,
     is_symmetry,
     min_cover,
-    symmetry_orbit,
+    orbit_partition,
 )
 from .designs import SymmetricDesign, incidence_graph
 from .errors import (
@@ -198,9 +199,10 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     connected, has no twin classes, its greedy seed is above the counting
     lower bound, and a bounded search finds automorphisms moving vertex 0
     (see _root_symmetries).
-    The search then forces vertex 0 across the orbit of 0 under the
-    verified automorphisms (root symmetry in the cover module), and the
-    certificate has method "exact-bnb-sym" and carries the generators.
+    The search then branches on the orbit of 0 under the verified
+    automorphisms and on the orbits of its stabiliser (orbital branching
+    in the cover module), and the certificate has method "exact-bnb-sym"
+    and carries the generators.
     """
     dm = g.distances
     if budget is None:
@@ -298,9 +300,9 @@ def _root_symmetries(
     """
     search = _AutomorphismSearch(inst, dm, [0, *(v for v in seed if v != 0)])
     gens: list[tuple[int, ...]] = []
-    orbit = 1
+    labels = np.arange(dm.n)  # least orbit-mates under the generators so far
     for v in range(1, dm.n):
-        if orbit >> v & 1:
+        if labels[v] == 0:
             continue
         try:
             perm = search.map_root(v)
@@ -308,7 +310,7 @@ def _root_symmetries(
             break
         if perm is not None:
             gens.append(perm)
-            orbit = symmetry_orbit(gens)
+            labels = orbit_partition(np.array([perm]), labels)
     return tuple(gens)
 
 

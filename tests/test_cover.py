@@ -11,10 +11,19 @@ from mdimlab import (
     CoverResult,
     PairCoverInstance,
     build_instance,
+    family,
     greedy_cover,
+    mdim_exact,
     min_cover,
 )
-from mdimlab.cover import _Search, is_symmetry, symmetry_orbit
+from mdimlab.cover import (
+    SCHREIER_BLOCK,
+    _orbital_roots,
+    _Search,
+    _stabiliser_orbits,
+    is_symmetry,
+    orbit_partition,
+)
 from mdimlab.designs import pg2
 from mdimlab.graphs import iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
@@ -180,16 +189,60 @@ class TestMinCover:
         assert early.optimal and len(early.chosen) == opt
 
 
+def brute_minimum_with(inst: PairCoverInstance, forced) -> int | None:
+    """Least size of a cover containing the forced choosers."""
+    rest = [v for v in range(inst.n_choosers) if v not in forced]
+    for size in range(len(rest) + 1):
+        for sub in combinations(rest, size):
+            if covers_everything(inst, [*forced, *sub]):
+                return len(forced) + size
+    return None
+
+
+def group_closure(gens) -> set[tuple[int, ...]]:
+    """Every element of the permutation group the generators generate."""
+    n = len(gens[0])
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        h = todo.pop()
+        for g in gens:
+            gh = tuple(g[h[x]] for x in range(n))
+            if gh not in group:
+                group.add(gh)
+                todo.append(gh)
+    return group
+
+
+def bits(members) -> int:
+    return sum(1 << v for v in members)
+
+
+def hypercube_bit_swap(images: list[int]) -> list[int]:
+    """The automorphism of Q_4 (vertex x is a 4-bit string) that moves bit
+    i to bit images[i]."""
+    return [sum((x >> i & 1) << images[i] for i in range(4)) for x in range(16)]
+
+
 class TestRootSymmetry:
-    """min_cover's two root branches: force chooser 0, then ban its orbit."""
+    """min_cover's orbital root: 0 forced with the least member of each
+    stabiliser orbit of 0 in turn, then the orbit of 0 banned."""
 
     @staticmethod
-    def circulant(rng, n: int) -> PairCoverInstance:
-        # row i is row 0 shifted by i, so the shift x -> x + 1 is a symmetry
-        # that carries chooser 0 to every chooser
-        f = rng.integers(0, 3, size=n)
+    def circulant_of(f) -> PairCoverInstance:
+        # row i is row 0 = f shifted by i, so the shift x -> x + 1 is a
+        # symmetry that carries chooser 0 to every chooser
+        n = len(f)
         return build_instance(np.array([[f[(j - i) % n] for j in range(n)]
                                         for i in range(n)]))
+
+    @classmethod
+    def circulant(cls, rng, n: int) -> PairCoverInstance:
+        return cls.circulant_of(rng.integers(0, 3, size=n))
+
+    @staticmethod
+    def reflection(n: int) -> list[int]:
+        return [-x % n for x in range(n)]
 
     @staticmethod
     def shift(n: int) -> list[int]:
@@ -206,6 +259,22 @@ class TestRootSymmetry:
             assert covers_everything(inst, got.chosen)
             if got.nodes:  # the search beat the greedy seed with 0 forced
                 assert 0 in got.chosen
+
+    def test_dihedral_orbits_match_brute_force(self):
+        # a symmetric row 0 lets the reflection x -> -x act too, so the
+        # stabiliser of 0 has the orbits {k, -k}
+        rng = np.random.default_rng(21)
+        for n in range(4, 11):
+            for _ in range(3):
+                half = rng.integers(0, 3, size=n // 2 + 1)
+                f = [half[min(k, n - k)] for k in range(n)]
+                inst = self.circulant_of(f)
+                want = brute_minimum(inst)
+                if want is None:
+                    continue
+                got = min_cover(inst, symmetries=[self.shift(n), self.reflection(n)])
+                assert got.optimal and len(got.chosen) == want
+                assert covers_everything(inst, got.chosen)
 
     def test_the_banned_branch_finds_what_the_forced_one_cannot(self):
         # greedy takes four choosers, the optimum three, and no optimum
@@ -246,9 +315,121 @@ class TestRootSymmetry:
         assert not is_symmetry(inst, [0, 1])
         assert not is_symmetry(inst, [0, 1, 2])
 
+    def test_a_later_orbit_holds_the_only_optima(self):
+        # the distance matrix of the circulant graph on Z_8 with jumps 1, 2
+        # and 4: the dihedral group acts, and the stabiliser of 0 has the
+        # orbits {1, 7}, {2, 6}, {3, 5} and {4}.  No optimal cover holds 0
+        # and 1, and greedy is one above the optimum, so only a later
+        # orbit's child can reach it.
+        inst = self.circulant_of([0, 1, 1, 2, 1, 2, 1, 1])
+        gens = [self.shift(8), self.reflection(8)]
+        assert len(greedy_cover(inst)) == 4 and brute_minimum(inst) == 3
+        assert brute_minimum_with(inst, [0, 1]) == 4
+        assert _orbital_roots(inst, [], gens) == [
+            ([0, 1], 0), ([0, 2], bits([1, 7])), ([0, 3], bits([1, 7, 2, 6])),
+            ([0], bits([1, 7, 2, 6, 3, 5])),
+        ]
+        got = min_cover(inst, symmetries=gens)
+        assert got.optimal and len(got.chosen) == 3 and 0 in got.chosen
+        assert covers_everything(inst, got.chosen)
+
+    def test_a_forced_set_the_generators_keep(self):
+        # Q_4 with {3, 12} forced, under x -> x xor 15 and three bit swaps
+        # that keep {3, 12}.  The stabiliser of 0 permutes the bits, so its
+        # orbits are the weight classes with 3 and 12 apart; the orbit of 3
+        # holds a forced chooser, so it ends the children that force 0.
+        inst = build_instance(np.asarray(family("hypercube", 4).distances.dist))
+        forced = [3, 12]
+        gens = [[x ^ 15 for x in range(16)], hypercube_bit_swap([1, 0, 2, 3]),
+                hypercube_bit_swap([0, 1, 3, 2]), hypercube_bit_swap([2, 3, 0, 1])]
+        assert all(is_symmetry(inst, p) for p in gens)
+        assert _orbital_roots(inst, forced, gens) == [
+            ([0, 1, 3, 12], 0), ([0, 3, 12], bits([1, 2, 4, 8])), (forced, bits([0, 15])),
+        ]
+        got = min_cover(inst, forced=forced, symmetries=gens)
+        want = brute_minimum_with(inst, forced)
+        assert got.optimal and len(got.chosen) == want
+        assert {3, 12} <= set(got.chosen) and covers_everything(inst, got.chosen)
+        assert len(min_cover(inst, forced=forced).chosen) == want
+
+    def test_chooser_zero_alone_is_a_cover(self):
+        # row 0 has distinct entries, so it separates every pair; then only
+        # the identity fixes 0 (it would have to keep row 0), and the one
+        # child forces 0 with nothing banned
+        inst = self.circulant_of(list(range(7)))
+        roots = _orbital_roots(inst, [], [self.shift(7)])
+        assert roots == [([0], 0)]
+        got = min_cover(inst, symmetries=[self.shift(7)])
+        assert got.chosen == (0,) and got.optimal
+        got = _Search(inst, budget=100, lower_stop=0).run(roots, seed=[1, 2])
+        assert got.chosen == (0,) and got.optimal
+
+    def test_stabiliser_orbits_match_the_enumerated_group(self):
+        # Schreier generators against the whole group, on random generators
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            gens = [rng.permutation(n).tolist() for _ in range(int(rng.integers(1, 3)))]
+            group = group_closure(gens)
+            # one class for row 0, so the join never stops early
+            orbit, labels = _stabiliser_orbits(np.array(gens), np.zeros(n))
+            assert sorted(orbit) == sorted({h[0] for h in group})
+            stab = [h for h in group if h[0] == 0]
+            assert labels.tolist() == [min(h[x] for h in stab) for x in range(n)]
+            kinds.add((len(orbit) == n, len(set(labels.tolist())) < n))
+        assert len(kinds) == 4, kinds
+
+    def test_the_join_stops_at_the_classes_of_row_zero(self):
+        # on Q_6 the stabiliser orbits are the distance classes of 0, over
+        # several blocks of orbit points, whether or not the join stops early
+        g = family("hypercube", 6)
+        gens = np.array(mdim_exact(g).generators)
+        dist0 = np.asarray(g.distances.dist)[0]
+        assert len(gens) and 64 > SCHREIER_BLOCK
+        orbit, labels = _stabiliser_orbits(gens, dist0)
+        _, full = _stabiliser_orbits(gens, np.zeros(64))
+        assert len(orbit) == 64 and labels.tolist() == full.tolist()
+        assert labels.tolist() == [x if x == 0 else (1 << int(dist0[x])) - 1
+                                   for x in range(64)]
+
     def test_the_orbit_is_closed_under_the_generators(self):
-        assert symmetry_orbit([[1, 0, 2, 3], [0, 2, 1, 3]]) == 0b0111
-        assert symmetry_orbit([[0, 1, 3, 2]]) == 0b0001
+        # each point's least orbit-mate
+        assert orbit_partition(np.array([[1, 0, 2, 3], [0, 2, 1, 3]])).tolist() == [0, 0, 0, 3]
+        assert orbit_partition(np.array([[0, 1, 3, 2]])).tolist() == [0, 1, 2, 2]
+
+    def test_orbit_partition_joins_a_given_partition(self):
+        # against components of the graph x - p[x], one permutation at a
+        # time and all at once
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            perms = []
+            for _ in range(int(rng.integers(1, 4))):
+                p = np.arange(n)
+                if rng.random() < 0.3:
+                    p = rng.permutation(n)
+                else:  # a product of a few transpositions leaves small orbits
+                    for _ in range(int(rng.integers(0, 3))):
+                        i, j = rng.integers(0, n, size=2)
+                        p[[i, j]] = p[[j, i]]
+                perms.append(p)
+            want = list(range(n))
+            for x in range(n):
+                seen, todo = {x}, [x]
+                while todo:
+                    y = todo.pop()
+                    for p in perms:
+                        for z in (int(p[y]), int(np.flatnonzero(p == y)[0])):
+                            if z not in seen:
+                                seen.add(z)
+                                todo.append(z)
+                want[x] = min(seen)
+            assert orbit_partition(np.array(perms)).tolist() == want
+            labels = None
+            for p in perms:
+                labels = orbit_partition(p[None, :], labels)
+            assert labels.tolist() == want
 
 
 def some_chooser_completes(inst: PairCoverInstance, uncovered: int, banned: int) -> bool:

@@ -21,6 +21,7 @@ from mdimlab import (
     family,
     first_unresolved_pair,
     first_unseparated_pair,
+    fold,
     is_distance_regular,
     is_primitive,
     is_resolving,
@@ -180,16 +181,17 @@ class TestMdimExact:
         assert res.optimal
         assert res.nodes == nodes
 
-    # Node counts of the symmetric path in constructor labels.
+    # Node counts of the symmetric path in constructor labels, with orbital
+    # branching over the stabiliser orbits of vertex 0.
     @pytest.mark.parametrize(
         "name,nodes",
         [
-            ("Q_6", 801),
-            ("johnson_8_4", 843),
-            ("doubled_odd_4", 1120),
-            ("taylor_paley_17", 284),
-            ("gq22_incidence", 1070),
-            pytest.param("biplane_incidence", 9223, marks=pytest.mark.slow),
+            ("Q_6", 102),
+            ("johnson_8_4", 72),
+            ("doubled_odd_4", 131),
+            ("taylor_paley_17", 33),
+            ("gq22_incidence", 215),
+            pytest.param("biplane_incidence", 2723, marks=pytest.mark.slow),
         ],
     )
     def test_symmetric_node_counts_are_pinned(self, name, nodes):
@@ -200,13 +202,26 @@ class TestMdimExact:
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "build", [lambda: family("hypercube", 7), lambda: family("johnson", 9, 4)],
-        ids=["Q_7", "johnson_9_4"],
+        "build",
+        [
+            lambda: family("hypercube", 7),
+            lambda: family("johnson", 9, 4),
+            lambda: fold(family("hypercube", 7))[0],
+        ],
+        ids=["Q_7", "johnson_9_4", "folded_Q_7"],
     )
     def test_root_symmetry_proves_the_larger_graphs(self, build):
         cert = mdim_exact(build())
         assert cert.status == "minimum"
         assert cert.mu == 6
+
+    @pytest.mark.slow
+    def test_orbital_branching_proves_q8(self):
+        # about 40k nodes; the root orbit alone needed 862k
+        g = family("hypercube", 8)
+        cert = mdim_exact(g)
+        assert cert.status == "minimum" and cert.method == "exact-bnb-sym"
+        assert cert.mu == 6 and is_resolving(g.distances, cert.set)
 
 
 def relabel(g: Graph, seed: int) -> Graph:
