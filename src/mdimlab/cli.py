@@ -238,9 +238,10 @@ def _cmd_semiresolve(args: argparse.Namespace) -> int:
               f"blocks_part={list(result.blocks_part.set)}")
         certs = (result.points_part, result.blocks_part)
     else:
-        cert = min_semi_resolving(design, side=args.side)
+        side = args.side or "blocks"
+        cert = min_semi_resolving(design, side=side)
         _emit(cert.to_json(), args.json,
-              f"size={cert.mu} set={list(cert.set)} side={args.side} "
+              f"size={cert.mu} set={list(cert.set)} side={side} "
               f"status={cert.status}")
         certs = (cert,)
     return _proved(certs)
@@ -275,6 +276,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     if args.kind == "descendants":
+        if args.plane is not None or args.design is not None:
+            raise MdimlabError("--plane and --design are read only by semisplit")
         base = _base_graph(args)
         cover = families.taylor(base)
         certs = [mdim_exact(base)]
@@ -292,6 +295,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 print(f"  vertex {row['vertex']} ({row['tag']}): mu={row['mu']}")
         return _proved(certs)
     if args.kind == "semisplit":
+        if args.base or args.param:
+            raise MdimlabError("--base and --param are read only by descendants")
         design = _load_design(args)
         split = split_mdim(design)
         # the split's points part separates the blocks, and dually
@@ -332,11 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mdim", help="metric dimension with certificate")
     p.add_argument("graph", help="graph file")
-    p.add_argument("--greedy", action="store_true", help="greedy upper bound instead")
-    p.add_argument("--oracle", action="store_true",
-                   help="exhaustive enumeration (small graphs only)")
-    p.add_argument("--certify", metavar="SET", help="verify this comma-separated set")
-    p.add_argument("--budget", type=int, help="node budget override")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--greedy", action="store_true", help="greedy upper bound instead")
+    mode.add_argument("--oracle", action="store_true",
+                      help="exhaustive enumeration (small graphs only)")
+    mode.add_argument("--certify", metavar="SET", help="verify this comma-separated set")
+    mode.add_argument("--budget", type=int, help="node budget override (exact solver only)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_mdim)
 
@@ -359,10 +365,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("semiresolve", help="minimum semi-resolving set of a design")
-    p.add_argument("--plane", type=int, help="order-q point-line design")
-    p.add_argument("--design", help="design file")
-    p.add_argument("--side", choices=["points", "blocks"], default="blocks")
-    p.add_argument("--split", action="store_true", help="both sides (split dimension)")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--plane", type=int, help="order-q point-line design")
+    source.add_argument("--design", help="design file")
+    sides = p.add_mutually_exclusive_group()
+    sides.add_argument("--side", choices=["points", "blocks"],
+                       help="pairs to separate (default blocks)")
+    sides.add_argument("--split", action="store_true", help="both sides (split dimension)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_semiresolve)
 
@@ -381,8 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["descendants", "semisplit"])
     p.add_argument("--base", help="descendants: base family name")
     p.add_argument("--param", type=int, action="append")
-    p.add_argument("--plane", type=int, help="semisplit: order-q design")
-    p.add_argument("--design", help="semisplit: design file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--plane", type=int, help="semisplit: order-q design")
+    source.add_argument("--design", help="semisplit: design file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_experiment)
 

@@ -60,6 +60,17 @@ orbit of 0, the products t[g(v)]^-1 g t[v] over every such v and every
 generator g fix 0 and generate the whole stabiliser of 0 in G.  They are
 products of the checked generators, so they need no check of their own,
 and the root children are a function of those generators alone.
+
+Finding symmetries (root_symmetries): on a square instance whose matrix
+entries are small non-negative integers, backtrack over the images of a
+base, chooser 0 followed by a cover.  Mapping base[:i] to images c[:i]
+gives every entity x a code, its entries in rows base[:i], and every
+entity y an image code, its entries in rows c[:i].  A symmetry extending
+the map sends x to a y of the same code, so the two codes must have equal
+multisets; cells number the codes jointly.  Once the base is a cover its
+rows separate every pair, every code is unique and names a single
+permutation, which must still pass is_symmetry.  For a distance matrix the
+symmetries found are graph automorphisms, and the labels are never read.
 """
 
 from __future__ import annotations
@@ -73,6 +84,7 @@ from .errors import BadParameters
 from .graphs import iter_bits
 
 DEFAULT_BUDGET = 10**8
+FINDER_WORK = 16  # candidate images per chooser, over all targets of one root_symmetries
 SCHREIER_BLOCK = 16  # orbit points whose Schreier generators are joined at once
 
 
@@ -84,14 +96,14 @@ class PairCoverInstance:
     coverage[v]: bitset over item indices separated by chooser v.
     resolvers[p]: bitset over choosers separating item p.
     matrix: the chooser-by-entity matrix behind them, which is_symmetry
-    reads.
+    and root_symmetries read.
     """
 
     n_choosers: int
     n_entities: int
     coverage: tuple[int, ...]
     resolvers: tuple[int, ...]
-    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    matrix: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_items(self) -> int:
@@ -128,7 +140,7 @@ def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
     """
     m = inst.matrix
     p = np.asarray(perm, dtype=np.intp)
-    if m is None or p.ndim != 1 or m.shape != (len(p), len(p)):
+    if p.ndim != 1 or m.shape != (len(p), len(p)):
         return False
     if not np.array_equal(np.sort(p), np.arange(len(p))):
         return False
@@ -161,6 +173,65 @@ def orbit_partition(perms: np.ndarray, labels: np.ndarray | None = None) -> np.n
             return parent
         a, b = a[apart], b[apart]
         parent[np.maximum(a, b)] = np.minimum(a, b)
+
+
+def root_symmetries(
+    inst: PairCoverInstance, seed: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Symmetries moving chooser 0, each passing is_symmetry, enough to
+    reach its orbit as far as the finder gets.
+
+    seed must be a cover; the base is 0 followed by seed (module
+    docstring, "Finding symmetries").  Targets v outside the orbit so far
+    are tried in ascending order, and each candidate image costs one unit
+    of a work cap of FINDER_WORK per chooser; any set of symmetries is
+    sound, so running out only leaves the orbit smaller.
+    """
+    m = inst.matrix
+    n = inst.n_choosers
+    if n < 2 or m.shape != (n, n):
+        return ()
+    base = [0, *(v for v in seed if v != 0)]
+    width = int(m.max()) + 1
+    work = FINDER_WORK * n
+    gens: list[tuple[int, ...]] = []
+    labels = np.arange(n)  # least orbit-mates under the generators so far
+    zero = np.zeros(n, dtype=np.intp)
+    for v in range(1, n):
+        if labels[v] == 0:
+            continue
+        # depth first; a frame holds i, the cells and image cells of the
+        # map on base[:i], and the candidate images of base[i] left to try
+        stack = [(0, zero, zero, iter([v]))]
+        while stack:
+            i, cells, image_cells, cands = stack[-1]
+            c = next(cands, None)
+            if c is None:
+                stack.pop()
+                continue
+            work -= 1
+            if work < 0:
+                return tuple(gens)
+            keys = cells * width + m[base[i]]
+            image_keys = image_cells * width + m[c]
+            counts = np.bincount(keys, minlength=n * width)
+            image_counts = np.bincount(image_keys, minlength=n * width)
+            if not np.array_equal(counts, image_counts):
+                continue
+            ids = np.cumsum(counts > 0) - 1
+            refined, image_refined = ids[keys], ids[image_keys]
+            if ids[-1] == n - 1:  # every code unique
+                entity_of = np.empty_like(image_refined)
+                entity_of[image_refined] = np.arange(n)
+                perm = entity_of[refined]
+                if is_symmetry(inst, perm):
+                    gens.append(tuple(perm.tolist()))
+                    labels = orbit_partition(perm[None, :], labels)
+                    break
+            elif i + 1 < len(base):
+                nxt = np.flatnonzero(image_refined == refined[base[i + 1]])
+                stack.append((i + 1, refined, image_refined, iter(nxt.tolist())))
+    return tuple(gens)
 
 
 def _stabiliser_orbits(gens: np.ndarray, row0: np.ndarray) -> tuple[list[int], np.ndarray]:

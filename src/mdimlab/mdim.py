@@ -5,9 +5,9 @@ all of R.  Exact minimisation reduces to pair-separation set cover; twin
 classes (vertices with identical distance rows off the pair itself) are
 preselected all-but-one before the search, which already settles complete
 and complete multipartite graphs at the root.  Graphs without twins may
-instead get root symmetry: automorphisms found without using the labels
-let the search branch on the orbit of vertex 0 and on the orbits of its
-stabiliser (see mdim_exact).
+instead get root symmetry: mdim_exact decides when to ask the cover module
+for automorphisms, which it finds, checks and branches on (see
+mdim_exact).
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from .cover import (
     PairCoverInstance,
     build_instance,
     greedy_cover,
-    is_symmetry,
     min_cover,
-    orbit_partition,
+    root_symmetries,
 )
 from .designs import SymmetricDesign, incidence_graph
 from .errors import (
@@ -49,8 +48,8 @@ def default_budget() -> int:
         value = int(raw)
     except ValueError as exc:
         raise BadParameters(f"{ENV_BUDGET} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise BadParameters(f"{ENV_BUDGET} must be positive")
+    if value < 0:
+        raise BadParameters(f"{ENV_BUDGET} must be non-negative")
     return value
 
 
@@ -195,14 +194,13 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     Budget 0 returns the verified greedy seed, which is "minimum" only when
     it meets the lower bound.
 
-    The symmetric path runs when the budget is positive, the graph is
-    connected, has no twin classes, its greedy seed is above the counting
-    lower bound, and a bounded search finds automorphisms moving vertex 0
-    (see _root_symmetries).
-    The search then branches on the orbit of 0 under the verified
-    automorphisms and on the orbits of its stabiliser (orbital branching
-    in the cover module), and the certificate has method "exact-bnb-sym"
-    and carries the generators.
+    The symmetric path runs when the budget is positive, the graph has no
+    twin classes, its greedy seed is above the counting lower bound (0 when
+    disconnected), and cover.root_symmetries, given the distance instance
+    and that seed, finds automorphisms moving vertex 0.  min_cover checks
+    them again and branches on the orbit of 0 and on the orbits of its
+    stabiliser (orbital branching in the cover module); the certificate has
+    method "exact-bnb-sym" and carries the generators.
     """
     dm = g.distances
     if budget is None:
@@ -212,106 +210,13 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
     gens: tuple[tuple[int, ...], ...] = ()
-    if dm.connected and not forced and budget > 0:
+    if not forced and budget > 0:
         seed = greedy_cover(inst)
         if len(seed) > lb:
-            gens = _root_symmetries(inst, dm, seed)
+            gens = root_symmetries(inst, seed)
     res = min_cover(inst, forced=forced, budget=budget, lower_stop=lb, symmetries=gens)
     method = "exact-bnb-sym" if gens else "exact-bnb"
     return _from_cover(res, first_unresolved_pair(dm, res.chosen), method, gens)
-
-
-class _Spent(Exception):
-    pass
-
-
-class _AutomorphismSearch:
-    """Backtracking over the images of a resolving base.
-
-    Mapping base[:i] to images c[:i] gives every vertex x a code, its
-    distances to base[:i], and every vertex y an image code, its distances
-    to c[:i].  An automorphism extending the map sends x to a y of the
-    same code, so the two codes must have equal multisets; cells number
-    the codes jointly.  Once the base resolves the graph every code is
-    unique and names a single permutation, which must still pass
-    is_symmetry on the distance instance.  Each candidate image costs one
-    unit of work.
-    """
-
-    WORK = 16  # candidate images per vertex, over all targets of one search
-
-    def __init__(self, inst: PairCoverInstance, dm: DistanceMatrix, base: Sequence[int]):
-        self.inst = inst
-        self.dm = dm
-        self.base = base
-        self.work = self.WORK * dm.n
-        self.width = dm.diameter + 1
-        self.n_keys = dm.n * self.width
-
-    def map_root(self, v: int) -> tuple[int, ...] | None:
-        """An automorphism sending base[0] to v, or None if there is none;
-        raises _Spent when the work runs out."""
-        zero = np.zeros(self.dm.n, dtype=np.intp)
-        return self._extend(0, zero, zero, [v])
-
-    def _extend(self, i, cells, image_cells, cands) -> tuple[int, ...] | None:
-        dist = self.dm.dist
-        b = self.base[i]
-        for c in cands:
-            self.work -= 1
-            if self.work < 0:
-                raise _Spent
-            keys = cells * self.width + dist[b]
-            image_keys = image_cells * self.width + dist[c]
-            counts = np.bincount(keys, minlength=self.n_keys)
-            image_counts = np.bincount(image_keys, minlength=self.n_keys)
-            if not np.array_equal(counts, image_counts):
-                continue
-            ids = np.cumsum(counts > 0) - 1
-            refined, image_refined = ids[keys], ids[image_keys]
-            if ids[-1] == self.dm.n - 1:  # every code unique
-                vertex_of = np.empty_like(image_refined)
-                vertex_of[image_refined] = np.arange(self.dm.n)
-                perm = vertex_of[refined]
-                if is_symmetry(self.inst, perm):
-                    return tuple(perm.tolist())
-                continue
-            if i + 1 < len(self.base):
-                nxt = np.flatnonzero(image_refined == refined[self.base[i + 1]])
-                found = self._extend(i + 1, refined, image_refined, nxt.tolist())
-                if found is not None:
-                    return found
-        return None
-
-
-def _root_symmetries(
-    inst: PairCoverInstance, dm: DistanceMatrix, seed: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    """Verified automorphisms moving vertex 0, enough to reach its orbit
-    as far as the search gets.
-
-    inst is the distance instance of dm.  The base is vertex 0 followed by
-    the resolving seed; a resolving set is a base for the automorphism
-    group, so its images fix at most one automorphism.  Targets v outside
-    the orbit so far are tried in ascending order by one
-    _AutomorphismSearch, whose work is capped in proportion to n; any set
-    of verified automorphisms is sound, so running out only leaves the
-    orbit smaller.
-    """
-    search = _AutomorphismSearch(inst, dm, [0, *(v for v in seed if v != 0)])
-    gens: list[tuple[int, ...]] = []
-    labels = np.arange(dm.n)  # least orbit-mates under the generators so far
-    for v in range(1, dm.n):
-        if labels[v] == 0:
-            continue
-        try:
-            perm = search.map_root(v)
-        except _Spent:
-            break
-        if perm is not None:
-            gens.append(perm)
-            labels = orbit_partition(np.array([perm]), labels)
-    return tuple(gens)
 
 
 def _from_cover(

@@ -178,11 +178,20 @@ class TestMdim:
         assert code == 1
         assert "error:" in err
 
-    def test_greedy_ignores_the_budget_exit(self, tmp_path):
-        path = tmp_path / "gq.graph"
-        run("construct", "--family", "gq22_incidence", "--out", str(path))
-        code, _, _ = run("mdim", str(path), "--budget", "1", "--greedy")
-        assert code == 0
+    def test_greedy_with_a_budget_exits_1(self, petersen_file):
+        code, out, err = run("mdim", petersen_file, "--greedy", "--budget", "5")
+        assert code == 1 and out == ""
+        assert "error: argument --budget: not allowed with argument --greedy" in err
+
+    def test_certify_with_a_budget_exits_1(self, petersen_file):
+        code, out, err = run("mdim", petersen_file, "--certify", "0,1,3", "--budget", "3")
+        assert code == 1 and out == ""
+        assert "error: argument --budget: not allowed with argument --certify" in err
+
+    def test_greedy_and_oracle_together_exit_1(self, petersen_file):
+        code, out, err = run("mdim", petersen_file, "--greedy", "--oracle")
+        assert code == 1 and out == ""
+        assert "error: argument --oracle: not allowed with argument --greedy" in err
 
 
 class TestLift:
@@ -351,6 +360,18 @@ class TestSemiresolve:
         assert code == 1
         assert "error: instance is infeasible" in err and "Traceback" not in err
 
+    def test_plane_and_design_together_exit_1(self, tmp_path):
+        path = tmp_path / "p2.design"
+        run("construct", "--plane", "2", "--out", str(path))
+        code, out, err = run("semiresolve", "--plane", "3", "--design", str(path))
+        assert code == 1 and out == ""
+        assert "error: argument --design: not allowed with argument --plane" in err
+
+    def test_split_with_a_side_exits_1(self):
+        code, out, err = run("semiresolve", "--plane", "2", "--split", "--side", "points")
+        assert code == 1 and out == ""
+        assert "error: argument --side: not allowed with argument --split" in err
+
     def test_requires_a_design_source(self):
         code, _, err = run("semiresolve", "--side", "blocks")
         assert code == 1
@@ -404,6 +425,18 @@ class TestExperiment:
         code, _, err = run("experiment", "descendants")
         assert code == 1
         assert "error: this mode needs --base" in err and "None" not in err
+
+    def test_descendants_with_a_plane_exits_1(self):
+        code, out, err = run("experiment", "descendants", "--base", "cycle",
+                             "--param", "5", "--plane", "2")
+        assert code == 1 and out == ""
+        assert "error: --plane and --design are read only by semisplit" in err
+
+    def test_semisplit_with_a_base_exits_1(self):
+        code, out, err = run("experiment", "semisplit", "--plane", "2",
+                             "--base", "paley", "--param", "13")
+        assert code == 1 and out == ""
+        assert "error: --base and --param are read only by descendants" in err
 
     def test_semisplit_report(self):
         code, out, _ = run("experiment", "semisplit", "--plane", "2", "--json")

@@ -23,6 +23,7 @@ from mdimlab.cover import (
     _stabiliser_orbits,
     is_symmetry,
     orbit_partition,
+    root_symmetries,
 )
 from mdimlab.designs import pg2
 from mdimlab.graphs import iter_bits
@@ -314,6 +315,7 @@ class TestRootSymmetry:
         inst = build_instance(np.array([[0, 1, 2], [0, 0, 1]]))
         assert not is_symmetry(inst, [0, 1])
         assert not is_symmetry(inst, [0, 1, 2])
+        assert root_symmetries(inst, [0]) == ()
 
     def test_a_later_orbit_holds_the_only_optima(self):
         # the distance matrix of the circulant graph on Z_8 with jumps 1, 2
@@ -430,6 +432,23 @@ class TestRootSymmetry:
             for p in perms:
                 labels = orbit_partition(p[None, :], labels)
             assert labels.tolist() == want
+
+
+class TestRootSymmetries:
+    """The finder on instances that are not distance matrices."""
+
+    @pytest.mark.parametrize("v, diffs", [(7, (1, 2, 4)), (13, (0, 1, 3, 9))])
+    def test_cyclic_planes_are_transitive(self, v, diffs):
+        # m[i, j] = 1 iff j - i lies in a planar difference set mod v: the
+        # incidence matrix of a cyclic projective plane, where the shift
+        # carries chooser 0 to every chooser
+        inst = TestRootSymmetry.circulant_of([int(k in diffs) for k in range(v)])
+        gens = root_symmetries(inst, greedy_cover(inst))
+        assert gens and all(is_symmetry(inst, p) for p in gens)
+        assert orbit_partition(np.array(gens)).tolist() == [0] * v
+        got = min_cover(inst, symmetries=gens)
+        assert got.optimal and len(got.chosen) == brute_minimum(inst)
+        assert covers_everything(inst, got.chosen)
 
 
 def some_chooser_completes(inst: PairCoverInstance, uncovered: int, banned: int) -> bool:

@@ -37,7 +37,7 @@ from mdimlab import (
     twin_classes,
     twin_forced_choices,
 )
-from mdimlab import mdim
+from mdimlab import cover, mdim
 from mdimlab.cover import is_symmetry
 from mdimlab.zoo import ZOO
 
@@ -157,6 +157,16 @@ class TestMdimExact:
         cert = mdim_exact(ZOO["heawood"](), budget=0)
         assert cert.status == "verified-resolving"
         assert is_resolving(bfs_distances(ZOO["heawood"]()), cert.set)
+
+    def test_an_environment_budget_of_zero_means_budget_zero(self, monkeypatch):
+        g = ZOO["heawood"]()
+        monkeypatch.setenv("MDIMLAB_BUDGET", "0")
+        cert = mdim_exact(g)
+        assert cert == mdim_exact(g, budget=0)
+        assert cert.status == "verified-resolving"
+        monkeypatch.setenv("MDIMLAB_BUDGET", "-1")
+        with pytest.raises(BadParameters, match="non-negative"):
+            mdim_exact(g)
 
     # Node counts of the search without an orbit, the path mdim_exact takes
     # when it knows no automorphism moving vertex 0.  Every tie-break is
@@ -321,6 +331,24 @@ class TestRootSymmetry:
                 kinds["full" if full else "partial"] += 1
         assert kinds["full"] >= 5 and kinds["partial"] >= 5, kinds
 
+    def test_disconnected_twin_free_graphs_match_the_oracle(self):
+        # the finder reads the distance instance alone, unreachable entries
+        # included, so disconnected graphs take the symmetric path too
+        rng = random.Random(20261019)
+        methods = {"exact-bnb": 0, "exact-bnb-sym": 0}
+        checked = 0
+        while checked < 200:
+            g = random_symmetric_graph(rng)
+            if g.distances.connected or twin_classes(pair_cover_instance(g.distances)):
+                continue
+            checked += 1
+            cert = mdim_exact(g)
+            assert cert.status == "minimum"
+            assert cert.mu == exhaustive_mdim(g).mu, g.adj
+            assert all(keeps_edges(g, p) for p in cert.generators)
+            methods[cert.method] += 1
+        assert min(methods.values()) >= 5, methods
+
     def test_the_check_rejects_a_transposition(self):
         g = ZOO["petersen"]()
         swap = list(range(g.n))
@@ -345,7 +373,7 @@ class TestRootSymmetry:
         assert "generators" not in plain.to_json()
 
     def test_spent_finder_work_leaves_the_plain_search(self, monkeypatch):
-        monkeypatch.setattr(mdim._AutomorphismSearch, "WORK", 0)
+        monkeypatch.setattr(cover, "FINDER_WORK", 0)
         cert = mdim_exact(ZOO["taylor_paley_17"]())
         assert cert.method == "exact-bnb" and cert.nodes_explored == 2902
 
