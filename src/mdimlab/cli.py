@@ -183,6 +183,13 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         raise MdimlabError("lift from a graph file or from --base, not both")
     if args.param and not args.base:
         raise MdimlabError("--param is read only with --base")
+    if args.out and mode != "double":
+        raise MdimlabError("--out is read only with --from double")
+    if (args.plus_set or args.minus_set) and mode != "halved":
+        raise MdimlabError("--plus-set and --minus-set are read only with --from halved")
+    if args.set and mode == "halved":
+        raise MdimlabError("--set is not read with --from halved; "
+                           "give --plus-set and --minus-set")
     if mode == "halved":
         g = _load_graph(args.graph)
         cert = lift_halved(g, _parse_set(args.plus_set, "--plus-set"),

@@ -7,7 +7,11 @@ set separating every pair.
 
 Layout: item p is the p-th pair of combinations(range(n_entities), 2), so
 no pair table is kept; coverage[v] (over items) and resolvers[p] (over
-choosers) are int bitsets packed from one boolean chooser-by-item matrix.
+choosers) are int bitsets.  The items (i, j) with j > i are one contiguous
+block per entity i, so build_instance fills them a block at a time: a
+chooser-by-item boolean block from the matrix, packed along its rows into
+coverage, and an item-by-chooser block from the transposed matrix, packed
+along its rows into resolvers.  Both packings read contiguous rows.
 
 The solver branches on an uncovered pair with few remaining separators,
 trying its separators in decreasing marginal-coverage order; each branch
@@ -76,6 +80,7 @@ symmetries found are graph automorphisms, and the labels are never read.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -114,20 +119,34 @@ def build_instance(matrix: np.ndarray) -> PairCoverInstance:
     """Instance whose choosers are the matrix rows and whose items are all
     unordered column pairs."""
     n_choosers, n_cols = matrix.shape
-    iu, iw = np.triu_indices(n_cols, 1)
-    sep = np.empty((n_choosers, len(iu)), dtype=bool)
-    for v in range(n_choosers):
-        row = matrix[v]
-        sep[v] = row[iu] != row[iw]
-    by_chooser = np.packbits(sep, axis=1, bitorder="little")
-    by_item = np.packbits(sep, axis=0, bitorder="little").T
+    n_items = n_cols * (n_cols - 1) // 2
+    columns = np.ascontiguousarray(matrix.T)
+    sep = np.empty((n_choosers, n_items), dtype=bool)
+    by_item = np.empty((n_items, -(-n_choosers // 8)), dtype=np.uint8)
+    s = 0
+    for i in range(n_cols - 1):  # the items (i, j), j > i, are sep[:, s:e]
+        e = s + n_cols - 1 - i
+        np.not_equal(matrix[:, i, None], matrix[:, i + 1:], out=sep[:, s:e])
+        by_item[s:e] = np.packbits(columns[i] != columns[i + 1:], axis=1, bitorder="little")
+        s = e
+    coverage = _packed_ints(np.packbits(sep, axis=1, bitorder="little"))
+    del sep  # lowers the peak while the resolvers are made
     return PairCoverInstance(
         n_choosers=n_choosers,
         n_entities=n_cols,
-        coverage=tuple(int.from_bytes(r.tobytes(), "little") for r in by_chooser),
-        resolvers=tuple(int.from_bytes(r.tobytes(), "little") for r in by_item),
+        coverage=coverage,
+        resolvers=_packed_ints(by_item),
         matrix=matrix,
     )
+
+
+def _packed_ints(packed: np.ndarray) -> tuple[int, ...]:
+    """The rows of a C-contiguous uint8 array as little-endian ints."""
+    rows, width = packed.shape
+    if width == 0:
+        return (0,) * rows
+    chunks = packed.view(f"V{width}").ravel().tolist()  # one bytes object per row
+    return tuple(map(int.from_bytes, chunks, repeat("little")))
 
 
 def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
@@ -339,7 +358,7 @@ class _Search:
         self.best: list[int] = []
         # items by ascending static separator count, then index
         counts = [r.bit_count() for r in inst.resolvers]
-        self.item_order = sorted(range(inst.n_items), key=lambda p: (counts[p], p))
+        self.item_order = np.argsort(counts, kind="stable").tolist()
         # choosers by descending static coverage, then id, for bound scans
         cov_counts = [c.bit_count() for c in inst.coverage]
         self.chooser_order = sorted(

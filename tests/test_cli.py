@@ -275,6 +275,38 @@ class TestLift:
         assert code == 1
         assert "error: this mode needs --minus-set" in err and "Traceback" not in err
 
+    def test_out_outside_double_exits_1(self, cube_file, tmp_path):
+        out_path = tmp_path / "x.graph"
+        code, out, err = run("lift", "--from", "folded", cube_file,
+                             "--set", "0,1,2", "--out", str(out_path))
+        assert code == 1
+        assert "error: --out is read only with --from double" in err and out == ""
+        assert not out_path.exists()
+
+    def test_out_on_taylor_exits_1(self, tmp_path):
+        out_path = tmp_path / "y.graph"
+        code, out, err = run("lift", "--from", "taylor", "--base", "paley",
+                             "--param", "5", "--set", "0,1", "--out", str(out_path))
+        assert code == 1
+        assert "error: --out is read only with --from double" in err and out == ""
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("mode, flag", [
+        ("folded", "--plus-set"), ("push", "--minus-set"), ("double", "--plus-set"),
+    ])
+    def test_half_sets_outside_halved_exit_1(self, cube_file, mode, flag):
+        code, out, err = run("lift", "--from", mode, cube_file, "--set", "0,1,2",
+                             flag, "5")
+        assert code == 1
+        assert ("error: --plus-set and --minus-set are read only with --from halved"
+                in err and out == "")
+
+    def test_set_on_halved_exits_1(self, cube_file):
+        code, out, err = run("lift", "--from", "halved", cube_file, "--set", "0,1,2",
+                             "--plus-set", "0,1,2", "--minus-set", "0,1,2")
+        assert code == 1
+        assert "error: --set is not read with --from halved" in err and out == ""
+
     @pytest.mark.parametrize("mode", ["taylor", "double"])
     def test_missing_set_on_a_base_family_exits_1(self, mode):
         code, _, err = run("lift", "--from", mode, "--base", "paley", "--param", "13")

@@ -26,7 +26,7 @@ from mdimlab.cover import (
     root_symmetries,
 )
 from mdimlab.designs import pg2
-from mdimlab.graphs import iter_bits
+from mdimlab.graphs import Graph, iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
 
 
@@ -104,6 +104,16 @@ class TestBuildInstance:
         matrices += [np.zeros((5, c), dtype=np.uint8) for c in (0, 1, 2)]
         matrices.append(np.asarray(pg2(3).inc).T)  # a non-contiguous view
         matrices += [np.asarray(ZOO[name]().distances.dist) for name in sorted(SOLVABLE)]
+        matrices += [rng.integers(-3, 3, size=(9, 10), dtype=np.int8),
+                     np.array([[-128, 127, -1], [0, -1, 127]], dtype=np.int8)]
+        matrices += [np.zeros((0, c), dtype=np.uint8) for c in (0, 1, 5)]
+        matrices.append(np.asfortranarray(rng.integers(0, 3, size=(13, 17))))
+        # a disconnected graph: unreachable entries hold the 255 sentinel
+        path_and_edge = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+        matrices.append(np.asarray(path_and_edge.distances.dist))
+        assert matrices[-1].max() == 255
+        # resolver widths across byte and word boundaries
+        matrices.append(rng.integers(0, 3, size=(259, 23)))
         for m in matrices:
             inst = build_instance(m)
             assert (inst.coverage, inst.resolvers) == reference_build(m)
@@ -461,6 +471,18 @@ def some_chooser_completes(inst: PairCoverInstance, uncovered: int, banned: int)
 
 def random_subset(rng, bits: int) -> int:
     return sum(1 << p for p in range(bits.bit_length()) if bits >> p & 1 and rng.random() < 0.5)
+
+
+class TestItemOrder:
+    def test_ties_keep_ascending_item_index(self):
+        # few choosers give few distinct separator counts, so most items tie
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            shape = (int(rng.integers(1, 6)), int(rng.integers(2, 60)))
+            inst = build_instance(rng.integers(0, 2, size=shape))
+            counts = [r.bit_count() for r in inst.resolvers]
+            want = sorted(range(inst.n_items), key=lambda p: (counts[p], p))
+            assert _Search(inst, budget=0, lower_stop=0).item_order == want
 
 
 class TestCompletionTest:
