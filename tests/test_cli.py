@@ -275,18 +275,13 @@ class TestLift:
         assert code == 1
         assert "error: this mode needs --minus-set" in err and "Traceback" not in err
 
-    def test_out_outside_double_exits_1(self, cube_file, tmp_path):
+    @pytest.mark.parametrize("mode, source", [
+        ("folded", None), ("taylor", ["--base", "paley", "--param", "5"]),
+    ])
+    def test_out_outside_double_exits_1(self, cube_file, tmp_path, mode, source):
         out_path = tmp_path / "x.graph"
-        code, out, err = run("lift", "--from", "folded", cube_file,
-                             "--set", "0,1,2", "--out", str(out_path))
-        assert code == 1
-        assert "error: --out is read only with --from double" in err and out == ""
-        assert not out_path.exists()
-
-    def test_out_on_taylor_exits_1(self, tmp_path):
-        out_path = tmp_path / "y.graph"
-        code, out, err = run("lift", "--from", "taylor", "--base", "paley",
-                             "--param", "5", "--set", "0,1", "--out", str(out_path))
+        code, out, err = run("lift", "--from", mode, *(source or [cube_file]),
+                             "--set", "0,1", "--out", str(out_path))
         assert code == 1
         assert "error: --out is read only with --from double" in err and out == ""
         assert not out_path.exists()
