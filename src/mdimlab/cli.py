@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Subcommands: construct, classify, mdim, lift, bounds, semiresolve, verify,
-oracle, experiment.  Exit codes: 0 success, 1 user or input error, 2 node
-budget exhausted before the requested answer was proved (mdim, semiresolve,
-and experiment, where any printed value left unproved counts).
+Commands: construct, classify, mdim, lift, bounds, semiresolve, verify,
+oracle, experiment.  construct takes a mode (family, taylor, double,
+plane), as do lift (halved, folded, push, taylor, double) and experiment
+(descendants, semisplit); a mode takes only the flags it reads, and any
+other is a usage error.  Exit codes: 0 success, 1 user or input error
+(usage errors included), 2 node budget exhausted before the requested
+answer was proved (mdim, semiresolve, and experiment, where any printed
+value left unproved counts).
 """
 
 from __future__ import annotations
@@ -14,16 +18,10 @@ import sys
 from typing import Any
 
 from . import families
-from .designs import (
-    SymmetricDesign,
-    design_from_text,
-    design_text,
-    incidence_graph,
-    pg2,
-)
+from .designs import SymmetricDesign, design_from_text, design_text, incidence_graph, pg2
 from .errors import MdimlabError
 from .graphs import Graph, induced_neighborhood
-from .imprimitivity import antipodal_structure, bipartition, classify_ah
+from .imprimitivity import bipartition, classify_ah
 from .lifting import (
     double_lift,
     lift_folded,
@@ -57,23 +55,20 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USER)
 
 
-def _parse_set(text: str | None, flag: str) -> tuple[int, ...]:
-    if text is None:
-        raise MdimlabError(f"this mode needs {flag}")
+def _vertex_list(text: str) -> tuple[int, ...]:
+    """argparse type of a comma-separated vertex list; blank is the empty set."""
     text = text.strip()
     if not text:
         return ()
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise MdimlabError(f"expected a comma-separated vertex list, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated vertex list, got {text!r}")
 
 
-def _emit(payload: Any, as_json: bool, text: str | None = None) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text if text is not None else payload)
+def _emit(payload: Any, as_json: bool, text: str) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True) if as_json else text)
 
 
 def _proved(certs) -> int:
@@ -81,25 +76,15 @@ def _proved(certs) -> int:
     return EXIT_OK if all(c.status == "minimum" for c in certs) else EXIT_BUDGET
 
 
-def _load_graph(path: str | None) -> Graph:
-    if path is None:
-        raise MdimlabError("this mode needs a graph file argument")
-    return read_graph(path)
-
-
 def _load_design(args: argparse.Namespace) -> SymmetricDesign:
-    if getattr(args, "plane", None) is not None:
+    if args.plane is not None:
         return pg2(args.plane)
-    if getattr(args, "design", None) is not None:
-        return design_from_text(read_ascii(args.design))
-    raise MdimlabError("supply --plane Q or --design FILE")
+    return design_from_text(read_ascii(args.design))
 
 
 def _base_graph(args: argparse.Namespace) -> Graph:
-    """The --base family member, built with the --param values."""
-    if not args.base:
-        raise MdimlabError("this mode needs --base FAMILY (with --param for it)")
-    return families.family(args.base, *(args.param or ()))
+    """The BASE family member, built with the --param values."""
+    return families.family(args.base, *args.param)
 
 
 def _write_or_print(text: str, out: str | None, what: str) -> None:
@@ -113,30 +98,7 @@ def _write_or_print(text: str, out: str | None, what: str) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.plane is not None:
-        if args.dot:
-            raise MdimlabError("--dot draws graphs; --plane builds a design")
-        if args.family or args.param or args.base:
-            raise MdimlabError(
-                "--plane builds a design; --family, --param and --base build graphs"
-            )
-        design = pg2(args.plane)
-        _write_or_print(design_text(design), args.out,
-                        f"({design.v}, {design.k}, {design.lam}) design")
-        return EXIT_OK
-    if args.family is None:
-        raise MdimlabError("supply --family NAME or --plane Q")
-    if args.family == "taylor":
-        g = families.taylor(_base_graph(args)).graph
-    elif args.family == "bipartite_double":
-        g = families.bipartite_double(_base_graph(args)).graph
-    elif args.base:
-        raise MdimlabError(
-            f"--base is read only by --family taylor or bipartite_double, "
-            f"not {args.family}"
-        )
-    else:
-        g = families.family(args.family, *(args.param or ()))
+    g = args.build(args)
     if args.dot:
         _write_or_print(graph_dot(g), args.out, f"{g.n}-vertex graph (dot)")
     else:
@@ -144,23 +106,27 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cmd_construct_plane(args: argparse.Namespace) -> int:
+    design = pg2(args.q)
+    _write_or_print(design_text(design), args.out,
+                    f"({design.v}, {design.k}, {design.lam}) design")
+    return EXIT_OK
+
+
 def _cmd_classify(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    result = classify_ah(g)
-    if args.json:
-        _emit(result.to_json(), True)
-    else:
-        print(f"{result.label}  d={result.d} k={result.k} "
-              f"bipartite={result.bipartite} antipodal={result.antipodal} t={result.t}")
-        for desc, ok in result.subclaims:
-            print(f"  verified: {desc}" if ok else f"  FAILED: {desc}")
+    result = classify_ah(read_graph(args.graph))
+    lines = [f"{result.label}  d={result.d} k={result.k} "
+             f"bipartite={result.bipartite} antipodal={result.antipodal} t={result.t}"]
+    lines += [f"  verified: {desc}" if ok else f"  FAILED: {desc}"
+              for desc, ok in result.subclaims]
+    _emit(result.to_json(), args.json, "\n".join(lines))
     return EXIT_OK
 
 
 def _cmd_mdim(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
+    g = read_graph(args.graph)
     if args.certify is not None:
-        cert = certify(g, _parse_set(args.certify, "--certify"))
+        cert = certify(g, args.certify)
     elif args.greedy:
         cert = mdim_greedy(g)
     elif args.oracle:
@@ -177,58 +143,46 @@ def _cmd_mdim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_lift(args: argparse.Namespace) -> int:
-    mode = args.from_
-    if args.base and args.graph:
-        raise MdimlabError("lift from a graph file or from --base, not both")
-    if args.param and not args.base:
+def _lift_push(args: argparse.Namespace):
+    g = read_graph(args.graph)
+    return push_to_plus(g, frozenset(bipartition(g)[0]), args.set)
+
+
+def _lift_double(args: argparse.Namespace):
+    if args.graph is None:
+        base = _base_graph(args)
+    elif args.param:
         raise MdimlabError("--param is read only with --base")
-    if args.out and mode != "double":
-        raise MdimlabError("--out is read only with --from double")
-    if (args.plus_set or args.minus_set) and mode != "halved":
-        raise MdimlabError("--plus-set and --minus-set are read only with --from halved")
-    if args.set and mode == "halved":
-        raise MdimlabError("--set is not read with --from halved; "
-                           "give --plus-set and --minus-set")
-    if mode == "halved":
-        g = _load_graph(args.graph)
-        cert = lift_halved(g, _parse_set(args.plus_set, "--plus-set"),
-                           _parse_set(args.minus_set, "--minus-set"))
-    elif mode == "folded":
-        g = _load_graph(args.graph)
-        structure = antipodal_structure(g)
-        result = lift_folded(g, _parse_set(args.set, "--set"), structure)
-        payload = result.certificate.to_json()
-        payload["case"] = result.case
-        if result.center is not None:
-            payload["center"] = result.center
-        _emit(payload, args.json,
-              f"size={len(result.certificate.set)} set={list(result.certificate.set)} "
-              f"case={result.case}")
-        return EXIT_OK
-    elif mode == "push":
-        g = _load_graph(args.graph)
-        side = frozenset(bipartition(g)[0])
-        cert = push_to_plus(g, side, _parse_set(args.set, "--set"))
-    elif mode == "taylor":
-        cover = families.taylor(_base_graph(args))
-        cert = taylor_lift(cover, _parse_set(args.set, "--set"))
-    elif mode == "double":
-        base = _base_graph(args) if args.base else _load_graph(args.graph)
-        cover, cert = double_lift(base, _parse_set(args.set, "--set"))
-        if args.out:
-            write_graph(args.out, cover.graph)
-    else:  # pragma: no cover - argparse restricts choices
-        raise MdimlabError(f"unknown lift mode {mode}")
+    else:
+        base = read_graph(args.graph)
+    cover, cert = double_lift(base, args.set)
+    if args.out:
+        write_graph(args.out, cover.graph)
+    return cert
+
+
+def _cmd_lift(args: argparse.Namespace) -> int:
+    cert = args.lift(args)
     _emit(cert.to_json(), args.json,
           f"size={len(cert.set)} set={list(cert.set)} status={cert.status} "
           f"method={cert.method}")
     return EXIT_OK
 
 
+def _cmd_lift_folded(args: argparse.Namespace) -> int:
+    result = lift_folded(read_graph(args.graph), args.set)
+    payload = result.certificate.to_json()
+    payload["case"] = result.case
+    if result.center is not None:
+        payload["center"] = result.center
+    _emit(payload, args.json,
+          f"size={len(result.certificate.set)} set={list(result.certificate.set)} "
+          f"case={result.case}")
+    return EXIT_OK
+
+
 def _cmd_bounds(args: argparse.Namespace) -> int:
-    g = _load_graph(args.graph)
-    report = babai_bounds(g)
+    report = babai_bounds(read_graph(args.graph))
     _emit(report.to_json(), args.json,
           f"n={report.n} k={report.k} d={report.d} lower_nd={report.lower_nd} "
           f"general={report.general:.2f} srg={report.srg and round(report.srg, 2)} "
@@ -245,22 +199,18 @@ def _cmd_semiresolve(args: argparse.Namespace) -> int:
               f"blocks_part={list(result.blocks_part.set)}")
         certs = (result.points_part, result.blocks_part)
     else:
-        side = args.side or "blocks"
-        cert = min_semi_resolving(design, side=side)
+        cert = min_semi_resolving(design, side=args.side)
         _emit(cert.to_json(), args.json,
-              f"size={cert.mu} set={list(cert.set)} side={side} "
+              f"size={cert.mu} set={list(cert.set)} side={args.side} "
               f"status={cert.status}")
         certs = (cert,)
     return _proved(certs)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    only = set(args.only.split(",")) if args.only else None
+    only = set(args.only.split(",")) if args.only is not None else None
     report = run_suite(include_slow=args.include_slow, only=only)
-    if args.json:
-        _emit(report.to_json(), True)
-    else:
-        print(report.render())
+    _emit(report.to_json(), args.json, report.render())
     return EXIT_OK if report.ok else EXIT_USER
 
 
@@ -281,111 +231,141 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if bad == 0 else EXIT_USER
 
 
-def _cmd_experiment(args: argparse.Namespace) -> int:
-    if args.kind == "descendants":
-        if args.plane is not None or args.design is not None:
-            raise MdimlabError("--plane and --design are read only by semisplit")
-        base = _base_graph(args)
-        cover = families.taylor(base)
-        certs = [mdim_exact(base)]
-        rows = []
-        for w in range(cover.graph.n):
-            local, _ = induced_neighborhood(cover.graph, w)
-            certs.append(mdim_exact(local))
-            rows.append({"vertex": w, "tag": cover.tags[w], "mu": certs[-1].mu})
-        payload = {"base_mu": certs[0].mu, "descendants": rows}
-        if args.json:
-            _emit(payload, True)
-        else:
-            print(f"base mu={certs[0].mu}")
-            for row in rows:
-                print(f"  vertex {row['vertex']} ({row['tag']}): mu={row['mu']}")
-        return _proved(certs)
-    if args.kind == "semisplit":
-        if args.base or args.param:
-            raise MdimlabError("--base and --param are read only by descendants")
-        design = _load_design(args)
-        split = split_mdim(design)
-        # the split's points part separates the blocks, and dually
-        pts, blk = split.blocks_part, split.points_part
-        inc = mdim_exact(incidence_graph(design).graph)
-        payload = {
-            "semi_points": pts.to_json(),
-            "semi_blocks": blk.to_json(),
-            "split": split.to_json(),
-            "incidence_mu": inc.mu,
-        }
-        if args.json:
-            _emit(payload, True)
-        else:
-            print(f"semi points-side={pts.mu} blocks-side={blk.mu} "
-                  f"split={split.mu_star} incidence mu={inc.mu}")
-        return _proved((pts, blk, inc))
-    raise MdimlabError(f"unknown experiment {args.kind!r}")
+def _cmd_descendants(args: argparse.Namespace) -> int:
+    base = _base_graph(args)
+    cover = families.taylor(base)
+    certs = [mdim_exact(base)]
+    rows = []
+    for w in range(cover.graph.n):
+        local, _ = induced_neighborhood(cover.graph, w)
+        certs.append(mdim_exact(local))
+        rows.append({"vertex": w, "tag": cover.tags[w], "mu": certs[-1].mu})
+    lines = [f"base mu={certs[0].mu}"]
+    lines += [f"  vertex {row['vertex']} ({row['tag']}): mu={row['mu']}" for row in rows]
+    _emit({"base_mu": certs[0].mu, "descendants": rows}, args.json, "\n".join(lines))
+    return _proved(certs)
+
+
+def _cmd_semisplit(args: argparse.Namespace) -> int:
+    design = _load_design(args)
+    split = split_mdim(design)
+    # the split's points part separates the blocks, and dually
+    pts, blk = split.blocks_part, split.points_part
+    inc = mdim_exact(incidence_graph(design).graph)
+    payload = {
+        "semi_points": pts.to_json(),
+        "semi_blocks": blk.to_json(),
+        "split": split.to_json(),
+        "incidence_mu": inc.mu,
+    }
+    _emit(payload, args.json, f"semi points-side={pts.mu} blocks-side={blk.mu} "
+                              f"split={split.mu_star} incidence mu={inc.mu}")
+    return _proved((pts, blk, inc))
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags shared by several modes, each declared once
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true", help="print stable JSON")
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--param", type=int, action="append", default=[],
+                        help="family parameter (repeatable)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output file (default stdout)")
+    graph_out = argparse.ArgumentParser(add_help=False, parents=[params, out])
+    graph_out.add_argument("--dot", action="store_true",
+                           help="emit DOT instead of the edge format")
+    design = argparse.ArgumentParser(add_help=False)
+    source = design.add_mutually_exclusive_group(required=True)
+    source.add_argument("--plane", type=int, help="order-q point-line design")
+    source.add_argument("--design", help="design file")
+    vertex_set = argparse.ArgumentParser(add_help=False)
+    vertex_set.add_argument("--set", type=_vertex_list, required=True,
+                            help="comma-separated vertex set")
+
     parser = _Parser(prog="mdimlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named graph or design")
-    p.add_argument("--family", help="graph family name, or taylor/bipartite_double over --base")
-    p.add_argument("--base", help="base family for taylor or bipartite_double")
-    p.add_argument("--param", type=int, action="append", help="family parameter (repeatable)")
-    p.add_argument("--plane", type=int, help="write the order-q point-line design instead")
-    p.add_argument("--out", help="output file (default stdout)")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of the edge format")
-    p.set_defaults(fn=_cmd_construct)
+    modes = p.add_subparsers(dest="mode", required=True)
+    m = modes.add_parser("family", parents=[graph_out], help="a named family member")
+    m.add_argument("name", help="family name")
+    m.set_defaults(fn=_cmd_construct, build=lambda a: families.family(a.name, *a.param))
+    m = modes.add_parser("taylor", parents=[graph_out], help="Taylor cover of a base family")
+    m.add_argument("base", help="base family name")
+    m.set_defaults(fn=_cmd_construct, build=lambda a: families.taylor(_base_graph(a)).graph)
+    m = modes.add_parser("double", parents=[graph_out],
+                         help="bipartite double of a base family")
+    m.add_argument("base", help="base family name")
+    m.set_defaults(fn=_cmd_construct,
+                   build=lambda a: families.bipartite_double(_base_graph(a)).graph)
+    m = modes.add_parser("plane", parents=[out], help="order-q point-line design")
+    m.add_argument("q", type=int, help="prime order")
+    m.set_defaults(fn=_cmd_construct_plane)
 
-    p = sub.add_parser("classify", help="name the imprimitivity class of a graph")
+    p = sub.add_parser("classify", parents=[as_json],
+                       help="name the imprimitivity class of a graph")
     p.add_argument("graph", help="graph file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_classify)
 
-    p = sub.add_parser("mdim", help="metric dimension with certificate")
+    p = sub.add_parser("mdim", parents=[as_json], help="metric dimension with certificate")
     p.add_argument("graph", help="graph file")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--greedy", action="store_true", help="greedy upper bound instead")
     mode.add_argument("--oracle", action="store_true",
                       help="exhaustive enumeration (small graphs only)")
-    mode.add_argument("--certify", metavar="SET", help="verify this comma-separated set")
+    mode.add_argument("--certify", metavar="SET", type=_vertex_list,
+                      help="verify this comma-separated set")
     mode.add_argument("--budget", type=int, help="node budget override (exact solver only)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_mdim)
 
     p = sub.add_parser("lift", help="transfer a resolving set between related graphs")
-    p.add_argument("--from", dest="from_", required=True,
-                   choices=["halved", "folded", "push", "taylor", "double"])
-    p.add_argument("graph", nargs="?", help="graph file (halved/folded/push/double)")
-    p.add_argument("--set", help="comma-separated vertex set")
-    p.add_argument("--plus-set", help="halved: set in the plus half")
-    p.add_argument("--minus-set", help="halved: set in the minus half")
-    p.add_argument("--base", help="taylor/double: base family name")
-    p.add_argument("--param", type=int, action="append")
-    p.add_argument("--out", help="double: also write the doubled graph here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_lift)
+    modes = p.add_subparsers(dest="mode", required=True)
+    m = modes.add_parser("halved", parents=[as_json], help="from the two halved graphs")
+    m.add_argument("graph", help="bipartite graph file")
+    m.add_argument("--plus-set", type=_vertex_list, required=True,
+                   help="set in the plus half")
+    m.add_argument("--minus-set", type=_vertex_list, required=True,
+                   help="set in the minus half")
+    m.set_defaults(fn=_cmd_lift, lift=lambda a: lift_halved(
+        read_graph(a.graph), a.plus_set, a.minus_set))
+    m = modes.add_parser("folded", parents=[vertex_set, as_json],
+                         help="from the folded graph (set of class indices)")
+    m.add_argument("graph", help="antipodal graph file")
+    m.set_defaults(fn=_cmd_lift_folded)
+    m = modes.add_parser("push", parents=[vertex_set, as_json],
+                         help="onto the plus side of a 2-antipodal bipartite graph")
+    m.add_argument("graph", help="graph file")
+    m.set_defaults(fn=_cmd_lift, lift=_lift_push)
+    m = modes.add_parser("taylor", parents=[params, vertex_set, as_json],
+                         help="to the Taylor cover of a base family")
+    m.add_argument("base", help="base family name")
+    m.set_defaults(fn=_cmd_lift,
+                   lift=lambda a: taylor_lift(families.taylor(_base_graph(a)), a.set))
+    m = modes.add_parser("double", parents=[params, vertex_set, as_json],
+                         help="to the bipartite double of a graph or base family")
+    m.add_argument("--out", help="also write the doubled graph here")
+    base = m.add_mutually_exclusive_group(required=True)
+    base.add_argument("graph", nargs="?", help="base graph file")
+    base.add_argument("--base", help="base family name")
+    m.set_defaults(fn=_cmd_lift, lift=_lift_double)
 
-    p = sub.add_parser("bounds", help="counting and probabilistic bounds (primitive graphs)")
+    p = sub.add_parser("bounds", parents=[as_json],
+                       help="counting and probabilistic bounds (primitive graphs)")
     p.add_argument("graph", help="graph file")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_bounds)
 
-    p = sub.add_parser("semiresolve", help="minimum semi-resolving set of a design")
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--plane", type=int, help="order-q point-line design")
-    source.add_argument("--design", help="design file")
+    p = sub.add_parser("semiresolve", parents=[design, as_json],
+                       help="minimum semi-resolving set of a design")
     sides = p.add_mutually_exclusive_group()
-    sides.add_argument("--side", choices=["points", "blocks"],
+    sides.add_argument("--side", choices=["points", "blocks"], default="blocks",
                        help="pairs to separate (default blocks)")
     sides.add_argument("--split", action="store_true", help="both sides (split dimension)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_semiresolve)
 
-    p = sub.add_parser("verify", help="golden-value regression suite")
+    p = sub.add_parser("verify", parents=[as_json], help="golden-value regression suite")
     p.add_argument("--include-slow", action="store_true")
     p.add_argument("--only", help="comma-separated row ids")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("oracle", help="re-derive frozen values by exhaustive enumeration")
@@ -394,14 +374,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_oracle)
 
     p = sub.add_parser("experiment", help="exploratory reports on open questions")
-    p.add_argument("kind", choices=["descendants", "semisplit"])
-    p.add_argument("--base", help="descendants: base family name")
-    p.add_argument("--param", type=int, action="append")
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--plane", type=int, help="semisplit: order-q design")
-    source.add_argument("--design", help="semisplit: design file")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_experiment)
+    modes = p.add_subparsers(dest="mode", required=True)
+    m = modes.add_parser("descendants", parents=[params, as_json],
+                         help="mu of the base and of every local graph of its Taylor cover")
+    m.add_argument("base", help="base family name")
+    m.set_defaults(fn=_cmd_descendants)
+    m = modes.add_parser("semisplit", parents=[design, as_json],
+                         help="semi-resolving, split and incidence mu of a design")
+    m.set_defaults(fn=_cmd_semisplit)
 
     return parser
 

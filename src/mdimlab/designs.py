@@ -26,7 +26,7 @@ from .errors import (
     ParameterFailure,
 )
 from .families import LabeledCover, is_prime
-from .graphs import Graph, SrgParams, bipartition, intersection_array
+from .graphs import Graph, SrgParams, as_ints, bipartition, intersection_array
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,13 @@ class SymmetricDesign:
     def __post_init__(self):
         if self.v < 1:
             raise BadParameters(f"a design needs at least one point, got v = {self.v}")
-        inc = np.ascontiguousarray(self.inc, dtype=np.uint8)
-        if inc.shape != (self.v, self.v):
+        raw = np.asarray(self.inc)
+        if raw.shape != (self.v, self.v):
             raise BadParameters("incidence matrix must be v x v")
-        if not np.isin(inc, (0, 1)).all():
+        # checked before the cast, which would turn 0.4 into 0 and 257 into 1
+        if not np.isin(raw, (0, 1)).all():
             raise BadParameters("incidence entries must be 0 or 1")
+        inc = np.ascontiguousarray(raw, dtype=np.uint8)
         if self.lam * (self.v - 1) != self.k * (self.k - 1):
             raise BadParameters(
                 f"inadmissible parameters ({self.v}, {self.k}, {self.lam})"
@@ -178,7 +180,7 @@ def is_null_polarity(d: SymmetricDesign, sigma: list[int] | tuple[int, ...]) -> 
     Raises NotBijection if sigma is not a bijection; structural failures
     (an absolute point, or broken incidence symmetry) return False.
     """
-    sigma = tuple(int(s) for s in sigma)
+    sigma = as_ints(sigma, "sigma")
     if len(sigma) != d.v or sorted(sigma) != list(range(d.v)):
         raise NotBijection("sigma must be a bijection from points onto blocks")
     inc = d.inc
@@ -295,7 +297,7 @@ def is_double_blocking(p: SymmetricDesign, s: Iterable[int]) -> bool:
     """True iff every line of the projective plane contains >= 2 points of s."""
     if p.lam != 1:
         raise BadParameters("double blocking sets are defined for projective planes")
-    chosen = set(int(x) for x in s)
+    chosen = set(as_ints(s, "points"))
     for j in range(p.v):
         if len(chosen.intersection(p.block_points(j))) < 2:
             return False

@@ -8,6 +8,7 @@ matrices are dense 8-bit numpy arrays with 255 marking unreachable pairs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -21,6 +22,16 @@ from .errors import (
 )
 
 UNREACHABLE = 255
+
+
+def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """values read with operator.index, so ints and numpy integers pass;
+    anything else (a float, a string, a character of one) raises
+    BadParameters instead of being truncated or split."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise BadParameters(f"{what} must be integers: {exc}") from exc
 
 
 def iter_bits(x: int) -> Iterator[int]:
@@ -44,9 +55,10 @@ class Graph:
     __slots__ = ("n", "adj", "_distances", "_intersection_array", "_halves")
 
     def __init__(self, n: int, adj: Sequence[int]):
+        (n,) = as_ints((n,), "the vertex count")
         if n < 1:
             raise BadParameters("graph needs at least one vertex")
-        rows = tuple(int(r) for r in adj)
+        rows = as_ints(adj, "adjacency rows")
         if len(rows) != n:
             raise BadParameters(f"expected {n} adjacency rows, got {len(rows)}")
         for v, row in enumerate(rows):

@@ -24,7 +24,7 @@ from .errors import (
     ParameterFailure,
 )
 from .families import LabeledCover, _two_pole_tags, bipartite_double
-from .graphs import Graph, bipartition, induced_neighborhood, intersection_array
+from .graphs import Graph, as_ints, bipartition, induced_neighborhood, intersection_array
 from .imprimitivity import AntipodalStructure, antipodal_structure, fold, halve
 from .mdim import ResolvingCertificate, _verified, certify
 
@@ -129,7 +129,7 @@ def two_antipodal_partition(
     antipode = {
         v: structure.classes[c][1 - i] for v, (c, i) in enumerate(structure.labels)
     }
-    plus = frozenset(int(v) for v in v_plus)
+    plus = frozenset(as_ints(v_plus, "vertex ids"))
     for v in plus:
         if not 0 <= v < g.n:
             raise BadParameters(f"vertex {v} out of range")

@@ -35,7 +35,7 @@ from .errors import (
     HypothesisFailure,
     LiftVerificationError,
 )
-from .graphs import DistanceMatrix, Graph, intersection_array, is_primitive
+from .graphs import DistanceMatrix, Graph, as_ints, intersection_array, is_primitive
 
 ENV_BUDGET = "MDIMLAB_BUDGET"
 
@@ -55,7 +55,7 @@ def default_budget() -> int:
 
 def _normalise(s: Iterable[int]) -> tuple[int, ...]:
     """A chooser set as sorted, distinct ints."""
-    return tuple(sorted({int(v) for v in s}))
+    return tuple(sorted(set(as_ints(s, "vertex ids"))))
 
 
 def _first_unseparated(
@@ -246,13 +246,15 @@ def mdim_greedy(g: Graph) -> ResolvingCertificate:
 def exhaustive_mdim(g: Graph) -> ResolvingCertificate:
     """Independent oracle: try all vertex subsets in increasing size.
 
-    Only sensible for small graphs; used to pin expected values and to
-    cross-check the branch-and-bound path, which it shares no code with.
+    A subset resolves when the n rows of the distance matrix restricted to
+    its columns are distinct.  Only sensible for small graphs; used to pin
+    expected values and to cross-check the branch-and-bound path and the
+    pair check of certify, with which it shares no code.
     """
-    dm = g.distances
+    dist = g.distances.dist
     for size in range(g.n + 1):
         for subset in combinations(range(g.n), size):
-            if first_unresolved_pair(dm, subset) is None:
+            if len({row.tobytes() for row in dist[:, list(subset)]}) == g.n:
                 return ResolvingCertificate(
                     set=subset, status="minimum", method="exhaustive"
                 )

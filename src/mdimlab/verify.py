@@ -381,7 +381,7 @@ def run_suite(
     if only is not None:
         unknown = sorted(only - {row.id for row in rows})
         if unknown:
-            raise BadParameters(f"unknown row ids: {', '.join(unknown)}")
+            raise BadParameters(f"unknown row ids: {', '.join(map(repr, unknown))}")
     results = []
     token = _RUN_SOLVES.set({})
     try:

@@ -4,10 +4,13 @@ round-trips, and exit codes (0 ok, 1 user error, 2 budget spent)."""
 import contextlib
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from mdimlab.cli import main
+from mdimlab.cli import build_parser, main
 
 
 def run(*argv: str):
@@ -26,7 +29,7 @@ def run(*argv: str):
 def petersen_file(tmp_path):
     path = tmp_path / "petersen.graph"
     code, _, _ = run(
-        "construct", "--family", "kneser", "--param", "5", "--param", "2",
+        "construct", "family", "kneser", "--param", "5", "--param", "2",
         "--out", str(path),
     )
     assert code == 0
@@ -36,7 +39,7 @@ def petersen_file(tmp_path):
 @pytest.fixture
 def cube_file(tmp_path):
     path = tmp_path / "q3.graph"
-    assert run("construct", "--family", "hypercube", "--param", "3",
+    assert run("construct", "family", "hypercube", "--param", "3",
                "--out", str(path))[0] == 0
     return str(path)
 
@@ -44,7 +47,7 @@ def cube_file(tmp_path):
 class TestConstruct:
     def test_writes_edge_format(self, tmp_path):
         path = tmp_path / "c6.graph"
-        code, out, _ = run("construct", "--family", "cycle", "--param", "6",
+        code, out, _ = run("construct", "family", "cycle", "--param", "6",
                            "--out", str(path))
         assert code == 0
         assert "6-vertex graph" in out
@@ -53,12 +56,12 @@ class TestConstruct:
         assert lines[1] == "0 1"
 
     def test_stdout_by_default(self):
-        code, out, _ = run("construct", "--family", "cycle", "--param", "6")
+        code, out, _ = run("construct", "family", "cycle", "--param", "6")
         assert code == 0
         assert out.splitlines()[0] == "6"
 
     def test_dot_output(self):
-        code, out, _ = run("construct", "--family", "cycle", "--param", "4",
+        code, out, _ = run("construct", "family", "cycle", "--param", "4",
                            "--dot")
         assert code == 0
         assert out.startswith("graph G {")
@@ -66,41 +69,55 @@ class TestConstruct:
 
     def test_plane_design_output(self, tmp_path):
         path = tmp_path / "p3.design"
-        code, _, _ = run("construct", "--plane", "3", "--out", str(path))
+        code, _, _ = run("construct", "plane", "3", "--out", str(path))
         assert code == 0
         assert path.read_text().splitlines()[0] == "13 4 1"
 
     def test_derived_families_via_base(self, tmp_path):
         path = tmp_path / "taylor.graph"
-        code, _, _ = run("construct", "--family", "taylor", "--base", "cycle",
-                         "--param", "5", "--out", str(path))
+        code, _, _ = run("construct", "taylor", "cycle", "--param", "5",
+                         "--out", str(path))
         assert code == 0
         assert path.read_text().splitlines()[0] == "12"
+        code, _, _ = run("construct", "double", "cycle", "--param", "5",
+                         "--out", str(path))
+        assert code == 0
+        assert path.read_text().splitlines()[0] == "10"
 
     def test_base_on_a_plain_family_exits_1(self):
-        code, out, err = run("construct", "--family", "cycle", "--param", "5",
+        code, out, err = run("construct", "family", "cycle", "--param", "5",
                              "--base", "paley")
         assert code == 1
-        assert "error: --base is read only by --family taylor" in err and out == ""
+        assert "error: unrecognized arguments: --base paley" in err and out == ""
 
     def test_unknown_family_exits_1(self):
-        code, _, err = run("construct", "--family", "nope")
+        code, out, err = run("construct", "family", "nope")
         assert code == 1
-        assert "unknown family" in err
+        assert "unknown family" in err and out == ""
 
     @pytest.mark.parametrize("extra", [
-        ("--family", "hypercube", "--param", "3"), ("--param", "3"),
-        ("--base", "paley"),
+        ("hypercube", "--param", "3"), ("--param", "3"), ("--base", "paley"),
     ])
     def test_plane_with_graph_flags_exits_1(self, extra):
-        code, out, err = run("construct", *extra, "--plane", "2")
+        code, out, err = run("construct", "plane", "2", *extra)
         assert code == 1
-        assert "error: --plane builds a design" in err and out == ""
+        assert "error: unrecognized arguments:" in err and out == ""
 
     def test_dot_on_a_design_exits_1(self):
-        code, out, err = run("construct", "--plane", "3", "--dot")
+        code, out, err = run("construct", "plane", "3", "--dot")
         assert code == 1
-        assert "error: --dot" in err and out == ""
+        assert "error: unrecognized arguments: --dot" in err and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("--family", "cycle", "--param", "6"), ("--plane", "3"),
+        ("taylor", "--base", "cycle", "--param", "5"),
+        ("double", "--base", "cycle", "--param", "5"),
+        ("family", "--family", "cycle", "--param", "6"),
+    ])
+    def test_removed_flag_forms_exit_1(self, argv):
+        code, out, err = run("construct", *argv)
+        assert code == 1 and out == ""
+        assert "error:" in err
 
 
 class TestClassify:
@@ -120,13 +137,13 @@ class TestClassify:
     def test_non_ascii_graph_file_exits_1(self, tmp_path):
         path = tmp_path / "bad.graph"
         path.write_bytes(b"3\n0 1\xff\n")
-        code, _, err = run("classify", str(path))
-        assert code == 1
+        code, out, err = run("classify", str(path))
+        assert code == 1 and out == ""
         assert "error:" in err and "Traceback" not in err
 
     def test_missing_file_exits_1(self):
-        code, _, err = run("classify", "/nonexistent/g.graph")
-        assert code == 1
+        code, out, err = run("classify", "/nonexistent/g.graph")
+        assert code == 1 and out == ""
         assert "error:" in err
 
 
@@ -168,15 +185,20 @@ class TestMdim:
 
     def test_exhausted_budget_exits_2(self, tmp_path):
         path = tmp_path / "gq.graph"
-        run("construct", "--family", "gq22_incidence", "--out", str(path))
+        run("construct", "family", "gq22_incidence", "--out", str(path))
         code, out, _ = run("mdim", str(path), "--budget", "1", "--json")
         assert code == 2
         assert json.loads(out)["status"] == "verified-resolving"
 
     def test_negative_budget_exits_1(self, petersen_file):
-        code, _, err = run("mdim", petersen_file, "--budget", "-3")
-        assert code == 1
+        code, out, err = run("mdim", petersen_file, "--budget", "-3")
+        assert code == 1 and out == ""
         assert "error:" in err
+
+    def test_malformed_vertex_list_exits_1(self, petersen_file):
+        code, out, err = run("mdim", petersen_file, "--certify", "0,x")
+        assert code == 1 and out == ""
+        assert "error: argument --certify: expected a comma-separated vertex list" in err
 
     def test_greedy_with_a_budget_exits_1(self, petersen_file):
         code, out, err = run("mdim", petersen_file, "--greedy", "--budget", "5")
@@ -196,7 +218,7 @@ class TestMdim:
 
 class TestLift:
     def test_halved(self, cube_file):
-        code, out, _ = run("lift", "--from", "halved", cube_file,
+        code, out, _ = run("lift", "halved", cube_file,
                            "--plus-set", "0,1,2", "--minus-set", "0,1,2",
                            "--json")
         assert code == 0
@@ -205,27 +227,25 @@ class TestLift:
         assert payload["method"] == "lifted-halving"
 
     def test_folded_reports_the_case(self, cube_file):
-        code, out, _ = run("lift", "--from", "folded", cube_file,
-                           "--set", "0,1,2")
+        code, out, _ = run("lift", "folded", cube_file, "--set", "0,1,2")
         assert code == 0
         assert out == "size=3 set=[5, 6, 7] case=ii\n"
 
     def test_push(self, cube_file):
-        code, out, _ = run("lift", "--from", "push", cube_file,
-                           "--set", "0,1,2", "--json")
+        code, out, _ = run("lift", "push", cube_file, "--set", "0,1,2", "--json")
         assert code == 0
         assert json.loads(out)["method"] == "lifted-push"
 
     def test_taylor_from_a_base_family(self):
-        code, out, _ = run("lift", "--from", "taylor", "--base", "cycle",
-                           "--param", "5", "--set", "0,1", "--json")
+        code, out, _ = run("lift", "taylor", "cycle", "--param", "5",
+                           "--set", "0,1", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["mu"] == 3 and payload["method"] == "lifted-taylor"
 
     def test_double_writes_the_cover(self, tmp_path):
         out_path = tmp_path / "double.graph"
-        code, out, _ = run("lift", "--from", "double", "--base", "rook",
+        code, out, _ = run("lift", "double", "--base", "rook",
                            "--param", "4", "--param", "4",
                            "--set", "0,2,5,9", "--out", str(out_path),
                            "--json")
@@ -233,12 +253,21 @@ class TestLift:
         assert json.loads(out)["mu"] == 8
         assert out_path.read_text().splitlines()[0] == "32"
 
+    def test_double_from_a_graph_file(self, tmp_path):
+        path = tmp_path / "rook.graph"
+        run("construct", "family", "rook", "--param", "4", "--param", "4",
+            "--out", str(path))
+        code, out, _ = run("lift", "double", str(path), "--set", "0,2,5,9")
+        assert code == 0
+        assert out.startswith("size=8 ")
+
     @pytest.mark.parametrize("mode", ["double", "taylor", "push"])
     def test_a_file_and_a_base_together_exit_1(self, cube_file, mode):
-        code, out, err = run("lift", "--from", mode, cube_file, "--base", "paley",
+        base = ["paley"] if mode == "taylor" else ["--base", "paley"]
+        code, out, err = run("lift", mode, cube_file, *base,
                              "--param", "13", "--set", "0,1,3,4")
         assert code == 1
-        assert "error: lift from a graph file or from --base, not both" in err
+        assert "error: " in err and "Traceback" not in err
         assert out == ""
 
     @pytest.mark.parametrize("mode, flag", [
@@ -246,67 +275,84 @@ class TestLift:
         ("double", "--set"),
     ])
     def test_param_with_a_graph_file_exits_1(self, cube_file, mode, flag):
-        code, out, err = run("lift", "--from", mode, cube_file, "--param", "13",
-                             flag, "0,1,2")
+        other = ["--minus-set", "0,1,2"] if mode == "halved" else []
+        code, out, err = run("lift", mode, cube_file, "--param", "13",
+                             flag, "0,1,2", *other)
         assert code == 1
-        assert "error: --param is read only with --base" in err and out == ""
+        assert "error: " in err and "--param" in err and out == ""
 
     def test_non_resolving_input_exits_1(self, cube_file):
-        code, _, err = run("lift", "--from", "halved", cube_file,
-                           "--plus-set", "0", "--minus-set", "0,1,2")
-        assert code == 1
+        code, out, err = run("lift", "halved", cube_file,
+                             "--plus-set", "0", "--minus-set", "0,1,2")
+        assert code == 1 and out == ""
         assert "error:" in err
 
     def test_missing_graph_file_exits_1(self):
-        code, _, err = run("lift", "--from", "halved", "--plus-set", "0,1")
-        assert code == 1
-        assert "graph file" in err
+        code, out, err = run("lift", "halved", "--plus-set", "0,1")
+        assert code == 1 and out == ""
+        assert "error: the following arguments are required: graph" in err
 
     @pytest.mark.parametrize("mode, flag", [
         ("halved", "--plus-set"), ("folded", "--set"), ("push", "--set"),
     ])
     def test_missing_set_flag_exits_1(self, cube_file, mode, flag):
-        code, _, err = run("lift", "--from", mode, cube_file)
-        assert code == 1
-        assert f"error: this mode needs {flag}" in err and "Traceback" not in err
+        code, out, err = run("lift", mode, cube_file)
+        assert code == 1 and out == ""
+        assert "error: the following arguments are required: " in err
+        assert flag in err and "Traceback" not in err
 
     def test_missing_minus_set_exits_1(self, cube_file):
-        code, _, err = run("lift", "--from", "halved", cube_file, "--plus-set", "0")
-        assert code == 1
-        assert "error: this mode needs --minus-set" in err and "Traceback" not in err
+        code, out, err = run("lift", "halved", cube_file, "--plus-set", "0")
+        assert code == 1 and out == ""
+        assert "error: the following arguments are required: --minus-set" in err
 
     @pytest.mark.parametrize("mode, source", [
-        ("folded", None), ("taylor", ["--base", "paley", "--param", "5"]),
+        ("folded", None), ("taylor", ["paley", "--param", "5"]),
     ])
     def test_out_outside_double_exits_1(self, cube_file, tmp_path, mode, source):
         out_path = tmp_path / "x.graph"
-        code, out, err = run("lift", "--from", mode, *(source or [cube_file]),
+        code, out, err = run("lift", mode, *(source or [cube_file]),
                              "--set", "0,1", "--out", str(out_path))
         assert code == 1
-        assert "error: --out is read only with --from double" in err and out == ""
+        assert "error: unrecognized arguments: --out" in err and out == ""
         assert not out_path.exists()
 
     @pytest.mark.parametrize("mode, flag", [
         ("folded", "--plus-set"), ("push", "--minus-set"), ("double", "--plus-set"),
     ])
     def test_half_sets_outside_halved_exit_1(self, cube_file, mode, flag):
-        code, out, err = run("lift", "--from", mode, cube_file, "--set", "0,1,2",
+        code, out, err = run("lift", mode, cube_file, "--set", "0,1,2",
                              flag, "5")
         assert code == 1
-        assert ("error: --plus-set and --minus-set are read only with --from halved"
-                in err and out == "")
+        assert f"error: unrecognized arguments: {flag} 5" in err and out == ""
 
     def test_set_on_halved_exits_1(self, cube_file):
-        code, out, err = run("lift", "--from", "halved", cube_file, "--set", "0,1,2",
+        code, out, err = run("lift", "halved", cube_file, "--set", "0,1,2",
                              "--plus-set", "0,1,2", "--minus-set", "0,1,2")
         assert code == 1
-        assert "error: --set is not read with --from halved" in err and out == ""
+        assert "error: unrecognized arguments: --set" in err and out == ""
 
     @pytest.mark.parametrize("mode", ["taylor", "double"])
     def test_missing_set_on_a_base_family_exits_1(self, mode):
-        code, _, err = run("lift", "--from", mode, "--base", "paley", "--param", "13")
-        assert code == 1
-        assert "error: this mode needs --set" in err and "Traceback" not in err
+        base = ["paley"] if mode == "taylor" else ["--base", "paley"]
+        code, out, err = run("lift", mode, *base, "--param", "13")
+        assert code == 1 and out == ""
+        assert "error: the following arguments are required: --set" in err
+
+    def test_double_without_a_graph_or_base_exits_1(self):
+        code, out, err = run("lift", "double", "--set", "0,1")
+        assert code == 1 and out == ""
+        assert "error: one of the arguments graph --base is required" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--from", "halved", "q3.graph", "--plus-set", "0", "--minus-set", "0"),
+        ("--from", "taylor", "--base", "paley", "--param", "13", "--set", "0"),
+        ("taylor", "--base", "paley", "--param", "13", "--set", "0"),
+    ])
+    def test_removed_flag_forms_exit_1(self, argv):
+        code, out, err = run("lift", *argv)
+        assert code == 1 and out == ""
+        assert "error:" in err
 
 
 class TestBounds:
@@ -318,15 +364,15 @@ class TestBounds:
         assert payload["general"] > payload["lower_nd"]
 
     def test_imprimitive_graph_exits_1(self, cube_file):
-        code, _, err = run("bounds", cube_file)
-        assert code == 1
+        code, out, err = run("bounds", cube_file)
+        assert code == 1 and out == ""
         assert "error:" in err
 
     def test_one_vertex_graph_exits_1(self, tmp_path):
         path = tmp_path / "k1.graph"
         path.write_text("1\n")
-        code, _, err = run("bounds", str(path))
-        assert code == 1
+        code, out, err = run("bounds", str(path))
+        assert code == 1 and out == ""
         assert "error:" in err
 
 
@@ -346,7 +392,7 @@ class TestSemiresolve:
 
     def test_design_file(self, tmp_path):
         path = tmp_path / "p3.design"
-        run("construct", "--plane", "3", "--out", str(path))
+        run("construct", "plane", "3", "--out", str(path))
         code, out, _ = run("semiresolve", "--design", str(path))
         assert code == 0
         assert out.startswith("size=6")
@@ -368,28 +414,28 @@ class TestSemiresolve:
     def test_malformed_design_file_exits_1(self, tmp_path, content):
         path = tmp_path / "bad.design"
         path.write_bytes(content)
-        code, _, err = run("semiresolve", "--design", str(path))
-        assert code == 1
+        code, out, err = run("semiresolve", "--design", str(path))
+        assert code == 1 and out == ""
         assert "error:" in err and "Traceback" not in err
 
     def test_design_without_points_exits_1(self, tmp_path):
         path = tmp_path / "empty.design"
         path.write_text("0 0 0\n")
-        code, _, err = run("semiresolve", "--design", str(path))
-        assert code == 1
+        code, out, err = run("semiresolve", "--design", str(path))
+        assert code == 1 and out == ""
         assert "error:" in err and "unseparated" not in err
 
     def test_degenerate_design_exits_1(self, tmp_path):
         # a (2, 2, 2) design: both blocks hold both points
         path = tmp_path / "full.design"
         path.write_text("2 2 2\n11\n11\n")
-        code, _, err = run("semiresolve", "--design", str(path))
-        assert code == 1
+        code, out, err = run("semiresolve", "--design", str(path))
+        assert code == 1 and out == ""
         assert "error: instance is infeasible" in err and "Traceback" not in err
 
     def test_plane_and_design_together_exit_1(self, tmp_path):
         path = tmp_path / "p2.design"
-        run("construct", "--plane", "2", "--out", str(path))
+        run("construct", "plane", "2", "--out", str(path))
         code, out, err = run("semiresolve", "--plane", "3", "--design", str(path))
         assert code == 1 and out == ""
         assert "error: argument --design: not allowed with argument --plane" in err
@@ -400,9 +446,9 @@ class TestSemiresolve:
         assert "error: argument --side: not allowed with argument --split" in err
 
     def test_requires_a_design_source(self):
-        code, _, err = run("semiresolve", "--side", "blocks")
-        assert code == 1
-        assert "--plane" in err
+        code, out, err = run("semiresolve", "--side", "blocks")
+        assert code == 1 and out == ""
+        assert "error: one of the arguments --plane --design is required" in err
 
 
 class TestVerifyAndOracle:
@@ -421,9 +467,13 @@ class TestVerifyAndOracle:
 
     def test_misspelt_only_id_exits_1(self):
         code, out, err = run("verify", "--only", "mu-petersn")
-        assert code == 1
-        assert "error: unknown row ids: mu-petersn" in err
-        assert "passed" not in out
+        assert code == 1 and out == ""
+        assert "error: unknown row ids: 'mu-petersn'" in err
+
+    def test_empty_only_exits_1(self):
+        code, out, err = run("verify", "--only", "")
+        assert code == 1 and out == ""
+        assert "error: unknown row ids: ''" in err
 
     def test_oracle_recomputes_small_frozen_values(self):
         code, out, _ = run("oracle", "--max-n", "10")
@@ -440,7 +490,7 @@ class TestVerifyAndOracle:
 
 class TestExperiment:
     def test_descendants_report(self):
-        code, out, _ = run("experiment", "descendants", "--base", "cycle",
+        code, out, _ = run("experiment", "descendants", "cycle",
                            "--param", "5", "--json")
         assert code == 0
         payload = json.loads(out)
@@ -449,21 +499,29 @@ class TestExperiment:
         assert len(payload["descendants"]) == 12
 
     def test_descendants_without_a_base_exits_1(self):
-        code, _, err = run("experiment", "descendants")
-        assert code == 1
-        assert "error: this mode needs --base" in err and "None" not in err
+        code, out, err = run("experiment", "descendants")
+        assert code == 1 and out == ""
+        assert "error: the following arguments are required: base" in err
 
     def test_descendants_with_a_plane_exits_1(self):
-        code, out, err = run("experiment", "descendants", "--base", "cycle",
+        code, out, err = run("experiment", "descendants", "cycle",
                              "--param", "5", "--plane", "2")
         assert code == 1 and out == ""
-        assert "error: --plane and --design are read only by semisplit" in err
+        assert "error: unrecognized arguments: --plane 2" in err
 
     def test_semisplit_with_a_base_exits_1(self):
         code, out, err = run("experiment", "semisplit", "--plane", "2",
                              "--base", "paley", "--param", "13")
         assert code == 1 and out == ""
-        assert "error: --base and --param are read only by descendants" in err
+        assert "error: unrecognized arguments: --base paley --param 13" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("descendants", "--base", "cycle", "--param", "5"), ("semisplit",),
+    ])
+    def test_removed_flag_forms_exit_1(self, argv):
+        code, out, err = run("experiment", *argv)
+        assert code == 1 and out == ""
+        assert "error:" in err
 
     def test_semisplit_report(self):
         code, out, _ = run("experiment", "semisplit", "--plane", "2", "--json")
@@ -502,7 +560,7 @@ class TestExperiment:
 
     def test_spent_budget_on_descendants_exits_2(self, monkeypatch):
         monkeypatch.setenv("MDIMLAB_BUDGET", "1")
-        code, out, _ = run("experiment", "descendants", "--base", "paley",
+        code, out, _ = run("experiment", "descendants", "paley",
                            "--param", "29", "--json")
         assert code == 2
         assert len(json.loads(out)["descendants"]) == 60
@@ -512,7 +570,19 @@ class TestTopLevel:
     def test_no_arguments_exits_1(self):
         assert run()[0] == 1
 
+    def test_readme_examples_parse(self):
+        # parse, never run, each mdimlab line of the README's shell blocks
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+        lines = [line.split("#")[0] for block in blocks for line in block.splitlines()
+                 if line.startswith("mdimlab ")]
+        assert len(lines) >= 15
+        parser = build_parser()
+        for line in lines:
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert callable(args.fn), line
+
     def test_unknown_subcommand_exits_1(self):
-        code, _, err = run("nope")
-        assert code == 1
+        code, out, err = run("nope")
+        assert code == 1 and out == ""
         assert "usage:" in err

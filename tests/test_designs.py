@@ -73,6 +73,16 @@ class TestSymmetricDesignValidation:
         with pytest.raises(BadParameters):
             SymmetricDesign(v=3, k=2, lam=1, inc=inc)
 
+    def test_checks_entries_before_the_uint8_cast(self):
+        # a cast first would read 0.4 as 0 and 257 as 1, and accept both
+        fractional = pg2(2).inc.astype(float)
+        fractional[fractional == 0] = 0.4
+        wrapped = pg2(2).inc.astype(np.int64)
+        wrapped[0, np.flatnonzero(wrapped[0])[0]] += 256
+        for inc in (fractional, wrapped):
+            with pytest.raises(BadParameters, match="must be 0 or 1"):
+                SymmetricDesign(v=7, k=3, lam=1, inc=inc)
+
     def test_rejects_inadmissible_parameters(self):
         # lam * (v - 1) must equal k * (k - 1)
         with pytest.raises(BadParameters):
@@ -229,6 +239,12 @@ class TestDoubleBlocking:
         p = pg2(3)
         assert not is_double_blocking(p, p.block_points(0))
 
+    @pytest.mark.parametrize("s", [[x + 0.5 for x in range(7)], "0123456"])
+    def test_rejects_non_integer_points(self, s):
+        # int() would truncate each point or read each character as one
+        with pytest.raises(BadParameters, match="must be integers"):
+            is_double_blocking(pg2(2), s)
+
     def test_rejects_designs_with_lam_above_1(self):
         with pytest.raises(BadParameters):
             is_double_blocking(design_complement(pg2(2)), (0, 1))
@@ -260,6 +276,12 @@ class TestPolarities:
             is_null_polarity(d, (0,) * d.v)
         with pytest.raises(NotBijection):
             is_null_polarity(d, tuple(range(d.v - 1)))
+
+    def test_non_integer_sigma_is_rejected(self):
+        d = self._biplane()
+        with pytest.raises(BadParameters, match="must be integers"):
+            is_null_polarity(d, [float(x) for x in range(d.v)])
+        assert is_null_polarity(d, np.arange(d.v))
 
     def test_absolute_point_fails_quietly(self):
         # the identity on the order-2 plane has a self-incident point

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdimlab import (
+    BadParameters,
     DisconnectedGraph,
     Graph,
     NotDistanceRegular,
@@ -71,6 +72,20 @@ class TestGraph:
 
     def test_hashable(self):
         assert len({family("cycle", 5), family("cycle", 5)}) == 1
+
+    @pytest.mark.parametrize("n, rows", [
+        (2, [2.5, 1]),  # int() would truncate row 0 to 0b10, an edge
+        (2.0, [2, 1]),
+        (2, ["2", "1"]),
+    ])
+    def test_rejects_non_integer_input(self, n, rows):
+        with pytest.raises(BadParameters, match="must be integers"):
+            Graph(n, rows)
+
+    def test_accepts_numpy_integers(self):
+        g = Graph(np.int64(2), np.array([2, 1], dtype=np.uint64))
+        assert g == family("complete", 2)
+        assert type(g.n) is int and all(type(r) is int for r in g.adj)
 
 
 class TestBfsDistances:

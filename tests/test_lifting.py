@@ -60,6 +60,11 @@ class TestTwoAntipodalPartition:
         with pytest.raises(NotTwoAntipodal):
             two_antipodal_partition(ZOO["petersen"](), [0, 1, 2, 3, 4])
 
+    @pytest.mark.parametrize("side", [[0, 1, 2, 4.5], "0124"])
+    def test_non_integer_vertices_are_rejected(self, side):
+        with pytest.raises(BadParameters, match="must be integers"):
+            two_antipodal_partition(family("hypercube", 3), side)
+
     def test_larger_classes_are_rejected(self):
         with pytest.raises(NotTwoAntipodal):
             two_antipodal_partition(

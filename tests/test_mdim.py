@@ -4,6 +4,7 @@ certificates, twin forcing, bounds, and design-side semi-resolving sets."""
 import random
 from itertools import combinations
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -105,6 +106,16 @@ class TestCertify:
     def test_duplicates_collapse(self):
         cert = certify(family("cycle", 6), [0, 0, 1, 1])
         assert cert.set == (0, 1)
+
+    @pytest.mark.parametrize("s", ["10", [1.5], [0, "1"]])
+    def test_non_integer_vertices_are_rejected(self, s):
+        # int() would read "10" as {1, 0} and 1.5 as 1
+        with pytest.raises(BadParameters, match="must be integers"):
+            certify(family("cycle", 12), s)
+
+    def test_numpy_integers_are_accepted(self):
+        cert = certify(family("cycle", 6), np.array([1, 0]))
+        assert cert.set == (0, 1) and type(cert.set[0]) is int
 
 
 class TestMdimExact:
@@ -283,6 +294,29 @@ def keeps_edges(g: Graph, p) -> bool:
     return sorted(p) == list(range(g.n)) and all(
         tuple(sorted((p[u], p[w]))) in edges for u, w in edges
     )
+
+
+class TestExhaustiveOracle:
+    def test_matches_a_networkx_enumeration(self):
+        # distances from networkx, unreachable read as -1: the first subset,
+        # in size then lexicographic order, whose distance vectors differ
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(100):
+            n = rng.randint(1, 8)
+            p = rng.uniform(0.1, 0.7)
+            edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+            h = nx.Graph(edges)
+            h.add_nodes_from(range(n))
+            dist = dict(nx.all_pairs_shortest_path_length(h))
+            want = next(
+                s for size in range(n + 1) for s in combinations(range(n), size)
+                if len({tuple(dist[v].get(u, -1) for u in s) for v in range(n)}) == n
+            )
+            cert = exhaustive_mdim(Graph.from_edges(n, edges))
+            assert (cert.set, cert.status) == (want, "minimum"), edges
+            seen.add("one vertex" if n == 1 else nx.is_connected(h))
+        assert seen == {"one vertex", True, False}
 
 
 class TestRootSymmetry:

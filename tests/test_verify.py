@@ -90,7 +90,7 @@ class TestRunSuite:
         assert report.results[0].row.id == "mu-petersen"
 
     def test_unknown_only_ids_are_rejected(self):
-        with pytest.raises(BadParameters, match="unknown row ids: mu-petersn, zz-typo$"):
+        with pytest.raises(BadParameters, match="unknown row ids: 'mu-petersn', 'zz-typo'$"):
             run_suite(only={"zz-typo", "mu-petersen", "mu-petersn"})
 
     def test_slow_rows_wait_for_the_flag(self):
