@@ -28,6 +28,7 @@ TRACED = (
     "mdim.mdim_exact.calls",
     "mdim.mdim_exact.distinct_ratio",
     "cover.min_cover.nodes",
+    "mdim.twin_forced_choices.forced",
 )
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 

@@ -54,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USER)
 
+    # a mode's subparser hands what it does not take up to the top-level
+    # parser, which would print its own usage line; report it here instead
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
 
 def _vertex_list(text: str) -> tuple[int, ...]:
     """argparse type of a comma-separated vertex list; blank is the empty set."""

@@ -86,7 +86,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadParameters
-from .graphs import iter_bits
+from .graphs import as_ints, iter_bits
 
 DEFAULT_BUDGET = 10**8
 FINDER_WORK = 16  # candidate images per chooser, over all targets of one root_symmetries
@@ -311,10 +311,11 @@ def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[in
     """Maximum-marginal-coverage greedy, seeded with the forced choosers.
 
     Ties break toward the lowest chooser id.  An item that no chooser
-    separates raises BadParameters.
+    separates, or a forced entry that is not a chooser id, raises
+    BadParameters.
     """
     all_items = (1 << inst.n_items) - 1
-    chosen = list(forced)
+    chosen = list(_chooser_ids(inst, forced))
     covered = _union(inst, chosen)
     while covered != all_items:
         best_v = -1
@@ -328,6 +329,15 @@ def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[in
         chosen.append(best_v)
         covered |= inst.coverage[best_v]
     return chosen
+
+
+def _chooser_ids(inst: PairCoverInstance, forced: Sequence[int]) -> tuple[int, ...]:
+    """forced read with as_ints and checked against the chooser range."""
+    ids = as_ints(forced, "forced choosers")
+    for v in ids:
+        if not 0 <= v < inst.n_choosers:
+            raise BadParameters(f"forced chooser {v} out of range")
+    return ids
 
 
 def _union(inst: PairCoverInstance, choosers: Sequence[int]) -> int:
@@ -503,17 +513,19 @@ def min_cover(
     that size is accepted as optimal without exhausting the tree.  A spent
     budget downgrades the result to a verified upper bound
     (optimal=False).  Budget 0 returns the greedy seed, optimal only when
-    it meets lower_stop.  A negative budget raises BadParameters.
+    it meets lower_stop.  A negative budget, or a forced entry that is not a
+    chooser id, raises BadParameters.
 
     symmetries are permutations that pass is_symmetry and map the forced
     set onto itself; the search then runs the orbital root children of the
     module docstring, from the orbit of chooser 0 and the orbits of its
-    stabiliser.  A permutation that fails either test raises
-    BadParameters.
+    stabiliser.  A permutation that fails either test, or whose entries
+    are not ints, raises BadParameters.
     """
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")
-    forced = sorted(set(forced))
+    forced = sorted(set(_chooser_ids(inst, forced)))
+    symmetries = [as_ints(p, "a symmetry") for p in symmetries]
     for p in symmetries:
         if not is_symmetry(inst, p) or sorted(p[v] for v in forced) != forced:
             raise BadParameters(

@@ -148,31 +148,14 @@ def rook(a: int, b: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-# 16-vertex, valency-6 graph with parameters (16, 6, 2, 2) that is not the
-# 4x4 rook's graph.  Shipped as a fixed edge table; vertex (i, j) on the
-# 4x4 torus is 4*i + j and u ~ w iff their difference is one of
-# (0,1), (0,3), (1,0), (3,0), (1,1), (3,3).
-_SHRIKHANDE_EDGES = (
-    (0, 1), (0, 3), (0, 4), (0, 5), (0, 12), (0, 15),
-    (1, 2), (1, 5), (1, 6), (1, 12), (1, 13),
-    (2, 3), (2, 6), (2, 7), (2, 13), (2, 14),
-    (3, 4), (3, 7), (3, 14), (3, 15),
-    (4, 5), (4, 7), (4, 8), (4, 9),
-    (5, 6), (5, 9), (5, 10),
-    (6, 7), (6, 10), (6, 11),
-    (7, 8), (7, 11),
-    (8, 9), (8, 11), (8, 12), (8, 13),
-    (9, 10), (9, 13), (9, 14),
-    (10, 11), (10, 14), (10, 15),
-    (11, 12), (11, 15),
-    (12, 13), (12, 15),
-    (13, 14),
-    (14, 15),
-)
-
-
 def shrikhande() -> Graph:
-    return Graph.from_edges(16, _SHRIKHANDE_EDGES)
+    """The (16, 6, 2, 2) graph that is not the 4x4 rook's graph: vertex
+    (i, j) on the 4x4 torus is 4*i + j, and u ~ w iff their difference is
+    one of (0,1), (0,3), (1,0), (3,0), (1,1), (3,3)."""
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    edges = [(u, w) for u, w in combinations(range(16), 2)
+             if ((w // 4 - u // 4) % 4, (w - u) % 4) in steps]
+    return Graph.from_edges(16, edges)
 
 
 def gq22_incidence() -> Graph:

@@ -2,12 +2,12 @@
 
 A set R resolves a connected graph iff no two vertices share distances to
 all of R.  Exact minimisation reduces to pair-separation set cover; twin
-classes (vertices with identical distance rows off the pair itself) are
-preselected all-but-one before the search, which already settles complete
-and complete multipartite graphs at the root.  Graphs without twins may
-instead get root symmetry: mdim_exact decides when to ask the cover module
-for automorphisms, which it finds, checks and branches on (see
-mdim_exact).
+classes (u and w with N(u) - {w} = N(w) - {u}, read off the adjacency
+rows) are preselected all-but-one before the search, which already settles
+complete and complete multipartite graphs at the root.  Graphs without
+twins may instead get root symmetry: mdim_exact decides when to ask the
+cover module for automorphisms, which it finds, checks and branches on
+(see mdim_exact).
 """
 
 from __future__ import annotations
@@ -64,26 +64,19 @@ def _first_unseparated(
     """The lexicographically first pair of rows of matrix that agree on all
     the chosen columns, or None.
 
-    matrix is indexed [entity, chooser]; chosen must hold ints.
+    matrix is indexed [entity, chooser]; chosen must hold ints.  One pass
+    keeps the first row of each signature; the answer is the least
+    (first, v) over the later rows v.
     """
-    n, n_choosers = matrix.shape
     for v in chosen:
-        if not 0 <= v < n_choosers:
+        if not 0 <= v < matrix.shape[1]:
             raise BadParameters(f"index {v} out of range")
-    if n < 2:
-        return None
-    if not chosen:
-        return (0, 1)
-    sig = matrix[:, chosen]
-    groups: dict[bytes, list[int]] = {}
-    for v in range(n):
-        groups.setdefault(sig[v].tobytes(), []).append(v)
+    first: dict[bytes, int] = {}
     best = None
-    for members in groups.values():
-        if len(members) > 1:
-            pair = (members[0], members[1])
-            if best is None or pair < best:
-                best = pair
+    for v, row in enumerate(matrix[:, chosen]):
+        u = first.setdefault(row.tobytes(), v)
+        if u != v and (best is None or (u, v) < best):
+            best = (u, v)
     return best
 
 
@@ -141,26 +134,23 @@ def pair_cover_instance(dm: DistanceMatrix) -> PairCoverInstance:
     return build_instance(np.asarray(dm.dist))
 
 
-def twin_classes(inst: PairCoverInstance) -> list[tuple[int, ...]]:
+def twin_classes(g: Graph) -> list[tuple[int, ...]]:
     """Maximal classes of mutually twin vertices, by ascending minimum.
 
-    A pair is twin iff nothing but its two members separates it; twinhood
-    is transitive, so the classes are a partition of the affected vertices.
-    The items run in lexicographic order, so the owner (least class member)
-    of u is final before any pair (u, w) is read.
+    u and w are twins iff N(u) - {w} = N(w) - {u}: equal open rows for
+    non-adjacent twins, equal closed rows for adjacent ones.  An open row
+    never equals a closed one (that would put a vertex in its own row), so
+    both kinds share one dict, and the two kinds of class share no vertex.
+    Each row is first met at its least member, which orders the classes.
     """
-    owner = list(range(inst.n_choosers))
-    pairs = combinations(range(inst.n_entities), 2)
-    for (u, w), sep in zip(pairs, inst.resolvers):
-        if sep == (1 << u) | (1 << w):
-            owner[w] = min(owner[w], owner[u])
     groups: dict[int, list[int]] = {}
-    for v in range(inst.n_choosers):
-        groups.setdefault(owner[v], []).append(v)
-    return [tuple(g) for g in groups.values() if len(g) > 1]
+    for v, row in enumerate(g.adj):
+        groups.setdefault(row, []).append(v)
+        groups.setdefault(row | 1 << v, []).append(v)
+    return [tuple(m) for m in groups.values() if len(m) > 1]
 
 
-def twin_forced_choices(inst: PairCoverInstance) -> list[int]:
+def twin_forced_choices(g: Graph) -> list[int]:
     """All but the largest member of every twin class.
 
     Any resolving set contains all but one vertex of each twin class, and
@@ -168,7 +158,7 @@ def twin_forced_choices(inst: PairCoverInstance) -> list[int]:
     members preserves the optimum.
     """
     forced: list[int] = []
-    for cls in twin_classes(inst):
+    for cls in twin_classes(g):
         forced.extend(cls[:-1])
     return forced
 
@@ -206,7 +196,7 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     if budget is None:
         budget = default_budget()
     inst = pair_cover_instance(dm)
-    forced = twin_forced_choices(inst)
+    forced = twin_forced_choices(g)
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
     gens: tuple[tuple[int, ...], ...] = ()

@@ -89,6 +89,7 @@ class TestConstruct:
                              "--base", "paley")
         assert code == 1
         assert "error: unrecognized arguments: --base paley" in err and out == ""
+        assert err.startswith("usage: mdimlab construct family ")
 
     def test_unknown_family_exits_1(self):
         code, out, err = run("construct", "family", "nope")
@@ -102,11 +103,13 @@ class TestConstruct:
         code, out, err = run("construct", "plane", "2", *extra)
         assert code == 1
         assert "error: unrecognized arguments:" in err and out == ""
+        assert err.startswith("usage: mdimlab construct plane ")
 
     def test_dot_on_a_design_exits_1(self):
         code, out, err = run("construct", "plane", "3", "--dot")
         assert code == 1
         assert "error: unrecognized arguments: --dot" in err and out == ""
+        assert err.startswith("usage: mdimlab construct plane ")
 
     @pytest.mark.parametrize("argv", [
         ("--family", "cycle", "--param", "6"), ("--plane", "3"),
@@ -315,6 +318,7 @@ class TestLift:
                              "--set", "0,1", "--out", str(out_path))
         assert code == 1
         assert "error: unrecognized arguments: --out" in err and out == ""
+        assert err.startswith(f"usage: mdimlab lift {mode} ")
         assert not out_path.exists()
 
     @pytest.mark.parametrize("mode, flag", [
@@ -325,12 +329,14 @@ class TestLift:
                              flag, "5")
         assert code == 1
         assert f"error: unrecognized arguments: {flag} 5" in err and out == ""
+        assert err.startswith(f"usage: mdimlab lift {mode} ")
 
     def test_set_on_halved_exits_1(self, cube_file):
         code, out, err = run("lift", "halved", cube_file, "--set", "0,1,2",
                              "--plus-set", "0,1,2", "--minus-set", "0,1,2")
         assert code == 1
         assert "error: unrecognized arguments: --set" in err and out == ""
+        assert err.startswith("usage: mdimlab lift halved ")
 
     @pytest.mark.parametrize("mode", ["taylor", "double"])
     def test_missing_set_on_a_base_family_exits_1(self, mode):
@@ -508,12 +514,14 @@ class TestExperiment:
                              "--param", "5", "--plane", "2")
         assert code == 1 and out == ""
         assert "error: unrecognized arguments: --plane 2" in err
+        assert err.startswith("usage: mdimlab experiment descendants ")
 
     def test_semisplit_with_a_base_exits_1(self):
         code, out, err = run("experiment", "semisplit", "--plane", "2",
                              "--base", "paley", "--param", "13")
         assert code == 1 and out == ""
         assert "error: unrecognized arguments: --base paley --param 13" in err
+        assert err.startswith("usage: mdimlab experiment semisplit ")
 
     @pytest.mark.parametrize("argv", [
         ("descendants", "--base", "cycle", "--param", "5"), ("semisplit",),

@@ -146,6 +146,12 @@ class TestGreedyCover:
         inst = build_instance(m)
         assert greedy_cover(inst) == [0]
 
+    @pytest.mark.parametrize("forced", [[-1], [6], [0.5], ["0"]])
+    def test_a_forced_entry_that_is_no_chooser_id_is_rejected(self, forced):
+        inst = build_instance(np.asarray(family("cycle", 6).distances.dist))
+        with pytest.raises(BadParameters):
+            greedy_cover(inst, forced=forced)
+
 
 class TestMinCover:
     def test_matches_brute_force_on_random_instances(self):
@@ -191,6 +197,14 @@ class TestMinCover:
             min_cover(inst, budget=-1)
         with pytest.raises(BadParameters):  # before the forced early return
             min_cover(inst, forced=[0], budget=-1)
+
+    # -1 used to index the last chooser and return chosen=(-1, 0) as
+    # optimal on C_6; 7 raised IndexError and 0.5 TypeError
+    @pytest.mark.parametrize("forced", [[-1], [7], [0.5], [np.float64(1.0)]])
+    def test_a_forced_entry_that_is_no_chooser_id_is_rejected(self, forced):
+        inst = build_instance(np.asarray(family("cycle", 6).distances.dist))
+        with pytest.raises(BadParameters):
+            min_cover(inst, forced=forced)
 
     def test_lower_stop_accepts_the_greedy_answer(self):
         rng = np.random.default_rng(7)
@@ -320,6 +334,16 @@ class TestRootSymmetry:
         assert is_symmetry(inst, self.shift(8))
         with pytest.raises(BadParameters):
             min_cover(inst, forced=[0], symmetries=[self.shift(8)])
+
+    def test_a_float_permutation_is_rejected(self):
+        # np.asarray(..., dtype=np.intp) would truncate it to the shift
+        rng = np.random.default_rng(4)
+        inst = self.circulant(rng, 8)
+        with pytest.raises(BadParameters):
+            min_cover(inst, symmetries=[[float(x) for x in self.shift(8)]])
+        with pytest.raises(BadParameters):
+            min_cover(inst, symmetries=[[x + 0.25 for x in self.shift(8)]])
+        assert min_cover(inst, symmetries=[np.array(self.shift(8))]).optimal
 
     def test_only_square_instances_have_symmetries(self):
         inst = build_instance(np.array([[0, 1, 2], [0, 0, 1]]))

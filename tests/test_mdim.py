@@ -51,6 +51,19 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_components(sizes: tuple[int, ...], p: float, seed: int) -> Graph:
+    """Random graphs on consecutive vertex blocks of the given sizes, with
+    no edge between blocks; a block of size 1 is an isolated vertex."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    start = 0
+    for size in sizes:
+        block = range(start, start + size)
+        edges += [e for e in combinations(block, 2) if rng.random() < p]
+        start += size
+    return Graph.from_edges(start, edges)
+
+
 class TestLowerBoundNd:
     def test_small_values(self):
         assert lower_bound_nd(1, 1) == 0
@@ -198,7 +211,7 @@ class TestMdimExact:
         g = ZOO[name]()
         inst = pair_cover_instance(g.distances)
         lb = lower_bound_nd(g.n, g.distances.diameter)
-        res = min_cover(inst, forced=twin_forced_choices(inst), lower_stop=lb)
+        res = min_cover(inst, forced=twin_forced_choices(g), lower_stop=lb)
         assert res.optimal
         assert res.nodes == nodes
 
@@ -373,7 +386,7 @@ class TestRootSymmetry:
         checked = 0
         while checked < 200:
             g = random_symmetric_graph(rng)
-            if g.distances.connected or twin_classes(pair_cover_instance(g.distances)):
+            if g.distances.connected or twin_classes(g):
                 continue
             checked += 1
             cert = mdim_exact(g)
@@ -443,32 +456,40 @@ def _union_find_twins(inst) -> list[tuple[int, ...]]:
 
 class TestTwins:
     def test_complete_graph_is_one_twin_class(self):
-        inst = pair_cover_instance(bfs_distances(family("complete", 4)))
-        assert twin_classes(inst) == [(0, 1, 2, 3)]
-        assert twin_forced_choices(inst) == [0, 1, 2]
+        g = family("complete", 4)
+        assert twin_classes(g) == [(0, 1, 2, 3)]
+        assert twin_forced_choices(g) == [0, 1, 2]
 
     def test_square_has_two_antipodal_twin_pairs(self):
-        inst = pair_cover_instance(bfs_distances(family("cycle", 4)))
-        assert twin_classes(inst) == [(0, 2), (1, 3)]
-        assert twin_forced_choices(inst) == [0, 1]
+        g = family("cycle", 4)
+        assert twin_classes(g) == [(0, 2), (1, 3)]
+        assert twin_forced_choices(g) == [0, 1]
 
     def test_twin_free_graph_forces_nothing(self):
-        inst = pair_cover_instance(bfs_distances(ZOO["petersen"]()))
-        assert twin_classes(inst) == []
-        assert twin_forced_choices(inst) == []
+        g = ZOO["petersen"]()
+        assert twin_classes(g) == []
+        assert twin_forced_choices(g) == []
 
     def test_matches_a_union_find_reference(self):
         graphs = [family("complete", 5), family("complete_multipartite", 3, 4)]
         graphs += [random_graph(n, p, seed) for n in (4, 6, 9)
                    for p in (0.2, 0.5, 0.8) for seed in range(6)]
+        # several components, isolated vertices among them: the distance
+        # instance separates a cross-component pair by both components
+        graphs += [random_components(sizes, p, seed)
+                   for sizes in ((1, 1), (1, 3), (2, 1, 1, 3), (3, 3, 1), (4, 1, 4))
+                   for p in (0.3, 0.7) for seed in range(4)]
+        graphs += [ZOO[name]() for name in ZOO]
         classes = []
         for g in graphs:
-            inst = pair_cover_instance(bfs_distances(g))
-            expected = _union_find_twins(inst)
-            assert twin_classes(inst) == expected
+            expected = _union_find_twins(pair_cover_instance(bfs_distances(g)))
+            assert twin_classes(g) == expected, g.adj
             classes += expected
         assert max(map(len, classes)) >= 4
         assert sum(len(c) >= 3 for c in classes) >= 5
+        isolated = [g for g in graphs if sum(row == 0 for row in g.adj) >= 2]
+        assert len(isolated) >= 10
+        assert all(twin_classes(g) for g in isolated)
 
     def test_forcing_preserves_the_optimum(self):
         # complete multipartite graphs are all twins; the formula value
