@@ -198,8 +198,8 @@ class TestMinCover:
         with pytest.raises(BadParameters):  # before the forced early return
             min_cover(inst, forced=[0], budget=-1)
 
-    # -1 used to index the last chooser and return chosen=(-1, 0) as
-    # optimal on C_6; 7 raised IndexError and 0.5 TypeError
+    # unchecked, -1 would index the last chooser and come back as a chosen
+    # id, 7 would raise IndexError and 0.5 TypeError
     @pytest.mark.parametrize("forced", [[-1], [7], [0.5], [np.float64(1.0)]])
     def test_a_forced_entry_that_is_no_chooser_id_is_rejected(self, forced):
         inst = build_instance(np.asarray(family("cycle", 6).distances.dist))
