@@ -25,6 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACED = (
+    "graphs.bfs_distances.calls",
+    "graphs.intersection_array.calls",
     "mdim.mdim_exact.calls",
     "mdim.mdim_exact.distinct_ratio",
     "cover.min_cover.nodes",

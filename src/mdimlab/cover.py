@@ -155,11 +155,13 @@ def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
 
     Then chooser v separates (i, j) iff perm[v] separates (perm[i],
     perm[j]), so perm carries covers to covers of the same size.  For a
-    distance matrix these are exactly the graph automorphisms.
+    distance matrix these are exactly the graph automorphisms.  perm is
+    read with as_ints, so a non-integer entry raises BadParameters rather
+    than being truncated.
     """
     m = inst.matrix
-    p = np.asarray(perm, dtype=np.intp)
-    if p.ndim != 1 or m.shape != (len(p), len(p)):
+    p = np.asarray(as_ints(perm, "a permutation"), dtype=np.intp)
+    if m.shape != (len(p), len(p)):
         return False
     if not np.array_equal(np.sort(p), np.arange(len(p))):
         return False

@@ -4,12 +4,22 @@ distance-regularity checks.
 Vertices are always 0..n-1.  Adjacency is stored as one Python int per vertex
 used as a bitset, so neighbourhood algebra is word-parallel.  Distance
 matrices are dense 8-bit numpy arrays with 255 marking unreachable pairs.
+
+bfs_distances runs one BFS for all sources together: level i + 1 of a
+vertex is the union of the level-i spheres of its neighbours, less its own
+spheres i and i - 1, so a level costs one OR per directed edge.  The
+distance bytes are read off the levels by one unpack of bit planes.
+intersection_array reads every triple (c, a, b) of a regular graph off one
+gather of distance rows over the neighbour lists.  Below SMALL_BFS_N and
+SMALL_ARRAY_N vertices both keep their per-source and per-pair loops,
+whose fixed cost is lower there.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from operator import and_, invert, or_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -22,6 +32,12 @@ from .errors import (
 )
 
 UNREACHABLE = 255
+# Graphs below these vertex counts take the loop versions of bfs_distances
+# (one BFS per source) and of intersection_array (one pair at a time): a
+# few dozen microseconds of fixed numpy cost outweigh what the whole-graph
+# passes save there.
+SMALL_BFS_N = 24
+SMALL_ARRAY_N = 10
 
 
 def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
@@ -161,8 +177,32 @@ class DistanceMatrix:
 
 
 def bfs_distances(g: Graph) -> DistanceMatrix:
-    """All-pairs distances via one bitset BFS per source vertex; its
-    frontiers are kept as the spheres."""
+    """All-pairs distances and the spheres of every vertex.
+
+    Graphs with fewer than SMALL_BFS_N vertices run one bitset BFS per
+    source, whose frontiers are the spheres.  Larger graphs run one BFS for
+    all sources together (_levels_all_sources) and read the distances off
+    its levels in a few numpy passes (_distance_bytes).
+    """
+    n = g.n
+    if n < SMALL_BFS_N:
+        dist, spheres = _bfs_per_source(g)
+    else:
+        levels, ball = _levels_all_sources(g)
+        dist = _distance_bytes(levels, ball, n)
+        # a vertex's own spheres end at its eccentricity
+        spheres = tuple(sph if sph[-1] else sph[:_last_nonzero(sph) + 1]
+                        for sph in zip(*levels))
+    connected = sum(spheres[0]) == (1 << n) - 1  # the spheres are disjoint
+    diameter = max(map(len, spheres)) - 1 if connected else None
+    dist.setflags(write=False)
+    return DistanceMatrix(n=n, dist=dist, connected=connected, diameter=diameter,
+                          spheres=spheres)
+
+
+def _bfs_per_source(g: Graph) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """One bitset BFS per source: its frontiers are the spheres of the
+    source and fill its row of distances."""
     n = g.n
     adj = g.adj
     rows = []
@@ -190,12 +230,101 @@ def bfs_distances(g: Graph) -> DistanceMatrix:
             d += 1
         rows.append(row)
         spheres.append(tuple(frontiers))
-    dist = np.array(rows, dtype=np.uint8)
-    connected = not bool((dist == UNREACHABLE).any())
-    diameter = int(dist.max()) if connected else None
-    dist.setflags(write=False)
-    return DistanceMatrix(n=n, dist=dist, connected=connected, diameter=diameter,
-                          spheres=tuple(spheres))
+    return np.array(rows, dtype=np.uint8), tuple(spheres)
+
+
+def _levels_all_sources(g: Graph) -> tuple[list[list[int]], list[int]]:
+    """levels[i][v] is sphere i of v, for i up to the largest eccentricity,
+    and ball[v] the component of v.
+
+    Level i + 1 of every vertex v is built at once: the union of the
+    level-i spheres of the neighbours of v, minus the spheres i and i - 1
+    of v.  A vertex at distance i from a neighbour of v is at distance
+    i - 1, i or i + 1 from v, and d(u, v) = d(v, u), so that union minus
+    those two spheres is sphere i + 1 of v.  One level costs one big-int
+    OR per directed edge, where a BFS per source pops each of the n^2
+    pairs.
+    """
+    n, adj = g.n, g.adj
+    full = (1 << n) - 1
+    levels = [[1 << v for v in range(n)], list(adj)]
+    ball = [row | 1 << v for v, row in enumerate(adj)]
+    if ball.count(full) == n:  # a complete graph
+        return levels, ball
+    slots = _neighbour_slots(g)
+    while True:
+        get = levels[-1].__getitem__
+        reached = [0] * n
+        for slot in slots:
+            reached = list(map(or_, reached, map(get, slot)))
+        nxt = list(map(and_, reached, map(invert, map(or_, levels[-1], levels[-2]))))
+        if not any(nxt):  # every component is exhausted
+            return levels, ball
+        if len(levels) == UNREACHABLE:
+            raise BadParameters("graph diameter exceeds the 8-bit distance range")
+        levels.append(nxt)
+        ball = list(map(or_, ball, nxt))
+        if ball.count(full) == n:
+            return levels, ball
+
+
+def _neighbour_slots(g: Graph) -> list[tuple[int, ...]]:
+    """The neighbour lists as columns: slot j holds the j-th neighbour of
+    every vertex.  A vertex of smaller degree repeats its first neighbour
+    (an OR is idempotent), and an isolated vertex stands for itself."""
+    flat = _neighbour_array(g).tolist()
+    lists = []
+    start = 0
+    for v, row in enumerate(g.adj):
+        end = start + row.bit_count()
+        lists.append(flat[start:end] or [v])
+        start = end
+    width = max(map(len, lists))
+    return list(zip(*[nb + nb[:1] * (width - len(nb)) for nb in lists]))
+
+
+def _neighbour_array(g: Graph) -> np.ndarray:
+    """The neighbours of vertex 0, then of vertex 1, and so on, each list
+    ascending."""
+    return np.flatnonzero(_bit_matrix(g.adj, g.n)) % g.n
+
+
+def _last_nonzero(values: Sequence[int]) -> int:
+    i = len(values) - 1
+    while not values[i]:
+        i -= 1
+    return i
+
+
+def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
+    """The bitset rows as a (len(rows), n) uint8 array of 0s and 1s."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
+
+
+def _distance_bytes(levels: list[list[int]], ball: list[int], n: int) -> np.ndarray:
+    """The (n, n) uint8 distance matrix from the levels of the BFS and the
+    component ball[v] of each v.
+
+    Plane j holds, for each v, the vertices whose distance from v has bit
+    j set, and one more plane the vertices outside the component of v.
+    Unpacked and weighted by 2^j and by UNREACHABLE, the planes sum to the
+    distances.
+    """
+    planes = [[0] * n]
+    for i, level in enumerate(levels[1:], 1):
+        if i.bit_length() > len(planes):
+            planes.append([0] * n)
+        for j, plane in enumerate(planes):
+            if i >> j & 1:
+                planes[j] = list(map(or_, plane, level))
+    full = (1 << n) - 1
+    planes.append([full ^ b for b in ball])
+    weights = np.array([1 << j for j in range(len(planes) - 1)] + [UNREACHABLE], np.uint8)
+    bits = _bit_matrix([row for plane in planes for row in plane], n).reshape(len(planes), n, n)
+    bits *= weights[:, None, None]
+    return bits.sum(axis=0, dtype=np.uint8)
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -290,41 +419,92 @@ class SrgParams:
 def intersection_array(g: Graph) -> IntersectionArray:
     """Compute the intersection array, or raise NotDistanceRegular.
 
-    The witness on failure is the first (u, w, i) in lexicographic (u, w)
-    order whose neighbour counts disagree with the counts established by
-    earlier pairs at the same distance i.  The array is kept with g, so
-    later calls on the same graph return the same object.
+    The triple (c, a, b) of a pair (u, w) at distance i counts the
+    neighbours of w at distance i - 1, i and i + 1 from u.  The witness on
+    failure is the first (u, w, i) in lexicographic (u, w) order whose
+    triple differs from that of the first pair at the same distance i.
+    Graphs with fewer than SMALL_ARRAY_N vertices, and graphs that are not
+    regular, are checked one pair at a time up to the witness; larger
+    regular graphs count every pair in a few numpy passes.  The array is
+    kept with g, so later calls on the same graph return the same object.
     """
     if g._intersection_array is not None:
         return g._intersection_array
     dm = g.distances
     if not dm.connected:
         raise DisconnectedGraph("intersection array needs a connected graph")
-    n, d = g.n, dm.diameter
-    assert d is not None
-    expected: list[tuple[int, int, int] | None] = [None] * (d + 1)
-    for u in range(n):
-        row = dm.dist[u].tolist()
+    expected = _first_triples(g)
+    k = g.regular_valency()
+    if g.n < SMALL_ARRAY_N or k is None:
+        witness = _pair_witness(g, expected)
+    else:
+        witness = _moment_witness(g, k, expected)
+    if witness is not None:
+        raise NotDistanceRegular(witness)
+    c, a, b = zip(*expected)
+    d = dm.diameter
+    g._intersection_array = IntersectionArray(d=d, c=c[1:], a=a, b=b[:d])
+    return g._intersection_array
+
+
+def _first_triples(g: Graph) -> list[tuple[int, int, int]]:
+    """The triple of the first pair (u, w) in (u, w) order at each distance
+    i: u is the first vertex whose eccentricity reaches i, and w the least
+    vertex of sphere i of u."""
+    dm = g.distances
+    expected = []
+    for u, sph in enumerate(dm.spheres):
         # the appended empty sphere is Gamma_{e+1}(u) past the eccentricity
         # e of u, and Gamma_{-1}(u) through index -1
+        masks = sph + (0,)
+        for i in range(len(expected), len(sph)):
+            aw = g.adj[(sph[i] & -sph[i]).bit_length() - 1]
+            expected.append(((aw & masks[i - 1]).bit_count(), (aw & masks[i]).bit_count(),
+                             (aw & masks[i + 1]).bit_count()))
+        if len(expected) > dm.diameter:
+            break
+    return expected
+
+
+def _pair_witness(g: Graph, expected: list[tuple[int, int, int]]) -> tuple[int, int, int] | None:
+    """The first pair (u, w), in (u, w) order, whose triple differs from
+    expected, with its distance; None if there is none."""
+    dm = g.distances
+    adj = g.adj
+    for u in range(g.n):
         masks = dm.spheres[u] + (0,)
-        for w in range(n):
-            i = row[w]
-            aw = g.adj[w]
-            triple = (
-                (aw & masks[i - 1]).bit_count(),
-                (aw & masks[i]).bit_count(),
-                (aw & masks[i + 1]).bit_count(),
-            )
-            if expected[i] is None:
-                expected[i] = triple
-            elif expected[i] != triple:
-                raise NotDistanceRegular((u, w, i))
-    c = tuple(expected[i][0] for i in range(1, d + 1))
-    a = tuple(expected[i][1] for i in range(d + 1))
-    b = tuple(expected[i][2] for i in range(d))
-    g._intersection_array = IntersectionArray(d=d, c=c, a=a, b=b)
-    return g._intersection_array
+        for w, i in enumerate(dm.dist[u].tolist()):
+            aw = adj[w]
+            triple = ((aw & masks[i - 1]).bit_count(), (aw & masks[i]).bit_count(),
+                      (aw & masks[i + 1]).bit_count())
+            if triple != expected[i]:
+                return u, w, i
+    return None
+
+
+def _moment_witness(g: Graph, k: int, expected: list[tuple[int, int, int]]
+                    ) -> tuple[int, int, int] | None:
+    """_pair_witness for a connected k-regular graph, all pairs at once.
+
+    For each pair, s = sum of d(u, x) and p = the number of x at odd
+    distance from u, over the neighbours x of w, come from one gather of
+    distance rows.  With i = d(u, w) every d(u, x) is i - 1, i or i + 1, so
+    s = k i + b - c, and p = b + c for even i and a for odd i: (s, p)
+    determine the triple.
+    """
+    n, dist = g.n, g.distances.dist
+    # near[w, j, u] = d(u, x) for the j-th neighbour x of w
+    near = dist.take(_neighbour_array(g).reshape(n, k), axis=0)
+    dtype = np.min_scalar_type(k * (len(expected) - 1))
+    s = near.sum(axis=1, dtype=dtype)
+    p = np.bitwise_and(near, 1, out=near).sum(axis=1, dtype=dtype)
+    s_expected = np.array([k * i + b - c for i, (c, a, b) in enumerate(expected)], dtype)
+    p_expected = np.array([a if i & 1 else b + c for i, (c, a, b) in enumerate(expected)], dtype)
+    bad = (s != s_expected[dist]) | (p != p_expected[dist])  # indexed [w, u]
+    if not bad.any():
+        return None
+    u, w = divmod(int(bad.T.argmax()), n)
+    return u, w, int(dist[u, w])
 
 
 def is_distance_regular(g: Graph) -> bool:

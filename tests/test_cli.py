@@ -144,6 +144,13 @@ class TestClassify:
         assert code == 1 and out == ""
         assert "error:" in err and "Traceback" not in err
 
+    def test_diameter_past_the_8_bit_range_exits_1(self, tmp_path):
+        path = tmp_path / "p256.graph"
+        path.write_text("256\n" + "".join(f"{v} {v + 1}\n" for v in range(255)))
+        code, out, err = run("classify", str(path))
+        assert code == 1 and out == ""
+        assert "error: graph diameter exceeds the 8-bit distance range" in err
+
     def test_missing_file_exits_1(self):
         code, out, err = run("classify", "/nonexistent/g.graph")
         assert code == 1 and out == ""

@@ -345,6 +345,13 @@ class TestRootSymmetry:
             min_cover(inst, symmetries=[[x + 0.25 for x in self.shift(8)]])
         assert min_cover(inst, symmetries=[np.array(self.shift(8))]).optimal
 
+    def test_is_symmetry_rejects_a_float_permutation(self):
+        # each entry truncates to the identity on C_6
+        inst = build_instance(np.asarray(family("cycle", 6).distances.dist))
+        assert is_symmetry(inst, [0, 1, 2, 3, 4, 5])
+        with pytest.raises(BadParameters, match="must be integers"):
+            is_symmetry(inst, [0.9, 1.9, 2.9, 3.9, 4.9, 5.9])
+
     def test_only_square_instances_have_symmetries(self):
         inst = build_instance(np.array([[0, 1, 2], [0, 0, 1]]))
         assert not is_symmetry(inst, [0, 1])

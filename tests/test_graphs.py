@@ -14,6 +14,7 @@ from mdimlab import (
     BadParameters,
     DisconnectedGraph,
     Graph,
+    IntersectionArray,
     NotDistanceRegular,
     UNREACHABLE,
     bfs_distances,
@@ -31,10 +32,32 @@ from mdimlab import (
 from mdimlab.zoo import ZOO
 
 
-def random_graph(n: int, seed: int) -> Graph:
+def random_graph(n: int, seed: int, p: float = 0.4) -> Graph:
     rng = random.Random(seed)
-    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < 0.4]
+    edges = [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p]
     return Graph.from_edges(n, edges)
+
+
+def random_regular(k: int, n: int, seed: int) -> Graph:
+    return Graph.from_edges(n, list(nx.random_regular_graph(k, n, seed=seed).edges()))
+
+
+def path(n: int) -> Graph:
+    return Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+
+
+# the seeded 9-vertex graphs keep their seeds as ids; then one vertex, about
+# 40 vertices from sparse (mostly disconnected) to dense, on both sides of
+# graphs.SMALL_BFS_N, and every zoo graph
+BFS_CASES = {
+    **{str(seed): lambda seed=seed: random_graph(9, seed) for seed in range(12)},
+    "n1": lambda: Graph(1, [0]),
+    "n40-edgeless": lambda: Graph(40, [0] * 40),
+    **{f"n{n}-p{p}-{seed}": lambda n=n, p=p, seed=seed: random_graph(n, seed, p)
+       for n in (23, 24, 40) for p in (0.03, 0.08, 0.4) for seed in range(2)},
+    "two-paths": lambda: Graph.from_edges(41, [(v, v + 1) for v in range(40) if v != 19]),
+    **{f"zoo-{name}": build for name, build in ZOO.items()},
+}
 
 
 class TestGraph:
@@ -89,9 +112,9 @@ class TestGraph:
 
 
 class TestBfsDistances:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_networkx(self, seed):
-        g = random_graph(9, seed)
+    @pytest.mark.parametrize("case", BFS_CASES)
+    def test_matches_networkx(self, case):
+        g = BFS_CASES[case]()
         dm = bfs_distances(g)
         h = nx.Graph(list(g.edges()))
         h.add_nodes_from(range(g.n))
@@ -104,12 +127,27 @@ class TestBfsDistances:
                     assert got == UNREACHABLE
                 else:
                     assert got == expected
+            spheres = [0] * (max(lengths[u].values()) + 1)
+            for w, i in lengths[u].items():
+                spheres[i] |= 1 << w
+            assert dm.spheres[u] == tuple(spheres)
+        assert dm.connected == nx.is_connected(h)
+        assert dm.diameter == (nx.diameter(h) if dm.connected else None)
 
     def test_connected_flag(self):
         assert bfs_distances(family("cycle", 5)).connected
         two = Graph.from_edges(4, [(0, 1), (2, 3)])
         dm = bfs_distances(two)
         assert not dm.connected and dm.diameter is None
+
+    def test_a_path_of_255_vertices_has_diameter_254(self):
+        dm = bfs_distances(path(255))
+        assert dm.diameter == 254 and dm.d(0, 254) == 254 and dm.d(254, 0) == 254
+        assert len(dm.spheres[0]) == 255
+
+    def test_a_path_of_256_vertices_exceeds_the_8_bit_range(self):
+        with pytest.raises(BadParameters, match="graph diameter exceeds the 8-bit distance range"):
+            bfs_distances(path(256))
 
     def test_dist_matrix_read_only(self):
         dm = bfs_distances(family("cycle", 5))
@@ -216,10 +254,26 @@ class TestIntersectionArray:
         u, w, i = exc.value.witness
         assert 0 <= u < 4 and 0 <= w < 4
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_witness_matches_a_loop_reference(self, seed):
-        g = next(h for h in (random_graph(8, 100 * seed + k) for k in range(100))
-                 if h.distances.connected)
+    def test_cycle_of_diameter_254(self):
+        ia = intersection_array(family("cycle", 509))
+        assert ia == IntersectionArray(d=254, c=(1,) * 254, a=(0,) * 254 + (1,),
+                                       b=(2,) + (1,) * 253)
+
+    # the seeded 8-vertex graphs keep their seeds as ids; then connected
+    # random regular graphs (k, n, seed), which are not distance-regular:
+    # their witness needs the counts at distance 2 or more, and in
+    # (4, 10, 18) it lies past the row of vertex 0
+    @pytest.mark.parametrize("case", [*range(8), *(
+        pytest.param(c, id="rr{}-{}-{}".format(*c))
+        for c in [(3, 16, 1), (3, 24, 0), (4, 10, 18), (4, 30, 2), (3, 40, 2), (5, 36, 0),
+                  (6, 20, 1)]
+    )])
+    def test_witness_matches_a_loop_reference(self, case):
+        if isinstance(case, tuple):
+            g = random_regular(*case)
+        else:
+            g = next(h for h in (random_graph(8, 100 * case + k) for k in range(100))
+                     if h.distances.connected)
         expected = _first_irregular_triple(g)
         if expected is None:
             assert is_distance_regular(g)
