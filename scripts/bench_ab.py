@@ -29,8 +29,10 @@ TRACED = (
     "graphs.intersection_array.calls",
     "mdim.mdim_exact.calls",
     "mdim.mdim_exact.distinct_ratio",
+    "cover.greedy_cover.calls",
     "cover.min_cover.nodes",
     "mdim.twin_forced_choices.forced",
+    "mdim.min_semi_resolving.calls",
 )
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 

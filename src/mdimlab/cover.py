@@ -75,11 +75,17 @@ multisets; cells number the codes jointly.  Once the base is a cover its
 rows separate every pair, every code is unique and names a single
 permutation, which must still pass is_symmetry.  For a distance matrix the
 symmetries found are graph automorphisms, and the labels are never read.
+
+min_cover owns the decision to look.  Left to itself (symmetries=None) it
+calls root_symmetries with its one greedy seed when nothing is forced, the
+budget is positive and the seed is above lower_stop; symmetries=() means
+none, and symmetries found elsewhere come in through symmetries=, checked
+like the ones it finds.  CoverResult.generators reports which it used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Sequence
 
@@ -304,9 +310,18 @@ def _stabiliser_orbits(gens: np.ndarray, row0: np.ndarray) -> tuple[list[int], n
 
 @dataclass(frozen=True)
 class CoverResult:
+    """A cover and how it was reached.
+
+    generators are the checked symmetries the search was given: those
+    root_symmetries found when min_cover was asked to look (symmetries
+    None), else the ones passed in; () when it had none.  They are left
+    out of equality, like PairCoverInstance.matrix.
+    """
+
     chosen: tuple[int, ...]
     nodes: int
     optimal: bool
+    generators: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
 
 def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[int]:
@@ -507,7 +522,7 @@ def min_cover(
     forced: Sequence[int] = (),
     budget: int = DEFAULT_BUDGET,
     lower_stop: int = 0,
-    symmetries: Sequence[Sequence[int]] = (),
+    symmetries: Sequence[Sequence[int]] | None = None,
 ) -> CoverResult:
     """Minimum cover containing the forced choosers.
 
@@ -518,25 +533,35 @@ def min_cover(
     it meets lower_stop.  A negative budget, or a forced entry that is not a
     chooser id, raises BadParameters.
 
-    symmetries are permutations that pass is_symmetry and map the forced
-    set onto itself; the search then runs the orbital root children of the
-    module docstring, from the orbit of chooser 0 and the orbits of its
-    stabiliser.  A permutation that fails either test, or whose entries
-    are not ints, raises BadParameters.
+    symmetries None (the default) means find them: when nothing is forced,
+    the budget is positive and the greedy seed is above lower_stop,
+    root_symmetries looks for them from that seed, on a square instance
+    only.  symmetries passed in are permutations that must pass
+    is_symmetry and map the forced set onto itself; a permutation that
+    fails either test, or whose entries are not ints, raises
+    BadParameters.  () means none.  With symmetries the search runs the
+    orbital root children of the module docstring, from the orbit of
+    chooser 0 and the orbits of its stabiliser, and the result carries
+    them as generators.
     """
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")
     forced = sorted(set(_chooser_ids(inst, forced)))
-    symmetries = [as_ints(p, "a symmetry") for p in symmetries]
-    for p in symmetries:
-        if not is_symmetry(inst, p) or sorted(p[v] for v in forced) != forced:
-            raise BadParameters(
-                "a symmetry must map the instance and the forced choosers onto themselves"
-            )
     lower_stop = max(lower_stop, len(forced))
     seed = greedy_cover(inst, forced)
+    if symmetries is None:
+        ask = not forced and budget > 0 and len(seed) > lower_stop
+        symmetries = root_symmetries(inst, seed) if ask else ()
+    else:
+        symmetries = tuple(as_ints(p, "a symmetry") for p in symmetries)
+        for p in symmetries:
+            if not is_symmetry(inst, p) or sorted(p[v] for v in forced) != forced:
+                raise BadParameters(
+                    "a symmetry must map the instance and the forced choosers onto themselves"
+                )
     roots = _orbital_roots(inst, forced, symmetries)
-    return _Search(inst, budget, lower_stop).run(roots, seed)
+    res = _Search(inst, budget, lower_stop).run(roots, seed)
+    return replace(res, generators=symmetries)
 
 
 def _orbital_roots(

@@ -26,7 +26,14 @@ from .errors import (
     ParameterFailure,
 )
 from .families import LabeledCover, is_prime
-from .graphs import Graph, SrgParams, as_ints, bipartition, intersection_array
+from .graphs import (
+    Graph,
+    SrgParams,
+    as_decimal,
+    as_ints,
+    bipartition,
+    intersection_array,
+)
 
 
 @dataclass(frozen=True)
@@ -319,10 +326,7 @@ def design_from_text(text: str) -> SymmetricDesign:
     head = lines[0].split()
     if len(head) != 3:
         raise BadParameters("first line must be: v k lambda")
-    try:
-        v, k, lam = (int(x) for x in head)
-    except ValueError as exc:
-        raise BadParameters(f"first line must be decimal 'v k lambda': {lines[0]!r}") from exc
+    v, k, lam = (as_decimal(x, "'v k lambda'") for x in head)
     if len(lines) != v + 1:
         raise BadParameters(f"expected {v} incidence rows, got {len(lines) - 1}")
     inc = np.zeros((v, v), dtype=np.uint8)

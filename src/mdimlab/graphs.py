@@ -50,6 +50,15 @@ def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
         raise BadParameters(f"{what} must be integers: {exc}") from exc
 
 
+def as_decimal(token: str, what: str) -> int:
+    """token read as ASCII decimal digits only, the number format of the
+    text files; int() would also take a sign, underscores and non-ASCII
+    digits, so anything else raises BadParameters."""
+    if not (token.isascii() and token.isdigit()):
+        raise BadParameters(f"{what} must be ASCII decimal: {token!r}")
+    return int(token)
+
+
 def iter_bits(x: int) -> Iterator[int]:
     """Yield the positions of the set bits of x in ascending order."""
     while x:

@@ -8,7 +8,7 @@ write is lexicographic.
 from __future__ import annotations
 
 from .errors import BadParameters
-from .graphs import Graph
+from .graphs import Graph, as_decimal
 
 
 def graph_text(g: Graph) -> str:
@@ -21,19 +21,13 @@ def graph_from_text(text: str) -> Graph:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise BadParameters("empty graph file")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise BadParameters(f"first line must be the vertex count: {lines[0]!r}") from exc
+    n = as_decimal(lines[0], "the vertex count")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise BadParameters(f"edge line must be 'u w': {ln!r}")
-        try:
-            u, w = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise BadParameters(f"edge line must be decimal: {ln!r}") from exc
+        u, w = (as_decimal(x, f"edge line {ln!r}") for x in parts)
         if not u < w:
             raise BadParameters(f"edge line must have u < w: {ln!r}")
         edges.append((u, w))

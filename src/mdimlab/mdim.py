@@ -5,9 +5,9 @@ all of R.  Exact minimisation reduces to pair-separation set cover; twin
 classes (u and w with N(u) - {w} = N(w) - {u}, read off the adjacency
 rows) are preselected all-but-one before the search, which already settles
 complete and complete multipartite graphs at the root.  Graphs without
-twins may instead get root symmetry: mdim_exact decides when to ask the
-cover module for automorphisms, which it finds, checks and branches on
-(see mdim_exact).
+twins may instead get root symmetry: cover.min_cover decides when to look
+for automorphisms, and finds, checks and branches on them; mdim_exact only
+reports what it used.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .cover import (
     build_instance,
     greedy_cover,
     min_cover,
-    root_symmetries,
 )
 from .designs import SymmetricDesign, incidence_graph
 from .errors import (
@@ -184,39 +183,32 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     Budget 0 returns the verified greedy seed, which is "minimum" only when
     it meets the lower bound.
 
-    The symmetric path runs when the budget is positive, the graph has no
-    twin classes, its greedy seed is above the counting lower bound (0 when
-    disconnected), and cover.root_symmetries, given the distance instance
-    and that seed, finds automorphisms moving vertex 0.  min_cover checks
-    them again and branches on the orbit of 0 and on the orbits of its
-    stabiliser (orbital branching in the cover module); the certificate has
-    method "exact-bnb-sym" and carries the generators.
+    The distance instance goes to cover.min_cover with the twin-forced
+    vertices and the counting lower bound (0 when disconnected), and
+    min_cover decides on symmetry: with nothing forced, a positive budget
+    and a greedy seed above that bound, cover.root_symmetries looks for
+    automorphisms moving vertex 0, and the search branches on the orbit of
+    0 and on the orbits of its stabiliser (orbital branching in the cover
+    module).  When it found any, the certificate has method
+    "exact-bnb-sym" and carries the generators.
     """
     dm = g.distances
     if budget is None:
         budget = default_budget()
-    inst = pair_cover_instance(dm)
-    forced = twin_forced_choices(g)
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
-    gens: tuple[tuple[int, ...], ...] = ()
-    if not forced and budget > 0:
-        seed = greedy_cover(inst)
-        if len(seed) > lb:
-            gens = root_symmetries(inst, seed)
-    res = min_cover(inst, forced=forced, budget=budget, lower_stop=lb, symmetries=gens)
-    method = "exact-bnb-sym" if gens else "exact-bnb"
-    return _from_cover(res, first_unresolved_pair(dm, res.chosen), method, gens)
+    res = min_cover(
+        pair_cover_instance(dm), forced=twin_forced_choices(g), budget=budget, lower_stop=lb
+    )
+    method = "exact-bnb-sym" if res.generators else "exact-bnb"
+    return _from_cover(res, first_unresolved_pair(dm, res.chosen), method)
 
 
 def _from_cover(
-    res: CoverResult,
-    pair: tuple[int, int] | None,
-    method: str,
-    generators: tuple[tuple[int, ...], ...] = (),
+    res: CoverResult, pair: tuple[int, int] | None, method: str
 ) -> ResolvingCertificate:
-    """Certificate for a solver result; pair is what the check of its set
-    left unseparated (None if nothing)."""
+    """Certificate for a solver result, with its generators; pair is what
+    the check of its set left unseparated (None if nothing)."""
     if pair is not None:
         raise LiftVerificationError(f"{method} left pair {pair} unseparated")
     return ResolvingCertificate(
@@ -224,7 +216,7 @@ def _from_cover(
         status="minimum" if res.optimal else "verified-resolving",
         method=method,
         nodes_explored=res.nodes,
-        generators=generators,
+        generators=res.generators,
     )
 
 
@@ -367,7 +359,8 @@ def min_semi_resolving(
     """Minimum semi-resolving set for one side of a design."""
     if budget is None:
         budget = default_budget()
-    res = min_cover(semi_cover_instance(d, side), budget=budget)
+    # no finder: on the design instances it costs more than it saves
+    res = min_cover(semi_cover_instance(d, side), budget=budget, symmetries=())
     return _from_cover(
         res, first_unseparated_pair(d, res.chosen, side), f"exact-bnb-semi-{side}"
     )

@@ -492,6 +492,41 @@ class TestRootSymmetries:
         assert covers_everything(inst, got.chosen)
 
 
+class TestMinCoverFindsSymmetries:
+    """min_cover asks root_symmetries itself when it is given none."""
+
+    @staticmethod
+    def q6() -> PairCoverInstance:
+        return build_instance(np.asarray(family("hypercube", 6).distances.dist))
+
+    def test_a_twin_free_distance_instance_gets_checked_generators(self):
+        inst = self.q6()
+        got = min_cover(inst)
+        assert got.optimal and got.generators
+        assert all(is_symmetry(inst, p) for p in got.generators)
+        assert orbit_partition(np.array(got.generators)).tolist() == [0] * 64
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"symmetries": ()}, {"forced": [0]}, {"budget": 0}, {"lower_stop": 5}],
+        ids=["opted-out", "forced", "budget-0", "seed-meets-lower-stop"],
+    )
+    def test_the_finder_is_not_asked(self, kwargs):
+        inst = self.q6()
+        assert len(greedy_cover(inst)) == 5  # so lower_stop 5 is met
+        with_finder = min_cover(inst)
+        got = min_cover(inst, **kwargs)
+        assert got.generators == ()
+        assert len(got.chosen) == len(with_finder.chosen)
+        assert covers_everything(inst, got.chosen)
+
+    def test_passed_symmetries_are_the_generators(self):
+        inst = TestRootSymmetry.circulant_of([0, 1, 1, 2, 1, 2, 1, 1])
+        gens = [TestRootSymmetry.shift(8), TestRootSymmetry.reflection(8)]
+        got = min_cover(inst, symmetries=gens)
+        assert got.generators == tuple(map(tuple, gens))
+
+
 def some_chooser_completes(inst: PairCoverInstance, uncovered: int, banned: int) -> bool:
     """Reference: some unbanned chooser covers every uncovered item."""
     return any(

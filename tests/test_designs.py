@@ -162,6 +162,13 @@ class TestSerialization:
         with pytest.raises(BadParameters):
             design_from_text("x y z\n")
 
+    @pytest.mark.parametrize("head", ["+7 3 1", "7 3 0_1", "7 \u0663 1"])
+    def test_header_must_be_ascii_decimal(self, head):
+        # int() would read each of these as 7 3 1
+        rows = design_text(pg2(2)).splitlines()[1:]
+        with pytest.raises(BadParameters, match="ASCII decimal"):
+            design_from_text("\n".join([head, *rows]))
+
     def test_wrong_row_count_is_rejected(self):
         with pytest.raises(BadParameters):
             design_from_text("7 3 1\n" + "0000000\n" * 6)

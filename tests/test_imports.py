@@ -1,5 +1,5 @@
-"""The package's import graph: every import sits at module level, and the
-modules import one another without a cycle."""
+"""The package's import graph: every import sits at module level, is used
+by its module, and the modules import one another without a cycle."""
 
 import ast
 from pathlib import Path
@@ -38,6 +38,30 @@ def test_no_import_inside_a_function():
         path.name: lines
         for path in MODULES
         if (lines := local_imports(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by the module's imports that nothing in it reads."""
+    bound = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_import_is_used():
+    # __init__ imports to re-export, so it is left out
+    found = {
+        path.name: names
+        for path in MODULES
+        if path.name != "__init__.py"
+        and (names := unused_imports(ast.parse(path.read_text())))
     }
     assert found == {}
 

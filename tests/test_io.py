@@ -49,10 +49,13 @@ class TestEdgeFormat:
             "3\n0 0",         # loop
             "3\n0 1\n0 1",    # duplicate edge
             "3\n0 5",         # endpoint out of range
+            "1_1\n0 1",       # int() would read 11
+            "3\n+0 1",        # int() would take the sign
+            "\u0663\n0 1",    # int() would read the Arabic-Indic digit as 3
         ],
     )
     def test_malformed_text_is_rejected(self, text):
-        with pytest.raises((BadParameters, Exception)):
+        with pytest.raises(BadParameters):
             graph_from_text(text)
 
     def test_malformed_errors_are_typed(self):

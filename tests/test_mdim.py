@@ -193,7 +193,7 @@ class TestMdimExact:
             mdim_exact(g)
 
     # Node counts of the search without an orbit, the path mdim_exact takes
-    # when it knows no automorphism moving vertex 0.  Every tie-break is
+    # when min_cover finds no automorphism moving vertex 0.  Every tie-break is
     # deterministic, so a change that only speeds the search up leaves them
     # as they are.
     @pytest.mark.parametrize(
@@ -211,7 +211,7 @@ class TestMdimExact:
         g = ZOO[name]()
         inst = pair_cover_instance(g.distances)
         lb = lower_bound_nd(g.n, g.distances.diameter)
-        res = min_cover(inst, forced=twin_forced_choices(g), lower_stop=lb)
+        res = min_cover(inst, forced=twin_forced_choices(g), lower_stop=lb, symmetries=())
         assert res.optimal
         assert res.nodes == nodes
 
@@ -424,6 +424,22 @@ class TestRootSymmetry:
         cert = mdim_exact(ZOO["taylor_paley_17"]())
         assert cert.method == "exact-bnb" and cert.nodes_explored == 2902
 
+    def test_one_greedy_seed_per_solve(self, monkeypatch):
+        # min_cover computes the seed that gates and feeds the finder
+        calls = []
+        greedy = cover.greedy_cover
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return greedy(*args, **kwargs)
+
+        # mdim holds its own binding of the name, for mdim_greedy
+        monkeypatch.setattr(cover, "greedy_cover", counted)
+        monkeypatch.setattr(mdim, "greedy_cover", counted)
+        cert = mdim_exact(ZOO["Q_6"]())
+        assert cert.method == "exact-bnb-sym" and cert.nodes_explored == 102
+        assert len(calls) == 1
+
 
 class TestMdimGreedy:
     def test_result_resolves_and_bounds_the_optimum(self):
@@ -572,6 +588,15 @@ class TestSemiResolving:
         cert = min_semi_resolving(d, side="blocks")
         assert cert.status == "minimum"
         assert is_semi_resolving_for_blocks(d, cert.set)
+
+    @pytest.mark.parametrize("side", ["blocks", "points"])
+    def test_node_counts_are_pinned(self, side):
+        # semi-resolving searches ask for no symmetries, so the plain
+        # search runs in constructor labels
+        cert = min_semi_resolving(pg2(3), side=side)
+        assert cert.status == "minimum" and cert.mu == 6
+        assert cert.method == f"exact-bnb-semi-{side}"
+        assert cert.nodes_explored == 291 and cert.generators == ()
 
     def test_negative_budget_is_rejected(self):
         with pytest.raises(BadParameters):
