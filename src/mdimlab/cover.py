@@ -413,10 +413,10 @@ class _Search:
         )
 
     def _search(self, chosen: list[int], covered: int, banned: int) -> None:
-        self.nodes += 1
-        if self.nodes > self.budget:
+        if self.nodes == self.budget:
             self.exhausted = False
             raise _Stop
+        self.nodes += 1
         uncovered = self.all_items & ~covered
         if not uncovered:
             if len(chosen) < len(self.best):

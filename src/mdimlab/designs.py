@@ -31,6 +31,7 @@ from .graphs import (
     SrgParams,
     as_decimal,
     as_ints,
+    ascii_lines,
     bipartition,
     intersection_array,
 )
@@ -320,7 +321,7 @@ def design_text(d: SymmetricDesign) -> str:
 
 
 def design_from_text(text: str) -> SymmetricDesign:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = ascii_lines(text, "design text")
     if not lines:
         raise BadParameters("empty design file")
     head = lines[0].split()
@@ -330,8 +331,7 @@ def design_from_text(text: str) -> SymmetricDesign:
     if len(lines) != v + 1:
         raise BadParameters(f"expected {v} incidence rows, got {len(lines) - 1}")
     inc = np.zeros((v, v), dtype=np.uint8)
-    for x, ln in enumerate(lines[1:]):
-        row = ln.strip()
+    for x, row in enumerate(lines[1:]):
         if len(row) != v or set(row) - {"0", "1"}:
             raise BadParameters(f"row {x} must be {v} characters of 0/1")
         inc[x] = [int(ch) for ch in row]

@@ -9,14 +9,15 @@ bfs_distances runs one BFS for all sources together: level i + 1 of a
 vertex is the union of the level-i spheres of its neighbours, less its own
 spheres i and i - 1, so a level costs one OR per directed edge.  The
 distance bytes are read off the levels by one unpack of bit planes.
-intersection_array reads every triple (c, a, b) of a regular graph off one
-gather of distance rows over the neighbour lists.  Below SMALL_BFS_N and
-SMALL_ARRAY_N vertices both keep their per-source and per-pair loops,
-whose fixed cost is lower there.
+Below SMALL_BFS_N vertices it keeps its per-source loop, whose fixed cost
+is lower there.  intersection_array reads every triple (c, a, b) of a
+regular graph off one gather of distance rows over the neighbour lists.
+A Graph keeps each fact computed from it alone in one memo, through _kept.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from operator import and_, invert, or_
@@ -32,12 +33,10 @@ from .errors import (
 )
 
 UNREACHABLE = 255
-# Graphs below these vertex counts take the loop versions of bfs_distances
-# (one BFS per source) and of intersection_array (one pair at a time): a
-# few dozen microseconds of fixed numpy cost outweigh what the whole-graph
-# passes save there.
+# Graphs below this vertex count take the loop version of bfs_distances
+# (one BFS per source): a few dozen microseconds of fixed numpy cost
+# outweigh what the whole-graph pass saves there.
 SMALL_BFS_N = 24
-SMALL_ARRAY_N = 10
 
 
 def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
@@ -48,6 +47,14 @@ def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise BadParameters(f"{what} must be integers: {exc}") from exc
+
+
+def ascii_lines(text: str, what: str) -> list[str]:
+    """The non-blank lines of an ASCII text format, stripped; other text
+    raises BadParameters (str.split() would split on non-ASCII spaces)."""
+    if not text.isascii():
+        raise BadParameters(f"{what} must be ASCII decimal text")
+    return [ln for ln in map(str.strip, text.splitlines()) if ln]
 
 
 def as_decimal(token: str, what: str) -> int:
@@ -67,17 +74,28 @@ def iter_bits(x: int) -> Iterator[int]:
         x ^= low
 
 
+def _kept(fact):
+    """fact(g), computed on the first call for g and kept in g's memo under
+    fact, so later calls return the same object; a raise is not kept."""
+    @functools.wraps(fact)
+    def kept(g):
+        if fact not in g._memo:
+            g._memo[fact] = fact(g)
+        return g._memo[fact]
+    return kept
+
+
 class Graph:
     """Simple undirected graph with bitset adjacency rows.
 
     Instances are immutable after construction: all mutating operations build
     new graphs.  Equality is exact edge-set equality under the fixed labels,
-    never isomorphism.  All-pairs distances are computed on first use of
-    `distances` and kept with the graph, as are the first intersection
-    array and the first halving (`imprimitivity.halve`) computed for it.
+    never isomorphism.  A graph keeps what is computed from it alone in one
+    memo (see _kept): its distances, intersection array, halves, antipodal
+    classes and fold, each computed at most once.
     """
 
-    __slots__ = ("n", "adj", "_distances", "_intersection_array", "_halves")
+    __slots__ = ("n", "adj", "_memo")
 
     def __init__(self, n: int, adj: Sequence[int]):
         (n,) = as_ints((n,), "the vertex count")
@@ -97,9 +115,7 @@ class Graph:
                     raise BadParameters(f"edge ({v}, {u}) is not symmetric")
         self.n = n
         self.adj = rows
-        self._distances = None
-        self._intersection_array = None
-        self._halves = None
+        self._memo = {}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -129,12 +145,11 @@ class Graph:
                 yield u, u + 1 + w
 
     @property
+    @_kept
     def distances(self) -> "DistanceMatrix":
         """All-pairs distances, computed by the first access and then shared
         (the matrix is read-only)."""
-        if self._distances is None:
-            self._distances = bfs_distances(self)
-        return self._distances
+        return bfs_distances(self)
 
     @property
     def n_edges(self) -> int:
@@ -156,6 +171,10 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
+
+    def __reduce__(self):
+        # a pickle or copy holds n and adj only; the memo is rebuilt on use
+        return type(self), (self.n, self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.n_edges})"
@@ -425,6 +444,7 @@ class SrgParams:
             raise BadParameters(f"inconsistent strongly regular parameters {self}")
 
 
+@_kept
 def intersection_array(g: Graph) -> IntersectionArray:
     """Compute the intersection array, or raise NotDistanceRegular.
 
@@ -432,19 +452,17 @@ def intersection_array(g: Graph) -> IntersectionArray:
     neighbours of w at distance i - 1, i and i + 1 from u.  The witness on
     failure is the first (u, w, i) in lexicographic (u, w) order whose
     triple differs from that of the first pair at the same distance i.
-    Graphs with fewer than SMALL_ARRAY_N vertices, and graphs that are not
-    regular, are checked one pair at a time up to the witness; larger
-    regular graphs count every pair in a few numpy passes.  The array is
-    kept with g, so later calls on the same graph return the same object.
+    Graphs that are not regular are checked one pair at a time up to the
+    witness; regular graphs count every pair in a few numpy passes.  The
+    array is kept with g, so later calls on the same graph return the same
+    object; a NotDistanceRegular is raised again on every call.
     """
-    if g._intersection_array is not None:
-        return g._intersection_array
     dm = g.distances
     if not dm.connected:
         raise DisconnectedGraph("intersection array needs a connected graph")
     expected = _first_triples(g)
     k = g.regular_valency()
-    if g.n < SMALL_ARRAY_N or k is None:
+    if k is None:
         witness = _pair_witness(g, expected)
     else:
         witness = _moment_witness(g, k, expected)
@@ -452,8 +470,7 @@ def intersection_array(g: Graph) -> IntersectionArray:
         raise NotDistanceRegular(witness)
     c, a, b = zip(*expected)
     d = dm.diameter
-    g._intersection_array = IntersectionArray(d=d, c=c[1:], a=a, b=b[:d])
-    return g._intersection_array
+    return IntersectionArray(d=d, c=c[1:], a=a, b=b[:d])
 
 
 def _first_triples(g: Graph) -> list[tuple[int, int, int]]:

@@ -14,6 +14,7 @@ from typing import Any
 
 from .designs import design_from_graph
 from .errors import (
+    BadParameters,
     ClassificationContradiction,
     DisconnectedGraph,
     NotAntipodal,
@@ -25,6 +26,7 @@ from .graphs import (
     Graph,
     _components,
     _induced,
+    _kept,
     bipartition,
     intersection_array,
     is_primitive,
@@ -54,12 +56,13 @@ class AntipodalStructure:
         return self.labels[v][0]
 
 
+@_kept
 def antipodal_structure(g: Graph) -> AntipodalStructure:
     """Antipodal class partition, or NotAntipodal.
 
     The distance-d graph must be a disjoint union of cliques, all of one
     size t >= 2: that is exactly the condition for "equal or at maximal
-    distance" to be an equivalence relation.
+    distance" to be an equivalence relation.  The partition is kept with g.
     """
     dm = g.distances
     if dm.diameter is None:
@@ -102,6 +105,7 @@ def is_antipodal(g: Graph) -> bool:
         return False
 
 
+@_kept
 def halve(g: Graph) -> tuple[Graph, Graph, tuple[int, ...], tuple[int, ...]]:
     """Halved graphs of a connected bipartite graph.
 
@@ -110,11 +114,9 @@ def halve(g: Graph) -> tuple[Graph, Graph, tuple[int, ...], tuple[int, ...]]:
     is the one containing vertex 0.  Edges join vertices at distance 2.
     The result is kept with g, so later calls return the same graphs.
     """
-    if g._halves is None:
-        plus, minus = bipartition(g)
-        far2 = g.distances.layer(2)
-        g._halves = (_induced(far2, plus), _induced(far2, minus), plus, minus)
-    return g._halves
+    plus, minus = bipartition(g)
+    far2 = g.distances.layer(2)
+    return _induced(far2, plus), _induced(far2, minus), plus, minus
 
 
 def fold(
@@ -127,10 +129,17 @@ def fold(
     diameter >= 3 no vertex can have two neighbours in one class (they would
     sit at the maximal distance yet share a neighbour), so the quotient
     keeps the valency; that is asserted.  Diameter-2 quotients collapse
-    further and skip the check.
+    further and skip the check.  The result is kept with g; a structure,
+    if passed, must equal antipodal_structure(g), or BadParameters is raised.
     """
-    if structure is None:
-        structure = antipodal_structure(g)
+    if structure is not None and structure != antipodal_structure(g):
+        raise BadParameters("fold takes only the graph's own antipodal structure")
+    return _fold(g)
+
+
+@_kept
+def _fold(g: Graph) -> tuple[Graph, tuple[int, ...]]:
+    structure = antipodal_structure(g)
     s = structure.n_classes
     rows = [0] * s
     collision = False
@@ -233,7 +242,7 @@ def classify_ah(g: Graph) -> AHClass:
         _claim(claims, "imprimitive diameter-2 graph is antipodal", ant is not None)
         _claim(claims, "graph is complete multipartite on the antipodal classes",
                _is_complete_multipartite(g, ant))
-        folded = fold(g, ant)[0]
+        folded = fold(g)[0]
         _claim(claims, "folded graph is complete", folded == complete(folded.n))
         return result("AH4")
 
@@ -246,7 +255,7 @@ def classify_ah(g: Graph) -> AHClass:
         return result("AH1")
 
     halved = halve(g)[:2] if bip is not None else None
-    folded = fold(g, ant)[0] if ant is not None else None
+    folded = fold(g)[0] if ant is not None else None
     e = d // 2
 
     if d == 3 and bip is not None and ant is not None:
@@ -301,8 +310,7 @@ def classify_ah(g: Graph) -> AHClass:
                all(h.distances.diameter == e and is_primitive(h) for h in halved))
         return result("AH12")
 
-    half_ant = _try_antipodal(halved[0])
-    reduced = fold(halved[0], half_ant)[0] if half_ant is not None else None
+    reduced = fold(halved[0])[0] if _try_antipodal(halved[0]) is not None else None
     _claim(claims, f"halving then folding is primitive of diameter {e // 2}",
            reduced is not None and reduced.distances.diameter == e // 2
            and is_primitive(reduced))

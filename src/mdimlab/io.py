@@ -8,7 +8,7 @@ write is lexicographic.
 from __future__ import annotations
 
 from .errors import BadParameters
-from .graphs import Graph, as_decimal
+from .graphs import Graph, as_decimal, ascii_lines
 
 
 def graph_text(g: Graph) -> str:
@@ -18,7 +18,7 @@ def graph_text(g: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = ascii_lines(text, "graph text")
     if not lines:
         raise BadParameters("empty graph file")
     n = as_decimal(lines[0], "the vertex count")

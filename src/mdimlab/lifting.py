@@ -80,11 +80,10 @@ def lift_folded(
     contributes all members except its minimum-id representative; at even
     diameter, if some folded vertex sees all of r_bar at the folded
     diameter, that vertex's class (again minus its representative) is
-    added.
+    added.  A passed structure must equal antipodal_structure(g), as in fold.
     """
-    if structure is None:
-        structure = antipodal_structure(g)
     folded, _ = fold(g, structure)
+    classes = antipodal_structure(g).classes
     rb = _require_resolving(folded, r_bar, "folded")
     dm_f = folded.distances
     d = g.distances.diameter or 0
@@ -92,7 +91,7 @@ def lift_folded(
 
     lifted = set()
     for c in rb:
-        lifted.update(structure.classes[c][1:])
+        lifted.update(classes[c][1:])
 
     case: Literal["ii", "iii"] = "ii"
     center = None
@@ -106,7 +105,7 @@ def lift_folded(
         if maximal:
             case = "iii"
             center = maximal[0]
-            lifted.update(structure.classes[center][1:])
+            lifted.update(classes[center][1:])
     cert = _verified(g, lifted, "lifted-folding")
     return FoldedLift(certificate=cert, case=case, center=center)
 
@@ -184,7 +183,7 @@ def project_to_folded(
             "the set must lie in the bipartition side of vertex 0; push it first"
         )
     chosen = _require_resolving(g, r_plus, "input")
-    folded, quotient = fold(g, structure)
+    folded, quotient = fold(g)
     cert = _verified(folded, {quotient[v] for v in chosen}, "lifted-projection")
     return folded, quotient, cert
 

@@ -31,7 +31,7 @@ from .designs import (
 )
 from .errors import BadParameters, LiftVerificationError
 from .graphs import Graph, induced_neighborhood, intersection_array, is_primitive
-from .imprimitivity import antipodal_structure, classify_ah, fold, halve
+from .imprimitivity import classify_ah, fold, halve
 from .lifting import lift_folded, lift_halved, taylor_lift
 from .mdim import (
     ResolvingCertificate,
@@ -198,10 +198,9 @@ def _check_halved_lift_size(args: dict[str, Any]) -> int:
 
 def _check_folded_lift(args: dict[str, Any]) -> dict[str, Any]:
     g = _graph_from_args(args)
-    structure = antipodal_structure(g)
-    folded, _ = fold(g, structure)
+    folded, _ = fold(g)
     r_bar = _solve(folded).set
-    result = lift_folded(g, r_bar, structure)
+    result = lift_folded(g, r_bar)
     return {"case": result.case, "size": len(result.certificate.set)}
 
 

@@ -191,6 +191,14 @@ class TestMinCover:
         assert not got.optimal
         assert covers_everything(inst, got.chosen)  # still a verified cover
 
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_a_spent_budget_counts_exactly_its_nodes(self, budget):
+        # the budget is checked before a node is counted, so budget 0
+        # searches no node and budget B stops after B
+        inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
+        got = min_cover(inst, budget=budget)
+        assert (got.nodes, got.optimal) == (budget, False)
+
     def test_negative_budget_is_rejected(self):
         inst = build_instance(np.array([[0, 1, 2], [0, 0, 1]]))
         with pytest.raises(BadParameters):

@@ -162,9 +162,9 @@ class TestSerialization:
         with pytest.raises(BadParameters):
             design_from_text("x y z\n")
 
-    @pytest.mark.parametrize("head", ["+7 3 1", "7 3 0_1", "7 \u0663 1"])
+    @pytest.mark.parametrize("head", ["+7 3 1", "7 3 0_1", "7 \u0663 1", "7\u20033 1"])
     def test_header_must_be_ascii_decimal(self, head):
-        # int() would read each of these as 7 3 1
+        # int() and str.split() would read each of these as 7 3 1
         rows = design_text(pg2(2)).splitlines()[1:]
         with pytest.raises(BadParameters, match="ASCII decimal"):
             design_from_text("\n".join([head, *rows]))
@@ -172,6 +172,12 @@ class TestSerialization:
     def test_wrong_row_count_is_rejected(self):
         with pytest.raises(BadParameters):
             design_from_text("7 3 1\n" + "0000000\n" * 6)
+
+    def test_non_ascii_space_around_a_row_is_rejected(self):
+        good = design_text(pg2(2)).splitlines()
+        good[1] = "\u00a0" + good[1]  # str.strip() would drop it
+        with pytest.raises(BadParameters, match="ASCII"):
+            design_from_text("\n".join(good))
 
     def test_non_binary_row_is_rejected(self):
         good = design_text(pg2(2)).splitlines()

@@ -1,5 +1,6 @@
 """Core graph type, BFS distances, intersection arrays."""
 
+import pickle
 import random
 import sys
 from itertools import combinations
@@ -20,13 +21,16 @@ from mdimlab import (
     bfs_distances,
     classify_ah,
     family,
+    fold,
     halve,
     induced_neighborhood,
     intersection_array,
     is_distance_regular,
     is_primitive,
+    lift_folded,
     lift_halved,
     mdim_exact,
+    mdim_greedy,
     taylor,
 )
 from mdimlab.zoo import ZOO
@@ -232,6 +236,34 @@ class TestDistanceCache:
         assert sum(h is g for h in sources) == 1
         assert len({id(h) for h in sources}) == len(sources)
 
+    def test_a_used_graph_pickles_without_its_memo(self):
+        g = family("hypercube", 4)
+        halve(g)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g
+        assert copy.distances is not g.distances
+        assert (copy.distances.dist == g.distances.dist).all()
+
+    def test_classify_and_folded_lift_fold_once(self, monkeypatch):
+        real = bfs_distances
+        sources: list[Graph] = []
+
+        def counting(g):
+            sources.append(g)
+            return real(g)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mdimlab") and getattr(module, "bfs_distances", None) is real:
+                monkeypatch.setattr(module, "bfs_distances", counting)
+        g = family("hypercube", 7)
+        folded = classify_ah(g).folded
+        lifted = lift_folded(g, mdim_greedy(folded).set)
+        assert lifted.certificate.status == "verified-resolving"
+        assert fold(g)[0] is folded
+        # a second fold would build an equal graph and search it again
+        assert sum(h == folded for h in sources) == 1
+        assert sum(h is g for h in sources) == 1
+
 
 class TestIntersectionArray:
     def test_petersen(self):
@@ -260,13 +292,14 @@ class TestIntersectionArray:
                                        b=(2,) + (1,) * 253)
 
     # the seeded 8-vertex graphs keep their seeds as ids; then connected
-    # random regular graphs (k, n, seed), which are not distance-regular:
-    # their witness needs the counts at distance 2 or more, and in
-    # (4, 10, 18) it lies past the row of vertex 0
+    # random regular graphs (k, n, seed), all but (3, 6, 1) = K_{3,3} not
+    # distance-regular: their witness needs the counts at distance 2 or
+    # more, and in (4, 10, 18) it lies past the row of vertex 0.  Regular
+    # graphs of every size take the whole-graph count
     @pytest.mark.parametrize("case", [*range(8), *(
         pytest.param(c, id="rr{}-{}-{}".format(*c))
-        for c in [(3, 16, 1), (3, 24, 0), (4, 10, 18), (4, 30, 2), (3, 40, 2), (5, 36, 0),
-                  (6, 20, 1)]
+        for c in [(3, 6, 0), (3, 6, 1), (3, 8, 0), (4, 8, 0), (3, 16, 1), (3, 24, 0),
+                  (4, 10, 18), (4, 30, 2), (3, 40, 2), (5, 36, 0), (6, 20, 1)]
     )])
     def test_witness_matches_a_loop_reference(self, case):
         if isinstance(case, tuple):

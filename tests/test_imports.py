@@ -82,3 +82,26 @@ def test_module_imports_have_no_cycle():
 
     for module in graph:
         visit(module, ())
+
+
+def private_attributes(tree: ast.Module) -> list[str]:
+    """The `x._name` reads and writes whose x is not self or cls (dunders
+    such as `super().__init__` are not private)."""
+    return sorted({
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    })
+
+
+def test_no_private_attribute_is_touched_from_outside():
+    # graphs.py owns the one memo of a Graph, which its _kept reads as g._memo
+    found = {
+        path.name: names
+        for path in MODULES
+        if path.name != "graphs.py"
+        and (names := private_attributes(ast.parse(path.read_text())))
+    }
+    assert found == {}

@@ -7,6 +7,7 @@ from collections import deque
 import pytest
 
 from mdimlab import (
+    BadParameters,
     DisconnectedGraph,
     Graph,
     NotAntipodal,
@@ -21,6 +22,7 @@ from mdimlab import (
     halve,
     intersection_array,
     is_antipodal,
+    lift_folded,
 )
 from mdimlab.imprimitivity import (
     AntipodalStructure,
@@ -222,6 +224,10 @@ class TestAntipodalStructure:
     def test_primitive_graph_is_not_antipodal(self):
         assert not is_antipodal(ZOO["petersen"]())
 
+    def test_structure_is_kept_with_the_graph(self):
+        g = family("hypercube", 4)
+        assert antipodal_structure(g) is antipodal_structure(g)
+
 
 class TestFold:
     def test_even_cycle_folds_to_half_length(self):
@@ -260,6 +266,26 @@ class TestFold:
     def test_non_antipodal_input_is_rejected(self):
         with pytest.raises(NotAntipodal):
             fold(ZOO["petersen"]())
+
+    def test_result_is_kept_with_the_graph(self):
+        g = family("hypercube", 4)
+        first = fold(g)
+        assert fold(g) is first
+        # an equal structure, here that of an equal graph, is the graph's own
+        assert fold(g, antipodal_structure(family("hypercube", 4))) is first
+
+    def test_a_foreign_structure_is_rejected(self):
+        g = family("cycle", 8)
+        # the classes of C_8 are {v, v + 4}; these pair v with v + 1
+        foreign = AntipodalStructure(
+            t=2, classes=tuple((v, v + 1) for v in range(0, 8, 2)),
+            labels=tuple((v // 2, v % 2) for v in range(8)))
+        with pytest.raises(BadParameters):
+            fold(g, foreign)
+        with pytest.raises(BadParameters):
+            lift_folded(g, [0, 1], foreign)
+        with pytest.raises(BadParameters):  # a structure of another graph
+            fold(g, antipodal_structure(family("cycle", 6)))
 
 
 class TestClassifyAh:

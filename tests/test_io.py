@@ -52,6 +52,7 @@ class TestEdgeFormat:
             "1_1\n0 1",       # int() would read 11
             "3\n+0 1",        # int() would take the sign
             "\u0663\n0 1",    # int() would read the Arabic-Indic digit as 3
+            "3\u2003\n0\u00a01\n",  # str.split() would split on the em and no-break spaces
         ],
     )
     def test_malformed_text_is_rejected(self, text):

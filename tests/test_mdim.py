@@ -182,6 +182,11 @@ class TestMdimExact:
         assert cert.status == "verified-resolving"
         assert is_resolving(bfs_distances(ZOO["heawood"]()), cert.set)
 
+    @pytest.mark.parametrize("budget", [0, 5])
+    def test_a_spent_budget_counts_exactly_its_nodes(self, budget):
+        cert = mdim_exact(family("hypercube", 6), budget=budget)
+        assert (cert.nodes_explored, cert.status) == (budget, "verified-resolving")
+
     def test_an_environment_budget_of_zero_means_budget_zero(self, monkeypatch):
         g = ZOO["heawood"]()
         monkeypatch.setenv("MDIMLAB_BUDGET", "0")
