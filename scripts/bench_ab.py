@@ -5,10 +5,12 @@
 
 Each checkout's perfbench/out/ holds the <workload>-seed<n>-trace<t>.json
 files that `python3 perfbench/run.py --workload W --seed N --seconds S
---trace T` left there.  Untraced runs (trace 0) of the same workload and
-seed on both sides form one pair; the file keeps every pair's end-to-end
-metrics and fail ratio, and per metric each side's median and quartiles
-and the number of pairs the change won.  Traced runs (trace 1) give the
+--trace T` left there.  Every run on both sides must have the same run
+length (--seconds); otherwise the script names the files of each length
+and exits 1.  Untraced runs (trace 0) of the same workload and seed on
+both sides form one pair; the file keeps every pair's end-to-end metrics
+and fail ratio, and per metric each side's median and quartiles and the
+number of pairs the change won.  Traced runs (trace 1) give the
 per-layer counters named in TRACED, for each seed traced on both sides.
 Nothing is run here: run the pairs first, alternating which side goes
 first.
@@ -38,14 +40,24 @@ RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\
 
 
 def runs(checkout: Path) -> dict[tuple[str, int, int], dict]:
-    """(workload, seed, trace) -> the details file of that run."""
+    """(workload, seed, trace) -> the details file of that run, with its
+    path under "file"."""
     out = {}
     for path in sorted((checkout / "perfbench" / "out").glob("*.json")):
         m = RUN_FILE.fullmatch(path.name)
         if m:
             key = (m["workload"], int(m["seed"]), int(m["trace"]))
-            out[key] = json.loads(path.read_text())
+            out[key] = dict(json.loads(path.read_text()), file=str(path))
     return out
+
+
+def run_lengths(*sides: dict) -> dict[int, list[str]]:
+    """Run length (seconds) -> the files of the runs of that length."""
+    lengths: dict[int, list[str]] = {}
+    for side in sides:
+        for details in side.values():
+            lengths.setdefault(details["seconds"], []).append(details["file"])
+    return lengths
 
 
 def spread(values: list[float]) -> dict[str, float]:
@@ -57,7 +69,7 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
     workloads: dict[str, dict] = {}
     for (workload, seed, trace), a in sorted(parent.items()):
         b = change.get((workload, seed, trace))
-        if b is None:
+        if b is None or b["seconds"] != a["seconds"]:
             continue
         entry = workloads.setdefault(workload, {"pairs": [], "traced": []})
         if trace == 0:
@@ -104,17 +116,23 @@ def main() -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     parent, change = runs(args.parent), runs(args.change)
+    lengths = run_lengths(parent, change)
+    if len(lengths) > 1:
+        print("bench_ab: the runs differ in length:", file=sys.stderr)
+        for seconds, files in sorted(lengths.items()):
+            print(f"  --seconds {seconds}: {' '.join(files)}", file=sys.stderr)
+        return 1
     workloads = compare(parent, change, spec["end_to_end"])
     if not workloads:
         print("bench_ab: no run of the same workload and seed on both sides",
               file=sys.stderr)
         return 1
-    first = next(iter(parent.values()))
+    (seconds,) = lengths
     payload = {
         "parent": args.parent_rev,
         "change": args.change_rev,
-        "seconds": first["seconds"],
-        "machine": first["machine"],
+        "seconds": seconds,
+        "machine": next(iter(parent.values()))["machine"],
         "time_unit": "reference seconds (perfbench/run.py REFERENCE_S)",
         "workloads": workloads,
     }

@@ -10,9 +10,10 @@ vertex is the union of the level-i spheres of its neighbours, less its own
 spheres i and i - 1, so a level costs one OR per directed edge.  The
 distance bytes are read off the levels by one unpack of bit planes.
 Below SMALL_BFS_N vertices it keeps its per-source loop, whose fixed cost
-is lower there.  intersection_array reads every triple (c, a, b) of a
-regular graph off one gather of distance rows over the neighbour lists.
-A Graph keeps each fact computed from it alone in one memo, through _kept.
+is lower there.  intersection_array checks the triple (c, a, b) of every
+pair of a connected graph on one gather of distance rows through the
+neighbour table, which also gives that BFS its slots.  A Graph keeps each
+fact computed from it alone in one memo, through _kept.
 """
 
 from __future__ import annotations
@@ -279,9 +280,10 @@ def _levels_all_sources(g: Graph) -> tuple[list[list[int]], list[int]]:
     ball = [row | 1 << v for v, row in enumerate(adj)]
     if ball.count(full) == n:  # a complete graph
         return levels, ball
-    slots = _neighbour_slots(g)
+    slots = _neighbour_table(g).T.tolist()
     while True:
-        get = levels[-1].__getitem__
+        # the padding n of the table reads the appended 0
+        get = [*levels[-1], 0].__getitem__
         reached = [0] * n
         for slot in slots:
             reached = list(map(or_, reached, map(get, slot)))
@@ -296,25 +298,15 @@ def _levels_all_sources(g: Graph) -> tuple[list[list[int]], list[int]]:
             return levels, ball
 
 
-def _neighbour_slots(g: Graph) -> list[tuple[int, ...]]:
-    """The neighbour lists as columns: slot j holds the j-th neighbour of
-    every vertex.  A vertex of smaller degree repeats its first neighbour
-    (an OR is idempotent), and an isolated vertex stands for itself."""
-    flat = _neighbour_array(g).tolist()
-    lists = []
-    start = 0
-    for v, row in enumerate(g.adj):
-        end = start + row.bit_count()
-        lists.append(flat[start:end] or [v])
-        start = end
-    width = max(map(len, lists))
-    return list(zip(*[nb + nb[:1] * (width - len(nb)) for nb in lists]))
-
-
-def _neighbour_array(g: Graph) -> np.ndarray:
-    """The neighbours of vertex 0, then of vertex 1, and so on, each list
-    ascending."""
-    return np.flatnonzero(_bit_matrix(g.adj, g.n)) % g.n
+def _neighbour_table(g: Graph) -> np.ndarray:
+    """The (n, K) array whose row v lists the neighbours of v in ascending
+    order, padded with n (no vertex) up to the largest degree K >= 1."""
+    n, adj = g.n, g.adj
+    width = max(1, *map(int.bit_count, adj))
+    # bits n, n + 1, ... fill each row up to width set bits, and read as n
+    rows = [r | ((1 << width) - 1 >> r.bit_count() << n) for r in adj]
+    cols = np.flatnonzero(_bit_matrix(rows, n + width).view(bool)) % (n + width)
+    return np.minimum(cols.reshape(n, width), n)
 
 
 def _last_nonzero(values: Sequence[int]) -> int:
@@ -452,25 +444,19 @@ def intersection_array(g: Graph) -> IntersectionArray:
     neighbours of w at distance i - 1, i and i + 1 from u.  The witness on
     failure is the first (u, w, i) in lexicographic (u, w) order whose
     triple differs from that of the first pair at the same distance i.
-    Graphs that are not regular are checked one pair at a time up to the
-    witness; regular graphs count every pair in a few numpy passes.  The
-    array is kept with g, so later calls on the same graph return the same
-    object; a NotDistanceRegular is raised again on every call.
+    Every pair is checked in a few numpy passes (_witness).  The array is
+    kept with g, so later calls on the same graph return the same object; a
+    NotDistanceRegular is raised again on every call.
     """
     dm = g.distances
     if not dm.connected:
         raise DisconnectedGraph("intersection array needs a connected graph")
     expected = _first_triples(g)
-    k = g.regular_valency()
-    if k is None:
-        witness = _pair_witness(g, expected)
-    else:
-        witness = _moment_witness(g, k, expected)
+    witness = _witness(g, expected)
     if witness is not None:
         raise NotDistanceRegular(witness)
     c, a, b = zip(*expected)
-    d = dm.diameter
-    return IntersectionArray(d=d, c=c[1:], a=a, b=b[:d])
+    return IntersectionArray(d=dm.diameter, c=c[1:], a=a, b=b[:dm.diameter])
 
 
 def _first_triples(g: Graph) -> list[tuple[int, int, int]]:
@@ -492,41 +478,33 @@ def _first_triples(g: Graph) -> list[tuple[int, int, int]]:
     return expected
 
 
-def _pair_witness(g: Graph, expected: list[tuple[int, int, int]]) -> tuple[int, int, int] | None:
+def _witness(g: Graph, expected: list[tuple[int, int, int]]) -> tuple[int, int, int] | None:
     """The first pair (u, w), in (u, w) order, whose triple differs from
-    expected, with its distance; None if there is none."""
-    dm = g.distances
-    adj = g.adj
-    for u in range(g.n):
-        masks = dm.spheres[u] + (0,)
-        for w, i in enumerate(dm.dist[u].tolist()):
-            aw = adj[w]
-            triple = ((aw & masks[i - 1]).bit_count(), (aw & masks[i]).bit_count(),
-                      (aw & masks[i + 1]).bit_count())
-            if triple != expected[i]:
-                return u, w, i
-    return None
+    expected, with its distance; None if there is none.
 
-
-def _moment_witness(g: Graph, k: int, expected: list[tuple[int, int, int]]
-                    ) -> tuple[int, int, int] | None:
-    """_pair_witness for a connected k-regular graph, all pairs at once.
-
-    For each pair, s = sum of d(u, x) and p = the number of x at odd
-    distance from u, over the neighbours x of w, come from one gather of
-    distance rows.  With i = d(u, w) every d(u, x) is i - 1, i or i + 1, so
-    s = k i + b - c, and p = b + c for even i and a for odd i: (s, p)
-    determine the triple.
+    Over the neighbours x of w, s = the sum of d(u, x) plus t deg(w), for
+    a t above twice the largest degree K, and p = the number of odd d(u, x)
+    come from one gather of distance rows through the neighbour table,
+    whose padding reads a zero row.  With i = d(u, w) every d(u, x) is
+    i - 1, i or i + 1, so s = deg(w) (i + t) + b - c, and as |b - c| <= K
+    this fixes deg(w) = c + a + b and b - c; p = b + c for even i and a
+    for odd i then fixes the triple.
     """
     n, dist = g.n, g.distances.dist
-    # near[w, j, u] = d(u, x) for the j-th neighbour x of w
-    near = dist.take(_neighbour_array(g).reshape(n, k), axis=0)
-    dtype = np.min_scalar_type(k * (len(expected) - 1))
+    table = _neighbour_table(g)
+    k = table.shape[1]
+    t = 2 * k + 1
+    # near[w, j, u] = d(u, x) for the j-th neighbour x of w; row n is 0
+    near = np.vstack([dist, np.zeros((1, n), np.uint8)]).take(table, axis=0)
+    dtype = np.min_scalar_type(k * (len(expected) + t))
     s = near.sum(axis=1, dtype=dtype)
+    s += t * np.array([r.bit_count() for r in g.adj], dtype)[:, None]
     p = np.bitwise_and(near, 1, out=near).sum(axis=1, dtype=dtype)
-    s_expected = np.array([k * i + b - c for i, (c, a, b) in enumerate(expected)], dtype)
+    del near  # the largest array: free it before take() copies dist as intp
+    s_expected = np.array([(c + a + b) * (i + t) + b - c
+                           for i, (c, a, b) in enumerate(expected)], dtype)
     p_expected = np.array([a if i & 1 else b + c for i, (c, a, b) in enumerate(expected)], dtype)
-    bad = (s != s_expected[dist]) | (p != p_expected[dist])  # indexed [w, u]
+    bad = (s != s_expected.take(dist)) | (p != p_expected.take(dist))  # indexed [w, u]
     if not bad.any():
         return None
     u, w = divmod(int(bad.T.argmax()), n)

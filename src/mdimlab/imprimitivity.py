@@ -115,6 +115,8 @@ def halve(g: Graph) -> tuple[Graph, Graph, tuple[int, ...], tuple[int, ...]]:
     The result is kept with g, so later calls return the same graphs.
     """
     plus, minus = bipartition(g)
+    if not minus:
+        raise BadParameters("halving needs a graph with at least two vertices")
     far2 = g.distances.layer(2)
     return _induced(far2, plus), _induced(far2, minus), plus, minus
 

@@ -2,6 +2,8 @@
 summarising them, on synthetic run details."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,17 +19,42 @@ METRICS = [
 ]
 
 
-def untraced(items_per_s: float, item_s_p50: float = 1.0) -> dict:
+def untraced(items_per_s: float, item_s_p50: float = 1.0, seconds: int = 20) -> dict:
     return {
         "end_to_end": {"items_per_s": items_per_s, "item_s_p50": item_s_p50},
         "fail_ratio": 0.0,
+        "seconds": seconds,
     }
 
 
-def traced(nodes: int) -> dict:
+def traced(nodes: int, seconds: int = 20) -> dict:
     counters = {name: 0 for name in bench_ab.TRACED}
     counters["cover.min_cover.nodes"] = nodes
-    return {"end_to_end": {}, "fail_ratio": 0.0, "metrics": dict(counters, other=1.0)}
+    return {"end_to_end": {}, "fail_ratio": 0.0, "seconds": seconds,
+            "metrics": dict(counters, other=1.0)}
+
+
+def full_run(seconds: int = 20) -> dict:
+    """Untraced run details with every end-to-end metric of BENCHMARK.json."""
+    spec = json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())
+    return {"end_to_end": {m["name"]: 1.0 for m in spec["end_to_end"]},
+            "fail_ratio": 0.0, "seconds": seconds}
+
+
+def checkout(root: Path, files: dict[str, dict]) -> Path:
+    """A directory whose perfbench/out holds the given run details."""
+    out = root / "perfbench" / "out"
+    out.mkdir(parents=True)
+    for name, details in files.items():
+        (out / name).write_text(json.dumps(dict(details, machine={"nproc": 2})))
+    return root
+
+
+def run_main(monkeypatch, parent: Path, change: Path, out: Path) -> int:
+    monkeypatch.setattr(sys, "argv", [
+        "bench_ab.py", "--parent", str(parent), "--parent-rev", "a",
+        "--change", str(change), "--change-rev", "b", "--out", str(out)])
+    return bench_ab.main()
 
 
 class TestCompare:
@@ -82,3 +109,44 @@ class TestCompare:
         assert bench_ab.spread([1.0, 2.0, 3.0, 4.0, 5.0]) == {
             "median": 3.0, "q1": 2.0, "q3": 4.0,
         }
+
+    def test_runs_of_different_lengths_are_not_paired(self):
+        parent = {("w", 1, 0): untraced(10.0), ("w", 2, 1): traced(5)}
+        change = {("w", 1, 0): untraced(10.0, seconds=1), ("w", 2, 1): traced(5, seconds=1)}
+        assert bench_ab.compare(parent, change, METRICS) == {}
+
+
+class TestMain:
+    def test_equal_lengths_are_written_with_their_length(self, tmp_path, monkeypatch):
+        files = {f"w-seed{s}-trace0.json": full_run() for s in (1, 2)}
+        parent = checkout(tmp_path / "p", files)
+        change = checkout(tmp_path / "c", files)
+        assert run_main(monkeypatch, parent, change, tmp_path / "ab.json") == 0
+        payload = json.loads((tmp_path / "ab.json").read_text())
+        assert payload["seconds"] == 20
+        assert len(payload["workloads"]["w"]["pairs"]) == 2
+
+    def test_lengths_differing_across_sides_exit_1(self, tmp_path, monkeypatch, capsys):
+        parent = checkout(tmp_path / "p", {"w-seed5-trace1.json": traced(5)})
+        change = checkout(tmp_path / "c", {"w-seed5-trace1.json": traced(5, seconds=1)})
+        assert run_main(monkeypatch, parent, change, tmp_path / "ab.json") == 1
+        err = capsys.readouterr().err
+        assert "--seconds 1: " + str(change / "perfbench/out/w-seed5-trace1.json") in err
+        assert "--seconds 20: " + str(parent / "perfbench/out/w-seed5-trace1.json") in err
+        assert not (tmp_path / "ab.json").exists()
+
+    def test_lengths_differing_on_one_side_exit_1(self, tmp_path, monkeypatch, capsys):
+        files = {"w-seed1-trace0.json": untraced(10.0), "w-seed2-trace0.json": untraced(10.0)}
+        parent = checkout(tmp_path / "p", files)
+        change = checkout(tmp_path / "c", dict(files, **{
+            "w-seed3-trace0.json": untraced(10.0, seconds=1)}))
+        assert run_main(monkeypatch, parent, change, tmp_path / "ab.json") == 1
+        err = capsys.readouterr().err
+        assert "--seconds 1: " + str(change / "perfbench/out/w-seed3-trace0.json") in err
+        assert not (tmp_path / "ab.json").exists()
+
+    def test_run_lengths_group_the_files(self):
+        parent = {("w", 1, 0): dict(untraced(1.0), file="p1")}
+        change = {("w", 1, 0): dict(untraced(1.0), file="c1"),
+                  ("w", 2, 0): dict(untraced(1.0, seconds=1), file="c2")}
+        assert bench_ab.run_lengths(parent, change) == {20: ["p1", "c1"], 1: ["c2"]}

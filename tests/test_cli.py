@@ -297,6 +297,14 @@ class TestLift:
         assert code == 1 and out == ""
         assert "error:" in err
 
+    def test_halved_one_vertex_graph_exits_1(self, tmp_path):
+        path = tmp_path / "k1.graph"
+        path.write_text("1\n")
+        code, out, err = run("lift", "halved", str(path),
+                             "--plus-set", "0", "--minus-set", "")
+        assert code == 1 and out == ""
+        assert "error: halving needs a graph with at least two vertices" in err
+
     def test_missing_graph_file_exits_1(self):
         code, out, err = run("lift", "halved", "--plus-set", "0,1")
         assert code == 1 and out == ""

@@ -63,6 +63,29 @@ BFS_CASES = {
     **{f"zoo-{name}": build for name, build in ZOO.items()},
 }
 
+# the seeded connected 8-vertex graphs keep their seeds as ids; then
+# connected random regular graphs (k, n, seed), all but (3, 6, 1) = K_{3,3}
+# not distance-regular: their witness needs the counts at distance 2 or
+# more, and in (4, 10, 18) it lies past the row of vertex 0.  Then graphs
+# that are not regular: one whose witness (0, 4, 2) needs the degree of w
+# (the neighbour sum and odd count without it would name (0, 5, 1)),
+# connected ones at and above graphs.SMALL_BFS_N, and K_1 and K_2
+WITNESS_CASES = {
+    **{str(case): lambda case=case: next(
+        h for h in (random_graph(8, 100 * case + k) for k in range(100))
+        if h.distances.connected) for case in range(8)},
+    **{"rr{}-{}-{}".format(*c): lambda c=c: random_regular(*c)
+       for c in [(3, 6, 0), (3, 6, 1), (3, 8, 0), (4, 8, 0), (3, 16, 1), (3, 24, 0),
+                 (4, 10, 18), (4, 30, 2), (3, 40, 2), (5, 36, 0), (6, 20, 1)]},
+    "degree-needed": lambda: Graph.from_edges(8, [
+        (0, 2), (0, 5), (0, 7), (1, 2), (1, 6), (1, 7), (2, 4), (2, 6), (2, 7),
+        (3, 4), (3, 6)]),
+    **{f"n{n}-{seed}": lambda n=n, seed=seed: random_graph(n, seed, 0.3)
+       for n in (24, 30) for seed in range(3)},
+    "K1": lambda: Graph(1, [0]),
+    "K2": lambda: Graph.from_edges(2, [(0, 1)]),
+}
+
 
 class TestGraph:
     def test_from_edges_symmetry(self):
@@ -291,22 +314,10 @@ class TestIntersectionArray:
         assert ia == IntersectionArray(d=254, c=(1,) * 254, a=(0,) * 254 + (1,),
                                        b=(2,) + (1,) * 253)
 
-    # the seeded 8-vertex graphs keep their seeds as ids; then connected
-    # random regular graphs (k, n, seed), all but (3, 6, 1) = K_{3,3} not
-    # distance-regular: their witness needs the counts at distance 2 or
-    # more, and in (4, 10, 18) it lies past the row of vertex 0.  Regular
-    # graphs of every size take the whole-graph count
-    @pytest.mark.parametrize("case", [*range(8), *(
-        pytest.param(c, id="rr{}-{}-{}".format(*c))
-        for c in [(3, 6, 0), (3, 6, 1), (3, 8, 0), (4, 8, 0), (3, 16, 1), (3, 24, 0),
-                  (4, 10, 18), (4, 30, 2), (3, 40, 2), (5, 36, 0), (6, 20, 1)]
-    )])
+    @pytest.mark.parametrize("case", WITNESS_CASES)
     def test_witness_matches_a_loop_reference(self, case):
-        if isinstance(case, tuple):
-            g = random_regular(*case)
-        else:
-            g = next(h for h in (random_graph(8, 100 * case + k) for k in range(100))
-                     if h.distances.connected)
+        g = WITNESS_CASES[case]()
+        assert g.distances.connected
         expected = _first_irregular_triple(g)
         if expected is None:
             assert is_distance_regular(g)
@@ -408,7 +419,10 @@ def _first_irregular_triple(g: Graph):
     """Loop reference for the NotDistanceRegular witness: the first (u, w, i)
     in (u, w) order whose neighbour counts at distances i-1, i, i+1 from u
     differ from those of an earlier pair at distance i."""
-    dist = nx.floyd_warshall_numpy(nx.Graph(list(g.edges())), nodelist=range(g.n))
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    dist = nx.floyd_warshall_numpy(h, nodelist=range(g.n))
     seen = {}
     for u in range(g.n):
         for w in range(g.n):

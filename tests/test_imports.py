@@ -1,5 +1,6 @@
 """The package's import graph: every import sits at module level, is used
-by its module, and the modules import one another without a cycle."""
+by its module, and the modules import one another without a cycle; and
+every private module-level name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -103,5 +104,34 @@ def test_no_private_attribute_is_touched_from_outside():
         for path in MODULES
         if path.name != "graphs.py"
         and (names := private_attributes(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The `_name`s a module binds at module level by def, class or
+    assignment (dunders such as __all__ are not private)."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    read = {
+        node.id
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    found = {
+        name: sorted(names)
+        for name, tree in trees.items()
+        if (names := private_definitions(tree) - read)
     }
     assert found == {}

@@ -191,6 +191,10 @@ class TestHalve:
             with pytest.raises(NotBipartite):
                 halve(g)
 
+    def test_one_vertex_is_rejected_as_halving(self):
+        with pytest.raises(BadParameters, match="halving needs"):
+            halve(Graph(1, [0]))
+
 
 class TestAntipodalStructure:
     def test_even_cycle_pairs_opposite_vertices(self):
