@@ -35,6 +35,8 @@ TRACED = (
     "cover.min_cover.nodes",
     "mdim.twin_forced_choices.forced",
     "mdim.min_semi_resolving.calls",
+    "mdim.first_unresolved_pair.calls",
+    "mdim.exhaustive_mdim.calls",
 )
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 

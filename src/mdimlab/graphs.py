@@ -40,12 +40,20 @@ UNREACHABLE = 255
 SMALL_BFS_N = 24
 
 
+def _index(value) -> int:
+    """operator.index, except that a bool (an int subclass, which numpy's
+    bools are not) raises TypeError: a boolean mask is no list of ids."""
+    if type(value) is bool:
+        raise TypeError(f"{value!r} is a bool")
+    return operator.index(value)
+
+
 def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
     """values read with operator.index, so ints and numpy integers pass;
-    anything else (a float, a string, a character of one) raises
-    BadParameters instead of being truncated or split."""
+    anything else (a bool, a float, a string, a character of one) raises
+    BadParameters instead of being truncated, split or read as 0 and 1."""
     try:
-        return tuple(map(operator.index, values))
+        return tuple(map(_index, values))
     except TypeError as exc:
         raise BadParameters(f"{what} must be integers: {exc}") from exc
 

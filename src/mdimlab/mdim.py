@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Any, Iterable, Literal, Sequence
 
 import numpy as np
@@ -225,20 +225,49 @@ def mdim_greedy(g: Graph) -> ResolvingCertificate:
     return _verified(g, greedy_cover(pair_cover_instance(g.distances)), "greedy")
 
 
+# subsets per numpy pass of exhaustive_mdim: at n = 32 a chunk's signatures
+# take at most 4096 * 32 * 32 bytes
+_CHUNK = 4096
+
+
+def _resolving_rows(dist: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """For each row of subsets, a (k, m) array of vertex ids, whether the n
+    rows of dist restricted to its columns are pairwise distinct.
+
+    Each vertex's m distances, UNREACHABLE included, are read as one
+    m-byte string; sorting each subset's n strings puts equal ones next to
+    each other.  Byte strings compare exactly for every n and m, where
+    packing the distances into one integer could overflow.
+    """
+    n = dist.shape[0]
+    k, m = subsets.shape
+    if n <= 1 or m == 0:
+        return np.full(k, n <= 1)
+    sigs = np.ascontiguousarray(dist[:, subsets].transpose(1, 0, 2))
+    keys = sigs.view(np.dtype((np.void, m)))[..., 0]
+    keys.sort(axis=1)
+    return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+
+
 def exhaustive_mdim(g: Graph) -> ResolvingCertificate:
     """Independent oracle: try all vertex subsets in increasing size.
 
     A subset resolves when the n rows of the distance matrix restricted to
-    its columns are distinct.  Only sensible for small graphs; used to pin
-    expected values and to cross-check the branch-and-bound path and the
-    pair check of certify, with which it shares no code.
+    its columns are distinct.  Each size is tested in lexicographic chunks
+    of _CHUNK subsets, one numpy pass per chunk, and the first resolving
+    subset is returned, so the answer is the first in size-then-
+    lexicographic order.  Only sensible for small graphs; used to pin
+    expected values and to cross-check the branch and bound of cover.py
+    and the pair check of certify, with neither of which it shares code.
     """
     dist = g.distances.dist
     for size in range(g.n + 1):
-        for subset in combinations(range(g.n), size):
-            if len({row.tobytes() for row in dist[:, list(subset)]}) == g.n:
+        subsets = combinations(range(g.n), size)
+        while chunk := list(islice(subsets, _CHUNK)):
+            hits = np.flatnonzero(_resolving_rows(dist, np.array(chunk, dtype=np.intp)))
+            if hits.size:
                 return ResolvingCertificate(
-                    set=subset, status="minimum", method="exhaustive"
+                    set=chunk[hits[0]], status="minimum", method="exhaustive"
                 )
     raise LiftVerificationError("full vertex set failed to resolve")  # unreachable
 

@@ -27,9 +27,11 @@ def untraced(items_per_s: float, item_s_p50: float = 1.0, seconds: int = 20) -> 
     }
 
 
-def traced(nodes: int, seconds: int = 20) -> dict:
+def traced(nodes: int, seconds: int = 20, unresolved: int = 0) -> dict:
     counters = {name: 0 for name in bench_ab.TRACED}
     counters["cover.min_cover.nodes"] = nodes
+    counters["mdim.first_unresolved_pair.calls"] = unresolved
+    counters["mdim.exhaustive_mdim.calls"] = 1200
     return {"end_to_end": {}, "fail_ratio": 0.0, "seconds": seconds,
             "metrics": dict(counters, other=1.0)}
 
@@ -85,8 +87,8 @@ class TestCompare:
         assert won["items_per_s"]["median_ratio"] == pytest.approx(1.0)
 
     def test_traced_counters_are_copied(self):
-        parent = {("w", 7, 1): traced(100)}
-        change = {("w", 7, 1): traced(90)}
+        parent = {("w", 7, 1): traced(100, unresolved=62802)}
+        change = {("w", 7, 1): traced(90, unresolved=2802)}
         entry = bench_ab.compare(parent, change, METRICS)["w"]
         assert entry["pairs"] == []
         (t,) = entry["traced"]
@@ -94,6 +96,13 @@ class TestCompare:
         assert set(t["parent"]) == set(t["change"]) == set(bench_ab.TRACED)
         assert t["parent"]["cover.min_cover.nodes"] == 100
         assert t["change"]["cover.min_cover.nodes"] == 90
+        assert t["parent"]["mdim.first_unresolved_pair.calls"] == 62802
+        assert t["change"]["mdim.first_unresolved_pair.calls"] == 2802
+        assert t["change"]["mdim.exhaustive_mdim.calls"] == 1200
+
+    def test_traced_counters_are_per_layer_metrics_of_the_benchmark(self):
+        spec = json.loads((bench_ab.ROOT / "BENCHMARK.json").read_text())
+        assert set(bench_ab.TRACED) <= {m["name"] for m in spec["per_layer"]}
 
     def test_fewer_than_two_pairs_give_no_summary(self):
         parent = {("w", 1, 0): untraced(10.0), ("w", 2, 1): traced(5)}

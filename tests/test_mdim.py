@@ -130,6 +130,25 @@ class TestCertify:
         cert = certify(family("cycle", 6), np.array([1, 0]))
         assert cert.set == (0, 1) and type(cert.set[0]) is int
 
+    @pytest.mark.parametrize(
+        "mask",
+        [[True, False, False, True], np.array([True, False, False, True]), [0, True]],
+        ids=["bools", "numpy-bools", "mixed"],
+    )
+    def test_boolean_masks_are_rejected(self, mask):
+        # bool is an int subclass: read as ids, the mask would certify (0, 1)
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(BadParameters, match="must be integers"):
+            certify(g, mask)
+        with pytest.raises(BadParameters, match="must be integers"):
+            is_resolving(g.distances, mask)
+        with pytest.raises(BadParameters, match="must be integers"):
+            min_cover(pair_cover_instance(g.distances), forced=mask)
+
+    def test_generators_are_accepted(self):
+        cert = certify(family("cycle", 6), (v for v in (1, 0)))
+        assert cert.set == (0, 1)
+
 
 class TestMdimExact:
     @pytest.mark.parametrize(
@@ -314,27 +333,82 @@ def keeps_edges(g: Graph, p) -> bool:
     )
 
 
+def networkx_oracle(g: Graph) -> tuple[int, ...]:
+    """The first subset, in size then lexicographic order, whose distance
+    vectors differ, with distances from networkx and unreachable read as
+    -1."""
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    dist = dict(nx.all_pairs_shortest_path_length(h))
+    return next(
+        s for size in range(g.n + 1) for s in combinations(range(g.n), size)
+        if len({tuple(dist[v].get(u, -1) for u in s) for v in range(g.n)}) == g.n
+    )
+
+
 class TestExhaustiveOracle:
     def test_matches_a_networkx_enumeration(self):
-        # distances from networkx, unreachable read as -1: the first subset,
-        # in size then lexicographic order, whose distance vectors differ
+        self.check_random_graphs()
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_chunk_boundaries_keep_the_first_set(self, chunk, monkeypatch):
+        # chunks of 1 and 3 subsets put the answer at every place in a chunk
+        # and on either side of a chunk boundary
+        monkeypatch.setattr(mdim, "_CHUNK", chunk)
+        self.check_random_graphs()
+
+    @staticmethod
+    def check_random_graphs():
         rng = random.Random(5)
         seen = set()
         for _ in range(100):
             n = rng.randint(1, 8)
             p = rng.uniform(0.1, 0.7)
-            edges = [e for e in combinations(range(n), 2) if rng.random() < p]
-            h = nx.Graph(edges)
-            h.add_nodes_from(range(n))
-            dist = dict(nx.all_pairs_shortest_path_length(h))
-            want = next(
-                s for size in range(n + 1) for s in combinations(range(n), size)
-                if len({tuple(dist[v].get(u, -1) for u in s) for v in range(n)}) == n
-            )
-            cert = exhaustive_mdim(Graph.from_edges(n, edges))
-            assert (cert.set, cert.status) == (want, "minimum"), edges
-            seen.add("one vertex" if n == 1 else nx.is_connected(h))
+            g = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            cert = exhaustive_mdim(g)
+            assert (cert.set, cert.status) == (networkx_oracle(g), "minimum"), g.adj
+            seen.add("one vertex" if n == 1 else g.distances.connected)
         assert seen == {"one vertex", True, False}
+
+    def test_shares_no_code_with_the_solver_or_the_pair_check(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called code that it cross-checks")
+
+        for name in ("build_instance", "min_cover", "greedy_cover"):
+            monkeypatch.setattr(cover, name, refuse)
+            monkeypatch.setattr(mdim, name, refuse)
+        monkeypatch.setattr(mdim, "_first_unseparated", refuse)
+        for name in ("petersen", "heawood", "K_3x4", "Q_4", "2K_3", "icosahedron"):
+            g = ZOO[name]()
+            assert exhaustive_mdim(g).set == networkx_oracle(g), name
+
+
+class TestResolvingRows:
+    def test_matches_is_resolving_on_every_subset(self):
+        seen = set()
+        for n in range(1, 8):
+            for seed in range(8):
+                g = random_graph(n, 0.1 + 0.08 * seed, seed)
+                dm = g.distances
+                for size in range(n + 1):
+                    subsets = list(combinations(range(n), size))
+                    rows = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
+                    got = mdim._resolving_rows(dm.dist, rows).tolist()
+                    assert got == [is_resolving(dm, s) for s in subsets], (g.adj, size)
+                seen.add("one vertex" if n == 1 else dm.connected)
+        assert seen == {"one vertex", True, False}
+
+    def test_long_rows_with_unreachable_entries_compare_exactly(self):
+        # rows of up to 40 bytes, most of them UNREACHABLE: no packing of a
+        # row into one integer would hold them
+        rng = random.Random(11)
+        for seed in range(6):
+            g = random_components((9, 1, 12, 2, 16), 0.3, seed)
+            dm = g.distances
+            for size in (1, 16, 24, 32, 40):
+                subsets = [rng.sample(range(g.n), size) for _ in range(30)]
+                got = mdim._resolving_rows(dm.dist, np.array(subsets, dtype=np.intp))
+                assert got.tolist() == [is_resolving(dm, s) for s in subsets]
 
 
 class TestRootSymmetry:

@@ -6,7 +6,12 @@ import dataclasses
 import pytest
 
 import mdimlab.verify
-from mdimlab import BadParameters, LiftVerificationError, ResolvingCertificate
+from mdimlab import (
+    BadParameters,
+    LiftVerificationError,
+    ResolvingCertificate,
+    exhaustive_mdim,
+)
 from mdimlab.verify import (
     CHECKS,
     GoldenRow,
@@ -192,6 +197,36 @@ class TestTamperDetection:
         assert payload["ok"] is False
         assert payload["rows"][0]["pass"] is False
         assert payload["rows"][0]["computed"] == 3
+
+
+class TestRandomSoundness:
+    ARGS = {"count": 30, "max_n": 8, "seed": 7, "subsets": 50}
+
+    @staticmethod
+    def inflated(g):
+        """The oracle's minimum set plus its least missing vertex: a
+        resolving set one vertex too large, claimed as a minimum."""
+        cert = exhaustive_mdim(g)
+        extra = min(set(range(g.n)) - set(cert.set))
+        return ResolvingCertificate(
+            set=tuple(sorted(cert.set + (extra,))), status="minimum", method="inflated"
+        )
+
+    def test_an_agreed_oversized_minimum_is_caught_by_the_sampled_subsets(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(mdimlab.verify, "_solve", self.inflated)
+        monkeypatch.setattr(mdimlab.verify, "exhaustive_mdim", self.inflated)
+        # on each of these graphs some of the 50 subsets of the true minimum
+        # size resolves, though not all of them on every graph
+        assert CHECKS["random_soundness"](self.ARGS) == {
+            "mismatches": 0, "undersized_successes": self.ARGS["count"],
+        }
+
+    def test_an_oversized_solver_answer_is_a_mismatch(self, monkeypatch):
+        monkeypatch.setattr(mdimlab.verify, "_solve", self.inflated)
+        outcome = CHECKS["random_soundness"](self.ARGS)
+        assert outcome == {"mismatches": self.ARGS["count"], "undersized_successes": 0}
 
 
 class TestOracleRows:
