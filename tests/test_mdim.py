@@ -38,7 +38,7 @@ from mdimlab import (
     twin_classes,
     twin_forced_choices,
 )
-from mdimlab import cover, mdim
+from mdimlab import cover, mdim, verify
 from mdimlab.cover import is_symmetry
 from mdimlab.zoo import ZOO
 
@@ -383,8 +383,13 @@ class TestExhaustiveOracle:
             assert exhaustive_mdim(g).set == networkx_oracle(g), name
 
 
+# the oracle's sort of distance rows and the pair check that judges the
+# sampled subsets of random-soundness, each against is_resolving
+@pytest.mark.parametrize(
+    "resolving", [mdim._resolving_rows, verify._separating_rows], ids=["sort", "pairs"]
+)
 class TestResolvingRows:
-    def test_matches_is_resolving_on_every_subset(self):
+    def test_matches_is_resolving_on_every_subset(self, resolving):
         seen = set()
         for n in range(1, 8):
             for seed in range(8):
@@ -393,12 +398,12 @@ class TestResolvingRows:
                 for size in range(n + 1):
                     subsets = list(combinations(range(n), size))
                     rows = np.array(subsets, dtype=np.intp).reshape(len(subsets), size)
-                    got = mdim._resolving_rows(dm.dist, rows).tolist()
+                    got = resolving(dm.dist, rows).tolist()
                     assert got == [is_resolving(dm, s) for s in subsets], (g.adj, size)
                 seen.add("one vertex" if n == 1 else dm.connected)
         assert seen == {"one vertex", True, False}
 
-    def test_long_rows_with_unreachable_entries_compare_exactly(self):
+    def test_long_rows_with_unreachable_entries_compare_exactly(self, resolving):
         # rows of up to 40 bytes, most of them UNREACHABLE: no packing of a
         # row into one integer would hold them
         rng = random.Random(11)
@@ -407,7 +412,7 @@ class TestResolvingRows:
             dm = g.distances
             for size in (1, 16, 24, 32, 40):
                 subsets = [rng.sample(range(g.n), size) for _ in range(30)]
-                got = mdim._resolving_rows(dm.dist, np.array(subsets, dtype=np.intp))
+                got = resolving(dm.dist, np.array(subsets, dtype=np.intp))
                 assert got.tolist() == [is_resolving(dm, s) for s in subsets]
 
 

@@ -2,6 +2,7 @@
 tamper detection, and the exhaustive re-derivation hook."""
 
 import dataclasses
+import sys
 
 import pytest
 
@@ -222,6 +223,24 @@ class TestRandomSoundness:
         assert CHECKS["random_soundness"](self.ARGS) == {
             "mismatches": 0, "undersized_successes": self.ARGS["count"],
         }
+
+    def test_an_oracle_that_misses_resolving_sets_is_caught(self, monkeypatch):
+        # the oracle's own test ignores the first vertex of every subset, in
+        # every module that holds it, so the oracle overstates the minimum;
+        # the solver agrees with it, and only the sampled subsets, judged by
+        # a test the oracle does not share, see it
+        sort = mdimlab.mdim._resolving_rows
+
+        def one_short(dist, subsets):
+            return sort(dist, subsets[:, 1:]) if subsets.shape[1] else sort(dist, subsets)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mdimlab") and getattr(module, "_resolving_rows", None) is sort:
+                monkeypatch.setattr(module, "_resolving_rows", one_short)
+        monkeypatch.setattr(mdimlab.verify, "_solve", exhaustive_mdim)
+        outcome = CHECKS["random_soundness"](self.ARGS)
+        assert outcome["mismatches"] == 0
+        assert outcome["undersized_successes"] > 0
 
     def test_an_oversized_solver_answer_is_a_mismatch(self, monkeypatch):
         monkeypatch.setattr(mdimlab.verify, "_solve", self.inflated)
