@@ -81,7 +81,6 @@ from .mdim import (
     SplitDimension,
     babai_bounds,
     certify,
-    default_budget,
     exhaustive_mdim,
     first_unresolved_pair,
     first_unseparated_pair,

@@ -5,9 +5,9 @@ oracle, experiment.  construct takes a mode (family, taylor, double,
 plane), as do lift (halved, folded, push, taylor, double) and experiment
 (descendants, semisplit); a mode takes only the flags it reads, and any
 other is a usage error.  Exit codes: 0 success, 1 user or input error
-(usage errors included), 2 node budget exhausted before the requested
-answer was proved (mdim, semiresolve, and experiment, where any printed
-value left unproved counts).
+(usage errors included), 2 node budget (--budget) exhausted before the
+requested answer was proved (mdim, semiresolve, and experiment, where any
+printed value left unproved counts).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from typing import Any
 
 from . import families
+from .cover import DEFAULT_BUDGET
 from .designs import SymmetricDesign, design_from_text, design_text, incidence_graph, pg2
 from .errors import MdimlabError
 from .graphs import Graph, induced_neighborhood
@@ -143,12 +144,10 @@ def _cmd_mdim(args: argparse.Namespace) -> int:
         cert = mdim_exact(g, budget=args.budget)
     _emit(cert.to_json(), args.json,
           f"mu={cert.mu} set={list(cert.set)} status={cert.status} method={cert.method}")
-    exact_requested = not (args.greedy or args.oracle or args.certify is not None)
-    if exact_requested and cert.status != "minimum":
-        return EXIT_BUDGET
     if cert.status == "failed":
         return EXIT_USER
-    return EXIT_OK
+    exact = not (args.greedy or args.oracle or args.certify is not None)
+    return _proved([cert]) if exact else EXIT_OK
 
 
 def _lift_push(args: argparse.Namespace):
@@ -201,13 +200,13 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 def _cmd_semiresolve(args: argparse.Namespace) -> int:
     design = _load_design(args)
     if args.split:
-        result = split_mdim(design)
+        result = split_mdim(design, args.budget)
         _emit(result.to_json(), args.json,
               f"split={result.mu_star} points_part={list(result.points_part.set)} "
               f"blocks_part={list(result.blocks_part.set)}")
         certs = (result.points_part, result.blocks_part)
     else:
-        cert = min_semi_resolving(design, side=args.side)
+        cert = min_semi_resolving(design, args.side, args.budget)
         _emit(cert.to_json(), args.json,
               f"size={cert.mu} set={list(cert.set)} side={args.side} "
               f"status={cert.status}")
@@ -242,11 +241,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 def _cmd_descendants(args: argparse.Namespace) -> int:
     base = _base_graph(args)
     cover = families.taylor(base)
-    certs = [mdim_exact(base)]
+    certs = [mdim_exact(base, args.budget)]
     rows = []
     for w in range(cover.graph.n):
         local, _ = induced_neighborhood(cover.graph, w)
-        certs.append(mdim_exact(local))
+        certs.append(mdim_exact(local, args.budget))
         rows.append({"vertex": w, "tag": cover.tags[w], "mu": certs[-1].mu})
     lines = [f"base mu={certs[0].mu}"]
     lines += [f"  vertex {row['vertex']} ({row['tag']}): mu={row['mu']}" for row in rows]
@@ -256,10 +255,10 @@ def _cmd_descendants(args: argparse.Namespace) -> int:
 
 def _cmd_semisplit(args: argparse.Namespace) -> int:
     design = _load_design(args)
-    split = split_mdim(design)
+    split = split_mdim(design, args.budget)
     # the split's points part separates the blocks, and dually
     pts, blk = split.blocks_part, split.points_part
-    inc = mdim_exact(incidence_graph(design).graph)
+    inc = mdim_exact(incidence_graph(design).graph, args.budget)
     payload = {
         "semi_points": pts.to_json(),
         "semi_blocks": blk.to_json(),
@@ -269,6 +268,12 @@ def _cmd_semisplit(args: argparse.Namespace) -> int:
     _emit(payload, args.json, f"semi points-side={pts.mu} blocks-side={blk.mu} "
                               f"split={split.mu_star} incidence mu={inc.mu}")
     return _proved((pts, blk, inc))
+
+
+def _add_budget(container: Any) -> None:
+    """The one --budget flag, on a parser or on mdim's group of modes."""
+    container.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                           help="node budget of each exact search (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="exhaustive enumeration (small graphs only)")
     mode.add_argument("--certify", metavar="SET", type=_vertex_list,
                       help="verify this comma-separated set")
-    mode.add_argument("--budget", type=int, help="node budget override (exact solver only)")
+    _add_budget(mode)
     p.set_defaults(fn=_cmd_mdim)
 
     p = sub.add_parser("lift", help="transfer a resolving set between related graphs")
@@ -369,6 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     sides.add_argument("--side", choices=["points", "blocks"], default="blocks",
                        help="pairs to separate (default blocks)")
     sides.add_argument("--split", action="store_true", help="both sides (split dimension)")
+    _add_budget(p)
     p.set_defaults(fn=_cmd_semiresolve)
 
     p = sub.add_parser("verify", parents=[as_json], help="golden-value regression suite")
@@ -386,9 +392,11 @@ def build_parser() -> argparse.ArgumentParser:
     m = modes.add_parser("descendants", parents=[params, as_json],
                          help="mu of the base and of every local graph of its Taylor cover")
     m.add_argument("base", help="base family name")
+    _add_budget(m)
     m.set_defaults(fn=_cmd_descendants)
     m = modes.add_parser("semisplit", parents=[design, as_json],
                          help="semi-resolving, split and incidence mu of a design")
+    _add_budget(m)
     m.set_defaults(fn=_cmd_semisplit)
 
     return parser

@@ -134,6 +134,8 @@ def fold(
     further and skip the check.  The result is kept with g; a structure,
     if passed, must equal antipodal_structure(g), or BadParameters is raised.
     """
+    # structure has one valid value but stays: perfbench/workloads.py, kept
+    # fixed so that benchmark runs compare, passes it to fold and lift_folded
     if structure is not None and structure != antipodal_structure(g):
         raise BadParameters("fold takes only the graph's own antipodal structure")
     return _fold(g)

@@ -55,14 +55,9 @@ def read_graph(path: str) -> Graph:
     return graph_from_text(read_ascii(path))
 
 
-def graph_dot(g: Graph, labels: tuple[str, ...] | None = None) -> str:
-    """DOT rendering; optional per-vertex labels (e.g. cover tags)."""
-    if labels is not None and len(labels) != g.n:
-        raise BadParameters("one label per vertex required")
+def graph_dot(g: Graph) -> str:
+    """DOT rendering of the edges."""
     out = ["graph G {"]
-    if labels is not None:
-        for v, tag in enumerate(labels):
-            out.append(f'  {v} [label="{tag}"];')
     for u, w in g.edges():
         out.append(f"  {u} -- {w};")
     out.append("}")

@@ -13,15 +13,14 @@ reports what it used.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import asdict, dataclass
 from itertools import combinations, islice
 from typing import Any, Iterable, Literal, Sequence
 
 import numpy as np
 
-from . import cover
 from .cover import (
+    DEFAULT_BUDGET,
     CoverResult,
     PairCoverInstance,
     build_instance,
@@ -35,21 +34,6 @@ from .errors import (
     LiftVerificationError,
 )
 from .graphs import DistanceMatrix, Graph, as_ints, intersection_array, is_primitive
-
-ENV_BUDGET = "MDIMLAB_BUDGET"
-
-
-def default_budget() -> int:
-    raw = os.environ.get(ENV_BUDGET)
-    if raw is None:
-        return cover.DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise BadParameters(f"{ENV_BUDGET} must be an integer, got {raw!r}") from exc
-    if value < 0:
-        raise BadParameters(f"{ENV_BUDGET} must be non-negative")
-    return value
 
 
 def _normalise(s: Iterable[int]) -> tuple[int, ...]:
@@ -173,15 +157,15 @@ def lower_bound_nd(n: int, d: int) -> int:
     return mu
 
 
-def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
+def mdim_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ResolvingCertificate:
     """Exact metric dimension with a verified witness.
 
     Disconnected graphs are handled with the unreachable-distance sentinel;
     a pair in two different components is separated exactly by the vertices
-    of those components.  Spending the whole node budget downgrades the
-    result to status "verified-resolving" carrying the best set found.
-    Budget 0 returns the verified greedy seed, which is "minimum" only when
-    it meets the lower bound.
+    of those components.  Spending the whole node budget (min_cover
+    rejects a negative one) downgrades the result to status
+    "verified-resolving" carrying the best set found.  Budget 0 returns
+    the verified greedy seed, "minimum" only when it meets the lower bound.
 
     The distance instance goes to cover.min_cover with the twin-forced
     vertices and the counting lower bound (0 when disconnected), and
@@ -193,8 +177,6 @@ def mdim_exact(g: Graph, budget: int | None = None) -> ResolvingCertificate:
     "exact-bnb-sym" and carries the generators.
     """
     dm = g.distances
-    if budget is None:
-        budget = default_budget()
     # the distance-alphabet counting bound needs a finite diameter
     lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
     res = min_cover(
@@ -383,11 +365,10 @@ def is_semi_resolving_for_blocks(d: SymmetricDesign, s: Iterable[int]) -> bool:
 def min_semi_resolving(
     d: SymmetricDesign,
     side: Literal["blocks", "points"] = "blocks",
-    budget: int | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> ResolvingCertificate:
-    """Minimum semi-resolving set for one side of a design."""
-    if budget is None:
-        budget = default_budget()
+    """Minimum semi-resolving set for one side of a design; a spent budget
+    gives status "verified-resolving", as in mdim_exact."""
     # no finder: on the design instances it costs more than it saves
     res = min_cover(semi_cover_instance(d, side), budget=budget, symmetries=())
     return _from_cover(
@@ -415,7 +396,7 @@ class SplitDimension:
         }
 
 
-def split_mdim(d: SymmetricDesign, budget: int | None = None) -> SplitDimension:
+def split_mdim(d: SymmetricDesign, budget: int = DEFAULT_BUDGET) -> SplitDimension:
     """Split metric dimension of the incidence graph of d.
 
     The union of the two witnesses is verified to resolve the incidence

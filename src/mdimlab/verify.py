@@ -31,7 +31,7 @@ from .designs import (
     three_lines_2blocking,
     is_double_blocking,
 )
-from .errors import BadParameters, LiftVerificationError
+from .errors import BadParameters, BudgetExceeded, LiftVerificationError
 from .graphs import Graph, induced_neighborhood, intersection_array, is_primitive
 from .imprimitivity import classify_ah, fold, halve
 from .lifting import lift_folded, lift_halved, taylor_lift
@@ -160,15 +160,22 @@ def _graph_from_args(args: dict[str, Any]) -> Graph:
 _RUN_SOLVES: ContextVar[dict | None] = ContextVar("_RUN_SOLVES", default=None)
 
 
+def _minimum(cert: ResolvingCertificate) -> ResolvingCertificate:
+    """cert, or BudgetExceeded if its search proved no minimum."""
+    if cert.status != "minimum":
+        raise BudgetExceeded(cert.nodes_explored)
+    return cert
+
+
 def _solve(g: Graph) -> ResolvingCertificate:
     """mdim_exact(g), or inside run_suite the certificate of the run's first
-    solve of the same labelled graph."""
+    solve of the same labelled graph; BudgetExceeded if it is no minimum."""
     memo = _RUN_SOLVES.get()
     if memo is None:
-        return mdim_exact(g)
+        memo = {}
     key = (g.n, g.adj)
     if key not in memo:
-        memo[key] = mdim_exact(g)
+        memo[key] = _minimum(mdim_exact(g))
     return memo[key]
 
 
@@ -353,11 +360,12 @@ def _check_babai_cross(args: dict[str, Any]) -> dict[str, Any]:
 
 
 def _check_semi_resolving(args: dict[str, Any]) -> int:
-    return min_semi_resolving(pg2(args["q"]), side=args["side"]).mu
+    return _minimum(min_semi_resolving(pg2(args["q"]), side=args["side"])).mu
 
 
 def _check_split_value(args: dict[str, Any]) -> int:
-    return split_mdim(pg2(args["q"])).mu_star
+    split = split_mdim(pg2(args["q"]))
+    return sum(_minimum(part).mu for part in (split.points_part, split.blocks_part))
 
 
 def _check_intersection_array(args: dict[str, Any]) -> str:
@@ -395,7 +403,9 @@ def run_suite(
     only restricts to the given row ids (recorded rows still render); an id
     that names no row raises BadParameters.  Each distinct labelled graph is
     solved once per call, and later rows reuse the first certificate; a
-    check called directly, outside run_suite, solves anew.
+    check called directly, outside run_suite, solves anew.  A row whose
+    search proves no minimum fails, with the BudgetExceeded message as its
+    computed value.
     """
     rows = load_golden()
     if only is not None:
@@ -412,7 +422,10 @@ def run_suite(
             if not runnable:
                 results.append(RowResult(row=row, computed=None, ok=None))
                 continue
-            computed = CHECKS[row.check](row.args)
+            try:
+                computed = CHECKS[row.check](row.args)
+            except BudgetExceeded as exc:
+                computed = str(exc)
             results.append(
                 RowResult(row=row, computed=computed, ok=computed == row.expected)
             )

@@ -418,18 +418,22 @@ class TestSemiresolve:
         assert code == 0
         assert out.startswith("size=6")
 
-    def test_spent_budget_exits_2(self, monkeypatch):
-        monkeypatch.setenv("MDIMLAB_BUDGET", "1")
-        code, out, _ = run("semiresolve", "--plane", "3", "--side", "blocks")
+    def test_spent_budget_exits_2(self):
+        code, out, _ = run("semiresolve", "--plane", "3", "--side", "blocks",
+                           "--budget", "1")
         assert code == 2
         assert out.startswith("size=6")
         assert out.rstrip().endswith("status=verified-resolving")
 
-    def test_spent_budget_on_split_exits_2(self, monkeypatch):
-        monkeypatch.setenv("MDIMLAB_BUDGET", "1")
-        code, out, _ = run("semiresolve", "--plane", "3", "--split")
+    def test_spent_budget_on_split_exits_2(self):
+        code, out, _ = run("semiresolve", "--plane", "3", "--split", "--budget", "1")
         assert code == 2
         assert out.startswith("split=12")
+
+    def test_negative_budget_exits_1(self):
+        code, out, err = run("semiresolve", "--plane", "2", "--budget", "-1")
+        assert code == 1 and out == ""
+        assert "error:" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("content", [b"x y z\n", b"7 3 1\n\xff\n"])
     def test_malformed_design_file_exits_1(self, tmp_path, content):
@@ -496,6 +500,12 @@ class TestVerifyAndOracle:
         assert code == 1 and out == ""
         assert "error: unknown row ids: ''" in err
 
+    def test_verify_takes_no_budget(self):
+        code, out, err = run("verify", "--budget", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("usage: mdimlab verify ")
+        assert "error: unrecognized arguments: --budget 1" in err
+
     def test_oracle_recomputes_small_frozen_values(self):
         code, out, _ = run("oracle", "--max-n", "10")
         assert code == 0
@@ -561,7 +571,7 @@ class TestExperiment:
         real = mdimlab.mdim.min_semi_resolving
         sides = []
 
-        def counting(design, side="blocks", budget=None):
+        def counting(design, side="blocks", budget=mdimlab.cover.DEFAULT_BUDGET):
             sides.append(side)
             return real(design, side, budget)
 
@@ -575,16 +585,14 @@ class TestExperiment:
         assert payload["semi_blocks"] == payload["split"]["points_part"]
 
 
-    def test_spent_budget_on_semisplit_exits_2(self, monkeypatch):
-        monkeypatch.setenv("MDIMLAB_BUDGET", "1")
-        code, out, _ = run("experiment", "semisplit", "--plane", "3")
+    def test_spent_budget_on_semisplit_exits_2(self):
+        code, out, _ = run("experiment", "semisplit", "--plane", "3", "--budget", "1")
         assert code == 2
         assert out.startswith("semi points-side=")
 
-    def test_spent_budget_on_descendants_exits_2(self, monkeypatch):
-        monkeypatch.setenv("MDIMLAB_BUDGET", "1")
+    def test_spent_budget_on_descendants_exits_2(self):
         code, out, _ = run("experiment", "descendants", "paley",
-                           "--param", "29", "--json")
+                           "--param", "29", "--budget", "1", "--json")
         assert code == 2
         assert len(json.loads(out)["descendants"]) == 60
 

@@ -1,6 +1,7 @@
 """The package's import graph: every import sits at module level, is used
-by its module, and the modules import one another without a cycle; and
-every private module-level name is read somewhere in the package."""
+by its module, and the modules import one another without a cycle; every
+private module-level name is read somewhere in the package; and no module
+reads the environment."""
 
 import ast
 from pathlib import Path
@@ -133,5 +134,29 @@ def test_every_private_name_is_used():
         name: sorted(names)
         for name, tree in trees.items()
         if (names := private_definitions(tree) - read)
+    }
+    assert found == {}
+
+
+def environment_reads(tree: ast.Module) -> list[int]:
+    """Line numbers of the `os.environ` and `os.getenv` reads, and of the
+    imports of either from os."""
+    names = {"environ", "getenv"}
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in names
+        and isinstance(node.value, ast.Name) and node.value.id == "os"
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in names for alias in node.names)
+    })
+
+
+def test_no_module_reads_the_environment():
+    # every input, the node budget included, is an argument
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := environment_reads(ast.parse(path.read_text())))
     }
     assert found == {}

@@ -10,7 +10,6 @@ from mdimlab import (
     graph_from_text,
     graph_text,
     read_graph,
-    taylor,
     write_graph,
 )
 from mdimlab.io import read_ascii
@@ -82,13 +81,3 @@ class TestDot:
             "  1 -- 2;",
             "}",
         ]
-
-    def test_labels_render_when_supplied(self):
-        cover = taylor(family("cycle", 5))
-        out = graph_dot(cover.graph, cover.tags)
-        assert '0 [label="0+"];' in out
-        assert '11 [label="inf-"];' in out
-
-    def test_label_count_must_match(self):
-        with pytest.raises(BadParameters):
-            graph_dot(family("cycle", 3), ("a", "b"))

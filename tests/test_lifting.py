@@ -14,6 +14,7 @@ from mdimlab import (
     LabeledCover,
     NotTwoAntipodal,
     ParameterFailure,
+    antipodal_structure,
     bfs_distances,
     bipartition,
     descendant_extract,
@@ -241,6 +242,14 @@ class TestLiftFolded:
     def test_quotient_set_must_resolve_the_quotient(self):
         with pytest.raises(InputNotResolving):
             lift_folded(family("complete_multipartite", 3, 4), [0])
+
+    def test_the_graphs_own_structure_changes_nothing(self):
+        # the benchmark's large-n items pass the structure positionally
+        for g, r_bar in (
+            (family("hypercube", 3), (0, 1, 2)),
+            (family("complete_multipartite", 3, 4), (0, 1)),
+        ):
+            assert lift_folded(g, r_bar, antipodal_structure(g)) == lift_folded(g, r_bar)
 
 
 class TestProjectToFolded:

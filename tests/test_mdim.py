@@ -206,15 +206,12 @@ class TestMdimExact:
         cert = mdim_exact(family("hypercube", 6), budget=budget)
         assert (cert.nodes_explored, cert.status) == (budget, "verified-resolving")
 
-    def test_an_environment_budget_of_zero_means_budget_zero(self, monkeypatch):
+    def test_the_environment_sets_no_budget(self, monkeypatch):
         g = ZOO["heawood"]()
         monkeypatch.setenv("MDIMLAB_BUDGET", "0")
         cert = mdim_exact(g)
-        assert cert == mdim_exact(g, budget=0)
-        assert cert.status == "verified-resolving"
-        monkeypatch.setenv("MDIMLAB_BUDGET", "-1")
-        with pytest.raises(BadParameters, match="non-negative"):
-            mdim_exact(g)
+        assert cert == mdim_exact(g, budget=cover.DEFAULT_BUDGET)
+        assert cert.status == "minimum"
 
     # Node counts of the search without an orbit, the path mdim_exact takes
     # when min_cover finds no automorphism moving vertex 0.  Every tie-break is

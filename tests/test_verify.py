@@ -2,6 +2,7 @@
 tamper detection, and the exhaustive re-derivation hook."""
 
 import dataclasses
+import functools
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from mdimlab import (
     LiftVerificationError,
     ResolvingCertificate,
     exhaustive_mdim,
+    mdim_exact,
 )
 from mdimlab.verify import (
     CHECKS,
@@ -186,6 +188,25 @@ class TestTamperDetection:
         (row,) = [r for r in load_golden() if r.id == "taylor-C_5"]
         with pytest.raises(LiftVerificationError):
             CHECKS[row.check](row.args)
+
+    def test_a_solve_that_proves_no_minimum_fails_its_row(self, monkeypatch):
+        monkeypatch.setattr(mdimlab.verify, "mdim_exact",
+                            lambda g: mdim_exact(g, budget=0))
+        report = run_suite(only={"mu-Q_6"})
+        assert not report.ok
+        assert report.results[0].computed == "search budget exceeded after 0 nodes"
+
+    @pytest.mark.parametrize("solver,row_id", [
+        ("min_semi_resolving", "semi-order3-blocks"), ("split_mdim", "split-order3"),
+    ])
+    def test_a_design_search_that_proves_no_minimum_fails_its_row(
+        self, monkeypatch, solver, row_id
+    ):
+        spent = functools.partial(getattr(mdimlab.verify, solver), budget=0)
+        monkeypatch.setattr(mdimlab.verify, solver, spent)
+        report = run_suite(only={row_id})
+        assert not report.ok
+        assert report.results[0].computed == "search budget exceeded after 0 nodes"
 
     def test_json_report_carries_the_failure(self, monkeypatch):
         rows = load_golden()
