@@ -16,10 +16,12 @@ along its rows into resolvers.  Both packings read contiguous rows.
 The solver branches on an uncovered pair with few remaining separators,
 trying its separators in decreasing marginal-coverage order; each branch
 bans the separators already tried at that node, so the subtrees partition
-the solution space.  Pruning uses chosen + ceil(remaining / best possible
-marginal coverage) against the incumbent, plus an optional external lower
-bound that stops the search as soon as it is met.  All tie-breaks are by
-ascending id, so results are fully deterministic.
+the solution space.  The pair is picked among the first uncovered items by
+static separator count, walked as uncovered & (the items of one count), so
+covered items cost nothing.  Pruning uses chosen + ceil(remaining / best
+possible marginal coverage) against the incumbent, plus an optional
+external lower bound that stops the search as soon as it is met.  All
+tie-breaks are by ascending id, so results are fully deterministic.
 
 When that bound asks one chooser to cover every uncovered pair (slack one,
 or a single pair left), a completion test answers it instead of the
@@ -108,6 +110,8 @@ class PairCoverInstance:
     resolvers[p]: bitset over choosers separating item p.
     matrix: the chooser-by-entity matrix behind them, which is_symmetry
     and root_symmetries read.
+    words: coverage[v] as row v of a uint64 array, zero past the last
+    item, on which greedy_cover counts with a popcount.
     """
 
     n_choosers: int
@@ -115,6 +119,7 @@ class PairCoverInstance:
     coverage: tuple[int, ...]
     resolvers: tuple[int, ...]
     matrix: np.ndarray = field(repr=False, compare=False)
+    words: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n_items(self) -> int:
@@ -135,14 +140,17 @@ def build_instance(matrix: np.ndarray) -> PairCoverInstance:
         np.not_equal(matrix[:, i, None], matrix[:, i + 1:], out=sep[:, s:e])
         by_item[s:e] = np.packbits(columns[i] != columns[i + 1:], axis=1, bitorder="little")
         s = e
-    coverage = _packed_ints(np.packbits(sep, axis=1, bitorder="little"))
+    packed = np.packbits(sep, axis=1, bitorder="little")
     del sep  # lowers the peak while the resolvers are made
+    words = np.zeros((n_choosers, -(-n_items // 64)), dtype=np.uint64)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
     return PairCoverInstance(
         n_choosers=n_choosers,
         n_entities=n_cols,
-        coverage=coverage,
+        coverage=_packed_ints(words.view(np.uint8)),
         resolvers=_packed_ints(by_item),
         matrix=matrix,
+        words=words,
     )
 
 
@@ -327,24 +335,21 @@ class CoverResult:
 def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[int]:
     """Maximum-marginal-coverage greedy, seeded with the forced choosers.
 
-    Ties break toward the lowest chooser id.  An item that no chooser
-    separates, or a forced entry that is not a chooser id, raises
-    BadParameters.
+    Gains are counted by a popcount over inst.words and the first maximum
+    wins, so ties break toward the lowest id.  An item that no chooser
+    separates, or a forced entry that is no chooser id, raises BadParameters.
     """
-    all_items = (1 << inst.n_items) - 1
     chosen = list(_chooser_ids(inst, forced))
-    covered = _union(inst, chosen)
-    while covered != all_items:
-        best_v = -1
-        best_gain = 0
-        for v in range(inst.n_choosers):
-            gain = (inst.coverage[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_v < 0:
+    covered = np.bitwise_or.reduce(inst.words[chosen], axis=0)
+    left = inst.n_items - int(np.bitwise_count(covered).sum())
+    while left:
+        gains = np.bitwise_count(inst.words & ~covered).sum(axis=1)
+        if not gains.any():
             raise BadParameters("instance is infeasible: some pair has no separator")
-        chosen.append(best_v)
-        covered |= inst.coverage[best_v]
+        v = int(gains.argmax())
+        chosen.append(v)
+        covered |= inst.words[v]
+        left -= int(gains[v])
     return chosen
 
 
@@ -355,14 +360,6 @@ def _chooser_ids(inst: PairCoverInstance, forced: Sequence[int]) -> tuple[int, .
         if not 0 <= v < inst.n_choosers:
             raise BadParameters(f"forced chooser {v} out of range")
     return ids
-
-
-def _union(inst: PairCoverInstance, choosers: Sequence[int]) -> int:
-    """Bitset of the items that some chooser in choosers separates."""
-    covered = 0
-    for v in choosers:
-        covered |= inst.coverage[v]
-    return covered
 
 
 class _Stop(Exception):
@@ -383,14 +380,14 @@ class _Search:
         self.nodes = 0
         self.exhausted = True
         self.best: list[int] = []
-        # items by ascending static separator count, then index
+        # one item mask per static separator count, in ascending count order
         counts = [r.bit_count() for r in inst.resolvers]
-        self.item_order = np.argsort(counts, kind="stable").tolist()
+        by_count = np.array(counts)
+        masks = (np.packbits(by_count == c, bitorder="little") for c in sorted(set(counts)))
+        self.item_groups = [int.from_bytes(m.tobytes(), "little") for m in masks]
         # choosers by descending static coverage, then id, for bound scans
         cov_counts = [c.bit_count() for c in inst.coverage]
-        self.chooser_order = sorted(
-            range(inst.n_choosers), key=lambda v: (-cov_counts[v], v)
-        )
+        self.chooser_order = sorted(range(inst.n_choosers), key=lambda v: (-cov_counts[v], v))
         self.cov_counts = cov_counts
 
     def run(
@@ -403,7 +400,9 @@ class _Search:
         try:
             if len(self.best) > self.lower_stop:
                 for start, banned in roots:
-                    self._search(list(start), _union(self.inst, start), banned)
+                    start = list(start)  # a tuple would index words along two axes
+                    covered = np.bitwise_or.reduce(self.inst.words[start], axis=0).tobytes()
+                    self._search(start, int.from_bytes(covered, "little"), banned)
         except _Stop:
             pass
         return CoverResult(
@@ -494,26 +493,26 @@ class _Search:
     def _pick_pivot(self, uncovered: int, banned: int) -> int:
         """Separator set of the branching pair.
 
-        Walks items in static separator-count order and takes the dynamic
-        minimum among the first PIVOT_WINDOW uncovered ones.
+        Walks uncovered items by static separator count (item_groups), then
+        index, and takes the dynamic minimum among the first PIVOT_WINDOW.
         """
+        resolvers = self.inst.resolvers
         best_bits = 0
         best_cnt = 1 << 62
         seen = 0
-        for p in self.item_order:
-            if not uncovered >> p & 1:
-                continue
-            avail = self.inst.resolvers[p] & ~banned
-            cnt = avail.bit_count()
-            if cnt == 0:
-                return 0
-            if cnt < best_cnt:
-                best_cnt, best_bits = cnt, avail
-                if cnt == 1:
-                    break
-            seen += 1
-            if seen >= self.PIVOT_WINDOW:
-                break
+        for group in self.item_groups:
+            for p in iter_bits(uncovered & group):
+                avail = resolvers[p] & ~banned
+                cnt = avail.bit_count()
+                if cnt == 0:
+                    return 0
+                if cnt < best_cnt:
+                    best_cnt, best_bits = cnt, avail
+                    if cnt == 1:
+                        return best_bits
+                seen += 1
+                if seen >= self.PIVOT_WINDOW:
+                    return best_bits
         return best_bits
 
 
@@ -530,8 +529,8 @@ def min_cover(
     that size is accepted as optimal without exhausting the tree.  A spent
     budget downgrades the result to a verified upper bound
     (optimal=False).  Budget 0 returns the greedy seed, optimal only when
-    it meets lower_stop.  A negative budget, or a forced entry that is not a
-    chooser id, raises BadParameters.
+    it meets lower_stop.  A budget that is negative or no int (as_ints), or
+    a forced entry that is not a chooser id, raises BadParameters.
 
     symmetries None (the default) means find them: when nothing is forced,
     the budget is positive and the greedy seed is above lower_stop,
@@ -544,6 +543,7 @@ def min_cover(
     chooser 0 and the orbits of its stabiliser, and the result carries
     them as generators.
     """
+    (budget,) = as_ints((budget,), "the node budget")
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")
     forced = sorted(set(_chooser_ids(inst, forced)))

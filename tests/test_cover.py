@@ -65,6 +65,11 @@ def reference_build(matrix: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...
     return coverage, resolvers
 
 
+def word_rows(inst: PairCoverInstance) -> tuple[int, ...]:
+    """The rows of inst.words as little-endian ints."""
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in inst.words)
+
+
 class TestBuildInstance:
     def test_items_are_lexicographic_column_pairs(self):
         # column 3 differs from the rest, so the items touching it are the
@@ -117,6 +122,9 @@ class TestBuildInstance:
         for m in matrices:
             inst = build_instance(m)
             assert (inst.coverage, inst.resolvers) == reference_build(m)
+            assert inst.words.dtype == np.uint64
+            assert inst.words.shape == (inst.n_choosers, -(-inst.n_items // 64))
+            assert word_rows(inst) == inst.coverage
             assert (inst.n_choosers, inst.n_entities) == m.shape
             assert inst.n_items == inst.n_entities * (inst.n_entities - 1) // 2
 
@@ -151,6 +159,83 @@ class TestGreedyCover:
         inst = build_instance(np.asarray(family("cycle", 6).distances.dist))
         with pytest.raises(BadParameters):
             greedy_cover(inst, forced=forced)
+
+
+def reference_greedy(inst: PairCoverInstance, forced=()) -> list[int] | None:
+    """The big-integer greedy that greedy_cover's popcount over inst.words
+    replaced: a scan over every chooser per step, strict improvement only,
+    so the lowest id wins a tie.  None when some item has no separator."""
+    all_items = (1 << inst.n_items) - 1
+    chosen = list(forced)
+    covered = 0
+    for v in chosen:
+        covered |= inst.coverage[v]
+    while covered != all_items:
+        best_v = -1
+        best_gain = 0
+        for v in range(inst.n_choosers):
+            gain = (inst.coverage[v] & ~covered).bit_count()
+            if gain > best_gain:
+                best_v, best_gain = v, gain
+        if best_v < 0:
+            return None
+        chosen.append(best_v)
+        covered |= inst.coverage[best_v]
+    return chosen
+
+
+class TestGreedyMatchesTheReference:
+    def check(self, inst: PairCoverInstance, forced=()) -> list[int] | None:
+        want = reference_greedy(inst, forced)
+        if want is None:
+            with pytest.raises(BadParameters):
+                greedy_cover(inst, forced)
+        else:
+            assert greedy_cover(inst, forced) == want
+        return want
+
+    def test_seeded_random_instances(self):
+        # row counts past one 64-bit word, item counts on and off word
+        # boundaries (12 entities give 66 items), and 0 to 4 letters, so
+        # some instances are infeasible
+        rng = np.random.default_rng(22)
+        shapes = [(70, 12), (130, 9), (65, 12), (8, 12), (3, 12), (40, 17), (20, 2)]
+        shapes += [(int(rng.integers(1, 140)), int(rng.integers(1, 25))) for _ in range(40)]
+        infeasible = 0
+        for rows, cols in shapes:
+            inst = build_instance(rng.integers(0, int(rng.integers(1, 5)), size=(rows, cols)))
+            infeasible += self.check(inst) is None
+            forced = rng.integers(0, rows, size=int(rng.integers(1, 4))).tolist()
+            self.check(inst, forced)
+        assert infeasible
+
+    def test_single_entity_has_nothing_to_cover(self):
+        inst = build_instance(np.zeros((5, 1), dtype=np.uint8))
+        assert greedy_cover(inst) == reference_greedy(inst) == []
+        assert greedy_cover(inst, forced=[3, 3]) == [3, 3]
+
+    def test_repeated_forced_entries(self):
+        rng = np.random.default_rng(5)
+        inst = build_instance(rng.integers(0, 3, size=(90, 12)))
+        for forced in ([7, 7], [0, 89, 0, 89], [3, 3, 3]):
+            assert self.check(inst, forced)[: len(forced)] == forced
+
+    def test_all_tied_columns(self):
+        # every row is the same, or every row separates every pair: each
+        # step is an all-way tie, which the lowest id wins
+        distinct = np.arange(12)
+        for m in (np.tile(distinct, (70, 1)), np.tile(distinct % 2, (70, 1))):
+            inst = build_instance(m)
+            self.check(inst)
+        assert greedy_cover(build_instance(np.tile(distinct, (70, 1)))) == [0]
+        # two letters: no row separates the pairs inside a letter class
+        with pytest.raises(BadParameters):
+            greedy_cover(build_instance(np.tile(distinct % 2, (70, 1))))
+
+    def test_zoo_distance_instances(self):
+        for name in sorted(SOLVABLE):
+            inst = build_instance(np.asarray(ZOO[name]().distances.dist))
+            self.check(inst)
 
 
 class TestMinCover:
@@ -205,6 +290,14 @@ class TestMinCover:
             min_cover(inst, budget=-1)
         with pytest.raises(BadParameters):  # before the forced early return
             min_cover(inst, forced=[0], budget=-1)
+
+    # unchecked, 0.5 and 3.5 never equal the node count and search to the
+    # end, None raises TypeError, and True reads as 1
+    @pytest.mark.parametrize("budget", [0.5, 3.5, None, True, np.float64(3.0)])
+    def test_a_budget_that_is_not_an_int_is_rejected(self, budget):
+        inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
+        with pytest.raises(BadParameters):
+            min_cover(inst, budget=budget)
 
     # unchecked, -1 would index the last chooser and come back as a chosen
     # id, 7 would raise IndexError and 0.5 TypeError
@@ -549,14 +642,83 @@ def random_subset(rng, bits: int) -> int:
 
 class TestItemOrder:
     def test_ties_keep_ascending_item_index(self):
-        # few choosers give few distinct separator counts, so most items tie
+        # few choosers give few distinct separator counts, so most items tie;
+        # the bits of item_groups, group by group, give the (count, index)
+        # order, and each group holds the items of one count, ascending
         for seed in range(20):
             rng = np.random.default_rng(seed)
             shape = (int(rng.integers(1, 6)), int(rng.integers(2, 60)))
             inst = build_instance(rng.integers(0, 2, size=shape))
             counts = [r.bit_count() for r in inst.resolvers]
             want = sorted(range(inst.n_items), key=lambda p: (counts[p], p))
-            assert _Search(inst, budget=0, lower_stop=0).item_order == want
+            groups = _Search(inst, budget=0, lower_stop=0).item_groups
+            assert [p for group in groups for p in iter_bits(group)] == want
+            group_counts = [{counts[p] for p in iter_bits(group)} for group in groups]
+            assert group_counts == [{c} for c in sorted(set(counts))]
+
+
+def reference_pivot(inst: PairCoverInstance, uncovered: int, banned: int) -> int:
+    """The walk that _pick_pivot's item groups replaced: every item in
+    (separator count, index) order, one shift test each."""
+    counts = [r.bit_count() for r in inst.resolvers]
+    best_bits = 0
+    best_cnt = 1 << 62
+    seen = 0
+    for p in sorted(range(inst.n_items), key=lambda p: (counts[p], p)):
+        if not uncovered >> p & 1:
+            continue
+        avail = inst.resolvers[p] & ~banned
+        cnt = avail.bit_count()
+        if cnt == 0:
+            return 0
+        if cnt < best_cnt:
+            best_cnt, best_bits = cnt, avail
+            if cnt == 1:
+                break
+        seen += 1
+        if seen >= _Search.PIVOT_WINDOW:
+            break
+    return best_bits
+
+
+class TestPickPivot:
+    def test_matches_the_reference_walk(self):
+        # dense and sparse uncovered sets, light and heavy bans, on
+        # instances on and off 64-item boundaries; each way out of the walk
+        # (a pair with no separator left, one with one, a full window, the
+        # items running out) is taken
+        seen = {"none": 0, "single": 0, "window": 0, "ran_out": 0}
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            shape = (int(rng.integers(2, 70)), int(rng.integers(2, 20)))
+            inst = build_instance(rng.integers(0, int(rng.integers(2, 5)), size=shape))
+            search = _Search(inst, budget=0, lower_stop=0)
+            all_items = (1 << inst.n_items) - 1
+            every = (1 << inst.n_choosers) - 1
+            for _ in range(40):
+                uncovered = all_items
+                for _ in range(int(rng.integers(0, 6))):
+                    uncovered = random_subset(rng, uncovered)
+                banned = every
+                for _ in range(int(rng.integers(1, 5))):
+                    banned = random_subset(rng, banned)
+                got = search._pick_pivot(uncovered, banned)
+                assert got == reference_pivot(inst, uncovered, banned)
+                live = [p for p in iter_bits(uncovered)]
+                if got == 0:
+                    seen["none"] += bool(live)
+                elif got.bit_count() == 1:
+                    seen["single"] += 1
+                elif len(live) > _Search.PIVOT_WINDOW:
+                    seen["window"] += 1
+                else:
+                    seen["ran_out"] += 1
+        assert all(seen.values()), seen
+
+    def test_nothing_uncovered(self):
+        rng = np.random.default_rng(3)
+        inst = build_instance(rng.integers(0, 3, size=(9, 8)))
+        assert _Search(inst, budget=0, lower_stop=0)._pick_pivot(0, 0) == 0
 
 
 class TestCompletionTest:

@@ -196,6 +196,16 @@ class TestMdimExact:
         with pytest.raises(BadParameters):
             mdim_exact(family("complete", 4), budget=-1)
 
+    @pytest.mark.parametrize("budget", [0.5, 3.5, 3.0, None, True, False, "3"])
+    def test_a_budget_that_is_not_an_int_is_rejected(self, budget):
+        with pytest.raises(BadParameters):
+            mdim_exact(ZOO["heawood"](), budget=budget)
+
+    def test_a_numpy_integer_budget_counts_as_an_int(self):
+        cert = mdim_exact(ZOO["heawood"](), budget=np.int64(3))
+        assert (cert.nodes_explored, cert.status) == (3, "verified-resolving")
+        assert cert == mdim_exact(ZOO["heawood"](), budget=3)
+
     def test_spent_budget_downgrades_the_status(self):
         cert = mdim_exact(ZOO["heawood"](), budget=0)
         assert cert.status == "verified-resolving"
@@ -257,26 +267,28 @@ class TestMdimExact:
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "build",
+        "build, nodes",
         [
-            lambda: family("hypercube", 7),
-            lambda: family("johnson", 9, 4),
-            lambda: fold(family("hypercube", 7))[0],
+            (lambda: family("hypercube", 7), 8726),
+            (lambda: family("johnson", 9, 4), 6190),
+            (lambda: fold(family("hypercube", 7))[0], 1742),
         ],
         ids=["Q_7", "johnson_9_4", "folded_Q_7"],
     )
-    def test_root_symmetry_proves_the_larger_graphs(self, build):
+    def test_root_symmetry_proves_the_larger_graphs(self, build, nodes):
         cert = mdim_exact(build())
         assert cert.status == "minimum"
         assert cert.mu == 6
+        assert cert.nodes_explored == nodes
 
     @pytest.mark.slow
     def test_orbital_branching_proves_q8(self):
-        # about 40k nodes; the root orbit alone needed 862k
+        # the root orbit alone needed 862k nodes
         g = family("hypercube", 8)
         cert = mdim_exact(g)
         assert cert.status == "minimum" and cert.method == "exact-bnb-sym"
         assert cert.mu == 6 and is_resolving(g.distances, cert.set)
+        assert cert.nodes_explored == 39909
 
 
 def relabel(g: Graph, seed: int) -> Graph:
