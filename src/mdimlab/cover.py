@@ -132,7 +132,7 @@ def build_instance(matrix: np.ndarray) -> PairCoverInstance:
     n_choosers, n_cols = matrix.shape
     n_items = n_cols * (n_cols - 1) // 2
     columns = np.ascontiguousarray(matrix.T)
-    sep = np.empty((n_choosers, n_items), dtype=bool)
+    sep = np.zeros((n_choosers, -(-n_items // 64) * 64), dtype=bool)  # whole words
     by_item = np.empty((n_items, -(-n_choosers // 8)), dtype=np.uint8)
     s = 0
     for i in range(n_cols - 1):  # the items (i, j), j > i, are sep[:, s:e]
@@ -142,15 +142,13 @@ def build_instance(matrix: np.ndarray) -> PairCoverInstance:
         s = e
     packed = np.packbits(sep, axis=1, bitorder="little")
     del sep  # lowers the peak while the resolvers are made
-    words = np.zeros((n_choosers, -(-n_items // 64)), dtype=np.uint64)
-    words.view(np.uint8)[:, : packed.shape[1]] = packed
     return PairCoverInstance(
         n_choosers=n_choosers,
         n_entities=n_cols,
-        coverage=_packed_ints(words.view(np.uint8)),
+        coverage=_packed_ints(packed),
         resolvers=_packed_ints(by_item),
         matrix=matrix,
-        words=words,
+        words=packed.view(np.uint64),
     )
 
 
@@ -343,7 +341,7 @@ def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[in
     covered = np.bitwise_or.reduce(inst.words[chosen], axis=0)
     left = inst.n_items - int(np.bitwise_count(covered).sum())
     while left:
-        gains = np.bitwise_count(inst.words & ~covered).sum(axis=1)
+        gains = np.add.reduce(np.bitwise_count(inst.words & ~covered), axis=1)
         if not gains.any():
             raise BadParameters("instance is infeasible: some pair has no separator")
         v = int(gains.argmax())
@@ -400,9 +398,10 @@ class _Search:
         try:
             if len(self.best) > self.lower_stop:
                 for start, banned in roots:
-                    start = list(start)  # a tuple would index words along two axes
-                    covered = np.bitwise_or.reduce(self.inst.words[start], axis=0).tobytes()
-                    self._search(start, int.from_bytes(covered, "little"), banned)
+                    covered = 0
+                    for v in start:
+                        covered |= self.inst.coverage[v]
+                    self._search(list(start), covered, banned)
         except _Stop:
             pass
         return CoverResult(
