@@ -16,12 +16,13 @@ along its rows into resolvers.  Both packings read contiguous rows.
 The solver branches on an uncovered pair with few remaining separators,
 trying its separators in decreasing marginal-coverage order; each branch
 bans the separators already tried at that node, so the subtrees partition
-the solution space.  The pair is picked among the first uncovered items by
-static separator count, walked as uncovered & (the items of one count), so
-covered items cost nothing.  Pruning uses chosen + ceil(remaining / best
-possible marginal coverage) against the incumbent, plus an optional
-external lower bound that stops the search as soon as it is met.  All
-tie-breaks are by ascending id, so results are fully deterministic.
+the solution space.  The pair is picked among the first uncovered items in
+order of static separator count: one item mask per count, read through
+uncovered & mask, so covered items cost nothing.  Pruning uses chosen +
+ceil(remaining / best possible marginal coverage) against the incumbent,
+plus an optional external lower bound that stops the search as soon as it
+is met.  All tie-breaks are by ascending id, so results are fully
+deterministic.
 
 When that bound asks one chooser to cover every uncovered pair (slack one,
 or a single pair left), a completion test answers it instead of the
@@ -132,7 +133,7 @@ def build_instance(matrix: np.ndarray) -> PairCoverInstance:
     n_choosers, n_cols = matrix.shape
     n_items = n_cols * (n_cols - 1) // 2
     columns = np.ascontiguousarray(matrix.T)
-    sep = np.zeros((n_choosers, -(-n_items // 64) * 64), dtype=bool)  # whole words
+    sep = np.zeros((n_choosers, -(-n_items // 64) * 64), dtype=bool)  # zero to whole words
     by_item = np.empty((n_items, -(-n_choosers // 8)), dtype=np.uint8)
     s = 0
     for i in range(n_cols - 1):  # the items (i, j), j > i, are sep[:, s:e]
