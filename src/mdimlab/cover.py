@@ -89,13 +89,12 @@ like the ones it finds.  CoverResult.generators reports which it used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .errors import BadParameters
-from .graphs import as_ints, iter_bits
+from .graphs import _bit_rows, _packed_ints, as_ints, iter_bits
 
 DEFAULT_BUDGET = 10**8
 FINDER_WORK = 16  # candidate images per chooser, over all targets of one root_symmetries
@@ -151,15 +150,6 @@ def build_instance(matrix: np.ndarray) -> PairCoverInstance:
         matrix=matrix,
         words=packed.view(np.uint64),
     )
-
-
-def _packed_ints(packed: np.ndarray) -> tuple[int, ...]:
-    """The rows of a C-contiguous uint8 array as little-endian ints."""
-    rows, width = packed.shape
-    if width == 0:
-        return (0,) * rows
-    chunks = packed.view(f"V{width}").ravel().tolist()  # one bytes object per row
-    return tuple(map(int.from_bytes, chunks, repeat("little")))
 
 
 def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
@@ -380,10 +370,8 @@ class _Search:
         self.exhausted = True
         self.best: list[int] = []
         # one item mask per static separator count, in ascending count order
-        counts = [r.bit_count() for r in inst.resolvers]
-        by_count = np.array(counts)
-        masks = (np.packbits(by_count == c, bitorder="little") for c in sorted(set(counts)))
-        self.item_groups = [int.from_bytes(m.tobytes(), "little") for m in masks]
+        counts = np.array([r.bit_count() for r in inst.resolvers], dtype=np.intp)
+        self.item_groups = _bit_rows(counts == np.unique(counts)[:, None])
         # choosers by descending static coverage, then id, for bound scans
         cov_counts = [c.bit_count() for c in inst.coverage]
         self.chooser_order = sorted(range(inst.n_choosers), key=lambda v: (-cov_counts[v], v))

@@ -29,6 +29,8 @@ from .families import LabeledCover, is_prime
 from .graphs import (
     Graph,
     SrgParams,
+    _bit_matrix,
+    _bit_rows,
     as_decimal,
     as_ints,
     ascii_lines,
@@ -51,6 +53,7 @@ class SymmetricDesign:
     inc: np.ndarray = field(compare=False)
 
     def __post_init__(self):
+        as_ints((self.v, self.k, self.lam), "the design parameters")
         if self.v < 1:
             raise BadParameters(f"a design needs at least one point, got v = {self.v}")
         raw = np.asarray(self.inc)
@@ -114,19 +117,12 @@ def pg2(q: int) -> SymmetricDesign:
     nonzero coordinate is 1, sorted lexicographically; block j is the null
     space of point j's triple.
     """
+    (q,) = as_ints((q,), "the order")
     if not is_prime(q):
         raise NotPrime(f"pg2 needs a prime order, got {q}")
-    pts = [(0, 0, 1)]
-    pts += [(0, 1, z) for z in range(q)]
-    pts += [(1, y, z) for y in range(q) for z in range(q)]
-    pts.sort()
-    v = len(pts)
-    inc = np.zeros((v, v), dtype=np.uint8)
-    for x, (a, b, c) in enumerate(pts):
-        for j, (d_, e, f) in enumerate(pts):
-            if (a * d_ + b * e + c * f) % q == 0:
-                inc[x, j] = 1
-    return SymmetricDesign(v=v, k=q + 1, lam=1, inc=inc)
+    p = np.array([(0, 0, 1)] + [(0, 1, z) for z in range(q)]  # already in lexicographic order
+                 + [(1, y, z) for y in range(q) for z in range(q)])
+    return SymmetricDesign(v=len(p), k=q + 1, lam=1, inc=p @ p.T % q == 0)
 
 
 def incidence_graph(d: SymmetricDesign) -> LabeledCover:
@@ -136,11 +132,7 @@ def incidence_graph(d: SymmetricDesign) -> LabeledCover:
     diameter 3.
     """
     v = d.v
-    edges = []
-    for x in range(v):
-        for j in d.point_blocks(x):
-            edges.append((x, v + j))
-    g = Graph.from_edges(2 * v, edges)
+    g = Graph(2 * v, [r << v for r in _bit_rows(d.inc == 1)] + list(_bit_rows(d.inc.T == 1)))
     tags = tuple(f"p{x}" for x in range(v)) + tuple(f"B{j}" for j in range(v))
     if 1 < d.k < d.v - 1:
         ia = intersection_array(g)
@@ -170,11 +162,7 @@ def design_from_graph(g: Graph) -> SymmetricDesign:
     v = len(plus)
     k = ia.k
     lam = ia.c[1]  # two blocks meet in c_2 common points
-    inc = np.zeros((v, v), dtype=np.uint8)
-    pos = {p: i for i, p in enumerate(minus)}
-    for i, x in enumerate(plus):
-        for w in g.neighbors(x):
-            inc[i, pos[w]] = 1
+    inc = _bit_matrix([g.adj[x] for x in plus], g.n)[:, minus]
     try:
         return SymmetricDesign(v=v, k=k, lam=lam, inc=inc)
     except BadParameters as exc:
@@ -208,8 +196,12 @@ def find_null_polarity(
     """Backtracking search for a null polarity; None if none exists.
 
     The budget counts assignment attempts; BudgetExceeded is raised when it
-    runs out before the search space is exhausted.
+    runs out before the search space is exhausted.  A budget that is
+    negative or no int raises BadParameters.
     """
+    (budget,) = as_ints((budget,), "the node budget")
+    if budget < 0:
+        raise BadParameters(f"node budget must be non-negative, got {budget}")
     v = d.v
     inc = d.inc
     sigma: list[int] = []
@@ -262,15 +254,7 @@ def srg_from_null_polarity(
     """
     if not is_null_polarity(d, sigma):
         raise NotNullPolarity("sigma is not a null polarity of the design")
-    sigma = tuple(int(s) for s in sigma)
-    rows = []
-    for x in range(d.v):
-        mask = 0
-        for y in range(d.v):
-            if d.inc[x, sigma[y]]:
-                mask |= 1 << y
-        rows.append(mask)
-    g = Graph(d.v, rows)
+    g = Graph(d.v, _bit_rows(d.inc[:, as_ints(sigma, "sigma")] == 1))
     ia = intersection_array(g)
     params = ia.srg_params(d.v)
     if params is None or params != SrgParams(n=d.v, k=d.k, a=d.lam, c=d.lam):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadParameters, NotPrime, NotSrgKEquals2c
-from .graphs import Graph, intersection_array
+from .graphs import Graph, as_ints, intersection_array
 
 
 @dataclass(frozen=True)
@@ -252,6 +252,7 @@ def family(name: str, *params: int) -> Graph:
             f"unknown family {name!r}; known: {', '.join(family_names())}"
         )
     fn, arity = _FAMILIES[name]
+    params = as_ints(params, f"the parameters of family {name!r}")
     if len(params) != arity:
         raise BadParameters(f"family {name!r} takes {arity} parameter(s)")
     return fn(*params)

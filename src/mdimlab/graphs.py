@@ -2,8 +2,12 @@
 distance-regularity checks.
 
 Vertices are always 0..n-1.  Adjacency is stored as one Python int per vertex
-used as a bitset, so neighbourhood algebra is word-parallel.  Distance
-matrices are dense 8-bit numpy arrays with 255 marking unreachable pairs.
+used as a bitset, so neighbourhood algebra is word-parallel.  This module
+owns that bit-row format: bit v of a row is column v, little-endian, and
+_bit_matrix and _bit_rows convert between int rows and 0/1 arrays.
+Distance matrices are dense 8-bit numpy arrays with 255 marking
+unreachable pairs; they are the one stored form of the distances, and the
+spheres and distance-i graphs are read off them.
 
 bfs_distances runs one BFS for all sources together: level i + 1 of a
 vertex is the union of the level-i spheres of its neighbours, less its own
@@ -21,6 +25,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from operator import and_, invert, or_
 from typing import Iterable, Iterator, Sequence
 
@@ -195,65 +200,59 @@ class DistanceMatrix:
 
     dist is an (n, n) uint8 array, read-only, with UNREACHABLE = 255 for
     pairs in different components.  diameter is None iff disconnected.
-    spheres[u][i] is the bitset of the vertices at distance exactly i from
-    u, for i from 0 up to the eccentricity of u in its component.
+    The spheres and the distance-i graphs are not stored: spheres(u) and
+    layer(i) read them off dist as bitset rows.
     """
 
     n: int
     dist: np.ndarray
     connected: bool
     diameter: int | None
-    spheres: tuple[tuple[int, ...], ...]
 
     def d(self, u: int, w: int) -> int:
         return int(self.dist[u, w])
 
     def layer(self, i: int) -> tuple[int, ...]:
         """Bitset adjacency rows of the distance-i graph."""
-        return tuple(row[i] if 0 <= i < len(row) else 0 for row in self.spheres)
+        if not 0 <= i < UNREACHABLE:  # dist == 255 would be the unreachable pairs
+            return (0,) * self.n
+        return _bit_rows(self.dist == i)
+
+    def spheres(self, u: int) -> tuple[int, ...]:
+        """spheres(u)[i] is the bitset of the vertices at distance exactly i
+        from u, for i from 0 up to the eccentricity of u in its component."""
+        row = self.dist[u]
+        eccentricity = int(row[row != UNREACHABLE].max())
+        return _bit_rows(row == np.arange(eccentricity + 1)[:, None])
 
 
 def bfs_distances(g: Graph) -> DistanceMatrix:
-    """All-pairs distances and the spheres of every vertex.
+    """All-pairs distances.
 
     Graphs with fewer than SMALL_BFS_N vertices run one bitset BFS per
-    source, whose frontiers are the spheres.  Larger graphs run one BFS for
-    all sources together (_levels_all_sources) and read the distances off
-    its levels in a few numpy passes (_distance_bytes).
+    source.  Larger graphs run one BFS for all sources together
+    (_levels_all_sources) and read the distances off its levels in a few
+    numpy passes (_distance_bytes).
     """
     n = g.n
-    if n < SMALL_BFS_N:
-        dist, spheres = _bfs_per_source(g)
-    else:
-        levels, ball = _levels_all_sources(g)
-        dist = _distance_bytes(levels, ball, n)
-        # a vertex's own spheres end at its eccentricity
-        spheres = tuple(sph if sph[-1] else sph[:_last_nonzero(sph) + 1]
-                        for sph in zip(*levels))
-    connected = sum(spheres[0]) == (1 << n) - 1  # the spheres are disjoint
-    diameter = max(map(len, spheres)) - 1 if connected else None
+    dist = _bfs_per_source(g) if n < SMALL_BFS_N else _distance_bytes(*_levels_all_sources(g), n)
+    connected = UNREACHABLE not in dist[0]
+    diameter = int(dist.max()) if connected else None
     dist.setflags(write=False)
-    return DistanceMatrix(n=n, dist=dist, connected=connected, diameter=diameter,
-                          spheres=spheres)
+    return DistanceMatrix(n=n, dist=dist, connected=connected, diameter=diameter)
 
 
-def _bfs_per_source(g: Graph) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """One bitset BFS per source: its frontiers are the spheres of the
-    source and fill its row of distances."""
-    n = g.n
-    adj = g.adj
+def _bfs_per_source(g: Graph) -> np.ndarray:
+    """One bitset BFS per source, whose frontiers fill its row of distances."""
+    n, adj = g.n, g.adj
     rows = []
-    spheres = []
     for s in range(n):
         row = [UNREACHABLE] * n
-        seen = 1 << s
-        frontier = seen
-        frontiers = []
+        seen = frontier = 1 << s
         d = 0
         while frontier:
             if d >= UNREACHABLE:
                 raise BadParameters("graph diameter exceeds the 8-bit distance range")
-            frontiers.append(frontier)
             nxt = 0
             f = frontier
             while f:
@@ -266,8 +265,7 @@ def _bfs_per_source(g: Graph) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
             seen |= nxt
             d += 1
         rows.append(row)
-        spheres.append(tuple(frontiers))
-    return np.array(rows, dtype=np.uint8), tuple(spheres)
+    return np.array(rows, dtype=np.uint8)
 
 
 def _levels_all_sources(g: Graph) -> tuple[list[list[int]], list[int]]:
@@ -317,18 +315,26 @@ def _neighbour_table(g: Graph) -> np.ndarray:
     return np.minimum(cols.reshape(n, width), n)
 
 
-def _last_nonzero(values: Sequence[int]) -> int:
-    i = len(values) - 1
-    while not values[i]:
-        i -= 1
-    return i
-
-
 def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
     """The bitset rows as a (len(rows), n) uint8 array of 0s and 1s."""
     width = (n + 7) // 8
     packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]), np.uint8)
     return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
+
+
+def _bit_rows(mask: np.ndarray) -> tuple[int, ...]:
+    """The rows of a 2-d boolean array as bitsets, bit v of a row its column v."""
+    return _packed_ints(np.packbits(mask, axis=1, bitorder="little"))
+
+
+def _packed_ints(packed: np.ndarray) -> tuple[int, ...]:
+    """The rows of a uint8 array as little-endian ints."""
+    rows, width = packed.shape
+    if width == 0:
+        return (0,) * rows
+    # a packed transposed mask is not C-contiguous, which the view needs
+    chunks = np.ascontiguousarray(packed).view(f"V{width}").ravel().tolist()
+    return tuple(map(int.from_bytes, chunks, repeat("little")))
 
 
 def _distance_bytes(levels: list[list[int]], ball: list[int], n: int) -> np.ndarray:
@@ -359,12 +365,12 @@ def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """2-colour a connected graph; the first side contains vertex 0.
 
     The sides are the even and the odd distance classes of vertex 0, read
-    from g.distances.spheres[0].  An edge inside one class raises
+    from g.distances.spheres(0).  An edge inside one class raises
     NotBipartite with an odd closed walk witness; otherwise a vertex
     outside the component of 0 raises DisconnectedGraph.
     """
     adj = g.adj
-    spheres = g.distances.spheres[0]
+    spheres = g.distances.spheres(0)
     for i, sphere in enumerate(spheres):
         for u in iter_bits(sphere):
             if adj[u] & sphere:
@@ -473,7 +479,8 @@ def _first_triples(g: Graph) -> list[tuple[int, int, int]]:
     vertex of sphere i of u."""
     dm = g.distances
     expected = []
-    for u, sph in enumerate(dm.spheres):
+    for u in range(g.n):
+        sph = dm.spheres(u)
         # the appended empty sphere is Gamma_{e+1}(u) past the eccentricity
         # e of u, and Gamma_{-1}(u) through index -1
         masks = sph + (0,)
@@ -559,15 +566,8 @@ def is_primitive(g: Graph) -> bool:
 def _induced(rows: Sequence[int], vertices: Sequence[int]) -> Graph:
     """Subgraph of the bitset adjacency rows induced on the ascending
     vertices, relabelled so that local vertex i is vertices[i]."""
-    index = {v: i for i, v in enumerate(vertices)}
-    mask = sum(1 << v for v in vertices)
-    local = []
-    for v in vertices:
-        row = 0
-        for u in iter_bits(rows[v] & mask):
-            row |= 1 << index[u]
-        local.append(row)
-    return Graph(len(vertices), local)
+    bits = _bit_matrix([rows[v] for v in vertices], len(rows))
+    return Graph(len(vertices), _bit_rows(bits[:, vertices] == 1))
 
 
 def induced_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
@@ -576,6 +576,7 @@ def induced_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
     The returned map sends local vertex i to the i-th neighbour of x in
     ascending order.
     """
+    (x,) = as_ints((x,), "the vertex")
     if not 0 <= x < g.n:
         raise BadParameters(f"vertex {x} out of range")
     vmap = tuple(iter_bits(g.adj[x]))

@@ -229,6 +229,7 @@ def descendant_extract(
     """
     _check_two_fold_cover_tags(cover)
     g = cover.graph
+    (x,) = as_ints((x,), "the vertex")
     if not 0 <= x < g.n:
         raise BadParameters(f"vertex {x} out of range")
     chosen = _require_resolving(g, s, "input")

@@ -149,6 +149,7 @@ def twin_forced_choices(g: Graph) -> list[int]:
 def lower_bound_nd(n: int, d: int) -> int:
     """Least mu with mu + d**mu >= n (every vertex needs a distinct distance
     vector with entries in 0..d)."""
+    n, d = as_ints((n, d), "n and d")
     if n < 1 or d < 1:
         raise BadParameters("need n >= 1 and d >= 1")
     mu = 0

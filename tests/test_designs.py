@@ -7,6 +7,7 @@ import pytest
 from mdimlab import (
     BadParameters,
     DegenerateComplement,
+    Graph,
     BudgetExceeded,
     NoSuchTriple,
     NotBijection,
@@ -16,6 +17,7 @@ from mdimlab import (
     SymmetricDesign,
     bfs_distances,
     bipartite_double,
+    bipartition,
     design_complement,
     design_dual,
     design_from_graph,
@@ -62,6 +64,23 @@ class TestPg2:
         with pytest.raises(NotPrime):
             pg2(q)
 
+    @pytest.mark.parametrize("q", [3.0, True, "3"])
+    def test_rejects_a_non_integer_order(self, q):
+        # NotPrime is a BadParameters too: the message tells them apart
+        with pytest.raises(BadParameters, match="must be integers"):
+            pg2(q)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_matches_the_loop_reference(self, q):
+        pts = sorted([(0, 0, 1)] + [(0, 1, z) for z in range(q)]
+                     + [(1, y, z) for y in range(q) for z in range(q)])
+        inc = np.zeros((len(pts), len(pts)), dtype=np.uint8)
+        for x, (a, b, c) in enumerate(pts):
+            for j, (d_, e, f) in enumerate(pts):
+                if (a * d_ + b * e + c * f) % q == 0:
+                    inc[x, j] = 1
+        assert pg2(q).inc.dtype == np.uint8 and (pg2(q).inc == inc).all()
+
 
 class TestSymmetricDesignValidation:
     def test_rejects_wrong_shape(self):
@@ -94,6 +113,12 @@ class TestSymmetricDesignValidation:
             SymmetricDesign(v=0, k=0, lam=0, inc=np.zeros((0, 0), dtype=np.uint8))
         with pytest.raises(BadParameters):
             design_from_text("0 0 0\n")
+
+    def test_rejects_non_integer_parameters(self):
+        with pytest.raises(BadParameters, match="must be integers"):
+            SymmetricDesign(v=True, k=True, lam=0, inc=[[1]])
+        with pytest.raises(BadParameters, match="must be integers"):
+            SymmetricDesign(v=7.0, k=3, lam=1, inc=pg2(2).inc)
 
     def test_rejects_incidence_violating_intersection_law(self):
         with pytest.raises(BadParameters):
@@ -210,6 +235,26 @@ class TestIncidenceGraph:
         p = pg2(3)
         assert design_from_graph(incidence_graph(p).graph) == p
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled_designs_match_the_loop_references(self, seed):
+        # points and blocks shuffled separately, so inc is not symmetric
+        rng = np.random.default_rng(seed)
+        biplane = design_from_graph(bipartite_double(family("rook", 4, 4)).graph)
+        for d in (pg2(2), pg2(3), design_complement(pg2(3)), biplane):
+            inc = d.inc[rng.permutation(d.v)][:, rng.permutation(d.v)]
+            shuffled = SymmetricDesign(v=d.v, k=d.k, lam=d.lam, inc=inc)
+            g = incidence_graph(shuffled).graph
+            edges = [(x, d.v + j) for x in range(d.v) for j in shuffled.point_blocks(x)]
+            assert g == Graph.from_edges(2 * d.v, edges)
+            back = np.zeros((d.v, d.v), dtype=np.uint8)
+            plus, minus = bipartition(g)
+            pos = {p: i for i, p in enumerate(minus)}
+            for i, x in enumerate(plus):
+                for w in g.neighbors(x):
+                    back[i, pos[w]] = 1
+            assert (design_from_graph(g).inc == back).all()
+            assert design_from_graph(g) == shuffled
+
     def test_biplane_from_doubled_rook_graph(self):
         doubled = bipartite_double(family("rook", 4, 4)).graph
         d = design_from_graph(doubled)
@@ -314,6 +359,12 @@ class TestPolarities:
         with pytest.raises(BudgetExceeded):
             find_null_polarity(self._biplane(), budget=0)
 
+    @pytest.mark.parametrize("budget", [None, -1, 0.5, True])
+    def test_a_budget_that_is_no_non_negative_int_is_rejected(self, budget):
+        # -1 and 0.5 used to raise BudgetExceeded after one node
+        with pytest.raises(BadParameters):
+            find_null_polarity(self._biplane(), budget=budget)
+
     def test_a_found_map_that_fails_the_check_is_an_error(self, monkeypatch):
         # a typed error, not an assert that python -O strips
         monkeypatch.setattr(designs, "is_null_polarity", lambda d, sigma: False)
@@ -327,6 +378,18 @@ class TestPolarities:
         ia = intersection_array(g)
         params = ia.srg_params(g.n)
         assert (params.n, params.k, params.a, params.c) == (16, 6, 2, 2)
+
+    def test_polarity_graph_matches_the_loop_reference(self):
+        d = self._biplane()
+        for sigma in (find_null_polarity(d), tuple(range(d.v)), np.arange(d.v)):
+            rows = []
+            for x in range(d.v):
+                mask = 0
+                for y in range(d.v):
+                    if d.inc[x, sigma[y]]:
+                        mask |= 1 << y
+                rows.append(mask)
+            assert srg_from_null_polarity(d, sigma).adj == tuple(rows)
 
     def test_polarity_graph_rejects_bad_sigma(self):
         with pytest.raises(NotNullPolarity):

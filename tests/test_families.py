@@ -83,6 +83,13 @@ class TestBasicFamilies:
         with pytest.raises(BadParameters):
             family("cycle", 5, 7)  # too many
 
+    @pytest.mark.parametrize("name, params", [
+        ("cycle", (5.0,)), ("hypercube", (3.5,)), ("johnson", ("8", 4)), ("cycle", (True,)),
+    ])
+    def test_non_integer_parameters_are_rejected(self, name, params):
+        with pytest.raises(BadParameters, match="must be integers"):
+            family(name, *params)
+
     def test_family_names_sorted(self):
         names = family_names()
         assert list(names) == sorted(names)

@@ -33,6 +33,7 @@ from mdimlab import (
     mdim_greedy,
     taylor,
 )
+from mdimlab.graphs import _bit_matrix, _bit_rows, _induced, bipartition, iter_bits
 from mdimlab.zoo import ZOO
 
 
@@ -157,7 +158,7 @@ class TestBfsDistances:
             spheres = [0] * (max(lengths[u].values()) + 1)
             for w, i in lengths[u].items():
                 spheres[i] |= 1 << w
-            assert dm.spheres[u] == tuple(spheres)
+            assert dm.spheres(u) == tuple(spheres)
         assert dm.connected == nx.is_connected(h)
         assert dm.diameter == (nx.diameter(h) if dm.connected else None)
 
@@ -170,7 +171,7 @@ class TestBfsDistances:
     def test_a_path_of_255_vertices_has_diameter_254(self):
         dm = bfs_distances(path(255))
         assert dm.diameter == 254 and dm.d(0, 254) == 254 and dm.d(254, 0) == 254
-        assert len(dm.spheres[0]) == 255
+        assert len(dm.spheres(0)) == 255
 
     def test_a_path_of_256_vertices_exceeds_the_8_bit_range(self):
         with pytest.raises(BadParameters, match="graph diameter exceeds the 8-bit distance range"):
@@ -212,8 +213,8 @@ class TestSphereTable:
             for u in range(g.n):
                 row = dm.dist[u]
                 eccentricity = int(row[row != UNREACHABLE].max())
-                assert len(dm.spheres[u]) == eccentricity + 1
-                for i, sphere in enumerate(dm.spheres[u]):
+                assert len(dm.spheres(u)) == eccentricity + 1
+                for i, sphere in enumerate(dm.spheres(u)):
                     assert sphere == bitset(np.flatnonzero(row == i))
 
     def test_layers_are_the_distance_i_graphs(self):
@@ -225,7 +226,7 @@ class TestSphereTable:
 
     def test_other_components_are_in_no_sphere(self):
         dm = Graph.from_edges(4, [(0, 1), (2, 3)]).distances
-        assert dm.spheres[0] == (0b0001, 0b0010)
+        assert dm.spheres(0) == (0b0001, 0b0010)
         assert dm.layer(UNREACHABLE) == (0, 0, 0, 0)
 
 
@@ -377,6 +378,12 @@ class TestDerivedGraphs:
             halved += 1
         assert halved >= 5
 
+    @pytest.mark.parametrize("x", [0.0, True, "0"])
+    def test_induced_neighborhood_rejects_a_non_integer_vertex(self, x):
+        # True used to mean vertex 1
+        with pytest.raises(BadParameters, match="must be integers"):
+            induced_neighborhood(family("johnson", 5, 2), x)
+
     def test_induced_neighborhood_matches_a_loop_reference(self):
         g = taylor(family("paley", 13)).graph
         for x in (0, 13, g.n - 1):
@@ -384,6 +391,42 @@ class TestDerivedGraphs:
             edges = [(i, j) for i, j in combinations(range(len(vmap)), 2)
                      if g.has_edge(vmap[i], vmap[j])]
             assert induced_neighborhood(g, x) == (Graph.from_edges(len(vmap), edges), vmap)
+
+
+def induced_by_loop(rows, vertices) -> Graph:
+    """The loop graphs._induced replaced, kept as its reference."""
+    index = {v: i for i, v in enumerate(vertices)}
+    mask = sum(1 << v for v in vertices)
+    local = []
+    for v in vertices:
+        row = 0
+        for u in iter_bits(rows[v] & mask):
+            row |= 1 << index[u]
+        local.append(row)
+    return Graph(len(vertices), local)
+
+
+class TestBitRows:
+    def test_induced_matches_the_loop_reference(self):
+        for m in (6, 8):  # the distance-2 halves of Q_6 and Q_8
+            g = family("hypercube", m)
+            far2 = g.distances.layer(2)
+            for side in bipartition(g):
+                assert _induced(far2, side) == induced_by_loop(far2, side)
+        g = taylor(family("paley", 13)).graph
+        for x in range(g.n):  # every local graph
+            vmap = tuple(g.neighbors(x))
+            assert _induced(g.adj, vmap) == induced_by_loop(g.adj, vmap)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
+    def test_bit_rows_inverts_bit_matrix(self, n):
+        rng = random.Random(n)
+        rows = tuple(rng.getrandbits(n) for _ in range(n + 3))
+        assert _bit_rows(_bit_matrix(rows, n) == 1) == rows
+        transposed = _bit_matrix(rows, n).T == 1
+        assert transposed.flags.f_contiguous
+        columns = tuple(sum((r >> v & 1) << u for u, r in enumerate(rows)) for v in range(n))
+        assert _bit_rows(transposed) == columns
 
 
 class TestIntersectionArrayCache:

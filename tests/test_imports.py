@@ -1,7 +1,8 @@
 """The package's import graph: every import sits at module level, is used
 by its module, and the modules import one another without a cycle; every
-private module-level name is read somewhere in the package; and no module
-reads the environment."""
+private module-level name is read somewhere in the package; no module
+reads the environment; and only graphs.py converts between ints and
+bytes."""
 
 import ast
 from pathlib import Path
@@ -160,3 +161,23 @@ def test_no_module_reads_the_environment():
         if (lines := environment_reads(ast.parse(path.read_text())))
     }
     assert found == {}
+
+
+def byte_conversions(tree: ast.Module) -> list[int]:
+    """Line numbers of the `from_bytes` and `to_bytes` reads."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes")
+    })
+
+
+def test_only_graphs_converts_ints_to_bytes():
+    # graphs.py owns the bit-row format (bit v of a row is column v,
+    # little-endian); every other module goes through its converters
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := byte_conversions(ast.parse(path.read_text())))
+    }
+    assert set(found) == {"graphs.py"}

@@ -356,6 +356,14 @@ class TestDescendantExtract:
         with pytest.raises(BadParameters):
             descendant_extract(cov, (1, 2, 3), 0)
 
+    @pytest.mark.parametrize("x", [0.0, True])
+    def test_chosen_vertex_must_be_an_integer(self, x):
+        # True used to mean vertex 1
+        cov = taylor(family("cycle", 5))
+        res = min_cover(pair_cover_instance(bfs_distances(cov.graph)), forced=[0, 1])
+        with pytest.raises(BadParameters, match="must be integers"):
+            descendant_extract(cov, res.chosen, x)
+
 
 class TestDoubleLift:
     def test_both_copies_of_a_resolving_set(self):

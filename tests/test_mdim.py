@@ -82,6 +82,12 @@ class TestLowerBoundNd:
         with pytest.raises(BadParameters):
             lower_bound_nd(5, 0)
 
+    def test_rejects_non_integer_arguments(self):
+        # 2.5 used to give 3, the bound for d = 3
+        for n, d in [(10, 2.5), (10.0, 2), (True, 2)]:
+            with pytest.raises(BadParameters, match="must be integers"):
+                lower_bound_nd(n, d)
+
 
 class TestResolutionPredicates:
     def test_adjacent_pair_on_a_cycle(self):
@@ -624,8 +630,8 @@ class TestBoundReport:
             g = build()
             if not is_distance_regular(g) or g.n < 2 or not is_primitive(g):
                 continue
-            spheres = g.distances.spheres
-            want = max(s.bit_count() for row in spheres for s in row[1:])
+            dm = g.distances
+            want = max(s.bit_count() for u in range(g.n) for s in dm.spheres(u)[1:])
             assert babai_bounds(g).max_class == want, name
             checked += 1
         assert checked >= 8
