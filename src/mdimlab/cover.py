@@ -370,8 +370,9 @@ class _Search:
         self.exhausted = True
         self.best: list[int] = []
         # one item mask per static separator count, in ascending count order
-        counts = np.array([r.bit_count() for r in inst.resolvers], dtype=np.intp)
-        self.item_groups = _bit_rows(counts == np.unique(counts)[:, None])
+        # sorted(set()), as np.unique imports numpy.ma (~16 ms) on first use
+        counts = [r.bit_count() for r in inst.resolvers]
+        self.item_groups = _bit_rows(np.array(counts) == np.array(sorted(set(counts)))[:, None])
         # choosers by descending static coverage, then id, for bound scans
         cov_counts = [c.bit_count() for c in inst.coverage]
         self.chooser_order = sorted(range(inst.n_choosers), key=lambda v: (-cov_counts[v], v))
