@@ -370,7 +370,7 @@ class _Search:
         self.exhausted = True
         self.best: list[int] = []
         # one item mask per static separator count, in ascending count order
-        # sorted(set()), as np.unique imports numpy.ma (~16 ms) on first use
+        # sorted(set()): a plain np.unique imports numpy.ma (~16 ms) on its first call
         counts = [r.bit_count() for r in inst.resolvers]
         self.item_groups = _bit_rows(np.array(counts) == np.array(sorted(set(counts)))[:, None])
         # choosers by descending static coverage, then id, for bound scans
