@@ -6,12 +6,17 @@ pair (i, j) iff its row differs at columns i and j.  A cover is a chooser
 set separating every pair.
 
 Layout: item p is the p-th pair of combinations(range(n_entities), 2), so
-no pair table is kept; coverage[v] (over items) and resolvers[p] (over
-choosers) are int bitsets.  The items (i, j) with j > i are one contiguous
-block per entity i, so build_instance fills them a block at a time: a
-chooser-by-item boolean block from the matrix, packed along its rows into
-coverage, and an item-by-chooser block from the transposed matrix, packed
-along its rows into resolvers.  Both packings read contiguous rows.
+no pair table is kept.  An instance stores one form, the matrix and words,
+its chooser-by-item bits packed along each chooser's row; build_instance
+fills them a block at a time, since the items (i, j) with j > i are one
+contiguous block per entity i, and greedy_cover reads nothing else.  Every
+other layer is read off those two the first time something reads it, and
+kept: coverage[v] (over items), the int of row v of words; by_item, an
+item-by-chooser block filled the same way from the transposed matrix; the
+static separator counts, a popcount of its rows; and resolvers[p] (over
+choosers), the int of its row p.  The search reads coverage whole but
+converts resolvers[p] only for the items it reaches, so a budgeted search
+on a large instance makes few of those ints.
 
 The solver branches on an uncovered pair with few remaining separators,
 trying its separators in decreasing marginal-coverage order; each branch
@@ -89,67 +94,91 @@ like the ones it finds.  CoverResult.generators reports which it used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BadParameters
-from .graphs import _bit_rows, _packed_ints, as_ints, iter_bits
+from .graphs import _bit_rows, _packed_int, _packed_ints, as_ints, iter_bits
 
 DEFAULT_BUDGET = 10**8
 FINDER_WORK = 16  # candidate images per chooser, over all targets of one root_symmetries
 SCHREIER_BLOCK = 16  # orbit points whose Schreier generators are joined at once
 
 
-@dataclass(frozen=True)
+def _entity_blocks(n_entities: int) -> Iterator[tuple[int, int, int]]:
+    """(i, s, e) for each entity i that has items: the items (i, j), j > i,
+    are s..e-1."""
+    s = 0
+    for i in range(n_entities - 1):
+        e = s + n_entities - 1 - i
+        yield i, s, e
+        s = e
+
+
+@dataclass(frozen=True, eq=False)
 class PairCoverInstance:
     """Pair-separation instance.
 
-    Item p is the p-th pair of combinations(range(n_entities), 2).
-    coverage[v]: bitset over item indices separated by chooser v.
-    resolvers[p]: bitset over choosers separating item p.
-    matrix: the chooser-by-entity matrix behind them, which is_symmetry
-    and root_symmetries read.
-    words: coverage[v] as row v of a uint64 array, zero past the last
-    item, on which greedy_cover counts with a popcount.
+    Item p is the p-th pair of combinations(range(n_entities), 2).  It
+    stores one form: matrix, the chooser-by-entity matrix, which
+    is_symmetry and root_symmetries read, and words, whose row v holds the
+    items that chooser v separates as uint64 bits, zero past the last
+    item; greedy_cover counts on it with a popcount.  coverage, by_item,
+    separator_counts and resolvers are read off those two when first
+    read, and kept (module docstring, "Layout").  Equality is identity.
     """
 
     n_choosers: int
     n_entities: int
-    coverage: tuple[int, ...]
-    resolvers: tuple[int, ...]
-    matrix: np.ndarray = field(repr=False, compare=False)
-    words: np.ndarray = field(repr=False, compare=False)
+    matrix: np.ndarray = field(repr=False)
+    words: np.ndarray = field(repr=False)
 
     @property
     def n_items(self) -> int:
-        return len(self.resolvers)
+        return self.n_entities * (self.n_entities - 1) // 2
+
+    @cached_property
+    def coverage(self) -> tuple[int, ...]:
+        """coverage[v]: bitset over the items that chooser v separates."""
+        return _packed_ints(self.words.view(np.uint8))
+
+    @cached_property
+    def by_item(self) -> np.ndarray:
+        """Row p: the choosers that separate item p, packed little-endian
+        into a uint8 array, zero to whole 64-bit words."""
+        n, width = self.n_choosers, -(-self.n_choosers // 64) * 64
+        columns = np.ascontiguousarray(self.matrix.T)
+        # one entity's items at a time; the columns past n stay zero
+        sep = np.zeros((max(self.n_entities - 1, 0), width), dtype=bool)
+        rows = np.empty((self.n_items, width // 8), dtype=np.uint8)
+        for i, s, e in _entity_blocks(self.n_entities):
+            np.not_equal(columns[i], columns[i + 1:], out=sep[: e - s, :n])
+            rows[s:e] = np.packbits(sep[: e - s], axis=1, bitorder="little")
+        return rows
+
+    @cached_property
+    def separator_counts(self) -> np.ndarray:
+        """The number of choosers that separate each item."""
+        return np.add.reduce(np.bitwise_count(self.by_item.view(np.uint64)), axis=1)
+
+    @cached_property
+    def resolvers(self) -> tuple[int, ...]:
+        """resolvers[p]: bitset over the choosers that separate item p."""
+        return _packed_ints(self.by_item)
 
 
 def build_instance(matrix: np.ndarray) -> PairCoverInstance:
     """Instance whose choosers are the matrix rows and whose items are all
-    unordered column pairs."""
+    unordered column pairs; only words is built here."""
     n_choosers, n_cols = matrix.shape
     n_items = n_cols * (n_cols - 1) // 2
-    columns = np.ascontiguousarray(matrix.T)
     sep = np.zeros((n_choosers, -(-n_items // 64) * 64), dtype=bool)  # zero to whole words
-    by_item = np.empty((n_items, -(-n_choosers // 8)), dtype=np.uint8)
-    s = 0
-    for i in range(n_cols - 1):  # the items (i, j), j > i, are sep[:, s:e]
-        e = s + n_cols - 1 - i
+    for i, s, e in _entity_blocks(n_cols):
         np.not_equal(matrix[:, i, None], matrix[:, i + 1:], out=sep[:, s:e])
-        by_item[s:e] = np.packbits(columns[i] != columns[i + 1:], axis=1, bitorder="little")
-        s = e
-    packed = np.packbits(sep, axis=1, bitorder="little")
-    del sep  # lowers the peak while the resolvers are made
-    return PairCoverInstance(
-        n_choosers=n_choosers,
-        n_entities=n_cols,
-        coverage=_packed_ints(packed),
-        resolvers=_packed_ints(by_item),
-        matrix=matrix,
-        words=packed.view(np.uint64),
-    )
+    words = np.packbits(sep, axis=1, bitorder="little").view(np.uint64)
+    return PairCoverInstance(n_choosers, n_cols, matrix, words)
 
 
 def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
@@ -324,21 +353,25 @@ class CoverResult:
 def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[int]:
     """Maximum-marginal-coverage greedy, seeded with the forced choosers.
 
-    Gains are counted by a popcount over inst.words and the first maximum
-    wins, so ties break toward the lowest id.  An item that no chooser
-    separates, or a forced entry that is no chooser id, raises BadParameters.
+    Gains are counted by a popcount over inst.words, the only layer read,
+    and the first maximum wins, so ties break toward the lowest id.  An
+    item that no chooser separates, or a forced entry that is no chooser
+    id, raises BadParameters.
     """
     chosen = list(_chooser_ids(inst, forced))
     covered = np.bitwise_or.reduce(inst.words[chosen], axis=0)
     left = inst.n_items - int(np.bitwise_count(covered).sum())
+    if left and not inst.n_choosers:
+        raise BadParameters("instance is infeasible: it has pairs but no chooser")
     while left:
         gains = np.add.reduce(np.bitwise_count(inst.words & ~covered), axis=1)
-        if not gains.any():
-            raise BadParameters("instance is infeasible: some pair has no separator")
         v = int(gains.argmax())
+        gain = int(gains[v])
+        if not gain:
+            raise BadParameters("instance is infeasible: some pair has no separator")
         chosen.append(v)
         covered |= inst.words[v]
-        left -= int(gains[v])
+        left -= gain
     return chosen
 
 
@@ -356,7 +389,12 @@ class _Stop(Exception):
 
 
 class _Search:
-    """Branch and bound state."""
+    """Branch and bound state.
+
+    Its static layers (item_groups, cov_counts, chooser_order) are made on
+    first read, so a run that never searches makes none of them, and
+    resolvers[p] is None until the search first reads item p.
+    """
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
     PREFILTER = 4  # uncovered items whose separator sets the completion test intersects
@@ -369,14 +407,29 @@ class _Search:
         self.nodes = 0
         self.exhausted = True
         self.best: list[int] = []
-        # one item mask per static separator count, in ascending count order
+        self.resolvers: list[int | None] = [None] * inst.n_items
+
+    @cached_property
+    def item_groups(self) -> tuple[int, ...]:
+        """One item mask per static separator count, in ascending count order."""
+        counts = self.inst.separator_counts
         # sorted(set()): a plain np.unique imports numpy.ma (~16 ms) on its first call
-        counts = [r.bit_count() for r in inst.resolvers]
-        self.item_groups = _bit_rows(np.array(counts) == np.array(sorted(set(counts)))[:, None])
-        # choosers by descending static coverage, then id, for bound scans
-        cov_counts = [c.bit_count() for c in inst.coverage]
-        self.chooser_order = sorted(range(inst.n_choosers), key=lambda v: (-cov_counts[v], v))
-        self.cov_counts = cov_counts
+        return _bit_rows(counts == np.array(sorted(set(counts.tolist())))[:, None])
+
+    @cached_property
+    def cov_counts(self) -> list[int]:
+        """The number of items that each chooser separates."""
+        return np.add.reduce(np.bitwise_count(self.inst.words), axis=1).tolist()
+
+    @cached_property
+    def chooser_order(self) -> list[int]:
+        """Choosers by descending static coverage, then id, for bound scans."""
+        return sorted(range(self.inst.n_choosers), key=lambda v: (-self.cov_counts[v], v))
+
+    def _resolver(self, p: int) -> int:
+        """resolvers[p], read off row p of inst.by_item and kept."""
+        r = self.resolvers[p] = _packed_int(self.inst.by_item[p])
+        return r
 
     def run(
         self, roots: Sequence[tuple[Sequence[int], int]], seed: Sequence[int]
@@ -460,12 +513,16 @@ class _Search:
         separator sets of the lowest PREFILTER uncovered items; only those
         candidates get the subset test on the rest.
         """
-        resolvers = self.inst.resolvers
+        resolvers = self.resolvers
         cands = ~banned
         rest = uncovered
         for _ in range(self.PREFILTER):
             low = rest & -rest
-            cands &= resolvers[low.bit_length() - 1]
+            p = low.bit_length() - 1
+            r = resolvers[p]
+            if r is None:
+                r = self._resolver(p)
+            cands &= r
             if not cands:
                 return False
             rest ^= low
@@ -485,13 +542,16 @@ class _Search:
         Walks uncovered items by static separator count (item_groups), then
         index, and takes the dynamic minimum among the first PIVOT_WINDOW.
         """
-        resolvers = self.inst.resolvers
+        resolvers = self.resolvers
         best_bits = 0
         best_cnt = 1 << 62
         seen = 0
         for group in self.item_groups:
             for p in iter_bits(uncovered & group):
-                avail = resolvers[p] & ~banned
+                r = resolvers[p]
+                if r is None:
+                    r = self._resolver(p)
+                avail = r & ~banned
                 cnt = avail.bit_count()
                 if cnt == 0:
                     return 0

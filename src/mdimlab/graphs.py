@@ -133,8 +133,14 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on 0..n-1 with the given edges.  n and both ends of
+        every edge are read with as_ints, so a float or a bool raises
+        BadParameters rather than being read as a vertex."""
+        (n,) = as_ints((n,), "the vertex count")
         rows = [0] * n
         for u, w in edges:
+            if type(u) is not int or type(w) is not int:  # as_ints keeps an int as it is
+                u, w = as_ints((u, w), "edge ends")
             if not (0 <= u < n and 0 <= w < n):
                 raise BadParameters(f"edge ({u}, {w}) out of range for n={n}")
             if u == w:
@@ -325,6 +331,11 @@ def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
 def _bit_rows(mask: np.ndarray) -> tuple[int, ...]:
     """The rows of a 2-d boolean array as bitsets, bit v of a row its column v."""
     return _packed_ints(np.packbits(mask, axis=1, bitorder="little"))
+
+
+def _packed_int(row: np.ndarray) -> int:
+    """One row of a uint8 array as a little-endian int."""
+    return int.from_bytes(row.tobytes(), "little")
 
 
 def _packed_ints(packed: np.ndarray) -> tuple[int, ...]:

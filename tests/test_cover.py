@@ -14,6 +14,7 @@ from mdimlab import (
     family,
     greedy_cover,
     mdim_exact,
+    mdim_greedy,
     min_cover,
 )
 from mdimlab.cover import (
@@ -25,6 +26,7 @@ from mdimlab.cover import (
     orbit_partition,
     root_symmetries,
 )
+from mdimlab import mdim as mdim_module
 from mdimlab.designs import pg2
 from mdimlab.graphs import Graph, iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
@@ -129,6 +131,104 @@ class TestBuildInstance:
             assert inst.n_items == inst.n_entities * (inst.n_entities - 1) // 2
 
 
+# the attributes of an instance on which no layer has been read
+STORED = {"n_choosers", "n_entities", "matrix", "words"}
+
+
+def lazy_shapes(rng) -> list[tuple[int, int]]:
+    """Seeded random shapes, chooser counts on and off byte and word
+    boundaries, and instances with 0 and 1 items."""
+    shapes = [(int(rng.integers(1, 70)), int(rng.integers(2, 14))) for _ in range(25)]
+    return shapes + [(9, 0), (9, 1), (9, 2), (1, 6), (7, 5), (64, 9), (65, 9), (259, 7), (0, 4)]
+
+
+class TestLayersOnFirstRead:
+    """build_instance stores matrix and words; coverage, by_item, the
+    separator counts and the resolvers are read off them when first read."""
+
+    def test_greedy_reads_only_words(self):
+        rng = np.random.default_rng(5)
+        inst = build_instance(rng.integers(0, 3, size=(20, 15)))
+        assert set(vars(inst)) == STORED
+        greedy_cover(inst)
+        assert set(vars(inst)) == STORED
+
+    def test_mdim_greedy_builds_only_words(self, monkeypatch):
+        built = []
+
+        def keep(matrix):
+            built.append(build_instance(matrix))
+            return built[-1]
+
+        monkeypatch.setattr(mdim_module, "build_instance", keep)
+        mdim_greedy(family("hypercube", 5))
+        assert len(built) == 1 and set(vars(built[0])) == STORED
+
+    def test_a_search_that_never_runs_reads_nothing(self):
+        # a seed that meets lower_stop is returned without a search
+        inst = build_instance(np.asarray(family("hypercube", 5).distances.dist))
+        seed = greedy_cover(inst)
+        res = min_cover(inst, lower_stop=len(seed))
+        assert res.optimal and res.nodes == 0
+        assert set(vars(inst)) == STORED
+
+    def test_a_budgeted_search_converts_only_the_items_it_reads(self):
+        inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
+        _, want = reference_build(np.asarray(inst.matrix))
+        search = _Search(inst, budget=40, lower_stop=0)
+        res = search.run([([], 0)], seed=greedy_cover(inst))
+        assert res.nodes == 40 and not res.optimal
+        read = [p for p, r in enumerate(search.resolvers) if r is not None]
+        assert 0 < len(read) < inst.n_items // 10
+        assert all(search.resolvers[p] == want[p] for p in read)
+        assert "resolvers" not in vars(inst)
+
+    def test_lazy_rows_match_the_per_column_builder(self):
+        rng = np.random.default_rng(11)
+        for shape in lazy_shapes(rng):
+            m = rng.integers(0, 3, size=shape)
+            _, want = reference_build(m)
+            inst = build_instance(m)
+            search = _Search(inst, budget=0, lower_stop=0)
+            # read half the items in a random order: only they are converted
+            order = rng.permutation(inst.n_items).tolist()
+            half = order[: len(order) // 2]
+            for p in half:
+                # with item p alone uncovered and nothing banned, the pivot
+                # is the separator set of p
+                assert search._pick_pivot(1 << p, 0) == want[p]
+            assert [p for p, r in enumerate(search.resolvers) if r is not None] == sorted(half)
+            for p in order:
+                assert search._completable(1 << p, 0) == bool(want[p])
+            assert search.resolvers == list(want)
+            assert "resolvers" not in vars(inst)
+            assert inst.resolvers == want
+
+    def test_static_counts_match_bit_count(self):
+        rng = np.random.default_rng(12)
+        for shape in lazy_shapes(rng):
+            m = rng.integers(0, int(rng.integers(2, 5)), size=shape)
+            coverage, resolvers = reference_build(m)
+            counts = [r.bit_count() for r in resolvers]
+            inst = build_instance(m)
+            assert inst.by_item.shape == (inst.n_items, -(-inst.n_choosers // 64) * 8)
+            assert inst.separator_counts.tolist() == counts
+            search = _Search(inst, budget=0, lower_stop=0)
+            assert search.item_groups == tuple(
+                sum(1 << p for p, c in enumerate(counts) if c == k) for k in sorted(set(counts))
+            )
+            cov_counts = [c.bit_count() for c in coverage]
+            assert search.cov_counts == cov_counts
+            assert search.chooser_order == sorted(
+                range(inst.n_choosers), key=lambda v: (-cov_counts[v], v)
+            )
+
+    def test_equality_is_identity(self):
+        m = np.array([[0, 1, 2], [1, 1, 0]])
+        inst = build_instance(m)
+        assert inst == inst and inst != build_instance(m)
+
+
 class TestGreedyCover:
     def test_result_covers_everything(self):
         rng = np.random.default_rng(1)
@@ -147,6 +247,12 @@ class TestGreedyCover:
         inst = build_instance(m)
         with pytest.raises(BadParameters):
             greedy_cover(inst)
+
+    def test_pairs_and_no_chooser_are_infeasible(self):
+        inst = build_instance(np.zeros((0, 3), dtype=np.uint8))
+        with pytest.raises(BadParameters):
+            greedy_cover(inst)
+        assert greedy_cover(build_instance(np.zeros((0, 1), dtype=np.uint8))) == []
 
     def test_ties_break_toward_low_ids(self):
         # both rows separate the single pair; greedy must pick row 0

@@ -133,6 +133,23 @@ class TestGraph:
         with pytest.raises(BadParameters, match="must be integers"):
             Graph(n, rows)
 
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(True, 2)]),  # a bool end would be read as vertex 1
+        (3, [(0, 2.0)]),
+        (3, [("0", 1)]),
+        (5.0, []),
+        (3.0, [(0, 1)]),
+        (True, []),
+    ])
+    def test_from_edges_rejects_non_integer_input(self, n, edges):
+        with pytest.raises(BadParameters, match="must be integers"):
+            Graph.from_edges(n, edges)
+
+    def test_from_edges_accepts_numpy_integers(self):
+        g = Graph.from_edges(np.int64(3), [(np.int64(0), np.uint8(1)), (1, np.int32(2))])
+        assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert type(g.n) is int and all(type(r) is int for r in g.adj)
+
     def test_accepts_numpy_integers(self):
         g = Graph(np.int64(2), np.array([2, 1], dtype=np.uint64))
         assert g == family("complete", 2)

@@ -1,8 +1,8 @@
 """The package's import graph: every import sits at module level, is used
 by its module, and the modules import one another without a cycle; every
 private module-level name is read somewhere in the package; no module
-reads the environment; and only graphs.py converts between ints and
-bytes."""
+reads the environment; only graphs.py converts between ints and bytes;
+and every np.unique call passes a return_* keyword."""
 
 import ast
 from pathlib import Path
@@ -181,3 +181,27 @@ def test_only_graphs_converts_ints_to_bytes():
         if (lines := byte_conversions(ast.parse(path.read_text())))
     }
     assert set(found) == {"graphs.py"}
+
+
+def plain_unique_calls(tree: ast.Module) -> list[int]:
+    """Line numbers of the `np.unique` calls that pass no `return_*`
+    keyword."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+        and not any((k.arg or "").startswith("return_") for k in node.keywords)
+    })
+
+
+def test_every_np_unique_call_asks_for_an_index_or_count():
+    # under numpy 2.4 a plain np.unique imports numpy.ma (16-19 ms) on its
+    # first call in a process; with a return_* keyword it does not
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := plain_unique_calls(ast.parse(path.read_text())))
+    }
+    assert found == {}

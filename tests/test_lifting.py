@@ -17,6 +17,7 @@ from mdimlab import (
     antipodal_structure,
     bfs_distances,
     bipartition,
+    classify_ah,
     descendant_extract,
     double_lift,
     family,
@@ -35,7 +36,8 @@ from mdimlab import (
     taylor_lift,
     two_antipodal_partition,
 )
-from mdimlab.cover import min_cover
+from mdimlab import mdim as mdim_module
+from mdimlab.cover import build_instance, min_cover
 from mdimlab.mdim import pair_cover_instance
 from mdimlab.zoo import ZOO
 
@@ -382,3 +384,31 @@ class TestDoubleLift:
     def test_non_resolving_base_set_is_rejected(self):
         with pytest.raises(InputNotResolving):
             double_lift(family("rook", 4, 4), (0, 1))
+
+
+class TestStructureStageBuildsOnlyWords:
+    """Greedy sets and their lifts read no cover layer beyond the packed
+    words: no coverage ints, item-major block or separator sets."""
+
+    def test_halve_fold_and_taylor_lifts(self, monkeypatch):
+        built = []
+
+        def keep(matrix):
+            built.append(build_instance(matrix))
+            return built[-1]
+
+        monkeypatch.setattr(mdim_module, "build_instance", keep)
+        g = family("hypercube", 6)  # bipartite and antipodal
+        cls = classify_ah(g)
+        assert cls.bipartite and cls.antipodal
+        mdim_greedy(g)
+        plus, minus, _, _ = halve(g)
+        lift_halved(g, mdim_greedy(plus).set, mdim_greedy(minus).set)
+        structure = antipodal_structure(g)
+        folded, _ = fold(g, structure)
+        lift_folded(g, mdim_greedy(folded).set, structure)
+        base = family("paley", 13)
+        taylor_lift(taylor(base), mdim_greedy(base).set)
+        assert len(built) == 5
+        stored = {"n_choosers", "n_entities", "matrix", "words"}
+        assert all(set(vars(inst)) == stored for inst in built)
