@@ -147,21 +147,17 @@ class PairCoverInstance:
     @cached_property
     def by_item(self) -> np.ndarray:
         """Row p: the choosers that separate item p, packed little-endian
-        into a uint8 array, zero to whole 64-bit words."""
-        n, width = self.n_choosers, -(-self.n_choosers // 64) * 64
+        into a uint8 array."""
         columns = np.ascontiguousarray(self.matrix.T)
-        # one entity's items at a time; the columns past n stay zero
-        sep = np.zeros((max(self.n_entities - 1, 0), width), dtype=bool)
-        rows = np.empty((self.n_items, width // 8), dtype=np.uint8)
+        rows = np.empty((self.n_items, -(-self.n_choosers // 8)), dtype=np.uint8)
         for i, s, e in _entity_blocks(self.n_entities):
-            np.not_equal(columns[i], columns[i + 1:], out=sep[: e - s, :n])
-            rows[s:e] = np.packbits(sep[: e - s], axis=1, bitorder="little")
+            rows[s:e] = np.packbits(columns[i] != columns[i + 1:], axis=1, bitorder="little")
         return rows
 
     @cached_property
     def separator_counts(self) -> np.ndarray:
         """The number of choosers that separate each item."""
-        return np.add.reduce(np.bitwise_count(self.by_item.view(np.uint64)), axis=1)
+        return np.add.reduce(np.bitwise_count(self.by_item), axis=1)
 
     @cached_property
     def resolvers(self) -> tuple[int, ...]:
@@ -391,9 +387,9 @@ class _Stop(Exception):
 class _Search:
     """Branch and bound state.
 
-    Its static layers (item_groups, cov_counts, chooser_order) are made on
-    first read, so a run that never searches makes none of them, and
-    resolvers[p] is None until the search first reads item p.
+    min_cover makes one only when there is a tree to search.  Its hot
+    reads are plain attributes: coverage, the static layers below, and
+    resolvers, whose entry p is None until the search first reads item p.
     """
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
@@ -407,24 +403,16 @@ class _Search:
         self.nodes = 0
         self.exhausted = True
         self.best: list[int] = []
+        self.coverage = inst.coverage
         self.resolvers: list[int | None] = [None] * inst.n_items
-
-    @cached_property
-    def item_groups(self) -> tuple[int, ...]:
-        """One item mask per static separator count, in ascending count order."""
-        counts = self.inst.separator_counts
+        # one item mask per static separator count, in ascending count order
         # sorted(set()): a plain np.unique imports numpy.ma (~16 ms) on its first call
-        return _bit_rows(counts == np.array(sorted(set(counts.tolist())))[:, None])
-
-    @cached_property
-    def cov_counts(self) -> list[int]:
-        """The number of items that each chooser separates."""
-        return np.add.reduce(np.bitwise_count(self.inst.words), axis=1).tolist()
-
-    @cached_property
-    def chooser_order(self) -> list[int]:
-        """Choosers by descending static coverage, then id, for bound scans."""
-        return sorted(range(self.inst.n_choosers), key=lambda v: (-self.cov_counts[v], v))
+        counts = inst.separator_counts
+        self.item_groups = _bit_rows(counts == np.array(sorted(set(counts.tolist())))[:, None])
+        # choosers by descending static coverage, then id, for bound scans
+        cov_counts = np.add.reduce(np.bitwise_count(inst.words), axis=1).tolist()
+        self.chooser_order = sorted(range(inst.n_choosers), key=lambda v: (-cov_counts[v], v))
+        self.cov_counts = cov_counts
 
     def _resolver(self, p: int) -> int:
         """resolvers[p], read off row p of inst.by_item and kept."""
@@ -439,12 +427,11 @@ class _Search:
         budget."""
         self.best = list(seed)
         try:
-            if len(self.best) > self.lower_stop:
-                for start, banned in roots:
-                    covered = 0
-                    for v in start:
-                        covered |= self.inst.coverage[v]
-                    self._search(list(start), covered, banned)
+            for start, banned in roots:
+                covered = 0
+                for v in start:
+                    covered |= self.coverage[v]
+                self._search(list(start), covered, banned)
         except _Stop:
             pass
         return CoverResult(
@@ -480,14 +467,15 @@ class _Search:
         pivot_resolvers = self._pick_pivot(uncovered, banned)
         if pivot_resolvers == 0:
             return  # some pair lost all its separators
+        coverage = self.coverage
         cands = sorted(
             iter_bits(pivot_resolvers),
-            key=lambda v: (-(self.inst.coverage[v] & uncovered).bit_count(), v),
+            key=lambda v: (-(coverage[v] & uncovered).bit_count(), v),
         )
         tried = 0
         for v in cands:
             chosen.append(v)
-            self._search(chosen, covered | self.inst.coverage[v], banned | tried)
+            self._search(chosen, covered | coverage[v], banned | tried)
             chosen.pop()
             tried |= 1 << v
             if len(self.best) - 1 - len(chosen) <= 0:
@@ -495,7 +483,7 @@ class _Search:
 
     def _coverage_reachable(self, uncovered: int, banned: int, threshold: int) -> bool:
         """True iff some unbanned chooser covers >= threshold uncovered items."""
-        coverage = self.inst.coverage
+        coverage = self.coverage
         for v in self.chooser_order:
             if banned >> v & 1:
                 continue
@@ -528,7 +516,7 @@ class _Search:
             rest ^= low
             if not rest:
                 return True
-        coverage = self.inst.coverage
+        coverage = self.coverage
         while cands:
             low = cands & -cands
             if coverage[low.bit_length() - 1] & rest == rest:
@@ -608,6 +596,8 @@ def min_cover(
                 raise BadParameters(
                     "a symmetry must map the instance and the forced choosers onto themselves"
                 )
+    if budget == 0 or len(seed) <= lower_stop:
+        return CoverResult(tuple(sorted(seed)), 0, len(seed) <= lower_stop, symmetries)
     roots = _orbital_roots(inst, forced, symmetries)
     res = _Search(inst, budget, lower_stop).run(roots, seed)
     return replace(res, generators=symmetries)

@@ -211,7 +211,7 @@ class TestLayersOnFirstRead:
             coverage, resolvers = reference_build(m)
             counts = [r.bit_count() for r in resolvers]
             inst = build_instance(m)
-            assert inst.by_item.shape == (inst.n_items, -(-inst.n_choosers // 64) * 8)
+            assert inst.by_item.shape == (inst.n_items, -(-inst.n_choosers // 8))
             assert inst.separator_counts.tolist() == counts
             search = _Search(inst, budget=0, lower_stop=0)
             assert search.item_groups == tuple(
