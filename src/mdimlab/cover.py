@@ -437,7 +437,7 @@ class _Search:
         return CoverResult(
             chosen=tuple(sorted(self.best)),
             nodes=self.nodes,
-            optimal=self.exhausted or len(self.best) <= self.lower_stop,
+            optimal=self.exhausted,
         )
 
     def _search(self, chosen: list[int], covered: int, banned: int) -> None:
@@ -586,10 +586,7 @@ def min_cover(
     forced = sorted(set(_chooser_ids(inst, forced)))
     lower_stop = max(lower_stop, len(forced))
     seed = greedy_cover(inst, forced)
-    if symmetries is None:
-        ask = not forced and budget > 0 and len(seed) > lower_stop
-        symmetries = root_symmetries(inst, seed) if ask else ()
-    else:
+    if symmetries is not None:
         symmetries = tuple(as_ints(p, "a symmetry") for p in symmetries)
         for p in symmetries:
             if not is_symmetry(inst, p) or sorted(p[v] for v in forced) != forced:
@@ -597,7 +594,9 @@ def min_cover(
                     "a symmetry must map the instance and the forced choosers onto themselves"
                 )
     if budget == 0 or len(seed) <= lower_stop:
-        return CoverResult(tuple(sorted(seed)), 0, len(seed) <= lower_stop, symmetries)
+        return CoverResult(tuple(sorted(seed)), 0, len(seed) <= lower_stop, symmetries or ())
+    if symmetries is None:
+        symmetries = () if forced else root_symmetries(inst, seed)
     roots = _orbital_roots(inst, forced, symmetries)
     res = _Search(inst, budget, lower_stop).run(roots, seed)
     return replace(res, generators=symmetries)
