@@ -9,14 +9,14 @@ Layout: item p is the p-th pair of combinations(range(n_entities), 2), so
 no pair table is kept.  An instance stores one form, the matrix and words,
 its chooser-by-item bits packed along each chooser's row; build_instance
 fills them a block at a time, since the items (i, j) with j > i are one
-contiguous block per entity i, and greedy_cover reads nothing else.  Every
-other layer is read off those two the first time something reads it, and
-kept: coverage[v] (over items), the int of row v of words; by_item, an
-item-by-chooser block filled the same way from the transposed matrix; the
-static separator counts, a popcount of its rows; and resolvers[p] (over
-choosers), the int of its row p.  The search reads coverage whole but
-converts resolvers[p] only for the items it reaches, so a budgeted search
-on a large instance makes few of those ints.
+contiguous block per entity i, and greedy_cover reads nothing else.  A
+search builds every other layer from those two when it is made:
+coverage[v] (over items), the int of row v of words; by_item, an
+item-by-chooser block filled the same way from the transposed matrix; its
+row popcounts, for the item groups; and resolvers[p] (over choosers), the
+int of row p of by_item, made when the search first reads item p.
+min_cover makes a search only when there is a tree to search, so a greedy
+answer builds nothing past words.
 
 The solver branches on an uncovered pair with few remaining separators,
 trying its separators in decreasing marginal-coverage order; each branch
@@ -94,7 +94,6 @@ like the ones it finds.  CoverResult.generators reports which it used.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -125,9 +124,8 @@ class PairCoverInstance:
     stores one form: matrix, the chooser-by-entity matrix, which
     is_symmetry and root_symmetries read, and words, whose row v holds the
     items that chooser v separates as uint64 bits, zero past the last
-    item; greedy_cover counts on it with a popcount.  coverage, by_item,
-    separator_counts and resolvers are read off those two when first
-    read, and kept (module docstring, "Layout").  Equality is identity.
+    item; greedy_cover counts on it with a popcount.  The search builds
+    its own layers from the two ("Layout").  Equality is identity.
     """
 
     n_choosers: int
@@ -138,31 +136,6 @@ class PairCoverInstance:
     @property
     def n_items(self) -> int:
         return self.n_entities * (self.n_entities - 1) // 2
-
-    @cached_property
-    def coverage(self) -> tuple[int, ...]:
-        """coverage[v]: bitset over the items that chooser v separates."""
-        return _packed_ints(self.words.view(np.uint8))
-
-    @cached_property
-    def by_item(self) -> np.ndarray:
-        """Row p: the choosers that separate item p, packed little-endian
-        into a uint8 array."""
-        columns = np.ascontiguousarray(self.matrix.T)
-        rows = np.empty((self.n_items, -(-self.n_choosers // 8)), dtype=np.uint8)
-        for i, s, e in _entity_blocks(self.n_entities):
-            rows[s:e] = np.packbits(columns[i] != columns[i + 1:], axis=1, bitorder="little")
-        return rows
-
-    @cached_property
-    def separator_counts(self) -> np.ndarray:
-        """The number of choosers that separate each item."""
-        return np.add.reduce(np.bitwise_count(self.by_item), axis=1)
-
-    @cached_property
-    def resolvers(self) -> tuple[int, ...]:
-        """resolvers[p]: bitset over the choosers that separate item p."""
-        return _packed_ints(self.by_item)
 
 
 def build_instance(matrix: np.ndarray) -> PairCoverInstance:
@@ -234,11 +207,12 @@ def root_symmetries(
     docstring, "Finding symmetries").  Targets v outside the orbit so far
     are tried in ascending order, and each candidate image costs one unit
     of a work cap of FINDER_WORK per chooser; any set of symmetries is
-    sound, so running out only leaves the orbit smaller.
+    sound, so running out only leaves the orbit smaller, and matrix
+    entries outside the integers 0..255 give none.
     """
     m = inst.matrix
     n = inst.n_choosers
-    if n < 2 or m.shape != (n, n):
+    if n < 2 or m.shape != (n, n) or m.dtype.kind not in "iu" or m.min() < 0 or m.max() > 255:
         return ()
     base = [0, *(v for v in seed if v != 0)]
     width = int(m.max()) + 1
@@ -387,27 +361,31 @@ class _Stop(Exception):
 class _Search:
     """Branch and bound state.
 
-    min_cover makes one only when there is a tree to search.  Its hot
-    reads are plain attributes: coverage, the static layers below, and
-    resolvers, whose entry p is None until the search first reads item p.
+    min_cover makes one only when there is a tree to search.  It builds
+    what it reads from inst once, as plain attributes ("Layout"); entry p
+    of resolvers is None until the search first reads item p.
     """
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
     PREFILTER = 4  # uncovered items whose separator sets the completion test intersects
 
     def __init__(self, inst: PairCoverInstance, budget: int, lower_stop: int):
-        self.inst = inst
         self.budget = budget
         self.lower_stop = lower_stop
         self.all_items = (1 << inst.n_items) - 1
         self.nodes = 0
         self.exhausted = True
         self.best: list[int] = []
-        self.coverage = inst.coverage
+        self.coverage = _packed_ints(inst.words.view(np.uint8))
+        # row p: the choosers that separate item p, packed little-endian
+        columns = np.ascontiguousarray(inst.matrix.T)
+        self.by_item = by_item = np.empty((inst.n_items, -(-inst.n_choosers // 8)), np.uint8)
+        for i, s, e in _entity_blocks(inst.n_entities):
+            by_item[s:e] = np.packbits(columns[i] != columns[i + 1:], axis=1, bitorder="little")
         self.resolvers: list[int | None] = [None] * inst.n_items
         # one item mask per static separator count, in ascending count order
         # sorted(set()): a plain np.unique imports numpy.ma (~16 ms) on its first call
-        counts = inst.separator_counts
+        counts = np.add.reduce(np.bitwise_count(by_item), axis=1)
         self.item_groups = _bit_rows(counts == np.array(sorted(set(counts.tolist())))[:, None])
         # choosers by descending static coverage, then id, for bound scans
         cov_counts = np.add.reduce(np.bitwise_count(inst.words), axis=1).tolist()
@@ -415,8 +393,8 @@ class _Search:
         self.cov_counts = cov_counts
 
     def _resolver(self, p: int) -> int:
-        """resolvers[p], read off row p of inst.by_item and kept."""
-        r = self.resolvers[p] = _packed_int(self.inst.by_item[p])
+        """resolvers[p], read off row p of by_item and kept."""
+        r = self.resolvers[p] = _packed_int(self.by_item[p])
         return r
 
     def run(
@@ -566,8 +544,9 @@ def min_cover(
     that size is accepted as optimal without exhausting the tree.  A spent
     budget downgrades the result to a verified upper bound
     (optimal=False).  Budget 0 returns the greedy seed, optimal only when
-    it meets lower_stop.  A budget that is negative or no int (as_ints), or
-    a forced entry that is not a chooser id, raises BadParameters.
+    it meets lower_stop.  A budget that is negative or no int (as_ints), a
+    lower_stop that is no int, or a forced entry that is not a chooser id,
+    raises BadParameters.
 
     symmetries None (the default) means find them: when nothing is forced,
     the budget is positive and the greedy seed is above lower_stop,
@@ -581,6 +560,7 @@ def min_cover(
     them as generators.
     """
     (budget,) = as_ints((budget,), "the node budget")
+    (lower_stop,) = as_ints((lower_stop,), "lower_stop")
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")
     forced = sorted(set(_chooser_ids(inst, forced)))

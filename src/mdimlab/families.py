@@ -50,12 +50,14 @@ def colex_subsets(m: int, r: int) -> list[tuple[int, ...]]:
 
 
 def cycle(n: int) -> Graph:
+    (n,) = as_ints((n,), "the cycle length")
     if n < 3:
         raise BadParameters("cycle needs n >= 3")
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
+    (n,) = as_ints((n,), "the clique size")
     if n < 1:
         raise BadParameters("complete graph needs n >= 1")
     return Graph.from_edges(n, combinations(range(n), 2))
@@ -63,6 +65,7 @@ def complete(n: int) -> Graph:
 
 def complete_multipartite(s: int, t: int) -> Graph:
     """s parts of size t; vertices v with v // t as their part."""
+    s, t = as_ints((s, t), "the part count and size")
     if s < 2 or t < 1:
         raise BadParameters("complete multipartite needs s >= 2 parts of size t >= 1")
     n = s * t
@@ -72,6 +75,7 @@ def complete_multipartite(s: int, t: int) -> Graph:
 
 def disjoint_cliques(s: int, t: int) -> Graph:
     """s disjoint copies of K_t; vertices v with v // t as their copy."""
+    s, t = as_ints((s, t), "the clique count and size")
     if s < 1 or t < 1:
         raise BadParameters("needs s >= 1 copies of K_t with t >= 1")
     n = s * t
@@ -81,6 +85,7 @@ def disjoint_cliques(s: int, t: int) -> Graph:
 
 def complete_bipartite_minus_matching(v: int) -> Graph:
     """K_{v,v} minus a perfect matching; u on one side pairs with u+v."""
+    (v,) = as_ints((v,), "the side size")
     if v < 2:
         raise BadParameters("needs v >= 2")
     edges = [(u, v + w) for u in range(v) for w in range(v) if u != w]
@@ -88,6 +93,7 @@ def complete_bipartite_minus_matching(v: int) -> Graph:
 
 
 def hypercube(m: int) -> Graph:
+    (m,) = as_ints((m,), "the hypercube dimension")
     if m < 1:
         raise BadParameters("hypercube needs m >= 1")
     n = 1 << m
@@ -96,6 +102,7 @@ def hypercube(m: int) -> Graph:
 
 
 def johnson(m: int, r: int) -> Graph:
+    m, r = as_ints((m, r), "the Johnson parameters")
     if not 1 <= r <= m - 1:
         raise BadParameters("johnson needs 1 <= r <= m-1")
     verts = colex_subsets(m, r)
@@ -108,6 +115,7 @@ def johnson(m: int, r: int) -> Graph:
 
 
 def kneser(m: int, r: int) -> Graph:
+    m, r = as_ints((m, r), "the Kneser parameters")
     if m < 2 * r + 1:
         raise BadParameters("kneser needs m >= 2r+1 to be connected")
     verts = colex_subsets(m, r)
@@ -121,12 +129,14 @@ def kneser(m: int, r: int) -> Graph:
 
 def odd_graph(r: int) -> Graph:
     """Disjointness graph on (r-1)-subsets of a (2r-1)-set; odd(3) is Petersen."""
+    (r,) = as_ints((r,), "the odd graph parameter")
     if r < 2:
         raise BadParameters("odd graph needs r >= 2")
     return kneser(2 * r - 1, r - 1)
 
 
 def paley(q: int) -> Graph:
+    (q,) = as_ints((q,), "the Paley modulus")
     if not is_prime(q):
         raise NotPrime(f"paley needs a prime modulus, got {q}")
     if q % 4 != 1:
@@ -138,6 +148,7 @@ def paley(q: int) -> Graph:
 
 def rook(a: int, b: int) -> Graph:
     """Rook's graph on an a x b board; vertex (i, j) is i*b + j."""
+    a, b = as_ints((a, b), "the board sides")
     if a < 2 or b < 2:
         raise BadParameters("rook needs both sides >= 2")
     n = a * b
@@ -246,13 +257,12 @@ def family_names() -> tuple[str, ...]:
 
 def family(name: str, *params: int) -> Graph:
     """Construct a named family member; raises BadParameters for unknown names
-    or wrong arity."""
+    or wrong arity, and each constructor reads its parameters with as_ints."""
     if name not in _FAMILIES:
         raise BadParameters(
             f"unknown family {name!r}; known: {', '.join(family_names())}"
         )
     fn, arity = _FAMILIES[name]
-    params = as_ints(params, f"the parameters of family {name!r}")
     if len(params) != arity:
         raise BadParameters(f"family {name!r} takes {arity} parameter(s)")
     return fn(*params)

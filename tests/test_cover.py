@@ -26,28 +26,36 @@ from mdimlab.cover import (
     orbit_partition,
     root_symmetries,
 )
+from mdimlab import cover as cover_module
 from mdimlab import mdim as mdim_module
 from mdimlab.designs import pg2
-from mdimlab.graphs import Graph, iter_bits
+from mdimlab.graphs import Graph, _packed_ints, iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
+
+
+def word_rows(inst: PairCoverInstance) -> tuple[int, ...]:
+    """The rows of inst.words as little-endian ints."""
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in inst.words)
 
 
 def brute_minimum(inst: PairCoverInstance) -> int | None:
     all_items = (1 << inst.n_items) - 1
+    coverage = word_rows(inst)
     for size in range(inst.n_choosers + 1):
         for sub in combinations(range(inst.n_choosers), size):
             cov = 0
             for v in sub:
-                cov |= inst.coverage[v]
+                cov |= coverage[v]
             if cov == all_items:
                 return size
     return None
 
 
 def covers_everything(inst: PairCoverInstance, chosen) -> bool:
+    coverage = word_rows(inst)
     cov = 0
     for v in chosen:
-        cov |= inst.coverage[v]
+        cov |= coverage[v]
     return cov == (1 << inst.n_items) - 1
 
 
@@ -67,9 +75,10 @@ def reference_build(matrix: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...
     return coverage, resolvers
 
 
-def word_rows(inst: PairCoverInstance) -> tuple[int, ...]:
-    """The rows of inst.words as little-endian ints."""
-    return tuple(int.from_bytes(row.tobytes(), "little") for row in inst.words)
+def search_layers(inst: PairCoverInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """coverage and every resolver of a fresh search on inst."""
+    search = _Search(inst, budget=0, lower_stop=0)
+    return tuple(search.coverage), tuple(map(search._resolver, range(inst.n_items)))
 
 
 class TestBuildInstance:
@@ -80,24 +89,23 @@ class TestBuildInstance:
         inst = build_instance(m)
         assert inst.n_entities == 4 and inst.n_items == 6
         pairs = list(combinations(range(4), 2))
-        assert [pairs[p] for p in iter_bits(inst.coverage[0])] == [(0, 3), (1, 3), (2, 3)]
+        assert [pairs[p] for p in iter_bits(word_rows(inst)[0])] == [(0, 3), (1, 3), (2, 3)]
 
     def test_coverage_marks_separated_pairs(self):
         # row 0 distinguishes columns 0 and 1 only
         m = np.array([[0, 1, 0], [2, 2, 3]])
         inst = build_instance(m)
         assert inst.n_items == 3  # pairs (0,1), (0,2), (1,2)
-        assert inst.coverage[0] == 0b101  # pairs (0,1) and (1,2)
-        assert inst.coverage[1] == 0b110  # pairs (0,2) and (1,2)
+        assert word_rows(inst)[0] == 0b101  # pairs (0,1) and (1,2)
+        assert word_rows(inst)[1] == 0b110  # pairs (0,2) and (1,2)
 
     def test_resolvers_transpose_coverage(self):
         rng = np.random.default_rng(0)
         inst = build_instance(rng.integers(0, 3, size=(6, 5)))
+        coverage, resolvers = search_layers(inst)
         for v in range(inst.n_choosers):
             for p in range(inst.n_items):
-                assert bool(inst.coverage[v] >> p & 1) == bool(
-                    inst.resolvers[p] >> v & 1
-                )
+                assert bool(coverage[v] >> p & 1) == bool(resolvers[p] >> v & 1)
 
     def test_single_column_has_no_items(self):
         inst = build_instance(np.zeros((3, 1), dtype=np.uint8))
@@ -123,15 +131,16 @@ class TestBuildInstance:
         matrices.append(rng.integers(0, 3, size=(259, 23)))
         for m in matrices:
             inst = build_instance(m)
-            assert (inst.coverage, inst.resolvers) == reference_build(m)
+            coverage, resolvers = search_layers(inst)
+            assert (coverage, resolvers) == reference_build(m)
             assert inst.words.dtype == np.uint64
             assert inst.words.shape == (inst.n_choosers, -(-inst.n_items // 64))
-            assert word_rows(inst) == inst.coverage
+            assert word_rows(inst) == coverage
             assert (inst.n_choosers, inst.n_entities) == m.shape
             assert inst.n_items == inst.n_entities * (inst.n_entities - 1) // 2
 
 
-# the attributes of an instance on which no layer has been read
+# the attributes of an instance: it keeps no layer of its own
 STORED = {"n_choosers", "n_entities", "matrix", "words"}
 
 
@@ -142,18 +151,33 @@ def lazy_shapes(rng) -> list[tuple[int, int]]:
     return shapes + [(9, 0), (9, 1), (9, 2), (1, 6), (7, 5), (64, 9), (65, 9), (259, 7), (0, 4)]
 
 
-class TestLayersOnFirstRead:
-    """build_instance stores matrix and words; coverage, by_item, the
-    separator counts and the resolvers are read off them when first read."""
+@pytest.fixture
+def searches(monkeypatch) -> list[PairCoverInstance]:
+    """The instance of every _Search made while the test runs."""
+    made = []
 
-    def test_greedy_reads_only_words(self):
+    def record(inst, *args, **kwargs):
+        made.append(inst)
+        return _Search(inst, *args, **kwargs)
+
+    monkeypatch.setattr(cover_module, "_Search", record)
+    return made
+
+
+class TestLayersOnFirstRead:
+    """build_instance stores matrix and words alone; a search builds the
+    layers it reads, and min_cover makes one only when there is a tree to
+    search, so an answer that needs none builds nothing past words."""
+
+    def test_greedy_reads_only_words(self, searches):
         rng = np.random.default_rng(5)
         inst = build_instance(rng.integers(0, 3, size=(20, 15)))
-        assert set(vars(inst)) == STORED
         greedy_cover(inst)
-        assert set(vars(inst)) == STORED
+        assert searches == []
+        min_cover(inst)  # the guard sees the search that a solve makes
+        assert searches == [inst]
 
-    def test_mdim_greedy_builds_only_words(self, monkeypatch):
+    def test_mdim_greedy_builds_only_words(self, monkeypatch, searches):
         built = []
 
         def keep(matrix):
@@ -162,15 +186,18 @@ class TestLayersOnFirstRead:
 
         monkeypatch.setattr(mdim_module, "build_instance", keep)
         mdim_greedy(family("hypercube", 5))
-        assert len(built) == 1 and set(vars(built[0])) == STORED
+        assert len(built) == 1 and searches == []
 
-    def test_a_search_that_never_runs_reads_nothing(self):
-        # a seed that meets lower_stop is returned without a search
+    def test_a_search_that_never_runs_reads_nothing(self, searches):
+        # a seed that meets lower_stop, or a budget of 0, is returned
+        # without a search
         inst = build_instance(np.asarray(family("hypercube", 5).distances.dist))
         seed = greedy_cover(inst)
         res = min_cover(inst, lower_stop=len(seed))
         assert res.optimal and res.nodes == 0
-        assert set(vars(inst)) == STORED
+        res = min_cover(inst, budget=0)
+        assert not res.optimal and res.nodes == 0
+        assert searches == []
 
     def test_a_budgeted_search_converts_only_the_items_it_reads(self):
         inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
@@ -181,7 +208,7 @@ class TestLayersOnFirstRead:
         read = [p for p, r in enumerate(search.resolvers) if r is not None]
         assert 0 < len(read) < inst.n_items // 10
         assert all(search.resolvers[p] == want[p] for p in read)
-        assert "resolvers" not in vars(inst)
+        assert set(vars(inst)) == STORED
 
     def test_lazy_rows_match_the_per_column_builder(self):
         rng = np.random.default_rng(11)
@@ -201,8 +228,8 @@ class TestLayersOnFirstRead:
             for p in order:
                 assert search._completable(1 << p, 0) == bool(want[p])
             assert search.resolvers == list(want)
-            assert "resolvers" not in vars(inst)
-            assert inst.resolvers == want
+            assert set(vars(inst)) == STORED
+            assert _packed_ints(search.by_item) == want
 
     def test_static_counts_match_bit_count(self):
         rng = np.random.default_rng(12)
@@ -211,9 +238,9 @@ class TestLayersOnFirstRead:
             coverage, resolvers = reference_build(m)
             counts = [r.bit_count() for r in resolvers]
             inst = build_instance(m)
-            assert inst.by_item.shape == (inst.n_items, -(-inst.n_choosers // 8))
-            assert inst.separator_counts.tolist() == counts
             search = _Search(inst, budget=0, lower_stop=0)
+            assert search.by_item.shape == (inst.n_items, -(-inst.n_choosers // 8))
+            assert np.add.reduce(np.bitwise_count(search.by_item), axis=1).tolist() == counts
             assert search.item_groups == tuple(
                 sum(1 << p for p, c in enumerate(counts) if c == k) for k in sorted(set(counts))
             )
@@ -272,21 +299,22 @@ def reference_greedy(inst: PairCoverInstance, forced=()) -> list[int] | None:
     replaced: a scan over every chooser per step, strict improvement only,
     so the lowest id wins a tie.  None when some item has no separator."""
     all_items = (1 << inst.n_items) - 1
+    coverage = word_rows(inst)
     chosen = list(forced)
     covered = 0
     for v in chosen:
-        covered |= inst.coverage[v]
+        covered |= coverage[v]
     while covered != all_items:
         best_v = -1
         best_gain = 0
         for v in range(inst.n_choosers):
-            gain = (inst.coverage[v] & ~covered).bit_count()
+            gain = (coverage[v] & ~covered).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
         if best_v < 0:
             return None
         chosen.append(best_v)
-        covered |= inst.coverage[best_v]
+        covered |= coverage[best_v]
     return chosen
 
 
@@ -409,6 +437,14 @@ class TestMinCover:
         inst = build_instance(np.asarray(family("cycle", 6).distances.dist))
         with pytest.raises(BadParameters):
             min_cover(inst, forced=forced)
+
+    # unchecked, None and "2" raise TypeError from max(), and 1.5 and True
+    # are taken as bounds
+    @pytest.mark.parametrize("lower_stop", [None, "2", 1.5, True])
+    def test_a_lower_stop_that_is_not_an_int_is_rejected(self, lower_stop):
+        inst = build_instance(np.asarray(family("cycle", 6).distances.dist))
+        with pytest.raises(BadParameters, match="must be integers"):
+            min_cover(inst, lower_stop=lower_stop)
 
     def test_lower_stop_accepts_the_greedy_answer(self):
         rng = np.random.default_rng(7)
@@ -696,6 +732,23 @@ class TestRootSymmetries:
         assert covers_everything(inst, got.chosen)
 
 
+    # a circulant whose shift is a symmetry, with entries made negative,
+    # fractional or past 255: np.bincount over them would raise ValueError,
+    # TypeError and MemoryError (a 131 TiB count array)
+    @pytest.mark.parametrize("entries", [
+        lambda m: m - 1, lambda m: m + 0.5, lambda m: m * 10**12,
+    ], ids=["negative", "float", "huge"])
+    def test_entries_outside_0_to_255_get_no_symmetries(self, entries):
+        shifted = TestRootSymmetry.circulant_of([0, 1, 1, 2, 0, 2, 1, 0, 0])
+        assert min_cover(shifted).generators  # the finder sees the shift here
+        inst = build_instance(entries(shifted.matrix))
+        assert root_symmetries(inst, greedy_cover(inst)) == ()
+        got = min_cover(inst)
+        assert got.generators == ()
+        assert got == min_cover(inst, symmetries=())
+        assert got.optimal and len(got.chosen) == brute_minimum(inst)
+
+
 class TestMinCoverFindsSymmetries:
     """min_cover asks root_symmetries itself when it is given none."""
 
@@ -734,8 +787,8 @@ class TestMinCoverFindsSymmetries:
 def some_chooser_completes(inst: PairCoverInstance, uncovered: int, banned: int) -> bool:
     """Reference: some unbanned chooser covers every uncovered item."""
     return any(
-        not banned >> v & 1 and inst.coverage[v] & uncovered == uncovered
-        for v in range(inst.n_choosers)
+        not banned >> v & 1 and cov & uncovered == uncovered
+        for v, cov in enumerate(word_rows(inst))
     )
 
 
@@ -752,7 +805,7 @@ class TestItemOrder:
             rng = np.random.default_rng(seed)
             shape = (int(rng.integers(1, 6)), int(rng.integers(2, 60)))
             inst = build_instance(rng.integers(0, 2, size=shape))
-            counts = [r.bit_count() for r in inst.resolvers]
+            counts = [r.bit_count() for r in reference_build(inst.matrix)[1]]
             want = sorted(range(inst.n_items), key=lambda p: (counts[p], p))
             groups = _Search(inst, budget=0, lower_stop=0).item_groups
             assert [p for group in groups for p in iter_bits(group)] == want
@@ -760,17 +813,18 @@ class TestItemOrder:
             assert group_counts == [{c} for c in sorted(set(counts))]
 
 
-def reference_pivot(inst: PairCoverInstance, uncovered: int, banned: int) -> int:
+def reference_pivot(resolvers: tuple[int, ...], uncovered: int, banned: int) -> int:
     """The walk that _pick_pivot's item groups replaced: every item in
-    (separator count, index) order, one shift test each."""
-    counts = [r.bit_count() for r in inst.resolvers]
+    (separator count, index) order, one shift test each; resolvers[p] is
+    the separator set of item p."""
+    counts = [r.bit_count() for r in resolvers]
     best_bits = 0
     best_cnt = 1 << 62
     seen = 0
-    for p in sorted(range(inst.n_items), key=lambda p: (counts[p], p)):
+    for p in sorted(range(len(resolvers)), key=lambda p: (counts[p], p)):
         if not uncovered >> p & 1:
             continue
-        avail = inst.resolvers[p] & ~banned
+        avail = resolvers[p] & ~banned
         cnt = avail.bit_count()
         if cnt == 0:
             return 0
@@ -796,6 +850,7 @@ class TestPickPivot:
             shape = (int(rng.integers(2, 70)), int(rng.integers(2, 20)))
             inst = build_instance(rng.integers(0, int(rng.integers(2, 5)), size=shape))
             search = _Search(inst, budget=0, lower_stop=0)
+            _, resolvers = reference_build(inst.matrix)
             all_items = (1 << inst.n_items) - 1
             every = (1 << inst.n_choosers) - 1
             for _ in range(40):
@@ -806,7 +861,7 @@ class TestPickPivot:
                 for _ in range(int(rng.integers(1, 5))):
                     banned = random_subset(rng, banned)
                 got = search._pick_pivot(uncovered, banned)
-                assert got == reference_pivot(inst, uncovered, banned)
+                assert got == reference_pivot(resolvers, uncovered, banned)
                 if got == 0:
                     seen["none"] += bool(uncovered)
                 elif got.bit_count() == 1:
@@ -827,8 +882,8 @@ class TestCompletionTest:
     """_Search._completable, the slack-one bound, against the brute-force
     predicate and against the marginal-coverage scan it replaces."""
 
-    def check(self, search: _Search, uncovered: int, banned: int) -> bool:
-        want = some_chooser_completes(search.inst, uncovered, banned)
+    def check(self, inst, search: _Search, uncovered: int, banned: int) -> bool:
+        want = some_chooser_completes(inst, uncovered, banned)
         assert search._completable(uncovered, banned) == want
         assert search._coverage_reachable(uncovered, banned, uncovered.bit_count()) == want
         return want
@@ -839,20 +894,21 @@ class TestCompletionTest:
             rng = np.random.default_rng(seed)
             inst = build_instance(rng.integers(0, 3, size=(7, 9)))
             search = _Search(inst, budget=0, lower_stop=0)
+            coverage, resolvers = reference_build(inst.matrix)
             all_items = (1 << inst.n_items) - 1
             for _ in range(30):
                 banned = random_subset(rng, (1 << inst.n_choosers) - 1)
                 # a subset of one chooser's coverage is often completable
-                source = inst.coverage[int(rng.integers(inst.n_choosers))]
+                source = coverage[int(rng.integers(inst.n_choosers))]
                 uncovered = random_subset(rng, source if rng.random() < 0.7 else all_items)
                 if not uncovered:
                     continue
-                got = self.check(search, uncovered, banned)
+                got = self.check(inst, search, uncovered, banned)
                 if uncovered.bit_count() > _Search.PREFILTER:
                     lowest = sorted(p for p in range(inst.n_items) if uncovered >> p & 1)
                     cands = ~banned
                     for p in lowest[: _Search.PREFILTER]:
-                        cands &= inst.resolvers[p]
+                        cands &= resolvers[p]
                     seen["true_beyond_prefilter"] += got
                     seen["survivor_fails_subset"] += bool(cands) and not got
         assert all(seen.values()), seen
@@ -863,17 +919,18 @@ class TestCompletionTest:
         search = _Search(inst, budget=0, lower_stop=0)
         every = (1 << inst.n_choosers) - 1
         for p in range(inst.n_items):
-            assert not self.check(search, 1 << p, every)
-        assert not self.check(search, (1 << inst.n_items) - 1, every)
+            assert not self.check(inst, search, 1 << p, every)
+        assert not self.check(inst, search, (1 << inst.n_items) - 1, every)
 
     def test_exactly_one_uncovered_item(self):
         rng = np.random.default_rng(1)
         inst = build_instance(rng.integers(0, 3, size=(6, 6)))
         search = _Search(inst, budget=0, lower_stop=0)
+        _, resolvers = reference_build(inst.matrix)
         for p in range(inst.n_items):
             for v in range(inst.n_choosers):
                 # banning one separator leaves the item completable iff it had another
-                assert self.check(search, 1 << p, 1 << v) == bool(inst.resolvers[p] & ~(1 << v))
+                assert self.check(inst, search, 1 << p, 1 << v) == bool(resolvers[p] & ~(1 << v))
 
     def test_survivor_of_the_prefilter_can_fail_the_subset_test(self):
         # chooser 0 separates column 0 from every other column, so it alone
@@ -889,6 +946,6 @@ class TestCompletionTest:
         pairs = list(combinations(range(inst.n_entities), 2))
         assert pairs[:k] == [(0, j) for j in range(1, k + 1)]
         p12 = pairs.index((1, 2))
-        assert self.check(search, first_k, 0)
-        assert not self.check(search, first_k | 1 << p12, 0)
-        assert not self.check(search, first_k | 1 << p12, 0b10)
+        assert self.check(inst, search, first_k, 0)
+        assert not self.check(inst, search, first_k | 1 << p12, 0)
+        assert not self.check(inst, search, first_k | 1 << p12, 0b10)

@@ -14,6 +14,7 @@ from mdimlab import (
     is_distance_regular,
     taylor,
 )
+from mdimlab import families
 from mdimlab.families import colex_subsets, disjoint_cliques
 
 
@@ -89,6 +90,18 @@ class TestBasicFamilies:
     def test_non_integer_parameters_are_rejected(self, name, params):
         with pytest.raises(BadParameters, match="must be integers"):
             family(name, *params)
+
+    # unchecked, cycle(5.0) raises TypeError from range() and
+    # hypercube(True) builds Q_1
+    @pytest.mark.parametrize("name, params", [
+        ("cycle", (5.0,)), ("complete", (True,)), ("complete_multipartite", (2, 3.0)),
+        ("disjoint_cliques", (True, 3)), ("complete_bipartite_minus_matching", (4.0,)),
+        ("hypercube", (True,)), ("johnson", (8, 4.0)), ("kneser", (7.0, 2)),
+        ("odd_graph", (True,)), ("paley", (13.0,)), ("rook", (3, True)),
+    ])
+    def test_constructors_read_their_parameters_as_ints(self, name, params):
+        with pytest.raises(BadParameters, match="must be integers"):
+            getattr(families, name)(*params)
 
     def test_family_names_sorted(self):
         names = family_names()

@@ -2,7 +2,8 @@
 by its module, and the modules import one another without a cycle; every
 private module-level name is read somewhere in the package; no module
 reads the environment; only graphs.py converts between ints and bytes;
-and every np.unique call passes a return_* keyword."""
+every np.unique call passes a return_* keyword; and no check is an
+assert statement."""
 
 import ast
 from pathlib import Path
@@ -203,5 +204,21 @@ def test_every_np_unique_call_asks_for_an_index_or_count():
         path.name: lines
         for path in MODULES
         if (lines := plain_unique_calls(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def assert_statements(tree: ast.Module) -> list[int]:
+    """Line numbers of the assert statements."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_no_check_is_an_assert():
+    # python -O strips assert statements, and with them the check; a
+    # failed check raises one of the package's errors instead
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := assert_statements(ast.parse(path.read_text())))
     }
     assert found == {}

@@ -36,8 +36,9 @@ from mdimlab import (
     taylor_lift,
     two_antipodal_partition,
 )
+from mdimlab import cover as cover_module
 from mdimlab import mdim as mdim_module
-from mdimlab.cover import build_instance, min_cover
+from mdimlab.cover import _Search, build_instance, min_cover
 from mdimlab.mdim import pair_cover_instance
 from mdimlab.zoo import ZOO
 
@@ -388,16 +389,22 @@ class TestDoubleLift:
 
 class TestStructureStageBuildsOnlyWords:
     """Greedy sets and their lifts read no cover layer beyond the packed
-    words: no coverage ints, item-major block or separator sets."""
+    words: they make no search, which builds the coverage ints, the
+    item-major block and the separator sets."""
 
     def test_halve_fold_and_taylor_lifts(self, monkeypatch):
-        built = []
+        built, searches = [], []
 
         def keep(matrix):
             built.append(build_instance(matrix))
             return built[-1]
 
+        def record(*args, **kwargs):
+            searches.append(args)
+            return _Search(*args, **kwargs)
+
         monkeypatch.setattr(mdim_module, "build_instance", keep)
+        monkeypatch.setattr(cover_module, "_Search", record)
         g = family("hypercube", 6)  # bipartite and antipodal
         cls = classify_ah(g)
         assert cls.bipartite and cls.antipodal
@@ -409,6 +416,4 @@ class TestStructureStageBuildsOnlyWords:
         lift_folded(g, mdim_greedy(folded).set, structure)
         base = family("paley", 13)
         taylor_lift(taylor(base), mdim_greedy(base).set)
-        assert len(built) == 5
-        stored = {"n_choosers", "n_entities", "matrix", "words"}
-        assert all(set(vars(inst)) == stored for inst in built)
+        assert len(built) == 5 and searches == []

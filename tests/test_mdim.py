@@ -559,8 +559,10 @@ def _union_find_twins(inst) -> list[tuple[int, ...]]:
             x = parent[x]
         return x
 
-    for p, (u, w) in enumerate(combinations(range(inst.n_entities), 2)):
-        if inst.resolvers[p] == (1 << u) | (1 << w):
+    m = inst.matrix
+    for u, w in combinations(range(inst.n_entities), 2):
+        # the choosers that separate u and w are u and w alone
+        if np.flatnonzero(m[:, u] != m[:, w]).tolist() == [u, w]:
             ru, rw = find(u), find(w)
             parent[max(ru, rw)] = min(ru, rw)
     groups: dict[int, list[int]] = {}
