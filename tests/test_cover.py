@@ -26,7 +26,6 @@ from mdimlab.cover import (
     orbit_partition,
     root_symmetries,
 )
-from mdimlab import cover as cover_module
 from mdimlab import mdim as mdim_module
 from mdimlab.designs import pg2
 from mdimlab.graphs import Graph, _packed_ints, iter_bits
@@ -149,19 +148,6 @@ def lazy_shapes(rng) -> list[tuple[int, int]]:
     boundaries, and instances with 0 and 1 items."""
     shapes = [(int(rng.integers(1, 70)), int(rng.integers(2, 14))) for _ in range(25)]
     return shapes + [(9, 0), (9, 1), (9, 2), (1, 6), (7, 5), (64, 9), (65, 9), (259, 7), (0, 4)]
-
-
-@pytest.fixture
-def searches(monkeypatch) -> list[PairCoverInstance]:
-    """The instance of every _Search made while the test runs."""
-    made = []
-
-    def record(inst, *args, **kwargs):
-        made.append(inst)
-        return _Search(inst, *args, **kwargs)
-
-    monkeypatch.setattr(cover_module, "_Search", record)
-    return made
 
 
 class TestLayersOnFirstRead:

@@ -36,9 +36,8 @@ from mdimlab import (
     taylor_lift,
     two_antipodal_partition,
 )
-from mdimlab import cover as cover_module
 from mdimlab import mdim as mdim_module
-from mdimlab.cover import _Search, build_instance, min_cover
+from mdimlab.cover import build_instance, min_cover
 from mdimlab.mdim import pair_cover_instance
 from mdimlab.zoo import ZOO
 
@@ -392,19 +391,14 @@ class TestStructureStageBuildsOnlyWords:
     words: they make no search, which builds the coverage ints, the
     item-major block and the separator sets."""
 
-    def test_halve_fold_and_taylor_lifts(self, monkeypatch):
-        built, searches = [], []
+    def test_halve_fold_and_taylor_lifts(self, monkeypatch, searches):
+        built = []
 
         def keep(matrix):
             built.append(build_instance(matrix))
             return built[-1]
 
-        def record(*args, **kwargs):
-            searches.append(args)
-            return _Search(*args, **kwargs)
-
         monkeypatch.setattr(mdim_module, "build_instance", keep)
-        monkeypatch.setattr(cover_module, "_Search", record)
         g = family("hypercube", 6)  # bipartite and antipodal
         cls = classify_ah(g)
         assert cls.bipartite and cls.antipodal
