@@ -14,11 +14,9 @@ from .errors import (
     NormalizationFailure,
     NoSuchTriple,
     NotAntipodal,
-    NotBijection,
     NotBipartite,
     NotBipartiteDiameter3,
     NotDistanceRegular,
-    NotNullPolarity,
     NotPrime,
     NotSrgKEquals2c,
     NotTwoAntipodal,
@@ -46,16 +44,12 @@ from .families import (
 from .designs import (
     SymmetricDesign,
     design_complement,
-    design_dual,
     design_from_graph,
     design_from_text,
     design_text,
-    find_null_polarity,
     incidence_graph,
     is_double_blocking,
-    is_null_polarity,
     pg2,
-    srg_from_null_polarity,
     three_lines_2blocking,
 )
 from .imprimitivity import (

@@ -20,8 +20,8 @@ from typing import Any
 from . import families
 from .cover import DEFAULT_BUDGET
 from .designs import SymmetricDesign, design_from_text, design_text, incidence_graph, pg2
-from .errors import MdimlabError
-from .graphs import Graph, induced_neighborhood
+from .errors import BadParameters, MdimlabError
+from .graphs import Graph, as_decimal, induced_neighborhood
 from .imprimitivity import bipartition, classify_ah
 from .lifting import (
     double_lift,
@@ -64,14 +64,22 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extras
 
 
+def _decimal(text: str) -> int:
+    """argparse type of an integer, read as ASCII decimal like the files."""
+    try:
+        return as_decimal(text, "an integer")
+    except BadParameters as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _vertex_list(text: str) -> tuple[int, ...]:
-    """argparse type of a comma-separated vertex list; blank is the empty set."""
-    text = text.strip()
+    """argparse type of a comma-separated list of ASCII decimal vertices; the
+    empty string is the empty set."""
     if not text:
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(as_decimal(part, "a vertex") for part in text.split(","))
+    except BadParameters:
         raise argparse.ArgumentTypeError(
             f"expected a comma-separated vertex list, got {text!r}")
 
@@ -272,7 +280,7 @@ def _cmd_semisplit(args: argparse.Namespace) -> int:
 
 def _add_budget(container: Any) -> None:
     """The one --budget flag, on a parser or on mdim's group of modes."""
-    container.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    container.add_argument("--budget", type=_decimal, default=DEFAULT_BUDGET,
                            help="node budget of each exact search (default %(default)s)")
 
 
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true", help="print stable JSON")
     params = argparse.ArgumentParser(add_help=False)
-    params.add_argument("--param", type=int, action="append", default=[],
+    params.add_argument("--param", type=_decimal, action="append", default=[],
                         help="family parameter (repeatable)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output file (default stdout)")
@@ -290,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="emit DOT instead of the edge format")
     design = argparse.ArgumentParser(add_help=False)
     source = design.add_mutually_exclusive_group(required=True)
-    source.add_argument("--plane", type=int, help="order-q point-line design")
+    source.add_argument("--plane", type=_decimal, help="order-q point-line design")
     source.add_argument("--design", help="design file")
     vertex_set = argparse.ArgumentParser(add_help=False)
     vertex_set.add_argument("--set", type=_vertex_list, required=True,
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(fn=_cmd_construct,
                    build=lambda a: families.bipartite_double(_base_graph(a)).graph)
     m = modes.add_parser("plane", parents=[out], help="order-q point-line design")
-    m.add_argument("q", type=int, help="prime order")
+    m.add_argument("q", type=_decimal, help="prime order")
     m.set_defaults(fn=_cmd_construct_plane)
 
     p = sub.add_parser("classify", parents=[as_json],
@@ -383,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("oracle", help="re-derive frozen values by exhaustive enumeration")
-    p.add_argument("--max-n", type=int, default=32,
+    p.add_argument("--max-n", type=_decimal, default=32,
                    help="skip instances with more vertices than this")
     p.set_defaults(fn=_cmd_oracle)
 
@@ -411,6 +419,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

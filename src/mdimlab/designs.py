@@ -1,4 +1,4 @@
-"""Symmetric 2-designs, their incidence graphs, and polarity machinery.
+"""Symmetric 2-designs, their incidence graphs, and double blocking sets.
 
 A symmetric design is stored as a dense 0/1 incidence matrix with rows
 indexed by points and columns by blocks.  Constructors validate the full
@@ -15,20 +15,15 @@ import numpy as np
 
 from .errors import (
     BadParameters,
-    BudgetExceeded,
     DegenerateComplement,
     MdimlabError,
-    NotBijection,
     NotBipartiteDiameter3,
-    NotNullPolarity,
     NotPrime,
     NoSuchTriple,
-    ParameterFailure,
 )
 from .families import LabeledCover, is_prime
 from .graphs import (
     Graph,
-    SrgParams,
     _bit_matrix,
     _bit_rows,
     as_decimal,
@@ -93,11 +88,6 @@ class SymmetricDesign:
 
     def __repr__(self) -> str:
         return f"SymmetricDesign(v={self.v}, k={self.k}, lam={self.lam})"
-
-
-def design_dual(d: SymmetricDesign) -> SymmetricDesign:
-    """Swap the roles of points and blocks (transpose the incidence matrix)."""
-    return SymmetricDesign(v=d.v, k=d.k, lam=d.lam, inc=d.inc.T.copy())
 
 
 def design_complement(d: SymmetricDesign) -> SymmetricDesign:
@@ -167,101 +157,6 @@ def design_from_graph(g: Graph) -> SymmetricDesign:
         return SymmetricDesign(v=v, k=k, lam=lam, inc=inc)
     except BadParameters as exc:
         raise NotBipartiteDiameter3(str(exc)) from exc
-
-
-def is_null_polarity(d: SymmetricDesign, sigma: list[int] | tuple[int, ...]) -> bool:
-    """Check that sigma is an incidence-preserving point-to-block bijection
-    of order two with no absolute points.
-
-    Raises NotBijection if sigma is not a bijection; structural failures
-    (an absolute point, or broken incidence symmetry) return False.
-    """
-    sigma = as_ints(sigma, "sigma")
-    if len(sigma) != d.v or sorted(sigma) != list(range(d.v)):
-        raise NotBijection("sigma must be a bijection from points onto blocks")
-    inc = d.inc
-    for x in range(d.v):
-        if inc[x, sigma[x]]:
-            return False  # absolute point
-    for x in range(d.v):
-        for y in range(x + 1, d.v):
-            if inc[x, sigma[y]] != inc[y, sigma[x]]:
-                return False
-    return True
-
-
-def find_null_polarity(
-    d: SymmetricDesign, budget: int = 10**7
-) -> tuple[int, ...] | None:
-    """Backtracking search for a null polarity; None if none exists.
-
-    The budget counts assignment attempts; BudgetExceeded is raised when it
-    runs out before the search space is exhausted.  A budget that is
-    negative or no int raises BadParameters.
-    """
-    (budget,) = as_ints((budget,), "the node budget")
-    if budget < 0:
-        raise BadParameters(f"node budget must be non-negative, got {budget}")
-    v = d.v
-    inc = d.inc
-    sigma: list[int] = []
-    used = [False] * v
-    nodes = 0
-
-    def feasible(x: int, b: int) -> bool:
-        if inc[x, b]:
-            return False
-        for y, by in enumerate(sigma):
-            if inc[y, b] != inc[x, by]:
-                return False
-        return True
-
-    def rec() -> bool:
-        nonlocal nodes
-        x = len(sigma)
-        if x == v:
-            return True
-        for b in range(v):
-            if used[b]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceeded(nodes)
-            if feasible(x, b):
-                used[b] = True
-                sigma.append(b)
-                if rec():
-                    return True
-                sigma.pop()
-                used[b] = False
-        return False
-
-    if rec():
-        out = tuple(sigma)
-        if not is_null_polarity(d, out):
-            raise NotNullPolarity(f"search returned {out}, which is not a null polarity")
-        return out
-    return None
-
-
-def srg_from_null_polarity(
-    d: SymmetricDesign, sigma: list[int] | tuple[int, ...]
-) -> Graph:
-    """Graph on the points with x ~ y iff x lies on sigma(y).
-
-    The polarity makes the relation symmetric and loop-free; the result is
-    verified strongly regular with parameters (v, k, lam, lam).
-    """
-    if not is_null_polarity(d, sigma):
-        raise NotNullPolarity("sigma is not a null polarity of the design")
-    g = Graph(d.v, _bit_rows(d.inc[:, as_ints(sigma, "sigma")] == 1))
-    ia = intersection_array(g)
-    params = ia.srg_params(d.v)
-    if params is None or params != SrgParams(n=d.v, k=d.k, a=d.lam, c=d.lam):
-        raise ParameterFailure(
-            f"polarity graph is not strongly regular ({d.v}, {d.k}, {d.lam}, {d.lam})"
-        )
-    return g
 
 
 def three_lines_2blocking(p: SymmetricDesign) -> tuple[tuple[int, int, int], tuple[int, ...]]:

@@ -72,22 +72,17 @@ class NotBipartiteDiameter3(MdimlabError, ValueError):
     """Graph is not a bipartite distance-regular graph of diameter 3."""
 
 
-class NotNullPolarity(MdimlabError, ValueError):
-    """A map supplied or found as a null polarity is not an
-    incidence-preserving fixed-point-free polarity."""
-
-
-class NotBijection(MdimlabError, ValueError):
-    """The supplied point-to-block map is not a bijection."""
-
-
 class NoSuchTriple(MdimlabError, ValueError):
     """No three pairwise non-concurrent lines exist: a design with fewer than
     three lines."""
 
 
 class BudgetExceeded(MdimlabError, RuntimeError):
-    """A bounded search ran out of its node budget before finishing."""
+    """A golden row's solve spent its node budget and proved no minimum.
+
+    The searches never raise it: a spent budget only marks their result
+    as not proved optimal (status "verified-resolving").
+    """
 
     def __init__(self, nodes: int, message: str = ""):
         self.nodes = nodes

@@ -1,11 +1,15 @@
 """The command-line interface, run in process: output shapes, file
-round-trips, and exit codes (0 ok, 1 user error, 2 budget spent)."""
+round-trips, and exit codes (0 ok, 1 user error, 2 budget spent); and
+`python -m mdimlab`, run once as a subprocess."""
 
 import contextlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -617,3 +621,33 @@ class TestTopLevel:
         code, out, err = run("nope")
         assert code == 1 and out == ""
         assert "usage:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("construct", "family", "cycle", "--param", "\u0665"),
+        ("construct", "family", "cycle", "--param", "+5"),
+        ("construct", "plane", "0_3"),
+        ("semiresolve", "--plane", "\u0663"),
+        ("oracle", "--max-n", " 12"),
+        ("mdim", "C12", "--budget", "1_000"),
+        ("mdim", "C12", "--certify", "0_1,0"),
+        ("mdim", "C12", "--certify", "\u0661,0"),
+        ("mdim", "C12", "--certify", " +1 ,0"),
+    ])
+    def test_integers_must_be_ascii_decimal(self, tmp_path, argv):
+        # int() would read each of these as a number
+        c12 = tmp_path / "c12.graph"
+        assert run("construct", "family", "cycle", "--param", "12",
+                   "--out", str(c12))[0] == 0
+        code, out, err = run(*(str(c12) if a == "C12" else a for a in argv))
+        assert code == 1 and out == ""
+        assert "error: argument" in err and "Traceback" not in err
+
+    def test_python_m_runs_the_command_line(self):
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mdimlab", "verify", "--only", "fano-complement-pair"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "1 passed" in proc.stdout

@@ -1,5 +1,5 @@
 """Symmetric designs: construction, validation, serialization, incidence
-graphs, blocking sets, and polarities."""
+graphs, and blocking sets."""
 
 import numpy as np
 import pytest
@@ -8,32 +8,23 @@ from mdimlab import (
     BadParameters,
     DegenerateComplement,
     Graph,
-    BudgetExceeded,
     NoSuchTriple,
-    NotBijection,
     NotBipartiteDiameter3,
-    NotNullPolarity,
     NotPrime,
     SymmetricDesign,
-    bfs_distances,
     bipartite_double,
     bipartition,
     design_complement,
-    design_dual,
     design_from_graph,
     design_from_text,
     design_text,
     family,
-    find_null_polarity,
     incidence_graph,
     intersection_array,
     is_double_blocking,
-    is_null_polarity,
     pg2,
-    srg_from_null_polarity,
     three_lines_2blocking,
 )
-from mdimlab import designs
 
 
 class TestPg2:
@@ -138,14 +129,6 @@ class TestSymmetricDesignValidation:
 
 
 class TestDualAndComplement:
-    def test_dual_transposes_incidence(self):
-        p = pg2(3)
-        assert (design_dual(p).inc == p.inc.T).all()
-
-    def test_dual_is_an_involution(self):
-        p = pg2(2)
-        assert design_dual(design_dual(p)) == p
-
     def test_complement_of_order_2_plane_is_a_7_4_2_design(self):
         c = design_complement(pg2(2))
         assert (c.v, c.k, c.lam) == (7, 4, 2)
@@ -259,6 +242,8 @@ class TestIncidenceGraph:
         doubled = bipartite_double(family("rook", 4, 4)).graph
         d = design_from_graph(doubled)
         assert (d.v, d.k, d.lam) == (16, 6, 2)
+        # rook(4,4) is its own design: the incidence is symmetric with zero diagonal
+        assert (d.inc == d.inc.T).all() and not d.inc.diagonal().any()
 
     def test_design_from_graph_rejects_odd_cycles(self):
         with pytest.raises(NotBipartiteDiameter3):
@@ -317,83 +302,6 @@ class TestDoubleBlocking:
         i, j, k = triple
         sets = [set(p.block_points(b)) for b in (i, j, k)]
         assert not (sets[0] & sets[1] & sets[2])
-
-
-class TestPolarities:
-    def _biplane(self):
-        return design_from_graph(bipartite_double(family("rook", 4, 4)).graph)
-
-    def test_symmetric_zero_diagonal_incidence_admits_identity(self):
-        d = self._biplane()
-        assert (d.inc == d.inc.T).all() and not d.inc.diagonal().any()
-        assert is_null_polarity(d, tuple(range(d.v)))
-
-    def test_non_bijections_are_rejected(self):
-        d = self._biplane()
-        with pytest.raises(NotBijection):
-            is_null_polarity(d, (0,) * d.v)
-        with pytest.raises(NotBijection):
-            is_null_polarity(d, tuple(range(d.v - 1)))
-
-    def test_non_integer_sigma_is_rejected(self):
-        d = self._biplane()
-        with pytest.raises(BadParameters, match="must be integers"):
-            is_null_polarity(d, [float(x) for x in range(d.v)])
-        assert is_null_polarity(d, np.arange(d.v))
-
-    def test_absolute_point_fails_quietly(self):
-        # the identity on the order-2 plane has a self-incident point
-        p = pg2(2)
-        assert not is_null_polarity(p, tuple(range(7)))
-
-    def test_search_finds_a_polarity_of_the_biplane(self):
-        d = self._biplane()
-        sigma = find_null_polarity(d)
-        assert sigma is not None
-        assert is_null_polarity(d, sigma)
-
-    def test_planes_admit_no_null_polarity(self):
-        assert find_null_polarity(pg2(2)) is None
-
-    def test_search_budget_is_enforced(self):
-        with pytest.raises(BudgetExceeded):
-            find_null_polarity(self._biplane(), budget=0)
-
-    @pytest.mark.parametrize("budget", [None, -1, 0.5, True])
-    def test_a_budget_that_is_no_non_negative_int_is_rejected(self, budget):
-        # -1 and 0.5 used to raise BudgetExceeded after one node
-        with pytest.raises(BadParameters):
-            find_null_polarity(self._biplane(), budget=budget)
-
-    def test_a_found_map_that_fails_the_check_is_an_error(self, monkeypatch):
-        # a typed error, not an assert that python -O strips
-        monkeypatch.setattr(designs, "is_null_polarity", lambda d, sigma: False)
-        with pytest.raises(NotNullPolarity):
-            find_null_polarity(self._biplane())
-
-    def test_polarity_graph_is_strongly_regular(self):
-        d = self._biplane()
-        sigma = find_null_polarity(d)
-        g = srg_from_null_polarity(d, sigma)
-        ia = intersection_array(g)
-        params = ia.srg_params(g.n)
-        assert (params.n, params.k, params.a, params.c) == (16, 6, 2, 2)
-
-    def test_polarity_graph_matches_the_loop_reference(self):
-        d = self._biplane()
-        for sigma in (find_null_polarity(d), tuple(range(d.v)), np.arange(d.v)):
-            rows = []
-            for x in range(d.v):
-                mask = 0
-                for y in range(d.v):
-                    if d.inc[x, sigma[y]]:
-                        mask |= 1 << y
-                rows.append(mask)
-            assert srg_from_null_polarity(d, sigma).adj == tuple(rows)
-
-    def test_polarity_graph_rejects_bad_sigma(self):
-        with pytest.raises(NotNullPolarity):
-            srg_from_null_polarity(pg2(2), tuple(range(7)))
 
 
 class TestNoSuchTriple:
