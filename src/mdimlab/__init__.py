@@ -27,7 +27,6 @@ from .graphs import (
     DistanceMatrix,
     Graph,
     IntersectionArray,
-    SrgParams,
     bfs_distances,
     induced_neighborhood,
     intersection_array,

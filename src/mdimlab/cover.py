@@ -99,7 +99,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BadParameters
-from .graphs import _bit_rows, _packed_int, _packed_ints, as_ints, iter_bits
+from .graphs import _bit_rows, _packed_int, _packed_ints, as_ids, as_ints, iter_bits
 
 DEFAULT_BUDGET = 10**8
 FINDER_WORK = 16  # candidate images per chooser, over all targets of one root_symmetries
@@ -328,7 +328,7 @@ def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[in
     item that no chooser separates, or a forced entry that is no chooser
     id, raises BadParameters.
     """
-    chosen = list(_chooser_ids(inst, forced))
+    chosen = list(as_ids(forced, inst.n_choosers, "forced choosers"))
     covered = np.bitwise_or.reduce(inst.words[chosen], axis=0)
     left = inst.n_items - int(np.bitwise_count(covered).sum())
     if left and not inst.n_choosers:
@@ -343,15 +343,6 @@ def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[in
         covered |= inst.words[v]
         left -= gain
     return chosen
-
-
-def _chooser_ids(inst: PairCoverInstance, forced: Sequence[int]) -> tuple[int, ...]:
-    """forced read with as_ints and checked against the chooser range."""
-    ids = as_ints(forced, "forced choosers")
-    for v in ids:
-        if not 0 <= v < inst.n_choosers:
-            raise BadParameters(f"forced chooser {v} out of range")
-    return ids
 
 
 class _Stop(Exception):
@@ -563,7 +554,7 @@ def min_cover(
     (lower_stop,) = as_ints((lower_stop,), "lower_stop")
     if budget < 0:
         raise BadParameters(f"node budget must be non-negative, got {budget}")
-    forced = sorted(set(_chooser_ids(inst, forced)))
+    forced = sorted(set(as_ids(forced, inst.n_choosers, "forced choosers")))
     lower_stop = max(lower_stop, len(forced))
     seed = greedy_cover(inst, forced)
     if symmetries is not None:

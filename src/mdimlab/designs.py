@@ -27,6 +27,7 @@ from .graphs import (
     _bit_matrix,
     _bit_rows,
     as_decimal,
+    as_ids,
     as_ints,
     ascii_lines,
     bipartition,
@@ -184,7 +185,7 @@ def is_double_blocking(p: SymmetricDesign, s: Iterable[int]) -> bool:
     """True iff every line of the projective plane contains >= 2 points of s."""
     if p.lam != 1:
         raise BadParameters("double blocking sets are defined for projective planes")
-    chosen = set(as_ints(s, "points"))
+    chosen = set(as_ids(s, p.v, "points"))
     for j in range(p.v):
         if len(chosen.intersection(p.block_points(j))) < 2:
             return False

@@ -31,12 +31,11 @@ class NotDistanceRegular(MdimlabError, ValueError):
         witness: first offending (u, w, i) triple in lexicographic order.
     """
 
-    def __init__(self, witness: tuple[int, int, int], message: str = ""):
+    def __init__(self, witness: tuple[int, int, int]):
         self.witness = witness
         u, w, i = witness
         super().__init__(
-            message
-            or f"not distance-regular: counts differ at pair ({u}, {w}) in distance class {i}"
+            f"not distance-regular: counts differ at pair ({u}, {w}) in distance class {i}"
         )
 
 
@@ -84,9 +83,9 @@ class BudgetExceeded(MdimlabError, RuntimeError):
     as not proved optimal (status "verified-resolving").
     """
 
-    def __init__(self, nodes: int, message: str = ""):
+    def __init__(self, nodes: int):
         self.nodes = nodes
-        super().__init__(message or f"search budget exceeded after {nodes} nodes")
+        super().__init__(f"search budget exceeded after {nodes} nodes")
 
 
 class InputNotResolving(MdimlabError, ValueError):

@@ -214,8 +214,7 @@ def taylor(delta: Graph) -> LabeledCover:
     iff u != w and u is not adjacent to w in delta.
     """
     ia = intersection_array(delta)
-    params = ia.srg_params(delta.n)
-    if params is None or params.k != 2 * params.c:
+    if ia.d != 2 or ia.k != 2 * ia.c[1]:
         raise NotSrgKEquals2c(
             "taylor construction needs a strongly regular graph with k = 2c"
         )

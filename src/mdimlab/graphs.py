@@ -63,6 +63,17 @@ def as_ints(values: Iterable, what: str) -> tuple[int, ...]:
         raise BadParameters(f"{what} must be integers: {exc}") from exc
 
 
+def as_ids(values: Iterable, n: int, what: str) -> tuple[int, ...]:
+    """values read with as_ints as ids of 0..n-1: the one reader of the
+    vertex, point and chooser ids that callers hand in, so an id outside
+    the range raises BadParameters rather than being dropped or wrapped."""
+    ids = as_ints(values, what)
+    for v in ids:
+        if not 0 <= v < n:
+            raise BadParameters(f"{what}: {v} is out of range 0..{n - 1}")
+    return ids
+
+
 def ascii_lines(text: str, what: str) -> list[str]:
     """The non-blank lines of an ASCII text format, stripped; other text
     raises BadParameters (str.split() would split on non-ASCII spaces)."""
@@ -440,26 +451,6 @@ class IntersectionArray:
             ks.append(ks[-1] * self.b[i] // self.c[i])
         return tuple(ks)
 
-    def srg_params(self, n: int) -> "SrgParams | None":
-        if self.d != 2:
-            return None
-        return SrgParams(n=n, k=self.k, a=self.a[1], c=self.c[1])
-
-
-@dataclass(frozen=True)
-class SrgParams:
-    """Strongly regular graph parameters (n, k, a, c)."""
-
-    n: int
-    k: int
-    a: int
-    c: int
-
-    def __post_init__(self):
-        # standard counting identity k(k - a - 1) = (n - k - 1)c
-        if self.k * (self.k - self.a - 1) != (self.n - self.k - 1) * self.c:
-            raise BadParameters(f"inconsistent strongly regular parameters {self}")
-
 
 @_kept
 def intersection_array(g: Graph) -> IntersectionArray:
@@ -545,33 +536,26 @@ def is_distance_regular(g: Graph) -> bool:
         return False
 
 
-def _components(n: int, rows: Sequence[int]) -> list[int]:
-    """Connected components of a bitset adjacency, as vertex bitsets, by min vertex."""
-    unseen = (1 << n) - 1
-    comps = []
-    while unseen:
-        start = unseen & -unseen
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~comp
-            comp |= nxt
-        comps.append(comp)
-        unseen &= ~comp
-    return comps
-
-
 def is_primitive(g: Graph) -> bool:
-    """True iff every distance-i graph (1 <= i <= d) is connected.
+    """True iff every distance-i graph (1 <= i <= d) is connected: one
+    bitset sweep from vertex 0 reaches every vertex.
 
     Requires a connected distance-regular graph; raises otherwise.
     """
     d = intersection_array(g).d  # validates connected + distance-regular
-    dm = g.distances
-    return all(len(_components(g.n, dm.layer(i))) == 1 for i in range(1, d + 1))
+    full = (1 << g.n) - 1
+    for i in range(1, d + 1):
+        rows = g.distances.layer(i)
+        reached = frontier = 1
+        while frontier:
+            nxt = 0
+            for v in iter_bits(frontier):
+                nxt |= rows[v]
+            frontier = nxt & ~reached
+            reached |= frontier
+        if reached != full:
+            return False
+    return True
 
 
 def _induced(rows: Sequence[int], vertices: Sequence[int]) -> Graph:
@@ -587,9 +571,7 @@ def induced_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
     The returned map sends local vertex i to the i-th neighbour of x in
     ascending order.
     """
-    (x,) = as_ints((x,), "the vertex")
-    if not 0 <= x < g.n:
-        raise BadParameters(f"vertex {x} out of range")
+    (x,) = as_ids((x,), g.n, "the vertex")
     vmap = tuple(iter_bits(g.adj[x]))
     if not vmap:
         raise BadParameters(f"vertex {x} has no neighbours")

@@ -24,7 +24,6 @@ from .errors import (
 from .families import complete
 from .graphs import (
     Graph,
-    _components,
     _induced,
     _kept,
     bipartition,
@@ -62,7 +61,9 @@ def antipodal_structure(g: Graph) -> AntipodalStructure:
 
     The distance-d graph must be a disjoint union of cliques, all of one
     size t >= 2: that is exactly the condition for "equal or at maximal
-    distance" to be an equivalence relation.  The partition is kept with g.
+    distance" to be an equivalence relation.  The class of u is then its
+    closed row, u and the vertices at distance d from u, and every member
+    of that class has the same closed row.  The partition is kept with g.
     """
     dm = g.distances
     if dm.diameter is None:
@@ -70,31 +71,27 @@ def antipodal_structure(g: Graph) -> AntipodalStructure:
     d = dm.diameter
     if d < 2:
         raise NotAntipodal("antipodal classes need diameter >= 2")
-    n = g.n
-    far = dm.layer(d)
-    comps = _components(n, far)
-    classes = []
-    size = None
-    for comp in comps:
-        members = tuple(iter_bits(comp))
-        t = len(members)
-        if t < 2:
-            raise NotAntipodal(f"vertex {members[0]} has no antipode")
-        for u in members:
-            if far[u] != comp & ~(1 << u):
+    closed = [row | 1 << u for u, row in enumerate(dm.layer(d))]
+    classes: list[tuple[int, ...]] = []
+    labels: list[tuple[int, int]] = [(-1, -1)] * g.n
+    for u, row in enumerate(closed):
+        if labels[u][0] >= 0:
+            continue
+        # u has no label, so u is the least vertex of its closed row
+        members = tuple(iter_bits(row))
+        if len(members) < 2:
+            raise NotAntipodal(f"vertex {u} has no antipode")
+        for w in members:
+            if closed[w] != row:
                 raise NotAntipodal(
-                    f"distance-{d} component containing {u} is not a clique"
+                    f"distance-{d} component containing {w} is not a clique"
                 )
-        if size is None:
-            size = t
-        elif size != t:
+        if classes and len(members) != len(classes[0]):
             raise NotAntipodal("antipodal classes have unequal sizes")
+        for ti, w in enumerate(members):
+            labels[w] = (len(classes), ti)
         classes.append(members)
-    labels: list[tuple[int, int]] = [(-1, -1)] * n
-    for ci, members in enumerate(classes):
-        for ti, v in enumerate(members):
-            labels[v] = (ci, ti)
-    return AntipodalStructure(t=size, classes=tuple(classes), labels=tuple(labels))
+    return AntipodalStructure(t=len(classes[0]), classes=tuple(classes), labels=tuple(labels))
 
 
 def is_antipodal(g: Graph) -> bool:
@@ -130,8 +127,9 @@ def fold(
     adjacent iff they contain adjacent vertices.  For a regular input of
     diameter >= 3 no vertex can have two neighbours in one class (they would
     sit at the maximal distance yet share a neighbour), so the quotient
-    keeps the valency; that is asserted.  Diameter-2 quotients collapse
-    further and skip the check.  The result is kept with g; a structure,
+    keeps the valency; a quotient that changes it raises
+    ClassificationContradiction.  Diameter-2 quotients collapse further
+    and skip the check.  The result is kept with g; a structure,
     if passed, must equal antipodal_structure(g), or BadParameters is raised.
     """
     # structure has one valid value but stays: perfbench/workloads.py, kept

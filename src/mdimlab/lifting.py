@@ -24,7 +24,7 @@ from .errors import (
     ParameterFailure,
 )
 from .families import LabeledCover, _two_pole_tags, bipartite_double
-from .graphs import Graph, as_ints, bipartition, induced_neighborhood, intersection_array
+from .graphs import Graph, as_ids, bipartition, induced_neighborhood, intersection_array
 from .imprimitivity import AntipodalStructure, antipodal_structure, fold, halve
 from .mdim import ResolvingCertificate, _verified, certify
 
@@ -128,10 +128,7 @@ def two_antipodal_partition(
     antipode = {
         v: structure.classes[c][1 - i] for v, (c, i) in enumerate(structure.labels)
     }
-    plus = frozenset(as_ints(v_plus, "vertex ids"))
-    for v in plus:
-        if not 0 <= v < g.n:
-            raise BadParameters(f"vertex {v} out of range")
+    plus = frozenset(as_ids(v_plus, g.n, "vertex ids"))
     for v, w in structure.classes:
         if (v in plus) == (w in plus):
             raise NotTwoAntipodal(
@@ -164,6 +161,7 @@ def project_to_folded(
     The projection witnesses that the quotient's metric dimension is at
     most that of the double cover.
     """
+    r_plus = as_ids(r_plus, g.n, "vertex ids")
     try:
         side_plus, _ = bipartition(g)
     except (NotBipartite, DisconnectedGraph) as exc:
@@ -177,7 +175,6 @@ def project_to_folded(
         raise HypothesisFailure(f"projection needs an antipodal graph: {exc}") from exc
     if structure.t != 2:
         raise HypothesisFailure("projection needs antipodal classes of size 2")
-    r_plus = tuple(r_plus)
     if not set(r_plus) <= set(side_plus):
         raise HypothesisFailure(
             "the set must lie in the bipartition side of vertex 0; push it first"
@@ -229,9 +226,7 @@ def descendant_extract(
     """
     _check_two_fold_cover_tags(cover)
     g = cover.graph
-    (x,) = as_ints((x,), "the vertex")
-    if not 0 <= x < g.n:
-        raise BadParameters(f"vertex {x} out of range")
+    (x,) = as_ids((x,), g.n, "the vertex")
     chosen = _require_resolving(g, s, "input")
     if x not in chosen:
         raise BadParameters("the chosen vertex must belong to the resolving set")

@@ -33,12 +33,12 @@ from .errors import (
     HypothesisFailure,
     LiftVerificationError,
 )
-from .graphs import DistanceMatrix, Graph, as_ints, intersection_array, is_primitive
+from .graphs import DistanceMatrix, Graph, as_ids, as_ints, intersection_array, is_primitive
 
 
-def _normalise(s: Iterable[int]) -> tuple[int, ...]:
-    """A chooser set as sorted, distinct ints."""
-    return tuple(sorted(set(as_ints(s, "vertex ids"))))
+def _normalise(s: Iterable[int], n: int) -> tuple[int, ...]:
+    """A chooser set of 0..n-1 as sorted, distinct ids."""
+    return tuple(sorted(set(as_ids(s, n, "vertex ids"))))
 
 
 def _first_unseparated(
@@ -47,13 +47,10 @@ def _first_unseparated(
     """The lexicographically first pair of rows of matrix that agree on all
     the chosen columns, or None.
 
-    matrix is indexed [entity, chooser]; chosen must hold ints.  One pass
-    keeps the first row of each signature; the answer is the least
-    (first, v) over the later rows v.
+    matrix is indexed [entity, chooser]; chosen must hold chooser ids, as
+    _normalise reads them.  One pass keeps the first row of each
+    signature; the answer is the least (first, v) over the later rows v.
     """
-    for v in chosen:
-        if not 0 <= v < matrix.shape[1]:
-            raise BadParameters(f"index {v} out of range")
     first: dict[bytes, int] = {}
     best = None
     for v, row in enumerate(matrix[:, chosen]):
@@ -67,7 +64,7 @@ def first_unresolved_pair(
     dm: DistanceMatrix, s: Iterable[int]
 ) -> tuple[int, int] | None:
     """The lexicographically first pair not separated by s, or None."""
-    return _first_unseparated(dm.dist, _normalise(s))
+    return _first_unseparated(dm.dist, _normalise(s, dm.n))
 
 
 def is_resolving(dm: DistanceMatrix, s: Iterable[int]) -> bool:
@@ -264,7 +261,7 @@ def certify(
     wrapped: the greedy bound, the split check and every lift verify
     through it.
     """
-    chosen = _normalise(s)
+    chosen = _normalise(s, g.n)
     pair = _first_unseparated(g.distances.dist, chosen)
     return ResolvingCertificate(
         set=chosen,
@@ -355,7 +352,7 @@ def first_unseparated_pair(
     d: SymmetricDesign, s: Iterable[int], side: Literal["blocks", "points"] = "blocks"
 ) -> tuple[int, int] | None:
     """First pair on the given side with no chooser of s in exactly one member."""
-    return _first_unseparated(_side_matrix(d, side).T, _normalise(s))
+    return _first_unseparated(_side_matrix(d, side).T, _normalise(s, d.v))
 
 
 def is_semi_resolving_for_blocks(d: SymmetricDesign, s: Iterable[int]) -> bool:

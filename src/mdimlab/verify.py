@@ -132,9 +132,9 @@ class Report:
         }
 
 
-def _shorten(value: Any, limit: int = 64) -> str:
+def _shorten(value: Any) -> str:
     text = json.dumps(value, sort_keys=True) if not isinstance(value, str) else value
-    return text if len(text) <= limit else text[: limit - 3] + "..."
+    return text if len(text) <= 64 else text[:61] + "..."
 
 
 def load_golden() -> list[GoldenRow]:

@@ -1,8 +1,8 @@
 """The named graphs exercised across the test and verification suites.
 
-Each entry is (name, builder); `solvable` marks members small enough for
-routine exact solves.  Builders are thunks so importing this module stays
-cheap.
+ZOO maps each name to its builder, and SOLVABLE is the frozenset of the
+names small enough for routine exact solves.  Builders are thunks so
+importing this module stays cheap.
 """
 
 from __future__ import annotations

@@ -354,9 +354,9 @@ class TestIntersectionArray:
         assert not is_distance_regular(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
 
     def test_srg_params(self):
+        # Paley(13) is strongly regular with (n, k, a, c) = (13, 6, 2, 3)
         ia = intersection_array(family("paley", 13))
-        srg = ia.srg_params(13)
-        assert (srg.n, srg.k, srg.a, srg.c) == (13, 6, 2, 3)
+        assert (ia.d, ia.k, ia.a[1], ia.c[1]) == (2, 6, 2, 3)
 
 
 class TestDerivedGraphs:
@@ -364,6 +364,23 @@ class TestDerivedGraphs:
         assert is_primitive(family("odd", 3))
         assert not is_primitive(family("cycle", 6))      # bipartite
         assert not is_primitive(family("hypercube", 3))  # antipodal too
+
+    def test_primitive_matches_networkx_on_every_distance_graph(self):
+        checked = []
+        for name, build in ZOO.items():
+            g = build()
+            if not is_distance_regular(g):
+                continue
+            dist = g.distances.dist
+            layers = []
+            for i in range(1, g.distances.diameter + 1):
+                layer = nx.Graph()
+                layer.add_nodes_from(range(g.n))
+                layer.add_edges_from(map(tuple, np.argwhere(dist == i).tolist()))
+                layers.append(nx.is_connected(layer))
+            assert is_primitive(g) == all(layers), name
+            checked.append(all(layers))
+        assert checked.count(True) >= 5 and checked.count(False) >= 5
 
     def test_induced_neighborhood(self):
         g = family("johnson", 5, 2)

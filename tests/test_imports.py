@@ -1,9 +1,10 @@
 """The package's import graph: every import sits at module level, is used
 by its module, and the modules import one another without a cycle; every
 private module-level name is read somewhere in the package; no module
-reads the environment; only graphs.py converts between ints and bytes;
-every np.unique call passes a return_* keyword; no check is an
-assert statement; and every public name is read inside the package."""
+reads the environment; only graphs.py converts between ints and bytes or
+checks an id range by hand; every np.unique call passes a return_*
+keyword; no check is an assert statement; and every public name is read
+inside the package."""
 
 import ast
 import types
@@ -181,6 +182,28 @@ def test_only_graphs_converts_ints_to_bytes():
         path.name: lines
         for path in MODULES
         if (lines := byte_conversions(ast.parse(path.read_text())))
+    }
+    assert set(found) == {"graphs.py"}
+
+
+def range_comparisons(tree: ast.Module) -> list[int]:
+    """Line numbers of the chained range comparisons `0 <= x < y`."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Constant) and node.left.value == 0
+        and [type(op) for op in node.ops] == [ast.LtE, ast.Lt]
+    })
+
+
+def test_only_graphs_checks_an_id_range():
+    # graphs.as_ids is the one reader of the ids a caller hands in, so
+    # no other module checks a range 0..n-1 by hand
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := range_comparisons(ast.parse(path.read_text())))
     }
     assert set(found) == {"graphs.py"}
 

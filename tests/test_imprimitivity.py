@@ -4,6 +4,8 @@ thirteen-way classification."""
 import random
 from collections import deque
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from mdimlab import (
@@ -196,6 +198,40 @@ class TestHalve:
             halve(Graph(1, [0]))
 
 
+def _antipodal_reference(g: Graph):
+    """(classes, labels) read off the networkx components of the distance-d
+    graph, ordered by least vertex; None where a component is not a clique,
+    has one vertex, or differs in size from the others."""
+    dist = g.distances.dist
+    far = nx.Graph()
+    far.add_nodes_from(range(g.n))
+    far.add_edges_from(map(tuple, np.argwhere(dist == g.distances.diameter).tolist()))
+    comps = sorted(tuple(sorted(c)) for c in nx.connected_components(far))
+    if len({len(c) for c in comps}) > 1 or any(
+        len(c) < 2 or far.subgraph(c).number_of_edges() != len(c) * (len(c) - 1) // 2
+        for c in comps
+    ):
+        return None
+    labels = {v: (ci, ti) for ci, c in enumerate(comps) for ti, v in enumerate(c)}
+    return tuple(comps), tuple(labels[v] for v in range(g.n))
+
+
+def _antipodal_cases():
+    """The connected ZOO graphs of diameter >= 2, complete bipartite graphs
+    K_{a,b}, cycles, and seeded random connected graphs from sparse to dense."""
+    cases = [g for g in (build() for build in ZOO.values())
+             if g.distances.connected and g.distances.diameter >= 2]
+    cases += [Graph.from_edges(a + b, [(u, a + w) for u in range(a) for w in range(b)])
+              for a in range(1, 5) for b in range(2, 5)]
+    cases += [family("cycle", n) for n in range(4, 11)]
+    for seed in range(40):
+        n = 4 + seed % 9
+        nxg = nx.gnp_random_graph(n, (0.2, 0.4, 0.6, 0.8)[seed % 4], seed=seed)
+        if nx.is_connected(nxg) and nx.diameter(nxg) >= 2:
+            cases.append(Graph.from_edges(n, list(nxg.edges())))
+    return cases
+
+
 class TestAntipodalStructure:
     def test_even_cycle_pairs_opposite_vertices(self):
         st = antipodal_structure(family("cycle", 6))
@@ -231,6 +267,26 @@ class TestAntipodalStructure:
     def test_structure_is_kept_with_the_graph(self):
         g = family("hypercube", 4)
         assert antipodal_structure(g) is antipodal_structure(g)
+
+    def test_cliques_of_unequal_sizes_are_not_antipodal(self):
+        # the distance-2 graph of K_{2,3} is K_2 + K_3
+        g = Graph.from_edges(5, [(u, w) for u in (0, 1) for w in (2, 3, 4)])
+        with pytest.raises(NotAntipodal, match="unequal sizes"):
+            antipodal_structure(g)
+
+    def test_matches_the_components_of_the_distance_d_graph(self):
+        outcomes = []
+        for g in _antipodal_cases():
+            expected = _antipodal_reference(g)
+            if expected is None:
+                with pytest.raises(NotAntipodal):
+                    antipodal_structure(g)
+            else:
+                st = antipodal_structure(g)
+                assert (st.classes, st.labels) == expected
+                assert st.t == len(expected[0][0])
+            outcomes.append(expected is None)
+        assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
 
 class TestFold:
