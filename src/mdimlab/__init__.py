@@ -5,22 +5,14 @@ from .errors import (
     BadParameters,
     BudgetExceeded,
     ClassificationContradiction,
-    DegenerateComplement,
     DisconnectedGraph,
     HypothesisFailure,
     InputNotResolving,
     LiftVerificationError,
     MdimlabError,
-    NormalizationFailure,
-    NoSuchTriple,
     NotAntipodal,
     NotBipartite,
-    NotBipartiteDiameter3,
     NotDistanceRegular,
-    NotPrime,
-    NotSrgKEquals2c,
-    NotTwoAntipodal,
-    ParameterFailure,
 )
 from .graphs import (
     UNREACHABLE,

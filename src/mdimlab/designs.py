@@ -13,14 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import (
-    BadParameters,
-    DegenerateComplement,
-    MdimlabError,
-    NotBipartiteDiameter3,
-    NotPrime,
-    NoSuchTriple,
-)
+from .errors import BadParameters, HypothesisFailure
 from .families import LabeledCover, is_prime
 from .graphs import (
     Graph,
@@ -95,7 +88,7 @@ def design_complement(d: SymmetricDesign) -> SymmetricDesign:
     """Replace every block by its complementary point set."""
     lam2 = d.v - 2 * d.k + d.lam
     if lam2 <= 0:
-        raise DegenerateComplement(
+        raise BadParameters(
             f"complement of ({d.v}, {d.k}, {d.lam}) would have lambda = {lam2}"
         )
     return SymmetricDesign(v=d.v, k=d.v - d.k, lam=lam2, inc=(1 - d.inc))
@@ -110,7 +103,7 @@ def pg2(q: int) -> SymmetricDesign:
     """
     (q,) = as_ints((q,), "the order")
     if not is_prime(q):
-        raise NotPrime(f"pg2 needs a prime order, got {q}")
+        raise BadParameters(f"pg2 needs a prime order, got {q}")
     p = np.array([(0, 0, 1)] + [(0, 1, z) for z in range(q)]  # already in lexicographic order
                  + [(1, y, z) for y in range(q) for z in range(q)])
     return SymmetricDesign(v=len(p), k=q + 1, lam=1, inc=p @ p.T % q == 0)
@@ -128,7 +121,7 @@ def incidence_graph(d: SymmetricDesign) -> LabeledCover:
     if 1 < d.k < d.v - 1:
         ia = intersection_array(g)
         if ia.d != 3:
-            raise NotBipartiteDiameter3(
+            raise HypothesisFailure(
                 "incidence graph failed its diameter-3 verification"
             )
     return LabeledCover(graph=g, tags=tags)
@@ -141,15 +134,12 @@ def design_from_graph(g: Graph) -> SymmetricDesign:
     with equal sides; points are taken from the side of vertex 0, in
     ascending vertex order.
     """
-    try:
-        ia = intersection_array(g)
-        plus, minus = bipartition(g)
-    except MdimlabError as exc:
-        raise NotBipartiteDiameter3(str(exc)) from exc
+    ia = intersection_array(g)
+    plus, minus = bipartition(g)
     if ia.d != 3:
-        raise NotBipartiteDiameter3(f"diameter is {ia.d}, not 3")
+        raise HypothesisFailure(f"diameter is {ia.d}, not 3")
     if len(plus) != len(minus):
-        raise NotBipartiteDiameter3("sides have different sizes")
+        raise HypothesisFailure("sides have different sizes")
     v = len(plus)
     k = ia.k
     lam = ia.c[1]  # two blocks meet in c_2 common points
@@ -157,7 +147,7 @@ def design_from_graph(g: Graph) -> SymmetricDesign:
     try:
         return SymmetricDesign(v=v, k=k, lam=lam, inc=inc)
     except BadParameters as exc:
-        raise NotBipartiteDiameter3(str(exc)) from exc
+        raise HypothesisFailure(str(exc)) from exc
 
 
 def three_lines_2blocking(p: SymmetricDesign) -> tuple[tuple[int, int, int], tuple[int, ...]]:
@@ -178,7 +168,7 @@ def three_lines_2blocking(p: SymmetricDesign) -> tuple[tuple[int, int, int], tup
         if len(meets) == 3:
             union = tuple(sorted(cols[i] | cols[j] | cols[k]))
             return (i, j, k), union
-    raise NoSuchTriple("no three pairwise non-concurrent lines found")
+    raise BadParameters("no three pairwise non-concurrent lines found")
 
 
 def is_double_blocking(p: SymmetricDesign, s: Iterable[int]) -> bool:

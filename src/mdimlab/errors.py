@@ -1,8 +1,21 @@
 """Exception types shared across the package.
 
-Every precondition failure raises a subclass of MdimlabError so callers (and
-the CLI) can separate user errors from genuine bugs.  Errors that carry a
-witness expose it as an attribute.
+Every error the package raises on purpose is a MdimlabError, so callers
+(and the CLI, which exits 1 on one) can separate user errors from bugs.
+They come in three families:
+
+- BadParameters: an argument is outside the domain of the routine (a
+  modulus that is not prime, an id out of range, a malformed file).
+- HypothesisFailure: a graph or set does not meet a structural hypothesis
+  of the routine (connected, distance-regular, bipartite, antipodal with
+  classes of size 2, strongly regular with k = 2c or a = c, a resolving or
+  minimum set).  Its subclasses DisconnectedGraph, NotDistanceRegular,
+  NotBipartite, NotAntipodal and InputNotResolving name the common ones,
+  and those that carry a witness expose it as an attribute.
+- ClassificationContradiction and LiftVerificationError: a result failed
+  its own re-verification, which indicates a bug.
+
+BudgetExceeded stands apart: a golden row proved no minimum in its budget.
 """
 
 from __future__ import annotations
@@ -13,18 +26,18 @@ class MdimlabError(Exception):
 
 
 class BadParameters(MdimlabError, ValueError):
-    """A constructor was called with parameters outside its domain."""
+    """A routine was called with parameters outside its domain."""
 
 
-class NotPrime(BadParameters):
-    """A field-based constructor needs a prime modulus."""
+class HypothesisFailure(MdimlabError, ValueError):
+    """A structural hypothesis of a routine does not hold."""
 
 
-class DisconnectedGraph(MdimlabError, ValueError):
+class DisconnectedGraph(HypothesisFailure):
     """An operation that needs a connected graph got a disconnected one."""
 
 
-class NotDistanceRegular(MdimlabError, ValueError):
+class NotDistanceRegular(HypothesisFailure):
     """Neighbour counts are not constant over some distance class.
 
     Attributes:
@@ -39,7 +52,7 @@ class NotDistanceRegular(MdimlabError, ValueError):
         )
 
 
-class NotBipartite(MdimlabError, ValueError):
+class NotBipartite(HypothesisFailure):
     """2-colouring failed.
 
     Attributes:
@@ -51,29 +64,20 @@ class NotBipartite(MdimlabError, ValueError):
         super().__init__(f"not bipartite: odd closed walk {list(self.witness)}")
 
 
-class NotAntipodal(MdimlabError, ValueError):
+class NotAntipodal(HypothesisFailure):
     """The distance-d graph is not a disjoint union of equal cliques of size >= 2."""
 
 
-class NotTwoAntipodal(MdimlabError, ValueError):
-    """A 2-antipodal partition was required but the graph or partition is not one."""
+class InputNotResolving(HypothesisFailure):
+    """A set handed to a transfer routine failed its resolving-set check.
 
+    Attributes:
+        pair: first unresolved pair.
+    """
 
-class NotSrgKEquals2c(MdimlabError, ValueError):
-    """Input must be strongly regular with valency k = 2c."""
-
-
-class DegenerateComplement(MdimlabError, ValueError):
-    """Design complement would have lambda <= 0."""
-
-
-class NotBipartiteDiameter3(MdimlabError, ValueError):
-    """Graph is not a bipartite distance-regular graph of diameter 3."""
-
-
-class NoSuchTriple(MdimlabError, ValueError):
-    """No three pairwise non-concurrent lines exist: a design with fewer than
-    three lines."""
+    def __init__(self, pair: tuple[int, int], where: str = "input"):
+        self.pair = pair
+        super().__init__(f"{where} set is not resolving: pair {pair} unresolved")
 
 
 class BudgetExceeded(MdimlabError, RuntimeError):
@@ -86,30 +90,6 @@ class BudgetExceeded(MdimlabError, RuntimeError):
     def __init__(self, nodes: int):
         self.nodes = nodes
         super().__init__(f"search budget exceeded after {nodes} nodes")
-
-
-class InputNotResolving(MdimlabError, ValueError):
-    """A set handed to a transfer routine failed its resolving-set check.
-
-    Attributes:
-        pair: first unresolved pair.
-    """
-
-    def __init__(self, pair: tuple[int, int], where: str = "input"):
-        self.pair = pair
-        super().__init__(f"{where} set is not resolving: pair {pair} unresolved")
-
-
-class HypothesisFailure(MdimlabError, ValueError):
-    """A structural hypothesis of a transfer routine does not hold."""
-
-
-class ParameterFailure(MdimlabError, ValueError):
-    """Graph parameters do not match what the routine requires."""
-
-
-class NormalizationFailure(MdimlabError, RuntimeError):
-    """Pushing a set into one part of a 2-antipodal partition changed its size."""
 
 
 class ClassificationContradiction(MdimlabError, RuntimeError):

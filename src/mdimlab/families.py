@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import BadParameters, NotPrime, NotSrgKEquals2c
+from .errors import BadParameters, HypothesisFailure
 from .graphs import Graph, as_ints, intersection_array
 
 
@@ -138,7 +138,7 @@ def odd_graph(r: int) -> Graph:
 def paley(q: int) -> Graph:
     (q,) = as_ints((q,), "the Paley modulus")
     if not is_prime(q):
-        raise NotPrime(f"paley needs a prime modulus, got {q}")
+        raise BadParameters(f"paley needs a prime modulus, got {q}")
     if q % 4 != 1:
         raise BadParameters("paley needs q congruent to 1 mod 4")
     squares = {(x * x) % q for x in range(1, q)}
@@ -215,7 +215,7 @@ def taylor(delta: Graph) -> LabeledCover:
     """
     ia = intersection_array(delta)
     if ia.d != 2 or ia.k != 2 * ia.c[1]:
-        raise NotSrgKEquals2c(
+        raise HypothesisFailure(
             "taylor construction needs a strongly regular graph with k = 2c"
         )
     n = delta.n

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     BadParameters,
     DisconnectedGraph,
+    HypothesisFailure,
     NotBipartite,
     NotDistanceRegular,
 )
@@ -532,7 +533,7 @@ def is_distance_regular(g: Graph) -> bool:
     try:
         intersection_array(g)
         return True
-    except (NotDistanceRegular, DisconnectedGraph):
+    except HypothesisFailure:
         return False
 
 

@@ -17,9 +17,8 @@ from .errors import (
     BadParameters,
     ClassificationContradiction,
     DisconnectedGraph,
+    HypothesisFailure,
     NotAntipodal,
-    NotBipartite,
-    NotBipartiteDiameter3,
 )
 from .families import complete
 from .graphs import (
@@ -98,7 +97,7 @@ def is_antipodal(g: Graph) -> bool:
     try:
         antipodal_structure(g)
         return True
-    except NotAntipodal:
+    except HypothesisFailure:
         return False
 
 
@@ -324,14 +323,14 @@ def classify_ah(g: Graph) -> AHClass:
 def _try_bipartition(g: Graph):
     try:
         return bipartition(g)
-    except NotBipartite:
+    except HypothesisFailure:
         return None
 
 
 def _try_antipodal(g: Graph):
     try:
         return antipodal_structure(g)
-    except NotAntipodal:
+    except HypothesisFailure:
         return None
 
 
@@ -356,7 +355,7 @@ def _is_complete_multipartite(g: Graph, structure: AntipodalStructure | None) ->
 def _is_complete_bipartite(g: Graph) -> bool:
     try:
         plus, minus = bipartition(g)
-    except (NotBipartite, DisconnectedGraph):
+    except HypothesisFailure:
         return False
     minus_mask = sum(1 << w for w in minus)
     return all(g.adj[u] == minus_mask for u in plus)
@@ -378,5 +377,5 @@ def _is_design_incidence(g: Graph) -> bool:
     try:
         design_from_graph(g)
         return True
-    except NotBipartiteDiameter3:
+    except HypothesisFailure:
         return False

@@ -3,8 +3,11 @@
 Every routine takes verified inputs (the set it is given must resolve its
 source graph), maps them through the structural correspondence, and
 re-verifies the output against the target's distance matrix.  A failed
-input check raises InputNotResolving; a failed output check raises
-LiftVerificationError, which indicates a bug, not a user error.
+input check raises InputNotResolving and any other failed hypothesis
+(bipartite, antipodal with classes of size 2, strongly regular with k = 2c
+or a = c, a minimum input set) a HypothesisFailure, with its witness when
+it has one; a failed output check raises LiftVerificationError, which
+indicates a bug, not a user error.
 """
 
 from __future__ import annotations
@@ -12,21 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .errors import (
-    BadParameters,
-    DisconnectedGraph,
-    HypothesisFailure,
-    InputNotResolving,
-    NormalizationFailure,
-    NotAntipodal,
-    NotBipartite,
-    NotTwoAntipodal,
-    ParameterFailure,
-)
+from .errors import BadParameters, HypothesisFailure, InputNotResolving
 from .families import LabeledCover, _two_pole_tags, bipartite_double
 from .graphs import Graph, as_ids, bipartition, induced_neighborhood, intersection_array
 from .imprimitivity import AntipodalStructure, antipodal_structure, fold, halve
-from .mdim import ResolvingCertificate, _verified, certify
+from .mdim import ResolvingCertificate, _normalise, _verified, certify
 
 
 def _require_resolving(g: Graph, s: Iterable[int], where: str) -> tuple[int, ...]:
@@ -115,23 +108,21 @@ def two_antipodal_partition(
 ) -> tuple[frozenset[int], dict[int, int]]:
     """Validate that v_plus holds exactly one vertex of each antipodal pair.
 
-    Returns (the plus side, the antipode involution).  Raises
-    NotTwoAntipodal if the graph is not 2-antipodal or the partition does
-    not split every pair.
+    Returns (the plus side, the antipode involution).  Raises the
+    NotAntipodal or DisconnectedGraph of antipodal_structure, and
+    HypothesisFailure if the classes have size other than 2 or the
+    partition does not split every pair.
     """
-    try:
-        structure = antipodal_structure(g)
-    except (NotAntipodal, DisconnectedGraph) as exc:
-        raise NotTwoAntipodal(str(exc)) from exc
+    structure = antipodal_structure(g)
     if structure.t != 2:
-        raise NotTwoAntipodal(f"antipodal classes have size {structure.t}, not 2")
+        raise HypothesisFailure(f"antipodal classes have size {structure.t}, not 2")
     antipode = {
         v: structure.classes[c][1 - i] for v, (c, i) in enumerate(structure.labels)
     }
     plus = frozenset(as_ids(v_plus, g.n, "vertex ids"))
     for v, w in structure.classes:
         if (v in plus) == (w in plus):
-            raise NotTwoAntipodal(
+            raise HypothesisFailure(
                 f"antipodal pair ({v}, {w}) is not split by the partition"
             )
     return plus, antipode
@@ -162,18 +153,10 @@ def project_to_folded(
     most that of the double cover.
     """
     r_plus = as_ids(r_plus, g.n, "vertex ids")
-    try:
-        side_plus, _ = bipartition(g)
-    except (NotBipartite, DisconnectedGraph) as exc:
-        raise HypothesisFailure(f"projection needs a bipartite graph: {exc}") from exc
-    dm = g.distances
-    if dm.diameter is None or dm.diameter % 2 == 0:
+    side_plus, _ = bipartition(g)  # so g is connected and has a diameter
+    if g.distances.diameter % 2 == 0:
         raise HypothesisFailure("projection needs odd diameter")
-    try:
-        structure = antipodal_structure(g)
-    except (NotAntipodal, DisconnectedGraph) as exc:
-        raise HypothesisFailure(f"projection needs an antipodal graph: {exc}") from exc
-    if structure.t != 2:
+    if antipodal_structure(g).t != 2:
         raise HypothesisFailure("projection needs antipodal classes of size 2")
     if not set(r_plus) <= set(side_plus):
         raise HypothesisFailure(
@@ -227,13 +210,13 @@ def descendant_extract(
     _check_two_fold_cover_tags(cover)
     g = cover.graph
     (x,) = as_ids((x,), g.n, "the vertex")
-    chosen = _require_resolving(g, s, "input")
+    chosen = _normalise(s, g.n)  # push_to_plus checks that it resolves g
     if x not in chosen:
         raise BadParameters("the chosen vertex must belong to the resolving set")
     v_plus = {x} | set(g.neighbors(x))
     pushed = push_to_plus(g, v_plus, chosen)
     if pushed.mu != len(chosen):
-        raise NormalizationFailure(
+        raise HypothesisFailure(
             "pushing collided two antipodes; the input set was not minimum"
         )
     local_graph, vmap = induced_neighborhood(g, x)
@@ -252,7 +235,7 @@ def double_lift(
     """
     ia = intersection_array(delta)
     if ia.d != 2 or ia.a[1] != ia.c[1]:
-        raise ParameterFailure(
+        raise HypothesisFailure(
             "doubling transfer needs a strongly regular graph with a = c"
         )
     chosen = _require_resolving(delta, r, "input")

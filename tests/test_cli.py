@@ -323,6 +323,21 @@ class TestLift:
         assert "error: the following arguments are required: " in err
         assert flag in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("lift", "push", "PETERSEN", "--set", "0,1,2"),
+         "not bipartite: odd closed walk [0, 9, 1, 4, 8, 0]"),
+        (("lift", "halved", "PETERSEN", "--plus-set", "0", "--minus-set", "0"),
+         "not bipartite: odd closed walk [0, 9, 1, 4, 8, 0]"),
+        (("lift", "double", "--base", "odd", "--param", "3", "--set", "0,1,3"),
+         "doubling transfer needs a strongly regular graph with a = c"),
+        (("construct", "taylor", "complete", "--param", "4"),
+         "taylor construction needs a strongly regular graph with k = 2c"),
+    ])
+    def test_a_failed_hypothesis_exits_1(self, petersen_file, argv, message):
+        code, out, err = run(*(petersen_file if a == "PETERSEN" else a for a in argv))
+        assert code == 1 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_minus_set_exits_1(self, cube_file):
         code, out, err = run("lift", "halved", cube_file, "--plus-set", "0")
         assert code == 1 and out == ""

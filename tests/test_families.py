@@ -5,7 +5,7 @@ import pytest
 from mdimlab import (
     BadParameters,
     Graph,
-    NotSrgKEquals2c,
+    HypothesisFailure,
     bipartite_double,
     bipartition,
     family,
@@ -182,7 +182,7 @@ class TestCoverConstructions:
         assert all(g.has_edge(10, v) for v in range(5))
 
     def test_taylor_rejects_wrong_parameters(self):
-        with pytest.raises(NotSrgKEquals2c):
+        with pytest.raises(HypothesisFailure, match="taylor construction needs .* with k = 2c"):
             taylor(family("complete", 4))
 
     def test_taylor_paley_is_distance_regular(self):

@@ -3,14 +3,17 @@ by its module, and the modules import one another without a cycle; every
 private module-level name is read somewhere in the package; no module
 reads the environment; only graphs.py converts between ints and bytes or
 checks an id range by hand; every np.unique call passes a return_*
-keyword; no check is an assert statement; and every public name is read
-inside the package."""
+keyword; no check is an assert statement; no handler of a failed
+hypothesis raises another error; and every public name is read inside the
+package."""
 
 import ast
 import types
 from pathlib import Path
 
 import mdimlab
+import mdimlab.errors
+from mdimlab import HypothesisFailure
 
 MODULES = sorted(Path(mdimlab.__file__).parent.glob("*.py"))
 
@@ -244,6 +247,41 @@ def test_no_check_is_an_assert():
         path.name: lines
         for path in MODULES
         if (lines := assert_statements(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+# the error classes an `except` naming them would catch a HypothesisFailure with
+HYPOTHESIS_CATCHERS = {
+    name for name, cls in vars(mdimlab.errors).items()
+    if isinstance(cls, type)
+    and (issubclass(cls, HypothesisFailure) or issubclass(HypothesisFailure, cls))
+}
+
+
+def translating_handlers(tree: ast.Module) -> list[int]:
+    """Line numbers of the `except` handlers that catch a HypothesisFailure
+    by one of its classes (or MdimlabError) and hold a raise."""
+    found = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        names = {k.id if isinstance(k, ast.Name) else getattr(k, "attr", None) for k in kinds}
+        if names & HYPOTHESIS_CATCHERS and any(
+            isinstance(inner, ast.Raise) for stmt in node.body for inner in ast.walk(stmt)
+        ):
+            found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_handler_translates_a_failed_hypothesis():
+    # a failed hypothesis reaches the caller as raised, witness and all; a
+    # handler may answer False or None for it but not raise something else
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := translating_handlers(ast.parse(path.read_text())))
     }
     assert found == {}
 

@@ -24,6 +24,7 @@ from mdimlab import (
     halve,
     intersection_array,
     is_antipodal,
+    is_distance_regular,
     lift_folded,
 )
 from mdimlab.imprimitivity import (
@@ -263,6 +264,14 @@ class TestAntipodalStructure:
 
     def test_primitive_graph_is_not_antipodal(self):
         assert not is_antipodal(ZOO["petersen"]())
+
+    @pytest.mark.parametrize("name", ["2K_3", "3K_4"])
+    def test_disconnected_graphs_fail_both_predicates(self, name):
+        # the predicates answer False where antipodal_structure and
+        # intersection_array raise DisconnectedGraph
+        g = ZOO[name]()
+        assert not is_antipodal(g)
+        assert not is_distance_regular(g)
 
     def test_structure_is_kept_with_the_graph(self):
         g = family("hypercube", 4)

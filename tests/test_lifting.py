@@ -8,12 +8,13 @@ import pytest
 
 from mdimlab import (
     BadParameters,
+    DisconnectedGraph,
     Graph,
     HypothesisFailure,
     InputNotResolving,
     LabeledCover,
-    NotTwoAntipodal,
-    ParameterFailure,
+    NotAntipodal,
+    NotBipartite,
     antipodal_structure,
     bfs_distances,
     bipartition,
@@ -23,6 +24,7 @@ from mdimlab import (
     family,
     fold,
     incidence_graph,
+    intersection_array,
     is_resolving,
     lift_folded,
     halve,
@@ -52,15 +54,15 @@ class TestTwoAntipodalPartition:
             assert (v in plus) != (inv[v] in plus)
 
     def test_pair_on_one_side_is_rejected(self):
-        with pytest.raises(NotTwoAntipodal):
+        with pytest.raises(HypothesisFailure, match=r"pair \(0, 7\) is not split"):
             two_antipodal_partition(family("hypercube", 3), [0, 7, 1, 2])
 
     def test_wrong_sized_transversal_is_rejected(self):
-        with pytest.raises(NotTwoAntipodal):
+        with pytest.raises(HypothesisFailure, match=r"pair \(3, 4\) is not split"):
             two_antipodal_partition(family("hypercube", 3), [0, 1, 2])
 
     def test_non_antipodal_graph_is_rejected(self):
-        with pytest.raises(NotTwoAntipodal):
+        with pytest.raises(NotAntipodal, match="component containing 1 is not a clique"):
             two_antipodal_partition(ZOO["petersen"](), [0, 1, 2, 3, 4])
 
     @pytest.mark.parametrize("side", [[0, 1, 2, 4.5], "0124"])
@@ -69,7 +71,7 @@ class TestTwoAntipodalPartition:
             two_antipodal_partition(family("hypercube", 3), side)
 
     def test_larger_classes_are_rejected(self):
-        with pytest.raises(NotTwoAntipodal):
+        with pytest.raises(HypothesisFailure, match="^antipodal classes have size 4, not 2$"):
             two_antipodal_partition(
                 family("complete_multipartite", 3, 4), range(6)
             )
@@ -110,7 +112,7 @@ class TestAntipodesAgainstTheScan:
         for name, g in antipode_inputs():
             want = scan_antipodes(g)
             if want is None:
-                with pytest.raises(NotTwoAntipodal):
+                with pytest.raises(HypothesisFailure, match="antipod|not a clique"):
                     two_antipodal_partition(g, [0])
                 rejected += 1
                 continue
@@ -273,22 +275,22 @@ class TestProjectToFolded:
         assert qmap == expected
 
     def test_even_diameter_is_rejected(self):
-        with pytest.raises(HypothesisFailure):
+        with pytest.raises(HypothesisFailure, match="^projection needs odd diameter$"):
             project_to_folded(family("hypercube", 4), (0, 1, 2, 4))
 
     def test_non_bipartite_input_is_rejected(self):
-        with pytest.raises(HypothesisFailure):
+        with pytest.raises(NotBipartite, match="^not bipartite: odd closed walk "):
             project_to_folded(ZOO["icosahedron"](), (0, 1, 2))
 
     def test_non_antipodal_input_is_rejected(self):
         # the Heawood graph: bipartite of odd diameter 3, not antipodal
         heawood = incidence_graph(pg2(2)).graph
-        with pytest.raises(HypothesisFailure, match="^projection needs an antipodal graph: "):
+        with pytest.raises(NotAntipodal, match="component containing 7 is not a clique"):
             project_to_folded(heawood, [0])
 
     def test_set_off_the_plus_side_is_rejected_before_resolving(self):
         # {1} is neither on vertex 0's side nor resolving; the side wins
-        with pytest.raises(HypothesisFailure):
+        with pytest.raises(HypothesisFailure, match="side of vertex 0; push it first"):
             project_to_folded(family("hypercube", 3), iter([1]))
 
     def test_programming_errors_are_not_reported_as_hypotheses(self, monkeypatch):
@@ -328,7 +330,7 @@ class TestTaylorLift:
             taylor_lift(taylor(family("cycle", 5)), [0])
 
     def test_covers_without_poles_are_rejected(self):
-        with pytest.raises(HypothesisFailure):
+        with pytest.raises(HypothesisFailure, match="tags do not match the two-pole"):
             taylor_lift(incidence_graph(pg2(2)), [0, 1])
 
     def test_shuffled_tags_are_rejected(self):
@@ -336,7 +338,7 @@ class TestTaylorLift:
         tags = list(cov.tags)
         random.Random(3).shuffle(tags)
         assert tuple(tags) != cov.tags
-        with pytest.raises(HypothesisFailure):
+        with pytest.raises(HypothesisFailure, match="tags do not match the two-pole"):
             taylor_lift(LabeledCover(graph=cov.graph, tags=tuple(tags)), [0, 1])
 
 
@@ -358,6 +360,28 @@ class TestDescendantExtract:
         with pytest.raises(BadParameters):
             descendant_extract(cov, (1, 2, 3), 0)
 
+    def test_the_input_set_is_certified_once(self, monkeypatch):
+        # push_to_plus checks that the set resolves the cover; descendant_extract
+        # does not check it again
+        import mdimlab.lifting
+
+        cov = taylor(family("cycle", 5))
+        calls = []
+        real = mdim_module.certify
+
+        def spy(g, s, method="supplied"):
+            s = tuple(s)
+            calls.append((method, s))
+            return real(g, s, method)
+
+        monkeypatch.setattr(mdim_module, "certify", spy)
+        monkeypatch.setattr(mdimlab.lifting, "certify", spy)
+        descendant_extract(cov, (0, 1, 2), 0)
+        assert [method for method, _ in calls] == [
+            "supplied", "lifted-push", "lifted-descendant"
+        ]
+        assert calls[0] == ("supplied", (0, 1, 2))
+
     @pytest.mark.parametrize("x", [0.0, True])
     def test_chosen_vertex_must_be_an_integer(self, x):
         # True used to mean vertex 1
@@ -378,12 +402,77 @@ class TestDoubleLift:
         assert is_resolving(bfs_distances(cover.graph), cert.set)
 
     def test_unequal_intersection_numbers_are_rejected(self):
-        with pytest.raises(ParameterFailure):
+        with pytest.raises(HypothesisFailure, match="doubling transfer needs .* with a = c"):
             double_lift(ZOO["petersen"](), (0, 1, 3))
 
     def test_non_resolving_base_set_is_rejected(self):
         with pytest.raises(InputNotResolving):
             double_lift(family("rook", 4, 4), (0, 1))
+
+
+def is_odd_closed_walk(g: Graph, walk: tuple[int, ...]) -> bool:
+    return (
+        len(walk) % 2 == 0 and walk[0] == walk[-1]
+        and all(g.has_edge(u, w) for u, w in zip(walk, walk[1:]))
+    )
+
+
+# (ZOO graph, the call that fails on it, the error class, its message);
+# a NotBipartite message names its witness, an odd closed walk
+FAILED_HYPOTHESES = [
+    pytest.param("C_7", lambda g: lift_halved(g, [0], [0]), NotBipartite, None,
+                 id="lift_halved-C_7"),
+    pytest.param("icosahedron", lambda g: project_to_folded(g, (0, 1, 2)),
+                 NotBipartite, None, id="project_to_folded-icosahedron"),
+    pytest.param("C_7", lambda g: lift_folded(g, [0]), NotAntipodal,
+                 "distance-3 component containing 3 is not a clique",
+                 id="lift_folded-C_7"),
+    pytest.param("petersen", lambda g: push_to_plus(g, range(5), (0, 1, 2)),
+                 NotAntipodal, "distance-2 component containing 1 is not a clique",
+                 id="push_to_plus-petersen"),
+    pytest.param("heawood", lambda g: project_to_folded(g, [0]), NotAntipodal,
+                 "distance-3 component containing 7 is not a clique",
+                 id="project_to_folded-heawood"),
+    pytest.param("K_3x4", lambda g: two_antipodal_partition(g, range(6)),
+                 HypothesisFailure, "antipodal classes have size 4, not 2",
+                 id="two_antipodal_partition-K_3x4"),
+    pytest.param("K_4", taylor, HypothesisFailure,
+                 "taylor construction needs a strongly regular graph with k = 2c",
+                 id="taylor-K_4"),
+    pytest.param("petersen", lambda g: double_lift(g, (0, 1, 3)), HypothesisFailure,
+                 "doubling transfer needs a strongly regular graph with a = c",
+                 id="double_lift-petersen"),
+    # (0, 1, 2) is a minimum resolving set of taylor(C_5) through x = 0, and
+    # 6 is the antipode of 1: the superset resolves but pushing collides
+    pytest.param("C_5", lambda g: descendant_extract(taylor(g), (0, 1, 2, 6), 0),
+                 HypothesisFailure,
+                 "pushing collided two antipodes; the input set was not minimum",
+                 id="descendant_extract-taylor_C_5"),
+    pytest.param("2K_3", intersection_array, DisconnectedGraph,
+                 "intersection array needs a connected graph",
+                 id="intersection_array-2K_3"),
+]
+
+
+class TestFailedHypotheses:
+    @pytest.mark.parametrize("name, call, kind, message", FAILED_HYPOTHESES)
+    def test_raises_a_hypothesis_failure(self, name, call, kind, message):
+        g = ZOO[name]()
+        with pytest.raises(kind) as info:
+            call(g)
+        exc = info.value
+        assert type(exc) is kind
+        assert isinstance(exc, HypothesisFailure) and not isinstance(exc, RuntimeError)
+        if kind is NotBipartite:
+            assert is_odd_closed_walk(g, exc.witness)
+            message = f"not bipartite: odd closed walk {list(exc.witness)}"
+        assert str(exc) == message
+
+    def test_the_superset_in_the_descendant_row_resolves(self):
+        g = taylor(ZOO["C_5"]()).graph
+        assert is_resolving(bfs_distances(g), (0, 1, 2, 6))
+        assert antipodal_structure(g).classes[1] == (1, 6)
+        assert mdim_exact(g).mu == 3
 
 
 class TestStructureStageBuildsOnlyWords:

@@ -647,9 +647,9 @@ class TestBoundReport:
             babai_bounds(Graph.from_edges(1, []))
 
     def test_imprimitive_input_is_rejected(self):
-        with pytest.raises(HypothesisFailure):
+        with pytest.raises(HypothesisFailure, match="stated for primitive graphs"):
             babai_bounds(family("hypercube", 3))  # bipartite and antipodal
-        with pytest.raises(HypothesisFailure):
+        with pytest.raises(HypothesisFailure, match="stated for primitive graphs"):
             babai_bounds(ZOO["heawood"]())  # bipartite
 
 
