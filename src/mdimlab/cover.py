@@ -7,14 +7,22 @@ set separating every pair.
 
 Layout: item p is the p-th pair of combinations(range(n_entities), 2), so
 no pair table is kept.  An instance stores one form, the matrix and words,
-its chooser-by-item bits packed along each chooser's row; build_instance
-fills them a block at a time, since the items (i, j) with j > i are one
-contiguous block per entity i, and greedy_cover reads nothing else.  A
-search builds every other layer from those two when it is made:
-coverage[v] (over items), the int of row v of words; by_item, an
-item-by-chooser block filled the same way from the transposed matrix; its
-row popcounts, for the item groups; and resolvers[p] (over choosers), the
-int of row p of by_item, made when the search first reads item p.
+its chooser-by-item bits packed along each chooser's row, and greedy_cover
+reads nothing else.  The items (i, j) with j > i are one contiguous block
+per entity i.  _pair_chunks fills a bool buffer of PACK_BYTES, or of one
+word of items per chooser if that is more, with these blocks in one pass
+over word-aligned chunks of items, splitting a block where it crosses a
+chunk edge, and hands each chunk over to be packed.  build_instance packs
+a chunk straight into its uint64 columns of words, so a build needs words
+plus that buffer, not the whole chooser-by-item bool block (eight times
+words); a bool block that fits in PACK_BYTES is one chunk.  A search
+builds every other layer from the matrix and words when it is made:
+coverage[v] (over items), the int of row v of words; by_item, the
+item-by-chooser bits, packed from the same chunks through an item-major
+buffer, with the row popcounts of each packed chunk giving the static
+separator counts of its items, for the item groups; and resolvers[p]
+(over choosers), the int of row p of by_item, made when the search first
+reads item p.
 min_cover makes a search only when there is a tree to search, so a greedy
 answer builds nothing past words.
 
@@ -104,16 +112,41 @@ from .graphs import _bit_rows, _packed_int, _packed_ints, as_ids, as_ints, iter_
 DEFAULT_BUDGET = 10**8
 FINDER_WORK = 16  # candidate images per chooser, over all targets of one root_symmetries
 SCHREIER_BLOCK = 16  # orbit points whose Schreier generators are joined at once
+PACK_BYTES = 1 << 18  # bool buffer through which the pair bits are packed
 
 
-def _entity_blocks(n_entities: int) -> Iterator[tuple[int, int, int]]:
-    """(i, s, e) for each entity i that has items: the items (i, j), j > i,
-    are s..e-1."""
-    s = 0
-    for i in range(n_entities - 1):
-        e = s + n_entities - 1 - i
-        yield i, s, e
+def _chunk_width(n_choosers: int, n_items: int) -> int:
+    """Items per chunk: whole words, PACK_BYTES of bools or one word of
+    items per chooser if that is more, and no more words than the items
+    fill."""
+    return 64 * min(-(-n_items // 64), max(1, PACK_BYTES // (64 * max(n_choosers, 1))))
+
+
+def _pair_chunks(matrix: np.ndarray, sep: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Fill sep, a chooser-by-item bool buffer, with the items of matrix a
+    chunk at a time ("Layout").
+
+    Yields (a, k) once sep[:, :k] holds items a..a+k-1: after each full
+    chunk, as wide as sep, and after the last one; the caller packs it
+    before the next step.  The items (i, j), j > i, of entity i are one
+    block, split where it crosses a chunk edge.
+    """
+    n_cols = matrix.shape[1]
+    width = sep.shape[1]
+    a = 0  # first item of the chunk
+    s = 0  # items of the chunk filled; entity i fills sep[:, s:e] from column n_cols - e + s
+    for i in range(n_cols - 1):
+        e = s + n_cols - 1 - i
+        while e > width:  # the block crosses the chunk edge: fill to it
+            np.not_equal(matrix[:, i, None], matrix[:, n_cols - e + s:n_cols - e + width],
+                         out=sep[:, s:])
+            yield a, width
+            a += width
+            e -= width
+            s = 0
+        np.not_equal(matrix[:, i, None], matrix[:, n_cols - e + s:], out=sep[:, s:e])
         s = e
+    yield a, s
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +157,9 @@ class PairCoverInstance:
     stores one form: matrix, the chooser-by-entity matrix, which
     is_symmetry and root_symmetries read, and words, whose row v holds the
     items that chooser v separates as uint64 bits, zero past the last
-    item; greedy_cover counts on it with a popcount.  The search builds
-    its own layers from the two ("Layout").  Equality is identity.
+    item; greedy_cover counts on it with a popcount.  build_instance
+    packs words a chunk of items at a time, and the search builds its own
+    layers from the two ("Layout").  Equality is identity.
     """
 
     n_choosers: int
@@ -140,13 +174,20 @@ class PairCoverInstance:
 
 def build_instance(matrix: np.ndarray) -> PairCoverInstance:
     """Instance whose choosers are the matrix rows and whose items are all
-    unordered column pairs; only words is built here."""
+    unordered column pairs; only words is built here, a chunk of items at
+    a time, so the build needs words plus one chunk buffer ("Layout").  A
+    matrix that is not a 2-D numpy array of ints or bools raises
+    BadParameters."""
+    if not isinstance(matrix, np.ndarray) or matrix.ndim != 2 or matrix.dtype.kind not in "biu":
+        raise BadParameters("a cover matrix must be a 2-D numpy array of ints or bools")
     n_choosers, n_cols = matrix.shape
     n_items = n_cols * (n_cols - 1) // 2
-    sep = np.zeros((n_choosers, -(-n_items // 64) * 64), dtype=bool)  # zero to whole words
-    for i, s, e in _entity_blocks(n_cols):
-        np.not_equal(matrix[:, i, None], matrix[:, i + 1:], out=sep[:, s:e])
-    words = np.packbits(sep, axis=1, bitorder="little").view(np.uint64)
+    words = np.zeros((n_choosers, -(-n_items // 64)), dtype=np.uint64)
+    packed = words.view(np.uint8)
+    sep = np.empty((n_choosers, _chunk_width(n_choosers, n_items)), dtype=bool)
+    # packbits zero-pads the last byte of a chunk, and words is zero past it
+    for a, k in _pair_chunks(matrix, sep):
+        packed[:, a // 8:a // 8 + -(-k // 8)] = np.packbits(sep[:, :k], axis=1, bitorder="little")
     return PairCoverInstance(n_choosers, n_cols, matrix, words)
 
 
@@ -368,15 +409,20 @@ class _Search:
         self.exhausted = True
         self.best: list[int] = []
         self.coverage = _packed_ints(inst.words.view(np.uint8))
-        # row p: the choosers that separate item p, packed little-endian
-        columns = np.ascontiguousarray(inst.matrix.T)
-        self.by_item = by_item = np.empty((inst.n_items, -(-inst.n_choosers // 8)), np.uint8)
-        for i, s, e in _entity_blocks(inst.n_entities):
-            by_item[s:e] = np.packbits(columns[i] != columns[i + 1:], axis=1, bitorder="little")
+        # row p: the choosers that separate item p, packed little-endian.
+        # The chunks fill an item-by-chooser buffer through its transpose,
+        # read from a copy of the matrix with contiguous columns, so both
+        # keep the choosers innermost.
+        n_items, n_choosers = inst.n_items, inst.n_choosers
+        self.by_item = by_item = np.empty((n_items, -(-n_choosers // 8)), np.uint8)
+        counts = np.empty(n_items, dtype=np.intp)  # static separator count of each item
+        buf = np.empty((_chunk_width(n_choosers, n_items), n_choosers), dtype=bool)
+        for a, k in _pair_chunks(np.ascontiguousarray(inst.matrix.T).T, buf.T):
+            by_item[a:a + k] = np.packbits(buf[:k], axis=1, bitorder="little")
+            np.add.reduce(np.bitwise_count(by_item[a:a + k]), axis=1, out=counts[a:a + k])
         self.resolvers: list[int | None] = [None] * inst.n_items
         # one item mask per static separator count, in ascending count order
         # sorted(set()): a plain np.unique imports numpy.ma (~16 ms) on its first call
-        counts = np.add.reduce(np.bitwise_count(by_item), axis=1)
         self.item_groups = _bit_rows(counts == np.array(sorted(set(counts.tolist())))[:, None])
         # choosers by descending static coverage, then id, for bound scans
         cov_counts = np.add.reduce(np.bitwise_count(inst.words), axis=1).tolist()

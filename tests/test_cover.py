@@ -1,6 +1,8 @@
 """The pair-separation set-cover engine: instance construction, greedy
 seeding, and exact branch and bound."""
 
+import tracemalloc
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +28,7 @@ from mdimlab.cover import (
     orbit_partition,
     root_symmetries,
 )
+from mdimlab import cover
 from mdimlab import mdim as mdim_module
 from mdimlab.designs import pg2
 from mdimlab.graphs import Graph, _packed_ints, iter_bits
@@ -74,6 +77,57 @@ def reference_build(matrix: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...
     return coverage, resolvers
 
 
+def builder_matrices() -> list[np.ndarray]:
+    """Seeded random matrices of many shapes and dtypes, views, the
+    solvable zoo, and matrices without choosers or items."""
+    rng = np.random.default_rng(7)
+    matrices = [rng.integers(0, 4, size=(int(rng.integers(1, 12)), int(rng.integers(0, 12))))
+                for _ in range(30)]
+    matrices += [rng.integers(0, 3, size=(130, 9)), rng.integers(0, 2, size=(70, 66))]
+    matrices += [np.zeros((5, c), dtype=np.uint8) for c in (0, 1, 2)]
+    matrices.append(np.asarray(pg2(3).inc).T)  # a non-contiguous view
+    matrices += [np.asarray(ZOO[name]().distances.dist) for name in sorted(SOLVABLE)]
+    matrices += [rng.integers(-3, 3, size=(9, 10), dtype=np.int8),
+                 np.array([[-128, 127, -1], [0, -1, 127]], dtype=np.int8)]
+    matrices += [np.zeros((0, c), dtype=np.uint8) for c in (0, 1, 5)]
+    matrices.append(np.asfortranarray(rng.integers(0, 3, size=(13, 17))))
+    # a disconnected graph: unreachable entries hold the 255 sentinel
+    path_and_edge = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
+    matrices.append(np.asarray(path_and_edge.distances.dist))
+    assert matrices[-1].max() == 255
+    # resolver widths across byte and word boundaries
+    matrices.append(rng.integers(0, 3, size=(259, 23)))
+    matrices += [rng.integers(0, 2, size=(7, 9)).astype(bool),
+                 rng.integers(0, 3, size=(6, 8)) * 10**12]
+    return matrices
+
+
+def assert_words(inst: PairCoverInstance, coverage: tuple[int, ...]) -> None:
+    """inst.words holds coverage, as uint64 rows of whole words, zero past
+    the last item."""
+    assert inst.words.dtype == np.uint64
+    assert inst.words.shape == (inst.n_choosers, -(-inst.n_items // 64))
+    assert word_rows(inst) == coverage
+    assert all(row >> inst.n_items == 0 for row in word_rows(inst))
+
+
+def assert_static_layers(inst: PairCoverInstance, coverage, resolvers) -> None:
+    """A fresh search on inst has the by_item, item groups and chooser
+    order of the per-column builder's coverage and resolvers."""
+    counts = [r.bit_count() for r in resolvers]
+    search = _Search(inst, budget=0, lower_stop=0)
+    assert search.by_item.shape == (inst.n_items, -(-inst.n_choosers // 8))
+    assert _packed_ints(search.by_item) == resolvers
+    assert search.item_groups == tuple(
+        sum(1 << p for p, c in enumerate(counts) if c == k) for k in sorted(set(counts))
+    )
+    cov_counts = [c.bit_count() for c in coverage]
+    assert search.cov_counts == cov_counts
+    assert search.chooser_order == sorted(
+        range(inst.n_choosers), key=lambda v: (-cov_counts[v], v)
+    )
+
+
 def search_layers(inst: PairCoverInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """coverage and every resolver of a fresh search on inst."""
     search = _Search(inst, budget=0, lower_stop=0)
@@ -111,32 +165,55 @@ class TestBuildInstance:
         assert inst.n_items == 0
 
     def test_matches_the_per_column_builder(self):
-        rng = np.random.default_rng(7)
-        matrices = [rng.integers(0, 4, size=(int(rng.integers(1, 12)), int(rng.integers(0, 12))))
-                    for _ in range(30)]
-        matrices += [rng.integers(0, 3, size=(130, 9)), rng.integers(0, 2, size=(70, 66))]
-        matrices += [np.zeros((5, c), dtype=np.uint8) for c in (0, 1, 2)]
-        matrices.append(np.asarray(pg2(3).inc).T)  # a non-contiguous view
-        matrices += [np.asarray(ZOO[name]().distances.dist) for name in sorted(SOLVABLE)]
-        matrices += [rng.integers(-3, 3, size=(9, 10), dtype=np.int8),
-                     np.array([[-128, 127, -1], [0, -1, 127]], dtype=np.int8)]
-        matrices += [np.zeros((0, c), dtype=np.uint8) for c in (0, 1, 5)]
-        matrices.append(np.asfortranarray(rng.integers(0, 3, size=(13, 17))))
-        # a disconnected graph: unreachable entries hold the 255 sentinel
-        path_and_edge = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
-        matrices.append(np.asarray(path_and_edge.distances.dist))
-        assert matrices[-1].max() == 255
-        # resolver widths across byte and word boundaries
-        matrices.append(rng.integers(0, 3, size=(259, 23)))
-        for m in matrices:
+        for m in builder_matrices():
             inst = build_instance(m)
             coverage, resolvers = search_layers(inst)
             assert (coverage, resolvers) == reference_build(m)
-            assert inst.words.dtype == np.uint64
-            assert inst.words.shape == (inst.n_choosers, -(-inst.n_items // 64))
-            assert word_rows(inst) == coverage
+            assert_words(inst, coverage)
             assert (inst.n_choosers, inst.n_entities) == m.shape
             assert inst.n_items == inst.n_entities * (inst.n_entities - 1) // 2
+
+    def test_one_word_chunks_match_the_per_column_builder(self, monkeypatch):
+        # a budget under 128 bytes makes every chunk one word of items, in
+        # build_instance and in the search's by_item alike
+        monkeypatch.setattr(cover, "PACK_BYTES", 64)
+        rng = np.random.default_rng(8)
+        # 12 entities: the chunk edge at item 64 cuts entity 9's block
+        # (63, 65); 150: entity 0's block of 149 items crosses two edges;
+        # 128 and 129 entities: whole chunks, 127 and 130: one item more
+        matrices = [rng.integers(0, 3, size=(5, 12)), rng.integers(0, 3, size=(3, 150)),
+                    rng.integers(0, 2, size=(2, 128)), rng.integers(0, 2, size=(2, 129)),
+                    rng.integers(0, 2, size=(2, 127)), rng.integers(0, 2, size=(2, 130))]
+        matrices += [np.zeros((0, c), dtype=np.uint8) for c in (0, 1, 2, 12)]
+        matrices += [rng.integers(0, 3, size=(4, c)) for c in (0, 1, 2)]
+        for m in builder_matrices() + matrices:
+            coverage, resolvers = reference_build(m)
+            inst = build_instance(m)
+            assert_words(inst, coverage)
+            assert_static_layers(inst, coverage, resolvers)
+
+    @pytest.mark.parametrize("matrix", [
+        np.zeros(4, dtype=np.uint8),
+        np.zeros((2, 3, 4), dtype=np.uint8),
+        [[0, 1], [1, 0]],
+        np.array([[0.0, np.nan], [1.0, np.nan]]),
+    ], ids=["1-D", "3-D", "list", "float-nan"])
+    def test_rejects_a_matrix_that_is_no_2d_int_array(self, matrix):
+        with pytest.raises(BadParameters, match="2-D numpy array of ints or bools"):
+            build_instance(matrix)
+
+    def test_the_working_set_is_words_and_one_chunk(self):
+        # the whole bool block at Q_8 would be 8 MiB past words
+        m = np.asarray(family("hypercube", 8).distances.dist)
+        tracemalloc.start()
+        try:
+            inst = build_instance(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the slack holds the packed copy of a chunk (an eighth of it) and
+        # small temporaries
+        assert peak <= inst.words.nbytes + cover.PACK_BYTES + cover.PACK_BYTES // 8 + 2**16
 
 
 # the attributes of an instance: it keeps no layer of its own
@@ -221,20 +298,7 @@ class TestLayersOnFirstRead:
         rng = np.random.default_rng(12)
         for shape in lazy_shapes(rng):
             m = rng.integers(0, int(rng.integers(2, 5)), size=shape)
-            coverage, resolvers = reference_build(m)
-            counts = [r.bit_count() for r in resolvers]
-            inst = build_instance(m)
-            search = _Search(inst, budget=0, lower_stop=0)
-            assert search.by_item.shape == (inst.n_items, -(-inst.n_choosers // 8))
-            assert np.add.reduce(np.bitwise_count(search.by_item), axis=1).tolist() == counts
-            assert search.item_groups == tuple(
-                sum(1 << p for p, c in enumerate(counts) if c == k) for k in sorted(set(counts))
-            )
-            cov_counts = [c.bit_count() for c in coverage]
-            assert search.cov_counts == cov_counts
-            assert search.chooser_order == sorted(
-                range(inst.n_choosers), key=lambda v: (-cov_counts[v], v)
-            )
+            assert_static_layers(build_instance(m), *reference_build(m))
 
     def test_equality_is_identity(self):
         m = np.array([[0, 1, 2], [1, 1, 0]])
@@ -720,14 +784,16 @@ class TestRootSymmetries:
 
     # a circulant whose shift is a symmetry, with entries made negative,
     # fractional or past 255: np.bincount over them would raise ValueError,
-    # TypeError and MemoryError (a 131 TiB count array)
+    # TypeError and MemoryError (a 131 TiB count array).  Each map keeps
+    # which entries are equal, so words stays that of the circulant; the
+    # matrix is swapped in by hand, since build_instance refuses floats.
     @pytest.mark.parametrize("entries", [
         lambda m: m - 1, lambda m: m + 0.5, lambda m: m * 10**12,
     ], ids=["negative", "float", "huge"])
     def test_entries_outside_0_to_255_get_no_symmetries(self, entries):
         shifted = TestRootSymmetry.circulant_of([0, 1, 1, 2, 0, 2, 1, 0, 0])
         assert min_cover(shifted).generators  # the finder sees the shift here
-        inst = build_instance(entries(shifted.matrix))
+        inst = replace(shifted, matrix=entries(shifted.matrix))
         assert root_symmetries(inst, greedy_cover(inst)) == ()
         got = min_cover(inst)
         assert got.generators == ()
