@@ -70,9 +70,6 @@ class SymmetricDesign:
     def block_points(self, j: int) -> tuple[int, ...]:
         return tuple(int(x) for x in np.flatnonzero(self.inc[:, j]))
 
-    def point_blocks(self, x: int) -> tuple[int, ...]:
-        return tuple(int(j) for j in np.flatnonzero(self.inc[x]))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SymmetricDesign)

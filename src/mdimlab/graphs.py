@@ -164,9 +164,6 @@ class Graph:
     def neighbors(self, v: int) -> Iterator[int]:
         return iter_bits(self.adj[v])
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def has_edge(self, u: int, w: int) -> bool:
         return bool(self.adj[u] >> w & 1)
 
@@ -193,10 +190,6 @@ class Graph:
         if all(r.bit_count() == k for r in self.adj):
             return k
         return None
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        return Graph(self.n, [full & ~r & ~(1 << v) for v, r in enumerate(self.adj)])
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
@@ -226,9 +219,6 @@ class DistanceMatrix:
     dist: np.ndarray
     connected: bool
     diameter: int | None
-
-    def d(self, u: int, w: int) -> int:
-        return int(self.dist[u, w])
 
     def layer(self, i: int) -> tuple[int, ...]:
         """Bitset adjacency rows of the distance-i graph."""
@@ -529,12 +519,16 @@ def _witness(g: Graph, expected: list[tuple[int, int, int]]) -> tuple[int, int, 
     return u, w, int(dist[u, w])
 
 
-def is_distance_regular(g: Graph) -> bool:
+def _attempt(reader, g: Graph):
+    """reader(g), or None where g fails the hypothesis that reader checks."""
     try:
-        intersection_array(g)
-        return True
+        return reader(g)
     except HypothesisFailure:
-        return False
+        return None
+
+
+def is_distance_regular(g: Graph) -> bool:
+    return _attempt(intersection_array, g) is not None
 
 
 def is_primitive(g: Graph) -> bool:

@@ -79,8 +79,8 @@ def lift_folded(
     classes = antipodal_structure(g).classes
     rb = _require_resolving(folded, r_bar, "folded")
     dm_f = folded.distances
-    d = g.distances.diameter or 0
-    e_bar = dm_f.diameter or 0
+    d = g.distances.diameter
+    e_bar = dm_f.diameter
 
     lifted = set()
     for c in rb:
@@ -116,15 +116,14 @@ def two_antipodal_partition(
     structure = antipodal_structure(g)
     if structure.t != 2:
         raise HypothesisFailure(f"antipodal classes have size {structure.t}, not 2")
-    antipode = {
-        v: structure.classes[c][1 - i] for v, (c, i) in enumerate(structure.labels)
-    }
     plus = frozenset(as_ids(v_plus, g.n, "vertex ids"))
+    antipode = {}
     for v, w in structure.classes:
         if (v in plus) == (w in plus):
             raise HypothesisFailure(
                 f"antipodal pair ({v}, {w}) is not split by the partition"
             )
+        antipode[v], antipode[w] = w, v
     return plus, antipode
 
 

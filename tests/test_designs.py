@@ -45,7 +45,7 @@ class TestPg2:
         p = pg2(q)
         for x in range(p.v):
             for y in range(x + 1, p.v):
-                common = set(p.point_blocks(x)) & set(p.point_blocks(y))
+                common = set(np.flatnonzero(p.inc[x])) & set(np.flatnonzero(p.inc[y]))
                 assert len(common) == 1
 
     @pytest.mark.parametrize("q", [0, 1, 4, 6, 9])
@@ -210,7 +210,7 @@ class TestIncidenceGraph:
         p = pg2(2)
         g = incidence_graph(p).graph
         for x in range(7):
-            assert tuple(g.neighbors(x)) == tuple(7 + j for j in p.point_blocks(x))
+            assert tuple(g.neighbors(x)) == tuple(7 + j for j in np.flatnonzero(p.inc[x]))
 
     def test_round_trip_through_design_from_graph(self):
         p = pg2(3)
@@ -225,7 +225,7 @@ class TestIncidenceGraph:
             inc = d.inc[rng.permutation(d.v)][:, rng.permutation(d.v)]
             shuffled = SymmetricDesign(v=d.v, k=d.k, lam=d.lam, inc=inc)
             g = incidence_graph(shuffled).graph
-            edges = [(x, d.v + j) for x in range(d.v) for j in shuffled.point_blocks(x)]
+            edges = [(x, d.v + j) for x in range(d.v) for j in np.flatnonzero(shuffled.inc[x])]
             assert g == Graph.from_edges(2 * d.v, edges)
             back = np.zeros((d.v, d.v), dtype=np.uint8)
             plus, minus = bipartition(g)

@@ -108,18 +108,10 @@ class TestGraph:
 
     def test_degree_and_valency(self):
         g = family("cycle", 5)
-        assert all(g.degree(v) == 2 for v in range(5))
+        assert all(g.adj[v].bit_count() == 2 for v in range(5))
         assert g.regular_valency() == 2
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert path.regular_valency() is None
-
-    def test_complement_involution(self):
-        g = random_graph(8, 11)
-        assert g.complement().complement() == g
-
-    def test_complement_of_complete_is_empty(self):
-        g = family("complete", 5).complement()
-        assert g.n_edges == 0
 
     def test_hashable(self):
         assert len({family("cycle", 5), family("cycle", 5)}) == 1
@@ -167,7 +159,7 @@ class TestBfsDistances:
         for u in range(g.n):
             for w in range(g.n):
                 expected = lengths[u].get(w)
-                got = dm.d(u, w)
+                got = int(dm.dist[u, w])
                 if expected is None:
                     assert got == UNREACHABLE
                 else:
@@ -187,7 +179,7 @@ class TestBfsDistances:
 
     def test_a_path_of_255_vertices_has_diameter_254(self):
         dm = bfs_distances(path(255))
-        assert dm.diameter == 254 and dm.d(0, 254) == 254 and dm.d(254, 0) == 254
+        assert dm.diameter == 254 and int(dm.dist[0, 254]) == 254 and int(dm.dist[254, 0]) == 254
         assert len(dm.spheres(0)) == 255
 
     def test_a_path_of_256_vertices_exceeds_the_8_bit_range(self):
@@ -207,7 +199,7 @@ class TestBfsDistances:
         for u in range(n):
             for w in range(n):
                 for x in range(n):
-                    duw, dux, dxw = dm.d(u, w), dm.d(u, x), dm.d(x, w)
+                    duw, dux, dxw = int(dm.dist[u, w]), int(dm.dist[u, x]), int(dm.dist[x, w])
                     if dux != UNREACHABLE and dxw != UNREACHABLE:
                         assert duw <= dux + dxw
 
@@ -385,7 +377,7 @@ class TestDerivedGraphs:
     def test_induced_neighborhood(self):
         g = family("johnson", 5, 2)
         local, vmap = induced_neighborhood(g, 0)
-        assert local.n == g.degree(0)
+        assert local.n == g.adj[0].bit_count()
         for i, u in enumerate(vmap):
             for j in range(i + 1, local.n):
                 assert local.has_edge(i, j) == g.has_edge(u, vmap[j])

@@ -27,8 +27,10 @@ from mdimlab import (
     is_distance_regular,
     lift_folded,
 )
+from mdimlab.families import bipartite_double, taylor
 from mdimlab.imprimitivity import (
     AntipodalStructure,
+    _is_complete,
     _is_complete_bipartite,
     _is_complete_multipartite,
 )
@@ -180,7 +182,7 @@ class TestHalve:
             for half, vmap in ((plus, map_p), (minus, map_m)):
                 for i in range(half.n):
                     for j in range(i + 1, half.n):
-                        assert half.has_edge(i, j) == (dm.d(vmap[i], vmap[j]) == 2)
+                        assert half.has_edge(i, j) == (dm.dist[vmap[i], vmap[j]] == 2)
 
     def test_result_is_kept_with_the_graph(self):
         g = family("hypercube", 4)
@@ -200,9 +202,9 @@ class TestHalve:
 
 
 def _antipodal_reference(g: Graph):
-    """(classes, labels) read off the networkx components of the distance-d
-    graph, ordered by least vertex; None where a component is not a clique,
-    has one vertex, or differs in size from the others."""
+    """(classes, quotient) read off the networkx components of the
+    distance-d graph, ordered by least vertex; None where a component is
+    not a clique, has one vertex, or differs in size from the others."""
     dist = g.distances.dist
     far = nx.Graph()
     far.add_nodes_from(range(g.n))
@@ -213,8 +215,8 @@ def _antipodal_reference(g: Graph):
         for c in comps
     ):
         return None
-    labels = {v: (ci, ti) for ci, c in enumerate(comps) for ti, v in enumerate(c)}
-    return tuple(comps), tuple(labels[v] for v in range(g.n))
+    quotient = {v: ci for ci, c in enumerate(comps) for v in c}
+    return tuple(comps), tuple(quotient[v] for v in range(g.n))
 
 
 def _antipodal_cases():
@@ -241,13 +243,14 @@ class TestAntipodalStructure:
 
     def test_labels_give_class_and_position(self):
         st = antipodal_structure(family("cycle", 6))
-        assert st.labels[4] == (1, 1)  # second member of class (1, 4)
-        assert st.class_of(5) == 2
+        assert st.quotient == (0, 1, 2, 0, 1, 2)
+        assert st.classes[st.quotient[4]].index(4) == 1  # second member of class (1, 4)
+        assert st.quotient[5] == 2
 
     def test_complete_multipartite_classes_are_the_parts(self):
         st = antipodal_structure(family("complete_multipartite", 3, 4))
         assert st.t == 4
-        assert st.n_classes == 3
+        assert len(st.classes) == 3
         assert st.classes[0] == (0, 1, 2, 3)
 
     def test_hypercube_pairs_complementary_vertices(self):
@@ -292,13 +295,49 @@ class TestAntipodalStructure:
                     antipodal_structure(g)
             else:
                 st = antipodal_structure(g)
-                assert (st.classes, st.labels) == expected
+                assert (st.classes, st.quotient) == expected
                 assert st.t == len(expected[0][0])
             outcomes.append(expected is None)
         assert outcomes.count(True) >= 20 and outcomes.count(False) >= 20
 
 
+def _regular_antipodal_graphs():
+    """The regular antipodal ZOO graphs and families: cycles, Q_2..Q_8,
+    K_{s x t}, K_{v,v} minus a matching, doubled odd graphs, Taylor
+    graphs and J(2m, m)."""
+    graphs = [g for g in (build() for build in ZOO.values())
+              if g.distances.connected and g.regular_valency() is not None and is_antipodal(g)]
+    graphs += [family("cycle", n) for n in range(4, 11, 2)]
+    graphs += [family("hypercube", m) for m in range(2, 9)]
+    graphs += [family("complete_multipartite", s, t) for s in (2, 3, 4) for t in (2, 3)]
+    graphs += [family("complete_bipartite_minus_matching", v) for v in range(3, 7)]
+    graphs += [bipartite_double(family("odd", r)).graph for r in (2, 3, 4)]
+    graphs += [taylor(family("paley", q)).graph for q in (5, 13, 17)]
+    graphs += [family("johnson", 2 * m, m) for m in (2, 3, 4)]
+    return graphs
+
+
 class TestFold:
+    def test_valency_is_kept_iff_the_diameter_is_at_least_three(self):
+        diameters = set()
+        for g in _regular_antipodal_graphs():
+            folded, quotient = fold(g)
+            st = antipodal_structure(g)
+            assert st.quotient == quotient
+            assert all(v in st.classes[c] for v, c in enumerate(quotient))
+            d = g.distances.diameter
+            k = g.regular_valency()
+            # the number of classes each vertex sees through its neighbours
+            seen = [len({quotient[w] for w in g.neighbors(u)}) for u in range(g.n)]
+            if d >= 3:
+                assert folded.regular_valency() == k
+                assert seen == [k] * g.n
+            else:
+                assert folded.regular_valency() != k
+                assert any(c < k for c in seen)  # two neighbours in one class
+            diameters.add(min(d, 3))
+        assert diameters == {2, 3}
+
     def test_even_cycle_folds_to_half_length(self):
         folded, quotient = fold(family("cycle", 6))
         assert (folded.n, folded.n_edges) == (3, 3)
@@ -348,7 +387,7 @@ class TestFold:
         # the classes of C_8 are {v, v + 4}; these pair v with v + 1
         foreign = AntipodalStructure(
             t=2, classes=tuple((v, v + 1) for v in range(0, 8, 2)),
-            labels=tuple((v // 2, v % 2) for v in range(8)))
+            quotient=tuple(v // 2 for v in range(8)))
         with pytest.raises(BadParameters):
             fold(g, foreign)
         with pytest.raises(BadParameters):
@@ -524,22 +563,19 @@ class TestDerivedGraphsStayDistanceRegular:
         intersection_array(folded)
 
 
-def _multipartite_reference(g: Graph, structure) -> bool:
+def _multipartite_reference(g: Graph) -> bool:
     """The pair-loop form of _is_complete_multipartite."""
-    if structure is not None:
-        part = [structure.class_of(v) for v in range(g.n)]
-    else:
-        part = [-1] * g.n
-        nxt = 0
-        for v in range(g.n):
-            if part[v] == -1:
-                part[v] = nxt
-                for w in range(v + 1, g.n):
-                    if not g.has_edge(v, w):
-                        if part[w] != -1:
-                            return False
-                        part[w] = nxt
-                nxt += 1
+    part = [-1] * g.n
+    nxt = 0
+    for v in range(g.n):
+        if part[v] == -1:
+            part[v] = nxt
+            for w in range(v + 1, g.n):
+                if not g.has_edge(v, w):
+                    if part[w] != -1:
+                        return False
+                    part[w] = nxt
+            nxt += 1
     return all(
         g.has_edge(u, w) != (part[u] == part[w])
         for u in range(g.n) for w in range(u + 1, g.n)
@@ -555,18 +591,6 @@ def _complete_bipartite_reference(g: Graph) -> bool:
     return all(g.has_edge(u, w) for u in plus for w in minus)
 
 
-def _random_structure(n: int, t: int, rng: random.Random) -> AntipodalStructure:
-    """A seeded partition of 0..n-1 into classes of size t."""
-    order = list(range(n))
-    rng.shuffle(order)
-    classes = sorted(tuple(sorted(order[i:i + t])) for i in range(0, n, t))
-    labels = [(-1, -1)] * n
-    for ci, members in enumerate(classes):
-        for ti, v in enumerate(members):
-            labels[v] = (ci, ti)
-    return AntipodalStructure(t=t, classes=tuple(classes), labels=tuple(labels))
-
-
 class TestClassificationPredicates:
     """The bitset predicates agree with their pair-loop forms."""
 
@@ -578,24 +602,12 @@ class TestClassificationPredicates:
 
     def test_complete_multipartite_without_a_structure(self):
         for g in self.GRAPHS:
-            assert _is_complete_multipartite(g, None) == _multipartite_reference(g, None)
+            assert _is_complete_multipartite(g) == _multipartite_reference(g)
 
-    def test_complete_multipartite_on_given_classes(self):
-        rng = random.Random(7)
-        checked = 0
+    def test_complete_is_an_edge_count(self):
         for g in self.GRAPHS:
-            structures = [_random_structure(g.n, t, rng)
-                          for t in (1, 2, 3) if g.n % t == 0]
-            if g.distances.connected and g.distances.diameter >= 2:
-                try:
-                    structures.append(antipodal_structure(g))
-                except NotAntipodal:
-                    pass
-            for st in structures:
-                got = _is_complete_multipartite(g, st)
-                assert got == _multipartite_reference(g, st)
-                checked += got
-        assert checked  # some given classes are the parts
+            assert _is_complete(g) == (g == family("complete", g.n))
+        assert sum(map(_is_complete, self.GRAPHS)) >= 8
 
     def test_complete_bipartite(self):
         graphs = self.GRAPHS + [family("complete_bipartite_minus_matching", 4),

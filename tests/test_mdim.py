@@ -120,7 +120,7 @@ class TestCertify:
         assert cert.method == "manual"
         u, w = cert.pair
         dm = bfs_distances(g)
-        assert dm.d(0, u) == dm.d(0, w) and dm.d(3, u) == dm.d(3, w)
+        assert dm.dist[0, u] == dm.dist[0, w] and dm.dist[3, u] == dm.dist[3, w]
 
     def test_duplicates_collapse(self):
         cert = certify(family("cycle", 6), [0, 0, 1, 1])
