@@ -167,7 +167,7 @@ def _lift_double(args: argparse.Namespace):
     if args.graph is None:
         base = _base_graph(args)
     elif args.param:
-        raise MdimlabError("--param is read only with --base")
+        raise BadParameters("--param is read only with --base")
     else:
         base = read_graph(args.graph)
     cover, cert = double_lift(base, args.set)
@@ -242,21 +242,21 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
               f"{'ok' if agree else 'DISAGREES'}")
     print(f"{len(rows)} rows, {derived} re-derived, {bad} disagreements")
     if not derived:
-        raise MdimlabError(f"no row has at most --max-n {args.max_n} vertices")
+        raise BadParameters(f"no row has at most --max-n {args.max_n} vertices")
     return EXIT_OK if bad == 0 else EXIT_USER
 
 
 def _cmd_descendants(args: argparse.Namespace) -> int:
     base = _base_graph(args)
-    cover = families.taylor(base)
+    g = families.taylor(base).graph
     certs = [mdim_exact(base, args.budget)]
     rows = []
-    for w in range(cover.graph.n):
-        local, _ = induced_neighborhood(cover.graph, w)
+    for w in range(g.n):
+        local, _ = induced_neighborhood(g, w)
         certs.append(mdim_exact(local, args.budget))
-        rows.append({"vertex": w, "tag": cover.tags[w], "mu": certs[-1].mu})
+        rows.append({"vertex": w, "mu": certs[-1].mu})
     lines = [f"base mu={certs[0].mu}"]
-    lines += [f"  vertex {row['vertex']} ({row['tag']}): mu={row['mu']}" for row in rows]
+    lines += [f"  vertex {row['vertex']}: mu={row['mu']}" for row in rows]
     _emit({"base_mu": certs[0].mu, "descendants": rows}, args.json, "\n".join(lines))
     return _proved(certs)
 

@@ -107,21 +107,21 @@ def pg2(q: int) -> SymmetricDesign:
 
 
 def incidence_graph(d: SymmetricDesign) -> LabeledCover:
-    """Bipartite point-block incidence graph; points first, then blocks.
+    """Bipartite point-block incidence graph: point x is vertex x and block j
+    is vertex v + j.
 
     For 1 < k < v-1 the result is verified to be distance-regular with
     diameter 3.
     """
     v = d.v
     g = Graph(2 * v, [r << v for r in _bit_rows(d.inc == 1)] + list(_bit_rows(d.inc.T == 1)))
-    tags = tuple(f"p{x}" for x in range(v)) + tuple(f"B{j}" for j in range(v))
     if 1 < d.k < d.v - 1:
         ia = intersection_array(g)
         if ia.d != 3:
             raise HypothesisFailure(
                 "incidence graph failed its diameter-3 verification"
             )
-    return LabeledCover(graph=g, tags=tags)
+    return LabeledCover(graph=g)
 
 
 def design_from_graph(g: Graph) -> SymmetricDesign:

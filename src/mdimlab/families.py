@@ -17,20 +17,13 @@ from .graphs import Graph, as_ints, intersection_array
 
 @dataclass(frozen=True)
 class LabeledCover:
-    """A constructed graph together with a tag for each vertex.
+    """A graph built by bipartite_double, taylor or incidence_graph; each
+    constructor's docstring states its vertex layout."""
 
-    Tags are a bijection onto the construction's abstract vertex set, e.g.
-    "3+" / "3-" for the two copies of vertex 3 in a bipartite double.
-    """
-
+    # one field, and still a class: perfbench/workloads.py, kept fixed so
+    # that benchmark runs compare, reads .graph from all three constructors
+    # and passes taylor(...) to taylor_lift
     graph: Graph
-    tags: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.tags) != self.graph.n:
-            raise BadParameters("one tag per vertex required")
-        if len(set(self.tags)) != self.graph.n:
-            raise BadParameters("tags must be distinct")
 
 
 def is_prime(q: int) -> bool:
@@ -116,8 +109,8 @@ def johnson(m: int, r: int) -> Graph:
 
 def kneser(m: int, r: int) -> Graph:
     m, r = as_ints((m, r), "the Kneser parameters")
-    if m < 2 * r + 1:
-        raise BadParameters("kneser needs m >= 2r+1 to be connected")
+    if r < 0 or m < 2 * r + 1:
+        raise BadParameters("kneser needs r >= 0, and m >= 2r+1 to be connected")
     verts = colex_subsets(m, r)
     edges = [
         (i, j)
@@ -182,26 +175,15 @@ def gq22_incidence() -> Graph:
     return Graph.from_edges(30, edges)
 
 
-def _double_tags(n: int) -> tuple[str, ...]:
-    """Tags of the two copies of 0..n-1: "v+" for v, then "v-" for v + n."""
-    return tuple(f"{v}+" for v in range(n)) + tuple(f"{v}-" for v in range(n))
-
-
-def _two_pole_tags(n: int) -> tuple[str, ...]:
-    """Tags of a two-fold cover with poles: the two copies, then "inf+" for
-    2n and "inf-" for 2n + 1."""
-    return _double_tags(n) + ("inf+", "inf-")
-
-
 def bipartite_double(g: Graph) -> LabeledCover:
     """Two copies of the vertex set with u+ ~ w- iff u ~ w in g.
 
-    Vertex v of g appears as v (tag "v+") and v + n (tag "v-").
+    Vertex v of g appears as v (its plus copy) and v + n (its minus copy).
     """
     n = g.n
     edges = [(u, n + w) for u in range(n) for w in g.neighbors(u)]
     graph = Graph.from_edges(2 * n, {(min(u, w), max(u, w)) for u, w in edges})
-    return LabeledCover(graph=graph, tags=_double_tags(n))
+    return LabeledCover(graph=graph)
 
 
 def taylor(delta: Graph) -> LabeledCover:
@@ -230,7 +212,7 @@ def taylor(delta: Graph) -> LabeledCover:
         for w in range(n):
             if w != u and not delta.has_edge(u, w):
                 edges.append((u, n + w))
-    return LabeledCover(graph=Graph.from_edges(2 * n + 2, edges), tags=_two_pole_tags(n))
+    return LabeledCover(graph=Graph.from_edges(2 * n + 2, edges))
 
 
 _FAMILIES = {

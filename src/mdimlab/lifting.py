@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from .errors import BadParameters, HypothesisFailure, InputNotResolving
-from .families import LabeledCover, _two_pole_tags, bipartite_double
+from .families import LabeledCover, bipartite_double
 from .graphs import Graph, as_ids, bipartition, induced_neighborhood, intersection_array
 from .imprimitivity import AntipodalStructure, antipodal_structure, fold, halve
 from .mdim import ResolvingCertificate, _normalise, _verified, certify
@@ -93,8 +93,6 @@ def lift_folded(
         maximal = [
             u for u, far in enumerate(dm_f.layer(e_bar)) if far & want == want
         ]
-        if len(maximal) > 1:
-            raise InputNotResolving((maximal[0], maximal[1]), "folded")
         if maximal:
             case = "iii"
             center = maximal[0]
@@ -167,47 +165,39 @@ def project_to_folded(
     return folded, quotient, cert
 
 
-def _check_two_fold_cover_tags(cover: LabeledCover) -> int:
-    """Validate the vertex tag layout of a diameter-3 two-fold cover with
-    poles; returns the number of plus copies."""
-    n2 = cover.graph.n
-    if n2 < 4 or n2 % 2:
-        raise HypothesisFailure("not a two-fold cover with poles")
-    n = (n2 - 2) // 2
-    if cover.tags != _two_pole_tags(n):
-        raise HypothesisFailure("vertex tags do not match the two-pole cover layout")
-    return n
-
-
 def taylor_lift(cover: LabeledCover, r: Iterable[int]) -> ResolvingCertificate:
-    """Resolve a two-fold diameter-3 cover from a resolving set of the local
-    graph at its plus pole, by adding the pole itself.
+    """Resolve a Taylor graph from a resolving set of the local graph at its
+    plus pole, by adding the pole itself.
 
-    r is given in the labels of the plus-pole neighbourhood, which coincide
-    with the plus copies 0..n-1.
+    cover.graph must be distance-regular of diameter 3 with antipodal
+    classes of size 2, and its plus pole 2n must be adjacent to exactly the
+    plus copies 0..n-1, as in taylor().  r is given in the labels of the
+    plus-pole neighbourhood, which coincide with the plus copies.
     """
-    n = _check_two_fold_cover_tags(cover)
     g = cover.graph
-    pole = 2 * n
+    if intersection_array(g).d != 3 or antipodal_structure(g).t != 2:
+        raise HypothesisFailure(
+            "taylor lift needs diameter 3 and antipodal classes of size 2"
+        )
+    pole = g.n - 2
     delta, vmap = induced_neighborhood(g, pole)
-    if vmap != tuple(range(n)):
+    if vmap != tuple(range(pole // 2)):
         raise HypothesisFailure("plus pole is not adjacent to exactly the plus copies")
     chosen = _require_resolving(delta, r, "local")
     return _verified(g, set(chosen) | {pole}, "lifted-taylor")
 
 
 def descendant_extract(
-    cover: LabeledCover, s: Iterable[int], x: int
+    g: Graph, s: Iterable[int], x: int
 ) -> tuple[Graph, tuple[int, ...], ResolvingCertificate]:
-    """Extract a resolving set of the local graph at x from a minimum
-    resolving set containing x.
+    """Extract a resolving set of the local graph at x of a Taylor graph g
+    from a minimum resolving set containing x.
 
     The set is first pushed into the 2-antipodal side {x} + N(x); dropping
-    x then leaves a resolving set of the local graph.  Returns (local
-    graph, vertex map, certificate in local labels).
+    x then leaves a resolving set of the local graph.  push_to_plus checks
+    that g has antipodal classes of size 2 met once each by that side.
+    Returns (local graph, vertex map, certificate in local labels).
     """
-    _check_two_fold_cover_tags(cover)
-    g = cover.graph
     (x,) = as_ids((x,), g.n, "the vertex")
     chosen = _normalise(s, g.n)  # push_to_plus checks that it resolves g
     if x not in chosen:

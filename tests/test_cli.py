@@ -546,7 +546,15 @@ class TestExperiment:
         payload = json.loads(out)
         assert payload["base_mu"] == 2
         assert {d["mu"] for d in payload["descendants"]} == {2}
-        assert len(payload["descendants"]) == 12
+        assert [d["vertex"] for d in payload["descendants"]] == list(range(12))
+        assert all(set(d) == {"vertex", "mu"} for d in payload["descendants"])
+
+    def test_descendants_text_report(self):
+        code, out, _ = run("experiment", "descendants", "cycle", "--param", "5")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "base mu=2"
+        assert lines[1:] == [f"  vertex {w}: mu=2" for w in range(12)]
 
     def test_descendants_without_a_base_exits_1(self):
         code, out, err = run("experiment", "descendants")

@@ -201,10 +201,13 @@ class TestIncidenceGraph:
         ia = intersection_array(g)
         assert ia.b == (3, 2, 2) and ia.c == (1, 1, 3)
 
-    def test_tags_separate_points_from_blocks(self):
-        cover = incidence_graph(pg2(2))
-        assert cover.tags[:7] == tuple(f"p{x}" for x in range(7))
-        assert cover.tags[7:] == tuple(f"B{j}" for j in range(7))
+    def test_points_meet_only_blocks(self):
+        # points are 0..v-1, blocks v..2v-1
+        g = incidence_graph(pg2(2)).graph
+        for x in range(7):
+            assert all(w >= 7 for w in g.neighbors(x))
+        for j in range(7, 14):
+            assert all(w < 7 for w in g.neighbors(j))
 
     def test_edges_follow_the_incidence_matrix(self):
         p = pg2(2)

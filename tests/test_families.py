@@ -6,6 +6,7 @@ from mdimlab import (
     BadParameters,
     Graph,
     HypothesisFailure,
+    antipodal_structure,
     bipartite_double,
     bipartition,
     family,
@@ -62,6 +63,8 @@ class TestBasicFamilies:
         assert g.n == 10 and g.regular_valency() == 3
         with pytest.raises(BadParameters):
             family("kneser", 4, 2)  # needs m >= 2r + 1
+        with pytest.raises(BadParameters, match="kneser needs r >= 0"):
+            family("kneser", 3, -1)  # not itertools' bare ValueError
 
     def test_odd_graph_is_kneser(self):
         assert family("odd", 4) == family("kneser", 7, 3)
@@ -163,12 +166,17 @@ class TestGq22Lines:
 
 
 class TestCoverConstructions:
-    def test_bipartite_double_tags(self):
-        cov = bipartite_double(family("complete", 3))
-        assert cov.graph.n == 6
-        assert cov.tags[0] == "0+" and cov.tags[3] == "0-"
-        # u+ adjacent to w- iff u ~ w in the base
-        assert cov.graph.has_edge(0, 4) and not cov.graph.has_edge(0, 3)
+    def test_bipartite_double_layout(self):
+        base = family("odd", 3)
+        g = bipartite_double(base).graph
+        n = base.n
+        assert g.n == 2 * n
+        # v is the plus copy of v and v + n its minus copy: u ~ w + n iff
+        # u ~ w in the base, and no edge stays inside a copy
+        for u in range(n):
+            for w in range(n):
+                assert g.has_edge(u, w + n) == base.has_edge(u, w)
+                assert not g.has_edge(u, w) and not g.has_edge(u + n, w + n)
 
     def test_bipartite_double_is_bipartite(self):
         cov = bipartite_double(family("odd", 3))
@@ -176,13 +184,20 @@ class TestCoverConstructions:
         assert len(left) == len(right) == 10
 
     def test_taylor_structure(self):
-        cov = taylor(family("cycle", 5))
-        g = cov.graph
+        g = taylor(family("cycle", 5)).graph
         assert g.n == 12
         assert intersection_array(g).standard_notation() == "{5, 2, 1; 1, 2, 5}"
-        assert cov.tags[10] == "inf+" and cov.tags[11] == "inf-"
-        # the pole inf+ sees every plus copy
-        assert all(g.has_edge(10, v) for v in range(5))
+
+    @pytest.mark.parametrize("name, param", [("cycle", 5), ("paley", 13)])
+    def test_taylor_layout(self, name, param):
+        g = taylor(family(name, param)).graph
+        n = (g.n - 2) // 2
+        # the plus pole 2n sees exactly the plus copies 0..n-1, the minus
+        # pole 2n+1 exactly the minus copies n..2n-1
+        assert tuple(g.neighbors(2 * n)) == tuple(range(n))
+        assert tuple(g.neighbors(2 * n + 1)) == tuple(range(n, 2 * n))
+        expected = {(v, v + n) for v in range(n)} | {(2 * n, 2 * n + 1)}
+        assert set(antipodal_structure(g).classes) == expected
 
     def test_taylor_rejects_wrong_parameters(self):
         with pytest.raises(HypothesisFailure, match="taylor construction needs .* with k = 2c"):

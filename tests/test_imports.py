@@ -4,9 +4,9 @@ along the pinned edges only; every private module-level name is read
 somewhere in the package; no module reads the environment; only graphs.py
 converts between ints and bytes or checks an id range by hand; every
 np.unique call passes a return_* keyword; no check is an assert
-statement; no handler of a failed hypothesis raises another error; and
-every public name, and every public method of an exported class, is read
-inside the package."""
+statement; no module raises the base MdimlabError itself; no handler of
+a failed hypothesis raises another error; and every public name, and
+every public method of an exported class, is read inside the package."""
 
 import ast
 import dataclasses
@@ -278,6 +278,28 @@ def test_no_check_is_an_assert():
         path.name: lines
         for path in MODULES
         if (lines := assert_statements(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def base_error_raises(tree: ast.Module) -> list[int]:
+    """Line numbers of the raise statements that raise MdimlabError itself."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "MdimlabError":
+                found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_raises_the_base_error():
+    # every deliberate error falls in one of the families errors.py names
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := base_error_raises(ast.parse(path.read_text())))
     }
     assert found == {}
 

@@ -3,6 +3,7 @@ quotients, halves, doubles, and two-fold covers."""
 
 import random
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -15,6 +16,7 @@ from mdimlab import (
     LabeledCover,
     NotAntipodal,
     NotBipartite,
+    NotDistanceRegular,
     antipodal_structure,
     bfs_distances,
     bipartition,
@@ -307,14 +309,34 @@ class TestProjectToFolded:
             project_to_folded(family("hypercube", 3), (0,))
 
 
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+
+
+def _icosahedron_minus_edges_off_the_pole() -> list[Graph]:
+    """taylor(C_5) less one edge, for each of the 25 edges that miss the
+    plus pole 10: every result keeps the pole layout."""
+    g = taylor(family("cycle", 5)).graph
+    kept = list(g.edges())
+    return [Graph.from_edges(12, [e for e in kept if e != cut])
+            for cut in kept if 10 not in cut]
+
+
+def _petersen_line_graph() -> Graph:
+    edges = list(family("odd", 3).edges())
+    return Graph.from_edges(15, [(i, j) for i, j in combinations(range(15), 2)
+                                 if set(edges[i]) & set(edges[j])])
+
+
 class TestTaylorLift:
     def test_pole_plus_local_set_resolves_the_cover(self):
         cov = taylor(family("cycle", 5))
         cert = taylor_lift(cov, [0, 1])
         assert cert.method == "lifted-taylor"
         assert len(cert.set) == 3
-        pole_plus = cov.tags.index("inf+")
-        assert pole_plus in cert.set
+        assert 10 in cert.set  # the plus pole 2n
         assert is_resolving(bfs_distances(cov.graph), cert.set)
 
     def test_quadratic_residue_cover(self):
@@ -330,42 +352,74 @@ class TestTaylorLift:
             taylor_lift(taylor(family("cycle", 5)), [0])
 
     def test_covers_without_poles_are_rejected(self):
-        with pytest.raises(HypothesisFailure, match="tags do not match the two-pole"):
+        # the Heawood graph is distance-regular of diameter 3, not antipodal
+        with pytest.raises(NotAntipodal):
             taylor_lift(incidence_graph(pg2(2)), [0, 1])
 
-    def test_shuffled_tags_are_rejected(self):
-        cov = taylor(family("cycle", 5))
-        tags = list(cov.tags)
-        random.Random(3).shuffle(tags)
-        assert tuple(tags) != cov.tags
-        with pytest.raises(HypothesisFailure, match="tags do not match the two-pole"):
-            taylor_lift(LabeledCover(graph=cov.graph, tags=tuple(tags)), [0, 1])
+    @pytest.mark.parametrize("g", [
+        pytest.param(family("hypercube", 4), id="Q_4"),
+        pytest.param(_petersen_line_graph(), id="petersen_line_graph"),
+    ])
+    def test_a_diameter_or_class_size_off_taylor_is_rejected(self, g):
+        # Q_4 has diameter 4; the line graph of Petersen, diameter 3, has
+        # antipodal classes of size 3
+        with pytest.raises(HypothesisFailure, match="taylor lift needs diameter 3"):
+            taylor_lift(LabeledCover(graph=g), [0, 1])
+
+    @pytest.mark.parametrize("k", range(25))
+    def test_a_cover_short_of_an_edge_is_rejected(self, k):
+        # each keeps the pole layout, so only the structural check tells
+        # it from a Taylor graph
+        h = _icosahedron_minus_edges_off_the_pole()[k]
+        with pytest.raises(NotDistanceRegular):
+            taylor_lift(LabeledCover(graph=h), [0, 1])
+
+    def test_a_cover_with_the_wrong_pole_layout_is_rejected(self):
+        # Q_3 is 2-antipodal of diameter 3; vertex 6 sees 2, 4 and 7
+        with pytest.raises(HypothesisFailure, match="plus pole is not adjacent"):
+            taylor_lift(LabeledCover(graph=family("hypercube", 3)), [0, 1])
+
+    def test_a_relabelled_cover_is_rejected(self):
+        g = _relabelled(taylor(family("cycle", 5)).graph, 3)
+        assert tuple(g.neighbors(10)) != tuple(range(5))
+        with pytest.raises(HypothesisFailure, match="plus pole is not adjacent"):
+            taylor_lift(LabeledCover(graph=g), [0, 1])
 
 
 class TestDescendantExtract:
     def test_local_set_comes_from_a_minimum_set_through_the_chosen_vertex(self):
-        cov = taylor(family("cycle", 5))
-        inst = pair_cover_instance(bfs_distances(cov.graph))
+        g = taylor(family("cycle", 5)).graph
+        inst = pair_cover_instance(bfs_distances(g))
         res = min_cover(inst, forced=[0])
-        local, vmap, cert = descendant_extract(cov, res.chosen, 0)
+        local, vmap, cert = descendant_extract(g, res.chosen, 0)
         assert local.n == 5  # valency of the cover
         assert cert.method == "lifted-descendant"
         assert is_resolving(bfs_distances(local), cert.set)
         assert len(cert.set) == len(res.chosen) - 1
         # the map sends local ids onto neighbors of the chosen vertex
-        assert set(vmap) <= set(cov.graph.neighbors(0))
+        assert set(vmap) <= set(g.neighbors(0))
+
+    def test_a_relabelled_taylor_graph_is_read_as_a_graph(self):
+        g = _relabelled(taylor(family("paley", 13)).graph, 7)
+        best = mdim_exact(g)
+        assert best.status == "minimum"
+        x = best.set[-1]
+        local, vmap, cert = descendant_extract(g, best.set, x)
+        assert vmap == tuple(g.neighbors(x))
+        assert is_resolving(bfs_distances(local), cert.set)
+        assert len(cert.set) == best.mu - 1
 
     def test_chosen_vertex_must_be_in_the_set(self):
-        cov = taylor(family("cycle", 5))
+        g = taylor(family("cycle", 5)).graph
         with pytest.raises(BadParameters):
-            descendant_extract(cov, (1, 2, 3), 0)
+            descendant_extract(g, (1, 2, 3), 0)
 
     def test_the_input_set_is_certified_once(self, monkeypatch):
         # push_to_plus checks that the set resolves the cover; descendant_extract
         # does not check it again
         import mdimlab.lifting
 
-        cov = taylor(family("cycle", 5))
+        g = taylor(family("cycle", 5)).graph
         calls = []
         real = mdim_module.certify
 
@@ -376,7 +430,7 @@ class TestDescendantExtract:
 
         monkeypatch.setattr(mdim_module, "certify", spy)
         monkeypatch.setattr(mdimlab.lifting, "certify", spy)
-        descendant_extract(cov, (0, 1, 2), 0)
+        descendant_extract(g, (0, 1, 2), 0)
         assert [method for method, _ in calls] == [
             "supplied", "lifted-push", "lifted-descendant"
         ]
@@ -385,10 +439,10 @@ class TestDescendantExtract:
     @pytest.mark.parametrize("x", [0.0, True])
     def test_chosen_vertex_must_be_an_integer(self, x):
         # True used to mean vertex 1
-        cov = taylor(family("cycle", 5))
-        res = min_cover(pair_cover_instance(bfs_distances(cov.graph)), forced=[0, 1])
+        g = taylor(family("cycle", 5)).graph
+        res = min_cover(pair_cover_instance(bfs_distances(g)), forced=[0, 1])
         with pytest.raises(BadParameters, match="must be integers"):
-            descendant_extract(cov, res.chosen, x)
+            descendant_extract(g, res.chosen, x)
 
 
 class TestDoubleLift:
@@ -444,7 +498,7 @@ FAILED_HYPOTHESES = [
                  id="double_lift-petersen"),
     # (0, 1, 2) is a minimum resolving set of taylor(C_5) through x = 0, and
     # 6 is the antipode of 1: the superset resolves but pushing collides
-    pytest.param("C_5", lambda g: descendant_extract(taylor(g), (0, 1, 2, 6), 0),
+    pytest.param("C_5", lambda g: descendant_extract(taylor(g).graph, (0, 1, 2, 6), 0),
                  HypothesisFailure,
                  "pushing collided two antipodes; the input set was not minimum",
                  id="descendant_extract-taylor_C_5"),
