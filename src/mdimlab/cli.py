@@ -3,8 +3,8 @@
 Commands: construct, classify, mdim, lift, bounds, semiresolve, verify,
 oracle, experiment.  construct takes a mode (family, taylor, double,
 plane), as do lift (halved, folded, push, taylor, double) and experiment
-(descendants, semisplit); a mode takes only the flags it reads, and any
-other is a usage error.  Exit codes: 0 success, 1 user or input error
+(semisplit); a mode takes only the flags it reads, and any other is a
+usage error.  Exit codes: 0 success, 1 user or input error
 (usage errors included), 2 node budget (--budget) exhausted before the
 requested answer was proved (mdim, semiresolve, and experiment, where any
 printed value left unproved counts).
@@ -21,7 +21,7 @@ from . import families
 from .cover import DEFAULT_BUDGET
 from .designs import SymmetricDesign, design_from_text, design_text, incidence_graph, pg2
 from .errors import BadParameters, MdimlabError
-from .graphs import Graph, as_decimal, induced_neighborhood
+from .graphs import Graph, as_decimal
 from .imprimitivity import bipartition, classify_ah
 from .lifting import (
     double_lift,
@@ -246,21 +246,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if bad == 0 else EXIT_USER
 
 
-def _cmd_descendants(args: argparse.Namespace) -> int:
-    base = _base_graph(args)
-    g = families.taylor(base).graph
-    certs = [mdim_exact(base, args.budget)]
-    rows = []
-    for w in range(g.n):
-        local, _ = induced_neighborhood(g, w)
-        certs.append(mdim_exact(local, args.budget))
-        rows.append({"vertex": w, "mu": certs[-1].mu})
-    lines = [f"base mu={certs[0].mu}"]
-    lines += [f"  vertex {row['vertex']}: mu={row['mu']}" for row in rows]
-    _emit({"base_mu": certs[0].mu, "descendants": rows}, args.json, "\n".join(lines))
-    return _proved(certs)
-
-
 def _cmd_semisplit(args: argparse.Namespace) -> int:
     design = _load_design(args)
     split = split_mdim(design, args.budget)
@@ -397,11 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="exploratory reports on open questions")
     modes = p.add_subparsers(dest="mode", required=True)
-    m = modes.add_parser("descendants", parents=[params, as_json],
-                         help="mu of the base and of every local graph of its Taylor cover")
-    m.add_argument("base", help="base family name")
-    _add_budget(m)
-    m.set_defaults(fn=_cmd_descendants)
     m = modes.add_parser("semisplit", parents=[design, as_json],
                          help="semi-resolving, split and incidence mu of a design")
     _add_budget(m)

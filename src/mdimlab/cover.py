@@ -46,33 +46,29 @@ give the same answer, so the tree and its node count do not depend on
 which one runs.
 
 Orbital branching at the root: given symmetries of the instance, chooser
-and entity permutations that map its matrix onto itself and keep the forced
-set F (min_cover checks both), let G be the group they generate and H the
-stabiliser of chooser 0 in G.  The root's children share one incumbent and
-one node budget (Ostrowski, Linderoth, Rossi & Smriglio 2011, "Orbital
-branching", Math. Program. 126):
+and entity permutations that map its matrix onto itself (min_cover checks
+this, and takes them only when nothing is forced), let G be the group they
+generate and H the stabiliser of chooser 0 in G.  The root's children share
+one incumbent and one node budget (Ostrowski, Linderoth, Rossi & Smriglio
+2011, "Orbital branching", Math. Program. 126):
 
 1. for each orbit O_i of H with two or more members, in ascending order of
-   least member m_i: force F, 0 and m_i, and ban O_1 to O_(i-1);
-2. force F and 0, and ban every orbit of step 1;
-3. unless the orbit of 0 is every chooser: force F and ban that orbit.
+   least member m_i: force 0 and m_i, and ban O_1 to O_(i-1);
+2. force 0, and ban every orbit of step 1;
+3. unless the orbit of 0 is every chooser: ban that orbit.
 
-No optimum is lost.  A symmetry s carries covers that contain F to covers
-of the same size that contain F.  An optimal cover C that meets the orbit
-of 0, at s(0), is carried by the inverse of s to one that contains 0.  If
-that cover meets an orbit of step 1, take the first, O_i, and h in H that
-sends one of its members there to m_i: h fixes 0 and keeps F and every
-orbit of H, so its image of the cover lies in child i.  If it meets none,
-it lies in child 2, whose other members all sit in one-point orbits; this
-also holds F and 0 alone.  An optimal cover that misses the orbit of 0
-lies in child 3.  When some O_i holds a forced chooser, its least member
-is forced too (an h in H carries the forced one there and keeps F), so
-every cover meets O_i and the argument never needs a later child or child
-2; they are skipped.  The argument only needs h to fix 0 and to lie in G, so any
-subgroup of the stabiliser is sound: a smaller one splits the choosers
-into more, smaller orbits, which costs nodes but never an optimum.  When
-H fixes every chooser, the children are 2 and 3: force 0, then ban its
-orbit.
+No optimum is lost.  Each s in G carries covers to covers of the same
+size.  An optimal cover that meets the orbit of 0, at s(0), is carried by
+the inverse of s to one that contains 0.  If that cover meets an orbit of
+step 1, take the first, O_i, and h in H that sends one of its members there
+to m_i: h fixes 0 and keeps every orbit of H, so its image of the cover
+lies in child i.  If it meets none, it lies in child 2, whose other members
+all sit in one-point orbits; this also holds 0 alone.  An optimal cover
+that misses the orbit of 0 lies in child 3.  The argument only needs h to
+fix 0 and to lie in G, so any subgroup of the stabiliser is sound: a
+smaller one splits the choosers into more, smaller orbits, which costs
+nodes but never an optimum.  When H fixes every chooser, the children are
+2 and 3: force 0, then ban its orbit.
 
 H comes from Schreier's lemma (Seress 2003, "Permutation Group
 Algorithms"): with t[v] in G sending 0 to v for each v of the
@@ -96,7 +92,8 @@ min_cover owns the decision to look.  Left to itself (symmetries=None) it
 calls root_symmetries with its one greedy seed when nothing is forced, the
 budget is positive and the seed is above lower_stop; symmetries=() means
 none, and symmetries found elsewhere come in through symmetries=, checked
-like the ones it finds.  CoverResult.generators reports which it used.
+like the ones it finds, and only with nothing forced.
+CoverResult.generators reports which it used.
 """
 
 from __future__ import annotations
@@ -589,9 +586,9 @@ def min_cover(
     the budget is positive and the greedy seed is above lower_stop,
     root_symmetries looks for them from that seed, on a square instance
     only.  symmetries passed in are permutations that must pass
-    is_symmetry and map the forced set onto itself; a permutation that
-    fails either test, or whose entries are not ints, raises
-    BadParameters.  () means none.  With symmetries the search runs the
+    is_symmetry; a permutation that fails it, or whose entries are not
+    ints, raises BadParameters, and so do symmetries given together with
+    forced choosers.  () means none.  With symmetries the search runs the
     orbital root children of the module docstring, from the orbit of
     chooser 0 and the orbits of its stabiliser, and the result carries
     them as generators.
@@ -605,39 +602,34 @@ def min_cover(
     seed = greedy_cover(inst, forced)
     if symmetries is not None:
         symmetries = tuple(as_ints(p, "a symmetry") for p in symmetries)
-        for p in symmetries:
-            if not is_symmetry(inst, p) or sorted(p[v] for v in forced) != forced:
-                raise BadParameters(
-                    "a symmetry must map the instance and the forced choosers onto themselves"
-                )
+        if symmetries and forced:
+            raise BadParameters("symmetries are taken only when no chooser is forced")
+        if not all(is_symmetry(inst, p) for p in symmetries):
+            raise BadParameters("a symmetry must map the instance onto itself")
     if budget == 0 or len(seed) <= lower_stop:
         return CoverResult(tuple(sorted(seed)), 0, len(seed) <= lower_stop, symmetries or ())
     if symmetries is None:
         symmetries = () if forced else root_symmetries(inst, seed)
-    roots = _orbital_roots(inst, forced, symmetries)
+    roots = _orbital_roots(inst, symmetries) if symmetries else [(forced, 0)]
     res = _Search(inst, budget, lower_stop).run(roots, seed)
     return replace(res, generators=symmetries)
 
 
 def _orbital_roots(
-    inst: PairCoverInstance, forced: list[int], symmetries: Sequence[Sequence[int]]
+    inst: PairCoverInstance, symmetries: Sequence[Sequence[int]]
 ) -> list[tuple[list[int], int]]:
-    """The root children (start, banned) of the module docstring."""
-    if not symmetries or 0 in forced:
-        return [(forced, 0)]
+    """The root children (start, banned) of the module docstring, for one
+    or more symmetries."""
     gens = np.asarray(symmetries, dtype=np.intp)
     orbit, labels = _stabiliser_orbits(gens, inst.matrix[0])
     least, sizes = np.unique(labels, return_counts=True)
     roots = []
     banned = 0
     for r in least[sizes > 1].tolist():
-        roots.append((sorted({*forced, 0, r}), banned))
-        if r in forced:
-            break  # every cover meets this orbit at r: no later child is needed
+        roots.append(([0, r], banned))
         banned |= sum(1 << v for v in np.flatnonzero(labels == r).tolist())
-    else:
-        roots.append(([*forced, 0], banned))
+    roots.append(([0], banned))
     if len(orbit) < inst.n_choosers:
-        roots.append((forced, sum(1 << v for v in orbit)))
+        roots.append(([], sum(1 << v for v in orbit)))
     return roots
 

@@ -98,26 +98,22 @@ def johnson(m: int, r: int) -> Graph:
     m, r = as_ints((m, r), "the Johnson parameters")
     if not 1 <= r <= m - 1:
         raise BadParameters("johnson needs 1 <= r <= m-1")
-    verts = colex_subsets(m, r)
+    masks = [sum(1 << x for x in s) for s in colex_subsets(m, r)]  # bit x: member x
     edges = [
         (i, j)
-        for i, j in combinations(range(len(verts)), 2)
-        if len(set(verts[i]) & set(verts[j])) == r - 1
+        for i, j in combinations(range(len(masks)), 2)
+        if (masks[i] & masks[j]).bit_count() == r - 1
     ]
-    return Graph.from_edges(len(verts), edges)
+    return Graph.from_edges(len(masks), edges)
 
 
 def kneser(m: int, r: int) -> Graph:
     m, r = as_ints((m, r), "the Kneser parameters")
     if r < 0 or m < 2 * r + 1:
         raise BadParameters("kneser needs r >= 0, and m >= 2r+1 to be connected")
-    verts = colex_subsets(m, r)
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(verts)), 2)
-        if not set(verts[i]) & set(verts[j])
-    ]
-    return Graph.from_edges(len(verts), edges)
+    masks = [sum(1 << x for x in s) for s in colex_subsets(m, r)]  # bit x: member x
+    edges = [(i, j) for i, j in combinations(range(len(masks)), 2) if not masks[i] & masks[j]]
+    return Graph.from_edges(len(masks), edges)
 
 
 def odd_graph(r: int) -> Graph:

@@ -264,8 +264,7 @@ def classify_ah(g: Graph) -> AHClass:
 
     if d == 6 and bip is not None and ant is not None:
         _claim(claims, "halved graphs are antipodal of diameter 3",
-               all(h.distances.diameter == 3
-                   and _attempt(antipodal_structure, h) is not None for h in halved))
+               all(h.distances.diameter == 3 and is_antipodal(h) for h in halved))
         _claim(claims, "folded graph is bipartite of diameter 3",
                folded.distances.diameter == 3 and _attempt(bipartition, folded) is not None)
         return result("AH9")
@@ -292,7 +291,7 @@ def classify_ah(g: Graph) -> AHClass:
                all(h.distances.diameter == e and is_primitive(h) for h in halved))
         return result("AH12")
 
-    reduced = fold(halved[0])[0] if _attempt(antipodal_structure, halved[0]) is not None else None
+    reduced = fold(halved[0])[0] if is_antipodal(halved[0]) else None
     _claim(claims, f"halving then folding is primitive of diameter {e // 2}",
            reduced is not None and reduced.distances.diameter == e // 2
            and is_primitive(reduced))

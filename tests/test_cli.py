@@ -539,34 +539,10 @@ class TestVerifyAndOracle:
 
 
 class TestExperiment:
-    def test_descendants_report(self):
-        code, out, _ = run("experiment", "descendants", "cycle",
-                           "--param", "5", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["base_mu"] == 2
-        assert {d["mu"] for d in payload["descendants"]} == {2}
-        assert [d["vertex"] for d in payload["descendants"]] == list(range(12))
-        assert all(set(d) == {"vertex", "mu"} for d in payload["descendants"])
-
-    def test_descendants_text_report(self):
-        code, out, _ = run("experiment", "descendants", "cycle", "--param", "5")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "base mu=2"
-        assert lines[1:] == [f"  vertex {w}: mu=2" for w in range(12)]
-
-    def test_descendants_without_a_base_exits_1(self):
-        code, out, err = run("experiment", "descendants")
+    def test_descendants_is_no_mode(self):
+        code, out, err = run("experiment", "descendants", "paley", "--param", "13")
         assert code == 1 and out == ""
-        assert "error: the following arguments are required: base" in err
-
-    def test_descendants_with_a_plane_exits_1(self):
-        code, out, err = run("experiment", "descendants", "cycle",
-                             "--param", "5", "--plane", "2")
-        assert code == 1 and out == ""
-        assert "error: unrecognized arguments: --plane 2" in err
-        assert err.startswith("usage: mdimlab experiment descendants ")
+        assert "error: argument mode: invalid choice: 'descendants'" in err
 
     def test_semisplit_with_a_base_exits_1(self):
         code, out, err = run("experiment", "semisplit", "--plane", "2",
@@ -616,12 +592,6 @@ class TestExperiment:
         code, out, _ = run("experiment", "semisplit", "--plane", "3", "--budget", "1")
         assert code == 2
         assert out.startswith("semi points-side=")
-
-    def test_spent_budget_on_descendants_exits_2(self):
-        code, out, _ = run("experiment", "descendants", "paley",
-                           "--param", "29", "--budget", "1", "--json")
-        assert code == 2
-        assert len(json.loads(out)["descendants"]) == 60
 
 
 class TestTopLevel:

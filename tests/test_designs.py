@@ -290,8 +290,12 @@ class TestDoubleBlocking:
             is_double_blocking(pg2(2), s)
 
     def test_rejects_designs_with_lam_above_1(self):
-        with pytest.raises(BadParameters):
-            is_double_blocking(design_complement(pg2(2)), (0, 1))
+        d = design_complement(pg2(2))
+        planes_only = "double blocking sets are defined for projective planes"
+        with pytest.raises(BadParameters, match=planes_only):
+            is_double_blocking(d, (0, 1))
+        with pytest.raises(BadParameters, match=planes_only):
+            three_lines_2blocking(d)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_three_line_union_has_3q_points_and_blocks_doubly(self, q):

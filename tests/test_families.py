@@ -109,6 +109,22 @@ class TestBasicFamilies:
         with pytest.raises(BadParameters, match="must be integers"):
             getattr(families, name)(*params)
 
+    # the first value below each constructor's range
+    @pytest.mark.parametrize("name, params, message", [
+        ("cycle", (2,), "cycle needs n >= 3"),
+        ("complete", (0,), "complete graph needs n >= 1"),
+        ("complete_multipartite", (1, 3), "needs s >= 2 parts"),
+        ("disjoint_cliques", (0, 2), "needs s >= 1 copies"),
+        ("complete_bipartite_minus_matching", (1,), "needs v >= 2"),
+        ("hypercube", (0,), "hypercube needs m >= 1"),
+        ("johnson", (4, 4), "johnson needs 1 <= r <= m-1"),
+        ("odd_graph", (1,), "odd graph needs r >= 2"),
+        ("rook", (1, 3), "rook needs both sides >= 2"),
+    ])
+    def test_constructors_reject_parameters_below_their_range(self, name, params, message):
+        with pytest.raises(BadParameters, match=message):
+            getattr(families, name)(*params)
+
     def test_family_names_sorted(self):
         names = family_names()
         assert list(names) == sorted(names)

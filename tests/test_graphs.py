@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -95,12 +96,15 @@ class TestGraph:
         assert not g.has_edge(0, 2)
 
     def test_rejects_loops(self):
-        with pytest.raises(Exception):
+        with pytest.raises(BadParameters, match="loop at vertex 0"):
             Graph.from_edges(2, [(0, 0)])
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(Exception):
-            Graph.from_edges(2, [(0, 5)])
+    # unchecked, (0, 5) raises IndexError and (0, -1) a ValueError from a
+    # negative shift
+    @pytest.mark.parametrize("edge", [(0, 5), (0, -1)])
+    def test_rejects_out_of_range(self, edge):
+        with pytest.raises(BadParameters, match=re.escape(f"edge {edge} out of range for n=2")):
+            Graph.from_edges(2, [edge])
 
     def test_edges_lexicographic(self):
         g = Graph.from_edges(4, [(2, 3), (0, 1), (0, 3)])
@@ -123,6 +127,17 @@ class TestGraph:
     ])
     def test_rejects_non_integer_input(self, n, rows):
         with pytest.raises(BadParameters, match="must be integers"):
+            Graph(n, rows)
+
+    @pytest.mark.parametrize("n, rows, message", [
+        (0, [], "graph needs at least one vertex"),
+        (2, [2], "expected 2 adjacency rows, got 1"),
+        (2, [4, 0], "references vertices >= 2"),
+        (2, [3, 1], "loop at vertex 0"),
+        (2, [2, 0], "edge (0, 1) is not symmetric"),
+    ])
+    def test_rejects_rows_that_are_no_simple_graph(self, n, rows, message):
+        with pytest.raises(BadParameters, match=re.escape(message)):
             Graph(n, rows)
 
     @pytest.mark.parametrize("n, edges", [
@@ -409,6 +424,10 @@ class TestDerivedGraphs:
         # True used to mean vertex 1
         with pytest.raises(BadParameters, match="must be integers"):
             induced_neighborhood(family("johnson", 5, 2), x)
+
+    def test_induced_neighborhood_of_an_isolated_vertex_is_rejected(self):
+        with pytest.raises(BadParameters, match="vertex 0 has no neighbours"):
+            induced_neighborhood(Graph(2, [0, 0]), 0)
 
     def test_induced_neighborhood_matches_a_loop_reference(self):
         g = taylor(family("paley", 13)).graph

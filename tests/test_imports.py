@@ -5,8 +5,9 @@ somewhere in the package; no module reads the environment; only graphs.py
 converts between ints and bytes or checks an id range by hand; every
 np.unique call passes a return_* keyword; no check is an assert
 statement; no module raises the base MdimlabError itself; no handler of
-a failed hypothesis raises another error; and every public name, and
-every public method of an exported class, is read inside the package."""
+a failed hypothesis raises another error; every public name, and every
+public method of an exported class, is read inside the package; and no
+test expects a bare Exception."""
 
 import ast
 import dataclasses
@@ -343,7 +344,6 @@ def test_no_handler_translates_a_failed_hypothesis():
 KEEP = {
     "descendant_extract": "ROADMAP item 3 reads it for the descendant lower bounds",
     "project_to_folded": "ROADMAP item 3 reads it for the folded lower bounds",
-    "is_antipodal": "the predicate form of antipodal_structure",
     "is_distance_regular": "the predicate form of intersection_array",
 }
 
@@ -417,3 +417,25 @@ def test_a_method_named_like_a_field_has_a_stated_reader():
     }
     shared = [q for q, name in public_methods().items() if name in fields]
     assert sorted(shared) == sorted(SHARED_NAMES)
+
+
+def bare_exception_expectations(tree: ast.Module) -> list[int]:
+    """Line numbers of the `pytest.raises(Exception)` calls."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "pytest.raises"
+        and node.args and ast.unparse(node.args[0]) == "Exception"
+    })
+
+
+def test_no_test_expects_a_bare_exception():
+    # pytest.raises(Exception) passes on any crash, an IndexError from a
+    # missing range check included; a test names the error it expects
+    assert bare_exception_expectations(ast.parse("pytest.raises(Exception)")) == [1]
+    found = {
+        path.name: lines
+        for path in sorted(Path(__file__).parent.glob("test_*.py"))
+        if (lines := bare_exception_expectations(ast.parse(path.read_text())))
+    }
+    assert found == {}

@@ -175,6 +175,11 @@ class TestLiftHalved:
         with pytest.raises(InputNotResolving):
             lift_halved(family("hypercube", 3), [0], [0, 1, 2])
 
+    def test_two_trivial_halves_are_rejected(self):
+        # K_2 halves into two single vertices, each resolved by the empty set
+        with pytest.raises(HypothesisFailure, match="both halves are trivial"):
+            lift_halved(family("complete", 2), [], [])
+
     def test_reuses_the_halves_the_caller_solved(self, monkeypatch):
         import mdimlab.imprimitivity
 

@@ -699,6 +699,12 @@ class TestSemiResolving:
         assert cert.method == f"exact-bnb-semi-{side}"
         assert cert.nodes_explored == 291 and cert.generators == ()
 
+    def test_split_dimension_rejects_blocks_of_v_minus_1_points(self):
+        # the (3, 2, 1) design: each block misses one point
+        d = SymmetricDesign(v=3, k=2, lam=1, inc=1 - np.eye(3, dtype=int))
+        with pytest.raises(BadParameters, match="split dimension needs 1 < k < v-1"):
+            split_mdim(d)
+
     def test_negative_budget_is_rejected(self):
         with pytest.raises(BadParameters):
             min_semi_resolving(pg2(2), budget=-1)

@@ -13,6 +13,7 @@ from mdimlab import (
     LiftVerificationError,
     ResolvingCertificate,
     exhaustive_mdim,
+    family,
     mdim_exact,
 )
 from mdimlab.verify import (
@@ -219,6 +220,20 @@ class TestTamperDetection:
         assert payload["ok"] is False
         assert payload["rows"][0]["pass"] is False
         assert payload["rows"][0]["computed"] == 3
+
+
+class TestDescendantValues:
+    # each kind of base families.taylor accepts, Paley(q) up to q = 37:
+    # every local graph of the Taylor cover has the metric dimension of
+    # the base
+    @pytest.mark.parametrize("base", [
+        ("cycle", 5), ("rook", 3, 3), ("johnson", 6, 2), ("johnson", 6, 4), ("kneser", 6, 2),
+        ("paley", 13), ("paley", 17), ("paley", 29), ("paley", 37),
+    ], ids=lambda base: "_".join(map(str, base)))
+    def test_every_descendant_has_the_base_value(self, base):
+        name, *params = base
+        args = {"family": name, "params": params}
+        assert CHECKS["descendant_values"](args) == [mdim_exact(family(name, *params)).mu]
 
 
 class TestRandomSoundness:
