@@ -606,16 +606,26 @@ class TestRootSymmetry:
         with pytest.raises(BadParameters):
             min_cover(inst, symmetries=[self.shift(6)])
 
-    def test_symmetries_with_forced_choosers_are_rejected(self):
-        # the orbital root is proved for an empty forced set only, so even
-        # the identity, or a shift that is a symmetry, is refused with one
+    def test_a_forced_root_changes_nothing(self):
+        # an empty list of symmetries leaves a forced search as it is
+        rng = np.random.default_rng(4)
+        inst = self.circulant(rng, 8)
+        assert min_cover(inst, forced=[0], symmetries=()) == min_cover(inst, forced=[0])
+
+    def test_a_symmetry_that_moves_a_forced_chooser_is_rejected(self):
         rng = np.random.default_rng(4)
         inst = self.circulant(rng, 8)
         assert is_symmetry(inst, self.shift(8))
-        for gens in ([list(range(8))], [self.shift(8)]):
-            with pytest.raises(BadParameters, match="no chooser is forced"):
-                min_cover(inst, forced=[0], symmetries=gens)
-        assert min_cover(inst, forced=[0], symmetries=()) == min_cover(inst, forced=[0])
+        with pytest.raises(BadParameters, match="no chooser is forced"):
+            min_cover(inst, forced=[0], symmetries=[self.shift(8)])
+
+    def test_symmetries_with_forced_choosers_are_rejected(self):
+        # the orbital root is proved for an empty forced set only, so even
+        # the identity, which moves no chooser, is refused with one
+        rng = np.random.default_rng(4)
+        inst = self.circulant(rng, 8)
+        with pytest.raises(BadParameters, match="no chooser is forced"):
+            min_cover(inst, forced=[0], symmetries=[list(range(8))])
 
     def test_a_float_permutation_is_rejected(self):
         # np.asarray(..., dtype=np.intp) would truncate it to the shift

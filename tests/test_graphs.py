@@ -101,10 +101,10 @@ class TestGraph:
 
     # unchecked, (0, 5) raises IndexError and (0, -1) a ValueError from a
     # negative shift
-    @pytest.mark.parametrize("edge", [(0, 5), (0, -1)])
-    def test_rejects_out_of_range(self, edge):
-        with pytest.raises(BadParameters, match=re.escape(f"edge {edge} out of range for n=2")):
-            Graph.from_edges(2, [edge])
+    def test_rejects_out_of_range(self):
+        for edge in [(0, 5), (0, -1)]:
+            with pytest.raises(BadParameters, match=re.escape(f"edge {edge} out of range for n=2")):
+                Graph.from_edges(2, [edge])
 
     def test_edges_lexicographic(self):
         g = Graph.from_edges(4, [(2, 3), (0, 1), (0, 3)])
