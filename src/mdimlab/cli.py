@@ -1,13 +1,12 @@
 """Command-line front end.
 
 Commands: construct, classify, mdim, lift, bounds, semiresolve, verify,
-oracle, experiment.  construct takes a mode (family, taylor, double,
-plane), as do lift (halved, folded, push, taylor, double) and experiment
-(semisplit); a mode takes only the flags it reads, and any other is a
-usage error.  Exit codes: 0 success, 1 user or input error
-(usage errors included), 2 node budget (--budget) exhausted before the
-requested answer was proved (mdim, semiresolve, and experiment, where any
-printed value left unproved counts).
+oracle.  construct takes a mode (family, taylor, double, plane,
+incidence), as does lift (halved, folded, push, taylor, double); a mode
+takes only the flags it reads, and any other is a usage error.  Exit
+codes: 0 success, 1 user or input error (usage errors included), 2 node
+budget (--budget) exhausted before the requested answer was proved (mdim
+and semiresolve).
 """
 
 from __future__ import annotations
@@ -246,23 +245,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK if bad == 0 else EXIT_USER
 
 
-def _cmd_semisplit(args: argparse.Namespace) -> int:
-    design = _load_design(args)
-    split = split_mdim(design, args.budget)
-    # the split's points part separates the blocks, and dually
-    pts, blk = split.blocks_part, split.points_part
-    inc = mdim_exact(incidence_graph(design).graph, args.budget)
-    payload = {
-        "semi_points": pts.to_json(),
-        "semi_blocks": blk.to_json(),
-        "split": split.to_json(),
-        "incidence_mu": inc.mu,
-    }
-    _emit(payload, args.json, f"semi points-side={pts.mu} blocks-side={blk.mu} "
-                              f"split={split.mu_star} incidence mu={inc.mu}")
-    return _proved((pts, blk, inc))
-
-
 def _add_budget(container: Any) -> None:
     """The one --budget flag, on a parser or on mdim's group of modes."""
     container.add_argument("--budget", type=_decimal, default=DEFAULT_BUDGET,
@@ -278,9 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="family parameter (repeatable)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output file (default stdout)")
-    graph_out = argparse.ArgumentParser(add_help=False, parents=[params, out])
-    graph_out.add_argument("--dot", action="store_true",
-                           help="emit DOT instead of the edge format")
+    dot_out = argparse.ArgumentParser(add_help=False, parents=[out])
+    dot_out.add_argument("--dot", action="store_true",
+                         help="emit DOT instead of the edge format")
     design = argparse.ArgumentParser(add_help=False)
     source = design.add_mutually_exclusive_group(required=True)
     source.add_argument("--plane", type=_decimal, help="order-q point-line design")
@@ -294,13 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named graph or design")
     modes = p.add_subparsers(dest="mode", required=True)
-    m = modes.add_parser("family", parents=[graph_out], help="a named family member")
+    m = modes.add_parser("family", parents=[params, dot_out], help="a named family member")
     m.add_argument("name", help="family name")
     m.set_defaults(fn=_cmd_construct, build=lambda a: families.family(a.name, *a.param))
-    m = modes.add_parser("taylor", parents=[graph_out], help="Taylor cover of a base family")
+    m = modes.add_parser("taylor", parents=[params, dot_out], help="Taylor cover of a base family")
     m.add_argument("base", help="base family name")
     m.set_defaults(fn=_cmd_construct, build=lambda a: families.taylor(_base_graph(a)).graph)
-    m = modes.add_parser("double", parents=[graph_out],
+    m = modes.add_parser("double", parents=[params, dot_out],
                          help="bipartite double of a base family")
     m.add_argument("base", help="base family name")
     m.set_defaults(fn=_cmd_construct,
@@ -308,6 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     m = modes.add_parser("plane", parents=[out], help="order-q point-line design")
     m.add_argument("q", type=_decimal, help="prime order")
     m.set_defaults(fn=_cmd_construct_plane)
+    m = modes.add_parser("incidence", parents=[design, dot_out],
+                         help="incidence graph of a design")
+    m.set_defaults(fn=_cmd_construct, build=lambda a: incidence_graph(_load_design(a)).graph)
 
     p = sub.add_parser("classify", parents=[as_json],
                        help="name the imprimitivity class of a graph")
@@ -379,13 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_decimal, default=32,
                    help="skip instances with more vertices than this")
     p.set_defaults(fn=_cmd_oracle)
-
-    p = sub.add_parser("experiment", help="exploratory reports on open questions")
-    modes = p.add_subparsers(dest="mode", required=True)
-    m = modes.add_parser("semisplit", parents=[design, as_json],
-                         help="semi-resolving, split and incidence mu of a design")
-    _add_budget(m)
-    m.set_defaults(fn=_cmd_semisplit)
 
     return parser
 

@@ -259,8 +259,6 @@ def _bfs_per_source(g: Graph) -> np.ndarray:
         seen = frontier = 1 << s
         d = 0
         while frontier:
-            if d >= UNREACHABLE:
-                raise BadParameters("graph diameter exceeds the 8-bit distance range")
             nxt = 0
             f = frontier
             while f:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from mdimlab.cli import build_parser, main
+from mdimlab.cli import main
 
 
 def run(*argv: str):
@@ -76,6 +76,25 @@ class TestConstruct:
         code, _, _ = run("construct", "plane", "3", "--out", str(path))
         assert code == 0
         assert path.read_text().splitlines()[0] == "13 4 1"
+
+    def test_incidence_graph_of_a_design(self, tmp_path):
+        p3, by_plane, by_file = (tmp_path / name for name in ("p3.design", "a.graph", "b.graph"))
+        assert run("construct", "plane", "3", "--out", str(p3))[0] == 0
+        assert run("construct", "incidence", "--plane", "3", "--out", str(by_plane))[0] == 0
+        code, out, _ = run("construct", "incidence", "--design", str(p3),
+                           "--out", str(by_file))
+        assert code == 0 and "26-vertex graph" in out
+        assert by_file.read_text() == by_plane.read_text()
+        code, out, _ = run("mdim", str(by_file), "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["mu"], payload["status"]) == (8, "minimum")
+
+    def test_incidence_with_a_param_exits_1(self):
+        code, out, err = run("construct", "incidence", "--plane", "2", "--param", "3")
+        assert code == 1 and out == ""
+        assert "error: unrecognized arguments: --param 3" in err
+        assert err.startswith("usage: mdimlab construct incidence ")
 
     def test_derived_families_via_base(self, tmp_path):
         path = tmp_path / "taylor.graph"
@@ -240,10 +259,18 @@ class TestLift:
         assert payload["mu"] == 6
         assert payload["method"] == "lifted-halving"
 
-    def test_folded_reports_the_case(self, cube_file):
+    def test_folded_reports_the_case(self, cube_file, tmp_path):
         code, out, _ = run("lift", "folded", cube_file, "--set", "0,1,2")
         assert code == 0
         assert out == "size=3 set=[5, 6, 7] case=ii\n"
+        k33 = tmp_path / "k33.graph"
+        assert run("construct", "family", "complete_multipartite",
+                   "--param", "2", "--param", "3", "--out", str(k33))[0] == 0
+        code, out, _ = run("lift", "folded", str(k33), "--set", "0", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["case"], payload["center"]) == ("iii", 1)
+        assert payload["set"] == [1, 2, 4, 5]
 
     def test_push(self, cube_file):
         code, out, _ = run("lift", "push", cube_file, "--set", "0,1,2", "--json")
@@ -538,77 +565,29 @@ class TestVerifyAndOracle:
         assert "error:" in err
 
 
-class TestExperiment:
-    def test_descendants_is_no_mode(self):
-        code, out, err = run("experiment", "descendants", "paley", "--param", "13")
-        assert code == 1 and out == ""
-        assert "error: argument mode: invalid choice: 'descendants'" in err
-
-    def test_semisplit_with_a_base_exits_1(self):
-        code, out, err = run("experiment", "semisplit", "--plane", "2",
-                             "--base", "paley", "--param", "13")
-        assert code == 1 and out == ""
-        assert "error: unrecognized arguments: --base paley --param 13" in err
-        assert err.startswith("usage: mdimlab experiment semisplit ")
-
-    @pytest.mark.parametrize("argv", [
-        ("descendants", "--base", "cycle", "--param", "5"), ("semisplit",),
-    ])
-    def test_removed_flag_forms_exit_1(self, argv):
-        code, out, err = run("experiment", *argv)
-        assert code == 1 and out == ""
-        assert "error:" in err
-
-    def test_semisplit_report(self):
-        code, out, _ = run("experiment", "semisplit", "--plane", "2", "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["incidence_mu"] == 5
-        assert payload["semi_blocks"]["mu"] == 3
-        assert payload["split"]["mu_star"] == 6
-
-    def test_semisplit_solves_each_side_once(self, monkeypatch):
-        import mdimlab.cli
-        import mdimlab.mdim
-
-        real = mdimlab.mdim.min_semi_resolving
-        sides = []
-
-        def counting(design, side="blocks", budget=mdimlab.cover.DEFAULT_BUDGET):
-            sides.append(side)
-            return real(design, side, budget)
-
-        monkeypatch.setattr(mdimlab.mdim, "min_semi_resolving", counting)
-        monkeypatch.setattr(mdimlab.cli, "min_semi_resolving", counting)
-        code, out, _ = run("experiment", "semisplit", "--plane", "2", "--json")
-        assert code == 0
-        assert sorted(sides) == ["blocks", "points"]
-        payload = json.loads(out)
-        assert payload["semi_points"] == payload["split"]["blocks_part"]
-        assert payload["semi_blocks"] == payload["split"]["points_part"]
-
-
-    def test_spent_budget_on_semisplit_exits_2(self):
-        code, out, _ = run("experiment", "semisplit", "--plane", "3", "--budget", "1")
-        assert code == 2
-        assert out.startswith("semi points-side=")
-
-
 class TestTopLevel:
     def test_no_arguments_exits_1(self):
         assert run()[0] == 1
 
-    def test_readme_examples_parse(self):
-        # parse, never run, each mdimlab line of the README's shell blocks
+    def test_readme_examples_run(self, tmp_path, monkeypatch):
+        # run each mdimlab line of the README's shell blocks in order, in one
+        # directory; a line exits 0 unless its comment starts "exit N:"
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
-        lines = [line.split("#")[0] for block in blocks for line in block.splitlines()
+        lines = [line for block in blocks for line in block.splitlines()
                  if line.startswith("mdimlab ")]
-        assert len(lines) >= 15
-        parser = build_parser()
+        assert len(lines) >= 20
+        monkeypatch.chdir(tmp_path)
         for line in lines:
-            args = parser.parse_args(shlex.split(line)[1:])
-            assert callable(args.fn), line
+            command, _, comment = line.partition("#")
+            expected = re.match(r"\s*exit (\d+):", comment)
+            code, _, err = run(*shlex.split(command)[1:])
+            assert code == (int(expected[1]) if expected else 0), (line, err)
+
+    def test_experiment_is_no_command(self):
+        code, out, err = run("experiment", "semisplit", "--plane", "2")
+        assert code == 1 and out == ""
+        assert "error: argument command: invalid choice: 'experiment'" in err
 
     def test_unknown_subcommand_exits_1(self):
         code, out, err = run("nope")

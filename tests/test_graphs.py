@@ -54,7 +54,8 @@ def path(n: int) -> Graph:
 
 # the seeded 9-vertex graphs keep their seeds as ids; then one vertex, about
 # 40 vertices from sparse (mostly disconnected) to dense, on both sides of
-# graphs.SMALL_BFS_N, and every zoo graph
+# graphs.SMALL_BFS_N, K_24 (the all-sources path's complete-graph return),
+# and every zoo graph
 BFS_CASES = {
     **{str(seed): lambda seed=seed: random_graph(9, seed) for seed in range(12)},
     "n1": lambda: Graph(1, [0]),
@@ -62,6 +63,7 @@ BFS_CASES = {
     **{f"n{n}-p{p}-{seed}": lambda n=n, p=p, seed=seed: random_graph(n, seed, p)
        for n in (23, 24, 40) for p in (0.03, 0.08, 0.4) for seed in range(2)},
     "two-paths": lambda: Graph.from_edges(41, [(v, v + 1) for v in range(40) if v != 19]),
+    "K24": lambda: family("complete", 24),
     **{f"zoo-{name}": build for name, build in ZOO.items()},
 }
 
