@@ -16,13 +16,12 @@ chunk edge, and hands each chunk over to be packed.  build_instance packs
 a chunk straight into its uint64 columns of words, so a build needs words
 plus that buffer, not the whole chooser-by-item bool block (eight times
 words); a bool block that fits in PACK_BYTES is one chunk.  A search
-builds every other layer from the matrix and words when it is made:
-coverage[v] (over items), the int of row v of words; by_item, the
-item-by-chooser bits, packed from the same chunks through an item-major
-buffer, with the row popcounts of each packed chunk giving the static
-separator counts of its items, for the item groups; and resolvers[p]
-(over choosers), the int of row p of by_item, made when the search first
-reads item p.
+builds every other layer from words alone when it is made, and never
+reads the matrix: coverage[v] (over items), the int of row v of words;
+the static separator count of each item, a column sum of words unpacked
+a chunk of items at a time under the same bound, for the item groups;
+and resolvers[p] (over choosers), bit p of every row of words packed
+into an int, made when the search first reads item p.
 min_cover makes a search only when there is a tree to search, so a greedy
 answer builds nothing past words.
 
@@ -156,7 +155,7 @@ class PairCoverInstance:
     items that chooser v separates as uint64 bits, zero past the last
     item; greedy_cover counts on it with a popcount.  build_instance
     packs words a chunk of items at a time, and the search builds its own
-    layers from the two ("Layout").  Equality is identity.
+    layers from words ("Layout").  Equality is identity.
     """
 
     n_choosers: int
@@ -391,8 +390,9 @@ class _Search:
     """Branch and bound state.
 
     min_cover makes one only when there is a tree to search.  It builds
-    what it reads from inst once, as plain attributes ("Layout"); entry p
-    of resolvers is None until the search first reads item p.
+    what it reads from inst.words once, as plain attributes ("Layout"),
+    and never reads inst.matrix; entry p of resolvers is None until the
+    search first reads item p.
     """
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
@@ -405,19 +405,17 @@ class _Search:
         self.nodes = 0
         self.exhausted = True
         self.best: list[int] = []
-        self.coverage = _packed_ints(inst.words.view(np.uint8))
-        # row p: the choosers that separate item p, packed little-endian.
-        # The chunks fill an item-by-chooser buffer through its transpose,
-        # read from a copy of the matrix with contiguous columns, so both
-        # keep the choosers innermost.
+        self.packed = packed = inst.words.view(np.uint8)
+        self.coverage = _packed_ints(packed)
+        # the static separator count of each item is a column sum of words,
+        # unpacked a chunk of items at a time under the build's bound
         n_items, n_choosers = inst.n_items, inst.n_choosers
-        self.by_item = by_item = np.empty((n_items, -(-n_choosers // 8)), np.uint8)
-        counts = np.empty(n_items, dtype=np.intp)  # static separator count of each item
-        buf = np.empty((_chunk_width(n_choosers, n_items), n_choosers), dtype=bool)
-        for a, k in _pair_chunks(np.ascontiguousarray(inst.matrix.T).T, buf.T):
-            by_item[a:a + k] = np.packbits(buf[:k], axis=1, bitorder="little")
-            np.add.reduce(np.bitwise_count(by_item[a:a + k]), axis=1, out=counts[a:a + k])
-        self.resolvers: list[int | None] = [None] * inst.n_items
+        counts = np.zeros(n_items, dtype=np.min_scalar_type(n_choosers))
+        width = max(_chunk_width(n_choosers, n_items), 1)  # 0 when there are no items
+        for a in range(0, n_items, width):
+            bits = np.unpackbits(packed[:, a // 8:(a + width) // 8], axis=1, bitorder="little")
+            np.add.reduce(bits[:, :n_items - a], axis=0, out=counts[a:a + width])
+        self.resolvers: list[int | None] = [None] * n_items
         # one item mask per static separator count, in ascending count order
         # sorted(set()): a plain np.unique imports numpy.ma (~16 ms) on its first call
         self.item_groups = _bit_rows(counts == np.array(sorted(set(counts.tolist())))[:, None])
@@ -427,8 +425,9 @@ class _Search:
         self.cov_counts = cov_counts
 
     def _resolver(self, p: int) -> int:
-        """resolvers[p], read off row p of by_item and kept."""
-        r = self.resolvers[p] = _packed_int(self.by_item[p])
+        """resolvers[p], bit p of every row of words, packed and kept."""
+        column = self.packed[:, p >> 3] & (1 << (p & 7))
+        r = self.resolvers[p] = _packed_int(np.packbits(column, bitorder="little"))
         return r
 
     def run(

@@ -331,7 +331,7 @@ def _check_bounds_chain(args: dict[str, Any]) -> dict[str, Any]:
         g = ZOO[name]()
         dm = g.distances
         greedy = len(mdim_greedy(g).set)
-        lb = lower_bound_nd(g.n, dm.diameter) if dm.connected else 0
+        lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
         if name in SOLVABLE:
             mu = _solve(g).mu
             if not lb <= mu <= greedy:
@@ -345,7 +345,7 @@ def _check_babai_cross(args: dict[str, Any]) -> dict[str, Any]:
     violations = []
     for name in sorted(SOLVABLE):
         g = ZOO[name]()
-        if not g.distances.connected or not is_primitive(g):
+        if g.n < 2 or not g.distances.connected or not is_primitive(g):
             continue
         mu = _solve(g).mu
         report = babai_bounds(g)

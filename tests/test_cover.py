@@ -31,7 +31,7 @@ from mdimlab.cover import (
 from mdimlab import cover
 from mdimlab import mdim as mdim_module
 from mdimlab.designs import pg2
-from mdimlab.graphs import Graph, _packed_ints, iter_bits
+from mdimlab.graphs import Graph, iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
 
 
@@ -99,6 +99,11 @@ def builder_matrices() -> list[np.ndarray]:
     matrices.append(rng.integers(0, 3, size=(259, 23)))
     matrices += [rng.integers(0, 2, size=(7, 9)).astype(bool),
                  rng.integers(0, 3, size=(6, 8)) * 10**12]
+    # item (0, 1) has a separator in every row: 256 and 300 overflow a byte
+    for rows in (256, 300):
+        m = rng.integers(0, 3, size=(rows, 6))
+        m[:, 1] = m[:, 0] + 1
+        matrices.append(m)
     return matrices
 
 
@@ -112,12 +117,11 @@ def assert_words(inst: PairCoverInstance, coverage: tuple[int, ...]) -> None:
 
 
 def assert_static_layers(inst: PairCoverInstance, coverage, resolvers) -> None:
-    """A fresh search on inst has the by_item, item groups and chooser
-    order of the per-column builder's coverage and resolvers."""
+    """A fresh search on inst has the separator sets, item groups and
+    chooser order of the per-column builder's coverage and resolvers."""
     counts = [r.bit_count() for r in resolvers]
     search = _Search(inst, budget=0, lower_stop=0)
-    assert search.by_item.shape == (inst.n_items, -(-inst.n_choosers // 8))
-    assert _packed_ints(search.by_item) == resolvers
+    assert tuple(map(search._resolver, range(inst.n_items))) == resolvers
     assert search.item_groups == tuple(
         sum(1 << p for p, c in enumerate(counts) if c == k) for k in sorted(set(counts))
     )
@@ -175,7 +179,7 @@ class TestBuildInstance:
 
     def test_one_word_chunks_match_the_per_column_builder(self, monkeypatch):
         # a budget under 128 bytes makes every chunk one word of items, in
-        # build_instance and in the search's by_item alike
+        # build_instance and in the search's column sums alike
         monkeypatch.setattr(cover, "PACK_BYTES", 64)
         rng = np.random.default_rng(8)
         # 12 entities: the chunk edge at item 64 cuts entity 9's block
@@ -292,7 +296,28 @@ class TestLayersOnFirstRead:
                 assert search._completable(1 << p, 0) == bool(want[p])
             assert search.resolvers == list(want)
             assert set(vars(inst)) == STORED
-            assert _packed_ints(search.by_item) == want
+
+    def test_a_search_reads_only_words(self):
+        # every layer of the search comes from words: without its matrix
+        # the instance gives the same tree, node for node
+        inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
+        seed = greedy_cover(inst)
+        want = _Search(inst, budget=10**8, lower_stop=0).run([([], 0)], seed)
+        got = _Search(replace(inst, matrix=None), budget=10**8, lower_stop=0).run([([], 0)], seed)
+        assert got == want and got.nodes == 14_026
+
+    def test_the_set_up_working_set_is_words_twice_and_one_chunk(self):
+        inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
+        tracemalloc.start()
+        try:
+            _Search(inst, budget=0, lower_stop=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the coverage ints and the bytes they are read from hold words
+        # twice; one unpacked chunk of items and small temporaries fit in
+        # the rest
+        assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
 
     def test_static_counts_match_bit_count(self):
         rng = np.random.default_rng(12)

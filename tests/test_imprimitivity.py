@@ -10,6 +10,7 @@ import pytest
 
 from mdimlab import (
     BadParameters,
+    ClassificationContradiction,
     DisconnectedGraph,
     Graph,
     NotAntipodal,
@@ -27,6 +28,7 @@ from mdimlab import (
     is_distance_regular,
     lift_folded,
 )
+from mdimlab import imprimitivity
 from mdimlab.families import bipartite_double, taylor
 from mdimlab.imprimitivity import (
     AntipodalStructure,
@@ -410,6 +412,12 @@ class TestClassifyAh:
         r = classify_ah(family("complete", 5))
         assert r.label == "AH3"
         assert r.d == 1
+
+    def test_a_failed_sub_claim_raises(self, monkeypatch):
+        monkeypatch.setattr(imprimitivity, "_is_complete", lambda g: False)
+        message = "^sub-claim failed: every pair of distinct vertices is adjacent$"
+        with pytest.raises(ClassificationContradiction, match=message):
+            classify_ah(family("complete", 4))
 
     def test_triangle_counts_as_complete(self):
         assert classify_ah(family("cycle", 3)).label == "AH3"

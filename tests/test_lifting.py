@@ -537,7 +537,7 @@ class TestFailedHypotheses:
 class TestStructureStageBuildsOnlyWords:
     """Greedy sets and their lifts read no cover layer beyond the packed
     words: they make no search, which builds the coverage ints, the
-    item-major block and the separator sets."""
+    static separator counts and the separator sets."""
 
     def test_halve_fold_and_taylor_lifts(self, monkeypatch, searches):
         built = []

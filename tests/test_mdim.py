@@ -10,8 +10,10 @@ import pytest
 
 from mdimlab import (
     BadParameters,
+    CoverResult,
     Graph,
     HypothesisFailure,
+    LiftVerificationError,
     MdimlabError,
     SymmetricDesign,
     babai_bounds,
@@ -538,6 +540,26 @@ class TestRootSymmetry:
         cert = mdim_exact(ZOO["Q_6"]())
         assert cert.method == "exact-bnb-sym" and cert.nodes_explored == 102
         assert len(calls) == 1
+
+
+class TestSelfChecks:
+    """The package checks the sets its own solvers return before it
+    reports them: a solver that returns a set that fails is an error."""
+
+    def test_an_exact_set_that_fails_raises(self, monkeypatch):
+        monkeypatch.setattr(mdim, "min_cover", lambda *args, **kwargs: CoverResult((0,), 0, True))
+        with pytest.raises(LiftVerificationError,
+                           match=r"^exact-bnb left pair \(1, 2\) unseparated$"):
+            mdim_exact(ZOO["petersen"]())
+        with pytest.raises(LiftVerificationError,
+                           match=r"^exact-bnb-semi-blocks left pair \(0, 2\) unseparated$"):
+            min_semi_resolving(pg2(2))
+
+    def test_a_greedy_set_that_fails_raises(self, monkeypatch):
+        monkeypatch.setattr(mdim, "greedy_cover", lambda inst: [0])
+        with pytest.raises(LiftVerificationError,
+                           match=r"^greedy produced a set that fails to resolve pair \(1, 2\)$"):
+            mdim_greedy(ZOO["petersen"]())
 
 
 class TestMdimGreedy:

@@ -12,8 +12,10 @@ from mdimlab import (
     BadParameters,
     LiftVerificationError,
     ResolvingCertificate,
+    babai_bounds,
     exhaustive_mdim,
     family,
+    is_primitive,
     mdim_exact,
 )
 from mdimlab.verify import (
@@ -25,7 +27,7 @@ from mdimlab.verify import (
     oracle_rows,
     run_suite,
 )
-from mdimlab.zoo import ZOO
+from mdimlab.zoo import SOLVABLE, ZOO
 
 
 def spy_on_solves(monkeypatch) -> list:
@@ -282,6 +284,36 @@ class TestRandomSoundness:
         monkeypatch.setattr(mdimlab.verify, "_solve", self.inflated)
         outcome = CHECKS["random_soundness"](self.ARGS)
         assert outcome == {"mismatches": self.ARGS["count"], "undersized_successes": 0}
+
+
+class TestBoundChecks:
+    """bounds_chain and babai_cross: each lists the graphs whose bounds
+    contradict the solved value, and takes a one-vertex graph."""
+
+    @pytest.mark.parametrize("check", ["bounds_chain", "babai_cross"])
+    def test_a_one_vertex_graph_has_no_violation(self, monkeypatch, check):
+        monkeypatch.setitem(mdimlab.verify.ZOO, "K_1", lambda: family("complete", 1))
+        monkeypatch.setattr(mdimlab.verify, "SOLVABLE", mdimlab.verify.SOLVABLE | {"K_1"})
+        assert CHECKS[check]({}) == {"violations": []}
+
+    def test_a_greedy_set_below_mu_is_a_violation(self, monkeypatch):
+        # every zoo graph has a positive mu, or (Q_8, not solved) a positive
+        # counting bound, so the empty set undercuts each of them
+        empty = ResolvingCertificate(set=(), status="verified-resolving", method="greedy")
+        monkeypatch.setattr(mdimlab.verify, "mdim_greedy", lambda g: empty)
+        assert CHECKS["bounds_chain"]({}) == {"violations": sorted(ZOO)}
+
+    def test_a_babai_bound_below_mu_is_a_violation(self, monkeypatch):
+        def zeroed(g):
+            return dataclasses.replace(babai_bounds(g), general=0.0)
+
+        monkeypatch.setattr(mdimlab.verify, "babai_bounds", zeroed)
+        primitive = [name for name in sorted(SOLVABLE)
+                     if ZOO[name]().distances.connected and is_primitive(ZOO[name]())]
+        assert primitive
+        assert CHECKS["babai_cross"]({}) == {
+            "violations": [f"{name}:general" for name in primitive]
+        }
 
 
 class TestOracleRows:
