@@ -11,7 +11,8 @@ and exits 1.  Untraced runs (trace 0) of the same workload and seed on
 both sides form one pair; the file keeps every pair's end-to-end metrics
 and fail ratio, and per metric each side's median and quartiles and the
 number of pairs the change won.  Traced runs (trace 1) give the
-per-layer counters named in TRACED, for each seed traced on both sides.
+per-layer metrics named in TRACED, counters and self times, for each seed
+traced on both sides.
 Nothing is run here: run the pairs first, alternating which side goes
 first.
 """
@@ -33,6 +34,7 @@ TRACED = (
     "mdim.mdim_exact.distinct_ratio",
     "cover.greedy_cover.calls",
     "cover.min_cover.nodes",
+    "cover.min_cover.self_s",
     "mdim.twin_forced_choices.forced",
     "mdim.min_semi_resolving.calls",
     "mdim.first_unresolved_pair.calls",

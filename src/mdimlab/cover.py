@@ -70,11 +70,9 @@ nodes but never an optimum.  When H fixes every chooser, the children are
 2 and 3: force 0, then ban its orbit.
 
 H comes from Schreier's lemma (Seress 2003, "Permutation Group
-Algorithms"): with t[v] in G sending 0 to v for each v of the
-orbit of 0, the products t[g(v)]^-1 g t[v] over every such v and every
-generator g fix 0 and generate the whole stabiliser of 0 in G.  They are
-products of the checked generators, so they need no check of their own,
-and the root children are a function of those generators alone.
+Algorithms"; _stabiliser_orbits).  Its generators are products of the
+checked ones, so they need no check of their own, and its orbits, so the
+root children, depend on G alone, not on how the transversal is chosen.
 
 Finding symmetries (root_symmetries): on a square instance whose matrix
 entries are small non-negative integers, backtrack over the images of a
@@ -82,17 +80,15 @@ base, chooser 0 followed by a cover.  Mapping base[:i] to images c[:i]
 gives every entity x a code, its entries in rows base[:i], and every
 entity y an image code, its entries in rows c[:i].  A symmetry extending
 the map sends x to a y of the same code, so the two codes must have equal
-multisets; cells number the codes jointly.  Once the base is a cover its
-rows separate every pair, every code is unique and names a single
-permutation, which must still pass is_symmetry.  For a distance matrix the
-symmetries found are graph automorphisms, and the labels are never read.
-
-min_cover owns the decision to look.  Left to itself (symmetries=None) it
-calls root_symmetries with its one greedy seed when nothing is forced, the
-budget is positive and the seed is above lower_stop; symmetries=() means
-none, and symmetries found elsewhere come in through symmetries=, checked
-like the ones it finds, and only with nothing forced.
-CoverResult.generators reports which it used.
+multisets; cells number the codes.  The base side of a level depends on
+the level alone, so it is refined once per call, down to the first level
+where every code is unique; a candidate image refines only its own side.
+Once the base is a cover every code is unique and names a single
+permutation, which must still pass is_symmetry's check.  The targets, in
+ascending order, are the choosers outside the orbit of 0 under the
+symmetries found so far, a mask closed under them after each one.  For a
+distance matrix the symmetries are graph automorphisms, and the labels are
+never read.  min_cover owns the decision to look (its docstring).
 """
 
 from __future__ import annotations
@@ -147,15 +143,10 @@ def _pair_chunks(matrix: np.ndarray, sep: np.ndarray) -> Iterator[tuple[int, int
 
 @dataclass(frozen=True, eq=False)
 class PairCoverInstance:
-    """Pair-separation instance.
-
-    Item p is the p-th pair of combinations(range(n_entities), 2).  It
-    stores one form: matrix, the chooser-by-entity matrix, which
-    is_symmetry and root_symmetries read, and words, whose row v holds the
-    items that chooser v separates as uint64 bits, zero past the last
-    item; greedy_cover counts on it with a popcount.  build_instance
-    packs words a chunk of items at a time, and the search builds its own
-    layers from words ("Layout").  Equality is identity.
+    """Pair-separation instance in one form ("Layout"): matrix, the
+    chooser-by-entity matrix, which is_symmetry and root_symmetries read,
+    and words, whose row v holds the items that chooser v separates as
+    uint64 bits, zero past the last item.  Equality is identity.
     """
 
     n_choosers: int
@@ -187,6 +178,13 @@ def build_instance(matrix: np.ndarray) -> PairCoverInstance:
     return PairCoverInstance(n_choosers, n_cols, matrix, words)
 
 
+def _is_symmetry(m: np.ndarray, p: np.ndarray) -> bool:
+    """The check of is_symmetry, on an intp array p."""
+    n = len(p)
+    return (m.shape == (n, n) and np.array_equal(np.sort(p), np.arange(n))
+            and np.array_equal(m[np.ix_(p, p)], m))
+
+
 def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
     """True iff perm (x to perm[x], on choosers and entities alike) permutes
     a square instance's matrix onto itself.
@@ -197,13 +195,7 @@ def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
     read with as_ints, so a non-integer entry raises BadParameters rather
     than being truncated.
     """
-    m = inst.matrix
-    p = np.asarray(as_ints(perm, "a permutation"), dtype=np.intp)
-    if m.shape != (len(p), len(p)):
-        return False
-    if not np.array_equal(np.sort(p), np.arange(len(p))):
-        return False
-    return bool(np.array_equal(m[np.ix_(p, p)], m))
+    return _is_symmetry(inst.matrix, np.asarray(as_ints(perm, "a permutation"), dtype=np.intp))
 
 
 def orbit_partition(perms: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
@@ -241,8 +233,7 @@ def root_symmetries(
     reach its orbit as far as the finder gets.
 
     seed must be a cover; the base is 0 followed by seed (module
-    docstring, "Finding symmetries").  Targets v outside the orbit so far
-    are tried in ascending order, and each candidate image costs one unit
+    docstring, "Finding symmetries").  Each candidate image costs one unit
     of a work cap of FINDER_WORK per chooser; any set of symmetries is
     sound, so running out only leaves the orbit smaller, and matrix
     entries outside the integers 0..255 give none.
@@ -253,18 +244,30 @@ def root_symmetries(
         return ()
     base = [0, *(v for v in seed if v != 0)]
     width = int(m.max()) + 1
+    # the base side of each level i, the map on base[:i + 1], to the first
+    # with unique codes: its key count, code counts as bytes, ids and cells
+    levels, cells, size = [], np.zeros(n, dtype=np.intp), width
+    for b in base:
+        keys = cells * width + m[b]
+        counts = np.bincount(keys, minlength=size)
+        ids = np.cumsum(counts > 0) - 1
+        cells = ids[keys]
+        levels.append((size, counts.tobytes(), ids, cells))
+        size = (int(ids[-1]) + 1) * width  # the next keys, cell * width + entry, lie below
+        if ids[-1] == n - 1:
+            break
+    unique = ids[-1] == n - 1  # else seed was no cover, and no leaf is reached
     work = FINDER_WORK * n
     gens: list[tuple[int, ...]] = []
-    labels = np.arange(n)  # least orbit-mates under the generators so far
-    zero = np.zeros(n, dtype=np.intp)
+    in_orbit = [True] + [False] * (n - 1)
     for v in range(1, n):
-        if labels[v] == 0:
+        if in_orbit[v]:
             continue
-        # depth first; a frame holds i, the cells and image cells of the
-        # map on base[:i], and the candidate images of base[i] left to try
-        stack = [(0, zero, zero, iter([v]))]
+        # depth first; a frame holds i, the image cells of the map on
+        # base[:i], and the candidate images of base[i] left to try
+        stack = [(0, np.zeros(n, dtype=np.intp), iter([v]))]
         while stack:
-            i, cells, image_cells, cands = stack[-1]
+            i, image_cells, cands = stack[-1]
             c = next(cands, None)
             if c is None:
                 stack.pop()
@@ -272,26 +275,32 @@ def root_symmetries(
             work -= 1
             if work < 0:
                 return tuple(gens)
-            keys = cells * width + m[base[i]]
+            size, counts, ids, refined = levels[i]
             image_keys = image_cells * width + m[c]
-            counts = np.bincount(keys, minlength=n * width)
-            image_counts = np.bincount(image_keys, minlength=n * width)
-            if not np.array_equal(counts, image_counts):
+            if np.bincount(image_keys, minlength=size).tobytes() != counts:
                 continue
-            ids = np.cumsum(counts > 0) - 1
-            refined, image_refined = ids[keys], ids[image_keys]
-            if ids[-1] == n - 1:  # every code unique
-                entity_of = np.empty_like(image_refined)
-                entity_of[image_refined] = np.arange(n)
-                perm = entity_of[refined]
-                if is_symmetry(inst, perm):
+            image_refined = ids[image_keys]
+            if i < len(levels) - 1:
+                nxt = (image_refined == refined[base[i + 1]]).nonzero()[0]
+                stack.append((i + 1, image_refined, iter(nxt.tolist())))
+            elif unique:
+                perm = np.argsort(image_refined)[refined]  # image_refined is a permutation
+                if _is_symmetry(m, perm):
                     gens.append(tuple(perm.tolist()))
-                    labels = orbit_partition(perm[None, :], labels)
+                    _close_orbit(in_orbit, gens)
                     break
-            elif i + 1 < len(base):
-                nxt = np.flatnonzero(image_refined == refined[base[i + 1]])
-                stack.append((i + 1, refined, image_refined, iter(nxt.tolist())))
     return tuple(gens)
+
+
+def _close_orbit(in_orbit: list[bool], gens: list[tuple[int, ...]]) -> None:
+    """Grow in_orbit, a mask closed under gens[:-1], to its closure under
+    gens: the last one moves the old members, and all move the new ones."""
+    todo = [gens[-1][x] for x, inside in enumerate(in_orbit) if inside]
+    while todo:
+        y = todo.pop()
+        if not in_orbit[y]:
+            in_orbit[y] = True
+            todo += [g[y] for g in gens]
 
 
 def _stabiliser_orbits(gens: np.ndarray, row0: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -299,57 +308,54 @@ def _stabiliser_orbits(gens: np.ndarray, row0: np.ndarray) -> tuple[list[int], n
     each point's least orbit-mate under the stabiliser H of 0 in G.
 
     A transversal t[v] in G with t[v](0) = v comes from a breadth-first
-    search over the orbit, a layer at a time; by Schreier's lemma the
-    products t[g(v)]^-1 g t[v], over every orbit point v and generator g,
-    fix 0 and generate H.  They are joined SCHREIER_BLOCK orbit points at a
-    time, and the join stops once its classes off 0 are those of equal
-    entries of row0: when G keeps row 0 of a matrix, as symmetries of an
-    instance do, H keeps its entries, so no orbit of H is coarser.
+    search over the orbit, its points in plain ints, and the rows of a
+    layer in one gather: g t[u] for the u and g that first reached v.  By
+    Schreier's lemma the products t[g(v)]^-1 g t[v], over every orbit
+    point v and generator g, fix 0 and generate H.  They are joined
+    SCHREIER_BLOCK orbit points at a time, and the join stops once its
+    classes off 0 are those of equal entries of row0: when G keeps row 0 of
+    a matrix, as symmetries of an instance do, H keeps its entries, so no
+    orbit of H is coarser.
     """
     n = gens.shape[1]
-    where = np.full(n, -1)  # position of each orbit point in the orbit
-    where[0] = 0
-    layer, layer_t = np.zeros(1, dtype=np.intp), np.arange(n)[None, :]
-    points, trans = [layer], [layer_t]
-    size = 1
-    while len(layer):
-        reached, reached_t = [], []
-        for g in gens:
-            image = g[layer]
-            fresh = where[image] < 0
-            new = image[fresh]
-            where[new] = np.arange(size, size + len(new))
-            size += len(new)
-            reached.append(new)
-            reached_t.append(g[layer_t[fresh]])
-        layer, layer_t = np.concatenate(reached), np.concatenate(reached_t)
-        points.append(layer)
-        trans.append(layer_t)
-    orbit, t = np.concatenate(points), np.concatenate(trans)
+    where, orbit = [0] + [-1] * (n - 1), [0]  # the position of each point in the orbit
+    rows = gens.tolist()
+    layer, trans = [0], [np.arange(n)[None, :]]  # the orbit points and transversal rows by layer
+    while True:
+        reached = []  # (v, the layer position of u, the generator) for each new v = g(u)
+        for k, u in enumerate(layer):
+            for j, g in enumerate(rows):
+                if where[g[u]] < 0:
+                    where[g[u]] = len(orbit)
+                    orbit.append(g[u])
+                    reached.append((g[u], k, j))
+        if not reached:
+            break
+        layer, parent, via = zip(*reached)
+        trans.append(gens[np.array(via)[:, None], trans[-1][list(parent)]])
+    t = np.concatenate(trans)
+    where, points = np.array(where), np.array(orbit)
     inv = np.empty_like(t)
     np.put_along_axis(inv, t, np.broadcast_to(np.arange(n), t.shape), axis=1)
     _, first, cls = np.unique(row0, return_index=True, return_inverse=True)
     coarsest = first[cls]
     labels = None
     for g in gens:
-        up = where[g[orbit]]  # position of g(v) for each orbit point v
+        up = where[g[points]]  # position of g(v) for each orbit point v
         for s in range(0, len(orbit), SCHREIER_BLOCK):
             block = slice(s, s + SCHREIER_BLOCK)
             labels = orbit_partition(inv[up[block, None], g[t[block]]], labels)
             if np.array_equal(labels[1:], coarsest[1:]):
-                return orbit.tolist(), labels
-    return orbit.tolist(), labels
+                return orbit, labels
+    return orbit, labels
 
 
 @dataclass(frozen=True)
 class CoverResult:
-    """A cover and how it was reached.
-
-    generators are the checked symmetries the search was given: those
-    root_symmetries found when min_cover was asked to look (symmetries
-    None), else the ones passed in; () when it had none.  They are left
-    out of equality, like PairCoverInstance.matrix.
-    """
+    """A cover and how it was reached.  generators, left out of equality,
+    are the checked symmetries the search was given: those root_symmetries
+    found when min_cover was asked to look (symmetries None), else the
+    ones passed in; () when it had none."""
 
     chosen: tuple[int, ...]
     nodes: int
@@ -387,16 +393,12 @@ class _Stop(Exception):
 
 
 class _Search:
-    """Branch and bound state.
-
-    min_cover makes one only when there is a tree to search.  It builds
-    what it reads from inst.words once, as plain attributes ("Layout"),
-    and never reads inst.matrix; entry p of resolvers is None until the
-    search first reads item p.
-    """
+    """Branch and bound state, built from inst.words alone ("Layout");
+    entry p of resolvers is None until the search first reads item p."""
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
     PREFILTER = 4  # uncovered items whose separator sets the completion test intersects
+    BITS = tuple(np.uint8(1 << k) for k in range(8))  # _resolver's masks, built once
 
     def __init__(self, inst: PairCoverInstance, budget: int, lower_stop: int):
         self.budget = budget
@@ -426,7 +428,7 @@ class _Search:
 
     def _resolver(self, p: int) -> int:
         """resolvers[p], bit p of every row of words, packed and kept."""
-        column = self.packed[:, p >> 3] & (1 << (p & 7))
+        column = self.packed[:, p >> 3] & self.BITS[p & 7]
         r = self.resolvers[p] = _packed_int(np.packbits(column, bitorder="little"))
         return r
 
@@ -603,7 +605,7 @@ def min_cover(
         symmetries = tuple(as_ints(p, "a symmetry") for p in symmetries)
         if symmetries and forced:
             raise BadParameters("symmetries are taken only when no chooser is forced")
-        if not all(is_symmetry(inst, p) for p in symmetries):
+        if not all(_is_symmetry(inst.matrix, np.asarray(p, dtype=np.intp)) for p in symmetries):
             raise BadParameters("a symmetry must map the instance onto itself")
     if budget == 0 or len(seed) <= lower_stop:
         return CoverResult(tuple(sorted(seed)), 0, len(seed) <= lower_stop, symmetries or ())
@@ -617,10 +619,8 @@ def min_cover(
 def _orbital_roots(
     inst: PairCoverInstance, symmetries: Sequence[Sequence[int]]
 ) -> list[tuple[list[int], int]]:
-    """The root children (start, banned) of the module docstring, for one
-    or more symmetries."""
-    gens = np.asarray(symmetries, dtype=np.intp)
-    orbit, labels = _stabiliser_orbits(gens, inst.matrix[0])
+    """The root children (start, banned) of the module docstring."""
+    orbit, labels = _stabiliser_orbits(np.asarray(symmetries, dtype=np.intp), inst.matrix[0])
     least, sizes = np.unique(labels, return_counts=True)
     roots = []
     banned = 0

@@ -30,7 +30,7 @@ from mdimlab.cover import (
 )
 from mdimlab import cover
 from mdimlab import mdim as mdim_module
-from mdimlab.designs import pg2
+from mdimlab.designs import incidence_graph, pg2
 from mdimlab.graphs import Graph, iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
 
@@ -728,6 +728,42 @@ class TestRootSymmetry:
             kinds.add((len(orbit) == n, len(set(labels.tolist())) < n))
         assert len(kinds) == 4, kinds
 
+    def test_stabiliser_orbits_over_several_blocks_match_the_enumerated_group(self):
+        # dihedral groups on 20 to 40 points, alone or beside a cyclic group
+        # on more points, regular products of two cyclic groups, and cyclic
+        # groups on an m-cycle beside a k-cycle, each relabelled; the orbit
+        # of 0 spans several Schreier blocks.  In the last kind, only the
+        # last orbit point gives a Schreier generator other than the
+        # identity, g^m, which moves the k-cycle when m is no multiple of k.
+        rng = np.random.default_rng(35)
+
+        def cycles(m, k):
+            return [[(x + 1) % m for x in range(m)] + [m + (x + 1) % k for x in range(k)]]
+
+        def dihedral(m, k):
+            shift = [(x + 1) % m for x in range(m)] + [m + (x + 1) % k for x in range(k)]
+            flip = [-x % m for x in range(m)] + list(range(m, m + k))
+            return [shift, flip]
+
+        def cyclic_product(a, b):  # Z_a x Z_b on the points a*j + i
+            return [[a * j + (i + 1) % a for j in range(b) for i in range(a)],
+                    [a * ((j + 1) % b) + i for j in range(b) for i in range(a)]]
+
+        groups = [dihedral(m, 0) for m in (20, 27, 40)]
+        groups += [dihedral(24, 5), dihedral(17, 6), cyclic_product(4, 5), cyclic_product(3, 7)]
+        groups += [cycles(20, 3), cycles(33, 6), cycles(18, 4)]
+        for gens in groups:
+            n = len(gens[0])
+            # point x is relabelled q[x], and 0 stays in the largest orbit
+            q = [0, *(1 + rng.permutation(n - 1)).tolist()]
+            gens = [[q[g[x]] for x in np.argsort(q).tolist()] for g in gens]
+            group = group_closure(gens)
+            orbit, labels = _stabiliser_orbits(np.array(gens), np.zeros(n))
+            assert sorted(orbit) == sorted({h[0] for h in group})
+            assert len(orbit) > SCHREIER_BLOCK
+            stab = [h for h in group if h[0] == 0]
+            assert labels.tolist() == [min(h[x] for h in stab) for x in range(n)]
+
     def test_the_join_stops_at_the_classes_of_row_zero(self):
         # on Q_6 the stabiliser orbits are the distance classes of 0, over
         # several blocks of orbit points, whether or not the join stops early
@@ -814,6 +850,88 @@ class TestRootSymmetries:
         assert got.generators == ()
         assert got == min_cover(inst, symmetries=())
         assert got.optimal and len(got.chosen) == brute_minimum(inst)
+
+
+def reference_root_symmetries(inst: PairCoverInstance, seed) -> tuple[tuple[int, ...], ...]:
+    """The finder that root_symmetries replaced: both sides of every level
+    refined again for each candidate image, the orbit of 0 read off
+    orbit_partition labels, and each leaf checked through is_symmetry."""
+    m = inst.matrix
+    n = inst.n_choosers
+    if n < 2 or m.shape != (n, n) or m.dtype.kind not in "iu" or m.min() < 0 or m.max() > 255:
+        return ()
+    base = [0, *(v for v in seed if v != 0)]
+    width = int(m.max()) + 1
+    work = cover.FINDER_WORK * n
+    gens = []
+    labels = np.arange(n)
+    zero = np.zeros(n, dtype=np.intp)
+    for v in range(1, n):
+        if labels[v] == 0:
+            continue
+        stack = [(0, zero, zero, iter([v]))]
+        while stack:
+            i, cells, image_cells, cands = stack[-1]
+            c = next(cands, None)
+            if c is None:
+                stack.pop()
+                continue
+            work -= 1
+            if work < 0:
+                return tuple(gens)
+            keys = cells * width + m[base[i]]
+            image_keys = image_cells * width + m[c]
+            counts = np.bincount(keys, minlength=n * width)
+            if not np.array_equal(counts, np.bincount(image_keys, minlength=n * width)):
+                continue
+            ids = np.cumsum(counts > 0) - 1
+            refined, image_refined = ids[keys], ids[image_keys]
+            if ids[-1] == n - 1:
+                entity_of = np.empty_like(image_refined)
+                entity_of[image_refined] = np.arange(n)
+                perm = entity_of[refined]
+                if is_symmetry(inst, perm):
+                    gens.append(tuple(perm.tolist()))
+                    labels = orbit_partition(perm[None, :], labels)
+                    break
+            elif i + 1 < len(base):
+                nxt = np.flatnonzero(image_refined == refined[base[i + 1]])
+                stack.append((i + 1, refined, image_refined, iter(nxt.tolist())))
+    return tuple(gens)
+
+
+def relabelled_instance(dist: np.ndarray, seed: int) -> PairCoverInstance:
+    q = np.random.default_rng(seed).permutation(len(dist))
+    return build_instance(dist[np.ix_(q, q)])
+
+
+class TestFinderMatchesTheReference:
+    def check(self, inst: PairCoverInstance) -> tuple[tuple[int, ...], ...]:
+        seed = greedy_cover(inst)
+        got = root_symmetries(inst, seed)
+        assert got == reference_root_symmetries(inst, seed)
+        # the orbit mask, grown after each generator as the finder grows it
+        in_orbit = [True] + [False] * (inst.n_choosers - 1)
+        for k in range(1, len(got) + 1):
+            cover._close_orbit(in_orbit, list(got[:k]))
+            assert in_orbit == (orbit_partition(np.array(got[:k])) == 0).tolist()
+        return got
+
+    def test_relabelled_zoo_graphs(self):
+        found = 0
+        for name in sorted(SOLVABLE):
+            dist = np.asarray(ZOO[name]().distances.dist)
+            if len(dist) > 70:
+                continue
+            for seed in range(3):
+                found += len(self.check(relabelled_instance(dist, seed)))
+        assert found
+
+    def test_a_relabelled_projective_plane_spends_the_cap(self):
+        # PG(2,5): every point is at distance 2 from every other, so the
+        # codes barely refine and the work cap runs out before any leaf
+        dist = np.asarray(incidence_graph(pg2(5)).graph.distances.dist)
+        assert self.check(relabelled_instance(dist, 5)) == ()
 
 
 class TestMinCoverFindsSymmetries:
