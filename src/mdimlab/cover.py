@@ -17,11 +17,21 @@ a chunk straight into its uint64 columns of words, so a build needs words
 plus that buffer, not the whole chooser-by-item bool block (eight times
 words); a bool block that fits in PACK_BYTES is one chunk.  A search
 builds every other layer from words alone when it is made, and never
-reads the matrix: coverage[v] (over items), the int of row v of words;
-the static separator count of each item, a column sum of words unpacked
-a chunk of items at a time under the same bound, for the item groups;
-and resolvers[p] (over choosers), bit p of every row of words packed
-into an int, made when the search first reads item p.
+reads the matrix.  It is given its roots then, and keeps only the open
+items, those that some root's start leaves unseparated (_open_items):
+every node below a root holds its start, so an item that every start
+separates is covered everywhere in the tree (_Search says why the tree
+is the same).  When the orbit of chooser 0 is every chooser, every
+orbital root child (below) holds chooser 0, so the pairs that chooser 0
+separates go.  The open items keep their order, and "item" below means
+an open one.  When every item is open, as under a root with an empty
+start, the search reads words itself; otherwise _open_words gathers the
+open columns of words into words of their own, a chunk of items at a
+time under the same bound.  From those words come coverage[v] (over
+items), the int of row v; the static separator count of each item, a
+column sum unpacked a chunk of items at a time under the same bound,
+for the item groups; and resolvers[p] (over choosers), bit p of every
+row packed into an int, made when the search first reads item p.
 min_cover makes a search only when there is a tree to search, so a greedy
 answer builds nothing past words.
 
@@ -99,12 +109,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BadParameters
-from .graphs import _bit_rows, _packed_int, _packed_ints, as_ids, as_ints, iter_bits
+from .graphs import _bit_matrix, _bit_rows, _packed_int, _packed_ints, as_ids, as_ints, iter_bits
 
 DEFAULT_BUDGET = 10**8
 FINDER_WORK = 16  # candidate images per chooser, over all targets of one root_symmetries
 SCHREIER_BLOCK = 16  # orbit points whose Schreier generators are joined at once
 PACK_BYTES = 1 << 18  # bool buffer through which the pair bits are packed
+_BIT_MASKS = np.left_shift(1, np.arange(8)).astype(np.uint8)  # the bit of each place in a byte
 
 
 def _chunk_width(n_choosers: int, n_items: int) -> int:
@@ -388,30 +399,95 @@ def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[in
     return chosen
 
 
+def _open_items(
+    inst: PairCoverInstance, roots: Sequence[tuple[Sequence[int], int]]
+) -> np.ndarray | None:
+    """The items that some root's start leaves unseparated, as ascending
+    ids, or None when that is every item ("Layout").
+
+    The closed items are the AND over roots of the OR of each start's rows
+    of words; a root with an empty start closes none.
+    """
+    starts = [start for start, _ in roots]
+    if not all(len(start) for start in starts):
+        return None
+    packed = inst.words.view(np.uint8)
+    rows = {v: _packed_int(packed[v]) for start in starts for v in start}
+    closed = None
+    for start in starts:
+        row = 0
+        for v in start:
+            row |= rows[v]
+        closed = row if closed is None else closed & row
+    if not closed:
+        return None
+    return np.flatnonzero(_bit_matrix([closed], inst.n_items)[0] == 0)
+
+
+def _open_words(words: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The columns items of words, in their order, packed as words of their
+    own: gathered a chunk of items at a time under the build's bound, each
+    item's byte of every row masked to its bit."""
+    packed = words.view(np.uint8)
+    n_choosers, n_items = len(words), len(items)
+    out = np.zeros((n_choosers, -(-n_items // 64)), dtype=np.uint64)
+    cut = out.view(np.uint8)
+    byte, mask = items >> 3, _BIT_MASKS[items & 7]
+    width = max(_chunk_width(n_choosers, n_items), 1)  # 0 when there are no items
+    for a in range(0, n_items, width):
+        bits = np.take(packed, byte[a:a + width], axis=1)
+        bits &= mask[a:a + width]
+        # packbits zero-pads the last byte, and out is zero past it
+        chunk = np.packbits(bits, axis=1, bitorder="little")
+        cut[:, a // 8:a // 8 + chunk.shape[1]] = chunk
+    return out
+
+
 class _Stop(Exception):
     pass
 
 
 class _Search:
-    """Branch and bound state, built from inst.words alone ("Layout");
-    entry p of resolvers is None until the search first reads item p."""
+    """Branch and bound state over the open items of roots, built from
+    inst.words alone ("Layout"); entry p of resolvers is None until the
+    search first reads item p.
+
+    Keeping only the open items leaves the tree and its node count as
+    they are.  A closed item is covered at every node, so uncovered and
+    every dynamic count are unchanged.  The open items keep their order
+    and their static separator counts, so _pick_pivot and _completable
+    meet the same items in the same order.  Static chooser counts over
+    the open items still bound the dynamic ones from above, so
+    _coverage_reachable gives the same answers.  Chooser ids do not
+    change.
+    """
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
     PREFILTER = 4  # uncovered items whose separator sets the completion test intersects
-    BITS = tuple(np.uint8(1 << k) for k in range(8))  # _resolver's masks, built once
+    BITS = tuple(_BIT_MASKS)  # _resolver's masks as scalars, built once
 
-    def __init__(self, inst: PairCoverInstance, budget: int, lower_stop: int):
+    def __init__(
+        self,
+        inst: PairCoverInstance,
+        budget: int,
+        lower_stop: int,
+        roots: Sequence[tuple[Sequence[int], int]],
+    ):
         self.budget = budget
         self.lower_stop = lower_stop
-        self.all_items = (1 << inst.n_items) - 1
+        self.roots = roots
         self.nodes = 0
         self.exhausted = True
         self.best: list[int] = []
-        self.packed = packed = inst.words.view(np.uint8)
+        items = _open_items(inst, roots)
+        words = inst.words if items is None else _open_words(inst.words, items)
+        n_items = inst.n_items if items is None else len(items)
+        self.all_items = (1 << n_items) - 1
+        self.packed = packed = words.view(np.uint8)
         self.coverage = _packed_ints(packed)
         # the static separator count of each item is a column sum of words,
         # unpacked a chunk of items at a time under the build's bound
-        n_items, n_choosers = inst.n_items, inst.n_choosers
+        n_choosers = inst.n_choosers
         counts = np.zeros(n_items, dtype=np.min_scalar_type(n_choosers))
         width = max(_chunk_width(n_choosers, n_items), 1)  # 0 when there are no items
         for a in range(0, n_items, width):
@@ -422,7 +498,7 @@ class _Search:
         # sorted(set()): a plain np.unique imports numpy.ma (~16 ms) on its first call
         self.item_groups = _bit_rows(counts == np.array(sorted(set(counts.tolist())))[:, None])
         # choosers by descending static coverage, then id, for bound scans
-        cov_counts = np.add.reduce(np.bitwise_count(inst.words), axis=1).tolist()
+        cov_counts = np.add.reduce(np.bitwise_count(words), axis=1).tolist()
         self.chooser_order = sorted(range(inst.n_choosers), key=lambda v: (-cov_counts[v], v))
         self.cov_counts = cov_counts
 
@@ -432,15 +508,13 @@ class _Search:
         r = self.resolvers[p] = _packed_int(np.packbits(column, bitorder="little"))
         return r
 
-    def run(
-        self, roots: Sequence[tuple[Sequence[int], int]], seed: Sequence[int]
-    ) -> CoverResult:
+    def run(self, seed: Sequence[int]) -> CoverResult:
         """Search below each root (start, banned) in turn, for the covers
         that contain start and avoid banned, with one incumbent and one
         budget."""
         self.best = list(seed)
         try:
-            for start, banned in roots:
+            for start, banned in self.roots:
                 covered = 0
                 for v in start:
                     covered |= self.coverage[v]
@@ -612,7 +686,7 @@ def min_cover(
     if symmetries is None:
         symmetries = () if forced else root_symmetries(inst, seed)
     roots = _orbital_roots(inst, symmetries) if symmetries else [(forced, 0)]
-    res = _Search(inst, budget, lower_stop).run(roots, seed)
+    res = _Search(inst, budget, lower_stop, roots).run(seed)
     return replace(res, generators=symmetries)
 
 

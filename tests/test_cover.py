@@ -21,6 +21,7 @@ from mdimlab import (
 )
 from mdimlab.cover import (
     SCHREIER_BLOCK,
+    _open_items,
     _orbital_roots,
     _Search,
     _stabiliser_orbits,
@@ -30,9 +31,13 @@ from mdimlab.cover import (
 )
 from mdimlab import cover
 from mdimlab import mdim as mdim_module
+from mdimlab.mdim import twin_forced_choices
 from mdimlab.designs import incidence_graph, pg2
 from mdimlab.graphs import Graph, iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
+
+# one root with an empty start: a search made with it keeps every item
+WHOLE = [([], 0)]
 
 
 def word_rows(inst: PairCoverInstance) -> tuple[int, ...]:
@@ -120,7 +125,7 @@ def assert_static_layers(inst: PairCoverInstance, coverage, resolvers) -> None:
     """A fresh search on inst has the separator sets, item groups and
     chooser order of the per-column builder's coverage and resolvers."""
     counts = [r.bit_count() for r in resolvers]
-    search = _Search(inst, budget=0, lower_stop=0)
+    search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
     assert tuple(map(search._resolver, range(inst.n_items))) == resolvers
     assert search.item_groups == tuple(
         sum(1 << p for p, c in enumerate(counts) if c == k) for k in sorted(set(counts))
@@ -134,7 +139,7 @@ def assert_static_layers(inst: PairCoverInstance, coverage, resolvers) -> None:
 
 def search_layers(inst: PairCoverInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """coverage and every resolver of a fresh search on inst."""
-    search = _Search(inst, budget=0, lower_stop=0)
+    search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
     return tuple(search.coverage), tuple(map(search._resolver, range(inst.n_items)))
 
 
@@ -269,8 +274,8 @@ class TestLayersOnFirstRead:
     def test_a_budgeted_search_converts_only_the_items_it_reads(self):
         inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
         _, want = reference_build(np.asarray(inst.matrix))
-        search = _Search(inst, budget=40, lower_stop=0)
-        res = search.run([([], 0)], seed=greedy_cover(inst))
+        search = _Search(inst, budget=40, lower_stop=0, roots=WHOLE)
+        res = search.run(seed=greedy_cover(inst))
         assert res.nodes == 40 and not res.optimal
         read = [p for p, r in enumerate(search.resolvers) if r is not None]
         assert 0 < len(read) < inst.n_items // 10
@@ -283,7 +288,7 @@ class TestLayersOnFirstRead:
             m = rng.integers(0, 3, size=shape)
             _, want = reference_build(m)
             inst = build_instance(m)
-            search = _Search(inst, budget=0, lower_stop=0)
+            search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
             # read half the items in a random order: only they are converted
             order = rng.permutation(inst.n_items).tolist()
             half = order[: len(order) // 2]
@@ -302,21 +307,36 @@ class TestLayersOnFirstRead:
         # the instance gives the same tree, node for node
         inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
         seed = greedy_cover(inst)
-        want = _Search(inst, budget=10**8, lower_stop=0).run([([], 0)], seed)
-        got = _Search(replace(inst, matrix=None), budget=10**8, lower_stop=0).run([([], 0)], seed)
+        want = _Search(inst, budget=10**8, lower_stop=0, roots=WHOLE).run(seed)
+        blind = replace(inst, matrix=None)
+        got = _Search(blind, budget=10**8, lower_stop=0, roots=WHOLE).run(seed)
         assert got == want and got.nodes == 14_026
 
     def test_the_set_up_working_set_is_words_twice_and_one_chunk(self):
         inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
         tracemalloc.start()
         try:
-            _Search(inst, budget=0, lower_stop=0)
+            _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the coverage ints and the bytes they are read from hold words
         # twice; one unpacked chunk of items and small temporaries fit in
         # the rest
+        assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
+
+    def test_the_cut_set_up_working_set_is_words_twice_and_one_chunk(self):
+        # under the orbital roots of Q_8 the open columns are gathered a
+        # chunk at a time, within the bound of a search that keeps them all
+        inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
+        roots = _orbital_roots(inst, root_symmetries(inst, greedy_cover(inst)))
+        tracemalloc.start()
+        try:
+            search = _Search(inst, budget=0, lower_stop=0, roots=roots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(search.resolvers) == 6_307
         assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
 
     def test_static_counts_match_bit_count(self):
@@ -709,7 +729,7 @@ class TestRootSymmetry:
         assert roots == [([0], 0)]
         got = min_cover(inst, symmetries=[self.shift(7)])
         assert got.chosen == (0,) and got.optimal
-        got = _Search(inst, budget=100, lower_stop=0).run(roots, seed=[1, 2])
+        got = _Search(inst, budget=100, lower_stop=0, roots=roots).run(seed=[1, 2])
         assert got.chosen == (0,) and got.optimal
 
     def test_stabiliser_orbits_match_the_enumerated_group(self):
@@ -992,7 +1012,7 @@ class TestItemOrder:
             inst = build_instance(rng.integers(0, 2, size=shape))
             counts = [r.bit_count() for r in reference_build(inst.matrix)[1]]
             want = sorted(range(inst.n_items), key=lambda p: (counts[p], p))
-            groups = _Search(inst, budget=0, lower_stop=0).item_groups
+            groups = _Search(inst, budget=0, lower_stop=0, roots=WHOLE).item_groups
             assert [p for group in groups for p in iter_bits(group)] == want
             group_counts = [{counts[p] for p in iter_bits(group)} for group in groups]
             assert group_counts == [{c} for c in sorted(set(counts))]
@@ -1034,7 +1054,7 @@ class TestPickPivot:
             rng = np.random.default_rng(seed)
             shape = (int(rng.integers(2, 70)), int(rng.integers(2, 20)))
             inst = build_instance(rng.integers(0, int(rng.integers(2, 5)), size=shape))
-            search = _Search(inst, budget=0, lower_stop=0)
+            search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
             _, resolvers = reference_build(inst.matrix)
             all_items = (1 << inst.n_items) - 1
             every = (1 << inst.n_choosers) - 1
@@ -1060,7 +1080,7 @@ class TestPickPivot:
     def test_nothing_uncovered(self):
         rng = np.random.default_rng(3)
         inst = build_instance(rng.integers(0, 3, size=(9, 8)))
-        assert _Search(inst, budget=0, lower_stop=0)._pick_pivot(0, 0) == 0
+        assert _Search(inst, budget=0, lower_stop=0, roots=WHOLE)._pick_pivot(0, 0) == 0
 
 
 class TestCompletionTest:
@@ -1078,7 +1098,7 @@ class TestCompletionTest:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             inst = build_instance(rng.integers(0, 3, size=(7, 9)))
-            search = _Search(inst, budget=0, lower_stop=0)
+            search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
             coverage, resolvers = reference_build(inst.matrix)
             all_items = (1 << inst.n_items) - 1
             for _ in range(30):
@@ -1101,7 +1121,7 @@ class TestCompletionTest:
     def test_every_chooser_banned(self):
         rng = np.random.default_rng(0)
         inst = build_instance(rng.integers(0, 3, size=(6, 6)))
-        search = _Search(inst, budget=0, lower_stop=0)
+        search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
         every = (1 << inst.n_choosers) - 1
         for p in range(inst.n_items):
             assert not self.check(inst, search, 1 << p, every)
@@ -1110,7 +1130,7 @@ class TestCompletionTest:
     def test_exactly_one_uncovered_item(self):
         rng = np.random.default_rng(1)
         inst = build_instance(rng.integers(0, 3, size=(6, 6)))
-        search = _Search(inst, budget=0, lower_stop=0)
+        search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
         _, resolvers = reference_build(inst.matrix)
         for p in range(inst.n_items):
             for v in range(inst.n_choosers):
@@ -1126,7 +1146,7 @@ class TestCompletionTest:
         m[0, 1:] = 1
         m[1, 2] = 1
         inst = build_instance(m)
-        search = _Search(inst, budget=0, lower_stop=0)
+        search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
         first_k = (1 << k) - 1
         pairs = list(combinations(range(inst.n_entities), 2))
         assert pairs[:k] == [(0, j) for j in range(1, k + 1)]
@@ -1134,3 +1154,141 @@ class TestCompletionTest:
         assert self.check(inst, search, first_k, 0)
         assert not self.check(inst, search, first_k | 1 << p12, 0)
         assert not self.check(inst, search, first_k | 1 << p12, 0b10)
+
+
+def keep_every_item(monkeypatch) -> None:
+    """Make every search keep every item, as under a root with an empty
+    start."""
+    monkeypatch.setattr(cover, "_open_items", lambda inst, roots: None)
+
+
+def compressed(row: int, items) -> int:
+    """The bits items of row, in their order, as an int of their own."""
+    return sum(1 << q for q, p in enumerate(items) if row >> p & 1)
+
+
+class TestOpenItems:
+    """A search keeps only the items that some root's start leaves
+    unseparated.  Its tree, node count and answer are those of a search
+    that keeps every item."""
+
+    @staticmethod
+    def solve_both(monkeypatch, inst: PairCoverInstance, **kwargs) -> CoverResult:
+        got = min_cover(inst, **kwargs)
+        with monkeypatch.context() as m:
+            keep_every_item(m)
+            want = min_cover(inst, **kwargs)
+        assert (got.chosen, got.nodes, got.optimal, got.generators) == (
+            want.chosen, want.nodes, want.optimal, want.generators)
+        return got
+
+    def test_relabelled_zoo_graphs(self, monkeypatch):
+        for name in sorted(SOLVABLE):
+            dist = np.asarray(ZOO[name]().distances.dist)
+            if len(dist) > 70:
+                continue
+            for seed in range(3):
+                self.solve_both(monkeypatch, relabelled_instance(dist, seed))
+
+    def test_a_twin_forced_graph(self, monkeypatch):
+        # a seeded random graph with a twin of vertex 3 added: the forced
+        # twin is the one root's start, and no symmetry is looked for
+        rng = np.random.default_rng(4)
+        while True:
+            g = Graph.from_edges(14, [(u, w) for u, w in combinations(range(14), 2)
+                                      if rng.random() < 0.25])
+            if g.distances.connected:
+                break
+        edges = list(g.edges()) + [(14, w) for w in iter_bits(g.adj[3])]
+        g = Graph.from_edges(15, edges)
+        forced = twin_forced_choices(g)
+        assert forced
+        inst = build_instance(np.asarray(g.distances.dist))
+        assert len(_open_items(inst, [(forced, 0)])) < inst.n_items
+        got = self.solve_both(monkeypatch, inst, forced=forced)
+        assert got.nodes and got.generators == ()
+
+    def test_random_square_instances(self, monkeypatch):
+        # circulants, whose shift moves chooser 0 to every chooser, and
+        # plain random matrices with a forced chooser or none
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            n = int(rng.integers(4, 13))
+            if rng.random() < 0.5:
+                inst = TestRootSymmetry.circulant(rng, n)
+                kwargs = {}
+            else:
+                inst = build_instance(rng.integers(0, 3, size=(n, n)))
+                kwargs = {"forced": rng.choice(n, size=int(rng.integers(0, 3)), replace=False)}
+            if brute_minimum(inst) is None:
+                continue
+            self.solve_both(monkeypatch, inst, **kwargs)
+
+    def test_one_word_chunks(self, monkeypatch):
+        # a budget under 128 bytes makes every gathered chunk one word
+        monkeypatch.setattr(cover, "PACK_BYTES", 64)
+        for name in ("Q_6", "johnson_8_4", "taylor_paley_17"):
+            dist = np.asarray(ZOO[name]().distances.dist)
+            self.solve_both(monkeypatch, relabelled_instance(dist, 1))
+
+    @pytest.mark.parametrize("name,kept", [
+        ("Q_6", 430), ("johnson_8_4", 870), ("doubled_odd_4", 450),
+        ("biplane_incidence", 165), ("taylor_paley_17", 272), ("gq22_incidence", 112),
+    ])
+    def test_every_orbital_root_holds_chooser_0(self, name, kept):
+        # the kept items are the pairs that chooser 0 leaves unseparated
+        inst = build_instance(np.asarray(ZOO[name]().distances.dist))
+        roots = _orbital_roots(inst, root_symmetries(inst, greedy_cover(inst)))
+        items = _open_items(inst, roots)
+        row0 = word_rows(inst)[0]
+        assert items.tolist() == [p for p in range(inst.n_items) if not row0 >> p & 1]
+        assert len(items) == kept
+
+    def test_the_closed_items_are_those_every_start_separates(self):
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            inst = build_instance(rng.integers(0, 3, size=(8, int(rng.integers(2, 14)))))
+            rows = word_rows(inst)
+            roots = [(rng.choice(8, size=int(rng.integers(1, 4)), replace=False).tolist(), 0)
+                     for _ in range(int(rng.integers(1, 4)))]
+            closed = (1 << inst.n_items) - 1
+            for start, _ in roots:
+                separated = 0
+                for v in start:
+                    separated |= rows[v]
+                closed &= separated
+            want = [p for p in range(inst.n_items) if not closed >> p & 1]
+            got = _open_items(inst, roots)
+            assert (got is None and len(want) == inst.n_items) or got.tolist() == want
+            assert _open_items(inst, roots + [([], 0)]) is None
+
+    def test_chooser_zero_alone_leaves_no_item_open(self):
+        # every row is a permutation of range(7), so each chooser separates
+        # every pair; the seed [0] is one above lower_stop 0, and the one
+        # root, 0 forced, closes every item
+        n = 7
+        inst = build_instance(np.array([[(j - i) % n for j in range(n)] for i in range(n)]))
+        shift = tuple(TestRootSymmetry.shift(n))
+        roots = _orbital_roots(inst, [shift])
+        assert roots == [([0], 0)] and len(_open_items(inst, roots)) == 0
+        search = _Search(inst, budget=100, lower_stop=0, roots=roots)
+        assert search.all_items == 0 and search.coverage == (0,) * n
+        assert search.item_groups == () and search.cov_counts == [0] * n
+        got = min_cover(inst)
+        assert (got.chosen, got.nodes, got.optimal, got.generators) == ((0,), 1, True, (shift,))
+
+    def test_an_open_count_off_byte_and_word_edges(self):
+        # Q_6 keeps 430 items: the gathered words end inside a byte and a
+        # word, with no bit past the last item
+        inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
+        seed = greedy_cover(inst)
+        roots = _orbital_roots(inst, root_symmetries(inst, seed))
+        items = _open_items(inst, roots).tolist()
+        assert len(items) == 430 and len(items) % 8 and len(items) % 64
+        search = _Search(inst, budget=10**8, lower_stop=0, roots=roots)
+        assert search.all_items == (1 << 430) - 1
+        assert search.coverage == tuple(compressed(row, items) for row in word_rows(inst))
+        _, resolvers = reference_build(np.asarray(inst.matrix))
+        assert [search._resolver(q) for q in range(430)] == [resolvers[p] for p in items]
+        got = search.run(seed)
+        assert (got.chosen, got.nodes, got.optimal) == ((0, 2, 7, 9, 19), 102, True)

@@ -17,6 +17,7 @@ from mdimlab import (
     MdimlabError,
     SymmetricDesign,
     babai_bounds,
+    bipartite_double,
     bfs_distances,
     certify,
     design_complement,
@@ -297,6 +298,24 @@ class TestMdimExact:
         assert cert.status == "minimum" and cert.method == "exact-bnb-sym"
         assert cert.mu == 6 and is_resolving(g.distances, cert.set)
         assert cert.nodes_explored == 39909
+
+    # the two proofs whose search keeps the fewest of its pairs: every
+    # root holds vertex 0, so only the pairs it leaves unseparated stay
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "build, nodes",
+        [
+            (lambda: bipartite_double(family("odd", 5)).graph, 40404),
+            (lambda: family("johnson", 10, 5), 28024),
+        ],
+        ids=["doubled_odd_5", "johnson_10_5"],
+    )
+    def test_orbital_branching_proves_the_open_pair_searches(self, build, nodes):
+        g = build()
+        cert = mdim_exact(g)
+        assert cert.status == "minimum" and cert.method == "exact-bnb-sym"
+        assert cert.mu == 6 and is_resolving(g.distances, cert.set)
+        assert cert.nodes_explored == nodes
 
 
 def relabel(g: Graph, seed: int) -> Graph:
