@@ -1156,12 +1156,6 @@ class TestCompletionTest:
         assert not self.check(inst, search, first_k | 1 << p12, 0b10)
 
 
-def keep_every_item(monkeypatch) -> None:
-    """Make every search keep every item, as under a root with an empty
-    start."""
-    monkeypatch.setattr(cover, "_open_items", lambda inst, roots: None)
-
-
 def compressed(row: int, items) -> int:
     """The bits items of row, in their order, as an int of their own."""
     return sum(1 << q for q, p in enumerate(items) if row >> p & 1)
@@ -1176,7 +1170,8 @@ class TestOpenItems:
     def solve_both(monkeypatch, inst: PairCoverInstance, **kwargs) -> CoverResult:
         got = min_cover(inst, **kwargs)
         with monkeypatch.context() as m:
-            keep_every_item(m)
+            # every search keeps every item, as under a root with an empty start
+            m.setattr(cover, "_open_items", lambda inst, roots: None)
             want = min_cover(inst, **kwargs)
         assert (got.chosen, got.nodes, got.optimal, got.generators) == (
             want.chosen, want.nodes, want.optimal, want.generators)
