@@ -223,7 +223,7 @@ def _cmd_semiresolve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     only = set(args.only.split(",")) if args.only is not None else None
-    report = run_suite(include_slow=args.include_slow, only=only)
+    report = run_suite(only=only)
     _emit(report.to_json(), args.json, report.render())
     return EXIT_OK if report.ok else EXIT_USER
 
@@ -356,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_semiresolve)
 
     p = sub.add_parser("verify", parents=[as_json], help="golden-value regression suite")
-    p.add_argument("--include-slow", action="store_true")
     p.add_argument("--only", help="comma-separated row ids")
     p.set_defaults(fn=_cmd_verify)
 

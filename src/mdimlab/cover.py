@@ -119,10 +119,9 @@ _BIT_MASKS = np.left_shift(1, np.arange(8)).astype(np.uint8)  # the bit of each 
 
 
 def _chunk_width(n_choosers: int, n_items: int) -> int:
-    """Items per chunk: whole words, PACK_BYTES of bools or one word of
-    items per chooser if that is more, and no more words than the items
-    fill."""
-    return 64 * min(-(-n_items // 64), max(1, PACK_BYTES // (64 * max(n_choosers, 1))))
+    """Items per chunk: whole words, as many as PACK_BYTES of bools holds
+    over all choosers but no more than the items fill, and at least one."""
+    return 64 * max(1, min(-(-n_items // 64), PACK_BYTES // (64 * max(n_choosers, 1))))
 
 
 def _pair_chunks(matrix: np.ndarray, sep: np.ndarray) -> Iterator[tuple[int, int]]:
@@ -433,7 +432,7 @@ def _open_words(words: np.ndarray, items: np.ndarray) -> np.ndarray:
     out = np.zeros((n_choosers, -(-n_items // 64)), dtype=np.uint64)
     cut = out.view(np.uint8)
     byte, mask = items >> 3, _BIT_MASKS[items & 7]
-    width = max(_chunk_width(n_choosers, n_items), 1)  # 0 when there are no items
+    width = _chunk_width(n_choosers, n_items)
     for a in range(0, n_items, width):
         bits = np.take(packed, byte[a:a + width], axis=1)
         bits &= mask[a:a + width]
@@ -489,7 +488,7 @@ class _Search:
         # unpacked a chunk of items at a time under the build's bound
         n_choosers = inst.n_choosers
         counts = np.zeros(n_items, dtype=np.min_scalar_type(n_choosers))
-        width = max(_chunk_width(n_choosers, n_items), 1)  # 0 when there are no items
+        width = _chunk_width(n_choosers, n_items)
         for a in range(0, n_items, width):
             bits = np.unpackbits(packed[:, a // 8:(a + width) // 8], axis=1, bitorder="little")
             np.add.reduce(bits[:, :n_items - a], axis=0, out=counts[a:a + width])
@@ -497,9 +496,9 @@ class _Search:
         # one item mask per static separator count, in ascending count order
         # sorted(set()): a plain np.unique imports numpy.ma (~16 ms) on its first call
         self.item_groups = _bit_rows(counts == np.array(sorted(set(counts.tolist())))[:, None])
-        # choosers by descending static coverage, then id, for bound scans
+        # choosers by descending static coverage, then id (stable sort), for bound scans
         cov_counts = np.add.reduce(np.bitwise_count(words), axis=1).tolist()
-        self.chooser_order = sorted(range(inst.n_choosers), key=lambda v: (-cov_counts[v], v))
+        self.chooser_order = sorted(range(inst.n_choosers), key=lambda v: -cov_counts[v])
         self.cov_counts = cov_counts
 
     def _resolver(self, p: int) -> int:
@@ -555,9 +554,9 @@ class _Search:
         if pivot_resolvers == 0:
             return  # some pair lost all its separators
         coverage = self.coverage
+        # iter_bits ascends, and sorted is stable: ties stay by ascending id
         cands = sorted(
-            iter_bits(pivot_resolvers),
-            key=lambda v: (-(coverage[v] & uncovered).bit_count(), v),
+            iter_bits(pivot_resolvers), key=lambda v: -(coverage[v] & uncovered).bit_count()
         )
         tried = 0
         for v in cands:

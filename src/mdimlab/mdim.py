@@ -155,6 +155,12 @@ def lower_bound_nd(n: int, d: int) -> int:
     return mu
 
 
+def _root_lower_bound(g: Graph) -> int:
+    """lower_bound_nd(n, diameter), or 0 unless g is connected with n > 1."""
+    dm = g.distances
+    return lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
+
+
 def mdim_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ResolvingCertificate:
     """Exact metric dimension with a verified witness.
 
@@ -175,10 +181,9 @@ def mdim_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ResolvingCertificate:
     "exact-bnb-sym" and carries the generators.
     """
     dm = g.distances
-    # the distance-alphabet counting bound needs a finite diameter
-    lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
     res = min_cover(
-        pair_cover_instance(dm), forced=twin_forced_choices(g), budget=budget, lower_stop=lb
+        pair_cover_instance(dm), forced=twin_forced_choices(g), budget=budget,
+        lower_stop=_root_lower_bound(g),
     )
     method = "exact-bnb-sym" if res.generators else "exact-bnb"
     return _from_cover(res, first_unresolved_pair(dm, res.chosen), method)

@@ -2,13 +2,11 @@
 
 Every quantitative claim the library stands behind lives in data/golden.json
 as one row: an id, a human-readable claim, a provenance label ("formula",
-"computed", or "literature"), a tier, the name of a registered check, its
+"computed", or "literature"), the name of a registered check, its
 arguments, and the frozen expected value.  Running the suite recomputes each
-runnable row and compares; "recorded" rows are literature values with no
-constructor in this package and are reported without being recomputed.
-
-Tiers: "default" rows run always, "slow" rows only with include_slow,
-"recorded" rows never run.
+row that names a check and compares; a row with no check ("recorded") is a
+literature value with no constructor in this package and is reported
+without being recomputed.
 """
 
 from __future__ import annotations
@@ -37,11 +35,11 @@ from .imprimitivity import classify_ah, fold, halve
 from .lifting import lift_folded, lift_halved, taylor_lift
 from .mdim import (
     ResolvingCertificate,
+    _root_lower_bound,
     babai_bounds,
     exhaustive_mdim,
     is_resolving,
     is_semi_resolving_for_blocks,
-    lower_bound_nd,
     mdim_exact,
     mdim_greedy,
     min_semi_resolving,
@@ -55,7 +53,6 @@ class GoldenRow:
     id: str
     claim: str
     source: str
-    tier: str
     check: str | None
     args: dict[str, Any]
     expected: Any
@@ -65,7 +62,7 @@ class GoldenRow:
 class RowResult:
     row: GoldenRow
     computed: Any
-    ok: bool | None  # None: not run (recorded or filtered out)
+    ok: bool | None  # None: recorded, not run
 
     @property
     def ran(self) -> bool:
@@ -122,7 +119,6 @@ class Report:
                     "id": r.row.id,
                     "claim": r.row.claim,
                     "source": r.row.source,
-                    "tier": r.row.tier,
                     "expected": r.row.expected,
                     "computed": r.computed,
                     "pass": r.ok,
@@ -148,11 +144,10 @@ def load_golden() -> list[GoldenRow]:
 
 
 def _graph_from_args(args: dict[str, Any]) -> Graph:
-    """The graph a row names: family with params, or a ZOO entry under
-    "zoo" or "name"."""
+    """The graph a row names: family with params, or the ZOO entry "name"."""
     if "family" in args:
         return families.family(args["family"], *args.get("params", ()))
-    return ZOO[args.get("zoo") or args["name"]]()
+    return ZOO[args["name"]]()
 
 
 # the certificates solved in the current run_suite call, keyed by (n, adj);
@@ -329,9 +324,8 @@ def _check_bounds_chain(args: dict[str, Any]) -> dict[str, Any]:
     violations = []
     for name in sorted(ZOO):
         g = ZOO[name]()
-        dm = g.distances
         greedy = len(mdim_greedy(g).set)
-        lb = lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
+        lb = _root_lower_bound(g)
         if name in SOLVABLE:
             mu = _solve(g).mu
             if not lb <= mu <= greedy:
@@ -407,6 +401,8 @@ def run_suite(
     search proves no minimum fails, with the BudgetExceeded message as its
     computed value.
     """
+    # include_slow is ignored but stays: perfbench/workloads.py, kept fixed
+    # so that benchmark runs compare, passes it
     rows = load_golden()
     if only is not None:
         unknown = sorted(only - {row.id for row in rows})
@@ -418,8 +414,7 @@ def run_suite(
         for row in rows:
             if only is not None and row.id not in only:
                 continue
-            runnable = row.check is not None and (row.tier != "slow" or include_slow)
-            if not runnable:
+            if row.check is None:
                 results.append(RowResult(row=row, computed=None, ok=None))
                 continue
             try:

@@ -535,6 +535,8 @@ class TestVerifyAndOracle:
         assert payload["ok"]
         assert payload["counts"] == {"passed": 2, "failed": 0, "recorded": 0}
         assert all(row["pass"] for row in payload["rows"])
+        assert all(set(row) == {"id", "claim", "source", "expected", "computed", "pass"}
+                   for row in payload["rows"])
 
     def test_misspelt_only_id_exits_1(self):
         code, out, err = run("verify", "--only", "mu-petersn")
@@ -545,6 +547,16 @@ class TestVerifyAndOracle:
         code, out, err = run("verify", "--only", "")
         assert code == 1 and out == ""
         assert "error: unknown row ids: ''" in err
+
+    def test_the_biplane_row_runs_alone(self):
+        code, out, _ = run("verify", "--only", "biplane-mu")
+        assert code == 0
+        assert out.splitlines()[-1] == "1 passed, 0 failed, 0 recorded"
+
+    def test_include_slow_is_no_option(self):
+        code, out, err = run("verify", "--include-slow")
+        assert code == 1 and out == ""
+        assert "error: unrecognized arguments: --include-slow" in err
 
     def test_verify_takes_no_budget(self):
         code, out, err = run("verify", "--budget", "1")

@@ -3,7 +3,9 @@ tamper detection, and the exhaustive re-derivation hook."""
 
 import dataclasses
 import functools
+import json
 import sys
+from importlib import resources
 
 import pytest
 
@@ -44,14 +46,19 @@ def spy_on_solves(monkeypatch) -> list:
 
 
 @pytest.fixture(scope="module")
-def slow_tier_solves():
-    """The keys solved by two successive slow-tier runs, and by every
+def default_report():
+    return run_suite()
+
+
+@pytest.fixture(scope="module")
+def run_solves():
+    """The keys solved by two successive default runs, and by every
     runnable row's check called directly, outside a run."""
     with pytest.MonkeyPatch.context() as mp:
         keys = spy_on_solves(mp)
         runs = []
         for _ in range(2):
-            run_suite(include_slow=True)
+            run_suite()
             runs.append(list(keys))
             keys.clear()
         for row in load_golden():
@@ -71,7 +78,14 @@ class TestGoldenTable:
         for row in load_golden():
             assert row.claim
             assert row.source in {"formula", "computed", "literature"}
-            assert row.tier in {"default", "slow", "recorded"}
+            assert isinstance(row.args, dict)
+
+    def test_every_entry_has_exactly_the_row_fields(self):
+        raw = resources.files("mdimlab.data").joinpath("golden.json").read_text()
+        fields = {"id", "claim", "source", "check", "args", "expected"}
+        assert {f.name for f in dataclasses.fields(GoldenRow)} == fields
+        for entry in json.loads(raw)["entries"]:
+            assert set(entry) == fields, entry["id"]
 
     def test_runnable_rows_name_registered_checks(self):
         for row in load_golden():
@@ -79,18 +93,19 @@ class TestGoldenTable:
                 assert row.check in CHECKS, row.id
 
     def test_recorded_rows_have_no_check(self):
-        recorded = [r for r in load_golden() if r.tier == "recorded"]
-        assert recorded, "the table should keep some literature-only rows"
+        # a row is recorded, shown but not run, iff it names no check
+        recorded = [r for r in load_golden() if r.check is None]
+        assert [r.id for r in recorded] == [
+            "recorded-gq33", "recorded-taylor-72", "recorded-plane-4q-4",
+        ]
         for row in recorded:
-            assert row.check is None
             assert row.source == "literature"
 
 
 class TestRunSuite:
-    def test_default_tier_passes(self):
-        report = run_suite()
-        assert report.ok
-        counts = report.counts
+    def test_default_tier_passes(self, default_report):
+        assert default_report.ok
+        counts = default_report.counts
         assert counts["failed"] == 0
         assert counts["passed"] > 50
 
@@ -104,11 +119,15 @@ class TestRunSuite:
         with pytest.raises(BadParameters, match="unknown row ids: 'mu-petersn', 'zz-typo'$"):
             run_suite(only={"zz-typo", "mu-petersen", "mu-petersn"})
 
-    def test_slow_rows_wait_for_the_flag(self):
-        default = run_suite(only={"biplane-mu"})
-        assert not default.results[0].ran
-        slow = run_suite(only={"biplane-mu"}, include_slow=True)
-        assert slow.results[0].ran and slow.ok
+    def test_a_default_run_is_the_whole_table(self, default_report):
+        assert default_report.counts == {"passed": 70, "failed": 0, "recorded": 3}
+        rows = load_golden()
+        assert [r.row for r in default_report.results] == rows
+        assert all(r.ran == (r.row.check is not None) for r in default_report.results)
+
+    def test_include_slow_is_ignored(self, default_report):
+        for include_slow in (True, False):
+            assert run_suite(include_slow=include_slow).results == default_report.results
 
     def test_recorded_rows_render_without_running(self):
         report = run_suite(only={"recorded-gq33"})
@@ -125,16 +144,16 @@ class TestRunSuite:
 
 
 class TestRunMemo:
-    def test_no_graph_is_solved_twice_in_a_run(self, slow_tier_solves):
-        (first, _), _ = slow_tier_solves
+    def test_no_graph_is_solved_twice_in_a_run(self, run_solves):
+        (first, _), _ = run_solves
         assert len(first) == len(set(first))
 
-    def test_a_run_solves_what_the_direct_checks_solve(self, slow_tier_solves):
-        (first, _), direct = slow_tier_solves
+    def test_a_run_solves_what_the_direct_checks_solve(self, run_solves):
+        (first, _), direct = run_solves
         assert set(first) == direct
 
-    def test_nothing_leaks_into_the_next_run(self, slow_tier_solves):
-        (first, second), _ = slow_tier_solves
+    def test_nothing_leaks_into_the_next_run(self, run_solves):
+        (first, second), _ = run_solves
         assert len(second) == len(first)
 
     def test_the_memo_is_dropped_when_a_check_raises(self, monkeypatch):
