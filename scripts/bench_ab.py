@@ -34,6 +34,7 @@ TRACED = (
     "mdim.mdim_exact.distinct_ratio",
     "cover.greedy_cover.calls",
     "cover.min_cover.nodes",
+    "cover.min_cover.nodes_per_s",
     "cover.min_cover.self_s",
     "mdim.twin_forced_choices.forced",
     "mdim.min_semi_resolving.calls",

@@ -23,11 +23,14 @@ every node below a root holds its start, so an item that every start
 separates is covered everywhere in the tree (_Search says why the tree
 is the same).  When the orbit of chooser 0 is every chooser, every
 orbital root child (below) holds chooser 0, so the pairs that chooser 0
-separates go.  The open items keep their order, and "item" below means
-an open one.  When every item is open, as under a root with an empty
-start, the search reads words itself; otherwise _open_words gathers the
-open columns of words into words of their own, a chunk of items at a
-time under the same bound.  From those words come coverage[v] (over
+separates go.  A root with an empty start closes the items that every
+chooser separates, such as the pairs across the two sides of a bipartite
+graph: its first choice covers them, and its top node, the one node that
+leaves them uncovered, is handed their count.  The open items keep their
+order, and "item" below means an open one.  When every item is open the
+search reads words itself; otherwise _open_words gathers the open
+columns of words into words of their own, a chunk of items at a time
+under the same bound.  From those words come coverage[v] (over
 items), the int of row v; the static separator count of each item, a
 column sum unpacked a chunk of items at a time under the same bound,
 for the item groups; and resolvers[p] (over choosers), bit p of every
@@ -43,8 +46,14 @@ order of static separator count: one item mask per count, read through
 uncovered & mask, so covered items cost nothing.  Pruning uses chosen +
 ceil(remaining / best possible marginal coverage) against the incumbent,
 plus an optional external lower bound that stops the search as soon as it
-is met.  All tie-breaks are by ascending id, so results are fully
-deterministic.
+is met.  The scan for that coverage walks the choosers by descending
+upper bounds on their counts and stops at the first bound below the
+threshold.  The top node of a root reads the static counts.  A node with
+slack three or more that branches counts every chooser over its uncovered
+items in one pass, sorts its candidates by those counts, and hands them to
+its subtree: uncovered only shrinks down the tree, so they bound every
+count below it, and more tightly than the static ones.  All tie-breaks are
+by ascending id, so results are fully deterministic.
 
 When that bound asks one chooser to cover every uncovered pair (slack one,
 or a single pair left), a completion test answers it instead of the
@@ -109,7 +118,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BadParameters
-from .graphs import _bit_matrix, _bit_rows, _packed_int, _packed_ints, as_ids, as_ints, iter_bits
+from .graphs import _bit_matrix, _bit_rows, _packed_int, _packed_ints, as_ids, as_ints
 
 DEFAULT_BUDGET = 10**8
 FINDER_WORK = 16  # candidate images per chooser, over all targets of one root_symmetries
@@ -405,16 +414,17 @@ def _open_items(
     ids, or None when that is every item ("Layout").
 
     The closed items are the AND over roots of the OR of each start's rows
-    of words; a root with an empty start closes none.
+    of words.  A root with an empty start closes the items that every
+    chooser separates, the AND of all rows: its first choice covers them.
     """
-    starts = [start for start, _ in roots]
-    if not all(len(start) for start in starts):
-        return None
     packed = inst.words.view(np.uint8)
-    rows = {v: _packed_int(packed[v]) for start in starts for v in start}
+    rows = {v: _packed_int(packed[v]) for start, _ in roots for v in start}
+    every = 0
+    if not all(len(start) for start, _ in roots):
+        every = _packed_int(np.bitwise_and.reduce(inst.words, axis=0).view(np.uint8))
     closed = None
-    for start in starts:
-        row = 0
+    for start, _ in roots:
+        row = 0 if len(start) else every
         for v in start:
             row |= rows[v]
         closed = row if closed is None else closed & row
@@ -459,6 +469,23 @@ class _Search:
     the open items still bound the dynamic ones from above, so
     _coverage_reachable gives the same answers.  Chooser ids do not
     change.
+
+    The top node of a root with an empty start is the exception: there
+    the closed items, those that every chooser separates, are still
+    uncovered.  Every chooser covers all of them, so each static and
+    dynamic count is short by the same number, hidden, which the leaf
+    test, the uncovered count and the scan's threshold add back; and with
+    every chooser as separators they formed the last item group alone, so
+    the pivot walk met them only when no open item was left, where the
+    least unbanned chooser was the first candidate and finished.  That
+    case is taken on its own, so _completable and _pick_pivot never see
+    an empty uncovered set.
+
+    Scanning by an ancestor's counts leaves the tree as it is too: they
+    bound the dynamic counts from above as the static ones do, and the
+    scan's answer, whether some unbanned chooser reaches the threshold,
+    does not depend on the bound that ends it.  A node's own counts are
+    its dynamic counts, so its candidates keep their order.
     """
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
@@ -481,6 +508,7 @@ class _Search:
         items = _open_items(inst, roots)
         words = inst.words if items is None else _open_words(inst.words, items)
         n_items = inst.n_items if items is None else len(items)
+        self.closed = inst.n_items - n_items  # under an empty start, every chooser covers them
         self.all_items = (1 << n_items) - 1
         self.packed = packed = words.view(np.uint8)
         self.coverage = _packed_ints(packed)
@@ -517,7 +545,8 @@ class _Search:
                 covered = 0
                 for v in start:
                     covered |= self.coverage[v]
-                self._search(list(start), covered, banned)
+                self._search(list(start), covered, banned, self.chooser_order, self.cov_counts,
+                             0 if len(start) else self.closed)
         except _Stop:
             pass
         return CoverResult(
@@ -526,13 +555,19 @@ class _Search:
             optimal=self.exhausted,
         )
 
-    def _search(self, chosen: list[int], covered: int, banned: int) -> None:
+    def _search(
+        self, chosen: list[int], covered: int, banned: int,
+        order: list[int], counts: list[int], hidden: int = 0,
+    ) -> None:
+        """One node: counts[v] bounds chooser v's coverage of the uncovered
+        items from above, and order ranks the choosers by it; hidden
+        closed items are uncovered too, and every chooser covers them."""
         if self.nodes == self.budget:
             self.exhausted = False
             raise _Stop
         self.nodes += 1
         uncovered = self.all_items & ~covered
-        if not uncovered:
+        if not uncovered and not hidden:
             if len(chosen) < len(self.best):
                 self.best = list(chosen)
                 if len(self.best) <= self.lower_stop:
@@ -541,40 +576,61 @@ class _Search:
         slack = len(self.best) - 1 - len(chosen)
         if slack <= 0:
             return
-        unc_cnt = uncovered.bit_count()
+        coverage = self.coverage
+        if not uncovered:
+            # only hidden items are left: the least unbanned chooser finishes
+            free = ~banned & ((1 << len(coverage)) - 1)
+            if free:
+                v = (free & -free).bit_length() - 1
+                chosen.append(v)
+                self._search(chosen, covered | coverage[v], banned, order, counts)
+                chosen.pop()
+            return
+        unc_cnt = uncovered.bit_count() + hidden
         # prune: even `slack` more choosers at the best possible marginal
         # coverage cannot finish
         threshold = -(-unc_cnt // slack)  # ceil
         if threshold == unc_cnt:
             if not self._completable(uncovered, banned):
                 return
-        elif not self._coverage_reachable(uncovered, banned, threshold):
+        elif not self._coverage_reachable(uncovered, banned, threshold - hidden, order, counts):
             return
         pivot_resolvers = self._pick_pivot(uncovered, banned)
         if pivot_resolvers == 0:
             return  # some pair lost all its separators
-        coverage = self.coverage
-        # iter_bits ascends, and sorted is stable: ties stay by ascending id
-        cands = sorted(
-            iter_bits(pivot_resolvers), key=lambda v: -(coverage[v] & uncovered).bit_count()
-        )
+        cands = []  # ascending ids, and the sorts below are stable
+        while pivot_resolvers:
+            low = pivot_resolvers & -pivot_resolvers
+            cands.append(low.bit_length() - 1)
+            pivot_resolvers ^= low
+        if slack >= 3:
+            # the subtree's scans read these counts: uncovered only shrinks
+            counts = list(map(int.bit_count, map(uncovered.__and__, coverage)))
+            order = sorted(range(len(counts)), key=counts.__getitem__, reverse=True)
+            cands.sort(key=counts.__getitem__, reverse=True)
+        else:
+            cands.sort(key=lambda v: -(coverage[v] & uncovered).bit_count())
         tried = 0
         for v in cands:
             chosen.append(v)
-            self._search(chosen, covered | coverage[v], banned | tried)
+            self._search(chosen, covered | coverage[v], banned | tried, order, counts)
             chosen.pop()
             tried |= 1 << v
             if len(self.best) - 1 - len(chosen) <= 0:
                 return  # incumbent improved enough to close this node
 
-    def _coverage_reachable(self, uncovered: int, banned: int, threshold: int) -> bool:
-        """True iff some unbanned chooser covers >= threshold uncovered items."""
+    def _coverage_reachable(
+        self, uncovered: int, banned: int, threshold: int, order: list[int], counts: list[int]
+    ) -> bool:
+        """True iff some unbanned chooser covers >= threshold uncovered
+        items, where counts[v] bounds chooser v's count from above and
+        order ranks the choosers by it, ties by ascending id."""
         coverage = self.coverage
-        for v in self.chooser_order:
+        for v in order:
             if banned >> v & 1:
                 continue
-            if self.cov_counts[v] < threshold:
-                return False  # static counts only shrink dynamically
+            if counts[v] < threshold:
+                return False  # no later chooser can reach it
             if (coverage[v] & uncovered).bit_count() >= threshold:
                 return True
         return False
@@ -621,7 +677,11 @@ class _Search:
         best_cnt = 1 << 62
         seen = 0
         for group in self.item_groups:
-            for p in iter_bits(uncovered & group):
+            rest = uncovered & group
+            while rest:
+                low = rest & -rest
+                p = low.bit_length() - 1
+                rest ^= low
                 r = resolvers[p]
                 if r is None:
                     r = self._resolver(p)

@@ -11,6 +11,7 @@ without being recomputed.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from contextvars import ContextVar
@@ -269,6 +270,15 @@ def _check_ah_zoo(args: dict[str, Any]) -> dict[str, str]:
     return {name: classify_ah(ZOO[name]()).label for name in names}
 
 
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), the vertex pairs u < w, built once per n and
+    read-only."""
+    u, w = np.triu_indices(n, 1)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
 def _separating_rows(dist: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """For each row of subsets, a (k, m) array of vertex ids, whether every
     pair of vertices differs in its distance to some vertex of the row.
@@ -278,7 +288,7 @@ def _separating_rows(dist: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     instead, so the samples that test its minimum are judged by code it
     does not share.
     """
-    u, w = np.triu_indices(dist.shape[0], 1)
+    u, w = _pairs(dist.shape[0])
     cols = dist[:, subsets]
     return (cols[u] != cols[w]).any(axis=2).all(axis=0)
 

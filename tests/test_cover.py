@@ -31,13 +31,22 @@ from mdimlab.cover import (
 )
 from mdimlab import cover
 from mdimlab import mdim as mdim_module
-from mdimlab.mdim import twin_forced_choices
+from mdimlab.mdim import semi_cover_instance, twin_forced_choices
 from mdimlab.designs import incidence_graph, pg2
 from mdimlab.graphs import Graph, iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
 
-# one root with an empty start: a search made with it keeps every item
+# one root with an empty start: a search made with it closes only the items
+# that every chooser separates
 WHOLE = [([], 0)]
+
+
+def every_item_search(inst: PairCoverInstance, budget: int = 0) -> _Search:
+    """A search under WHOLE that keeps every item, _open_items stubbed out
+    as in TestOpenItems, so its layers are indexed by all the pairs."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cover, "_open_items", lambda inst, roots: None)
+        return _Search(inst, budget=budget, lower_stop=0, roots=WHOLE)
 
 
 def word_rows(inst: PairCoverInstance) -> tuple[int, ...]:
@@ -125,7 +134,7 @@ def assert_static_layers(inst: PairCoverInstance, coverage, resolvers) -> None:
     """A fresh search on inst has the separator sets, item groups and
     chooser order of the per-column builder's coverage and resolvers."""
     counts = [r.bit_count() for r in resolvers]
-    search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
+    search = every_item_search(inst)
     assert tuple(map(search._resolver, range(inst.n_items))) == resolvers
     assert search.item_groups == tuple(
         sum(1 << p for p, c in enumerate(counts) if c == k) for k in sorted(set(counts))
@@ -139,7 +148,7 @@ def assert_static_layers(inst: PairCoverInstance, coverage, resolvers) -> None:
 
 def search_layers(inst: PairCoverInstance) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """coverage and every resolver of a fresh search on inst."""
-    search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
+    search = every_item_search(inst)
     return tuple(search.coverage), tuple(map(search._resolver, range(inst.n_items)))
 
 
@@ -274,7 +283,7 @@ class TestLayersOnFirstRead:
     def test_a_budgeted_search_converts_only_the_items_it_reads(self):
         inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
         _, want = reference_build(np.asarray(inst.matrix))
-        search = _Search(inst, budget=40, lower_stop=0, roots=WHOLE)
+        search = every_item_search(inst, budget=40)
         res = search.run(seed=greedy_cover(inst))
         assert res.nodes == 40 and not res.optimal
         read = [p for p, r in enumerate(search.resolvers) if r is not None]
@@ -288,7 +297,7 @@ class TestLayersOnFirstRead:
             m = rng.integers(0, 3, size=shape)
             _, want = reference_build(m)
             inst = build_instance(m)
-            search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
+            search = every_item_search(inst)
             # read half the items in a random order: only they are converted
             order = rng.permutation(inst.n_items).tolist()
             half = order[: len(order) // 2]
@@ -323,6 +332,19 @@ class TestLayersOnFirstRead:
         # the coverage ints and the bytes they are read from hold words
         # twice; one unpacked chunk of items and small temporaries fit in
         # the rest
+        assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
+
+    def test_the_every_item_set_up_working_set_is_words_twice_and_one_chunk(self):
+        # Q_8 is bipartite, so under WHOLE its cross pairs are cut; with
+        # every item kept the search reads words itself, within one bound
+        inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
+        tracemalloc.start()
+        try:
+            search = every_item_search(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert search.all_items == (1 << inst.n_items) - 1 and search.closed == 0
         assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
 
     def test_the_cut_set_up_working_set_is_words_twice_and_one_chunk(self):
@@ -1012,7 +1034,7 @@ class TestItemOrder:
             inst = build_instance(rng.integers(0, 2, size=shape))
             counts = [r.bit_count() for r in reference_build(inst.matrix)[1]]
             want = sorted(range(inst.n_items), key=lambda p: (counts[p], p))
-            groups = _Search(inst, budget=0, lower_stop=0, roots=WHOLE).item_groups
+            groups = every_item_search(inst).item_groups
             assert [p for group in groups for p in iter_bits(group)] == want
             group_counts = [{counts[p] for p in iter_bits(group)} for group in groups]
             assert group_counts == [{c} for c in sorted(set(counts))]
@@ -1054,7 +1076,7 @@ class TestPickPivot:
             rng = np.random.default_rng(seed)
             shape = (int(rng.integers(2, 70)), int(rng.integers(2, 20)))
             inst = build_instance(rng.integers(0, int(rng.integers(2, 5)), size=shape))
-            search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
+            search = every_item_search(inst)
             _, resolvers = reference_build(inst.matrix)
             all_items = (1 << inst.n_items) - 1
             every = (1 << inst.n_choosers) - 1
@@ -1090,7 +1112,8 @@ class TestCompletionTest:
     def check(self, inst, search: _Search, uncovered: int, banned: int) -> bool:
         want = some_chooser_completes(inst, uncovered, banned)
         assert search._completable(uncovered, banned) == want
-        assert search._coverage_reachable(uncovered, banned, uncovered.bit_count()) == want
+        assert search._coverage_reachable(uncovered, banned, uncovered.bit_count(),
+                                          search.chooser_order, search.cov_counts) == want
         return want
 
     def test_matches_the_reference_on_random_instances(self):
@@ -1098,7 +1121,7 @@ class TestCompletionTest:
         for seed in range(40):
             rng = np.random.default_rng(seed)
             inst = build_instance(rng.integers(0, 3, size=(7, 9)))
-            search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
+            search = every_item_search(inst)
             coverage, resolvers = reference_build(inst.matrix)
             all_items = (1 << inst.n_items) - 1
             for _ in range(30):
@@ -1121,7 +1144,7 @@ class TestCompletionTest:
     def test_every_chooser_banned(self):
         rng = np.random.default_rng(0)
         inst = build_instance(rng.integers(0, 3, size=(6, 6)))
-        search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
+        search = every_item_search(inst)
         every = (1 << inst.n_choosers) - 1
         for p in range(inst.n_items):
             assert not self.check(inst, search, 1 << p, every)
@@ -1130,7 +1153,7 @@ class TestCompletionTest:
     def test_exactly_one_uncovered_item(self):
         rng = np.random.default_rng(1)
         inst = build_instance(rng.integers(0, 3, size=(6, 6)))
-        search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
+        search = every_item_search(inst)
         _, resolvers = reference_build(inst.matrix)
         for p in range(inst.n_items):
             for v in range(inst.n_choosers):
@@ -1146,7 +1169,7 @@ class TestCompletionTest:
         m[0, 1:] = 1
         m[1, 2] = 1
         inst = build_instance(m)
-        search = _Search(inst, budget=0, lower_stop=0, roots=WHOLE)
+        search = every_item_search(inst)
         first_k = (1 << k) - 1
         pairs = list(combinations(range(inst.n_entities), 2))
         assert pairs[:k] == [(0, j) for j in range(1, k + 1)]
@@ -1240,10 +1263,16 @@ class TestOpenItems:
         assert len(items) == kept
 
     def test_the_closed_items_are_those_every_start_separates(self):
+        # an empty start separates what every chooser separates
         rng = np.random.default_rng(9)
+        universal = 0
         for _ in range(30):
             inst = build_instance(rng.integers(0, 3, size=(8, int(rng.integers(2, 14)))))
             rows = word_rows(inst)
+            every = (1 << inst.n_items) - 1
+            for row in rows:
+                every &= row
+            universal += every.bit_count()
             roots = [(rng.choice(8, size=int(rng.integers(1, 4)), replace=False).tolist(), 0)
                      for _ in range(int(rng.integers(1, 4)))]
             closed = (1 << inst.n_items) - 1
@@ -1252,10 +1281,12 @@ class TestOpenItems:
                 for v in start:
                     separated |= rows[v]
                 closed &= separated
-            want = [p for p in range(inst.n_items) if not closed >> p & 1]
-            got = _open_items(inst, roots)
-            assert (got is None and len(want) == inst.n_items) or got.tolist() == want
-            assert _open_items(inst, roots + [([], 0)]) is None
+            for kept, shut in ((roots, closed), (roots + [([], 0)], closed & every),
+                               (WHOLE, every)):
+                want = [p for p in range(inst.n_items) if not shut >> p & 1]
+                got = _open_items(inst, kept)
+                assert (got is None and len(want) == inst.n_items) or got.tolist() == want
+        assert universal
 
     def test_chooser_zero_alone_leaves_no_item_open(self):
         # every row is a permutation of range(7), so each chooser separates
@@ -1287,3 +1318,253 @@ class TestOpenItems:
         assert [search._resolver(q) for q in range(430)] == [resolvers[p] for p in items]
         got = search.run(seed)
         assert (got.chosen, got.nodes, got.optimal) == ((0, 2, 7, 9, 19), 102, True)
+
+
+class ReferenceSearch(_Search):
+    """The node that the empty-start cut and the ancestor-count scan
+    replaced, over every item: each scan walks the static chooser order,
+    and each candidate's count is taken at its own node."""
+
+    def __init__(self, inst, budget, lower_stop, roots):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(cover, "_open_items", lambda inst, roots: None)
+            super().__init__(inst, budget, lower_stop, roots)
+
+    def run(self, seed) -> CoverResult:
+        self.best = list(seed)
+        try:
+            for start, banned in self.roots:
+                covered = 0
+                for v in start:
+                    covered |= self.coverage[v]
+                self._search(list(start), covered, banned)
+        except cover._Stop:
+            pass
+        return CoverResult(tuple(sorted(self.best)), self.nodes, self.exhausted)
+
+    def _search(self, chosen, covered, banned):
+        if self.nodes == self.budget:
+            self.exhausted = False
+            raise cover._Stop
+        self.nodes += 1
+        uncovered = self.all_items & ~covered
+        if not uncovered:
+            if len(chosen) < len(self.best):
+                self.best = list(chosen)
+                if len(self.best) <= self.lower_stop:
+                    raise cover._Stop
+            return
+        slack = len(self.best) - 1 - len(chosen)
+        if slack <= 0:
+            return
+        unc_cnt = uncovered.bit_count()
+        threshold = -(-unc_cnt // slack)
+        if threshold == unc_cnt:
+            if not self._completable(uncovered, banned):
+                return
+        elif not self._coverage_reachable(uncovered, banned, threshold):
+            return
+        pivot_resolvers = self._pick_pivot(uncovered, banned)
+        if pivot_resolvers == 0:
+            return
+        coverage = self.coverage
+        cands = sorted(
+            iter_bits(pivot_resolvers), key=lambda v: -(coverage[v] & uncovered).bit_count()
+        )
+        tried = 0
+        for v in cands:
+            chosen.append(v)
+            self._search(chosen, covered | coverage[v], banned | tried)
+            chosen.pop()
+            tried |= 1 << v
+            if len(self.best) - 1 - len(chosen) <= 0:
+                return
+
+    def _coverage_reachable(self, uncovered, banned, threshold):
+        coverage = self.coverage
+        for v in self.chooser_order:
+            if banned >> v & 1:
+                continue
+            if self.cov_counts[v] < threshold:
+                return False
+            if (coverage[v] & uncovered).bit_count() >= threshold:
+                return True
+        return False
+
+
+def reference_min_cover(inst: PairCoverInstance, **kwargs) -> CoverResult:
+    """min_cover with ReferenceSearch as its search."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cover, "_Search", ReferenceSearch)
+        return min_cover(inst, **kwargs)
+
+
+def random_bipartite_distances(rng, n: int) -> np.ndarray:
+    """The distance matrix of a seeded connected random bipartite graph on
+    n vertices, sides split at random."""
+    side = rng.integers(0, 2, size=n)
+    side[:2] = 0, 1
+    while True:
+        g = Graph.from_edges(n, [(u, w) for u, w in combinations(range(n), 2)
+                                 if side[u] != side[w] and rng.random() < 0.4])
+        if g.distances.connected:
+            return np.asarray(g.distances.dist)
+
+
+class TestMatchesTheReferenceSearch:
+    """min_cover and ReferenceSearch give the same chosen set, node count,
+    optimality and generators: the closed items that an empty start hands
+    to its top node, and the counts that a node hands to its subtree's
+    scans, leave the tree as it is."""
+
+    @staticmethod
+    def check(inst: PairCoverInstance, **kwargs) -> CoverResult:
+        got = min_cover(inst, **kwargs)
+        want = reference_min_cover(inst, **kwargs)
+        assert (got.chosen, got.nodes, got.optimal, got.generators) == (
+            want.chosen, want.nodes, want.optimal, want.generators)
+        return got
+
+    @pytest.mark.parametrize("q,budget", [(2, cover.DEFAULT_BUDGET), (3, cover.DEFAULT_BUDGET),
+                                          (5, 2_000)])
+    def test_relabelled_plane_incidence(self, q, budget):
+        # with symmetries=(), and on PG(2,5) where the finder finds none,
+        # the one root's start is empty and closes the point-line pairs
+        dist = np.asarray(incidence_graph(pg2(q)).graph.distances.dist)
+        for seed in range(3):
+            inst = relabelled_instance(dist, seed)
+            assert len(_open_items(inst, WHOLE)) == inst.n_items - (q * q + q + 1) ** 2
+            got = self.check(inst, budget=budget)
+            assert bool(got.generators) == (q < 5)
+            self.check(inst, budget=budget, symmetries=())
+
+    def test_a_budgeted_relabelled_pg25_solve(self):
+        dist = np.asarray(incidence_graph(pg2(5)).graph.distances.dist)
+        got = self.check(relabelled_instance(dist, 0), budget=5_000)
+        assert (len(got.chosen), got.nodes, got.optimal) == (15, 5_000, False)
+
+    @pytest.mark.parametrize("side", ["points", "blocks"])
+    def test_plane_semi_sides(self, side):
+        got = self.check(semi_cover_instance(pg2(3), side), symmetries=())
+        assert got.optimal and got.nodes > 1
+
+    def test_solvable_zoo_graphs(self):
+        # with the symmetries found, and with none, so that the bipartite
+        # graphs search under an empty start
+        for name in sorted(SOLVABLE):
+            dist = np.asarray(ZOO[name]().distances.dist)
+            if len(dist) > 70:
+                continue
+            inst = build_instance(dist)
+            self.check(inst)
+            self.check(inst, symmetries=(), budget=3_000)
+
+    def test_random_square_instances(self):
+        # random bipartite distance matrices, whose cross pairs every
+        # chooser separates, circulants, and plain random matrices
+        rng = np.random.default_rng(38)
+        hidden = 0
+        for k in range(90):
+            n = int(rng.integers(4, 16))
+            if k % 3 == 0:
+                inst = build_instance(random_bipartite_distances(rng, n))
+            elif k % 3 == 1:
+                inst = TestRootSymmetry.circulant(rng, n)
+            else:
+                inst = build_instance(rng.integers(0, 3, size=(n, n)))
+            if brute_minimum(inst) is None:
+                continue
+            items = _open_items(inst, WHOLE)
+            hidden += 0 if items is None else inst.n_items - len(items)
+            self.check(inst)
+            self.check(inst, symmetries=())
+            self.check(inst, forced=[int(rng.integers(n))])
+        assert hidden
+
+
+class TestOnlyClosedItemsLeft:
+    """An instance whose every pair every chooser separates: under an empty
+    start its top node has only closed items left, which the least unbanned
+    chooser finishes, and no node reads an empty uncovered set."""
+
+    @pytest.fixture(autouse=True)
+    def never_empty(self, monkeypatch):
+        for name in ("_completable", "_pick_pivot"):
+            method = getattr(_Search, name)
+
+            def guarded(self, uncovered, banned, method=method):
+                assert uncovered
+                return method(self, uncovered, banned)
+
+            monkeypatch.setattr(_Search, name, guarded)
+
+    @staticmethod
+    def universal(n: int) -> PairCoverInstance:
+        # every row is a permutation of range(n)
+        return build_instance(np.array([[(j - i) % n for j in range(n)] for i in range(n)]))
+
+    @pytest.mark.parametrize("kwargs,generators", [
+        ({}, ((1, 0),)), ({"symmetries": ()}, ()), ({"budget": 1}, ((1, 0),)),
+        ({"symmetries": (), "budget": 1}, ()),
+    ], ids=["found", "none", "budget-1", "none-budget-1"])
+    def test_two_entities(self, kwargs, generators):
+        inst = build_instance(np.array([[0, 1], [1, 0]]))
+        assert _open_items(inst, WHOLE).tolist() == []
+        got = min_cover(inst, **kwargs)
+        assert (got.chosen, got.nodes, got.optimal, got.generators) == ((0,), 1, True, generators)
+        assert got == reference_min_cover(inst, **kwargs)
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_a_larger_seed_is_cut_to_one_chooser(self, n):
+        # the least unbanned chooser, in one more node; every chooser banned
+        # leaves the seed; lower_stop 1 stops at the first leaf
+        inst = self.universal(n)
+        seed = list(range(n))
+        for roots, lower_stop in (([([], 0)], 0), ([([], 0b1)], 0), ([([], (1 << n) - 1)], 0),
+                                  ([([], 0b1), ([], 0)], 0), ([([], 0)], 1)):
+            got = _Search(inst, 100, lower_stop, roots).run(seed)
+            want = ReferenceSearch(inst, 100, lower_stop, roots).run(seed)
+            assert got == want
+        assert got == CoverResult((0,), 2, True)
+
+
+def bit_counts(coverage, uncovered: int) -> tuple[list[int], list[int]]:
+    """Each chooser's count of the uncovered items, and the choosers by
+    descending count, ties by ascending id."""
+    counts = [(row & uncovered).bit_count() for row in coverage]
+    return counts, sorted(range(len(counts)), key=lambda v: (-counts[v], v))
+
+
+class TestAncestorCounts:
+    def test_a_scan_by_an_ancestor_s_counts_is_exact(self):
+        # counts taken at a superset of the uncovered items bound each
+        # chooser's count from above; the scan still answers whether some
+        # unbanned chooser covers threshold of them, also when the chooser
+        # that reaches it has an ancestor count of exactly threshold
+        seen = {"reached": 0, "at_the_bound": 0, "missed": 0}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            inst = build_instance(rng.integers(0, 3, size=(int(rng.integers(2, 12)), 9)))
+            search = every_item_search(inst)
+            coverage = word_rows(inst)
+            all_items = (1 << inst.n_items) - 1
+            for _ in range(30):
+                ancestor = random_subset(rng, all_items) if rng.random() < 0.7 else all_items
+                uncovered = random_subset(rng, ancestor) if rng.random() < 0.7 else ancestor
+                if not uncovered:
+                    continue
+                banned = random_subset(rng, (1 << inst.n_choosers) - 1)
+                counts, order = bit_counts(coverage, ancestor)
+                now = [(row & uncovered).bit_count() for row in coverage]
+                if rng.random() < 0.5:
+                    threshold = max(1, counts[int(rng.integers(inst.n_choosers))])
+                else:
+                    threshold = int(rng.integers(1, uncovered.bit_count() + 2))
+                want = [v for v in range(inst.n_choosers)
+                        if not banned >> v & 1 and now[v] >= threshold]
+                got = search._coverage_reachable(uncovered, banned, threshold, order, counts)
+                assert got == bool(want)
+                if want and all(counts[v] == threshold for v in want):
+                    seen["at_the_bound"] += 1
+                seen["reached" if want else "missed"] += 1
+        assert all(seen.values()), seen

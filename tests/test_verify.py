@@ -7,6 +7,7 @@ import json
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 import mdimlab.verify
@@ -303,6 +304,17 @@ class TestRandomSoundness:
         monkeypatch.setattr(mdimlab.verify, "_solve", self.inflated)
         outcome = CHECKS["random_soundness"](self.ARGS)
         assert outcome == {"mismatches": self.ARGS["count"], "undersized_successes": 0}
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
+    def test_the_pair_index_is_built_once_per_n_and_read_only(self, n):
+        u, w = mdimlab.verify._pairs(n)
+        want_u, want_w = np.triu_indices(n, 1)
+        assert u.tolist() == want_u.tolist() and w.tolist() == want_w.tolist()
+        again = mdimlab.verify._pairs(n)
+        assert again[0] is u and again[1] is w
+        for index in (u, w):
+            with pytest.raises(ValueError, match="read-only"):
+                index[:] = 0
 
 
 class TestBoundChecks:
