@@ -29,7 +29,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACED = (
     "graphs.bfs_distances.calls",
+    "graphs.bfs_distances.self_s",
     "graphs.intersection_array.calls",
+    "imprimitivity.fold.self_s",
     "mdim.mdim_exact.calls",
     "mdim.mdim_exact.distinct_ratio",
     "cover.greedy_cover.calls",

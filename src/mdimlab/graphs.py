@@ -9,15 +9,17 @@ Distance matrices are dense 8-bit numpy arrays with 255 marking
 unreachable pairs; they are the one stored form of the distances, and the
 spheres and distance-i graphs are read off them.
 
-bfs_distances runs one BFS for all sources together: level i + 1 of a
-vertex is the union of the level-i spheres of its neighbours, less its own
-spheres i and i - 1, so a level costs one OR per directed edge.  The
-distance bytes are read off the levels by one unpack of bit planes.
-Below SMALL_BFS_N vertices it keeps its per-source loop, whose fixed cost
-is lower there.  intersection_array checks the triple (c, a, b) of every
-pair of a connected graph on one gather of distance rows through the
-neighbour table, which also gives that BFS its slots.  A Graph keeps each
-fact computed from it alone in one memo, through _kept.
+bfs_distances runs one BFS for all sources together in numpy: the
+spheres of every vertex are rows of uint64 words, and sphere i + 1 of a
+vertex is the OR of sphere i of its neighbours, gathered through the
+neighbour table, less its ball of radius i.  The distance bytes are read
+off the levels by one unpack of bit planes.  Below SMALL_BFS_N vertices
+it keeps its per-source loop, whose fixed cost is lower there.
+intersection_array checks the triple (c, a, b) of every pair of a
+connected graph on one gather of distance rows through the same table,
+and imprimitivity's fold scatters its quotient rows through it.  A Graph
+keeps each fact computed from it alone in one memo, through _kept; the
+neighbour table is one of them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import functools
 import operator
 from dataclasses import dataclass
 from itertools import repeat
-from operator import and_, invert, or_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -136,9 +137,13 @@ class Graph:
             if row & (1 << v):
                 raise BadParameters(f"loop at vertex {v}")
         for v, row in enumerate(rows):
-            for u in iter_bits(row):
-                if not rows[u] & (1 << v):
+            bit = 1 << v
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not rows[u] & bit:
                     raise BadParameters(f"edge ({v}, {u}) is not symmetric")
+                row ^= low
         self.n = n
         self.adj = rows
         self._memo = {}
@@ -238,12 +243,11 @@ def bfs_distances(g: Graph) -> DistanceMatrix:
     """All-pairs distances.
 
     Graphs with fewer than SMALL_BFS_N vertices run one bitset BFS per
-    source.  Larger graphs run one BFS for all sources together
-    (_levels_all_sources) and read the distances off its levels in a few
-    numpy passes (_distance_bytes).
+    source.  Larger graphs run one BFS for all sources together in numpy
+    (_bfs_all_sources).
     """
     n = g.n
-    dist = _bfs_per_source(g) if n < SMALL_BFS_N else _distance_bytes(*_levels_all_sources(g), n)
+    dist = _bfs_per_source(g) if n < SMALL_BFS_N else _bfs_all_sources(g)
     connected = UNREACHABLE not in dist[0]
     diameter = int(dist.max()) if connected else None
     dist.setflags(write=False)
@@ -274,51 +278,67 @@ def _bfs_per_source(g: Graph) -> np.ndarray:
     return np.array(rows, dtype=np.uint8)
 
 
-def _levels_all_sources(g: Graph) -> tuple[list[list[int]], list[int]]:
-    """levels[i][v] is sphere i of v, for i up to the largest eccentricity,
-    and ball[v] the component of v.
+def _bfs_all_sources(g: Graph) -> np.ndarray:
+    """The (n, n) uint8 distance matrix from one BFS for all sources.
 
-    Level i + 1 of every vertex v is built at once: the union of the
-    level-i spheres of the neighbours of v, minus the spheres i and i - 1
-    of v.  A vertex at distance i from a neighbour of v is at distance
-    i - 1, i or i + 1 from v, and d(u, v) = d(v, u), so that union minus
-    those two spheres is sphere i + 1 of v.  One level costs one big-int
-    OR per directed edge, where a BFS per source pops each of the n^2
-    pairs.
+    Row v of level i holds sphere i of v as uint64 words, bit u of word
+    u // 64 for vertex u, and the zero row n is what the padding of the
+    neighbour table reads.  Sphere i + 1 of v is the union of sphere i of
+    the neighbours of v, less the ball of radius i of v: a vertex at
+    distance i from a neighbour of v is within i + 1 of v, and each vertex
+    at distance i + 1 from v is at distance i from a neighbour of v on a
+    shortest path.  So a level costs one gather of n K rows of words.
+
+    Plane j holds, for each v, the vertices whose distance from v has bit
+    j set, and one more plane the vertices outside the component of v.
+    Unpacked and weighted by 2^j and by UNREACHABLE, the planes sum to the
+    distances.
     """
-    n, adj = g.n, g.adj
-    full = (1 << n) - 1
-    levels = [[1 << v for v in range(n)], list(adj)]
-    ball = [row | 1 << v for v, row in enumerate(adj)]
-    if ball.count(full) == n:  # a complete graph
-        return levels, ball
-    slots = _neighbour_table(g).T.tolist()
-    while True:
-        # the padding n of the table reads the appended 0
-        get = [*levels[-1], 0].__getitem__
-        reached = [0] * n
-        for slot in slots:
-            reached = list(map(or_, reached, map(get, slot)))
-        nxt = list(map(and_, reached, map(invert, map(or_, levels[-1], levels[-2]))))
-        if not any(nxt):  # every component is exhausted
-            return levels, ball
-        if len(levels) == UNREACHABLE:
+    n = g.n
+    slots = _neighbour_table(g).T  # OR-reducing the gather's first axis is the fast one
+    words = (n + 63) // 64
+    v = np.arange(n)
+    level = np.zeros((n + 1, words), np.uint64)
+    level[v, v >> 6] = np.uint64(1) << (v & 63).astype(np.uint64)
+    unseen = ~level[:n]  # the vertices outside the ball of each v, so far
+    unseen[:, -1] &= np.uint64((1 << n - 64 * (words - 1)) - 1)
+    planes = []
+    i = 0
+    while unseen.any():  # once every ball is full, no empty last level is gathered
+        nxt = np.bitwise_or.reduce(level.take(slots, axis=0), axis=0) & unseen
+        if not nxt.any():  # every component is exhausted
+            break
+        i += 1
+        if i == UNREACHABLE:
             raise BadParameters("graph diameter exceeds the 8-bit distance range")
-        levels.append(nxt)
-        ball = list(map(or_, ball, nxt))
-        if ball.count(full) == n:
-            return levels, ball
+        if i.bit_length() > len(planes):
+            planes.append(np.zeros((n, words), np.uint64))
+        for j, plane in enumerate(planes):
+            if i >> j & 1:
+                plane |= nxt
+        unseen ^= nxt
+        level[:n] = nxt
+    planes.append(unseen)
+    weights = np.array([1 << j for j in range(len(planes) - 1)] + [UNREACHABLE], np.uint8)
+    packed = np.stack(planes).astype("<u8", copy=False).view(np.uint8)
+    bits = np.unpackbits(packed, axis=2, count=n, bitorder="little")
+    bits *= weights[:, None, None]
+    return bits.sum(axis=0, dtype=np.uint8)
 
 
+@_kept
 def _neighbour_table(g: Graph) -> np.ndarray:
     """The (n, K) array whose row v lists the neighbours of v in ascending
-    order, padded with n (no vertex) up to the largest degree K >= 1."""
+    order, padded with n (no vertex) up to the largest degree K >= 1.  It
+    is kept with g, read-only."""
     n, adj = g.n, g.adj
     width = max(1, *map(int.bit_count, adj))
     # bits n, n + 1, ... fill each row up to width set bits, and read as n
     rows = [r | ((1 << width) - 1 >> r.bit_count() << n) for r in adj]
     cols = np.flatnonzero(_bit_matrix(rows, n + width).view(bool)) % (n + width)
-    return np.minimum(cols.reshape(n, width), n)
+    table = np.minimum(cols.reshape(n, width), n)
+    table.setflags(write=False)
+    return table
 
 
 def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
@@ -346,30 +366,6 @@ def _packed_ints(packed: np.ndarray) -> tuple[int, ...]:
     # a packed transposed mask is not C-contiguous, which the view needs
     chunks = np.ascontiguousarray(packed).view(f"V{width}").ravel().tolist()
     return tuple(map(int.from_bytes, chunks, repeat("little")))
-
-
-def _distance_bytes(levels: list[list[int]], ball: list[int], n: int) -> np.ndarray:
-    """The (n, n) uint8 distance matrix from the levels of the BFS and the
-    component ball[v] of each v.
-
-    Plane j holds, for each v, the vertices whose distance from v has bit
-    j set, and one more plane the vertices outside the component of v.
-    Unpacked and weighted by 2^j and by UNREACHABLE, the planes sum to the
-    distances.
-    """
-    planes = [[0] * n]
-    for i, level in enumerate(levels[1:], 1):
-        if i.bit_length() > len(planes):
-            planes.append([0] * n)
-        for j, plane in enumerate(planes):
-            if i >> j & 1:
-                planes[j] = list(map(or_, plane, level))
-    full = (1 << n) - 1
-    planes.append([full ^ b for b in ball])
-    weights = np.array([1 << j for j in range(len(planes) - 1)] + [UNREACHABLE], np.uint8)
-    bits = _bit_matrix([row for plane in planes for row in plane], n).reshape(len(planes), n, n)
-    bits *= weights[:, None, None]
-    return bits.sum(axis=0, dtype=np.uint8)
 
 
 def bipartition(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from .designs import design_from_graph
 from .errors import (
     BadParameters,
@@ -22,8 +24,10 @@ from .errors import (
 from .graphs import (
     Graph,
     _attempt,
+    _bit_rows,
     _induced,
     _kept,
+    _neighbour_table,
     bipartition,
     intersection_array,
     is_primitive,
@@ -131,13 +135,13 @@ def fold(
 
 @_kept
 def _fold(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    structure = antipodal_structure(g)
-    quotient = structure.quotient
-    rows = [0] * len(structure.classes)
-    for u, cu in enumerate(quotient):
-        for w in g.neighbors(u):
-            rows[cu] |= 1 << quotient[w]
-    folded = Graph(len(rows), rows)
+    quotient = antipodal_structure(g).quotient
+    m = max(quotient) + 1
+    # class m is a spare column, where the padding n of the table lands
+    q = np.array([*quotient, m])
+    adj = np.zeros((m, m + 1), bool)
+    adj[q[:-1, None], q[_neighbour_table(g)]] = True
+    folded = Graph(m, _bit_rows(adj[:, :m]))
     kg = g.regular_valency()
     if kg is not None and g.distances.diameter >= 3:
         kf = folded.regular_valency()

@@ -34,7 +34,16 @@ from mdimlab import (
     mdim_greedy,
     taylor,
 )
-from mdimlab.graphs import _bit_matrix, _bit_rows, _induced, bipartition, iter_bits
+from mdimlab.graphs import (
+    _bfs_all_sources,
+    _bfs_per_source,
+    _bit_matrix,
+    _bit_rows,
+    _induced,
+    _neighbour_table,
+    bipartition,
+    iter_bits,
+)
 from mdimlab.zoo import ZOO
 
 
@@ -55,7 +64,9 @@ def path(n: int) -> Graph:
 # the seeded 9-vertex graphs keep their seeds as ids; then one vertex, about
 # 40 vertices from sparse (mostly disconnected) to dense, on both sides of
 # graphs.SMALL_BFS_N, K_24 (the all-sources path's complete-graph return),
-# and every zoo graph
+# sparse and dense graphs on either side of the 64-bit word boundaries,
+# three paths whose middle and last ones straddle bits 64 and 128, C_130
+# (65 levels), and every zoo graph
 BFS_CASES = {
     **{str(seed): lambda seed=seed: random_graph(9, seed) for seed in range(12)},
     "n1": lambda: Graph(1, [0]),
@@ -64,6 +75,11 @@ BFS_CASES = {
        for n in (23, 24, 40) for p in (0.03, 0.08, 0.4) for seed in range(2)},
     "two-paths": lambda: Graph.from_edges(41, [(v, v + 1) for v in range(40) if v != 19]),
     "K24": lambda: family("complete", 24),
+    **{f"n{n}-p{p}": lambda n=n, p=p: random_graph(n, n, p)
+       for n in (63, 65, 127, 129) for p in (0.03, 0.3)},
+    "three-paths": lambda: Graph.from_edges(
+        130, [(v, v + 1) for v in range(129) if v not in (40, 100)]),
+    "C130": lambda: family("cycle", 130),
     **{f"zoo-{name}": build for name, build in ZOO.items()},
 }
 
@@ -159,6 +175,30 @@ class TestGraph:
         assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
         assert type(g.n) is int and all(type(r) is int for r in g.adj)
 
+    @pytest.mark.parametrize("n", [9, 40, 70, 130])
+    def test_an_asymmetric_row_names_its_first_one_way_edge(self, n):
+        rng = random.Random(n)
+        named = 0
+        for _ in range(20):
+            rows = [0] * n
+            for u, w in combinations(range(n), 2):
+                if rng.random() < 0.3:
+                    rows[u] |= 1 << w
+                    rows[w] |= 1 << u
+            for _ in range(rng.randint(0, 3)):  # add or drop one side of an edge
+                v, u = rng.sample(range(n), 2)
+                rows[v] ^= 1 << u
+            one_way = [(v, u) for v in range(n) for u in range(n)
+                       if rows[v] >> u & 1 and not rows[u] >> v & 1]
+            if not one_way:
+                assert Graph(n, rows).adj == tuple(rows)
+                continue
+            with pytest.raises(BadParameters, match=re.escape(
+                    "edge ({}, {}) is not symmetric".format(*one_way[0]))):
+                Graph(n, rows)
+            named += 1
+        assert named >= 10
+
     def test_accepts_numpy_integers(self):
         g = Graph(np.int64(2), np.array([2, 1], dtype=np.uint64))
         assert g == family("complete", 2)
@@ -187,6 +227,22 @@ class TestBfsDistances:
             assert dm.spheres(u) == tuple(spheres)
         assert dm.connected == nx.is_connected(h)
         assert dm.diameter == (nx.diameter(h) if dm.connected else None)
+
+    @pytest.mark.parametrize("case", BFS_CASES)
+    def test_all_sources_matches_per_source(self, case):
+        g = BFS_CASES[case]()
+        got = _bfs_all_sources(g)
+        assert got.dtype == np.uint8 and np.array_equal(got, _bfs_per_source(g))
+
+    def test_the_neighbour_table_is_kept_read_only(self):
+        g = family("hypercube", 6)
+        table = _neighbour_table(g)
+        assert not table.flags.writeable
+        assert table.tolist() == [sorted(g.neighbors(v)) for v in range(g.n)]
+        g.distances, intersection_array(g), fold(g)
+        assert _neighbour_table(g) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
 
     def test_connected_flag(self):
         assert bfs_distances(family("cycle", 5)).connected

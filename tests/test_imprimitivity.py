@@ -319,7 +319,32 @@ def _regular_antipodal_graphs():
     return graphs
 
 
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph.from_edges(g.n, [(perm[u], perm[w]) for u, w in g.edges()])
+
+
+def _fold_rows_reference(g: Graph) -> tuple[int, ...]:
+    """The folded rows by a loop over the edges of g."""
+    quotient = antipodal_structure(g).quotient
+    rows = [0] * (max(quotient) + 1)
+    for u, cu in enumerate(quotient):
+        for w in g.neighbors(u):
+            rows[cu] |= 1 << quotient[w]
+    return tuple(rows)
+
+
 class TestFold:
+    def test_rows_match_a_per_edge_loop(self):
+        graphs = [g for g in (build() for build in ZOO.values())
+                  if g.distances.connected and is_antipodal(g)]
+        assert len(graphs) >= 10
+        graphs += [_relabelled(g, seed) for seed in range(2) for g in (
+            family("hypercube", 7), family("hypercube", 8), taylor(family("paley", 61)).graph)]
+        for g in graphs:
+            assert fold(g)[0].adj == _fold_rows_reference(g)
+
     def test_valency_is_kept_iff_the_diameter_is_at_least_three(self):
         diameters = set()
         for g in _regular_antipodal_graphs():
