@@ -239,7 +239,8 @@ class TestBfsDistances:
         table = _neighbour_table(g)
         assert not table.flags.writeable
         assert table.tolist() == [sorted(g.neighbors(v)) for v in range(g.n)]
-        g.distances, intersection_array(g), fold(g)
+        for reader in (bfs_distances, intersection_array, fold):  # each reads the table
+            reader(g)
         assert _neighbour_table(g) is table
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 1
