@@ -31,6 +31,7 @@ TRACED = (
     "graphs.bfs_distances.calls",
     "graphs.bfs_distances.self_s",
     "graphs.intersection_array.calls",
+    "graphs.intersection_array.self_s",
     "imprimitivity.fold.self_s",
     "mdim.mdim_exact.calls",
     "mdim.mdim_exact.distinct_ratio",

@@ -26,15 +26,17 @@ orbital root child (below) holds chooser 0, so the pairs that chooser 0
 separates go.  A root with an empty start closes the items that every
 chooser separates, such as the pairs across the two sides of a bipartite
 graph: its first choice covers them, and its top node, the one node that
-leaves them uncovered, is handed their count.  The open items keep their
-order, and "item" below means an open one.  When every item is open the
-search reads words itself; otherwise _open_words gathers the open
-columns of words into words of their own, a chunk of items at a time
-under the same bound.  From those words come coverage[v] (over
-items), the int of row v; the static separator count of each item, a
-column sum unpacked a chunk of items at a time under the same bound,
-for the item groups; and resolvers[p] (over choosers), bit p of every
-row packed into an int, made when the search first reads item p.
+leaves them uncovered and the one with nothing chosen, adds their count
+back.  When the starts leave no item open, the search keeps every item,
+as when every item is open, so that top node always has an open item.
+The open items keep their order, and "item" below means an open one.
+When every item is kept the search reads words itself; otherwise
+_open_words gathers the open columns of words into words of their own,
+a chunk of items at a time under the same bound.  From those words come
+coverage[v] (over items), the int of row v; the static separator count
+of each item, a column sum unpacked a chunk of items at a time under the
+same bound, for the item groups; and resolvers[p] (over choosers), bit p
+of every row packed into an int, made when the search first reads item p.
 min_cover makes a search only when there is a tree to search, so a greedy
 answer builds nothing past words.
 
@@ -470,16 +472,17 @@ class _Search:
     _coverage_reachable gives the same answers.  Chooser ids do not
     change.
 
-    The top node of a root with an empty start is the exception: there
-    the closed items, those that every chooser separates, are still
-    uncovered.  Every chooser covers all of them, so each static and
-    dynamic count is short by the same number, hidden, which the leaf
-    test, the uncovered count and the scan's threshold add back; and with
-    every chooser as separators they formed the last item group alone, so
-    the pivot walk met them only when no open item was left, where the
-    least unbanned chooser was the first candidate and finished.  That
-    case is taken on its own, so _completable and _pick_pivot never see
-    an empty uncovered set.
+    The top node of a root with an empty start, the one node with nothing
+    chosen, is the exception: there the closed items, those that every
+    chooser separates, are still uncovered.  Every chooser covers all of
+    them, so each static and dynamic count is short by the same number,
+    hidden, which the uncovered count and the scan's threshold add back;
+    and with every chooser as separators they formed the last item group
+    alone, so the pivot walk meets an open item first.  When no item is
+    left open, the search keeps every item, as when nothing is closed, and
+    nothing is hidden.  So a top node with hidden items always has an open
+    item too: its leaf test needs no hidden count, and _completable and
+    _pick_pivot never see an empty uncovered set.
 
     Scanning by an ancestor's counts leaves the tree as it is too: they
     bound the dynamic counts from above as the static ones do, and the
@@ -506,8 +509,10 @@ class _Search:
         self.exhausted = True
         self.best: list[int] = []
         items = _open_items(inst, roots)
-        words = inst.words if items is None else _open_words(inst.words, items)
-        n_items = inst.n_items if items is None else len(items)
+        if items is None or not len(items):  # nothing closed, or nothing open: keep every item
+            words, n_items = inst.words, inst.n_items
+        else:
+            words, n_items = _open_words(inst.words, items), len(items)
         self.closed = inst.n_items - n_items  # under an empty start, every chooser covers them
         self.all_items = (1 << n_items) - 1
         self.packed = packed = words.view(np.uint8)
@@ -545,8 +550,7 @@ class _Search:
                 covered = 0
                 for v in start:
                     covered |= self.coverage[v]
-                self._search(list(start), covered, banned, self.chooser_order, self.cov_counts,
-                             0 if len(start) else self.closed)
+                self._search(list(start), covered, banned, self.chooser_order, self.cov_counts)
         except _Stop:
             pass
         return CoverResult(
@@ -557,17 +561,18 @@ class _Search:
 
     def _search(
         self, chosen: list[int], covered: int, banned: int,
-        order: list[int], counts: list[int], hidden: int = 0,
+        order: list[int], counts: list[int],
     ) -> None:
         """One node: counts[v] bounds chooser v's coverage of the uncovered
-        items from above, and order ranks the choosers by it; hidden
-        closed items are uncovered too, and every chooser covers them."""
+        items from above, and order ranks the choosers by it.  With nothing
+        chosen, at the top node of a root with an empty start, the closed
+        items are uncovered too, and every chooser covers them."""
         if self.nodes == self.budget:
             self.exhausted = False
             raise _Stop
         self.nodes += 1
         uncovered = self.all_items & ~covered
-        if not uncovered and not hidden:
+        if not uncovered:
             if len(chosen) < len(self.best):
                 self.best = list(chosen)
                 if len(self.best) <= self.lower_stop:
@@ -577,15 +582,7 @@ class _Search:
         if slack <= 0:
             return
         coverage = self.coverage
-        if not uncovered:
-            # only hidden items are left: the least unbanned chooser finishes
-            free = ~banned & ((1 << len(coverage)) - 1)
-            if free:
-                v = (free & -free).bit_length() - 1
-                chosen.append(v)
-                self._search(chosen, covered | coverage[v], banned, order, counts)
-                chosen.pop()
-            return
+        hidden = 0 if chosen else self.closed
         unc_cnt = uncovered.bit_count() + hidden
         # prune: even `slack` more choosers at the best possible marginal
         # coverage cannot finish

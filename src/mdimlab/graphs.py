@@ -17,9 +17,10 @@ off the levels by one unpack of bit planes.  Below SMALL_BFS_N vertices
 it keeps its per-source loop, whose fixed cost is lower there.
 intersection_array checks the triple (c, a, b) of every pair of a
 connected graph on one gather of distance rows through the same table,
-and imprimitivity's fold scatters its quotient rows through it.  A Graph
-keeps each fact computed from it alone in one memo, through _kept; the
-neighbour table is one of them.
+and decodes the triple each distance expects from that gather at its
+first pair.  imprimitivity's fold scatters its quotient rows through the
+table too.  A Graph keeps each fact computed from it alone in one memo,
+through _kept; the neighbour table is one of them.
 """
 
 from __future__ import annotations
@@ -442,75 +443,61 @@ def intersection_array(g: Graph) -> IntersectionArray:
     """Compute the intersection array, or raise NotDistanceRegular.
 
     The triple (c, a, b) of a pair (u, w) at distance i counts the
-    neighbours of w at distance i - 1, i and i + 1 from u.  The witness on
-    failure is the first (u, w, i) in lexicographic (u, w) order whose
-    triple differs from that of the first pair at the same distance i.
-    Every pair is checked in a few numpy passes (_witness).  The array is
-    kept with g, so later calls on the same graph return the same object; a
-    NotDistanceRegular is raised again on every call.
+    neighbours of w at distance i - 1, i and i + 1 from u.  Each distance
+    expects the triple of its first pair in lexicographic (u, w) order: u
+    the first vertex whose eccentricity reaches i, w the least vertex at
+    distance i from u.  The witness on failure is the first (u, w, i) in
+    that order whose triple differs.  Every pair is checked in a few numpy
+    passes (_triple_sums), and the expected triples are decoded from the
+    same sums at the first pairs.  The array is kept with g, so later calls
+    on the same graph return the same object; a NotDistanceRegular is
+    raised again on every call.
     """
     dm = g.distances
     if not dm.connected:
         raise DisconnectedGraph("intersection array needs a connected graph")
-    expected = _first_triples(g)
-    witness = _witness(g, expected)
-    if witness is not None:
-        raise NotDistanceRegular(witness)
-    c, a, b = zip(*expected)
-    return IntersectionArray(d=dm.diameter, c=c[1:], a=a, b=b[:dm.diameter])
+    n, d, dist = g.n, dm.diameter, dm.dist
+    s, p, t = _triple_sums(g)
+    levels = np.arange(d + 1)
+    first_u = np.searchsorted(np.maximum.accumulate(dist.max(axis=1)), levels)
+    first_w = (dist[first_u] == levels[:, None]).argmax(axis=1)
+    s_first, p_first = s[first_w, first_u], p[first_w, first_u]
+    bad = (s != s_first.take(dist)) | (p != p_first.take(dist))  # indexed [w, u]
+    if bad.any():
+        u, w = divmod(int(bad.T.argmax()), n)
+        raise NotDistanceRegular((u, w, int(dist[u, w])))
+    triples = []
+    for i, (si, pi, w) in enumerate(zip(s_first.tolist(), p_first.tolist(), first_w.tolist())):
+        degree = g.adj[w].bit_count()
+        diff = si - degree * (i + t)  # b - c
+        total = degree - pi if i & 1 else pi  # b + c
+        triples.append(((total - diff) // 2, degree - total, (total + diff) // 2))
+    c, a, b = zip(*triples)
+    return IntersectionArray(d=d, c=c[1:], a=a, b=b[:d])
 
 
-def _first_triples(g: Graph) -> list[tuple[int, int, int]]:
-    """The triple of the first pair (u, w) in (u, w) order at each distance
-    i: u is the first vertex whose eccentricity reaches i, and w the least
-    vertex of sphere i of u."""
-    dm = g.distances
-    expected = []
-    for u in range(g.n):
-        sph = dm.spheres(u)
-        # the appended empty sphere is Gamma_{e+1}(u) past the eccentricity
-        # e of u, and Gamma_{-1}(u) through index -1
-        masks = sph + (0,)
-        for i in range(len(expected), len(sph)):
-            aw = g.adj[(sph[i] & -sph[i]).bit_length() - 1]
-            expected.append(((aw & masks[i - 1]).bit_count(), (aw & masks[i]).bit_count(),
-                             (aw & masks[i + 1]).bit_count()))
-        if len(expected) > dm.diameter:
-            break
-    return expected
-
-
-def _witness(g: Graph, expected: list[tuple[int, int, int]]) -> tuple[int, int, int] | None:
-    """The first pair (u, w), in (u, w) order, whose triple differs from
-    expected, with its distance; None if there is none.
+def _triple_sums(g: Graph) -> tuple[np.ndarray, np.ndarray, int]:
+    """The sums s and p of every pair, indexed [w, u], and t.
 
     Over the neighbours x of w, s = the sum of d(u, x) plus t deg(w), for
     a t above twice the largest degree K, and p = the number of odd d(u, x)
-    come from one gather of distance rows through the neighbour table,
-    whose padding reads a zero row.  With i = d(u, w) every d(u, x) is
-    i - 1, i or i + 1, so s = deg(w) (i + t) + b - c, and as |b - c| <= K
-    this fixes deg(w) = c + a + b and b - c; p = b + c for even i and a
-    for odd i then fixes the triple.
+    come from one gather of distance rows through the transposed neighbour
+    table, whose padding reads a zero row.  With i = d(u, w) every d(u, x)
+    is i - 1, i or i + 1, so s = deg(w) (i + t) + b - c, and as
+    |b - c| <= K this fixes deg(w) = c + a + b and b - c; p = b + c for
+    even i and a for odd i then fixes the triple.
     """
-    n, dist = g.n, g.distances.dist
+    n, dm = g.n, g.distances
     table = _neighbour_table(g)
     k = table.shape[1]
     t = 2 * k + 1
-    # near[w, j, u] = d(u, x) for the j-th neighbour x of w; row n is 0
-    near = np.vstack([dist, np.zeros((1, n), np.uint8)]).take(table, axis=0)
-    dtype = np.min_scalar_type(k * (len(expected) + t))
-    s = near.sum(axis=1, dtype=dtype)
+    # near[j, w, u] = d(u, x) for the j-th neighbour x of w; row n is 0
+    near = np.vstack([dm.dist, np.zeros((1, n), np.uint8)]).take(table.T, axis=0)
+    dtype = np.min_scalar_type(k * (dm.diameter + 1 + t))
+    s = near.sum(axis=0, dtype=dtype)
     s += t * np.array([r.bit_count() for r in g.adj], dtype)[:, None]
-    p = np.bitwise_and(near, 1, out=near).sum(axis=1, dtype=dtype)
-    del near  # the largest array: free it before take() copies dist as intp
-    s_expected = np.array([(c + a + b) * (i + t) + b - c
-                           for i, (c, a, b) in enumerate(expected)], dtype)
-    p_expected = np.array([a if i & 1 else b + c for i, (c, a, b) in enumerate(expected)], dtype)
-    bad = (s != s_expected.take(dist)) | (p != p_expected.take(dist))  # indexed [w, u]
-    if not bad.any():
-        return None
-    u, w = divmod(int(bad.T.argmax()), n)
-    return u, w, int(dist[u, w])
+    p = np.bitwise_and(near, 1, out=near).sum(axis=0, dtype=dtype)
+    return s, p, t
 
 
 def _attempt(reader, g: Graph):

@@ -1184,6 +1184,20 @@ def compressed(row: int, items) -> int:
     return sum(1 << q for q, p in enumerate(items) if row >> p & 1)
 
 
+@pytest.fixture
+def never_empty(monkeypatch):
+    """_completable and _pick_pivot assert that uncovered is not empty."""
+    for name in ("_completable", "_pick_pivot"):
+        method = getattr(_Search, name)
+
+        def guarded(self, uncovered, banned, method=method):
+            assert uncovered
+            return method(self, uncovered, banned)
+
+        monkeypatch.setattr(_Search, name, guarded)
+
+
+@pytest.mark.usefixtures("never_empty")
 class TestOpenItems:
     """A search keeps only the items that some root's start leaves
     unseparated.  Its tree, node count and answer are those of a search
@@ -1193,7 +1207,7 @@ class TestOpenItems:
     def solve_both(monkeypatch, inst: PairCoverInstance, **kwargs) -> CoverResult:
         got = min_cover(inst, **kwargs)
         with monkeypatch.context() as m:
-            # every search keeps every item, as under a root with an empty start
+            # every search keeps every item, as when nothing is closed
             m.setattr(cover, "_open_items", lambda inst, roots: None)
             want = min_cover(inst, **kwargs)
         assert (got.chosen, got.nodes, got.optimal, got.generators) == (
@@ -1291,15 +1305,16 @@ class TestOpenItems:
     def test_chooser_zero_alone_leaves_no_item_open(self):
         # every row is a permutation of range(7), so each chooser separates
         # every pair; the seed [0] is one above lower_stop 0, and the one
-        # root, 0 forced, closes every item
+        # root, 0 forced, closes every item, so the search keeps every item
         n = 7
         inst = build_instance(np.array([[(j - i) % n for j in range(n)] for i in range(n)]))
         shift = tuple(TestRootSymmetry.shift(n))
         roots = _orbital_roots(inst, [shift])
         assert roots == [([0], 0)] and len(_open_items(inst, roots)) == 0
         search = _Search(inst, budget=100, lower_stop=0, roots=roots)
-        assert search.all_items == 0 and search.coverage == (0,) * n
-        assert search.item_groups == () and search.cov_counts == [0] * n
+        every = (1 << inst.n_items) - 1
+        assert search.all_items == every and search.coverage == (every,) * n
+        assert search.item_groups == (every,) and search.cov_counts == [inst.n_items] * n
         got = min_cover(inst)
         assert (got.chosen, got.nodes, got.optimal, got.generators) == ((0,), 1, True, (shift,))
 
@@ -1411,6 +1426,7 @@ def random_bipartite_distances(rng, n: int) -> np.ndarray:
             return np.asarray(g.distances.dist)
 
 
+@pytest.mark.usefixtures("never_empty")
 class TestMatchesTheReferenceSearch:
     """min_cover and ReferenceSearch give the same chosen set, node count,
     optimality and generators: the closed items that an empty start hands
@@ -1482,21 +1498,12 @@ class TestMatchesTheReferenceSearch:
         assert hidden
 
 
+@pytest.mark.usefixtures("never_empty")
 class TestOnlyClosedItemsLeft:
-    """An instance whose every pair every chooser separates: under an empty
-    start its top node has only closed items left, which the least unbanned
+    """An instance whose every pair every chooser separates: an empty start
+    closes every item, so the search keeps every item, as when nothing is
+    closed.  Its top node then branches on an open item, the least unbanned
     chooser finishes, and no node reads an empty uncovered set."""
-
-    @pytest.fixture(autouse=True)
-    def never_empty(self, monkeypatch):
-        for name in ("_completable", "_pick_pivot"):
-            method = getattr(_Search, name)
-
-            def guarded(self, uncovered, banned, method=method):
-                assert uncovered
-                return method(self, uncovered, banned)
-
-            monkeypatch.setattr(_Search, name, guarded)
 
     @staticmethod
     def universal(n: int) -> PairCoverInstance:

@@ -89,7 +89,11 @@ BFS_CASES = {
 # more, and in (4, 10, 18) it lies past the row of vertex 0.  Then graphs
 # that are not regular: one whose witness (0, 4, 2) needs the degree of w
 # (the neighbour sum and odd count without it would name (0, 5, 1)),
-# connected ones at and above graphs.SMALL_BFS_N, and K_1 and K_2
+# connected ones at and above graphs.SMALL_BFS_N, and K_1 and K_2.  Last,
+# two trees where vertex 0 has eccentricity below the diameter, so the
+# first pair at the largest distances lies past row 0: the path
+# 2-3-0-1-4, whose witness (1, 3, 2) comes after (1, 2), the first pair
+# at distance 3, and a spider with legs 1, 2 and 3 centred at vertex 1
 WITNESS_CASES = {
     **{str(case): lambda case=case: next(
         h for h in (random_graph(8, 100 * case + k) for k in range(100))
@@ -104,6 +108,8 @@ WITNESS_CASES = {
        for n in (24, 30) for seed in range(3)},
     "K1": lambda: Graph(1, [0]),
     "K2": lambda: Graph.from_edges(2, [(0, 1)]),
+    "path-0-in-middle": lambda: Graph.from_edges(5, [(2, 3), (3, 0), (0, 1), (1, 4)]),
+    "spider-1-2-3": lambda: Graph.from_edges(7, [(1, 0), (1, 2), (2, 3), (1, 4), (4, 5), (5, 6)]),
 }
 
 
