@@ -7,6 +7,14 @@ arguments, and the frozen expected value.  Running the suite recomputes each
 row that names a check and compares; a row with no check ("recorded") is a
 literature value with no constructor in this package and is reported
 without being recomputed.
+
+A check reads its graphs and designs from its row's arguments as the specs
+that zoo.graph and zoo.design read: graphs {"name"}, {"family", "params"},
+{"double"}, {"taylor"} and {"incidence"}, designs {"plane"}, {"complement"}
+and {"of"}.  A check of one graph or design takes its spec as its arguments
+(taylor_plus_one and descendant_values that of the cover's base); mdim_list
+takes {"graphs": [...]}, biplane_mu {"graph", "base"}, ah_zoo {"names": [ZOO
+name, ...]} and semi_resolving {"design", "side"}.
 """
 
 from __future__ import annotations
@@ -22,14 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import families
-from .designs import (
-    design_complement,
-    design_from_graph,
-    incidence_graph,
-    pg2,
-    three_lines_2blocking,
-    is_double_blocking,
-)
+from .designs import is_double_blocking, three_lines_2blocking
 from .errors import BadParameters, BudgetExceeded, LiftVerificationError
 from .graphs import Graph, induced_neighborhood, intersection_array, is_primitive
 from .imprimitivity import classify_ah, fold, halve
@@ -46,7 +47,7 @@ from .mdim import (
     min_semi_resolving,
     split_mdim,
 )
-from .zoo import SOLVABLE, ZOO
+from .zoo import SOLVABLE, ZOO, design, graph
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,6 @@ def load_golden() -> list[GoldenRow]:
 # check implementations; each returns a JSON-comparable value
 
 
-def _graph_from_args(args: dict[str, Any]) -> Graph:
-    """The graph a row names: family with params, or the ZOO entry "name"."""
-    if "family" in args:
-        return families.family(args["family"], *args.get("params", ()))
-    return ZOO[args["name"]]()
-
-
 # the certificates solved in the current run_suite call, keyed by (n, adj);
 # None outside a call
 _RUN_SOLVES: ContextVar[dict | None] = ContextVar("_RUN_SOLVES", default=None)
@@ -175,25 +169,16 @@ def _solve(g: Graph) -> ResolvingCertificate:
     return memo[key]
 
 
-def _check_mdim_formula(args: dict[str, Any]) -> list[int]:
-    return [
-        _solve(families.family(args["family"], *ps)).mu
-        for ps in args["param_sets"]
-    ]
-
-
 def _check_mdim(args: dict[str, Any]) -> int:
-    return _solve(_graph_from_args(args)).mu
+    return _solve(graph(args)).mu
 
 
-def _check_double_equals_base(args: dict[str, Any]) -> list[int]:
-    base = _graph_from_args(args)
-    dbl = families.bipartite_double(base).graph
-    return [_solve(base).mu, _solve(dbl).mu]
+def _check_mdim_list(args: dict[str, Any]) -> list[int]:
+    return [_solve(graph(spec)).mu for spec in args["graphs"]]
 
 
 def _check_halved_lift_size(args: dict[str, Any]) -> int:
-    g = _graph_from_args(args)
+    g = graph(args)
     gp, gm, _, _ = halve(g)
     r_plus = _solve(gp).set
     r_minus = _solve(gm).set
@@ -202,7 +187,7 @@ def _check_halved_lift_size(args: dict[str, Any]) -> int:
 
 
 def _check_folded_lift(args: dict[str, Any]) -> dict[str, Any]:
-    g = _graph_from_args(args)
+    g = graph(args)
     folded, _ = fold(g)
     r_bar = _solve(folded).set
     result = lift_folded(g, r_bar)
@@ -210,7 +195,7 @@ def _check_folded_lift(args: dict[str, Any]) -> dict[str, Any]:
 
 
 def _check_taylor_plus_one(args: dict[str, Any]) -> list[int]:
-    base = _graph_from_args(args)
+    base = graph(args)
     cover = families.taylor(base)
     base_set = _solve(base).set
     mu_cover = _solve(cover.graph).mu
@@ -224,32 +209,22 @@ def _check_taylor_plus_one(args: dict[str, Any]) -> list[int]:
 
 
 def _check_descendant_values(args: dict[str, Any]) -> list[int]:
-    cover = families.taylor(_graph_from_args(args))
+    cover = graph({"taylor": args})
     values = set()
-    for w in range(cover.graph.n):
-        local, _ = induced_neighborhood(cover.graph, w)
+    for w in range(cover.n):
+        local, _ = induced_neighborhood(cover, w)
         values.add(_solve(local).mu)
     return sorted(values)
 
 
 def _check_biplane_mu(args: dict[str, Any]) -> dict[str, Any]:
-    rk = families.rook(4, 4)
-    design = design_from_graph(families.bipartite_double(rk).graph)
-    inc = incidence_graph(design).graph
-    mu = _solve(inc).mu
-    mu_base = _solve(rk).mu
+    mu = _solve(graph(args["graph"])).mu
+    mu_base = _solve(graph(args["base"])).mu
     return {"mu": mu, "at_most_twice_base": mu <= 2 * mu_base}
 
 
-def _check_fano_pair(args: dict[str, Any]) -> list[int]:
-    plane = pg2(2)
-    a = _solve(incidence_graph(plane).graph).mu
-    b = _solve(incidence_graph(design_complement(plane)).graph).mu
-    return [a, b]
-
-
 def _check_blocking_triple(args: dict[str, Any]) -> dict[str, Any]:
-    plane = pg2(args["q"])
+    plane = design(args)
     _, points = three_lines_2blocking(plane)
     survives = all(
         is_semi_resolving_for_blocks(plane, tuple(p for p in points if p != x))
@@ -263,11 +238,7 @@ def _check_blocking_triple(args: dict[str, Any]) -> dict[str, Any]:
 
 
 def _check_ah_zoo(args: dict[str, Any]) -> dict[str, str]:
-    names = [
-        "petersen", "C_7", "K_6", "K_3x4", "Q_3", "heawood", "icosahedron",
-        "Q_4", "Q_6", "johnson_8_4", "gq22_incidence", "desargues", "Q_8",
-    ]
-    return {name: classify_ah(ZOO[name]()).label for name in names}
+    return {name: classify_ah(graph({"name": name})).label for name in args["names"]}
 
 
 @functools.cache
@@ -364,29 +335,27 @@ def _check_babai_cross(args: dict[str, Any]) -> dict[str, Any]:
 
 
 def _check_semi_resolving(args: dict[str, Any]) -> int:
-    return _minimum(min_semi_resolving(pg2(args["q"]), side=args["side"])).mu
+    return _minimum(min_semi_resolving(design(args["design"]), side=args["side"])).mu
 
 
 def _check_split_value(args: dict[str, Any]) -> int:
-    split = split_mdim(pg2(args["q"]))
+    split = split_mdim(design(args))
     return sum(_minimum(part).mu for part in (split.points_part, split.blocks_part))
 
 
 def _check_intersection_array(args: dict[str, Any]) -> str:
-    return intersection_array(_graph_from_args(args)).standard_notation()
+    return intersection_array(graph(args)).standard_notation()
 
 
 CHECKS: dict[str, Callable[[dict[str, Any]], Any]] = {
-    "mdim_formula": _check_mdim_formula,
     "mdim_family": _check_mdim,
     "mdim_zoo": _check_mdim,
-    "double_equals_base": _check_double_equals_base,
+    "mdim_list": _check_mdim_list,
     "halved_lift_size": _check_halved_lift_size,
     "folded_lift": _check_folded_lift,
     "taylor_plus_one": _check_taylor_plus_one,
     "descendant_values": _check_descendant_values,
     "biplane_mu": _check_biplane_mu,
-    "fano_pair": _check_fano_pair,
     "blocking_triple": _check_blocking_triple,
     "ah_zoo": _check_ah_zoo,
     "random_soundness": _check_random_soundness,
@@ -440,21 +409,24 @@ def run_suite(
 
 
 def oracle_rows(max_n: int = 32) -> list[tuple[str, Any, Any, bool]]:
-    """Recompute computed-source metric dimension rows with the exhaustive
-    oracle where the instance is small enough.
+    """Recompute the metric dimension rows (mdim_zoo, mdim_family and
+    mdim_list) with the exhaustive oracle where every graph of the row is
+    small enough.
 
-    Returns (id, frozen expected, oracle value, agree) tuples; rows whose
-    instance exceeds max_n vertices are skipped.  This is the bootstrap that
-    justified the frozen values in the first place.
+    Returns (id, frozen expected, oracle value, agree) tuples; a row with a
+    graph of more than max_n vertices is skipped, with value None.  This is
+    the bootstrap that justified the frozen values in the first place.
     """
     out = []
     for row in load_golden():
-        if row.source != "computed" or row.check not in ("mdim_zoo", "mdim_family"):
+        if row.check not in ("mdim_zoo", "mdim_family", "mdim_list"):
             continue
-        g = _graph_from_args(row.args)
-        if g.n > max_n:
+        listed = row.check == "mdim_list"
+        graphs = [graph(spec) for spec in (row.args["graphs"] if listed else [row.args])]
+        if max(g.n for g in graphs) > max_n:
             out.append((row.id, row.expected, None, True))
             continue
-        value = exhaustive_mdim(g).mu
+        values = [exhaustive_mdim(g).mu for g in graphs]
+        value = values if listed else values[0]
         out.append((row.id, row.expected, value, value == row.expected))
     return out

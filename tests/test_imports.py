@@ -117,7 +117,7 @@ IMPORTS = {
     "mdim": {"cover", "designs", "errors", "graphs"},
     "verify": {"designs", "errors", "families", "graphs", "imprimitivity", "lifting",
                "mdim", "zoo"},
-    "zoo": {"designs", "families", "graphs"},
+    "zoo": {"designs", "errors", "families", "graphs"},
 }
 
 

@@ -1,11 +1,13 @@
 """The golden-value regression suite: the frozen table itself, the runner,
 tamper detection, and the exhaustive re-derivation hook."""
 
+import ast
 import dataclasses
 import functools
 import json
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,42 @@ from mdimlab.verify import (
     oracle_rows,
     run_suite,
 )
-from mdimlab.zoo import SOLVABLE, ZOO
+from mdimlab.zoo import SOLVABLE, ZOO, design, graph
+
+# where each check's row holds its graph and design specs, as (reader, spec)
+# pairs; a check not listed takes one graph spec as its arguments
+ROW_SPECS = {
+    "mdim_list": lambda args: [(graph, spec) for spec in args["graphs"]],
+    "biplane_mu": lambda args: [(graph, args["graph"]), (graph, args["base"])],
+    "ah_zoo": lambda args: [(graph, {"name": name}) for name in args["names"]],
+    "semi_resolving": lambda args: [(design, args["design"])],
+    "blocking_triple": lambda args: [(design, args)],
+    "split_value": lambda args: [(design, args)],
+    "random_soundness": lambda args: [],
+    "bounds_chain": lambda args: [],
+    "babai_cross": lambda args: [],
+}
+
+
+def literal_constructor_calls(tree: ast.Module) -> list[int]:
+    """Line numbers of the calls, inside a function, of a families or
+    designs function with a literal argument."""
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in ("families", "designs")
+        for alias in node.names
+    }
+    return sorted({
+        call.lineno
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for call in ast.walk(fn) if isinstance(call, ast.Call)
+        if (isinstance(call.func, ast.Name) and call.func.id in imported
+            or isinstance(call.func, ast.Attribute) and isinstance(call.func.value, ast.Name)
+            and call.func.value.id in ("families", "designs"))
+        and any(isinstance(arg, ast.Constant)
+                for arg in call.args + [kw.value for kw in call.keywords])
+    })
 
 
 def spy_on_solves(monkeypatch) -> list:
@@ -93,6 +130,24 @@ class TestGoldenTable:
             if row.check is not None:
                 assert row.check in CHECKS, row.id
 
+    def test_every_check_is_named_by_a_row(self):
+        assert set(CHECKS) - {r.check for r in load_golden()} == set()
+
+    def test_every_rows_specs_build(self):
+        for row in load_golden():
+            if row.check is not None:
+                specs = ROW_SPECS.get(row.check, lambda args: [(graph, args)])
+                for reader, spec in specs(row.args):
+                    reader(spec)
+
+    def test_no_check_builds_a_named_graph_or_design_inline(self):
+        # every graph and design a check reads comes from its row's specs,
+        # so a new family row is data, not check code
+        probe = "from .designs import pg2\ndef f():\n    return pg2(2), families.rook(q, 4)"
+        assert literal_constructor_calls(ast.parse(probe)) == [3]
+        source = Path(mdimlab.verify.__file__).read_text()
+        assert literal_constructor_calls(ast.parse(source)) == []
+
     def test_recorded_rows_have_no_check(self):
         # a row is recorded, shown but not run, iff it names no check
         recorded = [r for r in load_golden() if r.check is None]
@@ -125,6 +180,15 @@ class TestRunSuite:
         rows = load_golden()
         assert [r.row for r in default_report.results] == rows
         assert all(r.ran == (r.row.check is not None) for r in default_report.results)
+
+    def test_a_malformed_spec_fails_the_run_by_name(self, monkeypatch):
+        rows = [
+            dataclasses.replace(r, args={"name": "nope"}) if r.id == "mu-petersen" else r
+            for r in load_golden()
+        ]
+        monkeypatch.setattr("mdimlab.verify.load_golden", lambda: rows)
+        with pytest.raises(BadParameters, match="'name': 'nope'"):
+            run_suite(only={"mu-petersen"})
 
     def test_include_slow_is_ignored(self, default_report):
         for include_slow in (True, False):
@@ -354,6 +418,13 @@ class TestOracleRows:
         checked = {rid: agree for rid, _, value, agree in rows if value is not None}
         assert checked["mu-petersen"] is True
         assert all(checked.values())
+
+    def test_list_rows_are_rederived(self):
+        rows = {rid: (expected, value) for rid, expected, value, _ in oracle_rows(max_n=20)}
+        assert rows["mu-cycles"] == ([2] * 8, [2] * 8)
+        assert rows["double-petersen"] == ([3, 3], [3, 3])
+        assert rows["fano-complement-pair"] == ([5, 5], [5, 5])
+        assert rows["double-odd_4"] == ([5, 5], None)
 
     def test_large_instances_are_skipped_not_failed(self):
         rows = oracle_rows(max_n=4)
