@@ -10,9 +10,9 @@ length (--seconds); otherwise the script names the files of each length
 and exits 1.  Untraced runs (trace 0) of the same workload and seed on
 both sides form one pair; the file keeps every pair's end-to-end metrics
 and fail ratio, and per metric each side's median and quartiles and the
-number of pairs the change won.  Traced runs (trace 1) give the
-per-layer metrics named in TRACED, counters and self times, for each seed
-traced on both sides.
+number of pairs the change won.  Traced runs (trace 1) give their whole
+metrics mapping, which perfbench fills with every per-layer metric of
+BENCHMARK.json, for each seed traced on both sides.
 Nothing is run here: run the pairs first, alternating which side goes
 first.
 """
@@ -27,23 +27,6 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACED = (
-    "graphs.bfs_distances.calls",
-    "graphs.bfs_distances.self_s",
-    "graphs.intersection_array.calls",
-    "graphs.intersection_array.self_s",
-    "imprimitivity.fold.self_s",
-    "mdim.mdim_exact.calls",
-    "mdim.mdim_exact.distinct_ratio",
-    "cover.greedy_cover.calls",
-    "cover.min_cover.nodes",
-    "cover.min_cover.nodes_per_s",
-    "cover.min_cover.self_s",
-    "mdim.twin_forced_choices.forced",
-    "mdim.min_semi_resolving.calls",
-    "mdim.first_unresolved_pair.calls",
-    "mdim.exhaustive_mdim.calls",
-)
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 
 
@@ -89,8 +72,8 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
         else:
             entry["traced"].append({
                 "seed": seed,
-                "parent": {k: a["metrics"][k] for k in TRACED},
-                "change": {k: b["metrics"][k] for k in TRACED},
+                "parent": a["metrics"],
+                "change": b["metrics"],
             })
     for entry in workloads.values():
         pairs = entry["pairs"]

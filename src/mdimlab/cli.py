@@ -3,10 +3,13 @@
 Commands: construct, classify, mdim, lift, bounds, semiresolve, verify,
 oracle.  construct takes a mode (family, taylor, double, plane,
 incidence), as does lift (halved, folded, push, taylor, double); a mode
-takes only the flags it reads, and any other is a usage error.  Exit
-codes: 0 success, 1 user or input error (usage errors included), 2 node
-budget (--budget) exhausted before the requested answer was proved (mdim
-and semiresolve).
+takes only the flags it reads, and any other is a usage error.  Named
+graphs and designs are built from zoo specs: F --param P... is {"family":
+F, "params": [P, ...]}, which construct taylor and double wrap in
+{"taylor": ...} or {"double": ...}, and --plane Q or plane Q is {"plane":
+Q}.  Exit codes: 0 success, 1 user or input error (usage errors included),
+2 node budget (--budget) exhausted before the requested answer was proved
+(mdim and semiresolve).
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ import json
 import sys
 from typing import Any
 
-from . import families
+from . import families, zoo
 from .cover import DEFAULT_BUDGET
-from .designs import SymmetricDesign, design_from_text, design_text, incidence_graph, pg2
+from .designs import SymmetricDesign, design_from_text, design_text, incidence_graph
 from .errors import BadParameters, MdimlabError
-from .graphs import Graph, as_decimal
+from .graphs import as_decimal
 from .imprimitivity import bipartition, classify_ah
 from .lifting import (
     double_lift,
@@ -94,13 +97,13 @@ def _proved(certs) -> int:
 
 def _load_design(args: argparse.Namespace) -> SymmetricDesign:
     if args.plane is not None:
-        return pg2(args.plane)
+        return zoo.design({"plane": args.plane})
     return design_from_text(read_ascii(args.design))
 
 
-def _base_graph(args: argparse.Namespace) -> Graph:
-    """The BASE family member, built with the --param values."""
-    return families.family(args.base, *args.param)
+def _base_spec(args: argparse.Namespace) -> dict[str, Any]:
+    """The family spec of BASE with the --param values."""
+    return {"family": args.base, "params": args.param}
 
 
 def _write_or_print(text: str, out: str | None, what: str) -> None:
@@ -123,7 +126,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_construct_plane(args: argparse.Namespace) -> int:
-    design = pg2(args.q)
+    design = zoo.design({"plane": args.q})
     _write_or_print(design_text(design), args.out,
                     f"({design.v}, {design.k}, {design.lam}) design")
     return EXIT_OK
@@ -164,7 +167,7 @@ def _lift_push(args: argparse.Namespace):
 
 def _lift_double(args: argparse.Namespace):
     if args.graph is None:
-        base = _base_graph(args)
+        base = zoo.graph(_base_spec(args))
     elif args.param:
         raise BadParameters("--param is read only with --base")
     else:
@@ -277,16 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build a named graph or design")
     modes = p.add_subparsers(dest="mode", required=True)
     m = modes.add_parser("family", parents=[params, dot_out], help="a named family member")
-    m.add_argument("name", help="family name")
-    m.set_defaults(fn=_cmd_construct, build=lambda a: families.family(a.name, *a.param))
-    m = modes.add_parser("taylor", parents=[params, dot_out], help="Taylor cover of a base family")
-    m.add_argument("base", help="base family name")
-    m.set_defaults(fn=_cmd_construct, build=lambda a: families.taylor(_base_graph(a)).graph)
-    m = modes.add_parser("double", parents=[params, dot_out],
-                         help="bipartite double of a base family")
-    m.add_argument("base", help="base family name")
-    m.set_defaults(fn=_cmd_construct,
-                   build=lambda a: families.bipartite_double(_base_graph(a)).graph)
+    m.add_argument("base", metavar="name", help="family name")
+    m.set_defaults(fn=_cmd_construct, build=lambda a: zoo.graph(_base_spec(a)))
+    for form, what in (("taylor", "Taylor cover"), ("double", "bipartite double")):
+        m = modes.add_parser(form, parents=[params, dot_out], help=f"{what} of a base family")
+        m.add_argument("base", help="base family name")
+        m.set_defaults(fn=_cmd_construct, build=lambda a: zoo.graph({a.mode: _base_spec(a)}))
     m = modes.add_parser("plane", parents=[out], help="order-q point-line design")
     m.add_argument("q", type=_decimal, help="prime order")
     m.set_defaults(fn=_cmd_construct_plane)
@@ -331,8 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     m = modes.add_parser("taylor", parents=[params, vertex_set, as_json],
                          help="to the Taylor cover of a base family")
     m.add_argument("base", help="base family name")
-    m.set_defaults(fn=_cmd_lift,
-                   lift=lambda a: taylor_lift(families.taylor(_base_graph(a)), a.set))
+    # taylor_lift takes a LabeledCover, not a spec, while frozen perfbench passes one
+    m.set_defaults(fn=_cmd_lift, lift=lambda a: taylor_lift(
+        families.taylor(zoo.graph(_base_spec(a))), a.set))
     m = modes.add_parser("double", parents=[params, vertex_set, as_json],
                          help="to the bipartite double of a graph or base family")
     m.add_argument("--out", help="also write the doubled graph here")

@@ -233,9 +233,9 @@ def family_names() -> tuple[str, ...]:
 
 
 def family(name: str, *params: int) -> Graph:
-    """Construct a named family member; raises BadParameters for unknown names
-    or wrong arity, and each constructor reads its parameters with as_ints."""
-    if name not in _FAMILIES:
+    """Construct a named family member; raises BadParameters for an unknown or
+    non-str name or wrong arity; each constructor reads its params with as_ints."""
+    if not isinstance(name, str) or name not in _FAMILIES:
         raise BadParameters(
             f"unknown family {name!r}; known: {', '.join(family_names())}"
         )

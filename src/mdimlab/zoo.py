@@ -1,14 +1,14 @@
 """The named graphs of the test and verification suites, and the one reader
-of the specs that name graphs and designs.
+of the specs that name graphs and designs, for ZOO, golden rows and the CLI.
 
 A graph spec is {"name": z} for the ZOO graph z, {"family": f, "params":
 [...]} for families.family(f, *params), {"double": g}, {"taylor": g} or
 {"incidence": d}; a design spec is {"plane": q} for pg2(q), {"complement":
 d} or {"of": g} for design_from_graph, where g and d are graph and design
 specs.  graph and design build them, and raise BadParameters naming a spec
-of no such form or a name not in ZOO.  ZOO maps each name to a thunk that
-builds its spec, so importing this module stays cheap; SOLVABLE is the
-frozenset of the names small enough for routine exact solves.
+of no such form, a name not in ZOO or a name of no family.  ZOO maps each
+name to a thunk that builds its spec, so importing this module stays cheap;
+SOLVABLE is the frozenset of the names small enough for routine exact solves.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .graphs import Graph
 _GRAPH_FORMS = {"name": {"name"}, "family": {"family", "params"}, "double": {"double"},
                 "taylor": {"taylor"}, "incidence": {"incidence"}}
 _DESIGN_FORMS = {"plane": {"plane"}, "complement": {"complement"}, "of": {"of"}}
+_FAMILY_NAMES = families.family_names()
 
 
 def _form(spec: Any, forms: dict[str, set[str]], kind: str) -> str:
@@ -47,6 +48,9 @@ def graph(spec: dict[str, Any]) -> Graph:
     if form == "family":
         if not isinstance(spec["params"], list):
             raise BadParameters(f"params is not a list in {spec!r}")
+        if spec["family"] not in _FAMILY_NAMES:  # a tuple: an unhashable name is absent
+            raise BadParameters(
+                f"unknown family in {spec!r}; known: {', '.join(_FAMILY_NAMES)}")
         return families.family(spec["family"], *spec["params"])
     if form == "double":
         return families.bipartite_double(graph(spec["double"])).graph

@@ -15,6 +15,9 @@ from pathlib import Path
 import pytest
 
 from mdimlab.cli import main
+from mdimlab.designs import design_text
+from mdimlab.io import graph_text
+from mdimlab.zoo import design, graph
 
 
 def run(*argv: str):
@@ -113,6 +116,22 @@ class TestConstruct:
         assert code == 1
         assert "error: unrecognized arguments: --base paley" in err and out == ""
         assert err.startswith("usage: mdimlab construct family ")
+
+    @pytest.mark.parametrize("argv,text,reader,spec", [
+        pytest.param(*case, id=case[0]) for case in [
+            ("family kneser --param 5 --param 2", graph_text, graph,
+             {"family": "kneser", "params": [5, 2]}),
+            ("taylor paley --param 13", graph_text, graph,
+             {"taylor": {"family": "paley", "params": [13]}}),
+            ("double rook --param 4 --param 4", graph_text, graph,
+             {"double": {"family": "rook", "params": [4, 4]}}),
+            ("incidence --plane 3", graph_text, graph, {"incidence": {"plane": 3}}),
+            ("plane 3", design_text, design, {"plane": 3}),
+        ]
+    ])
+    def test_a_naming_mode_writes_what_its_spec_builds(self, argv, text, reader, spec):
+        # the golden rows name their graphs and designs by the same specs
+        assert run("construct", *argv.split()) == (0, text(reader(spec)), "")
 
     def test_unknown_family_exits_1(self):
         code, out, err = run("construct", "family", "nope")

@@ -85,6 +85,9 @@ class TestBasicFamilies:
     def test_family_dispatch_errors(self):
         with pytest.raises(BadParameters):
             family("no_such_family")
+        for name in (["cycle"], {"cycle": 5}):  # unhashable: not a bare TypeError
+            with pytest.raises(BadParameters, match="unknown family"):
+                family(name, 5)
         with pytest.raises(BadParameters):
             family("cycle")  # missing parameter
         with pytest.raises(BadParameters):

@@ -105,7 +105,7 @@ IMPORTS = {
                  "io", "lifting", "mdim"},
     "__main__": {"cli"},
     "cli": {"cover", "designs", "errors", "families", "graphs", "imprimitivity", "io",
-            "lifting", "mdim", "verify"},
+            "lifting", "mdim", "verify", "zoo"},
     "cover": {"errors", "graphs"},
     "designs": {"errors", "families", "graphs"},
     "errors": set(),

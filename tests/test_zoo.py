@@ -1,10 +1,14 @@
-"""The spec reader behind ZOO and the golden checks: the labels it builds,
-and the specs it refuses."""
+"""The spec reader behind ZOO, the golden checks and the command line: the
+labels it builds, the specs it refuses, and the modules that build named
+graphs and designs without it."""
 
+import ast
 import hashlib
+from pathlib import Path
 
 import pytest
 
+import mdimlab
 from mdimlab import BadParameters
 from mdimlab.zoo import ZOO, design, graph
 
@@ -61,6 +65,9 @@ def test_every_zoo_graph_keeps_its_labels():
     (graph, ["name", "petersen"]),
     (graph, {"name": "nope"}),  # unknown ZOO name
     (graph, {"name": ["petersen"]}),
+    (graph, {"family": "nope", "params": []}),  # unknown family
+    (graph, {"family": ["cycle"], "params": [5]}),
+    (graph, {"family": {"cycle": 5}, "params": []}),
     (graph, {"family": "cycle", "params": 5}),
     (graph, {"plane": 2}),  # a design spec where a graph spec goes
     (design, {"plane": 2, "side": "blocks"}),  # bad design specs
@@ -83,3 +90,33 @@ def test_a_nested_malformed_spec_is_refused_by_its_own_name(spec, bad):
     with pytest.raises(BadParameters) as info:
         graph(spec)
     assert repr(bad) in str(info.value)
+
+
+BUILDERS = {"pg2", "family", "bipartite_double"}
+
+
+def builder_names(tree: ast.Module) -> list[str]:
+    """The BUILDERS that tree names: bare, as an attribute or in an import."""
+    names = (
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name if isinstance(node, ast.alias)
+        else None
+        for node in ast.walk(tree)
+    )
+    return sorted(name for name in names if name in BUILDERS)
+
+
+def test_only_the_spec_reader_builds_named_graphs_and_designs():
+    # a new family or design form lands once, in graph or design, and
+    # reaches the golden rows and the command line both
+    probe = ("from .designs import pg2\n"
+             "build = lambda a: families.family(a.base), bipartite_double(g), pg2(a.q)")
+    assert builder_names(ast.parse(probe)) == ["bipartite_double", "family", "pg2", "pg2"]
+    package = Path(mdimlab.__file__).parent
+    named = {path.name: builder_names(ast.parse(path.read_text()))
+             for path in package.glob("*.py")}
+    assert named["cli.py"] == []
+    # __init__ re-exports them; lifting's double_lift doubles the graph it is given
+    assert {name for name, found in named.items()
+            if {"pg2", "family"} & set(found)} == {"__init__.py", "zoo.py"}
