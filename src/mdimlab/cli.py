@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = modes.add_parser("taylor", parents=[params, vertex_set, as_json],
                          help="to the Taylor cover of a base family")
     m.add_argument("base", help="base family name")
-    # taylor_lift takes a LabeledCover, not a spec, while frozen perfbench passes one
+    # taylor_lift takes a LabeledCover, not a spec's graph: perfbench calls it so too
     m.set_defaults(fn=_cmd_lift, lift=lambda a: taylor_lift(
         families.taylor(zoo.graph(_base_spec(a))), a.set))
     m = modes.add_parser("double", parents=[params, vertex_set, as_json],
