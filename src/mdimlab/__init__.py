@@ -26,7 +26,6 @@ from .graphs import (
     is_primitive,
 )
 from .families import (
-    LabeledCover,
     bipartite_double,
     family,
     family_names,

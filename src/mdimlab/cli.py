@@ -19,7 +19,7 @@ import json
 import sys
 from typing import Any
 
-from . import families, zoo
+from . import zoo
 from .cover import DEFAULT_BUDGET
 from .designs import SymmetricDesign, design_from_text, design_text, incidence_graph
 from .errors import BadParameters, MdimlabError
@@ -174,7 +174,7 @@ def _lift_double(args: argparse.Namespace):
         base = read_graph(args.graph)
     cover, cert = double_lift(base, args.set)
     if args.out:
-        write_graph(args.out, cover.graph)
+        write_graph(args.out, cover)
     return cert
 
 
@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(fn=_cmd_construct_plane)
     m = modes.add_parser("incidence", parents=[design, dot_out],
                          help="incidence graph of a design")
-    m.set_defaults(fn=_cmd_construct, build=lambda a: incidence_graph(_load_design(a)).graph)
+    m.set_defaults(fn=_cmd_construct, build=lambda a: incidence_graph(_load_design(a)))
 
     p = sub.add_parser("classify", parents=[as_json],
                        help="name the imprimitivity class of a graph")
@@ -330,9 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     m = modes.add_parser("taylor", parents=[params, vertex_set, as_json],
                          help="to the Taylor cover of a base family")
     m.add_argument("base", help="base family name")
-    # taylor_lift takes a LabeledCover, not a spec's graph: perfbench calls it so too
     m.set_defaults(fn=_cmd_lift, lift=lambda a: taylor_lift(
-        families.taylor(zoo.graph(_base_spec(a))), a.set))
+        zoo.graph({"taylor": _base_spec(a)}), a.set))
     m = modes.add_parser("double", parents=[params, vertex_set, as_json],
                          help="to the bipartite double of a graph or base family")
     m.add_argument("--out", help="also write the doubled graph here")

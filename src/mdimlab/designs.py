@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BadParameters, HypothesisFailure
-from .families import LabeledCover, is_prime
+from .families import is_prime
 from .graphs import (
     Graph,
     _bit_matrix,
@@ -106,7 +106,7 @@ def pg2(q: int) -> SymmetricDesign:
     return SymmetricDesign(v=len(p), k=q + 1, lam=1, inc=p @ p.T % q == 0)
 
 
-def incidence_graph(d: SymmetricDesign) -> LabeledCover:
+def incidence_graph(d: SymmetricDesign) -> Graph:
     """Bipartite point-block incidence graph: point x is vertex x and block j
     is vertex v + j.
 
@@ -121,7 +121,7 @@ def incidence_graph(d: SymmetricDesign) -> LabeledCover:
             raise HypothesisFailure(
                 "incidence graph failed its diameter-3 verification"
             )
-    return LabeledCover(graph=g)
+    return g
 
 
 def design_from_graph(g: Graph) -> SymmetricDesign:

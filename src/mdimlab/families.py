@@ -8,22 +8,10 @@ deduplication is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BadParameters, HypothesisFailure
 from .graphs import Graph, as_ints, intersection_array
-
-
-@dataclass(frozen=True)
-class LabeledCover:
-    """A graph built by bipartite_double, taylor or incidence_graph; each
-    constructor's docstring states its vertex layout."""
-
-    # one field, and still a class: perfbench/workloads.py, kept fixed so
-    # that benchmark runs compare, reads .graph from all three constructors
-    # and passes taylor(...) to taylor_lift
-    graph: Graph
 
 
 def is_prime(q: int) -> bool:
@@ -171,18 +159,17 @@ def gq22_incidence() -> Graph:
     return Graph.from_edges(30, edges)
 
 
-def bipartite_double(g: Graph) -> LabeledCover:
+def bipartite_double(g: Graph) -> Graph:
     """Two copies of the vertex set with u+ ~ w- iff u ~ w in g.
 
     Vertex v of g appears as v (its plus copy) and v + n (its minus copy).
     """
     n = g.n
     edges = [(u, n + w) for u in range(n) for w in g.neighbors(u)]
-    graph = Graph.from_edges(2 * n, {(min(u, w), max(u, w)) for u, w in edges})
-    return LabeledCover(graph=graph)
+    return Graph.from_edges(2 * n, {(min(u, w), max(u, w)) for u, w in edges})
 
 
-def taylor(delta: Graph) -> LabeledCover:
+def taylor(delta: Graph) -> Graph:
     """Two-fold antipodal cover of diameter 3 built from a strongly regular
     graph with parameters (n, 2c, a, c).
 
@@ -208,7 +195,7 @@ def taylor(delta: Graph) -> LabeledCover:
         for w in range(n):
             if w != u and not delta.has_edge(u, w):
                 edges.append((u, n + w))
-    return LabeledCover(graph=Graph.from_edges(2 * n + 2, edges))
+    return Graph.from_edges(2 * n + 2, edges)
 
 
 _FAMILIES = {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from .errors import BadParameters, HypothesisFailure, InputNotResolving
-from .families import LabeledCover, bipartite_double
+from .families import bipartite_double
 from .graphs import Graph, as_ids, bipartition, induced_neighborhood, intersection_array
 from .imprimitivity import AntipodalStructure, antipodal_structure, fold, halve
 from .mdim import ResolvingCertificate, _normalise, _verified, certify
@@ -165,16 +165,15 @@ def project_to_folded(
     return folded, quotient, cert
 
 
-def taylor_lift(cover: LabeledCover, r: Iterable[int]) -> ResolvingCertificate:
+def taylor_lift(g: Graph, r: Iterable[int]) -> ResolvingCertificate:
     """Resolve a Taylor graph from a resolving set of the local graph at its
     plus pole, by adding the pole itself.
 
-    cover.graph must be distance-regular of diameter 3 with antipodal
-    classes of size 2, and its plus pole 2n must be adjacent to exactly the
-    plus copies 0..n-1, as in taylor().  r is given in the labels of the
+    g must be distance-regular of diameter 3 with antipodal classes of
+    size 2, and its plus pole 2n must be adjacent to exactly the plus
+    copies 0..n-1, as in taylor().  r is given in the labels of the
     plus-pole neighbourhood, which coincide with the plus copies.
     """
-    g = cover.graph
     if intersection_array(g).d != 3 or antipodal_structure(g).t != 2:
         raise HypothesisFailure(
             "taylor lift needs diameter 3 and antipodal classes of size 2"
@@ -216,11 +215,12 @@ def descendant_extract(
 
 def double_lift(
     delta: Graph, r: Iterable[int]
-) -> tuple[LabeledCover, ResolvingCertificate]:
+) -> tuple[Graph, ResolvingCertificate]:
     """Resolve the bipartite double of a strongly regular graph with a = c by
     taking both copies of a resolving set.
 
-    Returns (the double, certificate in its labels: v and v + n).
+    Returns (the double as bipartite_double builds it, certificate in its
+    labels: v and v + n).
     """
     ia = intersection_array(delta)
     if ia.d != 2 or ia.a[1] != ia.c[1]:
@@ -230,5 +230,5 @@ def double_lift(
     chosen = _require_resolving(delta, r, "input")
     cover = bipartite_double(delta)
     lifted = set(chosen) | {v + delta.n for v in chosen}
-    cert = _verified(cover.graph, lifted, "lifted-double")
+    cert = _verified(cover, lifted, "lifted-double")
     return cover, cert

@@ -372,7 +372,8 @@ def min_semi_resolving(
 ) -> ResolvingCertificate:
     """Minimum semi-resolving set for one side of a design; a spent budget
     gives status "verified-resolving", as in mdim_exact."""
-    # no finder: on the design instances it costs more than it saves
+    # no finder: faster on the small planes and budgeted searches run here,
+    # slower on a full PG(2,5) proof (README; ROADMAP item 8)
     res = min_cover(semi_cover_instance(d, side), budget=budget, symmetries=())
     return _from_cover(
         res, first_unseparated_pair(d, res.chosen, side), f"exact-bnb-semi-{side}"
@@ -411,5 +412,5 @@ def split_mdim(d: SymmetricDesign, budget: int = DEFAULT_BUDGET) -> SplitDimensi
     pts = min_semi_resolving(d, "blocks", budget=budget)
     blks = min_semi_resolving(d, "points", budget=budget)
     union = set(pts.set) | {d.v + j for j in blks.set}
-    _verified(incidence_graph(d).graph, union, "split")
+    _verified(incidence_graph(d), union, "split")
     return SplitDimension(points_part=pts, blocks_part=blks)

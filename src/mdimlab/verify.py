@@ -196,9 +196,9 @@ def _check_folded_lift(args: dict[str, Any]) -> dict[str, Any]:
 
 def _check_taylor_plus_one(args: dict[str, Any]) -> list[int]:
     base = graph(args)
-    cover = families.taylor(base)
+    cover = families.taylor(base)  # not graph({"taylor": args}), which builds base again
     base_set = _solve(base).set
-    mu_cover = _solve(cover.graph).mu
+    mu_cover = _solve(cover).mu
     # the lift must also land at mu_base + 1 and verify
     lifted = taylor_lift(cover, base_set)
     if len(lifted.set) != len(base_set) + 1:

@@ -53,10 +53,10 @@ def graph(spec: dict[str, Any]) -> Graph:
                 f"unknown family in {spec!r}; known: {', '.join(_FAMILY_NAMES)}")
         return families.family(spec["family"], *spec["params"])
     if form == "double":
-        return families.bipartite_double(graph(spec["double"])).graph
+        return families.bipartite_double(graph(spec["double"]))
     if form == "taylor":
-        return families.taylor(graph(spec["taylor"])).graph
-    return incidence_graph(design(spec["incidence"])).graph
+        return families.taylor(graph(spec["taylor"]))
+    return incidence_graph(design(spec["incidence"]))
 
 
 def design(spec: dict[str, Any]) -> SymmetricDesign:

@@ -75,13 +75,13 @@ def test_criterion_03_doubling_preserves_the_dimension():
         lambda: ZOO["odd_4"](),
     ):
         g = build()
-        doubled = bipartite_double(g).graph
+        doubled = bipartite_double(g)
         assert mdim_exact(doubled).mu == mdim_exact(g).mu
     # the smallest odd graph: both sides equal and within twice valency
     # minus two
     small = family("odd", 3)
     mu = mdim_exact(small).mu
-    assert mu == mdim_exact(bipartite_double(small).graph).mu <= 4
+    assert mu == mdim_exact(bipartite_double(small)).mu <= 4
     assert time.monotonic() - start < 60.0
 
 
@@ -110,7 +110,7 @@ def test_criterion_04_halved_and_folded_lifts():
         assert len(out.certificate.set) == s * (t - 1)
     # folding, plain case
     for build, r_bar in (
-        (lambda: taylor(family("cycle", 5)).graph, (0, 1, 2, 3, 4)),
+        (lambda: taylor(family("cycle", 5)), (0, 1, 2, 3, 4)),
         (lambda: family("hypercube", 3), (0, 1, 2)),
     ):
         out = lift_folded(build(), r_bar)
@@ -125,15 +125,15 @@ def test_criterion_05_two_fold_covers_add_exactly_one():
         base = family(name, *params)
         cover = taylor(base)
         base_mu = mdim_exact(base).mu
-        assert mdim_exact(cover.graph).mu == base_mu + 1
+        assert mdim_exact(cover).mu == base_mu + 1
         # the constructive transfer achieves that size
         lifted = taylor_lift(cover, mdim_exact(base).set)
         assert len(lifted.set) == base_mu + 1
     # every local graph of the 28-vertex cover stays within one of the base
     cover = taylor(family("paley", 13))
     base_mu = 4
-    for w in range(cover.graph.n):
-        local, _ = induced_neighborhood(cover.graph, w)
+    for w in range(cover.n):
+        local, _ = induced_neighborhood(cover, w)
         assert mdim_exact(local).mu in (base_mu, base_mu + 1)
     assert time.monotonic() - start < 300.0
 
@@ -142,15 +142,15 @@ def test_criterion_05_two_fold_covers_add_exactly_one():
 def test_criterion_06_biplane_value_and_complement_invariance():
     start = time.monotonic()
     rook = family("rook", 4, 4)
-    biplane = design_from_graph(bipartite_double(rook).graph)
+    biplane = design_from_graph(bipartite_double(rook))
     assert (biplane.v, biplane.k, biplane.lam) == (16, 6, 2)
-    mu = mdim_exact(incidence_graph(biplane).graph).mu
+    mu = mdim_exact(incidence_graph(biplane)).mu
     assert mu == 8
     assert mu <= 2 * mdim_exact(rook).mu
     # complementing the smallest plane does not move the dimension
     fano = pg2(2)
-    mu_fano = mdim_exact(incidence_graph(fano).graph).mu
-    mu_comp = mdim_exact(incidence_graph(design_complement(fano)).graph).mu
+    mu_fano = mdim_exact(incidence_graph(fano)).mu
+    mu_comp = mdim_exact(incidence_graph(design_complement(fano))).mu
     assert mu_fano == mu_comp
     assert time.monotonic() - start < 1800.0
 

@@ -972,7 +972,7 @@ class TestFinderMatchesTheReference:
     def test_a_relabelled_projective_plane_spends_the_cap(self):
         # PG(2,5): every point is at distance 2 from every other, so the
         # codes barely refine and the work cap runs out before any leaf
-        dist = np.asarray(incidence_graph(pg2(5)).graph.distances.dist)
+        dist = np.asarray(incidence_graph(pg2(5)).distances.dist)
         assert self.check(relabelled_instance(dist, 5)) == ()
 
 
@@ -1446,7 +1446,7 @@ class TestMatchesTheReferenceSearch:
     def test_relabelled_plane_incidence(self, q, budget):
         # with symmetries=(), and on PG(2,5) where the finder finds none,
         # the one root's start is empty and closes the point-line pairs
-        dist = np.asarray(incidence_graph(pg2(q)).graph.distances.dist)
+        dist = np.asarray(incidence_graph(pg2(q)).distances.dist)
         for seed in range(3):
             inst = relabelled_instance(dist, seed)
             assert len(_open_items(inst, WHOLE)) == inst.n_items - (q * q + q + 1) ** 2
@@ -1455,7 +1455,7 @@ class TestMatchesTheReferenceSearch:
             self.check(inst, budget=budget, symmetries=())
 
     def test_a_budgeted_relabelled_pg25_solve(self):
-        dist = np.asarray(incidence_graph(pg2(5)).graph.distances.dist)
+        dist = np.asarray(incidence_graph(pg2(5)).distances.dist)
         got = self.check(relabelled_instance(dist, 0), budget=5_000)
         assert (len(got.chosen), got.nodes, got.optimal) == (15, 5_000, False)
 

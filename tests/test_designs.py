@@ -195,7 +195,7 @@ class TestSerialization:
 class TestIncidenceGraph:
     def test_order_2_plane_gives_a_14_vertex_cubic_graph(self):
         cover = incidence_graph(pg2(2))
-        g = cover.graph
+        g = cover
         assert g.n == 14
         assert g.regular_valency() == 3
         ia = intersection_array(g)
@@ -203,7 +203,7 @@ class TestIncidenceGraph:
 
     def test_points_meet_only_blocks(self):
         # points are 0..v-1, blocks v..2v-1
-        g = incidence_graph(pg2(2)).graph
+        g = incidence_graph(pg2(2))
         for x in range(7):
             assert all(w >= 7 for w in g.neighbors(x))
         for j in range(7, 14):
@@ -211,23 +211,23 @@ class TestIncidenceGraph:
 
     def test_edges_follow_the_incidence_matrix(self):
         p = pg2(2)
-        g = incidence_graph(p).graph
+        g = incidence_graph(p)
         for x in range(7):
             assert tuple(g.neighbors(x)) == tuple(7 + j for j in np.flatnonzero(p.inc[x]))
 
     def test_round_trip_through_design_from_graph(self):
         p = pg2(3)
-        assert design_from_graph(incidence_graph(p).graph) == p
+        assert design_from_graph(incidence_graph(p)) == p
 
     @pytest.mark.parametrize("seed", range(3))
     def test_shuffled_designs_match_the_loop_references(self, seed):
         # points and blocks shuffled separately, so inc is not symmetric
         rng = np.random.default_rng(seed)
-        biplane = design_from_graph(bipartite_double(family("rook", 4, 4)).graph)
+        biplane = design_from_graph(bipartite_double(family("rook", 4, 4)))
         for d in (pg2(2), pg2(3), design_complement(pg2(3)), biplane):
             inc = d.inc[rng.permutation(d.v)][:, rng.permutation(d.v)]
             shuffled = SymmetricDesign(v=d.v, k=d.k, lam=d.lam, inc=inc)
-            g = incidence_graph(shuffled).graph
+            g = incidence_graph(shuffled)
             edges = [(x, d.v + j) for x in range(d.v) for j in np.flatnonzero(shuffled.inc[x])]
             assert g == Graph.from_edges(2 * d.v, edges)
             back = np.zeros((d.v, d.v), dtype=np.uint8)
@@ -240,7 +240,7 @@ class TestIncidenceGraph:
             assert design_from_graph(g) == shuffled
 
     def test_biplane_from_doubled_rook_graph(self):
-        doubled = bipartite_double(family("rook", 4, 4)).graph
+        doubled = bipartite_double(family("rook", 4, 4))
         d = design_from_graph(doubled)
         assert (d.v, d.k, d.lam) == (16, 6, 2)
         # rook(4,4) is its own design: the incidence is symmetric with zero diagonal
@@ -267,7 +267,7 @@ class TestIncidenceGraph:
 
         monkeypatch.setattr(mdimlab.designs, "bipartition", broken)
         with pytest.raises(Boom):
-            design_from_graph(incidence_graph(pg2(2)).graph)
+            design_from_graph(incidence_graph(pg2(2)))
 
 
 class TestDoubleBlocking:

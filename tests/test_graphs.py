@@ -495,7 +495,7 @@ class TestDerivedGraphs:
             induced_neighborhood(Graph(2, [0, 0]), 0)
 
     def test_induced_neighborhood_matches_a_loop_reference(self):
-        g = taylor(family("paley", 13)).graph
+        g = taylor(family("paley", 13))
         for x in (0, 13, g.n - 1):
             vmap = tuple(w for w in range(g.n) if g.has_edge(x, w))
             edges = [(i, j) for i, j in combinations(range(len(vmap)), 2)
@@ -523,7 +523,7 @@ class TestBitRows:
             far2 = g.distances.layer(2)
             for side in bipartition(g):
                 assert _induced(far2, side) == induced_by_loop(far2, side)
-        g = taylor(family("paley", 13)).graph
+        g = taylor(family("paley", 13))
         for x in range(g.n):  # every local graph
             vmap = tuple(g.neighbors(x))
             assert _induced(g.adj, vmap) == induced_by_loop(g.adj, vmap)

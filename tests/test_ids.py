@@ -60,9 +60,9 @@ ENTRY_POINTS = [
     ("push_to_plus", 8, lambda v: push_to_plus(_cube(), [0, 1, 2, 4], [0, 1, 2, v])),
     ("project_to_folded", 8, lambda v: project_to_folded(_cube(), [0, v])),
     ("descendant_extract-x", 12,
-     lambda v: descendant_extract(_c5_cover().graph, (0, 1, 2, 3), v)),
+     lambda v: descendant_extract(_c5_cover(), (0, 1, 2, 3), v)),
     ("descendant_extract-s", 12,
-     lambda v: descendant_extract(_c5_cover().graph, (0, 1, v), 0)),
+     lambda v: descendant_extract(_c5_cover(), (0, 1, v), 0)),
     ("induced_neighborhood", 10, lambda v: induced_neighborhood(_petersen(), v)),
     ("lift_halved", 8,
      lambda v: lift_halved(family("hypercube", 4), [0, v], [0, 1])),

@@ -313,8 +313,8 @@ def _regular_antipodal_graphs():
     graphs += [family("hypercube", m) for m in range(2, 9)]
     graphs += [family("complete_multipartite", s, t) for s in (2, 3, 4) for t in (2, 3)]
     graphs += [family("complete_bipartite_minus_matching", v) for v in range(3, 7)]
-    graphs += [bipartite_double(family("odd", r)).graph for r in (2, 3, 4)]
-    graphs += [taylor(family("paley", q)).graph for q in (5, 13, 17)]
+    graphs += [bipartite_double(family("odd", r)) for r in (2, 3, 4)]
+    graphs += [taylor(family("paley", q)) for q in (5, 13, 17)]
     graphs += [family("johnson", 2 * m, m) for m in (2, 3, 4)]
     return graphs
 
@@ -341,7 +341,7 @@ class TestFold:
                   if g.distances.connected and is_antipodal(g)]
         assert len(graphs) >= 10
         graphs += [_relabelled(g, seed) for seed in range(2) for g in (
-            family("hypercube", 7), family("hypercube", 8), taylor(family("paley", 61)).graph)]
+            family("hypercube", 7), family("hypercube", 8), taylor(family("paley", 61)))]
         for g in graphs:
             assert fold(g)[0].adj == _fold_rows_reference(g)
 

@@ -13,7 +13,6 @@ from mdimlab import (
     Graph,
     HypothesisFailure,
     InputNotResolving,
-    LabeledCover,
     NotAntipodal,
     NotBipartite,
     NotDistanceRegular,
@@ -98,7 +97,7 @@ def antipode_inputs():
     yield "Q_5", family("hypercube", 5)
     yield "C_8", family("cycle", 8)
     yield "K_3x4", family("complete_multipartite", 3, 4)  # t = 4
-    yield "taylor_paley_13", taylor(family("paley", 13)).graph
+    yield "taylor_paley_13", taylor(family("paley", 13))
     yield "path_and_vertex", Graph.from_edges(4, [(0, 1), (1, 2)])
     for seed in range(30):
         rng = random.Random(seed)
@@ -291,7 +290,7 @@ class TestProjectToFolded:
 
     def test_non_antipodal_input_is_rejected(self):
         # the Heawood graph: bipartite of odd diameter 3, not antipodal
-        heawood = incidence_graph(pg2(2)).graph
+        heawood = incidence_graph(pg2(2))
         with pytest.raises(NotAntipodal, match="component containing 7 is not a clique"):
             project_to_folded(heawood, [0])
 
@@ -323,7 +322,7 @@ def _relabelled(g: Graph, seed: int) -> Graph:
 def _icosahedron_minus_edges_off_the_pole() -> list[Graph]:
     """taylor(C_5) less one edge, for each of the 25 edges that miss the
     plus pole 10: every result keeps the pole layout."""
-    g = taylor(family("cycle", 5)).graph
+    g = taylor(family("cycle", 5))
     kept = list(g.edges())
     return [Graph.from_edges(12, [e for e in kept if e != cut])
             for cut in kept if 10 not in cut]
@@ -342,7 +341,7 @@ class TestTaylorLift:
         assert cert.method == "lifted-taylor"
         assert len(cert.set) == 3
         assert 10 in cert.set  # the plus pole 2n
-        assert is_resolving(bfs_distances(cov.graph), cert.set)
+        assert is_resolving(bfs_distances(cov), cert.set)
 
     def test_quadratic_residue_cover(self):
         base = family("paley", 13)
@@ -350,7 +349,7 @@ class TestTaylorLift:
         r = mdim_exact(base).set
         cert = taylor_lift(cov, r)
         assert len(cert.set) == len(r) + 1
-        assert is_resolving(bfs_distances(cov.graph), cert.set)
+        assert is_resolving(bfs_distances(cov), cert.set)
 
     def test_non_resolving_local_set_is_rejected(self):
         with pytest.raises(InputNotResolving):
@@ -369,7 +368,7 @@ class TestTaylorLift:
         # Q_4 has diameter 4; the line graph of Petersen, diameter 3, has
         # antipodal classes of size 3
         with pytest.raises(HypothesisFailure, match="taylor lift needs diameter 3"):
-            taylor_lift(LabeledCover(graph=g), [0, 1])
+            taylor_lift(g, [0, 1])
 
     @pytest.mark.parametrize("k", range(25))
     def test_a_cover_short_of_an_edge_is_rejected(self, k):
@@ -377,23 +376,23 @@ class TestTaylorLift:
         # it from a Taylor graph
         h = _icosahedron_minus_edges_off_the_pole()[k]
         with pytest.raises(NotDistanceRegular):
-            taylor_lift(LabeledCover(graph=h), [0, 1])
+            taylor_lift(h, [0, 1])
 
     def test_a_cover_with_the_wrong_pole_layout_is_rejected(self):
         # Q_3 is 2-antipodal of diameter 3; vertex 6 sees 2, 4 and 7
         with pytest.raises(HypothesisFailure, match="plus pole is not adjacent"):
-            taylor_lift(LabeledCover(graph=family("hypercube", 3)), [0, 1])
+            taylor_lift(family("hypercube", 3), [0, 1])
 
     def test_a_relabelled_cover_is_rejected(self):
-        g = _relabelled(taylor(family("cycle", 5)).graph, 3)
+        g = _relabelled(taylor(family("cycle", 5)), 3)
         assert tuple(g.neighbors(10)) != tuple(range(5))
         with pytest.raises(HypothesisFailure, match="plus pole is not adjacent"):
-            taylor_lift(LabeledCover(graph=g), [0, 1])
+            taylor_lift(g, [0, 1])
 
 
 class TestDescendantExtract:
     def test_local_set_comes_from_a_minimum_set_through_the_chosen_vertex(self):
-        g = taylor(family("cycle", 5)).graph
+        g = taylor(family("cycle", 5))
         inst = pair_cover_instance(bfs_distances(g))
         res = min_cover(inst, forced=[0])
         local, vmap, cert = descendant_extract(g, res.chosen, 0)
@@ -405,7 +404,7 @@ class TestDescendantExtract:
         assert set(vmap) <= set(g.neighbors(0))
 
     def test_a_relabelled_taylor_graph_is_read_as_a_graph(self):
-        g = _relabelled(taylor(family("paley", 13)).graph, 7)
+        g = _relabelled(taylor(family("paley", 13)), 7)
         best = mdim_exact(g)
         assert best.status == "minimum"
         x = best.set[-1]
@@ -415,7 +414,7 @@ class TestDescendantExtract:
         assert len(cert.set) == best.mu - 1
 
     def test_chosen_vertex_must_be_in_the_set(self):
-        g = taylor(family("cycle", 5)).graph
+        g = taylor(family("cycle", 5))
         with pytest.raises(BadParameters):
             descendant_extract(g, (1, 2, 3), 0)
 
@@ -424,7 +423,7 @@ class TestDescendantExtract:
         # does not check it again
         import mdimlab.lifting
 
-        g = taylor(family("cycle", 5)).graph
+        g = taylor(family("cycle", 5))
         calls = []
         real = mdim_module.certify
 
@@ -444,7 +443,7 @@ class TestDescendantExtract:
     @pytest.mark.parametrize("x", [0.0, True])
     def test_chosen_vertex_must_be_an_integer(self, x):
         # True used to mean vertex 1
-        g = taylor(family("cycle", 5)).graph
+        g = taylor(family("cycle", 5))
         res = min_cover(pair_cover_instance(bfs_distances(g)), forced=[0, 1])
         with pytest.raises(BadParameters, match="must be integers"):
             descendant_extract(g, res.chosen, x)
@@ -455,10 +454,10 @@ class TestDoubleLift:
         base = family("rook", 4, 4)
         r = mdim_exact(base).set
         cover, cert = double_lift(base, r)
-        assert cover.graph.n == 32
+        assert cover.n == 32
         assert len(cert.set) == 2 * len(r)
         assert set(cert.set) == {v for v in r} | {v + 16 for v in r}
-        assert is_resolving(bfs_distances(cover.graph), cert.set)
+        assert is_resolving(bfs_distances(cover), cert.set)
 
     def test_unequal_intersection_numbers_are_rejected(self):
         with pytest.raises(HypothesisFailure, match="doubling transfer needs .* with a = c"):
@@ -503,7 +502,7 @@ FAILED_HYPOTHESES = [
                  id="double_lift-petersen"),
     # (0, 1, 2) is a minimum resolving set of taylor(C_5) through x = 0, and
     # 6 is the antipode of 1: the superset resolves but pushing collides
-    pytest.param("C_5", lambda g: descendant_extract(taylor(g).graph, (0, 1, 2, 6), 0),
+    pytest.param("C_5", lambda g: descendant_extract(taylor(g), (0, 1, 2, 6), 0),
                  HypothesisFailure,
                  "pushing collided two antipodes; the input set was not minimum",
                  id="descendant_extract-taylor_C_5"),
@@ -528,7 +527,7 @@ class TestFailedHypotheses:
         assert str(exc) == message
 
     def test_the_superset_in_the_descendant_row_resolves(self):
-        g = taylor(ZOO["C_5"]()).graph
+        g = taylor(ZOO["C_5"]())
         assert is_resolving(bfs_distances(g), (0, 1, 2, 6))
         assert antipodal_structure(g).classes[1] == (1, 6)
         assert mdim_exact(g).mu == 3

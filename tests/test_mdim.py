@@ -305,7 +305,7 @@ class TestMdimExact:
     @pytest.mark.parametrize(
         "build, nodes",
         [
-            (lambda: bipartite_double(family("odd", 5)).graph, 40404),
+            (lambda: bipartite_double(family("odd", 5)), 40404),
             (lambda: family("johnson", 10, 5), 28024),
         ],
         ids=["doubled_odd_5", "johnson_10_5"],

@@ -266,7 +266,7 @@ class TestTamperDetection:
     def test_oversized_taylor_lift_is_an_error(self, monkeypatch):
         def oversized(cover, r):
             return ResolvingCertificate(
-                set=tuple(range(cover.graph.n)),
+                set=tuple(range(cover.n)),
                 status="verified-resolving",
                 method="lifted-taylor",
             )

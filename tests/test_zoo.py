@@ -92,7 +92,7 @@ def test_a_nested_malformed_spec_is_refused_by_its_own_name(spec, bad):
     assert repr(bad) in str(info.value)
 
 
-BUILDERS = {"pg2", "family", "bipartite_double"}
+BUILDERS = {"pg2", "family", "bipartite_double", "taylor"}
 
 
 def builder_names(tree: ast.Module) -> list[str]:
@@ -111,8 +111,10 @@ def test_only_the_spec_reader_builds_named_graphs_and_designs():
     # a new family or design form lands once, in graph or design, and
     # reaches the golden rows and the command line both
     probe = ("from .designs import pg2\n"
-             "build = lambda a: families.family(a.base), bipartite_double(g), pg2(a.q)")
-    assert builder_names(ast.parse(probe)) == ["bipartite_double", "family", "pg2", "pg2"]
+             "build = lambda a: families.family(a.base), bipartite_double(g), pg2(a.q)\n"
+             "lift = lambda a: taylor_lift(families.taylor(g), a.set)")
+    assert builder_names(ast.parse(probe)) == [
+        "bipartite_double", "family", "pg2", "pg2", "taylor"]
     package = Path(mdimlab.__file__).parent
     named = {path.name: builder_names(ast.parse(path.read_text()))
              for path in package.glob("*.py")}
