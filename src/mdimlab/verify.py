@@ -20,6 +20,7 @@ name, ...]} and semi_resolving {"design", "side"}.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 from contextvars import ContextVar
@@ -29,7 +30,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import families
 from .designs import is_double_blocking, three_lines_2blocking
 from .errors import BadParameters, BudgetExceeded, LiftVerificationError
 from .graphs import Graph, induced_neighborhood, intersection_array, is_primitive
@@ -47,7 +47,7 @@ from .mdim import (
     min_semi_resolving,
     split_mdim,
 )
-from .zoo import SOLVABLE, ZOO, design, graph
+from .zoo import _RUN_BUILDS, SOLVABLE, ZOO, design, graph
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def _check_folded_lift(args: dict[str, Any]) -> dict[str, Any]:
 
 def _check_taylor_plus_one(args: dict[str, Any]) -> list[int]:
     base = graph(args)
-    cover = families.taylor(base)  # not graph({"taylor": args}), which builds base again
+    cover = graph({"taylor": args})
     base_set = _solve(base).set
     mu_cover = _solve(cover).mu
     # the lift must also land at mu_base + 1 and verify
@@ -250,13 +250,23 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
+@functools.cache
+def _undersized(n: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n), one per row of a (C(n, size), size)
+    array of vertex ids in lexicographic order, built once per (n, size)
+    and read-only."""
+    subsets = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
+    subsets.flags.writeable = False
+    return subsets
+
+
 def _separating_rows(dist: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """For each row of subsets, a (k, m) array of vertex ids, whether every
     pair of vertices differs in its distance to some vertex of the row.
 
     Each of the n(n - 1)/2 pairs is compared entry by entry, as the
     definition of resolving reads.  exhaustive_mdim sorts distance rows
-    instead, so the samples that test its minimum are judged by code it
+    instead, so the subsets that test its minimum are judged by code it
     does not share.
     """
     u, w = _pairs(dist.shape[0])
@@ -265,6 +275,11 @@ def _separating_rows(dist: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 
 def _check_random_soundness(args: dict[str, Any]) -> dict[str, int]:
+    if args["max_n"] < 4:
+        raise BadParameters(
+            f"max_n is {args['max_n']!r}; the graphs drawn have 4 to max_n vertices")
+    if args["count"] < 0:
+        raise BadParameters(f"count is {args['count']!r}; it counts the graphs drawn")
     rng = random.Random(args["seed"])
     mismatches = 0
     undersized = 0
@@ -287,17 +302,9 @@ def _check_random_soundness(args: dict[str, Any]) -> dict[str, int]:
         if exact.mu != oracle.mu or not is_resolving(dm, exact.set):
             mismatches += 1
             continue
-        if exact.mu >= 1:
-            # all of a graph's undersized subsets are drawn, then tested in
-            # one pass of the pair check; the draws differ from stopping at a
-            # resolving one only in a run that already counts a failure
-            size = exact.mu - 1
-            subsets = np.array(
-                [rng.sample(range(n), size) for _ in range(args["subsets"])],
-                dtype=np.intp,
-            ).reshape(args["subsets"], size)
-            if _separating_rows(dm.dist, subsets).any():
-                undersized += 1
+        # every subset one vertex short of the minimum, judged in one pass
+        if exact.mu >= 1 and _separating_rows(dm.dist, _undersized(n, exact.mu - 1)).any():
+            undersized += 1
     return {"mismatches": mismatches, "undersized_successes": undersized}
 
 
@@ -374,11 +381,12 @@ def run_suite(
     """Run the golden rows and compare against frozen expectations.
 
     only restricts to the given row ids (recorded rows still render); an id
-    that names no row raises BadParameters.  Each distinct labelled graph is
-    solved once per call, and later rows reuse the first certificate; a
-    check called directly, outside run_suite, solves anew.  A row whose
-    search proves no minimum fails, with the BudgetExceeded message as its
-    computed value.
+    that names no row raises BadParameters.  Each distinct graph or design
+    spec is built once per call (see zoo) and each distinct labelled graph
+    solved once, and later rows reuse the first graph and certificate; a
+    check called directly, outside run_suite, builds and solves anew.  A
+    row whose search proves no minimum fails, with the BudgetExceeded
+    message as its computed value.
     """
     # include_slow is ignored but stays: perfbench/workloads.py, kept fixed
     # so that benchmark runs compare, passes it
@@ -388,7 +396,7 @@ def run_suite(
         if unknown:
             raise BadParameters(f"unknown row ids: {', '.join(map(repr, unknown))}")
     results = []
-    token = _RUN_SOLVES.set({})
+    solves, builds = _RUN_SOLVES.set({}), _RUN_BUILDS.set({})
     try:
         for row in rows:
             if only is not None and row.id not in only:
@@ -404,7 +412,8 @@ def run_suite(
                 RowResult(row=row, computed=computed, ok=computed == row.expected)
             )
     finally:
-        _RUN_SOLVES.reset(token)
+        _RUN_BUILDS.reset(builds)
+        _RUN_SOLVES.reset(solves)
     return Report(results=tuple(results))
 
 

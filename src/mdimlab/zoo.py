@@ -9,10 +9,18 @@ specs.  graph and design build them, and raise BadParameters naming a spec
 of no such form, a name not in ZOO or a name of no family.  ZOO maps each
 name to a thunk that builds its spec, so importing this module stays cheap;
 SOLVABLE is the frozenset of the names small enough for routine exact solves.
+
+Inside a verify.run_suite call graph and design build each distinct spec
+once, and every later reader of it, a nested spec or a ZOO thunk included,
+gets the same Graph or SymmetricDesign, with all that the Graph keeps.  So
+{"taylor": {"name": "paley_13"}} and {"family": "paley", "params": [13]}
+share one Paley graph.  Both are immutable, so sharing them is safe; the
+memo ends with the run, and outside one every call builds anew.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from functools import partial
 from typing import Any, Callable
 
@@ -38,35 +46,60 @@ def _form(spec: Any, forms: dict[str, set[str]], kind: str) -> str:
     raise BadParameters(f"not a {kind} spec: {spec!r}; the forms have keys {shapes}")
 
 
+# the graphs and designs built in the current verify.run_suite call, keyed
+# by form and by what the spec names; None outside a call
+_RUN_BUILDS: ContextVar[dict | None] = ContextVar("_RUN_BUILDS", default=None)
+
+
+def _built(key: tuple, build: Callable[[], Any]) -> Any:
+    """build(), or inside a run the object first built under key.  A nested
+    form's key holds the id of its inner graph or design; every form is
+    kept, so that object lives, and its id stays its own, until the run
+    ends.  Callers make key only after the spec's own checks pass."""
+    memo = _RUN_BUILDS.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def graph(spec: dict[str, Any]) -> Graph:
     """The graph a graph spec names (see the module docstring)."""
     form = _form(spec, _GRAPH_FORMS, "graph")
     if form == "name":
         if not isinstance(spec["name"], str) or spec["name"] not in ZOO:
             raise BadParameters(f"unknown ZOO name in {spec!r}")
-        return ZOO[spec["name"]]()
+        return _built(("name", spec["name"]), ZOO[spec["name"]])
     if form == "family":
         if not isinstance(spec["params"], list):
             raise BadParameters(f"params is not a list in {spec!r}")
         if spec["family"] not in _FAMILY_NAMES:  # a tuple: an unhashable name is absent
             raise BadParameters(
                 f"unknown family in {spec!r}; known: {', '.join(_FAMILY_NAMES)}")
-        return families.family(spec["family"], *spec["params"])
+        # repr, not a tuple, tells [5] from [5.0] and [True] from [1]
+        return _built(("family", spec["family"], repr(spec["params"])),
+                      partial(families.family, spec["family"], *spec["params"]))
     if form == "double":
-        return families.bipartite_double(graph(spec["double"]))
+        base = graph(spec["double"])
+        return _built(("double", id(base)), partial(families.bipartite_double, base))
     if form == "taylor":
-        return families.taylor(graph(spec["taylor"]))
-    return incidence_graph(design(spec["incidence"]))
+        base = graph(spec["taylor"])
+        return _built(("taylor", id(base)), partial(families.taylor, base))
+    inner = design(spec["incidence"])
+    return _built(("incidence", id(inner)), partial(incidence_graph, inner))
 
 
 def design(spec: dict[str, Any]) -> SymmetricDesign:
     """The design a design spec names (see the module docstring)."""
     form = _form(spec, _DESIGN_FORMS, "design")
     if form == "plane":
-        return pg2(spec["plane"])
+        return _built(("plane", repr(spec["plane"])), partial(pg2, spec["plane"]))
     if form == "complement":
-        return design_complement(design(spec["complement"]))
-    return design_from_graph(graph(spec["of"]))
+        inner = design(spec["complement"])
+        return _built(("complement", id(inner)), partial(design_complement, inner))
+    base = graph(spec["of"])
+    return _built(("of", id(base)), partial(design_from_graph, base))
 
 
 _SPECS = {

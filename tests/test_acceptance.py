@@ -198,7 +198,7 @@ def test_criterion_08_thirteen_structure_classes():
 def test_criterion_09_solver_agrees_with_the_exhaustive_oracle():
     start = time.monotonic()
     # 200 seeded random connected graphs, certificates re-verified, and
-    # fifty undersized subsets rejected per instance
+    # every undersized subset rejected per instance
     args = _golden_args("random-soundness")
     outcome = CHECKS["random_soundness"](args)
     assert outcome == {"mismatches": 0, "undersized_successes": 0}

@@ -116,8 +116,7 @@ IMPORTS = {
     "io": {"errors", "graphs"},
     "lifting": {"errors", "families", "graphs", "imprimitivity", "mdim"},
     "mdim": {"cover", "designs", "errors", "graphs"},
-    "verify": {"designs", "errors", "families", "graphs", "imprimitivity", "lifting",
-               "mdim", "zoo"},
+    "verify": {"designs", "errors", "graphs", "imprimitivity", "lifting", "mdim", "zoo"},
     "zoo": {"designs", "errors", "families", "graphs"},
 }
 

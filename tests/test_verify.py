@@ -2,9 +2,13 @@
 tamper detection, and the exhaustive re-derivation hook."""
 
 import ast
+import collections
 import dataclasses
 import functools
+import hashlib
+import itertools
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -12,7 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mdimlab.families
 import mdimlab.verify
+import mdimlab.zoo
 from mdimlab import (
     BadParameters,
     LiftVerificationError,
@@ -81,6 +87,35 @@ def spy_on_solves(monkeypatch) -> list:
 
     monkeypatch.setattr(mdimlab.verify, "mdim_exact", recording)
     return keys
+
+
+def spy_on_builds(monkeypatch) -> collections.Counter:
+    """Count the families.family and pg2 calls the spec reader makes, by
+    constructor and arguments."""
+    builds = collections.Counter()
+    family, pg2 = mdimlab.families.family, mdimlab.zoo.pg2
+
+    def counted_family(name, *params):
+        builds[(name, *params)] += 1
+        return family(name, *params)
+
+    def counted_pg2(q):
+        builds[("pg2", q)] += 1
+        return pg2(q)
+
+    monkeypatch.setattr(mdimlab.families, "family", counted_family)
+    monkeypatch.setattr(mdimlab.zoo, "pg2", counted_pg2)
+    return builds
+
+
+def inside_a_run(monkeypatch, probe):
+    """What probe returns when it runs as the check of one row inside
+    run_suite."""
+    (row,) = [r for r in load_golden() if r.id == "mu-petersen"]
+    seen = []
+    monkeypatch.setitem(CHECKS, row.check, lambda args: seen.append(probe()))
+    run_suite(only={row.id})
+    return seen[0]
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +279,122 @@ class TestRunMemo:
         assert keys == [(q6.n, q6.adj)]
 
 
+class TestRunBuilds:
+    """Inside run_suite each distinct graph and design spec is built once,
+    and the memo ends with the run."""
+
+    @pytest.fixture(scope="class")
+    def run_builds(self):
+        """The family and plane builds of two successive default runs."""
+        with pytest.MonkeyPatch.context() as mp:
+            builds = spy_on_builds(mp)
+            runs = []
+            for _ in range(2):
+                run_suite()
+                runs.append(collections.Counter(builds))
+                builds.clear()
+            return runs
+
+    def test_each_distinct_spec_is_built_once_in_a_run(self, run_builds):
+        first, _ = run_builds
+        assert first and set(first.values()) == {1}
+
+    def test_the_next_run_builds_anew(self, run_builds):
+        first, second = run_builds
+        assert second == first
+
+    def test_a_default_run_makes_the_pinned_builds_and_solves(self, run_builds, run_solves):
+        # a lost memo builds or solves more; a changed row or label moves
+        # the digest of the solved (n, adj) keys
+        first, _ = run_builds
+        (solved, _), _ = run_solves
+        assert sum(first.values()) == 44
+        planes = sorted(key for key in first if key[0] == "pg2")
+        assert planes == [("pg2", 2), ("pg2", 3), ("pg2", 5)]
+        assert len(solved) == 257
+        assert hashlib.sha1(repr(sorted(solved)).encode()).hexdigest()[:12] == "29d22dedfdb6"
+
+    def test_a_check_outside_a_run_builds_anew(self, monkeypatch):
+        builds = spy_on_builds(monkeypatch)
+        (row,) = [r for r in load_golden() if r.id == "mu-petersen"]
+        for _ in range(2):
+            CHECKS[row.check](row.args)
+        assert builds == {("odd", 3): 2}
+        assert graph({"name": "petersen"}) is not graph({"name": "petersen"})
+        assert design({"plane": 2}) is not design({"plane": 2})
+
+    def test_nested_specs_share_their_inner_graph(self, monkeypatch):
+        bases = []
+        taylor = mdimlab.families.taylor
+        monkeypatch.setattr(mdimlab.families, "taylor", lambda g: bases.append(g) or taylor(g))
+
+        def probe():
+            return {
+                "paley": [graph({"name": "paley_13"}),
+                          graph({"family": "paley", "params": [13]})],
+                "taylor": [graph({"taylor": {"name": "paley_13"}}),
+                           graph({"name": "taylor_paley_13"}),
+                           graph({"taylor": {"family": "paley", "params": [13]}})],
+                "icosahedron": graph({"taylor": {"name": "C_5"}}),
+                "biplane": [graph({"name": "biplane_incidence"}),
+                            graph({"incidence": {"of": {"double": {"name": "rook_4_4"}}}})],
+                "designs": [design({"complement": {"plane": 2}}),
+                            design({"complement": {"plane": 2}}),
+                            design({"complement": {"complement": {"plane": 2}}}),
+                            design({"plane": 2})],
+            }
+
+        got = inside_a_run(monkeypatch, probe)
+        paley, cover = got["paley"][0], got["taylor"][0]
+        assert all(g is paley for g in got["paley"])
+        assert all(g is cover for g in got["taylor"])
+        assert bases == [paley, ZOO["C_5"]()]  # one cover of each base
+        assert got["icosahedron"].n == 12 and cover.n == 28
+        assert got["biplane"][0] is got["biplane"][1]
+        once, again, twice, plane = got["designs"]
+        assert once is again
+        assert len({id(once), id(twice), id(plane)}) == 3
+
+    def test_the_memo_is_dropped_when_a_check_raises(self, monkeypatch):
+        (row,) = [r for r in load_golden() if r.id == "mu-petersen"]
+        check = CHECKS[row.check]
+
+        def build_then_fail(args):
+            check(args)
+            raise RuntimeError("check failed mid-run")
+
+        monkeypatch.setitem(CHECKS, row.check, build_then_fail)
+        with pytest.raises(RuntimeError, match="mid-run"):
+            run_suite(only={row.id})
+        monkeypatch.setitem(CHECKS, row.check, check)
+        builds = spy_on_builds(monkeypatch)
+        assert CHECKS[row.check](row.args) == 3
+        assert builds == {("odd", 3): 1}
+        assert graph(row.args) is not graph(row.args)
+
+    @pytest.mark.parametrize("built,refused", [
+        ({"family": "cycle", "params": [5]}, {"family": "cycle", "params": (5,)}),
+        ({"family": "cycle", "params": [5]}, {"family": "cycle", "params": [5.0]}),
+        ({"family": "complete", "params": [1]}, {"family": "complete", "params": [True]}),
+        ({"plane": 2}, {"plane": 2.0}),
+        ({"plane": 2}, {"plane": (2,)}),
+    ], ids=["tuple", "float", "bool", "plane-float", "plane-tuple"])
+    def test_a_refused_spec_is_refused_inside_a_run_too(self, monkeypatch, built, refused):
+        reader = design if "plane" in built else graph
+        with pytest.raises(BadParameters) as outside:
+            reader(refused)
+
+        def probe():
+            reader(built)
+            try:
+                reader(refused)
+            except BadParameters as exc:
+                return str(exc)
+            return None
+
+        assert inside_a_run(monkeypatch, probe) == str(outside.value)
+
+
 class TestTamperDetection:
     def test_altered_expectation_fails_the_row(self, monkeypatch):
         rows = load_golden()
@@ -323,7 +474,7 @@ class TestDescendantValues:
 
 
 class TestRandomSoundness:
-    ARGS = {"count": 30, "max_n": 8, "seed": 7, "subsets": 50}
+    ARGS = {"count": 30, "max_n": 8, "seed": 7}
 
     @staticmethod
     def inflated(g):
@@ -340,8 +491,8 @@ class TestRandomSoundness:
     ):
         monkeypatch.setattr(mdimlab.verify, "_solve", self.inflated)
         monkeypatch.setattr(mdimlab.verify, "exhaustive_mdim", self.inflated)
-        # on each of these graphs some of the 50 subsets of the true minimum
-        # size resolves, though not all of them on every graph
+        # on each of these graphs some subset of the true minimum size
+        # resolves, though not every one of them on every graph
         assert CHECKS["random_soundness"](self.ARGS) == {
             "mismatches": 0, "undersized_successes": self.ARGS["count"],
         }
@@ -349,7 +500,7 @@ class TestRandomSoundness:
     def test_an_oracle_that_misses_resolving_sets_is_caught(self, monkeypatch):
         # the oracle's own test ignores the first vertex of every subset, in
         # every module that holds it, so the oracle overstates the minimum;
-        # the solver agrees with it, and only the sampled subsets, judged by
+        # the solver agrees with it, and only the undersized subsets, judged by
         # a test the oracle does not share, see it
         sort = mdimlab.mdim._resolving_rows
 
@@ -368,6 +519,24 @@ class TestRandomSoundness:
         monkeypatch.setattr(mdimlab.verify, "_solve", self.inflated)
         outcome = CHECKS["random_soundness"](self.ARGS)
         assert outcome == {"mismatches": self.ARGS["count"], "undersized_successes": 0}
+
+    @pytest.mark.parametrize("arg,value", [("max_n", 3), ("max_n", -1), ("count", -1)])
+    def test_an_argument_out_of_range_is_refused_by_name(self, arg, value):
+        with pytest.raises(BadParameters, match=f"^{arg} is {value};"):
+            CHECKS["random_soundness"]({**self.ARGS, arg: value})
+
+    def test_no_graph_is_drawn_for_a_zero_count(self):
+        args = {**self.ARGS, "count": 0}
+        assert CHECKS["random_soundness"](args) == {"mismatches": 0, "undersized_successes": 0}
+
+    @pytest.mark.parametrize("n,size", [(4, 0), (4, 2), (7, 3), (10, 5)])
+    def test_the_undersized_subsets_are_all_built_once_and_read_only(self, n, size):
+        subsets = mdimlab.verify._undersized(n, size)
+        assert subsets.shape == (math.comb(n, size), size)
+        assert list(map(tuple, subsets.tolist())) == list(itertools.combinations(range(n), size))
+        assert mdimlab.verify._undersized(n, size) is subsets
+        with pytest.raises(ValueError, match="read-only"):
+            subsets[:] = 0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
     def test_the_pair_index_is_built_once_per_n_and_read_only(self, n):
