@@ -15,6 +15,11 @@ and {"of"}.  A check of one graph or design takes its spec as its arguments
 (taylor_plus_one and descendant_values that of the cover's base); mdim_list
 takes {"graphs": [...]}, biplane_mu {"graph", "base"}, ah_zoo {"names": [ZOO
 name, ...]} and semi_resolving {"design", "side"}.
+
+Within one run_suite call the rows share their inputs and answers: each
+distinct spec is built once (zoo keeps the run's graphs and designs) and
+each distinct labelled graph solved once.  Both memos end with the run,
+so a check called directly builds and solves anew.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .designs import is_double_blocking, three_lines_2blocking
 from .errors import BadParameters, BudgetExceeded, LiftVerificationError
-from .graphs import Graph, induced_neighborhood, intersection_array, is_primitive
+from .graphs import Graph, as_ints, induced_neighborhood, intersection_array, is_primitive
 from .imprimitivity import classify_ah, fold, halve
 from .lifting import lift_folded, lift_halved, taylor_lift
 from .mdim import (
@@ -275,16 +280,16 @@ def _separating_rows(dist: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 
 def _check_random_soundness(args: dict[str, Any]) -> dict[str, int]:
-    if args["max_n"] < 4:
-        raise BadParameters(
-            f"max_n is {args['max_n']!r}; the graphs drawn have 4 to max_n vertices")
-    if args["count"] < 0:
-        raise BadParameters(f"count is {args['count']!r}; it counts the graphs drawn")
+    count, max_n = as_ints((args["count"], args["max_n"]), "count and max_n")
+    if max_n < 4:
+        raise BadParameters(f"max_n is {max_n}; the graphs drawn have 4 to max_n vertices")
+    if count < 0:
+        raise BadParameters(f"count is {count}; it counts the graphs drawn")
     rng = random.Random(args["seed"])
     mismatches = 0
     undersized = 0
-    for _ in range(args["count"]):
-        n = rng.randint(4, args["max_n"])
+    for _ in range(count):
+        n = rng.randint(4, max_n)
         p = rng.uniform(0.25, 0.75)
         while True:
             edges = [

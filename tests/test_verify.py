@@ -525,6 +525,11 @@ class TestRandomSoundness:
         with pytest.raises(BadParameters, match=f"^{arg} is {value};"):
             CHECKS["random_soundness"]({**self.ARGS, arg: value})
 
+    @pytest.mark.parametrize("arg,value", [("max_n", 6.5), ("max_n", "10"), ("count", True)])
+    def test_an_argument_that_is_no_integer_is_refused_by_name(self, arg, value):
+        with pytest.raises(BadParameters, match="^count and max_n must be integers"):
+            CHECKS["random_soundness"]({**self.ARGS, arg: value})
+
     def test_no_graph_is_drawn_for_a_zero_count(self):
         args = {**self.ARGS, "count": 0}
         assert CHECKS["random_soundness"](args) == {"mismatches": 0, "undersized_successes": 0}
