@@ -14,12 +14,14 @@ that zoo.graph and zoo.design read: graphs {"name"}, {"family", "params"},
 and {"of"}.  A check of one graph or design takes its spec as its arguments
 (taylor_plus_one and descendant_values that of the cover's base); mdim_list
 takes {"graphs": [...]}, biplane_mu {"graph", "base"}, ah_zoo {"names": [ZOO
-name, ...]} and semi_resolving {"design", "side"}.
+name, ...]} and semi_resolving {"design", "side"}; random_soundness takes
+{"count", "max_n", "seed"}.  Arguments of any other keys raise
+BadParameters naming the check.
 
 Within one run_suite call the rows share their inputs and answers: each
-distinct spec is built once (zoo keeps the run's graphs and designs) and
-each distinct labelled graph solved once.  Both memos end with the run,
-so a check called directly builds and solves anew.
+distinct spec is built once and each distinct labelled graph solved once.
+zoo's one run memo keeps both, and it ends with the run, so a check called
+directly builds and solves anew.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import functools
 import itertools
 import json
 import random
-from contextvars import ContextVar
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable
@@ -52,7 +53,7 @@ from .mdim import (
     min_semi_resolving,
     split_mdim,
 )
-from .zoo import _RUN_BUILDS, SOLVABLE, ZOO, design, graph
+from .zoo import _RUN, SOLVABLE, ZOO, _built, _form, design, graph
 
 
 @dataclass(frozen=True)
@@ -150,11 +151,6 @@ def load_golden() -> list[GoldenRow]:
 # check implementations; each returns a JSON-comparable value
 
 
-# the certificates solved in the current run_suite call, keyed by (n, adj);
-# None outside a call
-_RUN_SOLVES: ContextVar[dict | None] = ContextVar("_RUN_SOLVES", default=None)
-
-
 def _minimum(cert: ResolvingCertificate) -> ResolvingCertificate:
     """cert, or BudgetExceeded if its search proved no minimum."""
     if cert.status != "minimum":
@@ -165,13 +161,7 @@ def _minimum(cert: ResolvingCertificate) -> ResolvingCertificate:
 def _solve(g: Graph) -> ResolvingCertificate:
     """mdim_exact(g), or inside run_suite the certificate of the run's first
     solve of the same labelled graph; BudgetExceeded if it is no minimum."""
-    memo = _RUN_SOLVES.get()
-    if memo is None:
-        memo = {}
-    key = (g.n, g.adj)
-    if key not in memo:
-        memo[key] = _minimum(mdim_exact(g))
-    return memo[key]
+    return _built(("solve", g.n, g.adj), lambda: _minimum(mdim_exact(g)))
 
 
 def _check_mdim(args: dict[str, Any]) -> int:
@@ -179,6 +169,7 @@ def _check_mdim(args: dict[str, Any]) -> int:
 
 
 def _check_mdim_list(args: dict[str, Any]) -> list[int]:
+    _form(args, {"mdim_list": {"graphs"}}, "mdim_list")
     return [_solve(graph(spec)).mu for spec in args["graphs"]]
 
 
@@ -223,6 +214,7 @@ def _check_descendant_values(args: dict[str, Any]) -> list[int]:
 
 
 def _check_biplane_mu(args: dict[str, Any]) -> dict[str, Any]:
+    _form(args, {"biplane_mu": {"graph", "base"}}, "biplane_mu")
     mu = _solve(graph(args["graph"])).mu
     mu_base = _solve(graph(args["base"])).mu
     return {"mu": mu, "at_most_twice_base": mu <= 2 * mu_base}
@@ -243,6 +235,7 @@ def _check_blocking_triple(args: dict[str, Any]) -> dict[str, Any]:
 
 
 def _check_ah_zoo(args: dict[str, Any]) -> dict[str, str]:
+    _form(args, {"ah_zoo": {"names"}}, "ah_zoo")
     return {name: classify_ah(graph({"name": name})).label for name in args["names"]}
 
 
@@ -280,12 +273,14 @@ def _separating_rows(dist: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
 
 def _check_random_soundness(args: dict[str, Any]) -> dict[str, int]:
+    _form(args, {"random_soundness": {"count", "max_n", "seed"}}, "random_soundness")
     count, max_n = as_ints((args["count"], args["max_n"]), "count and max_n")
+    (seed,) = as_ints((args["seed"],), "seed")
     if max_n < 4:
         raise BadParameters(f"max_n is {max_n}; the graphs drawn have 4 to max_n vertices")
     if count < 0:
         raise BadParameters(f"count is {count}; it counts the graphs drawn")
-    rng = random.Random(args["seed"])
+    rng = random.Random(seed)
     mismatches = 0
     undersized = 0
     for _ in range(count):
@@ -347,6 +342,7 @@ def _check_babai_cross(args: dict[str, Any]) -> dict[str, Any]:
 
 
 def _check_semi_resolving(args: dict[str, Any]) -> int:
+    _form(args, {"semi_resolving": {"design", "side"}}, "semi_resolving")
     return _minimum(min_semi_resolving(design(args["design"]), side=args["side"])).mu
 
 
@@ -387,11 +383,11 @@ def run_suite(
 
     only restricts to the given row ids (recorded rows still render); an id
     that names no row raises BadParameters.  Each distinct graph or design
-    spec is built once per call (see zoo) and each distinct labelled graph
-    solved once, and later rows reuse the first graph and certificate; a
-    check called directly, outside run_suite, builds and solves anew.  A
-    row whose search proves no minimum fails, with the BudgetExceeded
-    message as its computed value.
+    spec is built once per call and each distinct labelled graph solved
+    once, in zoo's run memo, and later rows reuse the first graph and
+    certificate; a check called directly, outside run_suite, builds and
+    solves anew.  A row whose search proves no minimum fails, with the
+    BudgetExceeded message as its computed value.
     """
     # include_slow is ignored but stays: perfbench/workloads.py, kept fixed
     # so that benchmark runs compare, passes it
@@ -401,7 +397,7 @@ def run_suite(
         if unknown:
             raise BadParameters(f"unknown row ids: {', '.join(map(repr, unknown))}")
     results = []
-    solves, builds = _RUN_SOLVES.set({}), _RUN_BUILDS.set({})
+    memo = _RUN.set({})
     try:
         for row in rows:
             if only is not None and row.id not in only:
@@ -417,8 +413,7 @@ def run_suite(
                 RowResult(row=row, computed=computed, ok=computed == row.expected)
             )
     finally:
-        _RUN_BUILDS.reset(builds)
-        _RUN_SOLVES.reset(solves)
+        _RUN.reset(memo)
     return Report(results=tuple(results))
 
 

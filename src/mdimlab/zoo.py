@@ -12,10 +12,11 @@ SOLVABLE is the frozenset of the names small enough for routine exact solves.
 
 Inside a verify.run_suite call graph and design build each distinct spec
 once, and every later reader of it, a nested spec or a ZOO thunk included,
-gets the same Graph or SymmetricDesign, with all that the Graph keeps.  So
-{"taylor": {"name": "paley_13"}} and {"family": "paley", "params": [13]}
-share one Paley graph.  Both are immutable, so sharing them is safe; the
-memo ends with the run, and outside one every call builds anew.
+gets the same Graph or SymmetricDesign, with all that the Graph keeps; both
+are immutable, so sharing is safe.  A ZOO name reads its spec, so {"taylor":
+{"name": "paley_13"}} and {"family": "paley", "params": [13]} share one
+Paley graph.  The run memo, _RUN, also keeps verify's solves; it ends with
+the run, and outside one every call builds and solves anew.
 """
 
 from __future__ import annotations
@@ -46,17 +47,18 @@ def _form(spec: Any, forms: dict[str, set[str]], kind: str) -> str:
     raise BadParameters(f"not a {kind} spec: {spec!r}; the forms have keys {shapes}")
 
 
-# the graphs and designs built in the current verify.run_suite call, keyed
-# by form and by what the spec names; None outside a call
-_RUN_BUILDS: ContextVar[dict | None] = ContextVar("_RUN_BUILDS", default=None)
+# what the current verify.run_suite call built and solved, keyed by spec
+# form and what the spec names, or by ("solve", n, adj); None outside a call
+_RUN: ContextVar[dict | None] = ContextVar("_RUN", default=None)
 
 
 def _built(key: tuple, build: Callable[[], Any]) -> Any:
-    """build(), or inside a run the object first built under key.  A nested
-    form's key holds the id of its inner graph or design; every form is
-    kept, so that object lives, and its id stays its own, until the run
-    ends.  Callers make key only after the spec's own checks pass."""
-    memo = _RUN_BUILDS.get()
+    """build(), or inside a run the object first built under key: a spec
+    form's key or ("solve", n, adj).  A nested form's key holds the id of
+    its inner graph or design; every object is kept, so it lives, and its
+    id stays its own, until the run ends.  A build that raises keeps
+    nothing.  Callers make key only after the spec's own checks pass."""
+    memo = _RUN.get()
     if memo is None:
         return build()
     if key not in memo:
@@ -68,9 +70,9 @@ def graph(spec: dict[str, Any]) -> Graph:
     """The graph a graph spec names (see the module docstring)."""
     form = _form(spec, _GRAPH_FORMS, "graph")
     if form == "name":
-        if not isinstance(spec["name"], str) or spec["name"] not in ZOO:
+        if not isinstance(spec["name"], str) or spec["name"] not in _SPECS:
             raise BadParameters(f"unknown ZOO name in {spec!r}")
-        return _built(("name", spec["name"]), ZOO[spec["name"]])
+        return graph(_SPECS[spec["name"]])
     if form == "family":
         if not isinstance(spec["params"], list):
             raise BadParameters(f"params is not a list in {spec!r}")

@@ -340,6 +340,30 @@ def test_no_handler_translates_a_failed_hypothesis():
     assert found == {}
 
 
+def context_vars(tree: ast.Module) -> list[int]:
+    """Line numbers of the ContextVar constructions."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "ContextVar"
+             or getattr(node.func, "attr", None) == "ContextVar")
+    })
+
+
+def test_one_run_memo():
+    # zoo._RUN keeps a verify run's builds and solves alike; a second
+    # run-scoped memo would be a second lifetime to set and reset
+    probe = "a = ContextVar('a')\nb = contextvars.ContextVar('b')\nc = ContextVar"
+    assert context_vars(ast.parse(probe)) == [1, 2]
+    found = {
+        path.name: len(lines)
+        for path in MODULES
+        if (lines := context_vars(ast.parse(path.read_text())))
+    }
+    assert found == {"zoo.py": 1}
+
+
 # exported names that no module reads yet, each with the reason it stays
 KEEP = {
     "descendant_extract": "ROADMAP item 3 reads it for the descendant lower bounds",

@@ -279,6 +279,77 @@ class TestRunMemo:
         assert keys == [(q6.n, q6.adj)]
 
 
+class TestOneRunMemo:
+    """zoo._RUN holds a run's builds and its solves, and is None outside a
+    run."""
+
+    def test_a_run_keeps_its_solves_in_the_run_memo(self, monkeypatch):
+        (row,) = [r for r in load_golden() if r.id == "mu-petersen"]
+        check = CHECKS[row.check]
+
+        def probe():
+            check(row.args)
+            return dict(mdimlab.zoo._RUN.get())
+
+        memo = inside_a_run(monkeypatch, probe)
+        petersen = graph(row.args)
+        assert memo[("solve", petersen.n, petersen.adj)].mu == 3
+
+    def test_a_zoo_name_and_its_spec_share_one_entry(self, monkeypatch):
+        def probe():
+            memo = mdimlab.zoo._RUN.get()
+            before = len(memo)
+            named = graph({"name": "petersen"})
+            built = graph({"family": "odd", "params": [3]})
+            return named is built, len(memo) - before
+
+        assert inside_a_run(monkeypatch, probe) == (True, 1)
+
+    def test_no_memo_outlives_a_run(self, monkeypatch):
+        assert mdimlab.zoo._RUN.get() is None
+        run_suite(only={"mu-petersen"})
+        assert mdimlab.zoo._RUN.get() is None
+        (row,) = [r for r in load_golden() if r.id == "mu-petersen"]
+        monkeypatch.setitem(CHECKS, row.check, lambda args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_suite(only={row.id})
+        assert mdimlab.zoo._RUN.get() is None
+
+
+# the checks whose arguments hold their specs under keys of their own
+KEYED_CHECKS = ["mdim_list", "biplane_mu", "ah_zoo", "random_soundness", "semi_resolving"]
+
+
+class TestCheckArguments:
+    @staticmethod
+    def golden_args(check: str) -> dict:
+        return next(r.args for r in load_golden() if r.check == check)
+
+    @pytest.mark.parametrize("check", KEYED_CHECKS)
+    def test_a_missing_or_extra_key_is_refused_by_name(self, check):
+        args = self.golden_args(check)
+        wrong = [{k: v for k, v in args.items() if k != key} for key in args]
+        wrong.append({**args, "extra": 1})
+        for bad in wrong:
+            with pytest.raises(BadParameters, match=f"^not a {check} spec") as refused:
+                CHECKS[check](bad)
+            assert all(key in str(refused.value) for key in args)
+
+    def test_a_seed_that_is_no_integer_is_refused_by_name(self):
+        with pytest.raises(BadParameters, match="^seed must be integers"):
+            CHECKS["random_soundness"]({"count": 1, "max_n": 5, "seed": [1, 2]})
+
+    def test_a_numpy_seed_draws_what_its_int_draws(self, monkeypatch):
+        args = self.golden_args("random_soundness")
+        drawn = []
+        monkeypatch.setattr(mdimlab.verify, "exhaustive_mdim",
+                            lambda g: drawn.append((g.n, g.adj)) or exhaustive_mdim(g))
+        CHECKS["random_soundness"]({**args, "count": 3, "seed": np.int64(args["seed"])})
+        by_numpy, drawn[:] = list(drawn), []
+        CHECKS["random_soundness"]({**args, "count": 3})
+        assert drawn == by_numpy and len(drawn) == 3
+
+
 class TestRunBuilds:
     """Inside run_suite each distinct graph and design spec is built once,
     and the memo ends with the run."""
