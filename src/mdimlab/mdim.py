@@ -155,10 +155,133 @@ def lower_bound_nd(n: int, d: int) -> int:
     return mu
 
 
+def _subsets_total(k: int, m: int) -> float:
+    """Least total size of m distinct nonempty subsets of a k-set (the
+    smallest first), or inf if it has fewer than m."""
+    if m >= 1 << k:
+        return math.inf
+    total, size = 0, 1
+    while m > 0:
+        take = min(m, math.comb(k, size))
+        total += take * size
+        m -= take
+        size += 1
+    return total
+
+
+def _fibre_count_bound(n_f: int, t: int) -> int:
+    """Least k for which some h <= min(k, n_f) lets (n_f - h)t - 1 distinct
+    nonempty subsets of a k-set have total size <= k(n_f - h).
+
+    In an antipodal t-fold cover of K_{n_f} of diameter 3, let a resolving
+    set S of k vertices meet h fibres.  A vertex v of a missed fibre is at
+    distance 1 or 2 from each vertex of S, so N(v) & S fixes its vector.
+    The (n_f - h)t such sets are distinct, at most one is empty, and as
+    each vertex of S has one neighbour in every other fibre, their sizes
+    sum to k(n_f - h).
+    """
+    k = 0
+    while not any(
+        _subsets_total(k, (n_f - h) * t - 1) <= k * (n_f - h)
+        for h in range(min(k, n_f) + 1)
+    ):
+        k += 1
+    return k
+
+
+def _fibre_bound(dist: np.ndarray) -> int:
+    """_fibre_count_bound of a graph of diameter 3 whose relation "equal or
+    at distance 3" is an equivalence with n_f classes (fibres) of one size
+    t >= 2, each vertex with one neighbour in every other fibre; else 0.
+
+    The relation is an equivalence iff each row equals the row of its
+    least member.  Two neighbours of one vertex are at distance 1 or 2, so
+    they lie in different fibres, and neither in its own: a vertex has one
+    neighbour in every other fibre iff it has n_f - 1 neighbours.
+    """
+    far = (dist & 1) == (dist >> 1)  # 0 and 3 of the distances 0..3
+    least = far.argmax(axis=1)
+    if not (far == far[least]).all():
+        return 0
+    sizes = np.bincount(least)
+    t = int(sizes[0])
+    n_f = len(dist) // t
+    if t < 2 or (sizes[least] != t).any() or np.count_nonzero(dist == 1) != len(dist) * (n_f - 1):
+        return 0
+    return _fibre_count_bound(n_f, t)
+
+
+def _told_apart(a: int, lam: int) -> int:
+    """Most vertices of one side outside a resolving set that a chosen
+    vertices of the other side tell apart, in a bipartite graph of diameter
+    3 where two vertices of that other side have at most lam common
+    neighbours: one with no chosen neighbour, a with one, and at most
+    min(lam * C(a, 2), 2**a - a - 1) with more."""
+    return 1 + a + min(lam * math.comb(a, 2), 2**a - a - 1)
+
+
+def _bipartite_count_bound(n_x: int, n_y: int, lam_x: int, lam_y: int) -> int:
+    """Least a + b with n_y - b <= _told_apart(a, lam_x) and n_x - a <=
+    _told_apart(b, lam_y).
+
+    Let a resolving set of a bipartite graph of diameter 3 hold a vertices
+    of side X (two of which have at most lam_x common neighbours) and b of
+    side Y.  A Y-vertex outside it is at distance 2 from every chosen
+    Y-vertex and at distance 1 or 3 from each chosen X-vertex, so only its
+    chosen X-neighbours tell it apart; and the same with the sides swapped.
+    """
+    b = 0  # the least b with n_x - a <= _told_apart(b, lam_y); it falls as a rises
+    while _told_apart(b, lam_y) < n_x:
+        b += 1
+    best = n_x + n_y
+    for a in range(n_x + 1):
+        if a >= best:
+            break
+        while b and _told_apart(b - 1, lam_y) >= n_x - a:
+            b -= 1
+        if b <= n_y:
+            best = min(best, a + max(b, n_y - _told_apart(a, lam_x)))
+    return best
+
+
+def _most_common_neighbours(rows: np.ndarray) -> int:
+    """The most columns that two rows of a boolean matrix share, or 0 for
+    one row, counted on the rows packed into 64-bit words."""
+    m, width = rows.shape
+    packed = np.zeros((m, 8 * -(-width // 64)), dtype=np.uint8)
+    packed[:, :-(-width // 8)] = np.packbits(rows, axis=1)
+    words = packed.view(np.uint64)
+    common = np.add.reduce(np.bitwise_count(words[:, None] & words), axis=2)
+    np.fill_diagonal(common, 0)
+    return int(common.max())
+
+
+def _bipartite_bound(dist: np.ndarray) -> int:
+    """_bipartite_count_bound of a bipartite graph of diameter 3, else 0."""
+    side = dist[0] & 1
+    if ((dist & 1) != (side[:, None] ^ side)).any():
+        return 0
+    x = side == 0
+    biadj = dist[x][:, ~x] == 1
+    return _bipartite_count_bound(
+        len(biadj), biadj.shape[1],
+        _most_common_neighbours(biadj), _most_common_neighbours(np.ascontiguousarray(biadj.T)),
+    )
+
+
 def _root_lower_bound(g: Graph) -> int:
-    """lower_bound_nd(n, diameter), or 0 unless g is connected with n > 1."""
+    """The largest of three lower bounds on the metric dimension, or 0
+    unless g is connected with n > 1: lower_bound_nd(n, diameter) always,
+    and at diameter 3 the antipodal fibre bound and the bipartite bound,
+    each 0 where its structure is absent.  Their recognisers read
+    g.distances.dist alone, so no labelling changes the value."""
     dm = g.distances
-    return lower_bound_nd(g.n, dm.diameter) if dm.connected and g.n > 1 else 0
+    if not dm.connected or g.n < 2:
+        return 0
+    bound = lower_bound_nd(g.n, dm.diameter)
+    if dm.diameter == 3:
+        bound = max(bound, _fibre_bound(dm.dist), _bipartite_bound(dm.dist))
+    return bound
 
 
 def mdim_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ResolvingCertificate:
@@ -172,13 +295,19 @@ def mdim_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ResolvingCertificate:
     the verified greedy seed, "minimum" only when it meets the lower bound.
 
     The distance instance goes to cover.min_cover with the twin-forced
-    vertices and the counting lower bound (0 when disconnected), and
-    min_cover decides on symmetry: with nothing forced, a positive budget
-    and a greedy seed above that bound, cover.root_symmetries looks for
-    automorphisms moving vertex 0, and the search branches on the orbit of
-    0 and on the orbits of its stabiliser (orbital branching in the cover
-    module).  When it found any, the certificate has method
-    "exact-bnb-sym" and carries the generators.
+    vertices and, as lower_stop, the root lower bound (0 when
+    disconnected): the largest of the distance-alphabet bound
+    lower_bound_nd, the antipodal fibre bound of a t-fold cover of K_n of
+    diameter 3, and the two-sided counting bound of a bipartite graph of
+    diameter 3, such as the incidence graph of a symmetric design.  A
+    greedy seed that meets it is returned as the minimum with no finder
+    and no search, and a search stops at the first cover of its size.
+    Otherwise min_cover decides on symmetry: with nothing forced and a
+    positive budget, cover.root_symmetries looks for automorphisms moving
+    vertex 0, and the search branches on the orbit of 0 and on the orbits
+    of its stabiliser (orbital branching in the cover module).  When it
+    found any, the certificate has method "exact-bnb-sym" and carries the
+    generators.
     """
     dm = g.distances
     res = min_cover(

@@ -15,7 +15,8 @@ and {"of"}.  A check of one graph or design takes its spec as its arguments
 (taylor_plus_one and descendant_values that of the cover's base); mdim_list
 takes {"graphs": [...]}, biplane_mu {"graph", "base"}, ah_zoo {"names": [ZOO
 name, ...]} and semi_resolving {"design", "side"}; random_soundness takes
-{"count", "max_n", "seed"}.  Arguments of any other keys raise
+{"count", "max_n", "seed"}, and bounds_chain and babai_cross take {}.
+Arguments of any other keys, or a graphs or names that is no list, raise
 BadParameters naming the check.
 
 Within one run_suite call the rows share their inputs and answers: each
@@ -168,9 +169,17 @@ def _check_mdim(args: dict[str, Any]) -> int:
     return _solve(graph(args)).mu
 
 
+def _listed(args: dict[str, Any], key: str, check: str) -> list:
+    """args[key], or BadParameters naming check and key if it is no list."""
+    value = args[key]
+    if not isinstance(value, list):
+        raise BadParameters(f"{check} needs a list as {key}, got {value!r}")
+    return value
+
+
 def _check_mdim_list(args: dict[str, Any]) -> list[int]:
     _form(args, {"mdim_list": {"graphs"}}, "mdim_list")
-    return [_solve(graph(spec)).mu for spec in args["graphs"]]
+    return [_solve(graph(spec)).mu for spec in _listed(args, "graphs", "mdim_list")]
 
 
 def _check_halved_lift_size(args: dict[str, Any]) -> int:
@@ -236,7 +245,8 @@ def _check_blocking_triple(args: dict[str, Any]) -> dict[str, Any]:
 
 def _check_ah_zoo(args: dict[str, Any]) -> dict[str, str]:
     _form(args, {"ah_zoo": {"names"}}, "ah_zoo")
-    return {name: classify_ah(graph({"name": name})).label for name in args["names"]}
+    return {name: classify_ah(graph({"name": name})).label
+            for name in _listed(args, "names", "ah_zoo")}
 
 
 @functools.cache
@@ -309,6 +319,7 @@ def _check_random_soundness(args: dict[str, Any]) -> dict[str, int]:
 
 
 def _check_bounds_chain(args: dict[str, Any]) -> dict[str, Any]:
+    _form(args, {"bounds_chain": set()}, "bounds_chain")
     violations = []
     for name in sorted(ZOO):
         g = ZOO[name]()
@@ -324,6 +335,7 @@ def _check_bounds_chain(args: dict[str, Any]) -> dict[str, Any]:
 
 
 def _check_babai_cross(args: dict[str, Any]) -> dict[str, Any]:
+    _form(args, {"babai_cross": set()}, "babai_cross")
     violations = []
     for name in sorted(SOLVABLE):
         g = ZOO[name]()

@@ -43,7 +43,7 @@ def _form(spec: Any, forms: dict[str, set[str]], kind: str) -> str:
         for form, keys in forms.items():
             if set(spec) == keys:
                 return form
-    shapes = ", ".join(" + ".join(sorted(keys)) for keys in forms.values())
+    shapes = ", ".join(" + ".join(sorted(keys)) or "{}" for keys in forms.values())
     raise BadParameters(f"not a {kind} spec: {spec!r}; the forms have keys {shapes}")
 
 

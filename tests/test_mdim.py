@@ -1,6 +1,7 @@
 """Metric dimension: the exact solver, greedy and exhaustive baselines,
 certificates, twin forcing, bounds, and design-side semi-resolving sets."""
 
+import math
 import random
 from itertools import combinations
 
@@ -26,6 +27,7 @@ from mdimlab import (
     first_unresolved_pair,
     first_unseparated_pair,
     fold,
+    incidence_graph,
     is_distance_regular,
     is_primitive,
     is_resolving,
@@ -38,12 +40,13 @@ from mdimlab import (
     pair_cover_instance,
     pg2,
     split_mdim,
+    taylor,
     twin_classes,
     twin_forced_choices,
 )
 from mdimlab import cover, mdim, verify
 from mdimlab.cover import is_symmetry
-from mdimlab.zoo import ZOO
+from mdimlab.zoo import ZOO, graph
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -90,6 +93,177 @@ class TestLowerBoundNd:
         for n, d in [(10, 2.5), (10.0, 2), (True, 2)]:
             with pytest.raises(BadParameters, match="must be integers"):
                 lower_bound_nd(n, d)
+
+
+def networkx_structure(g: Graph) -> str | None:
+    """Which of the root bound's two structures g has, read from networkx
+    distances: "bipartite" (bipartite of diameter 3), "fibre" (diameter 3,
+    "equal or at distance 3" an equivalence of classes of one size t >= 2,
+    one neighbour in every other class), both joined by "+", or None."""
+    h = nx.Graph(g.edges())
+    h.add_nodes_from(range(g.n))
+    if not nx.is_connected(h) or nx.diameter(h) != 3:
+        return None
+    dist = dict(nx.all_pairs_shortest_path_length(h))
+    found = []
+    if nx.is_bipartite(h):
+        found.append("bipartite")
+    cls = {v: frozenset(u for u in h if dist[v][u] in (0, 3)) for v in h}
+    classes = set(cls.values())
+    if (
+        all(cls[u] == cls[v] for v in h for u in cls[v])
+        and len({len(c) for c in classes}) == 1
+        and len(cls[0]) >= 2
+        and all(len(set(h[v]) & c) == 1 for v in h for c in classes if v not in c)
+    ):
+        found.append("fibre")
+    return "+".join(found) or None
+
+
+def random_bipartite_diameter_3(rng: random.Random) -> Graph:
+    """A random connected bipartite graph of diameter 3 with sides of 2-7
+    vertices, in random labels."""
+    while True:
+        a, b = rng.randint(2, 7), rng.randint(2, 7)
+        p = rng.uniform(0.3, 0.85)
+        g = Graph.from_edges(a + b, [
+            (u, a + w) for u in range(a) for w in range(b) if rng.random() < p
+        ])
+        if g.distances.diameter == 3:
+            return relabel(g, rng.randrange(10**9))
+
+
+def brute_subsets_total(k: int, m: int) -> float:
+    """Least total size over every choice of m distinct nonempty subsets of
+    a k-set, or inf if it has fewer than m."""
+    subsets = [c for size in range(1, k + 1) for c in combinations(range(k), size)]
+    if m > len(subsets):
+        return math.inf
+    return min(sum(map(len, pick)) for pick in combinations(subsets, max(m, 0)))
+
+
+class TestRootLowerBound:
+    """mdim._root_lower_bound: the largest of lower_bound_nd, the antipodal
+    fibre bound and the bipartite diameter-3 bound.  mdim_exact stops at
+    it, so its certificates cannot check it: every reference value here is
+    an exhaustive minimum, a golden value, a verified resolving set or a
+    brute-force count."""
+
+    # (graph, the structure it has, its root bound)
+    PINNED = [
+        pytest.param(lambda: ZOO["heawood"](), "bipartite", 5, id="heawood"),
+        *(pytest.param(lambda q=q: incidence_graph(pg2(q)), "bipartite", bound, id=f"pg2_{q}")
+          for q, bound in [(3, 8), (5, 14), (7, 20)]),
+        pytest.param(lambda: ZOO["biplane_incidence"](), "bipartite", 8, id="biplane"),
+        pytest.param(lambda: ZOO["Q_3"](), "bipartite+fibre", 3, id="Q_3"),
+        pytest.param(lambda: ZOO["icosahedron"](), "fibre", 3, id="taylor_C_5"),
+        *(pytest.param(lambda q=q: taylor(family("paley", q)), "fibre", bound,
+                       id=f"taylor_paley_{q}")
+          for q, bound in [(13, 5), (17, 5), (29, 6), (37, 6), (41, 7), (61, 7)]),
+    ]
+
+    @pytest.mark.parametrize("build, structure, bound", PINNED)
+    def test_pinned_values_in_any_labels(self, build, structure, bound):
+        g = build()
+        assert networkx_structure(g) == structure
+        for seed in range(3):
+            assert mdim._root_lower_bound(relabel(g, seed)) == bound
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ZOO["Q_3"](),
+            lambda: family("cycle", 6),
+            lambda: ZOO["icosahedron"](),
+            lambda: ZOO["taylor_paley_13"](),
+            lambda: ZOO["heawood"](),
+            *(lambda n=n: family("complete_bipartite_minus_matching", n) for n in (4, 5, 6)),
+        ],
+        ids=["Q_3", "C_6", "icosahedron", "taylor_paley_13", "heawood",
+             "K44_minus_matching", "K55_minus_matching", "K66_minus_matching"],
+    )
+    def test_at_most_the_exhaustive_minimum_in_any_labels(self, build):
+        g = build()
+        assert networkx_structure(g) is not None
+        mu = exhaustive_mdim(relabel(g, 0)).mu
+        bounds = {mdim._root_lower_bound(relabel(g, seed)) for seed in range(4)}
+        assert len(bounds) == 1 and bounds.pop() <= mu
+
+    def test_at_most_the_exhaustive_minimum_on_random_bipartite_graphs(self):
+        rng = random.Random(20261020)
+        tight = 0
+        for _ in range(400):
+            g = random_bipartite_diameter_3(rng)
+            bound = mdim._bipartite_bound(g.distances.dist)
+            mu = exhaustive_mdim(g).mu
+            assert 0 < bound <= mdim._root_lower_bound(g) <= mu, g.adj
+            tight += bound == mu
+        assert tight >= 90  # 108 with this seed
+
+    def test_at_most_every_golden_metric_dimension(self):
+        checked = 0
+        for row in verify.load_golden():
+            if row.check in ("mdim_zoo", "mdim_family"):
+                pairs = [(row.args, row.expected)]
+            elif row.check == "mdim_list":
+                pairs = list(zip(row.args["graphs"], row.expected))
+            elif row.check == "biplane_mu":
+                pairs = [(row.args["graph"], row.expected["mu"])]
+            else:
+                continue
+            for spec, mu in pairs:
+                assert mdim._root_lower_bound(graph(spec)) <= mu, spec
+                checked += 1
+        assert checked > 50
+
+    @pytest.mark.parametrize("q", [29, 37, 41, 61])
+    def test_at_most_a_verified_resolving_set(self, q):
+        # Taylor(P37): greedy's 6-set, so counting (n_f - h)t sets, not
+        # (n_f - h)t - 1, would give 7 here
+        g = taylor(family("paley", q))
+        assert mdim._root_lower_bound(g) <= mdim_greedy(g).mu
+
+    def test_exactly_lower_bound_nd_where_neither_structure_is(self):
+        graphs = [ZOO[name]() for name in sorted(ZOO) if name != "Q_8"]
+        graphs += [random_graph(n, p, seed) for n in (6, 8, 10, 12)
+                   for p in (0.2, 0.3, 0.5) for seed in range(15)]
+        neither = 0
+        for g in graphs:
+            dm = g.distances
+            if not dm.connected or networkx_structure(g) is not None:
+                continue
+            assert mdim._root_lower_bound(g) == lower_bound_nd(g.n, dm.diameter), g.adj
+            neither += dm.diameter == 3
+        assert neither >= 10
+
+    def test_the_subset_count_matches_brute_force(self):
+        for k in range(5):
+            for m in range(-1, 2**k + 1):
+                assert mdim._subsets_total(k, m) == brute_subsets_total(k, m), (k, m)
+
+    def test_the_fibre_count_matches_brute_force(self):
+        def fits(n_f, t, k):
+            return any(brute_subsets_total(k, (n_f - h) * t - 1) <= k * (n_f - h)
+                       for h in range(min(k, n_f) + 1))
+
+        for n_f in range(1, 9):
+            for t in range(2, 5):
+                least = next((k for k in range(5) if fits(n_f, t, k)), None)
+                bound = mdim._fibre_count_bound(n_f, t)
+                assert bound == least if least is not None else bound > 4, (n_f, t)
+
+    def test_the_bipartite_count_matches_every_split(self):
+        for n_x in range(1, 13):
+            for n_y in range(1, 13):
+                for lam_x in range(4):
+                    for lam_y in range(4):
+                        least = min(
+                            a + b for a in range(n_x + 1) for b in range(n_y + 1)
+                            if n_y - b <= mdim._told_apart(a, lam_x)
+                            and n_x - a <= mdim._told_apart(b, lam_y)
+                        )
+                        bound = mdim._bipartite_count_bound(n_x, n_y, lam_x, lam_y)
+                        assert bound == least, (n_x, n_y, lam_x, lam_y)
 
 
 class TestResolutionPredicates:
@@ -210,15 +384,17 @@ class TestMdimExact:
         with pytest.raises(BadParameters):
             mdim_exact(ZOO["heawood"](), budget=budget)
 
+    # GQ(2,2) incidence: its greedy seed stays above its root bound, so a
+    # budget decides the status
     def test_a_numpy_integer_budget_counts_as_an_int(self):
-        cert = mdim_exact(ZOO["heawood"](), budget=np.int64(3))
+        cert = mdim_exact(ZOO["gq22_incidence"](), budget=np.int64(3))
         assert (cert.nodes_explored, cert.status) == (3, "verified-resolving")
-        assert cert == mdim_exact(ZOO["heawood"](), budget=3)
+        assert cert == mdim_exact(ZOO["gq22_incidence"](), budget=3)
 
     def test_spent_budget_downgrades_the_status(self):
-        cert = mdim_exact(ZOO["heawood"](), budget=0)
+        cert = mdim_exact(ZOO["gq22_incidence"](), budget=0)
         assert cert.status == "verified-resolving"
-        assert is_resolving(bfs_distances(ZOO["heawood"]()), cert.set)
+        assert is_resolving(bfs_distances(ZOO["gq22_incidence"]()), cert.set)
 
     @pytest.mark.parametrize("budget", [0, 5])
     def test_a_spent_budget_counts_exactly_its_nodes(self, budget):
@@ -255,23 +431,25 @@ class TestMdimExact:
         assert res.optimal
         assert res.nodes == nodes
 
-    # Node counts of the symmetric path in constructor labels, with orbital
-    # branching over the stabiliser orbits of vertex 0.
+    # Node counts of mdim_exact in constructor labels: the symmetric path,
+    # with orbital branching over the stabiliser orbits of vertex 0, unless
+    # the greedy seed meets the root lower bound (Taylor(P17), whose fibre
+    # bound is 5), so that neither the finder nor a search runs: no node.
     @pytest.mark.parametrize(
         "name,nodes",
         [
             ("Q_6", 102),
             ("johnson_8_4", 72),
             ("doubled_odd_4", 131),
-            ("taylor_paley_17", 33),
+            ("taylor_paley_17", 0),
             ("gq22_incidence", 215),
-            pytest.param("biplane_incidence", 2723, marks=pytest.mark.slow),
+            pytest.param("biplane_incidence", 312, marks=pytest.mark.slow),
         ],
     )
     def test_symmetric_node_counts_are_pinned(self, name, nodes):
         cert = mdim_exact(ZOO[name]())
         assert cert.status == "minimum"
-        assert cert.method == "exact-bnb-sym"
+        assert cert.method == ("exact-bnb-sym" if nodes else "exact-bnb")
         assert cert.nodes_explored == nodes
 
     @pytest.mark.slow
@@ -541,8 +719,8 @@ class TestRootSymmetry:
 
     def test_spent_finder_work_leaves_the_plain_search(self, monkeypatch):
         monkeypatch.setattr(cover, "FINDER_WORK", 0)
-        cert = mdim_exact(ZOO["taylor_paley_17"]())
-        assert cert.method == "exact-bnb" and cert.nodes_explored == 2902
+        cert = mdim_exact(ZOO["gq22_incidence"]())
+        assert cert.method == "exact-bnb" and cert.nodes_explored == 6169
 
     def test_one_greedy_seed_per_solve(self, monkeypatch):
         # min_cover computes the seed that gates and feeds the finder

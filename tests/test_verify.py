@@ -316,8 +316,9 @@ class TestOneRunMemo:
         assert mdimlab.zoo._RUN.get() is None
 
 
-# the checks whose arguments hold their specs under keys of their own
-KEYED_CHECKS = ["mdim_list", "biplane_mu", "ah_zoo", "random_soundness", "semi_resolving"]
+# the checks whose arguments have keys of their own, or none
+KEYED_CHECKS = ["mdim_list", "biplane_mu", "ah_zoo", "random_soundness", "semi_resolving",
+                "bounds_chain", "babai_cross"]
 
 
 class TestCheckArguments:
@@ -334,6 +335,12 @@ class TestCheckArguments:
             with pytest.raises(BadParameters, match=f"^not a {check} spec") as refused:
                 CHECKS[check](bad)
             assert all(key in str(refused.value) for key in args)
+
+    @pytest.mark.parametrize("check, key", [("mdim_list", "graphs"), ("ah_zoo", "names")])
+    @pytest.mark.parametrize("value", ["petersen", {"name": "petersen"}, ("petersen",), None])
+    def test_a_list_argument_that_is_no_list_is_refused_by_name(self, check, key, value):
+        with pytest.raises(BadParameters, match=f"^{check} needs a list as {key}, got "):
+            CHECKS[check]({key: value})
 
     def test_a_seed_that_is_no_integer_is_refused_by_name(self):
         with pytest.raises(BadParameters, match="^seed must be integers"):
