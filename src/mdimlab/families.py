@@ -64,15 +64,6 @@ def disjoint_cliques(s: int, t: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def complete_bipartite_minus_matching(v: int) -> Graph:
-    """K_{v,v} minus a perfect matching; u on one side pairs with u+v."""
-    (v,) = as_ints((v,), "the side size")
-    if v < 2:
-        raise BadParameters("needs v >= 2")
-    edges = [(u, v + w) for u in range(v) for w in range(v) if u != w]
-    return Graph.from_edges(2 * v, edges)
-
-
 def hypercube(m: int) -> Graph:
     (m,) = as_ints((m,), "the hypercube dimension")
     if m < 1:
@@ -203,7 +194,6 @@ _FAMILIES = {
     "complete": (complete, 1),
     "complete_multipartite": (complete_multipartite, 2),
     "disjoint_cliques": (disjoint_cliques, 2),
-    "complete_bipartite_minus_matching": (complete_bipartite_minus_matching, 1),
     "hypercube": (hypercube, 1),
     "johnson": (johnson, 2),
     "kneser": (kneser, 2),

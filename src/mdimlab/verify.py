@@ -13,9 +13,10 @@ that zoo.graph and zoo.design read: graphs {"name"}, {"family", "params"},
 {"double"}, {"taylor"} and {"incidence"}, designs {"plane"}, {"complement"}
 and {"of"}.  A check of one graph or design takes its spec as its arguments
 (taylor_plus_one and descendant_values that of the cover's base); mdim_list
-takes {"graphs": [...]}, biplane_mu {"graph", "base"}, ah_zoo {"names": [ZOO
-name, ...]} and semi_resolving {"design", "side"}; random_soundness takes
-{"count", "max_n", "seed"}, and bounds_chain and babai_cross take {}.
+takes {"graphs": [...]}, a one-graph list included, biplane_mu {"graph",
+"base"}, ah_zoo {"names": [ZOO name, ...]} and semi_resolving {"design",
+"side"}; random_soundness takes {"count", "max_n", "seed"}, and
+bounds_chain and babai_cross take {}.
 Arguments of any other keys, or a graphs or names that is no list, raise
 BadParameters naming the check.
 
@@ -368,7 +369,6 @@ def _check_intersection_array(args: dict[str, Any]) -> str:
 
 
 CHECKS: dict[str, Callable[[dict[str, Any]], Any]] = {
-    "mdim_family": _check_mdim,
     "mdim_zoo": _check_mdim,
     "mdim_list": _check_mdim_list,
     "halved_lift_size": _check_halved_lift_size,
@@ -430,9 +430,8 @@ def run_suite(
 
 
 def oracle_rows(max_n: int = 32) -> list[tuple[str, Any, Any, bool]]:
-    """Recompute the metric dimension rows (mdim_zoo, mdim_family and
-    mdim_list) with the exhaustive oracle where every graph of the row is
-    small enough.
+    """Recompute the metric dimension rows (mdim_zoo and mdim_list) with
+    the exhaustive oracle where every graph of the row is small enough.
 
     Returns (id, frozen expected, oracle value, agree) tuples; a row with a
     graph of more than max_n vertices is skipped, with value None.  This is
@@ -440,7 +439,7 @@ def oracle_rows(max_n: int = 32) -> list[tuple[str, Any, Any, bool]]:
     """
     out = []
     for row in load_golden():
-        if row.check not in ("mdim_zoo", "mdim_family", "mdim_list"):
+        if row.check not in ("mdim_zoo", "mdim_list"):
             continue
         listed = row.check == "mdim_list"
         graphs = [graph(spec) for spec in (row.args["graphs"] if listed else [row.args])]

@@ -113,8 +113,8 @@ _SPECS = {
     "2K_3": {"family": "disjoint_cliques", "params": [2, 3]},
     "3K_4": {"family": "disjoint_cliques", "params": [3, 4]},
     "K_3x4": {"family": "complete_multipartite", "params": [3, 4]},
-    "K44_minus_matching": {"family": "complete_bipartite_minus_matching", "params": [4]},
-    "K66_minus_matching": {"family": "complete_bipartite_minus_matching", "params": [6]},
+    "K44_minus_matching": {"double": {"family": "complete", "params": [4]}},
+    "K66_minus_matching": {"double": {"family": "complete", "params": [6]}},
     "Q_3": {"family": "hypercube", "params": [3]},
     "Q_4": {"family": "hypercube", "params": [4]},
     "Q_6": {"family": "hypercube", "params": [6]},

@@ -62,7 +62,7 @@ def test_criterion_01_cycle_complete_and_clique_union_formulas():
 def test_criterion_02_complete_bipartite_minus_matching_formula():
     start = time.monotonic()
     for v in (3, 4, 5, 6):
-        g = family("complete_bipartite_minus_matching", v)
+        g = bipartite_double(family("complete", v))
         assert mdim_exact(g).mu == v - 1
     assert time.monotonic() - start < 1.0
 

@@ -110,6 +110,15 @@ class TestConstruct:
         assert code == 0
         assert path.read_text().splitlines()[0] == "10"
 
+    def test_the_crown_is_the_double_of_a_complete_graph(self):
+        # K_{4,4} minus a perfect matching, as the removed crown family wrote it
+        code, out, _ = run("construct", "double", "complete", "--param", "4")
+        assert code == 0
+        assert out == "".join(line + "\n" for line in [
+            "8", "0 5", "0 6", "0 7", "1 4", "1 6", "1 7",
+            "2 4", "2 5", "2 7", "3 4", "3 5", "3 6",
+        ])
+
     def test_base_on_a_plain_family_exits_1(self):
         code, out, err = run("construct", "family", "cycle", "--param", "5",
                              "--base", "paley")

@@ -45,9 +45,13 @@ class TestBasicFamilies:
                    for u in range(12) for w in range(u + 1, 12))
 
     def test_crown(self):
-        g = family("complete_bipartite_minus_matching", 4)
+        g = bipartite_double(family("complete", 4))
         assert g.n == 8 and g.regular_valency() == 3
         assert not g.has_edge(0, 4)  # the removed matching pairs u with u+v
+        for v in range(2, 9):  # K_{v,v} minus the matching u ~ u+v
+            crown = Graph.from_edges(2 * v, [(u, v + w) for u in range(v) for w in range(v)
+                                             if u != w])
+            assert bipartite_double(family("complete", v)) == crown
 
     def test_hypercube(self):
         g = family("hypercube", 4)
@@ -104,9 +108,8 @@ class TestBasicFamilies:
     # hypercube(True) builds Q_1
     @pytest.mark.parametrize("name, params", [
         ("cycle", (5.0,)), ("complete", (True,)), ("complete_multipartite", (2, 3.0)),
-        ("disjoint_cliques", (True, 3)), ("complete_bipartite_minus_matching", (4.0,)),
-        ("hypercube", (True,)), ("johnson", (8, 4.0)), ("kneser", (7.0, 2)),
-        ("odd_graph", (True,)), ("paley", (13.0,)), ("rook", (3, True)),
+        ("disjoint_cliques", (True, 3)), ("hypercube", (True,)), ("johnson", (8, 4.0)),
+        ("kneser", (7.0, 2)), ("odd_graph", (True,)), ("paley", (13.0,)), ("rook", (3, True)),
     ])
     def test_constructors_read_their_parameters_as_ints(self, name, params):
         with pytest.raises(BadParameters, match="must be integers"):
@@ -118,7 +121,6 @@ class TestBasicFamilies:
         ("complete", (0,), "complete graph needs n >= 1"),
         ("complete_multipartite", (1, 3), "needs s >= 2 parts"),
         ("disjoint_cliques", (0, 2), "needs s >= 1 copies"),
-        ("complete_bipartite_minus_matching", (1,), "needs v >= 2"),
         ("hypercube", (0,), "hypercube needs m >= 1"),
         ("johnson", (4, 4), "johnson needs 1 <= r <= m-1"),
         ("odd_graph", (1,), "odd graph needs r >= 2"),

@@ -312,7 +312,7 @@ def _regular_antipodal_graphs():
     graphs += [family("cycle", n) for n in range(4, 11, 2)]
     graphs += [family("hypercube", m) for m in range(2, 9)]
     graphs += [family("complete_multipartite", s, t) for s in (2, 3, 4) for t in (2, 3)]
-    graphs += [family("complete_bipartite_minus_matching", v) for v in range(3, 7)]
+    graphs += [bipartite_double(family("complete", v)) for v in range(3, 7)]
     graphs += [bipartite_double(family("odd", r)) for r in (2, 3, 4)]
     graphs += [taylor(family("paley", q)) for q in (5, 13, 17)]
     graphs += [family("johnson", 2 * m, m) for m in (2, 3, 4)]
@@ -643,7 +643,7 @@ class TestClassificationPredicates:
         assert sum(map(_is_complete, self.GRAPHS)) >= 8
 
     def test_complete_bipartite(self):
-        graphs = self.GRAPHS + [family("complete_bipartite_minus_matching", 4),
+        graphs = self.GRAPHS + [bipartite_double(family("complete", 4)),
                                 family("complete_multipartite", 2, 5)]
         for g in graphs:
             assert _is_complete_bipartite(g) == _complete_bipartite_reference(g)
