@@ -10,7 +10,11 @@ length (--seconds); otherwise the script names the files of each length
 and exits 1.  Untraced runs (trace 0) of the same workload and seed on
 both sides form one pair; the file keeps every pair's end-to-end metrics
 and fail ratio, and per metric each side's median and quartiles and the
-number of pairs the change won.  Traced runs (trace 1) give their whole
+number of pairs the change won.  Under "items" it keeps, for each item
+name, each side's median of that item's seconds over the paired runs
+(the worker's clock, as the details files' "items" hold them) and their
+ratio, change over parent: they show which items a change moved and
+that the ones it does not touch stayed.  Traced runs (trace 1) give their whole
 metrics mapping, which perfbench fills with every per-layer metric of
 BENCHMARK.json, for each seed traced on both sides.
 Nothing is run here: run the pairs first, alternating which side goes
@@ -56,8 +60,19 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def item_medians(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict:
+    """Item name -> each side's median seconds and their ratio, for the
+    names timed on both sides."""
+    out = {}
+    for name in sorted(parent.keys() & change.keys()):
+        a, b = statistics.median(parent[name]), statistics.median(change[name])
+        out[name] = {"parent": a, "change": b, "ratio": b / a if a else None}
+    return out
+
+
 def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
     workloads: dict[str, dict] = {}
+    times: dict[str, tuple[dict, dict]] = {}  # workload -> item seconds by name, per side
     for (workload, seed, trace), a in sorted(parent.items()):
         b = change.get((workload, seed, trace))
         if b is None or b["seconds"] != a["seconds"]:
@@ -69,13 +84,18 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 "parent": dict(a["end_to_end"], fail_ratio=a["fail_ratio"]),
                 "change": dict(b["end_to_end"], fail_ratio=b["fail_ratio"]),
             })
+            for side, details in zip(times.setdefault(workload, ({}, {})), (a, b)):
+                for item in details.get("items", ()):
+                    side.setdefault(item["name"], []).append(item["seconds"])
         else:
             entry["traced"].append({
                 "seed": seed,
                 "parent": a["metrics"],
                 "change": b["metrics"],
             })
-    for entry in workloads.values():
+    for workload, entry in workloads.items():
+        if workload in times:
+            entry["items"] = item_medians(*times[workload])
         pairs = entry["pairs"]
         if len(pairs) < 2:
             continue

@@ -30,6 +30,15 @@ leaves them uncovered and the one with nothing chosen, adds their count
 back.  When the starts leave no item open, the search keeps every item,
 as when every item is open, so that top node always has an open item.
 The open items keep their order, and "item" below means an open one.
+When more than PER_ROOT_ITEMS items stay open and there are two or more
+roots, each root keeps its own open items instead, those that its own
+start leaves unseparated, by the same rules: the search gathers them when
+it enters the root, so a root that the budget never reaches gathers
+nothing.  On Q_8 a root keeps 2,322 to 3,304 items of the 6,307 that the
+union of its roots keeps, and every node below it pays ints that much
+narrower.  Fewer open items keep the one union set: a gather costs a few
+numpy calls per root, more than the narrower ints save on the graphs of
+the exact zoo (_Search).
 When every item is kept the search reads words itself; otherwise
 _open_words gathers the open columns of words into words of their own,
 a chunk of items at a time under the same bound.  From those words come
@@ -126,6 +135,12 @@ DEFAULT_BUDGET = 10**8
 FINDER_WORK = 16  # candidate images per chooser, over all targets of one root_symmetries
 SCHREIER_BLOCK = 16  # orbit points whose Schreier generators are joined at once
 PACK_BYTES = 1 << 18  # bool buffer through which the pair bits are packed
+# open items of all roots past which each root keeps its own: loads per
+# root made full solves of the exact zoo's graphs (at most 870 open items)
+# up to 40% slower, broke even on the Q_7 proof (1,652) and made budget-600
+# searches of Q_7, Q_8, J(9,4), doubled O_5 and Taylor(P61) (1,652 to
+# 6,307) 9-17% faster (in process, 2 cores)
+PER_ROOT_ITEMS = 1_000
 _BIT_MASKS = np.left_shift(1, np.arange(8)).astype(np.uint8)  # the bit of each place in a byte
 
 
@@ -203,7 +218,7 @@ def _is_symmetry(m: np.ndarray, p: np.ndarray) -> bool:
     """The check of is_symmetry, on an intp array p."""
     n = len(p)
     return (m.shape == (n, n) and np.array_equal(np.sort(p), np.arange(n))
-            and np.array_equal(m[np.ix_(p, p)], m))
+            and np.array_equal(m.take(p, axis=0).take(p, axis=1), m))
 
 
 def is_symmetry(inst: PairCoverInstance, perm: Sequence[int]) -> bool:
@@ -472,6 +487,16 @@ class _Search:
     _coverage_reachable gives the same answers.  Chooser ids do not
     change.
 
+    The same holds root by root, since every node below a root holds its
+    start: an item that the start separates is covered at each of them.
+    So when per_root is set, more than PER_ROOT_ITEMS items open and two
+    or more roots, run loads the layers of each root from its own open
+    items as it enters it (_load), and drops those of the root before.
+    Only the static chooser counts and order differ between roots, and
+    any upper bound serves the scan.  Otherwise the layers over the open
+    items of all roots are loaded once, here: below that width a load per
+    root costs more than its narrower ints save.
+
     The top node of a root with an empty start, the one node with nothing
     chosen, is the exception: there the closed items, those that every
     chooser separates, are still uncovered.  Every chooser covers all of
@@ -502,6 +527,7 @@ class _Search:
         lower_stop: int,
         roots: Sequence[tuple[Sequence[int], int]],
     ):
+        self.inst = inst
         self.budget = budget
         self.lower_stop = lower_stop
         self.roots = roots
@@ -509,6 +535,15 @@ class _Search:
         self.exhausted = True
         self.best: list[int] = []
         items = _open_items(inst, roots)
+        n_open = inst.n_items if items is None else len(items)
+        self.per_root = len(roots) > 1 and n_open > PER_ROOT_ITEMS
+        if not self.per_root:
+            self._load(items)
+
+    def _load(self, items: np.ndarray | None) -> None:
+        """The layers over items, the open ones of _open_items; when that
+        is None or empty, over every item."""
+        inst = self.inst
         if items is None or not len(items):  # nothing closed, or nothing open: keep every item
             words, n_items = inst.words, inst.n_items
         else:
@@ -547,6 +582,8 @@ class _Search:
         self.best = list(seed)
         try:
             for start, banned in self.roots:
+                if self.per_root:
+                    self._load(_open_items(self.inst, [(start, banned)]))
                 covered = 0
                 for v in start:
                     covered |= self.coverage[v]

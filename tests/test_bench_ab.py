@@ -111,6 +111,27 @@ class TestCompare:
             "median": 3.0, "q1": 2.0, "q3": 4.0,
         }
 
+    def test_item_medians_per_name(self):
+        # each side's median over the paired untraced runs, per item name;
+        # a traced run, an unpaired seed and a name on one side are left out
+        def run(search: list[float], structure: float = 2.0, extra: str | None = None) -> dict:
+            items = [{"name": "g.search", "seconds": t} for t in search]
+            items.append({"name": "g.structure", "seconds": structure})
+            if extra:
+                items.append({"name": extra, "seconds": 9.0})
+            return dict(untraced(10.0), items=items)
+
+        parent = {("w", 1, 0): run([1.0, 3.0]), ("w", 2, 0): run([2.0], extra="old"),
+                  ("w", 3, 0): run([50.0]), ("w", 4, 1): dict(traced(5), items=[
+                      {"name": "g.search", "seconds": 70.0}])}
+        change = {("w", 1, 0): run([0.5, 0.5]), ("w", 2, 0): run([1.0], extra="new"),
+                  ("w", 4, 1): dict(traced(5), items=[{"name": "g.search", "seconds": 80.0}])}
+        items = bench_ab.compare(parent, change, METRICS)["w"]["items"]
+        assert items == {
+            "g.search": {"parent": 2.0, "change": 0.5, "ratio": 0.25},
+            "g.structure": {"parent": 2.0, "change": 2.0, "ratio": 1.0},
+        }
+
     def test_runs_of_different_lengths_are_not_paired(self):
         parent = {("w", 1, 0): untraced(10.0), ("w", 2, 1): traced(5)}
         change = {("w", 1, 0): untraced(10.0, seconds=1), ("w", 2, 1): traced(5, seconds=1)}
@@ -126,6 +147,7 @@ class TestMain:
         payload = json.loads((tmp_path / "ab.json").read_text())
         assert payload["seconds"] == 20
         assert len(payload["workloads"]["w"]["pairs"]) == 2
+        assert payload["workloads"]["w"]["items"] == {}
 
     def test_lengths_differing_across_sides_exit_1(self, tmp_path, monkeypatch, capsys):
         parent = checkout(tmp_path / "p", {"w-seed5-trace1.json": traced(5)})

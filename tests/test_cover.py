@@ -12,12 +12,14 @@ from mdimlab import (
     BadParameters,
     CoverResult,
     PairCoverInstance,
+    bipartite_double,
     build_instance,
     family,
     greedy_cover,
     mdim_exact,
     mdim_greedy,
     min_cover,
+    taylor,
 )
 from mdimlab.cover import (
     SCHREIER_BLOCK,
@@ -32,6 +34,7 @@ from mdimlab.cover import (
 from mdimlab import cover
 from mdimlab import mdim as mdim_module
 from mdimlab.mdim import semi_cover_instance, twin_forced_choices
+from mdimlab.verify import run_suite
 from mdimlab.designs import incidence_graph, pg2
 from mdimlab.graphs import Graph, iter_bits
 from mdimlab.zoo import SOLVABLE, ZOO
@@ -347,18 +350,29 @@ class TestLayersOnFirstRead:
         assert search.all_items == (1 << inst.n_items) - 1 and search.closed == 0
         assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
 
-    def test_the_cut_set_up_working_set_is_words_twice_and_one_chunk(self):
+    @pytest.mark.parametrize("per_root,kept", [(True, 3_304), (False, 6_307)],
+                             ids=["per-root", "union"])
+    def test_the_cut_set_up_working_set_is_words_twice_and_one_chunk(
+        self, monkeypatch, per_root, kept
+    ):
         # under the orbital roots of Q_8 the open columns are gathered a
-        # chunk at a time, within the bound of a search that keeps them all
+        # chunk at a time, within the bound of a search that keeps them all:
+        # those of the first root, which the search enters before its node
+        # budget of 0 stops it, or those of the union of the roots
+        if not per_root:
+            monkeypatch.setattr(cover, "PER_ROOT_ITEMS", 6_307)
         inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
-        roots = _orbital_roots(inst, root_symmetries(inst, greedy_cover(inst)))
+        seed = greedy_cover(inst)
+        roots = _orbital_roots(inst, root_symmetries(inst, seed))
         tracemalloc.start()
         try:
             search = _Search(inst, budget=0, lower_stop=0, roots=roots)
+            res = search.run(seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(search.resolvers) == 6_307
+        assert search.per_root == per_root and res.nodes == 0
+        assert len(search.resolvers) == kept
         assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
 
     def test_static_counts_match_bit_count(self):
@@ -710,6 +724,36 @@ class TestRootSymmetry:
         assert is_symmetry(inst, [0, 1, 2, 3, 4, 5])
         with pytest.raises(BadParameters, match="must be integers"):
             is_symmetry(inst, [0.9, 1.9, 2.9, 3.9, 4.9, 5.9])
+
+    @pytest.mark.parametrize("perm", [
+        [0, 1, 2, 3, 4], [0, 1, 2, 3, 4, 5, 0], [0, 0, 1, 2, 3, 4], [-1, 0, 1, 2, 3, 4],
+        [-6, 1, 2, 3, 4, 5], [1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 60],
+    ], ids=["short", "long", "duplicate", "negative", "negative-wrapping", "out-of-range",
+            "far-out-of-range"])
+    def test_a_list_that_is_no_permutation_is_no_symmetry(self, perm):
+        # the gather runs only after the permutation test, so no entry
+        # indexes the matrix; -6 would wrap to 0 and gather the identity
+        m = np.asarray(family("cycle", 6).distances.dist)
+        assert not cover._is_symmetry(m, np.array(perm, dtype=np.intp))
+        assert not is_symmetry(build_instance(m), perm)
+
+    def test_the_gather_matches_a_fancy_index(self):
+        # C_6's 12 automorphisms and random permutations of it, Q_3's
+        # and a random square matrix's
+        rng = np.random.default_rng(3)
+        found = 0
+        for m in (np.asarray(family("cycle", 6).distances.dist),
+                  np.asarray(family("hypercube", 3).distances.dist),
+                  rng.integers(0, 2, size=(7, 7))):
+            n = len(m)
+            perms = [[(s * x + t) % n for x in range(n)] for s in (1, -1) for t in range(n)]
+            perms += [rng.permutation(n).tolist() for _ in range(50)]
+            for perm in perms:
+                p = np.array(perm, dtype=np.intp)
+                want = np.array_equal(m[np.ix_(p, p)], m)
+                assert cover._is_symmetry(m, p) == want
+                found += want
+        assert found >= 12
 
     def test_only_square_instances_have_symmetries(self):
         inst = build_instance(np.array([[0, 1, 2], [0, 0, 1]]))
@@ -1335,14 +1379,125 @@ class TestOpenItems:
         assert (got.chosen, got.nodes, got.optimal) == ((0, 2, 7, 9, 19), 102, True)
 
 
+# the large-n graphs, whose orbital roots leave more than PER_ROOT_ITEMS
+# items open
+WIDE = {
+    "Q_7": lambda: family("hypercube", 7),
+    "Q_8": lambda: family("hypercube", 8),
+    "johnson_9_4": lambda: family("johnson", 9, 4),
+    "doubled_odd_5": lambda: bipartite_double(family("odd", 5)).graph,
+    "taylor_paley_61": lambda: taylor(family("paley", 61)).graph,
+}
+
+# the graphs that the exact-zoo benchmark solves
+EXACT_ZOO = ("Q_6", "johnson_8_4", "doubled_odd_4", "biplane_incidence", "taylor_paley_17",
+             "gq22_incidence")
+
+
+@pytest.fixture
+def search_paths(monkeypatch) -> list[bool]:
+    """per_root of every search made while the test runs."""
+    made = []
+
+    class Recorded(_Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self.per_root)
+
+    monkeypatch.setattr(cover, "_Search", Recorded)
+    return made
+
+
+def relabelled_graph(g: Graph, seed: int) -> Graph:
+    q = np.random.default_rng(seed).permutation(g.n).tolist()
+    return Graph.from_edges(g.n, [(q[u], q[w]) for u, w in g.edges()])
+
+
+@pytest.mark.usefixtures("never_empty")
+class TestPerRootOpenItems:
+    """Past PER_ROOT_ITEMS open items, each orbital root keeps the items
+    that its own start leaves open, loaded when the search enters it; the
+    tree, node count and answer are those of the one union set."""
+
+    @staticmethod
+    def solve_both(monkeypatch, search_paths, inst: PairCoverInstance, **kwargs) -> CoverResult:
+        got = min_cover(inst, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(cover, "PER_ROOT_ITEMS", inst.n_items)
+            want = min_cover(inst, **kwargs)
+        assert search_paths == [True, False]
+        search_paths.clear()
+        assert (got.chosen, got.nodes, got.optimal, got.generators) == (
+            want.chosen, want.nodes, want.optimal, want.generators)
+        return got
+
+    @pytest.mark.parametrize("name", sorted(WIDE))
+    def test_relabelled_wide_graphs_at_budget_600(self, monkeypatch, search_paths, name):
+        dist = np.asarray(WIDE[name]().distances.dist)
+        for seed in range(2):
+            got = self.solve_both(monkeypatch, search_paths, relabelled_instance(dist, seed),
+                                  budget=600)
+            assert got.nodes == 600 and not got.optimal and got.generators
+
+    def test_the_q7_proof(self, monkeypatch, search_paths):
+        inst = build_instance(np.asarray(family("hypercube", 7).distances.dist))
+        got = self.solve_both(monkeypatch, search_paths, inst)
+        assert (len(got.chosen), got.nodes, got.optimal) == (6, 8_726, True)
+
+    def test_each_root_loads_its_own_open_items(self, monkeypatch):
+        # the Q_7 proof enters every root, and each load holds the items
+        # that its start leaves open; Q_7 is vertex-transitive, so no
+        # root has an empty start
+        inst = build_instance(np.asarray(family("hypercube", 7).distances.dist))
+        seed = greedy_cover(inst)
+        roots = _orbital_roots(inst, root_symmetries(inst, seed))
+        search = _Search(inst, budget=10**8, lower_stop=0, roots=roots)
+        loads = []
+        load = search._load
+
+        def spy(items):
+            load(items)
+            loads.append((items.tolist(), search.all_items, search.closed))
+
+        monkeypatch.setattr(search, "_load", spy)
+        assert search.per_root and search.run(seed).nodes == 8_726
+        assert len(loads) == len(roots) == 7
+        for root, (items, all_items, closed) in zip(roots, loads):
+            want = _open_items(inst, [root]).tolist()
+            assert items == want and all_items == (1 << len(want)) - 1
+            assert closed == inst.n_items - len(want)
+
+    def test_q8_widths_in_constructor_labels(self):
+        # each root keeps 2,322 to 3,304 items, the union of them 6,307
+        inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
+        roots = _orbital_roots(inst, root_symmetries(inst, greedy_cover(inst)))
+        assert [len(_open_items(inst, [root])) for root in roots] == [
+            3_304, 2_644, 2_392, 2_322, 2_392, 2_644, 3_304, 6_307]
+        assert len(_open_items(inst, roots)) == 6_307
+
+    @pytest.mark.parametrize("include_slow", [False, True], ids=["default", "slow"])
+    def test_the_golden_suite_keeps_the_union(self, search_paths, include_slow):
+        assert run_suite(include_slow=include_slow).ok
+        assert search_paths and not any(search_paths)
+
+    def test_the_exact_zoo_keeps_the_union(self, search_paths):
+        for name in EXACT_ZOO:
+            g = ZOO[name]()
+            for h in (g, relabelled_graph(g, 0), relabelled_graph(g, 1)):
+                assert mdim_exact(h).status == "minimum"
+        assert search_paths and not any(search_paths)
+
+
 class ReferenceSearch(_Search):
     """The node that the empty-start cut and the ancestor-count scan
     replaced, over every item: each scan walks the static chooser order,
     and each candidate's count is taken at its own node."""
 
     def __init__(self, inst, budget, lower_stop, roots):
+        # one set of layers over every item, for all roots
         with pytest.MonkeyPatch.context() as m:
             m.setattr(cover, "_open_items", lambda inst, roots: None)
+            m.setattr(cover, "PER_ROOT_ITEMS", inst.n_items)
             super().__init__(inst, budget, lower_stop, roots)
 
     def run(self, seed) -> CoverResult:

@@ -105,18 +105,20 @@ class TestBasicFamilies:
             family(name, *params)
 
     # unchecked, cycle(5.0) raises TypeError from range() and
-    # hypercube(True) builds Q_1
-    @pytest.mark.parametrize("name, params", [
+    # hypercube(True) builds Q_1; each case's id is its constructor's name
+    NON_INTEGER = [
         ("cycle", (5.0,)), ("complete", (True,)), ("complete_multipartite", (2, 3.0)),
         ("disjoint_cliques", (True, 3)), ("hypercube", (True,)), ("johnson", (8, 4.0)),
         ("kneser", (7.0, 2)), ("odd_graph", (True,)), ("paley", (13.0,)), ("rook", (3, True)),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, params", NON_INTEGER, ids=[c[0] for c in NON_INTEGER])
     def test_constructors_read_their_parameters_as_ints(self, name, params):
         with pytest.raises(BadParameters, match="must be integers"):
             getattr(families, name)(*params)
 
     # the first value below each constructor's range
-    @pytest.mark.parametrize("name, params, message", [
+    BELOW_RANGE = [
         ("cycle", (2,), "cycle needs n >= 3"),
         ("complete", (0,), "complete graph needs n >= 1"),
         ("complete_multipartite", (1, 3), "needs s >= 2 parts"),
@@ -125,7 +127,10 @@ class TestBasicFamilies:
         ("johnson", (4, 4), "johnson needs 1 <= r <= m-1"),
         ("odd_graph", (1,), "odd graph needs r >= 2"),
         ("rook", (1, 3), "rook needs both sides >= 2"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("name, params, message", BELOW_RANGE,
+                             ids=[c[0] for c in BELOW_RANGE])
     def test_constructors_reject_parameters_below_their_range(self, name, params, message):
         with pytest.raises(BadParameters, match=message):
             getattr(families, name)(*params)
