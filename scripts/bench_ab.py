@@ -13,10 +13,10 @@ and fail ratio, and per metric each side's median and quartiles and the
 number of pairs the change won.  Under "items" it keeps, for each item
 name, each side's median of that item's seconds over the paired runs
 (the worker's clock, as the details files' "items" hold them) and their
-ratio, change over parent: they show which items a change moved and
-that the ones it does not touch stayed.  Traced runs (trace 1) give their whole
-metrics mapping, which perfbench fills with every per-layer metric of
-BENCHMARK.json, for each seed traced on both sides.
+ratio, change over parent: they show which items a change moved, and
+whether the ones it does not touch stayed.  Traced runs (trace 1) give
+their whole metrics mapping, which perfbench fills with every per-layer
+metric of BENCHMARK.json, for each seed traced on both sides.
 Nothing is run here: run the pairs first, alternating which side goes
 first.
 """

@@ -34,11 +34,12 @@ When more than PER_ROOT_ITEMS items stay open and there are two or more
 roots, each root keeps its own open items instead, those that its own
 start leaves unseparated, by the same rules: the search gathers them when
 it enters the root, so a root that the budget never reaches gathers
-nothing.  On Q_8 a root keeps 2,322 to 3,304 items of the 6,307 that the
-union of its roots keeps, and every node below it pays ints that much
-narrower.  Fewer open items keep the one union set: a gather costs a few
-numpy calls per root, more than the narrower ints save on the graphs of
-the exact zoo (_Search).
+nothing.  On Q_8 each orbital root that forces 0 and one more chooser
+keeps 2,322 to 3,304 items of the 6,307 that the union of the roots
+keeps, and every node below it pays ints that much narrower.  Fewer open
+items keep the one union set: a gather costs a few numpy calls per root,
+more than the narrower ints save on the graphs of the exact zoo
+(_Search).
 When every item is kept the search reads words itself; otherwise
 _open_words gathers the open columns of words into words of their own,
 a chunk of items at a time under the same bound.  From those words come
@@ -492,10 +493,11 @@ class _Search:
     So when per_root is set, more than PER_ROOT_ITEMS items open and two
     or more roots, run loads the layers of each root from its own open
     items as it enters it (_load), and drops those of the root before.
-    Only the static chooser counts and order differ between roots, and
-    any upper bound serves the scan.  Otherwise the layers over the open
-    items of all roots are loaded once, here: below that width a load per
-    root costs more than its narrower ints save.
+    Each kept item keeps its order and static separator count; the static
+    chooser counts shrink, and bound the dynamic ones all the same.  The
+    hidden count of an empty start is that root's own.  Otherwise the
+    layers over the open items of all roots are loaded once, here: below
+    that width a load per root costs more than its narrower ints save.
 
     The top node of a root with an empty start, the one node with nothing
     chosen, is the exception: there the closed items, those that every

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import mdimlab
+from mdimlab import cover
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +47,35 @@ def test_a_golden_pass_runs_every_row_correct(workloads):
     outcomes = workloads.run_golden(mdimlab, ROOT, None, no_pause)
     assert len(outcomes) == 70
     assert [(o.name, o.error) for o in outcomes if o.error is not None] == []
+
+
+@pytest.fixture
+def made_searches(monkeypatch) -> list[cover._Search]:
+    """Every branch and bound search made while the test runs."""
+    made = []
+
+    class Recorded(cover._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cover, "_Search", Recorded)
+    return made
+
+
+def test_the_exact_zoo_and_golden_searches_keep_one_union_set(workloads, made_searches):
+    # below cover.PER_ROOT_ITEMS open items; batch 1 of exact-zoo is relabelled
+    for batch in (0, 1):
+        items = workloads.setup_exact_zoo(mdimlab, ROOT, 0, batch)
+        workloads.run_items(items, None, no_pause)
+    workloads.run_golden(mdimlab, ROOT, None, no_pause)
+    assert made_searches and not any(search.per_root for search in made_searches)
+
+
+def test_the_wide_large_n_searches_keep_an_open_set_per_root(workloads, made_searches):
+    # Q_7, Q_8, J(9,4), doubled O_5 and Taylor(P61); PG(2,7) incidence and
+    # its semi sides search under one root
+    items = workloads.setup_large_n(mdimlab, ROOT, 0, 0)
+    workloads.run_items(items, None, no_pause)
+    wide = sorted(search.inst.n_entities for search in made_searches if search.per_root)
+    assert wide == [124, 126, 128, 252, 256]

@@ -350,29 +350,37 @@ class TestLayersOnFirstRead:
         assert search.all_items == (1 << inst.n_items) - 1 and search.closed == 0
         assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
 
-    @pytest.mark.parametrize("per_root,kept", [(True, 3_304), (False, 6_307)],
-                             ids=["per-root", "union"])
-    def test_the_cut_set_up_working_set_is_words_twice_and_one_chunk(
-        self, monkeypatch, per_root, kept
-    ):
-        # under the orbital roots of Q_8 the open columns are gathered a
-        # chunk at a time, within the bound of a search that keeps them all:
-        # those of the first root, which the search enters before its node
-        # budget of 0 stops it, or those of the union of the roots
-        if not per_root:
-            monkeypatch.setattr(cover, "PER_ROOT_ITEMS", 6_307)
-        inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
+    @staticmethod
+    def cut_set_up(inst: PairCoverInstance) -> tuple[_Search, int]:
+        """A search under the orbital roots of inst, run to a node budget
+        of 0, and the traced peak of making and running it."""
         seed = greedy_cover(inst)
         roots = _orbital_roots(inst, root_symmetries(inst, seed))
         tracemalloc.start()
         try:
             search = _Search(inst, budget=0, lower_stop=0, roots=roots)
-            res = search.run(seed)
+            assert search.run(seed).nodes == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert search.per_root == per_root and res.nodes == 0
-        assert len(search.resolvers) == kept
+        return search, peak
+
+    def test_the_cut_set_up_working_set_is_words_twice_and_one_chunk(self):
+        # under the orbital roots of Q_8 each root's open columns are
+        # gathered a chunk at a time when the search enters it, within the
+        # bound of a search that keeps them all; a budget of 0 stops the
+        # search in its first root
+        inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
+        search, peak = self.cut_set_up(inst)
+        assert search.per_root and len(search.resolvers) == 3_304
+        assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
+
+    def test_the_union_cut_set_up_working_set_is_words_twice_and_one_chunk(self, monkeypatch):
+        # the same, with the open columns of all roots gathered at once
+        monkeypatch.setattr(cover, "PER_ROOT_ITEMS", 6_307)
+        inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
+        search, peak = self.cut_set_up(inst)
+        assert not search.per_root and len(search.resolvers) == 6_307
         assert peak <= 2 * inst.words.nbytes + cover.PACK_BYTES + 2**16
 
     def test_static_counts_match_bit_count(self):
@@ -736,24 +744,6 @@ class TestRootSymmetry:
         m = np.asarray(family("cycle", 6).distances.dist)
         assert not cover._is_symmetry(m, np.array(perm, dtype=np.intp))
         assert not is_symmetry(build_instance(m), perm)
-
-    def test_the_gather_matches_a_fancy_index(self):
-        # C_6's 12 automorphisms and random permutations of it, Q_3's
-        # and a random square matrix's
-        rng = np.random.default_rng(3)
-        found = 0
-        for m in (np.asarray(family("cycle", 6).distances.dist),
-                  np.asarray(family("hypercube", 3).distances.dist),
-                  rng.integers(0, 2, size=(7, 7))):
-            n = len(m)
-            perms = [[(s * x + t) % n for x in range(n)] for s in (1, -1) for t in range(n)]
-            perms += [rng.permutation(n).tolist() for _ in range(50)]
-            for perm in perms:
-                p = np.array(perm, dtype=np.intp)
-                want = np.array_equal(m[np.ix_(p, p)], m)
-                assert cover._is_symmetry(m, p) == want
-                found += want
-        assert found >= 12
 
     def test_only_square_instances_have_symmetries(self):
         inst = build_instance(np.array([[0, 1, 2], [0, 0, 1]]))
@@ -1389,28 +1379,18 @@ WIDE = {
     "taylor_paley_61": lambda: taylor(family("paley", 61)).graph,
 }
 
-# the graphs that the exact-zoo benchmark solves
-EXACT_ZOO = ("Q_6", "johnson_8_4", "doubled_odd_4", "biplane_incidence", "taylor_paley_17",
-             "gq22_incidence")
-
-
 @pytest.fixture
-def search_paths(monkeypatch) -> list[bool]:
-    """per_root of every search made while the test runs."""
+def made_searches(monkeypatch) -> list[_Search]:
+    """Every search that min_cover makes while the test runs."""
     made = []
 
     class Recorded(_Search):
         def __init__(self, *args):
             super().__init__(*args)
-            made.append(self.per_root)
+            made.append(self)
 
     monkeypatch.setattr(cover, "_Search", Recorded)
     return made
-
-
-def relabelled_graph(g: Graph, seed: int) -> Graph:
-    q = np.random.default_rng(seed).permutation(g.n).tolist()
-    return Graph.from_edges(g.n, [(q[u], q[w]) for u, w in g.edges()])
 
 
 @pytest.mark.usefixtures("never_empty")
@@ -1420,28 +1400,28 @@ class TestPerRootOpenItems:
     tree, node count and answer are those of the one union set."""
 
     @staticmethod
-    def solve_both(monkeypatch, search_paths, inst: PairCoverInstance, **kwargs) -> CoverResult:
+    def solve_both(monkeypatch, made_searches, inst: PairCoverInstance, **kwargs) -> CoverResult:
         got = min_cover(inst, **kwargs)
         with monkeypatch.context() as m:
             m.setattr(cover, "PER_ROOT_ITEMS", inst.n_items)
             want = min_cover(inst, **kwargs)
-        assert search_paths == [True, False]
-        search_paths.clear()
+        assert [search.per_root for search in made_searches] == [True, False]
+        made_searches.clear()
         assert (got.chosen, got.nodes, got.optimal, got.generators) == (
             want.chosen, want.nodes, want.optimal, want.generators)
         return got
 
     @pytest.mark.parametrize("name", sorted(WIDE))
-    def test_relabelled_wide_graphs_at_budget_600(self, monkeypatch, search_paths, name):
+    def test_relabelled_wide_graphs_at_budget_600(self, monkeypatch, made_searches, name):
         dist = np.asarray(WIDE[name]().distances.dist)
         for seed in range(2):
-            got = self.solve_both(monkeypatch, search_paths, relabelled_instance(dist, seed),
+            got = self.solve_both(monkeypatch, made_searches, relabelled_instance(dist, seed),
                                   budget=600)
             assert got.nodes == 600 and not got.optimal and got.generators
 
-    def test_the_q7_proof(self, monkeypatch, search_paths):
+    def test_the_q7_proof(self, monkeypatch, made_searches):
         inst = build_instance(np.asarray(family("hypercube", 7).distances.dist))
-        got = self.solve_both(monkeypatch, search_paths, inst)
+        got = self.solve_both(monkeypatch, made_searches, inst)
         assert (len(got.chosen), got.nodes, got.optimal) == (6, 8_726, True)
 
     def test_each_root_loads_its_own_open_items(self, monkeypatch):
@@ -1475,17 +1455,10 @@ class TestPerRootOpenItems:
             3_304, 2_644, 2_392, 2_322, 2_392, 2_644, 3_304, 6_307]
         assert len(_open_items(inst, roots)) == 6_307
 
-    @pytest.mark.parametrize("include_slow", [False, True], ids=["default", "slow"])
-    def test_the_golden_suite_keeps_the_union(self, search_paths, include_slow):
-        assert run_suite(include_slow=include_slow).ok
-        assert search_paths and not any(search_paths)
-
-    def test_the_exact_zoo_keeps_the_union(self, search_paths):
-        for name in EXACT_ZOO:
-            g = ZOO[name]()
-            for h in (g, relabelled_graph(g, 0), relabelled_graph(g, 1)):
-                assert mdim_exact(h).status == "minimum"
-        assert search_paths and not any(search_paths)
+    def test_a_default_verify_run_keeps_the_union(self, made_searches):
+        # the benchmark's workloads are pinned in test_benchmark_calls.py
+        assert run_suite().ok
+        assert made_searches and not any(search.per_root for search in made_searches)
 
 
 class ReferenceSearch(_Search):
@@ -1651,6 +1624,47 @@ class TestMatchesTheReferenceSearch:
             self.check(inst, symmetries=())
             self.check(inst, forced=[int(rng.integers(n))])
         assert hidden
+
+
+@pytest.mark.usefixtures("never_empty")
+class TestPerRootMatchesTheReferenceSearch:
+    """With PER_ROOT_ITEMS 0, every search of two or more roots loads each
+    root's own open items as it enters it, empty starts included, and
+    min_cover still matches ReferenceSearch, which keeps one set of layers
+    over every item."""
+
+    check = staticmethod(TestMatchesTheReferenceSearch.check)
+
+    @pytest.fixture(autouse=True)
+    def every_search_per_root(self, monkeypatch):
+        monkeypatch.setattr(cover, "PER_ROOT_ITEMS", 0)
+
+    def test_solvable_zoo_graphs(self, made_searches):
+        for name in sorted(SOLVABLE):
+            dist = np.asarray(ZOO[name]().distances.dist)
+            if len(dist) <= 70:
+                self.check(build_instance(dist))
+        assert sum(search.per_root for search in made_searches) >= 10
+
+    def test_random_square_instances(self, made_searches):
+        # as in TestMatchesTheReferenceSearch; an empty start sits beside
+        # other roots when the orbit of chooser 0 is not every chooser
+        rng = np.random.default_rng(38)
+        for k in range(90):
+            n = int(rng.integers(4, 16))
+            if k % 3 == 0:
+                inst = build_instance(random_bipartite_distances(rng, n))
+            elif k % 3 == 1:
+                inst = TestRootSymmetry.circulant(rng, n)
+            else:
+                inst = build_instance(rng.integers(0, 3, size=(n, n)))
+            if brute_minimum(inst) is None:
+                continue
+            self.check(inst)
+            self.check(inst, forced=[int(rng.integers(n))])
+        per_root = [search for search in made_searches if search.per_root]
+        assert len(per_root) >= 10
+        assert any(not search.roots[-1][0] for search in per_root)
 
 
 @pytest.mark.usefixtures("never_empty")
