@@ -18,3 +18,17 @@ def searches(monkeypatch) -> list[cover.PairCoverInstance]:
 
     monkeypatch.setattr(cover, "_Search", record)
     return made
+
+
+@pytest.fixture
+def made_searches(monkeypatch) -> list[cover._Search]:
+    """Every branch and bound search made while the test runs, as made."""
+    made = []
+
+    class Recorded(cover._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(cover, "_Search", Recorded)
+    return made

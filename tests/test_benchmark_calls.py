@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import mdimlab
-from mdimlab import cover
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,20 +46,6 @@ def test_a_golden_pass_runs_every_row_correct(workloads):
     outcomes = workloads.run_golden(mdimlab, ROOT, None, no_pause)
     assert len(outcomes) == 70
     assert [(o.name, o.error) for o in outcomes if o.error is not None] == []
-
-
-@pytest.fixture
-def made_searches(monkeypatch) -> list[cover._Search]:
-    """Every branch and bound search made while the test runs."""
-    made = []
-
-    class Recorded(cover._Search):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(cover, "_Search", Recorded)
-    return made
 
 
 def test_the_exact_zoo_and_golden_searches_keep_one_union_set(workloads, made_searches):

@@ -1379,20 +1379,6 @@ WIDE = {
     "taylor_paley_61": lambda: taylor(family("paley", 61)).graph,
 }
 
-@pytest.fixture
-def made_searches(monkeypatch) -> list[_Search]:
-    """Every search that min_cover makes while the test runs."""
-    made = []
-
-    class Recorded(_Search):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(cover, "_Search", Recorded)
-    return made
-
-
 @pytest.mark.usefixtures("never_empty")
 class TestPerRootOpenItems:
     """Past PER_ROOT_ITEMS open items, each orbital root keeps the items
@@ -1448,7 +1434,8 @@ class TestPerRootOpenItems:
             assert closed == inst.n_items - len(want)
 
     def test_q8_widths_in_constructor_labels(self):
-        # each root keeps 2,322 to 3,304 items, the union of them 6,307
+        # a root that forces 0 and one more chooser keeps 2,322 to 3,304
+        # items; the last root, 0 alone, keeps the union's 6,307
         inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
         roots = _orbital_roots(inst, root_symmetries(inst, greedy_cover(inst)))
         assert [len(_open_items(inst, [root])) for root in roots] == [
