@@ -16,7 +16,10 @@ name, each side's median of that item's seconds over the paired runs
 ratio, change over parent: they show which items a change moved, and
 whether the ones it does not touch stayed.  Traced runs (trace 1) give
 their whole metrics mapping, which perfbench fills with every per-layer
-metric of BENCHMARK.json, for each seed traced on both sides.
+metric of BENCHMARK.json, for each seed traced on both sides; beside it,
+"counts_moved" holds each per-layer metric of unit count whose value
+differs between the two sides, with both values, so one key shows both
+that node counts held and which call counts fell.
 Nothing is run here: run the pairs first, alternating which side goes
 first.
 """
@@ -29,6 +32,7 @@ import re
 import statistics
 import sys
 from pathlib import Path
+from typing import Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
@@ -70,7 +74,17 @@ def item_medians(parent: dict[str, list[float]], change: dict[str, list[float]])
     return out
 
 
-def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
+def counts_moved(parent: dict, change: dict, counts: Iterable[str]) -> dict:
+    """Count name -> both sides' values, for the names in counts whose
+    values differ between the two metrics mappings."""
+    return {name: {"parent": parent.get(name), "change": change.get(name)}
+            for name in counts if parent.get(name) != change.get(name)}
+
+
+def compare(parent: dict, change: dict, metrics: list[dict], counts: Iterable[str] = ()) -> dict:
+    """The pairs, summaries, item medians and traced runs of each workload
+    run on both sides; metrics are the end-to-end metrics to summarise,
+    and counts the per-layer counts that counts_moved compares."""
     workloads: dict[str, dict] = {}
     times: dict[str, tuple[dict, dict]] = {}  # workload -> item seconds by name, per side
     for (workload, seed, trace), a in sorted(parent.items()):
@@ -92,6 +106,7 @@ def compare(parent: dict, change: dict, metrics: list[dict]) -> dict:
                 "seed": seed,
                 "parent": a["metrics"],
                 "change": b["metrics"],
+                "counts_moved": counts_moved(a["metrics"], b["metrics"], counts),
             })
     for workload, entry in workloads.items():
         if workload in times:
@@ -133,7 +148,8 @@ def main() -> int:
         for seconds, files in sorted(lengths.items()):
             print(f"  --seconds {seconds}: {' '.join(files)}", file=sys.stderr)
         return 1
-    workloads = compare(parent, change, spec["end_to_end"])
+    counts = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
+    workloads = compare(parent, change, spec["end_to_end"], counts)
     if not workloads:
         print("bench_ab: no run of the same workload and seed on both sides",
               file=sys.stderr)
@@ -156,6 +172,7 @@ def main() -> int:
         for t in entry["traced"]:
             print(f"{workload:13s} traced seed {t['seed']}: parent {t['parent']} "
                   f"change {t['change']}")
+            print(f"{workload:13s} traced seed {t['seed']} counts moved: {t['counts_moved']}")
     return 0
 
 

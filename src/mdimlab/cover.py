@@ -183,7 +183,7 @@ class PairCoverInstance:
     """Pair-separation instance in one form ("Layout"): matrix, the
     chooser-by-entity matrix, which is_symmetry and root_symmetries read,
     and words, whose row v holds the items that chooser v separates as
-    uint64 bits, zero past the last item.  Equality is identity.
+    read-only uint64 bits, zero past the last item.  Equality is identity.
     """
 
     n_choosers: int
@@ -199,9 +199,10 @@ class PairCoverInstance:
 def build_instance(matrix: np.ndarray) -> PairCoverInstance:
     """Instance whose choosers are the matrix rows and whose items are all
     unordered column pairs; only words is built here, a chunk of items at
-    a time, so the build needs words plus one chunk buffer ("Layout").  A
-    matrix that is not a 2-D numpy array of ints or bools raises
-    BadParameters."""
+    a time, so the build needs words plus one chunk buffer ("Layout").
+    words is read-only, so every search of an instance that is shared,
+    as mdim keeps one per graph, reads the same bits.  A matrix that is
+    not a 2-D numpy array of ints or bools raises BadParameters."""
     if not isinstance(matrix, np.ndarray) or matrix.ndim != 2 or matrix.dtype.kind not in "biu":
         raise BadParameters("a cover matrix must be a 2-D numpy array of ints or bools")
     n_choosers, n_cols = matrix.shape
@@ -212,6 +213,7 @@ def build_instance(matrix: np.ndarray) -> PairCoverInstance:
     # packbits zero-pads the last byte of a chunk, and words is zero past it
     for a, k in _pair_chunks(matrix, sep):
         packed[:, a // 8:a // 8 + -(-k // 8)] = np.packbits(sep[:, :k], axis=1, bitorder="little")
+    words.setflags(write=False)
     return PairCoverInstance(n_choosers, n_cols, matrix, words)
 
 

@@ -20,7 +20,8 @@ connected graph on one gather of distance rows through the same table,
 and decodes the triple each distance expects from that gather at its
 first pair.  imprimitivity's fold scatters its quotient rows through the
 table too.  A Graph keeps each fact computed from it alone in one memo,
-through _kept; the neighbour table is one of them.
+through _kept; the neighbour table is one of them, and so is the
+pair-cover instance of its distances that mdim solves on.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ class Graph:
     new graphs.  Equality is exact edge-set equality under the fixed labels,
     never isomorphism.  A graph keeps what is computed from it alone in one
     memo (see _kept): its distances, intersection array, halves, antipodal
-    classes and fold, each computed at most once.
+    classes and fold, and the pair-cover instance that mdim_greedy and
+    mdim_exact share, each computed at most once.  The instance is the
+    largest fact kept: one bit per vertex and vertex pair, n * C(n, 2) / 8
+    bytes (1 MiB at n = 256), held for as long as the graph lives.
     """
 
     __slots__ = ("n", "adj", "_memo")

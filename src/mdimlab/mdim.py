@@ -33,7 +33,15 @@ from .errors import (
     HypothesisFailure,
     LiftVerificationError,
 )
-from .graphs import DistanceMatrix, Graph, as_ids, as_ints, intersection_array, is_primitive
+from .graphs import (
+    DistanceMatrix,
+    Graph,
+    _kept,
+    as_ids,
+    as_ints,
+    intersection_array,
+    is_primitive,
+)
 
 
 def _normalise(s: Iterable[int], n: int) -> tuple[int, ...]:
@@ -112,6 +120,14 @@ class ResolvingCertificate:
 def pair_cover_instance(dm: DistanceMatrix) -> PairCoverInstance:
     """Metric-dimension cover instance: choosers and columns are vertices."""
     return build_instance(np.asarray(dm.dist))
+
+
+@_kept
+def _instance(g: Graph) -> PairCoverInstance:
+    """pair_cover_instance of g's distances, kept with g (read-only, as
+    build_instance leaves it), so mdim_exact and mdim_greedy on one graph
+    build it once: n * C(n, 2) / 8 bytes for as long as g lives."""
+    return pair_cover_instance(g.distances)
 
 
 def twin_classes(g: Graph) -> list[tuple[int, ...]]:
@@ -246,10 +262,16 @@ def _bipartite_count_bound(n_x: int, n_y: int, lam_x: int, lam_y: int) -> int:
 
 def _most_common_neighbours(rows: np.ndarray) -> int:
     """The most columns that two rows of a boolean matrix share, or 0 for
-    one row, read off the Gram matrix: float64 sums of 0s and 1s, exact
-    below 2**53."""
-    rows = rows.astype(np.float64)
-    common = rows @ rows.T
+    one row.  The rows are packed into uint64 words, and the counts of
+    every pair of rows are popcounts of the AND of their words, summed one
+    word column at a time: exact integers, with no float matmul and so no
+    BLAS work buffer."""
+    m, c = rows.shape
+    words = np.zeros((m, -(-c // 64)), np.uint64)
+    words.view(np.uint8)[:, :-(-c // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    common = np.zeros((m, m), np.min_scalar_type(c))
+    for column in words.T:
+        common += np.bitwise_count(column[:, None] & column)
     np.fill_diagonal(common, 0)
     return int(common.max())
 
@@ -292,8 +314,9 @@ def mdim_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ResolvingCertificate:
     "verified-resolving" carrying the best set found.  Budget 0 returns
     the verified greedy seed, "minimum" only when it meets the lower bound.
 
-    The distance instance goes to cover.min_cover with the twin-forced
-    vertices and, as lower_stop, the root lower bound (0 when
+    The distance instance, kept with g and shared with mdim_greedy
+    (_instance), goes to cover.min_cover with the twin-forced vertices
+    and, as lower_stop, the root lower bound (0 when
     disconnected): the largest of the distance-alphabet bound
     lower_bound_nd, the antipodal fibre bound of a t-fold cover of K_n of
     diameter 3, and the two-sided counting bound of a bipartite graph of
@@ -309,7 +332,7 @@ def mdim_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ResolvingCertificate:
     """
     dm = g.distances
     res = min_cover(
-        pair_cover_instance(dm), forced=twin_forced_choices(g), budget=budget,
+        _instance(g), forced=twin_forced_choices(g), budget=budget,
         lower_stop=_root_lower_bound(g),
     )
     method = "exact-bnb-sym" if res.generators else "exact-bnb"
@@ -333,8 +356,9 @@ def _from_cover(
 
 
 def mdim_greedy(g: Graph) -> ResolvingCertificate:
-    """Greedy upper bound with a verified witness."""
-    return _verified(g, greedy_cover(pair_cover_instance(g.distances)), "greedy")
+    """Greedy upper bound with a verified witness, from greedy_cover on the
+    distance instance that g keeps and shares with mdim_exact (_instance)."""
+    return _verified(g, greedy_cover(_instance(g)), "greedy")
 
 
 # subsets per numpy pass of exhaustive_mdim: at n = 32 a chunk's signatures

@@ -96,6 +96,23 @@ class TestCompare:
         assert t["parent"] == parent[("w", 7, 1)]["metrics"]
         assert t["change"] == change[("w", 7, 1)]["metrics"]
 
+    def test_counts_moved_names_the_counts_that_differ(self):
+        # a count equal on both sides, a self-time that moved (no count), and
+        # a count missing on one side
+        parent = {("w", 7, 1): traced(100, unresolved=62802)}
+        change = {("w", 7, 1): traced(100, unresolved=2802)}
+        change[("w", 7, 1)]["metrics"].update({"cover.min_cover.self_s": 0.4,
+                                                "cover.build_instance.calls": 21})
+        counts = ["cover.min_cover.nodes", "mdim.first_unresolved_pair.calls",
+                  "cover.build_instance.calls"]
+        (t,) = bench_ab.compare(parent, change, METRICS, counts)["w"]["traced"]
+        assert t["counts_moved"] == {
+            "mdim.first_unresolved_pair.calls": {"parent": 62802, "change": 2802},
+            "cover.build_instance.calls": {"parent": None, "change": 21},
+        }
+        (t,) = bench_ab.compare(parent, change, METRICS)["w"]["traced"]
+        assert t["counts_moved"] == {}
+
     def test_fewer_than_two_pairs_give_no_summary(self):
         parent = {("w", 1, 0): untraced(10.0), ("w", 2, 1): traced(5)}
         change = {("w", 1, 0): untraced(11.0), ("w", 2, 1): traced(5)}
@@ -148,6 +165,21 @@ class TestMain:
         assert payload["seconds"] == 20
         assert len(payload["workloads"]["w"]["pairs"]) == 2
         assert payload["workloads"]["w"]["items"] == {}
+
+    def test_counts_moved_reads_the_count_metrics_of_the_spec(self, tmp_path, monkeypatch):
+        # cover.build_instance.calls and cover.min_cover.nodes have unit
+        # count in BENCHMARK.json; cover.min_cover.self_s has unit s
+        def run(builds: int, self_s: float) -> dict:
+            details = traced(500)
+            details["metrics"].update({"cover.build_instance.calls": builds,
+                                       "cover.min_cover.self_s": self_s})
+            return details
+
+        parent = checkout(tmp_path / "p", {"w-seed3-trace1.json": run(27, 0.5)})
+        change = checkout(tmp_path / "c", {"w-seed3-trace1.json": run(21, 0.4)})
+        assert run_main(monkeypatch, parent, change, tmp_path / "ab.json") == 0
+        (t,) = json.loads((tmp_path / "ab.json").read_text())["workloads"]["w"]["traced"]
+        assert t["counts_moved"] == {"cover.build_instance.calls": {"parent": 27, "change": 21}}
 
     def test_lengths_differing_across_sides_exit_1(self, tmp_path, monkeypatch, capsys):
         parent = checkout(tmp_path / "p", {"w-seed5-trace1.json": traced(5)})

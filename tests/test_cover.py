@@ -223,6 +223,30 @@ class TestBuildInstance:
         with pytest.raises(BadParameters, match="2-D numpy array of ints or bools"):
             build_instance(matrix)
 
+    def test_words_are_read_only(self):
+        # an instance that mdim keeps with its graph is shared by every
+        # solve of that graph, so no reader may write into it
+        inst = build_instance(np.asarray(family("hypercube", 5).distances.dist))
+        for view in (inst.words, inst.words.view(np.uint8), inst.words[1:]):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 0
+
+    @pytest.mark.parametrize("per_root_items", [cover.PER_ROOT_ITEMS, 0])
+    def test_a_read_only_instance_solves_as_a_writeable_copy(self, monkeypatch, per_root_items):
+        monkeypatch.setattr(cover, "PER_ROOT_ITEMS", per_root_items)
+        rng = np.random.default_rng(49)
+        for m in (np.asarray(family("hypercube", 5).distances.dist),
+                  rng.integers(0, 3, size=(12, 12))):
+            inst = build_instance(m)
+            writeable = replace(inst, words=inst.words.copy())
+            assert writeable.words.flags.writeable
+            assert greedy_cover(inst) == greedy_cover(writeable)
+            got, want = min_cover(inst), min_cover(writeable)
+            assert (got, got.generators) == (want, want.generators)
+            items = np.arange(0, inst.n_items, 3)
+            assert np.array_equal(cover._open_words(inst.words, items),
+                                  cover._open_words(writeable.words, items))
+
     def test_the_working_set_is_words_and_one_chunk(self):
         # the whole bool block at Q_8 would be 8 MiB past words
         m = np.asarray(family("hypercube", 8).distances.dist)
@@ -1689,6 +1713,60 @@ class TestOnlyClosedItemsLeft:
             want = ReferenceSearch(inst, 100, lower_stop, roots).run(seed)
             assert got == want
         assert got == CoverResult((0,), 2, True)
+
+
+@pytest.mark.usefixtures("never_empty")
+class TestAnEmptyStartCountsItsHiddenItems:
+    """The top node of a root with an empty start adds the closed items,
+    which every chooser covers, to its scan threshold.  Here that count
+    alone lets the node branch: the node matches ReferenceSearch, which
+    keeps every item, and a search that dropped the hidden count would
+    prune it and make one node fewer."""
+
+    # columns 0-5 take the values 0-2 and column 6 the values 3-5 in every
+    # row, so every chooser separates the 6 pairs (x, 6); choosers 1, 2, 3
+    # and 5 single out one of columns 0-5 and separate 5 of the other 15
+    # pairs each, and chooser 6 separates nothing more
+    MATRIX = np.array([[1, 0, 0, 2, 0, 0, 5], [0, 0, 1, 0, 0, 0, 3], [0, 1, 0, 0, 0, 0, 3],
+                       [1, 0, 0, 0, 0, 0, 3], [0, 0, 0, 0, 1, 2, 5], [0, 0, 0, 0, 1, 0, 3],
+                       [0, 0, 0, 0, 0, 0, 3]])
+    SYMMETRY = (4, 2, 1, 5, 0, 3, 6)  # (0 4)(1 2)(3 5)
+
+    @pytest.mark.parametrize("per_root_items", [cover.PER_ROOT_ITEMS, 0],
+                             ids=["union", "per-root"])
+    def test_the_hidden_items_let_the_last_root_branch(self, monkeypatch, made_searches,
+                                                      per_root_items):
+        monkeypatch.setattr(cover, "PER_ROOT_ITEMS", per_root_items)
+        inst = build_instance(self.MATRIX)
+        # (open items uncovered, hidden items, slack, most open items that an
+        # unbanned chooser covers) at each top node with nothing chosen
+        tops = []
+        search_node = cover._Search._search
+
+        def spy(search, chosen, covered, banned, order, counts):
+            if not chosen:
+                uncovered = search.all_items & ~covered
+                most = max((row & uncovered).bit_count()
+                           for v, row in enumerate(search.coverage) if not banned >> v & 1)
+                tops.append((uncovered.bit_count(), search.closed, len(search.best) - 1, most))
+            return search_node(search, chosen, covered, banned, order, counts)
+
+        monkeypatch.setattr(cover._Search, "_search", spy)
+        kwargs = {"symmetries": [self.SYMMETRY]}
+        got = min_cover(inst, **kwargs)
+        want = reference_min_cover(inst, **kwargs)
+        assert (got.chosen, got.nodes, got.optimal, got.generators) == (
+            want.chosen, want.nodes, want.optimal, want.generators)
+        assert (got.chosen, got.nodes, got.optimal) == ((0, 1, 4), 3, True)
+        assert len(got.chosen) == brute_minimum(inst)
+        (search,) = made_searches
+        assert search.per_root == (per_root_items == 0)
+        # the last root bans the orbit {0, 4} of chooser 0 and starts empty
+        assert search.roots == [([0], 0), ([], 0b10001)]
+        # its top node: 5 + 6 >= ceil((15 + 6) / 2) branches, 5 < ceil(15 / 2) would not
+        assert tops == [(15, 6, 2, 5)]
+        n_open, hidden, slack, most = tops[0]
+        assert most + hidden >= -(-(n_open + hidden) // slack) and most < -(-n_open // slack)
 
 
 def bit_counts(coverage, uncovered: int) -> tuple[list[int], list[int]]:

@@ -1,6 +1,7 @@
 """Metric dimension: the exact solver, greedy and exhaustive baselines,
 certificates, twin forcing, bounds, and design-side semi-resolving sets."""
 
+import copy
 import math
 import random
 from itertools import combinations
@@ -775,6 +776,46 @@ class TestMdimGreedy:
             assert greedy.status == "verified-resolving"
             assert is_resolving(bfs_distances(g), greedy.set)
             assert len(greedy.set) >= len(mdim_exact(g).set)
+
+
+class TestKeptInstance:
+    """A graph keeps its distance instance (mdim._instance): mdim_greedy and
+    mdim_exact on one graph build it once, and answer as solves that each
+    build their own."""
+
+    def test_greedy_and_exact_on_one_graph_build_one_instance(self, monkeypatch):
+        built = []
+        build = mdim.build_instance
+
+        def keep(matrix):
+            built.append(build(matrix))
+            return built[-1]
+
+        monkeypatch.setattr(mdim, "build_instance", keep)
+        g = family("hypercube", 5)
+        mdim_greedy(g)
+        mdim_exact(g)
+        mdim_exact(g, budget=0)
+        assert len(built) == 1 and mdim._instance(g) is built[0]
+        mdim_greedy(copy.copy(g))  # a copy holds n and adj only, so it builds its own
+        assert len(built) == 2 and built[1] is not built[0]
+
+    def test_the_kept_instance_is_the_built_one(self):
+        g = ZOO["petersen"]()
+        inst = mdim._instance(g)
+        fresh = pair_cover_instance(g.distances)
+        assert inst.matrix is g.distances.dist and not inst.words.flags.writeable
+        assert (inst.n_choosers, inst.n_entities) == (fresh.n_choosers, fresh.n_entities)
+        assert np.array_equal(inst.words, fresh.words)
+
+    @pytest.mark.parametrize("name", ["petersen", "heawood", "Q_4", "johnson_5_2", "desargues"])
+    def test_shared_solves_answer_as_fresh_ones(self, name):
+        def solves(make):
+            certs = (mdim_greedy(make()), mdim_exact(make()), mdim_exact(make(), budget=3))
+            return [(c.to_json(), c.generators) for c in certs]
+
+        g = ZOO[name]()
+        assert solves(lambda: g) == solves(ZOO[name])
 
 
 def _union_find_twins(inst) -> list[tuple[int, ...]]:
