@@ -14,7 +14,11 @@ number of pairs the change won.  Under "items" it keeps, for each item
 name, each side's median of that item's seconds over the paired runs
 (the worker's clock, as the details files' "items" hold them) and their
 ratio, change over parent: they show which items a change moved, and
-whether the ones it does not touch stayed.  Traced runs (trace 1) give
+whether the ones it does not touch stayed.  Under "tail_items" it keeps,
+for each item name, how many times on each side that item was among the
+TAIL_ITEMS slowest items of a paired run (worker clock again), summed over
+the pairs: item_s_tail is the slowest but ten, so these are the items that
+set the tail.  Traced runs (trace 1) give
 their whole metrics mapping, which perfbench fills with every per-layer
 metric of BENCHMARK.json, for each seed traced on both sides; beside it,
 "counts_moved" holds each per-layer metric of unit count whose value
@@ -36,6 +40,7 @@ from typing import Iterable
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
+TAIL_ITEMS = 11  # perfbench's item_s_tail has exactly ten items slower than it
 
 
 def runs(checkout: Path) -> dict[tuple[str, int, int], dict]:
@@ -64,14 +69,37 @@ def spread(values: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def item_medians(parent: dict[str, list[float]], change: dict[str, list[float]]) -> dict:
+def item_medians(parent: list[list[dict]], change: list[list[dict]]) -> dict:
     """Item name -> each side's median seconds and their ratio, for the
-    names timed on both sides."""
+    names timed on both sides; each side holds the "items" of its paired
+    runs."""
+    parent, change = _seconds_by_name(parent), _seconds_by_name(change)
     out = {}
     for name in sorted(parent.keys() & change.keys()):
         a, b = statistics.median(parent[name]), statistics.median(change[name])
         out[name] = {"parent": a, "change": b, "ratio": b / a if a else None}
     return out
+
+
+def _seconds_by_name(runs_items: list[list[dict]]) -> dict[str, list[float]]:
+    out: dict[str, list[float]] = {}
+    for items in runs_items:
+        for item in items:
+            out.setdefault(item["name"], []).append(item["seconds"])
+    return out
+
+
+def tail_items(parent: list[list[dict]], change: list[list[dict]]) -> dict:
+    """Item name -> the number of runs on each side in which that item was
+    among the TAIL_ITEMS slowest, for the names in any side's tail; each
+    side holds the "items" of its paired runs."""
+    out: dict[str, dict[str, int]] = {}
+    for side, runs_items in (("parent", parent), ("change", change)):
+        for items in runs_items:
+            for item in sorted(items, key=lambda it: -it["seconds"])[:TAIL_ITEMS]:
+                counts = out.setdefault(item["name"], {"parent": 0, "change": 0})
+                counts[side] += 1
+    return dict(sorted(out.items()))
 
 
 def counts_moved(parent: dict, change: dict, counts: Iterable[str]) -> dict:
@@ -82,11 +110,11 @@ def counts_moved(parent: dict, change: dict, counts: Iterable[str]) -> dict:
 
 
 def compare(parent: dict, change: dict, metrics: list[dict], counts: Iterable[str] = ()) -> dict:
-    """The pairs, summaries, item medians and traced runs of each workload
-    run on both sides; metrics are the end-to-end metrics to summarise,
-    and counts the per-layer counts that counts_moved compares."""
+    """The pairs, summaries, item medians, tail items and traced runs of
+    each workload run on both sides; metrics are the end-to-end metrics to
+    summarise, and counts the per-layer counts that counts_moved compares."""
     workloads: dict[str, dict] = {}
-    times: dict[str, tuple[dict, dict]] = {}  # workload -> item seconds by name, per side
+    timed: dict[str, tuple[list, list]] = {}  # workload -> each paired run's items, per side
     for (workload, seed, trace), a in sorted(parent.items()):
         b = change.get((workload, seed, trace))
         if b is None or b["seconds"] != a["seconds"]:
@@ -98,9 +126,8 @@ def compare(parent: dict, change: dict, metrics: list[dict], counts: Iterable[st
                 "parent": dict(a["end_to_end"], fail_ratio=a["fail_ratio"]),
                 "change": dict(b["end_to_end"], fail_ratio=b["fail_ratio"]),
             })
-            for side, details in zip(times.setdefault(workload, ({}, {})), (a, b)):
-                for item in details.get("items", ()):
-                    side.setdefault(item["name"], []).append(item["seconds"])
+            for side, details in zip(timed.setdefault(workload, ([], [])), (a, b)):
+                side.append(details.get("items", ()))
         else:
             entry["traced"].append({
                 "seed": seed,
@@ -109,8 +136,9 @@ def compare(parent: dict, change: dict, metrics: list[dict], counts: Iterable[st
                 "counts_moved": counts_moved(a["metrics"], b["metrics"], counts),
             })
     for workload, entry in workloads.items():
-        if workload in times:
-            entry["items"] = item_medians(*times[workload])
+        if workload in timed:
+            entry["items"] = item_medians(*timed[workload])
+            entry["tail_items"] = tail_items(*timed[workload])
         pairs = entry["pairs"]
         if len(pairs) < 2:
             continue
@@ -169,6 +197,9 @@ def main() -> int:
             print(f"{workload:13s} {name:12s} parent {s['parent']['median']:.4g} "
                   f"change {s['change']['median']:.4g} "
                   f"won {s['change_won']}/{s['pairs']}")
+        tail = ", ".join(f"{name} {c['parent']}->{c['change']}"
+                         for name, c in entry.get("tail_items", {}).items())
+        print(f"{workload:13s} tail items (runs, parent->change): {tail}")
         for t in entry["traced"]:
             print(f"{workload:13s} traced seed {t['seed']}: parent {t['parent']} "
                   f"change {t['change']}")

@@ -9,6 +9,17 @@ Distance matrices are dense 8-bit numpy arrays with 255 marking
 unreachable pairs; they are the one stored form of the distances, and the
 spheres and distance-i graphs are read off them.
 
+Graph construction checks that the rows are a simple graph: one pass over
+the rows for range and loops, then symmetry on the whole matrix at once
+(_is_symmetric), the rows packed into one int compared with its
+transpose, made in log2 of the padded width block swaps.  In process on
+a 2-core host that costs about what the per-edge loop it replaced cost at
+n <= 8 and less from n = 10 up (K_57 15 us against 0.8 ms, Q_8 0.09 ms
+against 0.6 ms), but it packs a square as wide as the largest row, so a
+large sparse graph pays more than one step per edge (C_4096 40 ms against
+2.7 ms).  Only a rejected matrix is scanned row by row, for the first
+one-way edge.
+
 bfs_distances runs one BFS for all sources together in numpy: the
 spheres of every vertex are rows of uint64 words, and sphere i + 1 of a
 vertex is the OR of sphere i of its neighbours, gathered through the
@@ -125,6 +136,12 @@ class Graph:
     mdim_exact share, each computed at most once.  The instance is the
     largest fact kept: one bit per vertex and vertex pair, n * C(n, 2) / 8
     bytes (1 MiB at n = 256), held for as long as the graph lives.
+
+    Construction raises BadParameters unless adj holds n non-negative int
+    rows with no bit at or above n, no loop and no one-way edge.  It costs
+    O(n) Python steps plus one transpose of the h x h bit square, h the
+    largest row bit length (see _is_symmetric): tens of microseconds up
+    to n = 128, about 0.1 ms at n = 256.
     """
 
     __slots__ = ("n", "adj", "_memo")
@@ -141,14 +158,8 @@ class Graph:
                 raise BadParameters(f"adjacency row {v} references vertices >= {n}")
             if row & (1 << v):
                 raise BadParameters(f"loop at vertex {v}")
-        for v, row in enumerate(rows):
-            bit = 1 << v
-            while row:
-                low = row & -row
-                u = low.bit_length() - 1
-                if not rows[u] & bit:
-                    raise BadParameters(f"edge ({v}, {u}) is not symmetric")
-                row ^= low
+        if not _is_symmetric(rows):
+            _raise_one_way_edge(rows)
         self.n = n
         self.adj = rows
         self._memo = {}
@@ -220,6 +231,69 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.n_edges})"
+
+
+def _is_symmetric(rows: tuple[int, ...]) -> bool:
+    """True iff the rows, none negative, are a symmetric bit matrix.
+
+    With h the largest bit length of a row, rows h and above must be
+    empty.  Rows 0..h-1 are packed into one int, row v at bit v * size for
+    the least power of two size >= max(h, 8), and that square is compared
+    with its transpose, made in log2(size) block swaps on the whole int
+    (Warren, Hacker's Delight, 2nd ed., section 7-3): each swaps the upper
+    right and lower left s x s blocks of every 2s x 2s block.
+    """
+    h = max(rows).bit_length()
+    if any(rows[h:]):
+        return False
+    if h <= 8:  # one byte a row
+        size = 8
+        square = int.from_bytes(bytes(rows[:h]), "little")
+    else:
+        size = 1 << (h - 1).bit_length()
+        square = int.from_bytes(
+            b"".join(map(int.to_bytes, rows[:h], repeat(size >> 3), repeat("little"))), "little")
+    x = square
+    for shift, mask in _transpose_masks(size):
+        t = (x ^ (x >> shift)) & mask
+        x ^= t ^ (t << shift)
+    return x == square
+
+
+@functools.cache
+def _transpose_masks(size: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each block swap of _is_symmetric's size x size
+    square, s = size / 2 down to 1: the shift s (size - 1) moves bit (v, u)
+    to (v + s, u - s), and the mask holds the bits (v, u) of the upper right
+    blocks, v with bit s clear and u with bit s set.  Each mask is doubled
+    out from one block by shifts and ORs, much faster than dividing big
+    ints.  The masks of a size are kept for the life of the process: 56
+    KiB at size 256, 22 MiB at size 4096."""
+    masks = []
+    s = size >> 1
+    while s:
+        mask = ((1 << s) - 1) << s
+        for start, stop in ((2 * s, size), (size, s * size), (2 * s * size, size * size)):
+            span = start  # the bits 0..span-1 hold their pattern; copy it up to stop
+            while span < stop:
+                mask |= mask << span
+                span *= 2
+        masks.append((s * (size - 1), mask))
+        s >>= 1
+    return tuple(masks)
+
+
+def _raise_one_way_edge(rows: tuple[int, ...]) -> None:
+    """Raise BadParameters naming the first edge (v, u), in row order, whose
+    row u lacks v.  Only rows that _is_symmetric rejects come here."""
+    for v, row in enumerate(rows):
+        bit = 1 << v
+        while row:
+            low = row & -row
+            u = low.bit_length() - 1
+            if not rows[u] & bit:
+                raise BadParameters(f"edge ({v}, {u}) is not symmetric")
+            row ^= low
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,26 @@ class TestCompare:
             "g.structure": {"parent": 2.0, "change": 2.0, "ratio": 1.0},
         }
 
+    def test_tail_items_count_the_runs_whose_eleven_slowest_hold_each_name(self):
+        # thirteen items a run: the ten searches are always among the eleven
+        # slowest and "fast" never; the eleventh is "slow" or, where "slow"
+        # was made faster than it, "mid".  A traced run and an unpaired seed
+        # are left out.
+        def run(slow: float) -> dict:
+            items = [{"name": "slow", "seconds": slow}, {"name": "mid", "seconds": 3.0},
+                     {"name": "fast", "seconds": 0.1}]
+            items += [{"name": f"g{i}.search", "seconds": 5.0 + i} for i in range(10)]
+            return dict(untraced(10.0), items=items)
+
+        parent = {("w", s, 0): run(9.0) for s in (1, 2, 3)}
+        change = {("w", 1, 0): run(9.0), ("w", 2, 0): run(1.0), ("w", 3, 0): run(1.0)}
+        parent[("w", 4, 0)] = run(1.0)
+        parent[("w", 5, 1)] = change[("w", 5, 1)] = dict(traced(5), items=run(1.0)["items"])
+        tail = bench_ab.compare(parent, change, METRICS)["w"]["tail_items"]
+        assert tail == {"mid": {"parent": 0, "change": 2}, "slow": {"parent": 3, "change": 1},
+                        **{f"g{i}.search": {"parent": 3, "change": 3} for i in range(10)}}
+        assert bench_ab.TAIL_ITEMS == 11
+
     def test_runs_of_different_lengths_are_not_paired(self):
         parent = {("w", 1, 0): untraced(10.0), ("w", 2, 1): traced(5)}
         change = {("w", 1, 0): untraced(10.0, seconds=1), ("w", 2, 1): traced(5, seconds=1)}
@@ -165,6 +185,7 @@ class TestMain:
         assert payload["seconds"] == 20
         assert len(payload["workloads"]["w"]["pairs"]) == 2
         assert payload["workloads"]["w"]["items"] == {}
+        assert payload["workloads"]["w"]["tail_items"] == {}
 
     def test_counts_moved_reads_the_count_metrics_of_the_spec(self, tmp_path, monkeypatch):
         # cover.build_instance.calls and cover.min_cover.nodes have unit

@@ -4,7 +4,7 @@ import pickle
 import random
 import re
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import numpy as np
@@ -23,6 +23,7 @@ from mdimlab import (
     classify_ah,
     family,
     fold,
+    graphs,
     halve,
     induced_neighborhood,
     intersection_array,
@@ -41,9 +42,11 @@ from mdimlab.graphs import (
     _bit_rows,
     _induced,
     _neighbour_table,
+    _transpose_masks,
     bipartition,
     iter_bits,
 )
+from mdimlab.designs import incidence_graph, pg2
 from mdimlab.zoo import ZOO
 
 
@@ -181,7 +184,7 @@ class TestGraph:
         assert g == Graph.from_edges(3, [(0, 1), (1, 2)])
         assert type(g.n) is int and all(type(r) is int for r in g.adj)
 
-    @pytest.mark.parametrize("n", [9, 40, 70, 130])
+    @pytest.mark.parametrize("n", [8, 9, 40, 64, 70, 128, 130, 256])
     def test_an_asymmetric_row_names_its_first_one_way_edge(self, n):
         rng = random.Random(n)
         named = 0
@@ -209,6 +212,162 @@ class TestGraph:
         g = Graph(np.int64(2), np.array([2, 1], dtype=np.uint64))
         assert g == family("complete", 2)
         assert type(g.n) is int and all(type(r) is int for r in g.adj)
+
+
+def first_row_fault(n: int, rows: list[int]) -> str | None:
+    """The message of the first fault of the rows under the per-row rule
+    that Graph checked edge by edge before its packed symmetry check: a
+    row out of range, a loop, or a one-way edge (v, u) in row order."""
+    for v, row in enumerate(rows):
+        if row < 0 or row >> n:
+            return f"adjacency row {v} references vertices >= {n}"
+        if row & (1 << v):
+            return f"loop at vertex {v}"
+    for v, row in enumerate(rows):
+        for u in range(n):
+            if row >> u & 1 and not rows[u] >> v & 1:
+                return f"edge ({v}, {u}) is not symmetric"
+    return None
+
+
+def random_rows(n: int, rng: random.Random) -> list[int]:
+    """Symmetric rows of a random graph whose vertices from a random cut
+    up are isolated, so the largest row bit length h falls anywhere in
+    0..n and the rows at and above h are empty."""
+    cut = rng.randint(0, n)
+    p = rng.choice([0.05, 0.3, 0.9])
+    rows = [0] * n
+    for u, w in combinations(range(cut), 2):
+        if rng.random() < p:
+            rows[u] |= 1 << w
+            rows[w] |= 1 << u
+    return rows
+
+
+class TestSymmetryCheck:
+    """Graph's packed symmetry check (graphs._is_symmetric) against the
+    per-row rule, at the widths where its square pads to a power of two."""
+
+    FAULTS = ("one-way edge", "one-way edge from an empty row", "loop",
+              "bit at or above n", "negative row")
+
+    @staticmethod
+    def inject(rows: list[int], fault: str, rng: random.Random) -> None:
+        n = len(rows)
+        v = rng.randrange(n)
+        if fault == "one-way edge" and n > 1:
+            u = rng.choice([u for u in range(n) if u != v])
+            rows[v] ^= 1 << u
+        elif fault == "one-way edge from an empty row" and n > 1:
+            # row h, above every row's bit length, points down (row n - 1
+            # when h = n, and row 1 of an edgeless graph)
+            v = max(1, min(max(r.bit_length() for r in rows), n - 1))
+            rows[v] ^= 1 << rng.randrange(v)
+        elif fault == "loop":
+            rows[v] |= 1 << v
+        elif fault == "bit at or above n":
+            rows[v] |= 1 << (n + rng.choice([0, 1, 7, 64]))
+        elif fault == "negative row":
+            rows[v] = -1 - rows[v]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65,
+                                   127, 128, 129, 255, 256, 257])
+    def test_accepts_and_rejects_as_the_per_row_rule(self, n):
+        rng = random.Random(n)
+        faults = 0
+        for trial in range(12):
+            rows = random_rows(n, rng)
+            for _ in range(trial % 3):
+                self.inject(rows, rng.choice(self.FAULTS), rng)
+            message = first_row_fault(n, rows)
+            if message is None:
+                assert Graph(n, rows).adj == tuple(rows)
+                continue
+            with pytest.raises(BadParameters) as err:
+                Graph(n, rows)
+            assert str(err.value) == message
+            faults += 1
+        assert faults >= 4 if n > 1 else faults >= 1
+
+    @pytest.mark.parametrize("n", [2, 8, 9, 64, 65, 256, 257])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_fault_is_named_as_the_per_row_rule_names_it(self, n, fault):
+        rng = random.Random(f"{n} {fault}")
+        for _ in range(4):
+            rows = random_rows(n, rng)
+            self.inject(rows, fault, rng)
+            message = first_row_fault(n, rows)
+            assert message is not None
+            with pytest.raises(BadParameters) as err:
+                Graph(n, rows)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("n", [2, 7, 8, 9, 15, 16, 17, 31, 32, 33])
+    def test_every_one_bit_flip_is_named_as_the_per_row_rule_names_it(self, n):
+        # a one-way edge at each cell of the square, at sizes 8 to 64
+        rows = random_rows(n, random.Random(n))
+        for v, u in permutations(range(n), 2):
+            flipped = list(rows)
+            flipped[v] ^= 1 << u
+            with pytest.raises(BadParameters) as err:
+                Graph(n, flipped)
+            assert str(err.value) == first_row_fault(n, flipped)
+
+    @pytest.fixture
+    def no_scan(self, monkeypatch):
+        """The per-row scan made to fail the test if anything reaches it."""
+        def scan(rows):
+            raise AssertionError("valid rows reached the per-row scan")
+        monkeypatch.setattr(graphs, "_raise_one_way_edge", scan)
+
+    def test_valid_rows_never_reach_the_per_row_scan(self, no_scan):
+        q8 = family("hypercube", 8)
+        plus, minus, _, _ = halve(q8)
+        built = [q8, plus, minus, fold(q8)[0], family("complete", 57),
+                 taylor(family("paley", 61)), incidence_graph(pg2(7))]
+        assert [g.n for g in built] == [256, 128, 128, 128, 57, 124, 114]
+        for g in built:
+            assert Graph(g.n, g.adj) == g
+        rng = random.Random(500)
+        for _ in range(500):
+            n = rng.randint(1, 40)
+            rows = random_rows(n, rng)
+            assert Graph(n, rows).adj == tuple(rows)
+
+    def test_a_rejected_square_reaches_the_per_row_scan(self, no_scan):
+        with pytest.raises(AssertionError, match="per-row scan"):
+            Graph(9, [2, 0, 0, 0, 0, 0, 0, 0, 0])
+
+    def test_an_edgeless_graph_packs_no_square(self, monkeypatch):
+        sizes = []
+
+        def masks(size):
+            sizes.append(size)
+            return _transpose_masks(size)
+
+        monkeypatch.setattr(graphs, "_transpose_masks", masks)
+        g = Graph(10**6, [0] * 10**6)
+        assert g.n == 10**6 and g.adj[-1] == 0
+        assert sizes == [8]  # the one-byte pack of no rows
+
+    @pytest.mark.parametrize("size", [8, 16, 32, 64, 128, 256])
+    def test_the_block_swaps_transpose_the_square(self, size):
+        # each mask holds the bits (v, u), v with bit s clear and u with
+        # bit s set, and the swaps take bit v * size + u to u * size + v
+        masks = _transpose_masks(size)
+        assert len(masks) == size.bit_length() - 1
+        for (shift, mask), s in zip(masks, [size >> j for j in range(1, size.bit_length())]):
+            assert shift == s * (size - 1)
+            assert mask == sum(1 << (v * size + u) for v in range(size) for u in range(size)
+                               if not v & s and u & s)
+        rng = random.Random(size)
+        for _ in range(5):
+            cells = [(rng.randrange(size), rng.randrange(size)) for _ in range(size)]
+            x = sum({1 << (v * size + u) for v, u in cells})
+            for shift, mask in masks:
+                t = (x ^ (x >> shift)) & mask
+                x ^= t ^ (t << shift)
+            assert x == sum({1 << (u * size + v) for v, u in cells})
 
 
 class TestBfsDistances:
