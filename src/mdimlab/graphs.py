@@ -156,7 +156,7 @@ class Graph:
         for v, row in enumerate(rows):
             if row < 0 or row >> n:
                 raise BadParameters(f"adjacency row {v} references vertices >= {n}")
-            if row & (1 << v):
+            if row >> v & 1:
                 raise BadParameters(f"loop at vertex {v}")
         if not _is_symmetric(rows):
             _raise_one_way_edge(rows)

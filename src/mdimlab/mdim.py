@@ -12,10 +12,11 @@ reports what it used.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from itertools import combinations, islice
-from typing import Any, Iterable, Literal, Sequence
+from typing import Any, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -361,49 +362,80 @@ def mdim_greedy(g: Graph) -> ResolvingCertificate:
     return _verified(g, greedy_cover(_instance(g)), "greedy")
 
 
-# subsets per numpy pass of exhaustive_mdim: at n = 32 a chunk's signatures
-# take at most 4096 * 32 * 32 bytes
+# subsets per numpy pass of exhaustive_mdim, and the most rows of a kept
+# _subsets table: at n = 32 a chunk's signatures take at most 4096 * 32 * 32
+# bytes
 _CHUNK = 4096
+
+
+@functools.cache
+def _subsets(n: int, size: int) -> np.ndarray:
+    """Every size-subset of range(n), one per row of a (C(n, size), size)
+    array of vertex ids in lexicographic order, built once per (n, size)
+    and read-only."""
+    subsets = np.array(list(combinations(range(n), size)), dtype=np.intp)
+    subsets.flags.writeable = False
+    return subsets
+
+
+def _chunks(n: int, size: int) -> Iterator[np.ndarray]:
+    """The size-subsets of range(n) in lexicographic order, as arrays of at
+    most _CHUNK rows: the kept _subsets table when it fits in one chunk,
+    else chunks streamed from combinations."""
+    if math.comb(n, size) <= _CHUNK:
+        yield _subsets(n, size)
+        return
+    subsets = combinations(range(n), size)
+    while chunk := list(islice(subsets, _CHUNK)):
+        yield np.array(chunk, dtype=np.intp)
 
 
 def _resolving_rows(dist: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """For each row of subsets, a (k, m) array of vertex ids, whether the n
     rows of dist restricted to its columns are pairwise distinct.
 
-    Each vertex's m distances, UNREACHABLE included, are read as one
-    m-byte string; sorting each subset's n strings puts equal ones next to
-    each other.  Byte strings compare exactly for every n and m, where
-    packing the distances into one integer could overflow.
+    Each vertex's m distances, UNREACHABLE included, are zero-padded to
+    ceil(m / 8) * 8 bytes and read as that many uint64 words: the same
+    bytes, so two rows are equal exactly when their words are, for every n
+    and m.  Sorting each subset's n keys puts equal rows next to each
+    other: one word sorts in place, more words sort by np.lexsort.
     """
     n = dist.shape[0]
     k, m = subsets.shape
     if n <= 1 or m == 0:
         return np.full(k, n <= 1)
-    sigs = np.ascontiguousarray(dist[:, subsets].transpose(1, 0, 2))
-    keys = sigs.view(np.dtype((np.void, m)))[..., 0]
-    keys.sort(axis=1)
-    return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+    words = -(-m // 8)
+    sigs = np.zeros((k, n, 8 * words), np.uint8)
+    sigs[..., :m] = dist[:, subsets].transpose(1, 0, 2)
+    keys = sigs.view(np.uint64)
+    if words == 1:
+        keys = keys[..., 0]
+        keys.sort(axis=1)
+        return (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+    order = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=-1)
+    keys = np.take_along_axis(keys, order[..., None], axis=1)
+    return (keys[:, 1:] != keys[:, :-1]).any(axis=2).all(axis=1)
 
 
 def exhaustive_mdim(g: Graph) -> ResolvingCertificate:
     """Independent oracle: try all vertex subsets in increasing size.
 
     A subset resolves when the n rows of the distance matrix restricted to
-    its columns are distinct.  Each size is tested in lexicographic chunks
-    of _CHUNK subsets, one numpy pass per chunk, and the first resolving
-    subset is returned, so the answer is the first in size-then-
-    lexicographic order.  Only sensible for small graphs; used to pin
-    expected values and to cross-check the branch and bound of cover.py
+    its columns are distinct.  Each size is tested in the lexicographic
+    chunks of _chunks, one numpy pass per chunk: one pass over its kept
+    _subsets table when its C(n, size) subsets fit in one _CHUNK.  The
+    first resolving subset is returned, so the answer is the first in
+    size-then-lexicographic order.  Only sensible for small graphs; used to
+    pin expected values and to cross-check the branch and bound of cover.py
     and the pair check of certify, with neither of which it shares code.
     """
     dist = g.distances.dist
     for size in range(g.n + 1):
-        subsets = combinations(range(g.n), size)
-        while chunk := list(islice(subsets, _CHUNK)):
-            hits = np.flatnonzero(_resolving_rows(dist, np.array(chunk, dtype=np.intp)))
+        for chunk in _chunks(g.n, size):
+            hits = np.flatnonzero(_resolving_rows(dist, chunk))
             if hits.size:
                 return ResolvingCertificate(
-                    set=chunk[hits[0]], status="minimum", method="exhaustive"
+                    set=tuple(chunk[hits[0]].tolist()), status="minimum", method="exhaustive"
                 )
     raise LiftVerificationError("full vertex set failed to resolve")  # unreachable
 

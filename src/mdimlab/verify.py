@@ -29,7 +29,6 @@ directly builds and solves anew.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -46,6 +45,7 @@ from .lifting import lift_folded, lift_halved, taylor_lift
 from .mdim import (
     ResolvingCertificate,
     _root_lower_bound,
+    _subsets,
     babai_bounds,
     exhaustive_mdim,
     is_resolving,
@@ -259,16 +259,6 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, w
 
 
-@functools.cache
-def _undersized(n: int, size: int) -> np.ndarray:
-    """Every size-subset of range(n), one per row of a (C(n, size), size)
-    array of vertex ids in lexicographic order, built once per (n, size)
-    and read-only."""
-    subsets = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
-    subsets.flags.writeable = False
-    return subsets
-
-
 def _separating_rows(dist: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """For each row of subsets, a (k, m) array of vertex ids, whether every
     pair of vertices differs in its distance to some vertex of the row.
@@ -314,7 +304,7 @@ def _check_random_soundness(args: dict[str, Any]) -> dict[str, int]:
             mismatches += 1
             continue
         # every subset one vertex short of the minimum, judged in one pass
-        if exact.mu >= 1 and _separating_rows(dm.dist, _undersized(n, exact.mu - 1)).any():
+        if exact.mu >= 1 and _separating_rows(dm.dist, _subsets(n, exact.mu - 1)).any():
             undersized += 1
     return {"mismatches": mismatches, "undersized_successes": undersized}
 

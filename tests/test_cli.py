@@ -598,6 +598,13 @@ class TestVerifyAndOracle:
         assert "mu-petersen: frozen=3 oracle=3 ok" in out
         assert "skipped" in out  # larger instances stay out of reach
 
+    def test_default_oracle_re_derives_every_reachable_row(self):
+        # --max-n 32 by default; mu-K_3x4 (n 12, mu 9) sorts two-word rows
+        code, out, _ = run("oracle")
+        assert code == 0
+        assert "mu-K_3x4: frozen=[9] oracle=[9] ok" in out
+        assert out.splitlines()[-1] == "28 rows, 22 re-derived, 0 disagreements"
+
     def test_oracle_that_re_derives_nothing_exits_1(self):
         code, out, err = run("oracle", "--max-n", "2")
         assert code == 1

@@ -605,6 +605,30 @@ class TestExhaustiveOracle:
             g = ZOO[name]()
             assert exhaustive_mdim(g).set == networkx_oracle(g), name
 
+    @pytest.mark.parametrize("n,size", [(4, 0), (4, 2), (7, 3), (10, 5)])
+    def test_the_subset_table_is_built_once_and_read_only(self, n, size):
+        # the oracle reads it for each size that fits in one chunk, and
+        # random_soundness for its undersized subsets
+        subsets = mdim._subsets(n, size)
+        assert subsets.shape == (math.comb(n, size), size)
+        assert list(map(tuple, subsets.tolist())) == list(combinations(range(n), size))
+        assert mdim._subsets(n, size) is subsets
+        with pytest.raises(ValueError, match="read-only"):
+            subsets[:] = 0
+
+    @pytest.mark.parametrize("name", ["petersen", "K_3x4", "icosahedron", "2K_3"])
+    def test_streamed_chunks_find_the_set_of_the_table(self, name, monkeypatch):
+        g = ZOO[name]()
+        kept = exhaustive_mdim(g)
+        size = kept.mu
+        assert math.comb(g.n, size) <= mdim._CHUNK  # the table answered
+        for chunk in (1, 7, math.comb(g.n, size) - 1):
+            monkeypatch.setattr(mdim, "_CHUNK", chunk)
+            streamed = list(mdim._chunks(g.n, size))
+            assert all(part.shape[0] <= chunk for part in streamed)
+            assert np.concatenate(streamed).tolist() == mdim._subsets(g.n, size).tolist()
+            assert exhaustive_mdim(g) == kept, chunk
+
 
 # the oracle's sort of distance rows and the pair check that judges the
 # sampled subsets of random-soundness, each against is_resolving
@@ -627,8 +651,8 @@ class TestResolvingRows:
         assert seen == {"one vertex", True, False}
 
     def test_long_rows_with_unreachable_entries_compare_exactly(self, resolving):
-        # rows of up to 40 bytes, most of them UNREACHABLE: no packing of a
-        # row into one integer would hold them
+        # rows of up to 40 bytes, most of them UNREACHABLE: the sort reads
+        # them as up to five uint64 words and must compare every word
         rng = random.Random(11)
         for seed in range(6):
             g = random_components((9, 1, 12, 2, 16), 0.3, seed)
@@ -637,6 +661,23 @@ class TestResolvingRows:
                 subsets = [rng.sample(range(g.n), size) for _ in range(30)]
                 got = resolving(dm.dist, np.array(subsets, dtype=np.intp))
                 assert got.tolist() == [is_resolving(dm, s) for s in subsets]
+
+    @pytest.mark.parametrize("m", [7, 8, 9, 16, 17])
+    def test_rows_on_either_side_of_a_word_boundary(self, resolving, m):
+        # the sort pads m distances to whole uint64 words; in sorted subsets
+        # the first 8 columns lie in the first blocks, so vertices of the last
+        # block agree on the first word and differ, if at all, in later ones
+        rng = random.Random(m)
+        seen = set()
+        for seed in range(8):
+            g = random_components((3, 1, 2, 6, 7), 0.5, seed)
+            dm = g.distances
+            subsets = [sorted(rng.sample(range(g.n), m)) for _ in range(40)]
+            subsets += [rng.sample(range(g.n), m) for _ in range(40)]
+            got = resolving(dm.dist, np.array(subsets, dtype=np.intp)).tolist()
+            assert got == [is_resolving(dm, s) for s in subsets], (seed, m)
+            seen.update(got)
+        assert seen == {True, False}
 
 
 class TestRootSymmetry:

@@ -6,9 +6,7 @@ import collections
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
-import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -632,15 +630,6 @@ class TestRandomSoundness:
     def test_no_graph_is_drawn_for_a_zero_count(self):
         args = {**self.ARGS, "count": 0}
         assert CHECKS["random_soundness"](args) == {"mismatches": 0, "undersized_successes": 0}
-
-    @pytest.mark.parametrize("n,size", [(4, 0), (4, 2), (7, 3), (10, 5)])
-    def test_the_undersized_subsets_are_all_built_once_and_read_only(self, n, size):
-        subsets = mdimlab.verify._undersized(n, size)
-        assert subsets.shape == (math.comb(n, size), size)
-        assert list(map(tuple, subsets.tolist())) == list(itertools.combinations(range(n), size))
-        assert mdimlab.verify._undersized(n, size) is subsets
-        with pytest.raises(ValueError, match="read-only"):
-            subsets[:] = 0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
     def test_the_pair_index_is_built_once_per_n_and_read_only(self, n):
