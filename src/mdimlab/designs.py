@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     _bit_matrix,
     _bit_rows,
+    _gram,
     as_decimal,
     as_ids,
     as_ints,
@@ -34,6 +35,13 @@ class SymmetricDesign:
 
     inc is a read-only (v, v) uint8 matrix, inc[x, j] = 1 iff point x lies
     on block j.
+
+    Construction raises BadParameters unless the parameters are integers
+    with v >= 1 and lam (v - 1) = k (k - 1), inc is v x v with entries 0
+    and 1 only, and any two points lie on lam common blocks and each point
+    on k, counted by one graphs._gram of the rows.  The blocks' law, any
+    two blocks meeting in lam points, follows from the points' law and is
+    not counted again (see __post_init__).
     """
 
     v: int
@@ -56,14 +64,17 @@ class SymmetricDesign:
             raise BadParameters(
                 f"inadmissible parameters ({self.v}, {self.k}, {self.lam})"
             )
-        gram = inc.astype(np.int64) @ inc.astype(np.int64).T
-        want = np.full((self.v, self.v), self.lam, dtype=np.int64)
+        # The law of the rows of N = inc is the whole check: the law of the
+        # columns follows.  For v = 1, N N^T = N^T N.  Otherwise the rows
+        # sum to k <= v, so N J = k J and, as lam (v - 1) = k (k - 1),
+        # N N^T J = k^2 J.  For k > lam, N N^T = (k - lam) I + lam J is
+        # invertible, so is N, N^T J = k J, and N^T N = N^-1 (N N^T) N =
+        # (k - lam) I + lam J.  k = lam forces k = 0 or k = v, so N = 0 or
+        # N = J (Ryser 1950), and k < lam would need k > v.
+        want = np.full((self.v, self.v), self.lam)
         np.fill_diagonal(want, self.k)
-        if not (gram == want).all():
+        if not (_gram(inc) == want).all():
             raise BadParameters("rows do not meet the (k, lambda) intersection law")
-        gram_b = inc.astype(np.int64).T @ inc.astype(np.int64)
-        if not (gram_b == want).all():
-            raise BadParameters("columns do not meet the (k, lambda) intersection law")
         inc.setflags(write=False)
         object.__setattr__(self, "inc", inc)
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import numpy as np
+
 from .errors import BadParameters, HypothesisFailure
-from .graphs import Graph, as_ints, intersection_array
+from .graphs import Graph, _bit_matrix, _bit_rows, _gram, as_ints, intersection_array
 
 
 def is_prime(q: int) -> bool:
@@ -73,26 +75,28 @@ def hypercube(m: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _shared_members(m: int, r: int) -> np.ndarray:
+    """The members that each two r-subsets of {0..m-1} share, the subsets
+    in colexicographic order: one _gram of their 0/1 rows."""
+    masks = [sum(1 << x for x in s) for s in colex_subsets(m, r)]  # bit x: member x
+    return _gram(_bit_matrix(masks, m))
+
+
 def johnson(m: int, r: int) -> Graph:
     m, r = as_ints((m, r), "the Johnson parameters")
     if not 1 <= r <= m - 1:
         raise BadParameters("johnson needs 1 <= r <= m-1")
-    masks = [sum(1 << x for x in s) for s in colex_subsets(m, r)]  # bit x: member x
-    edges = [
-        (i, j)
-        for i, j in combinations(range(len(masks)), 2)
-        if (masks[i] & masks[j]).bit_count() == r - 1
-    ]
-    return Graph.from_edges(len(masks), edges)
+    shared = _shared_members(m, r)
+    return Graph(len(shared), _bit_rows(shared == r - 1))
 
 
 def kneser(m: int, r: int) -> Graph:
     m, r = as_ints((m, r), "the Kneser parameters")
     if r < 0 or m < 2 * r + 1:
         raise BadParameters("kneser needs r >= 0, and m >= 2r+1 to be connected")
-    masks = [sum(1 << x for x in s) for s in colex_subsets(m, r)]  # bit x: member x
-    edges = [(i, j) for i, j in combinations(range(len(masks)), 2) if not masks[i] & masks[j]]
-    return Graph.from_edges(len(masks), edges)
+    disjoint = _shared_members(m, r) == 0
+    np.fill_diagonal(disjoint, False)  # for r = 0 the one empty set is disjoint from itself
+    return Graph(len(disjoint), _bit_rows(disjoint))
 
 
 def odd_graph(r: int) -> Graph:

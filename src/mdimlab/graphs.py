@@ -4,7 +4,11 @@ distance-regularity checks.
 Vertices are always 0..n-1.  Adjacency is stored as one Python int per vertex
 used as a bitset, so neighbourhood algebra is word-parallel.  This module
 owns that bit-row format: bit v of a row is column v, little-endian, and
-_bit_matrix and _bit_rows convert between int rows and 0/1 arrays.
+_bit_matrix and _bit_rows convert between int rows and 0/1 arrays.  It
+also owns the packed uint64 rows of _gram, the package's one count of
+the columns that two 0/1 rows share: a design's intersection law, the
+bipartite bound's common neighbours and the Johnson and Kneser
+adjacencies all read it.
 Distance matrices are dense 8-bit numpy arrays with 255 marking
 unreachable pairs; they are the one stored form of the distances, and the
 spheres and distance-i graphs are read off them.
@@ -287,13 +291,9 @@ def _raise_one_way_edge(rows: tuple[int, ...]) -> None:
     """Raise BadParameters naming the first edge (v, u), in row order, whose
     row u lacks v.  Only rows that _is_symmetric rejects come here."""
     for v, row in enumerate(rows):
-        bit = 1 << v
-        while row:
-            low = row & -row
-            u = low.bit_length() - 1
-            if not rows[u] & bit:
+        for u in iter_bits(row):
+            if not rows[u] >> v & 1:
                 raise BadParameters(f"edge ({v}, {u}) is not symmetric")
-            row ^= low
 
 
 @dataclass(frozen=True)
@@ -437,6 +437,22 @@ def _bit_matrix(rows: Sequence[int], n: int) -> np.ndarray:
 def _bit_rows(mask: np.ndarray) -> tuple[int, ...]:
     """The rows of a 2-d boolean array as bitsets, bit v of a row its column v."""
     return _packed_ints(np.packbits(mask, axis=1, bitorder="little"))
+
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    """The (m, m) counts of the columns that each two rows of an (m, c)
+    0/1 array share, the diagonal holding each row's own count.  The rows
+    are packed into uint64 words, and each count is the popcount of the
+    AND of two rows' words, summed one word column at a time: exact
+    integers, with no float matmul and so no BLAS work buffer, and no
+    integer matmul, which numpy runs in its plain loop."""
+    m, c = rows.shape
+    words = np.zeros((m, -(-c // 64)), np.uint64)
+    words.view(np.uint8)[:, :-(-c // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    common = np.zeros((m, m), np.min_scalar_type(c))
+    for column in words.T:
+        common += np.bitwise_count(column[:, None] & column)
+    return common
 
 
 def _packed_int(row: np.ndarray) -> int:

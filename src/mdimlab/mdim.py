@@ -37,6 +37,7 @@ from .errors import (
 from .graphs import (
     DistanceMatrix,
     Graph,
+    _gram,
     _kept,
     as_ids,
     as_ints,
@@ -261,22 +262,6 @@ def _bipartite_count_bound(n_x: int, n_y: int, lam_x: int, lam_y: int) -> int:
     return best
 
 
-def _most_common_neighbours(rows: np.ndarray) -> int:
-    """The most columns that two rows of a boolean matrix share, or 0 for
-    one row.  The rows are packed into uint64 words, and the counts of
-    every pair of rows are popcounts of the AND of their words, summed one
-    word column at a time: exact integers, with no float matmul and so no
-    BLAS work buffer."""
-    m, c = rows.shape
-    words = np.zeros((m, -(-c // 64)), np.uint64)
-    words.view(np.uint8)[:, :-(-c // 8)] = np.packbits(rows, axis=1, bitorder="little")
-    common = np.zeros((m, m), np.min_scalar_type(c))
-    for column in words.T:
-        common += np.bitwise_count(column[:, None] & column)
-    np.fill_diagonal(common, 0)
-    return int(common.max())
-
-
 def _bipartite_bound(dist: np.ndarray) -> int:
     """_bipartite_count_bound of a bipartite graph of diameter 3, else 0."""
     side = dist[0] & 1
@@ -284,10 +269,12 @@ def _bipartite_bound(dist: np.ndarray) -> int:
         return 0
     x = side == 0
     biadj = dist[x][:, ~x] == 1
-    return _bipartite_count_bound(
-        len(biadj), biadj.shape[1],
-        _most_common_neighbours(biadj), _most_common_neighbours(biadj.T),
-    )
+    lams = []  # the most neighbours two vertices of one side share
+    for rows in (biadj, biadj.T):
+        common = _gram(rows)
+        np.fill_diagonal(common, 0)
+        lams.append(int(common.max()))
+    return _bipartite_count_bound(len(biadj), biadj.shape[1], *lams)
 
 
 def _root_lower_bound(g: Graph) -> int:

@@ -1,6 +1,8 @@
 """Symmetric designs: construction, validation, serialization, incidence
 graphs, and blocking sets."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
@@ -97,7 +99,7 @@ class TestSymmetricDesignValidation:
             SymmetricDesign(v=7, k=3, lam=2, inc=np.zeros((7, 7), dtype=np.uint8))
 
     def test_rejects_a_design_without_points(self):
-        # v = 0 passes every other check: an empty matrix meets both laws
+        # v = 0 passes every other check: an empty matrix meets the intersection law
         with pytest.raises(BadParameters):
             SymmetricDesign(v=0, k=0, lam=0, inc=np.zeros((0, 0), dtype=np.uint8))
         with pytest.raises(BadParameters):
@@ -108,6 +110,12 @@ class TestSymmetricDesignValidation:
             SymmetricDesign(v=True, k=True, lam=0, inc=[[1]])
         with pytest.raises(BadParameters, match="must be integers"):
             SymmetricDesign(v=7.0, k=3, lam=1, inc=pg2(2).inc)
+
+    def test_rejects_admissible_parameters_beyond_int64(self):
+        # (2, 2^40, 2^80 - 2^40) is admissible; its lam fits no int64
+        k = 2**40
+        with pytest.raises(BadParameters, match="rows do not meet the"):
+            SymmetricDesign(v=2, k=k, lam=k * (k - 1), inc=np.ones((2, 2), np.uint8))
 
     def test_rejects_incidence_violating_intersection_law(self):
         with pytest.raises(BadParameters):
@@ -125,6 +133,65 @@ class TestSymmetricDesignValidation:
     def test_repr_names_the_parameters(self):
         assert repr(pg2(2)) == "SymmetricDesign(v=7, k=3, lam=1)"
 
+
+
+def small_incidences():
+    """(v, k, lam, matrices): every 0/1 matrix of v <= 5 whose rows all
+    sum to k, for each admissible (v, k, lam); lam is free at v = 1, and
+    0 and 1 stand for it there."""
+    for v in range(1, 6):
+        for k in range(v + 1):
+            if v == 1:
+                lams = (0, 1)
+            elif k * (k - 1) % (v - 1) == 0:
+                lams = (k * (k - 1) // (v - 1),)
+            else:
+                continue
+            rows = np.zeros((len(list(combinations(range(v), k))), v), np.uint8)
+            for i, members in enumerate(combinations(range(v), k)):
+                rows[i, list(members)] = 1
+            picks = np.array(list(product(range(len(rows)), repeat=v)))
+            for lam in lams:
+                yield v, k, lam, rows[picks]
+
+
+def meets_the_law(mats: np.ndarray, k: int, lam: int) -> np.ndarray:
+    """Per matrix: any two rows share lam columns and every row has k."""
+    v = mats.shape[1]
+    shared = (mats[:, :, None, :] & mats[:, None, :, :]).sum(axis=3)
+    want = np.where(np.eye(v, dtype=bool), k, lam)
+    return (shared == want).all(axis=(1, 2))
+
+
+class TestIntersectionLaw:
+    def test_every_small_matrix_is_judged_by_its_rows_alone(self):
+        seen = accepted = 0
+        for v, k, lam, mats in small_incidences():
+            rows_meet = meets_the_law(mats, k, lam)
+            columns_meet = meets_the_law(mats.transpose(0, 2, 1), k, lam)
+            assert columns_meet[rows_meet].all(), (v, k, lam)
+            for inc, meets in zip(mats, rows_meet):
+                if meets:
+                    assert (SymmetricDesign(v=v, k=k, lam=lam, inc=inc).inc == inc).all()
+                else:
+                    with pytest.raises(BadParameters, match="rows do not meet the"):
+                        SymmetricDesign(v=v, k=k, lam=lam, inc=inc)
+            seen += len(mats)
+            accepted += int(rows_meet.sum())
+        assert (seen, accepted) == (6832, 314)
+
+    def test_relabelled_designs_and_their_complements_are_accepted(self):
+        rng = np.random.default_rng(52)
+        biplane = design_from_graph(bipartite_double(family("rook", 4, 4)))
+        for base in (pg2(2), pg2(3), pg2(5), pg2(7), biplane):
+            for d in (base, design_complement(base)):
+                inc = d.inc[rng.permutation(d.v)][:, rng.permutation(d.v)]
+                relabelled = SymmetricDesign(v=d.v, k=d.k, lam=d.lam, inc=inc)
+                assert meets_the_law(relabelled.inc.T[None], d.k, d.lam).all()
+                flipped = inc.copy()
+                flipped[tuple(rng.integers(d.v, size=2))] ^= 1
+                with pytest.raises(BadParameters, match="rows do not meet the"):
+                    SymmetricDesign(v=d.v, k=d.k, lam=d.lam, inc=flipped)
 
 class TestDualAndComplement:
     def test_complement_of_order_2_plane_is_a_7_4_2_design(self):

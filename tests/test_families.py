@@ -1,5 +1,7 @@
 """Named graph families: orders, parameters, deterministic labeling."""
 
+from itertools import combinations
+
 import pytest
 
 from mdimlab import (
@@ -140,6 +142,41 @@ class TestBasicFamilies:
         assert list(names) == sorted(names)
         assert "cycle" in names and "shrikhande" in names
 
+
+def subset_masks(m: int, r: int) -> list[int]:
+    return [sum(1 << x for x in s) for s in colex_subsets(m, r)]
+
+
+def johnson_by_pairs(m: int, r: int) -> Graph:
+    """The pair-loop Johnson graph: r-subsets meeting in r - 1 members."""
+    masks = subset_masks(m, r)
+    edges = [(i, j) for i, j in combinations(range(len(masks)), 2)
+             if (masks[i] & masks[j]).bit_count() == r - 1]
+    return Graph.from_edges(len(masks), edges)
+
+
+def kneser_by_pairs(m: int, r: int) -> Graph:
+    """The pair-loop Kneser graph: disjoint r-subsets."""
+    masks = subset_masks(m, r)
+    edges = [(i, j) for i, j in combinations(range(len(masks)), 2) if not masks[i] & masks[j]]
+    return Graph.from_edges(len(masks), edges)
+
+
+class TestSubsetFamiliesMatchThePairLoops:
+    # equal adjacency rows, so equal labels too, for every valid (m, r), m <= 10
+    def test_johnson(self):
+        for m in range(2, 11):
+            for r in range(1, m):
+                assert family("johnson", m, r) == johnson_by_pairs(m, r), (m, r)
+
+    def test_kneser(self):
+        for m in range(1, 11):
+            for r in range((m - 1) // 2 + 1):
+                assert family("kneser", m, r) == kneser_by_pairs(m, r), (m, r)
+
+    def test_odd(self):
+        for r in range(2, 6):  # odd(r) lives on a (2r - 1)-set
+            assert family("odd", r) == kneser_by_pairs(2 * r - 1, r - 1), r
 
 class TestSrgFamilies:
     def test_shrikhande_and_rook_share_parameters(self):

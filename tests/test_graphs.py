@@ -40,6 +40,7 @@ from mdimlab.graphs import (
     _bfs_per_source,
     _bit_matrix,
     _bit_rows,
+    _gram,
     _induced,
     _neighbour_table,
     _transpose_masks,
@@ -696,6 +697,23 @@ class TestBitRows:
         assert transposed.flags.f_contiguous
         columns = tuple(sum((r >> v & 1) << u for u, r in enumerate(rows)) for v in range(n))
         assert _bit_rows(transposed) == columns
+
+    def test_the_gram_counts_match_a_pair_count(self):
+        rng = np.random.default_rng(47)
+        shapes = [(1, 5), (2, 1), (7, 7), (13, 70), (40, 133),
+                  (3, 0), (5, 63), (5, 64), (5, 65), (6, 128), (6, 129)]
+        for shape in shapes:
+            rows = rng.random(shape) < 0.5
+            for matrix in (rows, rows.T):  # the transpose as _bipartite_bound passes it
+                want = [[int((a & b).sum()) for b in matrix] for a in matrix]
+                most = max((int((a & b).sum()) for a, b in combinations(matrix, 2)), default=0)
+                for form in (matrix, matrix.astype(np.uint8)):  # _bit_matrix gives uint8
+                    common = _gram(form)
+                    assert common.tolist() == want, matrix.shape
+                    np.fill_diagonal(common, 0)
+                    assert int(common.max(initial=0)) == most, matrix.shape
+        for width in (255, 256, 257):  # a count as wide as the rows, on the diagonal
+            assert _gram(np.ones((2, width), bool)).tolist() == [[width] * 2] * 2
 
 
 class TestIntersectionArrayCache:

@@ -3,12 +3,13 @@ by its module, and the modules import one another without a cycle and
 along the pinned edges only; every private module-level name is read
 somewhere in the package; no module reads the environment; only graphs.py
 converts between ints and bytes or checks an id range by hand; every
-np.unique call passes a return_* keyword; no check is an assert
-statement; no module raises the base MdimlabError itself; no handler of
-a failed hypothesis raises another error; every public name, and every
-public method of an exported class, is read inside the package; no module
-reads the Graph.graph alias that only the benchmark needs; and no test
-expects a bare Exception."""
+np.unique call passes a return_* keyword; no function but designs.pg2
+forms a matrix product; no check is an assert statement; no module
+raises the base MdimlabError itself; no handler of a failed hypothesis
+raises another error; every public name, and every public method of an
+exported class, is read inside the package; no module reads the
+Graph.graph alias that only the benchmark needs; and no test expects a
+bare Exception."""
 
 import ast
 import dataclasses
@@ -266,6 +267,39 @@ def test_every_np_unique_call_asks_for_an_index_or_count():
     }
     assert found == {}
 
+
+PRODUCT_CALLS = {"dot", "matmul", "einsum", "inner", "tensordot"}
+
+
+def matrix_products(tree: ast.Module) -> list[str]:
+    """The module-level def or class around each matrix product, or
+    "<module>" outside them: each `@`, `@=`, and call of an attribute named
+    dot, matmul, einsum, inner or tensordot (np.dot and ndarray.dot alike)."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                    or isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in PRODUCT_CALLS):
+                found.append(getattr(top, "name", "<module>"))
+    return sorted(found)
+
+
+def test_no_module_forms_a_matrix_product_but_pg2():
+    # graphs._gram is the package's one count of the columns two 0/1 rows
+    # share, exact and free of BLAS calls (a float matmul costs a 5.6 MiB
+    # work buffer) and of numpy's plain integer matmul loop; pg2's product
+    # of coordinate triples is the one matrix product left
+    probe = ("a @ b\nc @= d\nnp.dot(a, b)\nx.dot(y)\nnp.matmul(a, b)\n"
+             "np.einsum('ij->i', a)\nnp.inner(a, b)\nnp.tensordot(a, b)\n"
+             "def f():\n    return a @ b\nclass C:\n    def g(self):\n        return a @ b\n")
+    assert matrix_products(ast.parse(probe)) == ["<module>"] * 8 + ["C", "f"]
+    found = {
+        path.name: names
+        for path in MODULES
+        if (names := matrix_products(ast.parse(path.read_text())))
+    }
+    assert found == {"designs.py": ["pg2"]}
 
 def assert_statements(tree: ast.Module) -> list[int]:
     """Line numbers of the assert statements."""

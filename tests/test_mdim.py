@@ -253,14 +253,6 @@ class TestRootLowerBound:
                 bound = mdim._fibre_count_bound(n_f, t)
                 assert bound == least if least is not None else bound > 4, (n_f, t)
 
-    def test_the_most_common_neighbours_match_a_pair_count(self):
-        rng = np.random.default_rng(47)
-        for m, width in [(1, 5), (2, 1), (7, 7), (13, 70), (40, 133)]:
-            rows = rng.random((m, width)) < 0.5
-            for matrix in (rows, rows.T):  # the transpose as _bipartite_bound passes it
-                most = max((int((a & b).sum()) for a, b in combinations(matrix, 2)), default=0)
-                assert mdim._most_common_neighbours(matrix) == most, matrix.shape
-
     def test_the_bipartite_count_matches_every_split(self):
         for n_x in range(1, 13):
             for n_y in range(1, 13):
