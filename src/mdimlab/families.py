@@ -4,6 +4,11 @@ Vertex orders are deterministic: subsets are listed in colexicographic
 order, field elements as 0..q-1, and bit-vectors as the integers they
 encode.  Families overlap (odd(3) = kneser(5,2) = Petersen); no
 deduplication is attempted.
+
+Each constructor writes its adjacency rows as ints, bit w of row v set
+iff v ~ w, with no edge list and no loop over vertex pairs, and returns
+Graph(n, rows).  Graph checks the rows it is given, so a row formula
+that is not symmetric raises BadParameters when the graph is built.
 """
 
 from __future__ import annotations
@@ -36,14 +41,15 @@ def cycle(n: int) -> Graph:
     (n,) = as_ints((n,), "the cycle length")
     if n < 3:
         raise BadParameters("cycle needs n >= 3")
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [1 << (v - 1) % n | 1 << (v + 1) % n for v in range(n)])
 
 
 def complete(n: int) -> Graph:
     (n,) = as_ints((n,), "the clique size")
     if n < 1:
         raise BadParameters("complete graph needs n >= 1")
-    return Graph.from_edges(n, combinations(range(n), 2))
+    full = (1 << n) - 1
+    return Graph(n, [full ^ 1 << v for v in range(n)])
 
 
 def complete_multipartite(s: int, t: int) -> Graph:
@@ -51,9 +57,8 @@ def complete_multipartite(s: int, t: int) -> Graph:
     s, t = as_ints((s, t), "the part count and size")
     if s < 2 or t < 1:
         raise BadParameters("complete multipartite needs s >= 2 parts of size t >= 1")
-    n = s * t
-    edges = [(u, w) for u, w in combinations(range(n), 2) if u // t != w // t]
-    return Graph.from_edges(n, edges)
+    full, part = (1 << s * t) - 1, (1 << t) - 1
+    return Graph(s * t, [full ^ part << v // t * t for v in range(s * t)])
 
 
 def disjoint_cliques(s: int, t: int) -> Graph:
@@ -61,18 +66,15 @@ def disjoint_cliques(s: int, t: int) -> Graph:
     s, t = as_ints((s, t), "the clique count and size")
     if s < 1 or t < 1:
         raise BadParameters("needs s >= 1 copies of K_t with t >= 1")
-    n = s * t
-    edges = [(u, w) for u, w in combinations(range(n), 2) if u // t == w // t]
-    return Graph.from_edges(n, edges)
+    part = (1 << t) - 1
+    return Graph(s * t, [part << v // t * t ^ 1 << v for v in range(s * t)])
 
 
 def hypercube(m: int) -> Graph:
     (m,) = as_ints((m,), "the hypercube dimension")
     if m < 1:
         raise BadParameters("hypercube needs m >= 1")
-    n = 1 << m
-    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(m) if u < u ^ (1 << b)]
-    return Graph.from_edges(n, edges)
+    return Graph(1 << m, [sum(1 << (u ^ 1 << b) for b in range(m)) for u in range(1 << m)])
 
 
 def _shared_members(m: int, r: int) -> np.ndarray:
@@ -113,9 +115,10 @@ def paley(q: int) -> Graph:
         raise BadParameters(f"paley needs a prime modulus, got {q}")
     if q % 4 != 1:
         raise BadParameters("paley needs q congruent to 1 mod 4")
-    squares = {(x * x) % q for x in range(1, q)}
-    edges = [(u, w) for u, w in combinations(range(q), 2) if (w - u) % q in squares]
-    return Graph.from_edges(q, edges)
+    full = (1 << q) - 1
+    squares = sum(1 << x for x in {x * x % q for x in range(1, q)})
+    # row u is the squares turned u places: w ~ u iff w - u is a square
+    return Graph(q, [(squares << u | squares >> q - u) & full for u in range(q)])
 
 
 def rook(a: int, b: int) -> Graph:
@@ -123,22 +126,19 @@ def rook(a: int, b: int) -> Graph:
     a, b = as_ints((a, b), "the board sides")
     if a < 2 or b < 2:
         raise BadParameters("rook needs both sides >= 2")
-    n = a * b
-    edges = []
-    for u, w in combinations(range(n), 2):
-        if u // b == w // b or u % b == w % b:
-            edges.append((u, w))
-    return Graph.from_edges(n, edges)
+    line = (1 << b) - 1                          # vertices (0, 0..b-1)
+    column = sum(1 << i * b for i in range(a))   # vertices (0..a-1, 0)
+    return Graph(a * b, [(line << v - v % b | column << v % b) ^ 1 << v
+                         for v in range(a * b)])
 
 
 def shrikhande() -> Graph:
     """The (16, 6, 2, 2) graph that is not the 4x4 rook's graph: vertex
     (i, j) on the 4x4 torus is 4*i + j, and u ~ w iff their difference is
     one of (0,1), (0,3), (1,0), (3,0), (1,1), (3,3)."""
-    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
-    edges = [(u, w) for u, w in combinations(range(16), 2)
-             if ((w // 4 - u // 4) % 4, (w - u) % 4) in steps]
-    return Graph.from_edges(16, edges)
+    steps = ((0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3))
+    return Graph(16, [sum(1 << 4 * ((u // 4 + i) % 4) + (u + j) % 4 for i, j in steps)
+                      for u in range(16)])
 
 
 def gq22_incidence() -> Graph:
@@ -150,8 +150,8 @@ def gq22_incidence() -> Graph:
     """
     points = colex_subsets(6, 2)
     lines = [m for m in combinations(sorted(points), 3) if len(set().union(*m)) == 6]
-    edges = [(points.index(p), 15 + j) for j, line in enumerate(lines) for p in line]
-    return Graph.from_edges(30, edges)
+    on = [sum(1 << points.index(p) for p in line) for line in lines]  # line j's points
+    return Graph(30, [r << 15 for r in _bit_rows(_bit_matrix(on, 15).T == 1)] + on)
 
 
 def bipartite_double(g: Graph) -> Graph:
@@ -159,9 +159,7 @@ def bipartite_double(g: Graph) -> Graph:
 
     Vertex v of g appears as v (its plus copy) and v + n (its minus copy).
     """
-    n = g.n
-    edges = [(u, n + w) for u in range(n) for w in g.neighbors(u)]
-    return Graph.from_edges(2 * n, {(min(u, w), max(u, w)) for u, w in edges})
+    return Graph(2 * g.n, [row << g.n for row in g.adj] + list(g.adj))
 
 
 def taylor(delta: Graph) -> Graph:
@@ -178,19 +176,12 @@ def taylor(delta: Graph) -> Graph:
         raise HypothesisFailure(
             "taylor construction needs a strongly regular graph with k = 2c"
         )
-    n = delta.n
-    edges = []
-    for u in range(n):
-        edges.append((u, 2 * n))          # pole+ to plus copies
-        edges.append((n + u, 2 * n + 1))  # pole- to minus copies
-        for w in delta.neighbors(u):
-            if u < w:
-                edges.append((u, w))
-                edges.append((n + u, n + w))
-        for w in range(n):
-            if w != u and not delta.has_edge(u, w):
-                edges.append((u, n + w))
-    return Graph.from_edges(2 * n + 2, edges)
+    n, full = delta.n, (1 << delta.n) - 1
+    # rests[u]: the vertices other than u that u does not see in delta
+    rests = [full ^ row ^ 1 << u for u, row in enumerate(delta.adj)]
+    plus = [row | rest << n | 1 << 2 * n for row, rest in zip(delta.adj, rests)]
+    minus = [row << n | rest | 1 << 2 * n + 1 for row, rest in zip(delta.adj, rests)]
+    return Graph(2 * n + 2, plus + minus + [full, full << n])
 
 
 _FAMILIES = {

@@ -635,13 +635,6 @@ def is_primitive(g: Graph) -> bool:
     return True
 
 
-def _induced(rows: Sequence[int], vertices: Sequence[int]) -> Graph:
-    """Subgraph of the bitset adjacency rows induced on the ascending
-    vertices, relabelled so that local vertex i is vertices[i]."""
-    bits = _bit_matrix([rows[v] for v in vertices], len(rows))
-    return Graph(len(vertices), _bit_rows(bits[:, vertices] == 1))
-
-
 def induced_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced on the neighbours of x, plus the vertex map.
 
@@ -652,4 +645,5 @@ def induced_neighborhood(g: Graph, x: int) -> tuple[Graph, tuple[int, ...]]:
     vmap = tuple(iter_bits(g.adj[x]))
     if not vmap:
         raise BadParameters(f"vertex {x} has no neighbours")
-    return _induced(g.adj, vmap), vmap
+    bits = _bit_matrix([g.adj[v] for v in vmap], g.n)
+    return Graph(len(vmap), _bit_rows(bits[:, vmap] == 1)), vmap

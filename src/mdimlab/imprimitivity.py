@@ -25,7 +25,6 @@ from .graphs import (
     Graph,
     _attempt,
     _bit_rows,
-    _induced,
     _kept,
     _neighbour_table,
     bipartition,
@@ -99,14 +98,18 @@ def halve(g: Graph) -> tuple[Graph, Graph, tuple[int, ...], tuple[int, ...]]:
 
     Returns (plus graph, minus graph, plus map, minus map); the maps send
     local vertices to original labels in ascending order, and the plus side
-    is the one containing vertex 0.  Edges join vertices at distance 2.
-    The result is kept with g, so later calls return the same graphs.
+    is the one containing vertex 0.  Edges join vertices at distance 2:
+    each half's rows are packed from its side's block of the distance
+    matrix.  The result is kept with g, so later calls return the same
+    graphs.
     """
     plus, minus = bipartition(g)
     if not minus:
         raise BadParameters("halving needs a graph with at least two vertices")
-    far2 = g.distances.layer(2)
-    return _induced(far2, plus), _induced(far2, minus), plus, minus
+    dist = g.distances.dist
+    # the rows, then the columns, of a side: one np.ix_ gather costs 4x as much
+    halves = [Graph(len(side), _bit_rows(dist[side, :][:, side] == 2)) for side in (plus, minus)]
+    return (*halves, plus, minus)
 
 
 def fold(

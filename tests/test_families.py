@@ -178,6 +178,127 @@ class TestSubsetFamiliesMatchThePairLoops:
         for r in range(2, 6):  # odd(r) lives on a (2r - 1)-set
             assert family("odd", r) == kneser_by_pairs(2 * r - 1, r - 1), r
 
+def cycle_by_edges(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_by_edges(n: int) -> Graph:
+    return Graph.from_edges(n, combinations(range(n), 2))
+
+
+def complete_multipartite_by_edges(s: int, t: int) -> Graph:
+    edges = [(u, w) for u, w in combinations(range(s * t), 2) if u // t != w // t]
+    return Graph.from_edges(s * t, edges)
+
+
+def disjoint_cliques_by_edges(s: int, t: int) -> Graph:
+    edges = [(u, w) for u, w in combinations(range(s * t), 2) if u // t == w // t]
+    return Graph.from_edges(s * t, edges)
+
+
+def hypercube_by_edges(m: int) -> Graph:
+    n = 1 << m
+    edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(m) if u < u ^ (1 << b)]
+    return Graph.from_edges(n, edges)
+
+
+def paley_by_edges(q: int) -> Graph:
+    squares = {(x * x) % q for x in range(1, q)}
+    edges = [(u, w) for u, w in combinations(range(q), 2) if (w - u) % q in squares]
+    return Graph.from_edges(q, edges)
+
+
+def rook_by_edges(a: int, b: int) -> Graph:
+    edges = [(u, w) for u, w in combinations(range(a * b), 2)
+             if u // b == w // b or u % b == w % b]
+    return Graph.from_edges(a * b, edges)
+
+
+def shrikhande_by_edges() -> Graph:
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    edges = [(u, w) for u, w in combinations(range(16), 2)
+             if ((w // 4 - u // 4) % 4, (w - u) % 4) in steps]
+    return Graph.from_edges(16, edges)
+
+
+def gq22_incidence_by_edges() -> Graph:
+    points = colex_subsets(6, 2)
+    lines = [m for m in combinations(sorted(points), 3) if len(set().union(*m)) == 6]
+    edges = [(points.index(p), 15 + j) for j, line in enumerate(lines) for p in line]
+    return Graph.from_edges(30, edges)
+
+
+def bipartite_double_by_edges(g: Graph) -> Graph:
+    n = g.n
+    edges = [(u, n + w) for u in range(n) for w in g.neighbors(u)]
+    return Graph.from_edges(2 * n, {(min(u, w), max(u, w)) for u, w in edges})
+
+
+def taylor_by_edges(delta: Graph) -> Graph:
+    n = delta.n
+    edges = []
+    for u in range(n):
+        edges.append((u, 2 * n))
+        edges.append((n + u, 2 * n + 1))
+        for w in delta.neighbors(u):
+            if u < w:
+                edges.append((u, w))
+                edges.append((n + u, n + w))
+        for w in range(n):
+            if w != u and not delta.has_edge(u, w):
+                edges.append((u, n + w))
+    return Graph.from_edges(2 * n + 2, edges)
+
+
+class TestRowConstructorsMatchTheEdgeLists:
+    # the edge-list constructors the row formulas replaced, kept as their
+    # references: equal rows, so equal labels too
+    def test_cycle_and_complete(self):
+        for n in range(3, 40):
+            assert family("cycle", n) == cycle_by_edges(n), n
+        for n in range(1, 40):
+            assert family("complete", n) == complete_by_edges(n), n
+
+    def test_multipartite_and_disjoint_cliques(self):
+        for t in range(1, 8):
+            for s in range(2, 8):
+                assert family("complete_multipartite", s, t) == \
+                    complete_multipartite_by_edges(s, t), (s, t)
+            for s in range(1, 8):
+                assert disjoint_cliques(s, t) == disjoint_cliques_by_edges(s, t), (s, t)
+
+    def test_hypercube_and_rook(self):
+        for m in range(1, 10):
+            assert family("hypercube", m) == hypercube_by_edges(m), m
+        for a in range(2, 8):
+            for b in range(2, 8):
+                assert family("rook", a, b) == rook_by_edges(a, b), (a, b)
+
+    def test_paley(self):
+        primes = [q for q in range(5, 102) if families.is_prime(q) and q % 4 == 1]
+        assert len(primes) == 12
+        for q in primes:
+            assert family("paley", q) == paley_by_edges(q), q
+
+    def test_shrikhande_and_gq22_incidence(self):
+        assert family("shrikhande") == shrikhande_by_edges()
+        assert family("gq22_incidence") == gq22_incidence_by_edges()
+
+    @pytest.mark.parametrize("name, param", [
+        ("cycle", 5), ("paley", 13), ("paley", 17), ("paley", 29), ("paley", 61),
+    ])
+    def test_taylor(self, name, param):
+        delta = family(name, param)
+        assert taylor(delta) == taylor_by_edges(delta)
+
+    def test_bipartite_double(self):
+        bases = [family("complete", n) for n in range(1, 9)]
+        bases += [family("odd", r) for r in range(2, 6)]
+        bases += [family("rook", 4, 4), disjoint_cliques(3, 2)]
+        for base in bases:
+            assert bipartite_double(base) == bipartite_double_by_edges(base), base
+
+
 class TestSrgFamilies:
     def test_shrikhande_and_rook_share_parameters(self):
         sh = family("shrikhande")

@@ -41,7 +41,6 @@ from mdimlab.graphs import (
     _bit_matrix,
     _bit_rows,
     _gram,
-    _induced,
     _neighbour_table,
     _transpose_masks,
     bipartition,
@@ -664,7 +663,8 @@ class TestDerivedGraphs:
 
 
 def induced_by_loop(rows, vertices) -> Graph:
-    """The loop graphs._induced replaced, kept as its reference."""
+    """The loop that the packed induced subgraphs of halve and
+    induced_neighborhood replaced, kept as their reference."""
     index = {v: i for i, v in enumerate(vertices)}
     mask = sum(1 << v for v in vertices)
     local = []
@@ -678,15 +678,21 @@ def induced_by_loop(rows, vertices) -> Graph:
 
 class TestBitRows:
     def test_induced_matches_the_loop_reference(self):
-        for m in (6, 8):  # the distance-2 halves of Q_6 and Q_8
-            g = family("hypercube", m)
+        # the distance-2 halves of Q_2..Q_8 and of the bipartite ZOO graphs
+        bipartite = [family("hypercube", m) for m in range(2, 9)]
+        bipartite += [ZOO[name]() for name in ("heawood", "desargues", "doubled_odd_4",
+                                               "biplane_incidence", "gq22_incidence",
+                                               "K44_minus_matching")]
+        for g in bipartite:
             far2 = g.distances.layer(2)
-            for side in bipartition(g):
-                assert _induced(far2, side) == induced_by_loop(far2, side)
+            plus_graph, minus_graph, plus, minus = halve(g)
+            assert (plus, minus) == bipartition(g)
+            assert plus_graph == induced_by_loop(far2, plus)
+            assert minus_graph == induced_by_loop(far2, minus)
         g = taylor(family("paley", 13))
         for x in range(g.n):  # every local graph
             vmap = tuple(g.neighbors(x))
-            assert _induced(g.adj, vmap) == induced_by_loop(g.adj, vmap)
+            assert induced_neighborhood(g, x) == (induced_by_loop(g.adj, vmap), vmap)
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65])
     def test_bit_rows_inverts_bit_matrix(self, n):

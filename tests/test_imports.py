@@ -8,8 +8,8 @@ forms a matrix product; no check is an assert statement; no module
 raises the base MdimlabError itself; no handler of a failed hypothesis
 raises another error; every public name, and every public method of an
 exported class, is read inside the package; no module reads the
-Graph.graph alias that only the benchmark needs; and no test expects a
-bare Exception."""
+Graph.graph alias that only the benchmark needs; only io.py and verify.py
+build a graph from an edge list; and no test expects a bare Exception."""
 
 import ast
 import dataclasses
@@ -494,6 +494,31 @@ def test_no_module_reads_the_graph_alias():
             frozenset({"args", "a"}) if path.name == "cli.py" else frozenset()))
     }
     assert found == {}
+
+
+def from_edges_calls(tree: ast.Module) -> list[int]:
+    """Line numbers of the `.from_edges` calls."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "from_edges"
+    })
+
+
+def test_only_the_readers_of_outside_edges_call_from_edges():
+    # a constructor writes its rows, so Graph's symmetry check sees what it
+    # built; from_edges adds each edge both ways and would hide a one-way
+    # formula.  io.py's text reader and verify.py's random draws take
+    # their edges from outside
+    probe = "g = Graph.from_edges(3, [])\nh = Graph(3, rows)\nf = cls.from_edges"
+    assert from_edges_calls(ast.parse(probe)) == [1]
+    found = {
+        path.name: lines
+        for path in MODULES
+        if (lines := from_edges_calls(ast.parse(path.read_text())))
+    }
+    assert set(found) == {"io.py", "verify.py"}
 
 
 def test_a_method_named_like_a_field_has_a_stated_reader():
