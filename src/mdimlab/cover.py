@@ -69,11 +69,12 @@ by ascending id, so results are fully deterministic.
 
 When that bound asks one chooser to cover every uncovered pair (slack one,
 or a single pair left), a completion test answers it instead of the
-marginal-coverage scan: the chooser must separate each uncovered pair, so
-the candidates are the unbanned members of the separator sets of the first
-few uncovered pairs, and each survivor gets one subset test.  Both tests
-give the same answer, so the tree and its node count do not depend on
-which one runs.
+marginal-coverage scan, and slack one counts nothing: the chooser must
+separate each uncovered pair, so the candidates are the unbanned members
+of the separator sets, chooser-wide ints, of the uncovered pairs among
+the COMPLETION_WINDOW items from the lowest, and each survivor gets one
+subset test.  Both tests give the same answer, so the tree and its node
+count do not depend on which one runs.
 
 Orbital branching at the root: given symmetries of the instance, chooser
 and entity permutations that map its matrix onto itself (min_cover checks
@@ -183,13 +184,15 @@ class PairCoverInstance:
     """Pair-separation instance in one form ("Layout"): matrix, the
     chooser-by-entity matrix, which is_symmetry and root_symmetries read,
     and words, whose row v holds the items that chooser v separates as
-    read-only uint64 bits, zero past the last item.  Equality is identity.
+    read-only uint64 bits, zero past the last item; seeds holds
+    greedy_cover's answers.  Equality is identity.
     """
 
     n_choosers: int
     n_entities: int
     matrix: np.ndarray = field(repr=False)
     words: np.ndarray = field(repr=False)
+    seeds: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_items(self) -> int:
@@ -303,10 +306,10 @@ def root_symmetries(
         if in_orbit[v]:
             continue
         # depth first; a frame holds i, the image cells of the map on
-        # base[:i], and the candidate images of base[i] left to try
+        # base[:i] times width, and the candidate images of base[i] left
         stack = [(0, np.zeros(n, dtype=np.intp), iter([v]))]
         while stack:
-            i, image_cells, cands = stack[-1]
+            i, image_base, cands = stack[-1]
             c = next(cands, None)
             if c is None:
                 stack.pop()
@@ -315,13 +318,13 @@ def root_symmetries(
             if work < 0:
                 return tuple(gens)
             size, counts, ids, refined = levels[i]
-            image_keys = image_cells * width + m[c]
+            image_keys = image_base + m[c]
             if np.bincount(image_keys, minlength=size).tobytes() != counts:
                 continue
             image_refined = ids[image_keys]
             if i < len(levels) - 1:
                 nxt = (image_refined == refined[base[i + 1]]).nonzero()[0]
-                stack.append((i + 1, image_refined, iter(nxt.tolist())))
+                stack.append((i + 1, image_refined * width, iter(nxt.tolist())))
             elif unique:
                 perm = np.argsort(image_refined)[refined]  # image_refined is a permutation
                 if _is_symmetry(m, perm):
@@ -403,28 +406,36 @@ class CoverResult:
 
 
 def greedy_cover(inst: PairCoverInstance, forced: Sequence[int] = ()) -> list[int]:
-    """Maximum-marginal-coverage greedy, seeded with the forced choosers.
+    """Maximum-marginal-coverage greedy, seeded with the forced choosers,
+    as a fresh list.
 
     Gains are counted by a popcount over inst.words, the only layer read,
-    and the first maximum wins, so ties break toward the lowest id.  An
-    item that no chooser separates, or a forced entry that is no chooser
-    id, raises BadParameters.
+    and the first maximum wins, so ties break toward the lowest id.  What
+    it adds depends on the forced set alone and is kept in inst.seeds
+    under that set, so mdim_exact after mdim_greedy on one graph adds it
+    once.  An item that no chooser separates, or a forced entry that is no
+    chooser id, raises BadParameters, and nothing is kept.
     """
     chosen = list(as_ids(forced, inst.n_choosers, "forced choosers"))
+    key = frozenset(chosen)
+    if key in inst.seeds:
+        return chosen + list(inst.seeds[key])
     covered = np.bitwise_or.reduce(inst.words[chosen], axis=0)
     left = inst.n_items - int(np.bitwise_count(covered).sum())
     if left and not inst.n_choosers:
         raise BadParameters("instance is infeasible: it has pairs but no chooser")
+    added = []
     while left:
         gains = np.add.reduce(np.bitwise_count(inst.words & ~covered), axis=1)
         v = int(gains.argmax())
         gain = int(gains[v])
         if not gain:
             raise BadParameters("instance is infeasible: some pair has no separator")
-        chosen.append(v)
+        added.append(v)
         covered |= inst.words[v]
         left -= gain
-    return chosen
+    inst.seeds[key] = tuple(added)
+    return chosen + added
 
 
 def _open_items(
@@ -485,7 +496,9 @@ class _Search:
     they are.  A closed item is covered at every node, so uncovered and
     every dynamic count are unchanged.  The open items keep their order
     and their static separator counts, so _pick_pivot and _completable
-    meet the same items in the same order.  Static chooser counts over
+    meet the same items in the same order; the COMPLETION_WINDOW of
+    _completable counts kept positions, but only sets how much of its
+    exact test runs on chooser-wide ints.  Static chooser counts over
     the open items still bound the dynamic ones from above, so
     _coverage_reachable gives the same answers.  Chooser ids do not
     change.
@@ -521,7 +534,7 @@ class _Search:
     """
 
     PIVOT_WINDOW = 8  # uncovered items examined per node when picking a pivot
-    PREFILTER = 4  # uncovered items whose separator sets the completion test intersects
+    COMPLETION_WINDOW = 128  # items from the lowest uncovered one that _completable intersects
     BITS = tuple(_BIT_MASKS)  # _resolver's masks as scalars, built once
 
     def __init__(
@@ -612,7 +625,7 @@ class _Search:
             self.exhausted = False
             raise _Stop
         self.nodes += 1
-        uncovered = self.all_items & ~covered
+        uncovered = self.all_items ^ covered  # every coverage row is zero past all_items
         if not uncovered:
             if len(chosen) < len(self.best):
                 self.best = list(chosen)
@@ -624,9 +637,9 @@ class _Search:
             return
         coverage = self.coverage
         hidden = 0 if chosen else self.closed
-        unc_cnt = uncovered.bit_count() + hidden
         # prune: even `slack` more choosers at the best possible marginal
-        # coverage cannot finish
+        # coverage cannot finish; at slack one it is the whole count, untaken
+        unc_cnt = uncovered.bit_count() + hidden if slack > 1 else 0
         threshold = -(-unc_cnt // slack)  # ceil
         if threshold == unc_cnt:
             if not self._completable(uncovered, banned):
@@ -678,28 +691,28 @@ class _Search:
 
         Equals _coverage_reachable(uncovered, banned, uncovered.bit_count()).
         Such a chooser separates every uncovered pair, so it lies in the
-        separator sets of the lowest PREFILTER uncovered items; only those
-        candidates get the subset test on the rest.
+        separator set, a chooser-wide int, of each uncovered item among the
+        COMPLETION_WINDOW positions from the lowest one; only the candidates
+        left get the subset test against uncovered.
         """
         resolvers = self.resolvers
         cands = ~banned
-        rest = uncovered
-        for _ in range(self.PREFILTER):
-            low = rest & -rest
-            p = low.bit_length() - 1
+        first = (uncovered & -uncovered).bit_length() - 1
+        window = uncovered >> first & (1 << self.COMPLETION_WINDOW) - 1
+        while window:
+            low = window & -window
+            p = first + low.bit_length() - 1
             r = resolvers[p]
             if r is None:
                 r = self._resolver(p)
             cands &= r
             if not cands:
                 return False
-            rest ^= low
-            if not rest:
-                return True
+            window ^= low
         coverage = self.coverage
         while cands:
             low = cands & -cands
-            if coverage[low.bit_length() - 1] & rest == rest:
+            if coverage[low.bit_length() - 1] & uncovered == uncovered:
                 return True
             cands ^= low
         return False

@@ -137,7 +137,8 @@ class Graph:
     never isomorphism.  A graph keeps what is computed from it alone in one
     memo (see _kept): its distances, intersection array, halves, antipodal
     classes and fold, and the pair-cover instance that mdim_greedy and
-    mdim_exact share, each computed at most once.  The instance is the
+    mdim_exact share, each computed at most once; the instance keeps the
+    greedy seeds computed on it, one per forced set.  The instance is the
     largest fact kept: one bit per vertex and vertex pair, n * C(n, 2) / 8
     bytes (1 MiB at n = 256), held for as long as the graph lives.
 

@@ -262,7 +262,7 @@ class TestBuildInstance:
 
 
 # the attributes of an instance: it keeps no layer of its own
-STORED = {"n_choosers", "n_entities", "matrix", "words"}
+STORED = {"n_choosers", "n_entities", "matrix", "words", "seeds"}
 
 
 def lazy_shapes(rng) -> list[tuple[int, int]]:
@@ -530,6 +530,52 @@ class TestGreedyMatchesTheReference:
         for name in sorted(SOLVABLE):
             inst = build_instance(np.asarray(ZOO[name]().distances.dist))
             self.check(inst)
+
+
+class TestGreedySeedsAreKept:
+    """greedy_cover keeps what it adds to each forced set in inst.seeds, so
+    a later call with the same set computes nothing."""
+
+    def test_each_call_returns_a_fresh_list(self):
+        rng = np.random.default_rng(3)
+        inst = build_instance(rng.integers(0, 3, size=(8, 9)))
+        first = greedy_cover(inst, forced=[2])
+        want = list(first)
+        first.append(7)
+        second = greedy_cover(inst, forced=[2])
+        assert second == want and second is not greedy_cover(inst, forced=[2])
+
+    def test_seeds_are_keyed_by_the_forced_set(self):
+        # each answer is that of a fresh instance, whatever was asked before
+        rng = np.random.default_rng(4)
+        m = rng.integers(0, 3, size=(12, 10))
+        inst = build_instance(m)
+        for _ in range(40):
+            forced = rng.integers(0, 12, size=int(rng.integers(0, 4))).tolist()
+            assert greedy_cover(inst, forced) == greedy_cover(build_instance(m), forced)
+        assert len(inst.seeds) > 5
+        assert all(isinstance(key, frozenset) for key in inst.seeds)
+        # one set in two orders shares its seed, after the forced ones as given
+        assert greedy_cover(inst, [3, 5])[2:] == greedy_cover(inst, [5, 3, 5])[3:]
+
+    @pytest.mark.parametrize("m", [np.array([[1, 1], [2, 2]]), np.zeros((0, 3), dtype=np.uint8)])
+    def test_an_infeasible_instance_raises_on_every_call(self, m):
+        inst = build_instance(m)
+        for _ in range(3):
+            with pytest.raises(BadParameters):
+                greedy_cover(inst)
+        assert inst.seeds == {}
+
+    def test_mdim_exact_reuses_the_seed_of_mdim_greedy(self):
+        g = family("hypercube", 5)  # twin-free: mdim_exact forces nothing
+        assert twin_forced_choices(g) == []
+        assert len(mdim_greedy(g).set) == 4
+        inst = mdim_module._instance(g)
+        kept = inst.seeds[frozenset()]
+        cert = mdim_exact(g)  # the greedy 4 is above the root bound: a search
+        assert (len(cert.set), cert.status, cert.nodes_explored) == (4, "minimum", 5)
+        # a second computation would have stored a tuple of its own
+        assert list(inst.seeds) == [frozenset()] and inst.seeds[frozenset()] is kept
 
 
 class TestMinCover:
@@ -1175,10 +1221,13 @@ class TestCompletionTest:
         return want
 
     def test_matches_the_reference_on_random_instances(self):
-        seen = {"true_beyond_prefilter": 0, "survivor_fails_subset": 0}
+        # 20 columns give 190 items, so uncovered items reach past the
+        # window, where only the subset test decides
+        seen = {"true_past_the_window": 0, "survivor_fails_subset": 0, "banned_completer": 0}
+        w = _Search.COMPLETION_WINDOW
         for seed in range(40):
             rng = np.random.default_rng(seed)
-            inst = build_instance(rng.integers(0, 3, size=(7, 9)))
+            inst = build_instance(rng.integers(0, 3, size=(7, 20)))
             search = every_item_search(inst)
             coverage, resolvers = reference_build(inst.matrix)
             all_items = (1 << inst.n_items) - 1
@@ -1187,16 +1236,20 @@ class TestCompletionTest:
                 # a subset of one chooser's coverage is often completable
                 source = coverage[int(rng.integers(inst.n_choosers))]
                 uncovered = random_subset(rng, source if rng.random() < 0.7 else all_items)
+                if rng.random() < 0.3:  # and one item more, which that chooser may miss
+                    uncovered |= 1 << int(rng.integers(w, inst.n_items))
                 if not uncovered:
                     continue
                 got = self.check(inst, search, uncovered, banned)
-                if uncovered.bit_count() > _Search.PREFILTER:
-                    lowest = sorted(p for p in range(inst.n_items) if uncovered >> p & 1)
+                first = (uncovered & -uncovered).bit_length() - 1
+                if uncovered >> first + w:
                     cands = ~banned
-                    for p in lowest[: _Search.PREFILTER]:
-                        cands &= resolvers[p]
-                    seen["true_beyond_prefilter"] += got
+                    for p in range(first, first + w):
+                        if uncovered >> p & 1:
+                            cands &= resolvers[p]
+                    seen["true_past_the_window"] += got
                     seen["survivor_fails_subset"] += bool(cands) and not got
+                seen["banned_completer"] += not got and some_chooser_completes(inst, uncovered, 0)
         assert all(seen.values()), seen
 
     def test_every_chooser_banned(self):
@@ -1219,22 +1272,25 @@ class TestCompletionTest:
                 assert self.check(inst, search, 1 << p, 1 << v) == bool(resolvers[p] & ~(1 << v))
 
     def test_survivor_of_the_prefilter_can_fail_the_subset_test(self):
-        # chooser 0 separates column 0 from every other column, so it alone
-        # survives the prefilter on the items (0, 1) .. (0, k); it does not
-        # separate (1, 2), which chooser 1 does
-        k = _Search.PREFILTER
+        # the prefilter is the window of COMPLETION_WINDOW items from the
+        # lowest uncovered one.  Chooser 0 separates column 0 from columns
+        # 1 .. k, so it alone survives the window on the items (0, 1) ..
+        # (0, k); it does not separate (0, k + 1), the first item past the
+        # window, which chooser 1 does
+        k = _Search.COMPLETION_WINDOW
         m = np.zeros((2, k + 2), dtype=np.uint8)
-        m[0, 1:] = 1
-        m[1, 2] = 1
+        m[0, 1:k + 1] = 1
+        m[1, k + 1] = 1
         inst = build_instance(m)
         search = every_item_search(inst)
-        first_k = (1 << k) - 1
+        window = (1 << k) - 1
         pairs = list(combinations(range(inst.n_entities), 2))
-        assert pairs[:k] == [(0, j) for j in range(1, k + 1)]
-        p12 = pairs.index((1, 2))
-        assert self.check(inst, search, first_k, 0)
-        assert not self.check(inst, search, first_k | 1 << p12, 0)
-        assert not self.check(inst, search, first_k | 1 << p12, 0b10)
+        assert pairs[:k + 1] == [(0, j) for j in range(1, k + 2)]
+        assert self.check(inst, search, window, 0)
+        assert not self.check(inst, search, window | 1 << k, 0)
+        assert not self.check(inst, search, window | 1 << k, 0b10)
+        # banned, the chooser that completes the window does not count
+        assert not self.check(inst, search, window, 0b1)
 
 
 def compressed(row: int, items) -> int:
@@ -1470,6 +1526,36 @@ class TestPerRootOpenItems:
         # the benchmark's workloads are pinned in test_benchmark_calls.py
         assert run_suite().ok
         assert made_searches and not any(search.per_root for search in made_searches)
+
+
+class TestCoverageEndsAtTheKeptItems:
+    """_search reads uncovered as all_items ^ covered, which is
+    all_items & ~covered because every coverage row that _load makes is
+    zero from the kept item count up."""
+
+    @staticmethod
+    def assert_rows_end(search: _Search) -> None:
+        n_kept = search.all_items.bit_length()
+        assert search.all_items == (1 << n_kept) - 1
+        assert all(row >> n_kept == 0 for row in search.coverage)
+
+    def test_the_union_of_the_roots(self):
+        inst = build_instance(np.asarray(family("hypercube", 6).distances.dist))
+        roots = _orbital_roots(inst, root_symmetries(inst, greedy_cover(inst)))
+        search = _Search(inst, budget=600, lower_stop=0, roots=roots)
+        assert not search.per_root and search.closed  # a gathered union
+        self.assert_rows_end(search)
+        self.assert_rows_end(every_item_search(inst))
+
+    def test_each_root_of_q8(self):
+        inst = build_instance(np.asarray(family("hypercube", 8).distances.dist))
+        roots = _orbital_roots(inst, root_symmetries(inst, greedy_cover(inst)))
+        search = _Search(inst, budget=600, lower_stop=0, roots=roots)
+        assert search.per_root
+        for root in roots:
+            search._load(_open_items(inst, [root]))
+            assert search.closed
+            self.assert_rows_end(search)
 
 
 class ReferenceSearch(_Search):
